@@ -2,16 +2,12 @@
 /// \file bench_flags.hpp
 /// \brief Shared command-line handling for the bench binaries: a `--threads N`
 ///        flag (overrides TPCOOL_NUM_THREADS) so CI and local runs pin the
-///        solver thread count reproducibly, a `--cache-shards N` flag
-///        (overrides TPCOOL_SOLVE_CACHE_SHARDS) that pins the solve-cache
-///        stripe count, a `--cache-file PATH` flag (overrides
-///        TPCOOL_SOLVE_CACHE_FILE) that warms the process-global solve cache
-///        from a snapshot and atomically saves it back at exit, and a
-///        `--trace-file PATH` flag (overrides TPCOOL_TRACE_FILE) that
+///        solver thread count reproducibly, a `--cache-file PATH` flag
+///        (overrides TPCOOL_SOLVE_CACHE_FILE) that warms the process-global
+///        solve cache from a snapshot and atomically saves it back at exit,
+///        and a `--trace-file PATH` flag (overrides TPCOOL_TRACE_FILE) that
 ///        enables telemetry and exports a Chrome trace at exit (see
 ///        docs/TRACING.md).
-///        Call apply_cache_shards_flag *before* apply_cache_file_flag: the
-///        latter constructs the global cache, which reads the shard count.
 
 #include <cstdlib>
 #include <iostream>
@@ -55,44 +51,6 @@ inline std::size_t apply_threads_flag(int& argc, char** argv) {
   argc = out;
   argv[argc] = nullptr;  // keep the argv[argc] == NULL contract
   return tpcool::util::ThreadPool::global().thread_count();
-}
-
-/// Consume `--cache-shards N` (or `--cache-shards=N`) from argv and export
-/// it as TPCOOL_SOLVE_CACHE_SHARDS, so the process-global SolveCache (not
-/// yet constructed — call this before apply_cache_file_flag) stripes into N
-/// shards (rounded up to a power of two).  Compacts argv like
-/// apply_threads_flag.  Returns the requested count (0 when the flag is
-/// absent — the cache then defaults to the hardware concurrency).  Sharding
-/// never changes results or hit/miss counts, only lock contention.
-inline std::size_t apply_cache_shards_flag(int& argc, char** argv) {
-  int out = 1;
-  long shards = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (arg == "--cache-shards") {
-      if (i + 1 >= argc) {
-        std::cerr << "--cache-shards expects a value\n";
-        std::exit(2);
-      }
-      value = argv[++i];
-    } else if (arg.rfind("--cache-shards=", 0) == 0) {
-      value = arg.substr(15);
-    } else {
-      argv[out++] = argv[i];
-      continue;
-    }
-    shards = std::strtol(value.c_str(), nullptr, 10);
-    if (shards < 1) {
-      std::cerr << "--cache-shards expects a positive integer, got '" << value
-                << "'\n";
-      std::exit(2);
-    }
-    setenv("TPCOOL_SOLVE_CACHE_SHARDS", value.c_str(), 1);
-  }
-  argc = out;
-  argv[argc] = nullptr;  // keep the argv[argc] == NULL contract
-  return static_cast<std::size_t>(shards);
 }
 
 /// Consume `--cache-file PATH` (or `--cache-file=PATH`) from argv and attach

@@ -33,7 +33,6 @@
 ///   --repeats N      timing repeats per day case (default 2, best-of;
 ///                    the week case always runs once per thread count)
 ///   --cache-file P   solve-cache snapshot: load, warm-replay, save, verify
-///   --cache-shards N  solve-cache stripe count (default: hardware concurrency)
 ///   --trace-file P   telemetry: Chrome trace + metrics JSON at exit (TRACING.md)
 
 #include <chrono>
@@ -218,16 +217,12 @@ int main(int argc, char** argv) {
           std::max(1, std::atoi(argv[++i])));
     } else if (arg == "--cache-file" && i + 1 < argc) {
       cache_file = argv[++i];
-    } else if (arg == "--cache-shards" && i + 1 < argc) {
-      // Export before the global cache is first touched: its shard
-      // count is read once, at construction.
-      setenv("TPCOOL_SOLVE_CACHE_SHARDS", argv[++i], 1);
     } else if (arg == "--trace-file" && i + 1 < argc) {
       util::Telemetry::arm_process_trace(argv[++i]);
     } else {
       std::cerr << "usage: streaming_scaling [--fast] [--threads N] "
                    "[--json PATH] [--repeats N] [--cache-file PATH] "
-                   "[--cache-shards N] [--trace-file PATH]\n";
+                   "[--trace-file PATH]\n";
       return 2;
     }
   }

@@ -27,11 +27,6 @@ Both files must carry the same schema, one of:
     interval count ("steps"; cache hits are informational — the bench
     itself fails hard on a cross-thread digest divergence or a
     controlled run outside the PUE acceptance band)
-  - tpcool-cache-bench-v1       (cache_scaling --json): per case
-    solve_ms + fixed op/entry count ("iterations"; cache hits are
-    informational — the bench itself fails hard on any miss during a
-    hit storm, on a snapshot digest mismatch, or when the 8-stripe
-    storm is >1.5x slower than 1-stripe at 4 threads)
 
 A case regresses when any compared metric exceeds the baseline by more
 than --max-regress (relative).  Iteration/solve/hit counts are
@@ -53,8 +48,7 @@ import sys
 
 KNOWN_SCHEMAS = ("tpcool-solver-bench-v1", "tpcool-experiment-bench-v1",
                  "tpcool-datacenter-bench-v1", "tpcool-transient-bench-v1",
-                 "tpcool-streaming-bench-v1", "tpcool-control-bench-v1",
-                 "tpcool-cache-bench-v1")
+                 "tpcool-streaming-bench-v1", "tpcool-control-bench-v1")
 
 # Metrics compared per schema; a metric missing from either file is skipped.
 # "hits" is emitted for information only: a lost cache hit already shows up

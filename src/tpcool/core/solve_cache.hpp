@@ -1,7 +1,7 @@
 #pragma once
 /// \file solve_cache.hpp
-/// \brief Sharded, thread-safe memo of coupled-solve results, shared by the
-///        parallel experiment engine, with segmented on-disk snapshots.
+/// \brief Thread-safe LRU memo of coupled-solve results, shared by the
+///        parallel experiment engine, with a one-file on-disk snapshot.
 ///
 /// Experiment sweeps (Fig. 3/5/6 rows, Table I/II cells, the oracle's subset
 /// enumeration, rack supply-temperature scans) and the acceptance tests
@@ -16,36 +16,33 @@
 /// bit-identical to the value a cold re-solve of its key would produce, so
 /// warm-loaded runs reproduce cold runs exactly.
 ///
-/// Internally the store is striped into N lock-striped shards (CacheShard),
-/// each owning one contiguous range of FNV-1a key-digest space, so hits on
-/// independent keys no longer serialize on one mutex at fleet thread
-/// counts.  N defaults to the hardware concurrency rounded up to a power of
-/// two and is overridable via TPCOOL_SOLVE_CACHE_SHARDS (or `--cache-shards`
-/// on every bench binary).  Stats are exact per-shard sums; eviction is
-/// cost-aware per shard (cheapest-to-recompute first, LRU tiebreak).
+/// One mutex guards one LRU list, its index and the in-flight records.
+/// Entries hold immutable shared results, so a hit holds the lock only for
+/// the lookup, the LRU splice and a reference-count bump; the copy handed
+/// to the caller is made after unlock.
 ///
-/// Persistence: `save()` / `load()` write and read a segmented, versioned,
-/// endian-safe snapshot — a manifest at `path` plus one segment file per
-/// shard digest-range (`path.segNNNN`), schema `kSnapshotVersion`, each
-/// file sealed by a stream digest (truncation, corruption, and
-/// mixed-generation manifest/segment pairs are detected, never undefined
-/// behavior).  Legacy monolithic v2 snapshots load transparently and are
-/// rewritten segmented on the next save (the v2 -> v3 migration path).
-/// Setting `TPCOOL_SOLVE_CACHE_FILE=<path>` (or passing `--cache-file
-/// <path>` to a bench binary) loads the snapshot into the process-global
-/// cache at startup and atomically rewrites it at exit, so bench reruns and
-/// the slow CTest suites start warm.  Formats and tooling are documented in
+/// Persistence: `save()` / `load()` write and read one versioned,
+/// endian-safe snapshot file (schema `kSnapshotVersion`), streamed entry by
+/// entry and sealed by a trailing stream digest, so truncation and
+/// corruption are detected, never undefined behavior.  Setting
+/// `TPCOOL_SOLVE_CACHE_FILE=<path>` (or passing `--cache-file <path>` to a
+/// bench binary) loads the snapshot into the process-global cache at
+/// startup and atomically rewrites it at exit, so bench reruns and the slow
+/// CTest suites start warm.  The format and tooling are documented in
 /// docs/CACHE.md and inspectable via scripts/cache_inspect.py.
 
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <memory>
+#include <mutex>
+#include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
-#include "tpcool/core/cache_segment_io.hpp"
-#include "tpcool/core/cache_shard.hpp"
 #include "tpcool/core/server.hpp"
 #include "tpcool/thermal/step_control.hpp"
 #include "tpcool/workload/benchmark.hpp"
@@ -53,52 +50,47 @@
 
 namespace tpcool::core {
 
-/// Sharded least-recently-used (cost-weighted) memo from solve keys to
-/// SimulationResults.
+/// Thrown for unreadable, truncated, corrupt, or schema-mismatched
+/// snapshot files.
+class SnapshotError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Least-recently-used memo from solve keys to SimulationResults.
 ///
-/// All operations are safe to call concurrently.  Shard locks are released
-/// while a miss computes, so independent keys solve in parallel; keys on
-/// different shards do not contend at all.  Concurrent get_or_compute calls
-/// for the *same* key are deduplicated: the first caller computes, later
-/// callers wait and count a hit — exactly the serial schedule — so the
-/// miss/hit counters are deterministic and machine-independent (the
-/// regression gate in scripts/check_bench_regression.py relies on this).
-/// Waiters consume the result from the in-flight computation record itself,
-/// not from the LRU store, so dedup is exact under any eviction pressure —
-/// a key evicted between its compute and a waiter's wake-up is still
-/// served.  A key evicted and *re-requested later* is a genuine capacity
-/// miss, and which entry eviction drops can depend on the parallel touch
-/// order, the observed costs, and the shard count: keep a sweep's
-/// unique-key working set under capacity() (or raise it via
+/// All operations are safe to call concurrently.  The lock is released
+/// while a miss computes, so independent keys solve in parallel.
+/// Concurrent get_or_compute calls for the *same* key are deduplicated: the
+/// first caller computes, later callers wait and count a hit — exactly the
+/// serial schedule — so the miss/hit counters are deterministic and
+/// machine-independent (the regression gate in
+/// scripts/check_bench_regression.py relies on this).  Waiters consume the
+/// result from the in-flight computation record itself, not from the LRU
+/// store, so dedup is exact under any eviction pressure — a key evicted
+/// between its compute and a waiter's wake-up is still served.  A key
+/// evicted and *re-requested later* is a genuine capacity miss, and which
+/// entry eviction drops can depend on the parallel touch order: keep a
+/// sweep's unique-key working set under capacity() (or raise it via
 /// TPCOOL_SOLVE_CACHE_CAPACITY) for cross-run-exact counts.
 class SolveCache {
  public:
   /// Capacity is in entries; one 1 mm-grid SimulationResult is ~100 KB, so
-  /// the default bounds the cache around tens of MB.  The capacity is
-  /// divided evenly across the shards (rounded up, so the effective total
-  /// is the next multiple of the shard count); each shard evicts
-  /// independently within its slice.  The process-global cache honors a
-  /// TPCOOL_SOLVE_CACHE_CAPACITY env override.
+  /// the default bounds the cache around tens of MB.  The process-global
+  /// cache honors a TPCOOL_SOLVE_CACHE_CAPACITY env override.
   static constexpr std::size_t kDefaultCapacity = 256;
 
-  /// Snapshot schema version; load() refuses any other version except the
-  /// legacy monolithic v2, which loads via the migration path.
+  /// Snapshot schema version; load() refuses any other version.
   /// v2: SimulationResult gained the transient-segment payload.
-  /// v3: segmented format (manifest + one segment per shard digest-range)
-  ///     and per-entry observed solve costs.
-  static constexpr std::uint32_t kSnapshotVersion = 3;
+  /// v4: one streamed file replaces the v3 manifest plus segments.
+  static constexpr std::uint32_t kSnapshotVersion = 4;
 
-  /// `shards` must be 0 (auto: default_shard_count()) or is rounded up to
-  /// the next power of two.  Tests that pin eviction order or exact sizes
-  /// at tiny capacities pass `shards = 1` to keep one deterministic stripe.
-  explicit SolveCache(std::size_t capacity = kDefaultCapacity,
-                      std::size_t shards = 0);
+  explicit SolveCache(std::size_t capacity = kDefaultCapacity);
 
   SolveCache(const SolveCache&) = delete;
   SolveCache& operator=(const SolveCache&) = delete;
 
-  /// Cache hit/miss/eviction counters since construction or clear():
-  /// exact sums of the exact per-shard counters.
+  /// Cache hit/miss/eviction counters since construction or clear().
   struct Stats {
     std::size_t hits = 0;
     std::size_t misses = 0;
@@ -110,10 +102,9 @@ class SolveCache {
   };
 
   /// Serve `key` from the cache, or run `compute`, store and return its
-  /// result.  `compute` runs without any cache lock held; a concurrent
+  /// result.  `compute` runs without the cache lock held; a concurrent
   /// call for the same key blocks until the first caller's result lands
-  /// and then counts a hit.  The observed wall-clock cost of `compute` is
-  /// recorded on the entry and drives cost-aware eviction.
+  /// and then counts a hit.
   [[nodiscard]] SimulationResult get_or_compute(
       const std::string& key,
       const std::function<SimulationResult()>& compute);
@@ -123,60 +114,39 @@ class SolveCache {
 
   /// Insert (idempotent: an existing entry is kept and refreshed as
   /// most-recently-used; values for one key are identical by construction).
-  /// `cost_ms` is the entry's eviction weight — callers that know the
-  /// solve cost should pass it; 0 marks the entry cheapest-to-recompute.
-  void put(const std::string& key, SimulationResult result,
-           double cost_ms = 0.0);
+  void put(const std::string& key, SimulationResult result);
 
   [[nodiscard]] Stats stats() const;
-  /// Effective total capacity: per-shard slice times shard count.
-  [[nodiscard]] std::size_t capacity() const noexcept {
-    return shard_capacity_ * shards_.size();
-  }
-  [[nodiscard]] std::size_t shard_count() const noexcept {
-    return shards_.size();
-  }
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
   /// Drop all entries and reset the counters.
   void clear();
 
-  /// Shard count used when a SolveCache is built with `shards = 0`:
-  /// TPCOOL_SOLVE_CACHE_SHARDS (>= 1, rounded up to a power of two) when
-  /// set and valid, else the hardware concurrency rounded up to a power of
-  /// two.
-  [[nodiscard]] static std::size_t default_shard_count();
-
   // ------------------------------------------------------- persistence --
 
-  /// Write a segmented snapshot: every shard's entries (most- to
-  /// least-recently-used) become one segment file `path.segNNNN`, written
-  /// and renamed atomically, fanned out over the thread pool via
-  /// util::parallel_map; the manifest at `path` is written last, so a
-  /// snapshot whose manifest landed describes segments that already
-  /// landed.  Stale segment files from a previous wider save are removed.
-  /// Throws SnapshotError when a file cannot be written.  Snapshots whose
-  /// files total more than TPCOOL_SOLVE_CACHE_WARN_MB megabytes (default
-  /// 64, <= 0 disables) log a warning through util/logging so fleet-scale
-  /// runs surface growth early.
+  /// Write every entry (most- to least-recently-used) to a temporary file
+  /// next to `path`, one entry at a time, then rename it over `path`, so
+  /// readers and a crash mid-write never observe a partial snapshot.
+  /// Throws SnapshotError when the file cannot be written.  Snapshots
+  /// larger than TPCOOL_SOLVE_CACHE_WARN_MB megabytes (default 64, <= 0
+  /// disables) log a warning through util/logging so fleet-scale runs
+  /// surface growth early.
   void save(const std::string& path) const;
 
-  /// Merge the snapshot at `path` into this cache: either a segmented v3
-  /// manifest (+ its segment files) or a legacy monolithic v2 snapshot
-  /// (the migration path — costs default to 0 until remeasured).  Every
-  /// file is fully validated *before* the cache is touched.  Loaded
-  /// entries join behind the existing ones in saved recency order,
-  /// re-striped by this cache's own shard count (existing keys win; values
-  /// for one key are identical by construction) and the usual capacity
-  /// eviction applies.  Hit/miss counters are not touched.  Throws
-  /// SnapshotError — never UB — on unreadable, truncated, corrupt, or
-  /// schema-mismatched files.
+  /// Merge the snapshot at `path` into this cache.  The file is decoded
+  /// entry by entry and its trailing digest checked *before* the cache is
+  /// touched.  Loaded entries join behind the existing ones in saved
+  /// recency order (existing keys win; values for one key are identical by
+  /// construction) and the usual capacity eviction applies.  Hit/miss
+  /// counters are not touched.  Throws SnapshotError — never UB — on
+  /// unreadable, truncated, corrupt, or schema-mismatched files.
   void load(const std::string& path);
 
   /// Order-insensitive digest over all entries: the wrapping sum of
-  /// per-entry FNV-1a digests (key bytes then payload bytes; observed
-  /// costs excluded).  Independent of recency order, shard count, and
-  /// merge interleaving, so equal digests certify equal contents across
-  /// save/load round trips, v2 migration, and concurrent merge-saves.
+  /// per-entry FNV-1a digests (key bytes then payload bytes).  Independent
+  /// of recency order and merge interleaving, so equal digests certify
+  /// equal contents across save/load round trips and concurrent
+  /// merge-saves.
   [[nodiscard]] std::uint64_t content_digest() const;
 
   /// Load `path` into `cache` now if the file exists (a corrupt snapshot
@@ -195,15 +165,54 @@ class SolveCache {
 
   /// Process-wide cache shared by the experiment runners, the rack
   /// coordinator and the oracle sweeps.  Reads TPCOOL_SOLVE_CACHE_CAPACITY
-  /// (entries), TPCOOL_SOLVE_CACHE_SHARDS (stripes) and
-  /// TPCOOL_SOLVE_CACHE_FILE (snapshot path) once, at first use.
+  /// (entries) and TPCOOL_SOLVE_CACHE_FILE (snapshot path) once, at first
+  /// use.
   [[nodiscard]] static const std::shared_ptr<SolveCache>& global();
 
  private:
-  [[nodiscard]] CacheShard& shard_for(const std::string& key) const;
+  using ResultPtr = std::shared_ptr<const SimulationResult>;
 
-  std::size_t shard_capacity_;
-  std::vector<std::unique_ptr<CacheShard>> shards_;  ///< Power-of-two count.
+  struct Entry {
+    std::string key;
+    ResultPtr result;
+  };
+
+  /// Shared record of one in-flight computation.  The computing thread
+  /// publishes the result (or the failure) here; waiters hold their own
+  /// reference and consume from it directly, immune to LRU eviction.
+  struct InFlight {
+    ResultPtr result;  ///< Set once the compute succeeded.
+    bool failed = false;
+  };
+
+  /// Requires the lock: on a hit, count it, move the entry to the LRU front
+  /// and return its result; null (and nothing counted) on a miss.
+  ResultPtr lookup(const std::string& key);
+  /// Requires the lock.
+  void count_miss();
+  /// Requires the lock: insert `result` as most-recently-used, or refresh
+  /// the existing entry for `key`, then evict over capacity.
+  void insert(const std::string& key, ResultPtr result);
+  /// Requires the lock: drop least-recently-used entries over capacity.
+  void evict_over_capacity();
+  /// Copy of the entry list (most- to least-recently-used), taken under
+  /// the lock; the results themselves are shared, not copied.
+  [[nodiscard]] std::vector<Entry> entries() const;
+
+  /// Snapshot codec: stream `entries` to `path` atomically and return the
+  /// file size in bytes; read and fully validate a snapshot file.
+  static std::uint64_t write_snapshot(const std::string& path,
+                                      const std::vector<Entry>& entries);
+  [[nodiscard]] static std::vector<Entry> read_snapshot(
+      const std::string& path);
+
+  mutable std::mutex mutex_;
+  std::condition_variable compute_done_;
+  std::size_t capacity_;
+  std::list<Entry> lru_;  ///< Front = most recently used.
+  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  std::unordered_map<std::string, std::shared_ptr<InFlight>> in_flight_;
+  Stats stats_;
 };
 
 /// Append a double to a cache key as its exact bit pattern (hex).  Keys must

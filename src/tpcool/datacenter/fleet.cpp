@@ -125,7 +125,7 @@ std::uint64_t fleet_digest(const FleetResult& result) {
       fnv_f64(digest, rack.cooling.chiller_electrical_w);
     }
     // Controller-off intervals fold a bare 0, so uncontrolled digests are
-    // a pure function of the physics fields (v1 replays keep matching).
+    // a pure function of the physics fields.
     fnv_u64(digest, interval.control.active ? 1 : 0);
     if (interval.control.active) {
       fnv_f64(digest, interval.control.target);

@@ -658,16 +658,13 @@ FleetResult replay_fleet_jsonl(std::istream& is) {
   FleetResult result;
   bool saw_header = false;
   bool saw_summary = false;
-  bool v2 = false;
   std::string line;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
     const std::string_view text(line);
     const std::string type = get_string(text, "type");
     if (type == "header") {
-      const std::string schema = get_string(text, "schema");
-      v2 = schema == "tpcool-fleet-stream-v2";
-      TPCOOL_REQUIRE(v2 || schema == "tpcool-fleet-stream-v1",
+      TPCOOL_REQUIRE(get_string(text, "schema") == "tpcool-fleet-stream-v2",
                      "fleet JSONL replay: unexpected schema");
       saw_header = true;
     } else if (type == "interval") {
@@ -681,18 +678,15 @@ FleetResult replay_fleet_jsonl(std::istream& is) {
       interval.chiller_power_w = get_number(text, "chiller_power_w");
       interval.pue = get_number(text, "pue");
       interval.qos_violations = get_count(text, "qos_violations");
-      if (v2) {
-        for (const double stream : parse_number_array(
-                 get_array(text, "shed"))) {
-          interval.shed_streams.push_back(static_cast<std::size_t>(stream));
-        }
-        if (has_key(text, "control")) {
-          interval.control.active = true;
-          interval.control.target = get_number(text, "target");
-          interval.control.error = get_number(text, "error");
-          interval.control.rack_bias_c =
-              parse_number_array(get_array(text, "bias_c"));
-        }
+      for (const double stream : parse_number_array(get_array(text, "shed"))) {
+        interval.shed_streams.push_back(static_cast<std::size_t>(stream));
+      }
+      if (has_key(text, "control")) {
+        interval.control.active = true;
+        interval.control.target = get_number(text, "target");
+        interval.control.error = get_number(text, "error");
+        interval.control.rack_bias_c =
+            parse_number_array(get_array(text, "bias_c"));
       }
       for (const std::string_view object :
            split_objects(get_array(text, "jobs"))) {
@@ -730,7 +724,7 @@ FleetResult replay_fleet_jsonl(std::istream& is) {
           get_number(text, "total_facility_energy_j");
       result.avg_pue = get_number(text, "avg_pue");
       result.qos_violations = get_count(text, "qos_violations");
-      result.shed_jobs = v2 ? get_count(text, "shed_jobs") : 0;
+      result.shed_jobs = get_count(text, "shed_jobs");
       TPCOOL_REQUIRE(get_count(text, "intervals") == result.intervals.size(),
                      "fleet JSONL replay: interval count mismatch");
       saw_summary = true;

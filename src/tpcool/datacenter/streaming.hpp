@@ -196,7 +196,7 @@ class FleetResultAggregator final : public FleetObserver {
 
 /// JSONL file sink: one self-contained JSON object per line — a header
 /// record, one record per interval, and a summary record (schema
-/// `tpcool-fleet-stream-v1`, documented in docs/OBSERVABILITY.md).
+/// `tpcool-fleet-stream-v2`, documented in docs/OBSERVABILITY.md).
 /// Doubles are printed with 17 significant digits, so a replay
 /// (`replay_fleet_jsonl`) reconstructs every digest-covered field of the
 /// batch `FleetResult` bit-exactly.
@@ -218,7 +218,7 @@ class JsonlFleetSink final : public FleetObserver {
   std::ostream* os_ = nullptr;
 };
 
-/// Parse a `tpcool-fleet-stream-v1` JSONL stream back into a
+/// Parse a `tpcool-fleet-stream-v2` JSONL stream back into a
 /// `FleetResult`.  Restores every field `fleet_digest` covers (and the
 /// benchmark names); schedule decisions are not serialized and come back
 /// default-constructed.  Throws PreconditionError on malformed input or a

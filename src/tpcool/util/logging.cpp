@@ -2,8 +2,11 @@
 
 #include <atomic>
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
+#include <mutex>
+#include <set>
 
 namespace tpcool::util {
 
@@ -59,6 +62,28 @@ void log(LogLevel level, const std::string& message) {
   if (static_cast<int>(level) > static_cast<int>(level_slot().load())) return;
   if (message.empty()) return;
   std::cerr << "[tpcool:" << level_name(level) << "] " << message << '\n';
+}
+
+std::size_t env_positive_integer(const char* name, std::size_t fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return fallback;
+  const std::string_view text(env);
+  std::size_t value = 0;
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (error == std::errc() && end == text.data() + text.size() && value >= 1) {
+    return value;
+  }
+  // Straight to stderr, not through log_warn(): a mistyped override must
+  // not pass silently whatever TPCOOL_LOG_LEVEL says.
+  static std::mutex mutex;
+  static std::set<std::string> warned;
+  std::lock_guard lock(mutex);
+  if (warned.emplace(name).second) {
+    std::cerr << "tpcool: ignoring " << name << "=" << env
+              << " (want an integer >= 1)\n";
+  }
+  return fallback;
 }
 
 }  // namespace tpcool::util

@@ -6,8 +6,10 @@
 /// The initial threshold comes from the `TPCOOL_LOG_LEVEL` environment
 /// variable when set (`error`/`warn`/`info`/`debug`, case-insensitive, or
 /// the numeric values 0-3); otherwise it is `warn`.  `set_log_level`
-/// overrides it at any time.
+/// overrides it at any time.  `env_positive_integer` is the one strict
+/// parser for the integer-valued TPCOOL_* overrides.
 
+#include <cstddef>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -28,6 +30,13 @@ void set_log_level(LogLevel level);
 
 /// Emit a message at the given level (to stderr).
 void log(LogLevel level, const std::string& message);
+
+/// Read the environment variable `name` as an integer >= 1 written in
+/// decimal digits and nothing else.  Returns `fallback` when the variable
+/// is unset, and also when it holds anything else ("4x", "0", "", "1e3"),
+/// after a warning on stderr the first time `name` is rejected.
+[[nodiscard]] std::size_t env_positive_integer(const char* name,
+                                               std::size_t fallback);
 
 namespace detail {
 

@@ -1,11 +1,11 @@
 #include "tpcool/util/thread_pool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <string>
 
 #include "tpcool/util/error.hpp"
+#include "tpcool/util/logging.hpp"
 #include "tpcool/util/telemetry.hpp"
 
 namespace tpcool::util {
@@ -49,17 +49,8 @@ TelemetryCounter& pool_busy_counter(std::size_t worker_index) {
 }  // namespace
 
 std::size_t ThreadPool::default_thread_count() {
-  if (const char* env = std::getenv("TPCOOL_NUM_THREADS")) {
-    // Strict parse: reject garbage and non-positive values rather than
-    // silently running single-threaded with a typo'd override.
-    try {
-      const long v = std::stol(env);
-      if (v >= 1) return static_cast<std::size_t>(v);
-    } catch (const std::exception&) {
-    }
-  }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+  return env_positive_integer("TPCOOL_NUM_THREADS", hw == 0 ? 1 : hw);
 }
 
 ThreadPool::ThreadPool(std::size_t threads) {

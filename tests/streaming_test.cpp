@@ -391,40 +391,28 @@ TEST_F(StreamingTest, JsonlV2RoundTripsControllerStateAndShedJobs) {
   EXPECT_TRUE(saw_bias);
 }
 
-TEST_F(StreamingTest, JsonlV1StreamsStillReplay) {
-  // Backward compatibility: a v1 file (no shed arrays, no control
-  // objects, no shed_jobs summary field) must replay exactly as before.
-  // An uncontrolled, non-shedding run's v2 output differs from the v1
-  // bytes only by the schema tag and those fields, so stripping them
-  // reconstructs the genuine v1 encoding of the same run.
+TEST_F(StreamingTest, JsonlRefusesAnyOtherSchema) {
+  // Replay reads exactly the schema the sink writes: a stream under the
+  // retired v1 header (or any other tag) is refused, never half-replayed.
   const FleetConfig config = make_heterogeneous_fleet(2, 2, kCell);
   const std::vector<workload::WorkloadTrace> streams =
       WorkloadGenerator(short_scenario(13)).generate();
 
   std::ostringstream jsonl;
   StreamingFleetEngine engine(config, streams);
-  FleetResultAggregator aggregator;
   JsonlFleetSink sink(jsonl);
-  engine.add_observer(aggregator);
   engine.add_observer(sink);
   engine.run();
 
+  // Turn the header's version digit from 2 to 1.
   std::string v1 = jsonl.str();
-  const auto strip = [&v1](const std::string& needle) {
-    for (std::size_t pos = v1.find(needle); pos != std::string::npos;
-         pos = v1.find(needle, pos)) {
-      v1.erase(pos, needle.size());
-    }
-  };
   const std::string v2_tag = "tpcool-fleet-stream-v2";
-  v1.replace(v1.find(v2_tag), v2_tag.size(), "tpcool-fleet-stream-v1");
-  strip(",\"shed\":[]");
-  strip(",\"shed_jobs\":0");
-  ASSERT_EQ(v1.find("shed"), std::string::npos);
-
+  const std::size_t tag = v1.find(v2_tag);
+  ASSERT_NE(tag, std::string::npos);
+  v1[tag + v2_tag.size() - 1] = '1';
   std::istringstream replay_stream(v1);
-  const FleetResult replayed = replay_fleet_jsonl(replay_stream);
-  EXPECT_EQ(fleet_digest(replayed), fleet_digest(aggregator.result()));
+  EXPECT_THROW((void)replay_fleet_jsonl(replay_stream),
+               util::PreconditionError);
 }
 
 // ---------------------------------------------------------- rollup reducer --

@@ -1,20 +1,26 @@
 // Tests for tpcool::util — grids, linear solvers, root finding,
-// interpolation, statistics, CSV and table output.
+// interpolation, statistics, CSV and table output, and the strict parse of
+// integer environment overrides.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <random>
 #include <sstream>
+#include <string>
+#include <thread>
 
 #include "tpcool/util/csv.hpp"
 #include "tpcool/util/error.hpp"
 #include "tpcool/util/grid2d.hpp"
 #include "tpcool/util/interp.hpp"
 #include "tpcool/util/linear_solver.hpp"
+#include "tpcool/util/logging.hpp"
 #include "tpcool/util/rootfind.hpp"
 #include "tpcool/util/statistics.hpp"
 #include "tpcool/util/table.hpp"
+#include "tpcool/util/thread_pool.hpp"
 
 namespace tpcool::util {
 namespace {
@@ -583,6 +589,46 @@ TEST(CsvWriter, FieldRowRoundTrip) {
   std::vector<double> values;
   while (std::getline(ls, cell, ',')) values.push_back(std::stod(cell));
   EXPECT_EQ(values, (std::vector<double>{0.5, 2.0, 100.0}));
+}
+
+// ------------------------------------------------- integer env overrides --
+
+TEST(EnvPositiveInteger, AcceptsOnlyWholePositiveIntegers) {
+  constexpr const char* kName = "TPCOOL_TEST_POSITIVE_INTEGER";
+  ASSERT_EQ(unsetenv(kName), 0);
+  EXPECT_EQ(env_positive_integer(kName, 7), 7u);
+  ASSERT_EQ(setenv(kName, "256", 1), 0);
+  EXPECT_EQ(env_positive_integer(kName, 7), 256u);
+  ::testing::internal::CaptureStderr();
+  for (const char* bad : {"256MB", "1e3", "-3", "+3", " 3", "0", ""}) {
+    ASSERT_EQ(setenv(kName, bad, 1), 0);
+    EXPECT_EQ(env_positive_integer(kName, 7), 7u) << '"' << bad << '"';
+  }
+  // One warning for the variable, naming the first rejected value.
+  const std::string warned = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(warned.find(std::string(kName) + "=256MB"), std::string::npos)
+      << warned;
+  EXPECT_EQ(warned.find(kName, warned.find(kName) + 1), std::string::npos)
+      << warned;
+  ASSERT_EQ(unsetenv(kName), 0);
+}
+
+TEST(EnvPositiveInteger, ThreadCountOverrideIsStrict) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  const std::size_t hardware = hw == 0 ? 1 : hw;
+  ASSERT_EQ(setenv("TPCOOL_NUM_THREADS", "3", 1), 0);
+  EXPECT_EQ(ThreadPool::default_thread_count(), 3u);
+  ::testing::internal::CaptureStderr();
+  for (const char* bad : {"4x", "0", ""}) {
+    ASSERT_EQ(setenv("TPCOOL_NUM_THREADS", bad, 1), 0);
+    EXPECT_EQ(ThreadPool::default_thread_count(), hardware)
+        << '"' << bad << '"';
+  }
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                "TPCOOL_NUM_THREADS=4x"),
+            std::string::npos);
+  ASSERT_EQ(unsetenv("TPCOOL_NUM_THREADS"), 0);
+  EXPECT_EQ(ThreadPool::default_thread_count(), hardware);
 }
 
 }  // namespace
