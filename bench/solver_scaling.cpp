@@ -10,7 +10,8 @@
 ///
 /// Flags:
 ///   --fast         coarse grid only (the CI configuration)
-///   --threads N    solver thread count (also: TPCOOL_NUM_THREADS env)
+///   --threads N    global pool size (also: TPCOOL_NUM_THREADS env); one
+///                  solve runs on one thread, so times do not depend on it
 ///   --json PATH    output path (default BENCH_solver.json)
 ///   --repeats N    timing repeats per case (default 3, best-of)
 

@@ -2,16 +2,15 @@
 /// \file parallel.hpp
 /// \brief Deterministic parallel fan-out for independent experiment solves.
 ///
-/// The solver layer (util::ThreadPool + StencilOperator) parallelizes
-/// *inside* one linear solve; this layer parallelizes *across* the many
-/// independent ServerModel solves an experiment issues (Table II's
-/// approach × QoS × benchmark grid, Fig. 6 scenarios, the oracle's subset
-/// enumeration, rack supply-temperature scans).  The two compose safely:
-/// while an outer `parallel_map` occupies the global pool, inner solver
-/// loops detect the busy pool and run their fixed-chunk serial path, which
-/// is bit-identical by construction.
+/// One solve runs on one thread; parallelism is across solves.  This layer
+/// fans out the many independent ServerModel solves an experiment issues
+/// (Table II's approach × QoS × benchmark grid, Fig. 6 scenarios, the
+/// oracle's subset enumeration, rack supply-temperature scans) over the
+/// global util::ThreadPool.  A `parallel_map` nested inside another one
+/// (RackCoordinator::plan inside a fleet engine) finds the pool busy and
+/// runs its chunks serially, with the same boundaries.
 ///
-/// Determinism discipline (same rules as the solver reductions):
+/// Determinism discipline:
 ///  - Tasks are split into chunks on fixed boundaries derived only from
 ///    (count, grain) — never from the thread count.
 ///  - Each chunk builds its own context (ServerModel/ApproachPipeline), so

@@ -6,7 +6,6 @@
 
 #include "tpcool/util/stencil_operator.hpp"
 #include "tpcool/util/telemetry.hpp"
-#include "tpcool/util/thread_pool.hpp"
 
 namespace tpcool::util {
 
@@ -105,70 +104,44 @@ bool SparseMatrix::is_symmetric(double tol) const {
   return true;
 }
 
+void SparseMatrix::ssor_apply(const std::vector<double>& inv_diag,
+                              const std::vector<double>& r,
+                              std::vector<double>& z, double omega) const {
+  TPCOOL_REQUIRE(finalized_, "ssor_apply() before finalize()");
+  TPCOOL_REQUIRE(r.size() == n_ && inv_diag.size() == n_,
+                 "vector size mismatch");
+  // CSR columns are sorted, so the triangular sweeps just split each row at
+  // the diagonal.
+  z.resize(n_);
+  for (std::size_t i = 0; i < n_; ++i) {  // (D + ωL) t = r
+    double acc = r[i];
+    for_each_in_row(i, [&](std::size_t j, double v) {
+      if (j < i) acc -= omega * v * z[j];
+    });
+    z[i] = acc * inv_diag[i];
+  }
+  for (std::size_t i = n_; i-- > 0;) {  // (D + ωU) z = D t
+    double acc = 0.0;
+    for_each_in_row(i, [&](std::size_t j, double v) {
+      if (j > i) acc += v * z[j];
+    });
+    z[i] -= omega * inv_diag[i] * acc;
+  }
+}
+
 namespace {
 
-/// Vector lengths below this run the CG kernels serially: the thermal
-/// grid's auxiliary systems (and every unit-test system) are far smaller
-/// and must not pay pool synchronization. One grain == inline execution.
-constexpr std::size_t kVectorGrain = 1 << 14;
-
 double dot(const std::vector<double>& a, const std::vector<double>& b) {
-  return ThreadPool::global().parallel_reduce(
-      0, a.size(), kVectorGrain, [&](std::size_t lo, std::size_t hi) {
-        return std::inner_product(a.begin() + static_cast<std::ptrdiff_t>(lo),
-                                  a.begin() + static_cast<std::ptrdiff_t>(hi),
-                                  b.begin() + static_cast<std::ptrdiff_t>(lo),
-                                  0.0);
-      });
+  return std::inner_product(a.begin(), a.end(), b.begin(), 0.0);
 }
 
 double norm2(const std::vector<double>& a) { return std::sqrt(dot(a, a)); }
 
-/// Element-wise kernel over [0, n): disjoint writes, deterministic.
-template <typename F>
-void foreach_element(std::size_t n, F&& f) {
-  ThreadPool::global().parallel_for(0, n, kVectorGrain,
-                                    [&](std::size_t lo, std::size_t hi) {
-                                      for (std::size_t i = lo; i < hi; ++i)
-                                        f(i);
-                                    });
-}
-
-/// SSOR application for the general CSR matrix (CSR columns are sorted, so
-/// the forward/backward triangular sweeps just split each row at the
-/// diagonal). Used when callers request SSOR on a SparseMatrix system.
-void ssor_apply(const SparseMatrix& a, const std::vector<double>& diag,
-                const std::vector<double>& r, std::vector<double>& z,
-                double omega) {
-  const std::size_t n = a.size();
-  z.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {  // (D + ωL) t = r
-    double acc = r[i];
-    a.for_each_in_row(i, [&](std::size_t j, double v) {
-      if (j < i) acc -= omega * v * z[j];
-    });
-    z[i] = acc / diag[i];
-  }
-  for (std::size_t i = 0; i < n; ++i) z[i] *= diag[i];
-  for (std::size_t i = n; i-- > 0;) {  // (D + ωU) z = D t
-    double acc = z[i];
-    a.for_each_in_row(i, [&](std::size_t j, double v) {
-      if (j > i) acc -= omega * v * z[j];
-    });
-    z[i] = acc / diag[i];
-  }
-}
-
-void ssor_apply(const StencilOperator& a, const std::vector<double>& /*diag*/,
-                const std::vector<double>& r, std::vector<double>& z,
-                double omega) {
-  a.ssor_apply(r, z, omega);
-}
-
-/// Preconditioned CG over any operator providing size()/multiply()/
-/// diagonal() plus an ssor_apply overload above. The convergence check
-/// runs after each update, so the final residual is never recomputed and
-/// `iterations` is always populated — including on the throw path.
+/// Preconditioned CG over SparseMatrix or StencilOperator (size(),
+/// multiply(), diagonal(), ssor_apply()). The convergence check runs after
+/// each update, so the final residual is never recomputed and `iterations`
+/// is always populated — including on the throw path. One solve runs on
+/// one thread; parallelism is across solves.
 template <typename Op>
 CgResult cg_impl(const Op& a, const std::vector<double>& b,
                  std::vector<double>& x, const CgOptions& options) {
@@ -195,16 +168,15 @@ CgResult cg_impl(const Op& a, const std::vector<double>& b,
   const auto precondition = [&](const std::vector<double>& r,
                                 std::vector<double>& z) {
     if (ssor) {
-      ssor_apply(a, diag, r, z, options.ssor_omega);
+      a.ssor_apply(inv_diag, r, z, options.ssor_omega);
     } else {
-      z.resize(n);
-      foreach_element(n, [&](std::size_t i) { z[i] = inv_diag[i] * r[i]; });
+      for (std::size_t i = 0; i < n; ++i) z[i] = inv_diag[i] * r[i];
     }
   };
 
   std::vector<double> r(n), z(n), p(n), ap(n);
   a.multiply(x, ap);
-  foreach_element(n, [&](std::size_t i) { r[i] = b[i] - ap[i]; });
+  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - ap[i];
 
   CgResult result;
   result.residual = norm2(r) / bnorm;
@@ -220,21 +192,30 @@ CgResult cg_impl(const Op& a, const std::vector<double>& b,
     TPCOOL_ENSURE(pap > 0.0,
                   "solve_cg: curvature non-positive (matrix not SPD?)");
     const double alpha = rz / pap;
-    foreach_element(n, [&](std::size_t i) {
+    double rr = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
       x[i] += alpha * p[i];
       r[i] -= alpha * ap[i];
-    });
+      rr += r[i] * r[i];
+    }
     result.iterations = it;
-    result.residual = norm2(r) / bnorm;
+    result.residual = std::sqrt(rr) / bnorm;
     if (result.residual <= options.tolerance) return result;
     precondition(r, z);
     const double rz_new = dot(r, z);
     const double beta = rz_new / rz;
     rz = rz_new;
-    foreach_element(n, [&](std::size_t i) { p[i] = z[i] + beta * p[i]; });
+    for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
   }
   if (result.residual <= options.tolerance * 10.0) {
-    // Accept near-converged solutions rather than failing outright.
+    // Accept near-converged solutions rather than failing outright, but
+    // say so in the result and the telemetry.
+    result.near_converged = true;
+    if (telemetry_enabled()) {
+      static TelemetryCounter& near_converged =
+          Telemetry::instance().counter("cg.near_converged");
+      near_converged.add(1.0);
+    }
     return result;
   }
   throw ConvergenceError("solve_cg: failed to converge (residual " +
@@ -242,11 +223,10 @@ CgResult cg_impl(const Op& a, const std::vector<double>& b,
                          std::to_string(result.iterations) + " iterations)");
 }
 
-}  // namespace
-
-CgResult solve_cg(const SparseMatrix& a, const std::vector<double>& b,
-                  std::vector<double>& x, const CgOptions& options) {
-  TPCOOL_REQUIRE(a.finalized(), "solve_cg: matrix not finalized");
+/// cg_impl inside a "cg" span, recorded into the cg.iterations histogram.
+template <typename Op>
+CgResult traced_cg(const Op& a, const std::vector<double>& b,
+                   std::vector<double>& x, const CgOptions& options) {
   TraceSpan span("cg");
   const CgResult result = cg_impl(a, b, x, options);
   span.arg("n", static_cast<double>(b.size()));
@@ -257,16 +237,17 @@ CgResult solve_cg(const SparseMatrix& a, const std::vector<double>& b,
   return result;
 }
 
+}  // namespace
+
+CgResult solve_cg(const SparseMatrix& a, const std::vector<double>& b,
+                  std::vector<double>& x, const CgOptions& options) {
+  TPCOOL_REQUIRE(a.finalized(), "solve_cg: matrix not finalized");
+  return traced_cg(a, b, x, options);
+}
+
 CgResult solve_cg(const StencilOperator& a, const std::vector<double>& b,
                   std::vector<double>& x, const CgOptions& options) {
-  TraceSpan span("cg");
-  const CgResult result = cg_impl(a, b, x, options);
-  span.arg("n", static_cast<double>(b.size()));
-  span.arg("iterations", static_cast<double>(result.iterations));
-  span.arg("residual", result.residual);
-  Telemetry::instance().histogram_record(
-      "cg.iterations", static_cast<double>(result.iterations));
-  return result;
+  return traced_cg(a, b, x, options);
 }
 
 CgResult solve_sor(const SparseMatrix& a, const std::vector<double>& b,

@@ -36,6 +36,13 @@ class SparseMatrix {
   /// y = A x. Requires finalize().
   void multiply(const std::vector<double>& x, std::vector<double>& y) const;
 
+  /// z = M⁻¹ r for the SSOR preconditioner, given `inv_diag` = 1/D: the
+  /// row-by-row reference that StencilOperator::ssor_apply is tested
+  /// against. Requires finalize().
+  void ssor_apply(const std::vector<double>& inv_diag,
+                  const std::vector<double>& r, std::vector<double>& z,
+                  double omega) const;
+
   /// Diagonal entries (zero where absent). Requires finalize().
   [[nodiscard]] std::vector<double> diagonal() const;
 
@@ -92,19 +99,23 @@ struct CgOptions {
 struct CgResult {
   std::size_t iterations = 0;
   double residual = 0.0;  ///< Final relative residual.
+  /// Accepted after max_iterations because the residual was within 10×
+  /// the tolerance; also counted as `cg.near_converged` when tracing.
+  bool near_converged = false;
 };
 
 /// Solve A x = b with preconditioned conjugate gradient.
 /// A must be symmetric positive definite. A non-empty `x` warm-starts the
-/// iteration (an exact warm start converges in 0 iterations). Throws
-/// ConvergenceError (naming the iteration count) if the iteration limit is
-/// reached without meeting the tolerance.
+/// iteration (an exact warm start converges in 0 iterations). At the
+/// iteration limit a residual within 10× the tolerance is accepted with
+/// `near_converged` set; anything worse throws ConvergenceError (naming
+/// the iteration count).
 CgResult solve_cg(const SparseMatrix& a, const std::vector<double>& b,
                   std::vector<double>& x, const CgOptions& options = {});
 
-/// solve_cg over the banded 7-point operator: matrix-free SpMV and vector
-/// kernels threaded through util::ThreadPool (deterministic for any thread
-/// count), serial below a size threshold.
+/// solve_cg over the banded 7-point operator: matrix-free SpMV and
+/// division-free SSOR sweeps. One solve runs on one thread; parallelism is
+/// across solves.
 CgResult solve_cg(const StencilOperator& a, const std::vector<double>& b,
                   std::vector<double>& x, const CgOptions& options = {});
 

@@ -7,7 +7,7 @@
 /// own sweeps out over the global ThreadPool without depending on the
 /// experiment pipelines.
 ///
-/// Determinism discipline (same rules as the solver reductions):
+/// Determinism discipline:
 ///  - Tasks are split into chunks on fixed boundaries derived only from
 ///    (count, grain) — never from the thread count.
 ///  - Each chunk builds its own context via `make_context(chunk)`, so no

@@ -2,16 +2,9 @@
 
 #include <algorithm>
 
-#include "tpcool/util/thread_pool.hpp"
-
 namespace tpcool::util {
 
 namespace {
-
-/// Rows of cells (nx indices each) per parallel chunk: keeps chunks around
-/// a few thousand cells so tiny systems run inline (see ThreadPool grain
-/// semantics) and chunk boundaries never split an x-row.
-constexpr std::size_t kRowsPerChunk = 64;
 
 StencilBand opposite(StencilBand band) {
   switch (band) {
@@ -96,68 +89,85 @@ void StencilOperator::set_shifted_diagonal(const StencilOperator& base,
 
 void StencilOperator::multiply(const std::vector<double>& x,
                                std::vector<double>& y) const {
-  TPCOOL_REQUIRE(x.size() == size(), "vector size mismatch");
-  y.resize(size());
+  const std::size_t n = size();
+  TPCOOL_REQUIRE(x.size() == n, "vector size mismatch");
+  y.resize(n);
   const std::size_t plane = nx_ * ny_;
-  const std::size_t row_count = ny_ * nz_;
   const double* xs = x.data();
+  double* ys = y.data();
+  const double* d = diag_.data();
+  const double *xm = bands_[0].data(), *xp = bands_[1].data();
+  const double *ym = bands_[2].data(), *yp = bands_[3].data();
+  const double *zm = bands_[4].data(), *zp = bands_[5].data();
 
-  // Disjoint x-rows per chunk: deterministic for any thread count.
-  ThreadPool::global().parallel_for(
-      0, row_count, kRowsPerChunk,
-      [&](std::size_t row_begin, std::size_t row_end) {
-        for (std::size_t row = row_begin; row < row_end; ++row) {
-          const std::size_t iy = row % ny_;
-          const std::size_t iz = row / ny_;
-          const std::size_t base = row * nx_;
-          const bool has_ym = iy > 0;
-          const bool has_yp = iy + 1 < ny_;
-          const bool has_zm = iz > 0;
-          const bool has_zp = iz + 1 < nz_;
-          for (std::size_t ix = 0; ix < nx_; ++ix) {
-            const std::size_t i = base + ix;
-            double acc = diag_[i] * xs[i];
-            if (ix > 0) acc += bands_[0][i] * xs[i - 1];
-            if (ix + 1 < nx_) acc += bands_[1][i] * xs[i + 1];
-            if (has_ym) acc += bands_[2][i] * xs[i - nx_];
-            if (has_yp) acc += bands_[3][i] * xs[i + nx_];
-            if (has_zm) acc += bands_[4][i] * xs[i - plane];
-            if (has_zp) acc += bands_[5][i] * xs[i + plane];
-            y[i] = acc;
-          }
-        }
-      });
+  // Boundary band entries are exactly 0, so a neighbour term only needs its
+  // index to stay inside the array; that can fail in the first and last
+  // plane only. All three loops sum in the same order.
+  const auto edge_cell = [&](std::size_t i) {
+    double acc = d[i] * xs[i];
+    if (i >= 1) acc += xm[i] * xs[i - 1];
+    if (i + 1 < n) acc += xp[i] * xs[i + 1];
+    if (i >= nx_) acc += ym[i] * xs[i - nx_];
+    if (i + nx_ < n) acc += yp[i] * xs[i + nx_];
+    if (i >= plane) acc += zm[i] * xs[i - plane];
+    if (i + plane < n) acc += zp[i] * xs[i + plane];
+    ys[i] = acc;
+  };
+  for (std::size_t i = 0; i < plane; ++i) edge_cell(i);
+  for (std::size_t i = plane; i + plane < n; ++i) {
+    ys[i] = d[i] * xs[i] + xm[i] * xs[i - 1] + xp[i] * xs[i + 1] +
+            ym[i] * xs[i - nx_] + yp[i] * xs[i + nx_] +
+            zm[i] * xs[i - plane] + zp[i] * xs[i + plane];
+  }
+  for (std::size_t i = std::max(plane, n - plane); i < n; ++i) edge_cell(i);
 }
 
-void StencilOperator::ssor_apply(const std::vector<double>& r,
+void StencilOperator::ssor_apply(const std::vector<double>& inv_diag,
+                                 const std::vector<double>& r,
                                  std::vector<double>& z, double omega) const {
-  TPCOOL_REQUIRE(r.size() == size(), "vector size mismatch");
-  TPCOOL_REQUIRE(omega > 0.0 && omega < 2.0, "SSOR omega outside (0, 2)");
   const std::size_t n = size();
+  TPCOOL_REQUIRE(r.size() == n && inv_diag.size() == n,
+                 "vector size mismatch");
+  TPCOOL_REQUIRE(omega > 0.0 && omega < 2.0, "SSOR omega outside (0, 2)");
   const std::size_t plane = nx_ * ny_;
   z.resize(n);
+  const double* inv = inv_diag.data();
+  double* t = z.data();
+  const double *xm = bands_[0].data(), *xp = bands_[1].data();
+  const double *ym = bands_[2].data(), *yp = bands_[3].data();
+  const double *zm = bands_[4].data(), *zp = bands_[5].data();
 
-  // Forward sweep: (D + ωL) t = r.  Lower neighbours of cell i are exactly
-  // i-1, i-nx, i-plane, all already computed when iterating i ascending.
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t ix = i % nx_;
-    double acc = r[i];
-    if (ix > 0) acc -= omega * bands_[0][i] * z[i - 1];
-    if (i >= nx_ && (i / nx_) % ny_ > 0) acc -= omega * bands_[2][i] * z[i - nx_];
-    if (i >= plane) acc -= omega * bands_[4][i] * z[i - plane];
-    TPCOOL_ENSURE(diag_[i] > 0.0, "ssor_apply: non-positive diagonal");
-    z[i] = acc / diag_[i];
+  // Forward sweep, (D + ωL) t = r, as t_i = r_i/d_i − Σ_{j<i} (ω l_ij/d_i) t_j.
+  // The coefficient products do not depend on t, and the x-neighbour term
+  // goes last, so one multiply-subtract on t_{i-1} is the loop-carried
+  // chain. Boundary band entries are exactly 0, so only the first plane,
+  // where i - nx or i - plane would leave the array, tests indices.
+  for (std::size_t i = 0; i < plane; ++i) {
+    const double s = omega * inv[i];
+    double acc = r[i] * inv[i];
+    if (i >= nx_) acc -= s * ym[i] * t[i - nx_];
+    if (i >= 1) acc -= s * xm[i] * t[i - 1];
+    t[i] = acc;
   }
-  // Scale by D: s = D t (in place).
-  for (std::size_t i = 0; i < n; ++i) z[i] *= diag_[i];
-  // Backward sweep: (D + ωU) z = s.
-  for (std::size_t i = n; i-- > 0;) {
-    const std::size_t ix = i % nx_;
-    double acc = z[i];
-    if (ix + 1 < nx_) acc -= omega * bands_[1][i] * z[i + 1];
-    if ((i / nx_) % ny_ + 1 < ny_) acc -= omega * bands_[3][i] * z[i + nx_];
-    if (i + plane < n) acc -= omega * bands_[5][i] * z[i + plane];
-    z[i] = acc / diag_[i];
+  for (std::size_t i = plane; i < n; ++i) {
+    const double s = omega * inv[i];
+    t[i] = r[i] * inv[i] - s * zm[i] * t[i - plane] - s * ym[i] * t[i - nx_] -
+           s * xm[i] * t[i - 1];
+  }
+  // Backward sweep, (D + ωU) z = D t, as z_i = t_i − Σ_{j>i} (ω u_ij/d_i) z_j,
+  // in place; the mirror image of the forward sweep, so no pass scales by D.
+  const std::size_t tail = n - plane;
+  for (std::size_t i = n; i-- > tail;) {
+    const double s = omega * inv[i];
+    double acc = t[i];
+    if (i + nx_ < n) acc -= s * yp[i] * t[i + nx_];
+    if (i + 1 < n) acc -= s * xp[i] * t[i + 1];
+    t[i] = acc;
+  }
+  for (std::size_t i = tail; i-- > 0;) {
+    const double s = omega * inv[i];
+    t[i] = t[i] - s * zp[i] * t[i + plane] - s * yp[i] * t[i + nx_] -
+           s * xp[i] * t[i + 1];
   }
 }
 

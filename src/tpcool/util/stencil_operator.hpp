@@ -69,17 +69,19 @@ class StencilOperator {
     return bands_[static_cast<std::size_t>(band)][i];
   }
 
-  /// y = A x, matrix-free over the bands; parallelized over grid rows via
-  /// the global ThreadPool for large systems.
+  /// y = A x, matrix-free over the bands. Serial: one solve runs on one
+  /// thread; parallelism is across solves.
   void multiply(const std::vector<double>& x, std::vector<double>& y) const;
 
   /// Copy of the diagonal band.
   [[nodiscard]] std::vector<double> diagonal() const { return diag_; }
 
   /// z = M⁻¹ r for the SSOR preconditioner
-  /// M = (D + ωL) D⁻¹ (D + ωU) (up to a positive scale, which PCG ignores).
-  /// Sequential by construction (triangular solves).
-  void ssor_apply(const std::vector<double>& r, std::vector<double>& z,
+  /// M = (D + ωL) D⁻¹ (D + ωU) (up to a positive scale, which PCG ignores),
+  /// given `inv_diag` = 1/D. Serial like multiply(): the two triangular
+  /// sweeps run without a division.
+  void ssor_apply(const std::vector<double>& inv_diag,
+                  const std::vector<double>& r, std::vector<double>& z,
                   double omega) const;
 
   /// Convert to the general CSR representation (tests, cross-checks).

@@ -125,7 +125,7 @@ void ThreadPool::parallel_for(
   const std::size_t chunk_count = (count + grain - 1) / grain;
   if (workers_.empty() || count <= grain) {
     // Serial path: keep the exact chunk boundaries of the threaded path so
-    // chunk-indexed bodies (parallel_reduce) behave identically.
+    // chunk-indexed bodies (parallel_map) behave identically.
     if (telemetry_enabled()) {
       const std::int64_t t0 = Telemetry::now_ns();
       for (std::size_t lo = begin; lo < end; lo += grain) {
@@ -147,8 +147,8 @@ void ThreadPool::parallel_for(
 
   std::unique_lock lock(mutex_);
   if (job_active_) {
-    // Another caller's job is in flight (concurrent solves sharing the
-    // global pool, or a nested call from a worker body): degrade to the
+    // A job is already in flight: this is a nested parallel_map (e.g.
+    // RackCoordinator::plan inside a fleet engine's fan-out). Run it on the
     // serial chunked path instead of corrupting the active job.
     lock.unlock();
     for (std::size_t lo = begin; lo < end; lo += grain) {
@@ -177,25 +177,6 @@ void ThreadPool::parallel_for(
   job_done_.wait(lock, [&] { return job_.chunks_done == job_.chunk_count; });
   job_active_ = false;
   if (traced) pool_queue_depth_gauge().set(0.0);
-}
-
-double ThreadPool::parallel_reduce(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<double(std::size_t, std::size_t)>& partial) {
-  TPCOOL_REQUIRE(begin <= end && grain > 0, "bad parallel_reduce range");
-  if (begin == end) return 0.0;
-  const std::size_t count = end - begin;
-  if (count <= grain) return partial(begin, end);
-
-  const std::size_t chunk_count = (count + grain - 1) / grain;
-  std::vector<double> partials(chunk_count, 0.0);
-  parallel_for(begin, end, grain, [&](std::size_t lo, std::size_t hi) {
-    partials[(lo - begin) / grain] = partial(lo, hi);
-  });
-  // Combine in chunk order: the sum is independent of the thread count.
-  double sum = 0.0;
-  for (const double p : partials) sum += p;
-  return sum;
 }
 
 namespace {

@@ -1,16 +1,15 @@
 #pragma once
 /// \file thread_pool.hpp
 /// \brief Minimal std::jthread worker pool with a deterministic
-///        parallel-for/parallel-reduce used by the solver hot loops.
+///        parallel-for, the engine under util::parallel_map.
 ///
 /// Design constraints (see README "Solver architecture"):
 ///  - No new dependencies: std::jthread + condition_variable only.
-///  - Determinism: results must be bit-identical for 1 vs N threads, so
-///    reductions are chunked on fixed boundaries and partial sums are
-///    combined in chunk order, never in thread-completion order.
-///  - Small systems must not pay threading overhead: callers pass a grain
-///    size and the pool runs inline when the range is one grain or the
-///    pool has a single thread.
+///  - Determinism: chunk boundaries depend only on the range and the
+///    grain, so disjoint-write bodies are bit-identical for 1 vs N threads.
+///    One solve runs on one thread; parallelism is across solves.
+///  - The pool runs inline when the range is one grain or the pool has a
+///    single thread.
 ///
 /// The default pool size comes from the TPCOOL_NUM_THREADS environment
 /// variable (if set and positive) or std::thread::hardware_concurrency().
@@ -59,14 +58,7 @@ class ThreadPool {
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                     const std::function<void(std::size_t, std::size_t)>& body);
 
-  /// Deterministic chunked reduction: sums `partial(begin, end)` over fixed
-  /// chunks of `grain` indices, combining partials in chunk order. The
-  /// result is bit-identical for any thread count.
-  [[nodiscard]] double parallel_reduce(
-      std::size_t begin, std::size_t end, std::size_t grain,
-      const std::function<double(std::size_t, std::size_t)>& partial);
-
-  /// Process-wide pool used by the linear solvers. Lazily constructed.
+  /// Process-wide pool behind parallel_map. Lazily constructed.
   [[nodiscard]] static ThreadPool& global();
 
   /// Resize the global pool (joins the old workers). Used by the bench
