@@ -6,16 +6,13 @@
 ///        7 kg/h at 30 °C.
 
 #include <iostream>
+#include <string>
 
 #include "tpcool/core/server.hpp"
 #include "tpcool/util/table.hpp"
 
-#include "bench_flags.hpp"
 
 int main(int argc, char** argv) {
-  tpcool::bench::apply_threads_flag(argc, argv);
-  tpcool::bench::apply_trace_file_flag(argc, argv);
-  tpcool::bench::apply_cache_file_flag(argc, argv);
   using namespace tpcool;
   double cell = 1.25e-3;
   if (argc > 1 && std::string(argv[1]) == "--fast") cell = 1.75e-3;

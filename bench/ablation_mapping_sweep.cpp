@@ -5,11 +5,12 @@
 ///        how much.
 ///
 /// All 48 (policy, core count, idle state) cells are independent coupled
-/// solves: they fan out over the thread pool (`--threads N`) and dedupe
+/// solves: they fan out over the thread pool (`TPCOOL_NUM_THREADS`) and dedupe
 /// through the shared solve cache (policies that pick the same placement —
 /// e.g. proposed ≡ balancing under POLL — share one solve).
 
 #include <iostream>
+#include <string>
 
 #include "tpcool/core/parallel.hpp"
 #include "tpcool/core/server.hpp"
@@ -20,12 +21,8 @@
 #include "tpcool/mapping/proposed.hpp"
 #include "tpcool/util/table.hpp"
 
-#include "bench_flags.hpp"
 
 int main(int argc, char** argv) {
-  tpcool::bench::apply_threads_flag(argc, argv);
-  tpcool::bench::apply_trace_file_flag(argc, argv);
-  tpcool::bench::apply_cache_file_flag(argc, argv);
   using namespace tpcool;
   double cell = 1.25e-3;
   if (argc > 1 && std::string(argv[1]) == "--fast") cell = 1.75e-3;

@@ -4,11 +4,12 @@
 ///        search over all C(8, Nc) core subsets (each evaluated through the
 ///        full coupled simulation)?
 ///
-/// The subset sweep fans out over the thread pool (`--threads N`) through
-/// the shared solve cache; the per-policy costs afterwards are cache hits
+/// The subset sweep fans out over the thread pool (`TPCOOL_NUM_THREADS`)
+/// through the shared solve cache; the per-policy costs afterwards are cache hits
 /// because every policy's placement is one of the enumerated subsets.
 
 #include <iostream>
+#include <string>
 
 #include "tpcool/core/parallel.hpp"
 #include "tpcool/core/solve_cache.hpp"
@@ -18,12 +19,8 @@
 #include "tpcool/mapping/proposed.hpp"
 #include "tpcool/util/table.hpp"
 
-#include "bench_flags.hpp"
 
 int main(int argc, char** argv) {
-  tpcool::bench::apply_threads_flag(argc, argv);
-  tpcool::bench::apply_trace_file_flag(argc, argv);
-  tpcool::bench::apply_cache_file_flag(argc, argv);
   using namespace tpcool;
   double cell = 1.5e-3;  // the oracle runs 28..70 coupled solves per row
   if (argc > 1 && std::string(argv[1]) == "--fast") cell = 2.0e-3;

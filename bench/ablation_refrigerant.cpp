@@ -3,16 +3,13 @@
 ///        and R245fa under the worst-case workload.
 
 #include <iostream>
+#include <string>
 
 #include "tpcool/core/server.hpp"
 #include "tpcool/util/table.hpp"
 
-#include "bench_flags.hpp"
 
 int main(int argc, char** argv) {
-  tpcool::bench::apply_threads_flag(argc, argv);
-  tpcool::bench::apply_trace_file_flag(argc, argv);
-  tpcool::bench::apply_cache_file_flag(argc, argv);
   using namespace tpcool;
   double cell = 1.0e-3;
   if (argc > 1 && std::string(argv[1]) == "--fast") cell = 1.5e-3;

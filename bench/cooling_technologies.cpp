@@ -5,6 +5,7 @@
 ///        parasitic power, and the facility PUE each technology implies.
 
 #include <iostream>
+#include <string>
 
 #include "tpcool/cooling/air_cooling.hpp"
 #include "tpcool/cooling/chiller.hpp"
@@ -13,12 +14,8 @@
 #include "tpcool/core/server.hpp"
 #include "tpcool/util/table.hpp"
 
-#include "bench_flags.hpp"
 
 int main(int argc, char** argv) {
-  tpcool::bench::apply_threads_flag(argc, argv);
-  tpcool::bench::apply_trace_file_flag(argc, argv);
-  tpcool::bench::apply_cache_file_flag(argc, argv);
   using namespace tpcool;
   double cell = 1.0e-3;
   if (argc > 1 && std::string(argv[1]) == "--fast") cell = 1.5e-3;

@@ -9,17 +9,14 @@
 
 #include <fstream>
 #include <iostream>
+#include <string>
 
 #include "tpcool/core/experiment.hpp"
 #include "tpcool/util/csv.hpp"
 #include "tpcool/util/table.hpp"
 
-#include "bench_flags.hpp"
 
 int main(int argc, char** argv) {
-  tpcool::bench::apply_threads_flag(argc, argv);
-  tpcool::bench::apply_trace_file_flag(argc, argv);
-  tpcool::bench::apply_cache_file_flag(argc, argv);
   using namespace tpcool;
   core::ExperimentOptions options;
   if (argc > 1 && std::string(argv[1]) == "--fast") options.cell_size_m = 1.25e-3;

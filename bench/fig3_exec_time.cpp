@@ -2,20 +2,17 @@
 /// \brief Regenerates Fig. 3: execution time normalized to the baseline for
 ///        the five plotted configurations at fmax, for all 13 PARSEC
 ///        benchmarks, with the 2x QoS limit marked.  The per-benchmark rows
-///        fan out through core::run_fig3 (accepts --threads like the other
-///        benches; results are bit-identical for any thread count).
+///        fan out through core::run_fig3 (TPCOOL_NUM_THREADS sets the
+///        thread count; results are bit-identical for any thread count).
 
 #include <iostream>
+#include <string>
 
-#include "bench_flags.hpp"
 #include "tpcool/core/experiment.hpp"
 #include "tpcool/util/table.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace tpcool;
-  bench::apply_threads_flag(argc, argv);
-  bench::apply_trace_file_flag(argc, argv);
-  bench::apply_cache_file_flag(argc, argv);
   std::cout << "== Fig. 3: normalized execution time @fmax (QoS limit = 2x) "
                "==\n\n";
 

@@ -7,7 +7,6 @@
 
 #include <random>
 
-#include "bench_flags.hpp"
 #include "tpcool/core/server.hpp"
 #include "tpcool/mapping/config_select.hpp"
 #include "tpcool/util/stencil_operator.hpp"
@@ -26,7 +25,7 @@ core::ServerConfig config_with_cell(double cell_m) {
 
 /// Steady-state solve (including boundary assembly) vs grid resolution.
 void BM_ThermalSteadySolve(benchmark::State& state) {
-  const double cell = 1e-3 * static_cast<double>(state.range(0)) / 10.0;
+  const double cell = 1e-5 * static_cast<double>(state.range(0));
   thermal::PackageStackConfig stack_config;
   stack_config.cell_size_m = cell;
   thermal::ThermalModel model(thermal::make_package_stack(stack_config));
@@ -39,7 +38,7 @@ void BM_ThermalSteadySolve(benchmark::State& state) {
   }
   state.counters["cells"] = static_cast<double>(model.cell_count());
 }
-BENCHMARK(BM_ThermalSteadySolve)->Arg(20)->Arg(15)->Arg(10)->Arg(8)
+BENCHMARK(BM_ThermalSteadySolve)->Arg(200)->Arg(150)->Arg(100)->Arg(75)
     ->Unit(benchmark::kMillisecond);
 
 /// One transient backward-Euler step.
@@ -178,15 +177,4 @@ BENCHMARK(BM_ScheduleDecision)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): strip --threads (shared bench
-// flag) before Google Benchmark sees the command line.
-int main(int argc, char** argv) {
-  tpcool::bench::apply_threads_flag(argc, argv);
-  tpcool::bench::apply_trace_file_flag(argc, argv);
-  tpcool::bench::apply_cache_file_flag(argc, argv);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -7,11 +7,11 @@
 ///        size.
 
 #include <iostream>
+#include <string>
 
 #include "tpcool/core/server.hpp"
 #include "tpcool/util/table.hpp"
 
-#include "bench_flags.hpp"
 
 namespace {
 
@@ -37,9 +37,6 @@ double scenario_theta(core::ServerModel& server, int scenario,
 }  // namespace
 
 int main(int argc, char** argv) {
-  tpcool::bench::apply_threads_flag(argc, argv);
-  tpcool::bench::apply_trace_file_flag(argc, argv);
-  tpcool::bench::apply_cache_file_flag(argc, argv);
   double cell = 1.25e-3;
   if (argc > 1 && std::string(argv[1]) == "--fast") cell = 1.75e-3;
 

@@ -1,20 +1,16 @@
 /// \file table1_cstates.cpp
 /// \brief Regenerates Table I: C-state power consumption of the Xeon E5 v4
 ///        for all 8 cores at the three DVFS levels.  The per-state rows fan
-///        out through core::run_table1 (accepts --threads like the other
-///        benches; results are bit-identical for any thread count).
+///        out through core::run_table1 (TPCOOL_NUM_THREADS sets the
+///        thread count; results are bit-identical for any thread count).
 
 #include <iostream>
 
-#include "bench_flags.hpp"
 #include "tpcool/core/experiment.hpp"
 #include "tpcool/util/table.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace tpcool;
-  bench::apply_threads_flag(argc, argv);
-  bench::apply_trace_file_flag(argc, argv);
-  bench::apply_cache_file_flag(argc, argv);
   std::cout << "== Table I: C-state power, all 8 cores ==\n\n";
 
   const std::vector<core::Table1Row> rows = core::run_table1();

@@ -9,16 +9,13 @@
 ///   [8]+[27]+[7]  1x 83.0/0.95   2x 80.5/1.80   3x 79.1/2.30
 
 #include <iostream>
+#include <string>
 
 #include "tpcool/core/experiment.hpp"
 #include "tpcool/util/table.hpp"
 
-#include "bench_flags.hpp"
 
 int main(int argc, char** argv) {
-  tpcool::bench::apply_threads_flag(argc, argv);
-  tpcool::bench::apply_trace_file_flag(argc, argv);
-  tpcool::bench::apply_cache_file_flag(argc, argv);
   using namespace tpcool;
   core::ExperimentOptions options;
   for (int i = 1; i < argc; ++i) {

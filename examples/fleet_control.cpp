@@ -60,9 +60,8 @@ void print_rollups(const char* label,
 }  // namespace
 
 int main() {
-  // The canonical PUE-tracking scenario the control tests and the
-  // control_scaling bench also use: a generated diurnal day on the
-  // two-rack heterogeneous demo fleet.
+  // The canonical PUE-tracking scenario the control tests also use: a
+  // generated diurnal day on the two-rack heterogeneous demo fleet.
   datacenter::ControlScenario scenario =
       datacenter::make_pue_tracking_day(42, 4, 2.0e-3);
 

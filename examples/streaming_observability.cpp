@@ -115,6 +115,6 @@ int main() {
             << cache.hits << " served from the cache\n"
             << "\nthe same engine behind FleetModel::run streams a week (or"
             " a year) of\ngenerated load at constant memory — see"
-            " bench/streaming_scaling.cpp.\n";
+            " fleet_stream in perf/README.md.\n";
   return 0;
 }

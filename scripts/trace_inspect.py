@@ -2,13 +2,13 @@
 """Validate and summarize a tpcool Chrome trace (tpcool-trace-v1).
 
 Usage:
-    trace_inspect.py TRACE.json [--verify] [--bench-json BENCH.json]
+    trace_inspect.py TRACE.json [--verify]
 
 TRACE.json is a Chrome trace-event file written by
-Telemetry::export_chrome_trace (env TPCOOL_TRACE_FILE or any bench's
---trace-file flag; format documented in docs/TRACING.md).  The file also
-embeds the metrics snapshot under a top-level "metrics" key, which lets
-this script cross-check spans against counters without a second file.
+Telemetry::export_chrome_trace (env TPCOOL_TRACE_FILE; format documented
+in docs/TRACING.md).  The file also embeds the metrics snapshot under a
+top-level "metrics" key, which lets this script cross-check spans against
+counters without a second file.
 
 Default output: event and span counts, per-thread span counts, top span
 names by count and total duration, and the counter totals.
@@ -26,16 +26,8 @@ and exits non-zero on the first violation:
     spans may be fewer — never more);
   * metrics "spans" equals the number of "X" events.
 
---bench-json additionally cross-checks the trace against a bench JSON
-(any tpcool-*-bench schema whose cases report "iterations" = cache
-misses = executed solves): the summed case iterations must equal the
-trace's solve-span count.  Use on runs whose solves all happened in
-this process with tracing on from the start (e.g. a cold
-`streaming_scaling --trace-file` run without --cache-file), otherwise
-the bench rows legitimately overcount or undercount the traced spans.
-
-Exit status: 0 = OK, 1 = malformed trace (--verify / --bench-json
-mismatch), 2 = bad invocation or an unreadable/unparseable file.
+Exit status: 0 = OK, 1 = malformed trace (--verify), 2 = bad invocation
+or an unreadable/unparseable file.
 """
 
 import argparse
@@ -163,31 +155,6 @@ def check_counters(trace, spans):
             raise TraceError(
                 f"{solve_spans} solve spans exceed solve.executed={executed:g}"
             )
-    return solve_spans, dropped
-
-
-def check_bench_json(path, solve_spans, dropped):
-    try:
-        with open(path, "rb") as f:
-            bench = json.load(f)
-    except (OSError, json.JSONDecodeError) as error:
-        print(f"trace_inspect: cannot read {path}: {error}", file=sys.stderr)
-        sys.exit(2)
-    cases = bench.get("cases")
-    if not isinstance(cases, list) or not cases:
-        raise TraceError(f"{path}: no cases to cross-check")
-    iterations = sum(int(case.get("iterations", 0)) for case in cases)
-    if dropped == 0 and solve_spans != iterations:
-        raise TraceError(
-            f"trace has {solve_spans} solve spans but the bench reports "
-            f"{iterations} solves (sum of case iterations)"
-        )
-    if solve_spans > iterations:
-        raise TraceError(
-            f"trace has {solve_spans} solve spans, more than the bench's "
-            f"{iterations} reported solves"
-        )
-    return iterations
 
 
 def summarize(trace, spans):
@@ -235,16 +202,11 @@ def main():
     parser = argparse.ArgumentParser(
         description="Validate and summarize a tpcool Chrome trace."
     )
-    parser.add_argument("trace", help="trace JSON written by --trace-file")
+    parser.add_argument("trace", help="trace JSON written by TPCOOL_TRACE_FILE")
     parser.add_argument(
         "--verify",
         action="store_true",
         help="exit non-zero on any structural violation",
-    )
-    parser.add_argument(
-        "--bench-json",
-        metavar="BENCH.json",
-        help="cross-check solve spans against a bench JSON's iteration sums",
     )
     args = parser.parse_args()
 
@@ -254,16 +216,10 @@ def main():
         spans = span_events(trace)
         check_monotonic_ends(spans)
         check_nesting(spans)
-        solve_spans, dropped = check_counters(trace, spans)
-        if args.bench_json:
-            iterations = check_bench_json(args.bench_json, solve_spans, dropped)
-            print(
-                f"bench cross-check: {solve_spans} solve spans == "
-                f"{iterations} bench-reported solves"
-            )
+        check_counters(trace, spans)
     except TraceError as error:
         print(f"trace_inspect: MALFORMED: {error}", file=sys.stderr)
-        if args.verify or args.bench_json:
+        if args.verify:
             sys.exit(1)
         sys.exit(0)
 

@@ -779,7 +779,7 @@ void SolveCache::attach_persistent_file(
   }
   PersistenceRegistry& registry = PersistenceRegistry::instance();
   std::lock_guard lock(registry.mutex);
-  // One snapshot path per cache, last attach wins: a bench's --cache-file
+  // One snapshot path per cache, last attach wins: an explicit attach
   // replaces the TPCOOL_SOLVE_CACHE_FILE registration made by global(),
   // so the env path is not also rewritten at exit.  The displacement is
   // deliberate but must be visible — the first path will NOT be rewritten.

@@ -25,11 +25,11 @@
 /// endian-safe snapshot file (schema `kSnapshotVersion`), streamed entry by
 /// entry and sealed by a trailing stream digest, so truncation and
 /// corruption are detected, never undefined behavior.  Setting
-/// `TPCOOL_SOLVE_CACHE_FILE=<path>` (or passing `--cache-file <path>` to a
-/// bench binary) loads the snapshot into the process-global cache at
-/// startup and atomically rewrites it at exit, so bench reruns and the slow
-/// CTest suites start warm.  The format and tooling are documented in
-/// docs/CACHE.md and inspectable via scripts/cache_inspect.py.
+/// `TPCOOL_SOLVE_CACHE_FILE=<path>` loads the snapshot into the
+/// process-global cache at startup and atomically rewrites it at exit, so
+/// reruns and the slow CTest suites start warm.  The format and tooling
+/// are documented in docs/CACHE.md and inspectable via
+/// scripts/cache_inspect.py.
 
 #include <condition_variable>
 #include <cstddef>
@@ -64,7 +64,7 @@ class SnapshotError : public std::runtime_error {
 /// Concurrent get_or_compute calls for the *same* key are deduplicated: the
 /// first caller computes, later callers wait and count a hit — exactly the
 /// serial schedule — so the miss/hit counters are deterministic and
-/// machine-independent (the regression gate in
+/// machine-independent (the exact-counter gate in
 /// scripts/check_bench_regression.py relies on this).  Waiters consume the
 /// result from the in-flight computation record itself, not from the LRU
 /// store, so dedup is exact under any eviction pressure — a key evicted
@@ -155,8 +155,8 @@ class SolveCache {
   /// cache back to `path`.  The exit save first folds the then-current
   /// on-disk snapshot back in (in-memory entries win), so warmth
   /// accumulates across processes instead of being clobbered by a run
-  /// that cleared the cache.  One path per cache, last attach wins — a
-  /// bench's `--cache-file` replaces the TPCOOL_SOLVE_CACHE_FILE
+  /// that cleared the cache.  One path per cache, last attach wins — an
+  /// explicit attach replaces the TPCOOL_SOLVE_CACHE_FILE
   /// registration, and the displacement is logged through util/logging so
   /// a silently dropped snapshot path is visible.  The registry keeps
   /// `cache` alive until exit.

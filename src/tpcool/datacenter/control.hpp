@@ -154,8 +154,8 @@ struct ControlScenario {
   FleetControllerConfig controller;
 };
 
-/// The canonical PUE-tracking scenario shared by the control tests, the
-/// `control_scaling` bench, and `examples/fleet_control.cpp`: a
+/// The canonical PUE-tracking scenario shared by the control tests and
+/// `examples/fleet_control.cpp`: a
 /// `diurnal_fleet_day` workload on the heterogeneous demo fleet, with a
 /// controller whose target sits above the uncontrolled diurnal PUE range
 /// — so the uncontrolled fleet drifts out of the ±2% band while the

@@ -12,8 +12,8 @@
 /// coupled solves run through the SolveCache / parallel_map machinery on
 /// pooled pipelines (core::PipelinePool), so fleet results are
 /// bit-identical for any thread count and snapshot-warmable: a
-/// `--cache-file` rerun of the datacenter bench replays every solve from
-/// disk (0 misses) and reproduces the same bits.
+/// `TPCOOL_SOLVE_CACHE_FILE` rerun replays every solve from disk
+/// (0 misses) and reproduces the same bits.
 
 #include <cstddef>
 #include <cstdint>

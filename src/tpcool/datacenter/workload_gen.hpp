@@ -138,7 +138,7 @@ class WorkloadGenerator {
                                                   std::size_t streams);
 
 /// Preset: seven diurnal days on a 30-minute grid — the unbounded-length
-/// streaming demonstration (`bench/streaming_scaling`).
+/// streaming demonstration (perf/'s `fleet_stream` runs it for four weeks).
 [[nodiscard]] WorkloadGenConfig diurnal_fleet_week(std::uint64_t seed,
                                                    std::size_t streams);
 

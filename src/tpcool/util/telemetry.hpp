@@ -30,9 +30,9 @@
 /// (loads directly in Perfetto / chrome://tracing) with the metrics
 /// snapshot embedded under a top-level `"metrics"` key;
 /// `export_metrics_json(path)` writes the snapshot standalone.  Setting
-/// `TPCOOL_TRACE_FILE=<path>` (or passing `--trace-file <path>` to any
-/// bench binary) enables tracing at startup and exports to `path` at
-/// process exit.  `scripts/trace_inspect.py` validates emitted traces.
+/// `TPCOOL_TRACE_FILE=<path>` enables tracing at startup and exports to
+/// `path` at process exit.  `scripts/trace_inspect.py` validates emitted
+/// traces.
 ///
 /// Quiescence: merging rings is safe only while no other thread is
 /// recording (the engines join their `parallel_map` fan-out before
@@ -196,8 +196,8 @@ class Telemetry {
 
   /// Enable now and export the Chrome trace to `path` at process exit
   /// (plus the standalone snapshot to `path + ".metrics.json"`).  One
-  /// path per process, last call wins — a bench's `--trace-file` replaces
-  /// the TPCOOL_TRACE_FILE registration, logged through util/logging.
+  /// path per process, last call wins — a later call replaces the
+  /// TPCOOL_TRACE_FILE registration, logged through util/logging.
   static void arm_process_trace(std::string path);
 
   /// Nanoseconds since the enable() epoch (callers gate on

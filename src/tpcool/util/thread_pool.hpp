@@ -13,7 +13,7 @@
 ///
 /// The default pool size comes from the TPCOOL_NUM_THREADS environment
 /// variable (if set and positive) or std::thread::hardware_concurrency().
-/// Bench binaries expose a `--threads N` flag that calls
+/// The benchmark driver (perf/driver.cpp) and tests pin the count with
 /// `set_global_thread_count()` before the first solve.
 ///
 /// Telemetry (docs/TRACING.md): with tracing enabled the pool maintains
@@ -61,8 +61,8 @@ class ThreadPool {
   /// Process-wide pool behind parallel_map. Lazily constructed.
   [[nodiscard]] static ThreadPool& global();
 
-  /// Resize the global pool (joins the old workers). Used by the bench
-  /// `--threads` flag and by tests; `threads == 0` restores the default.
+  /// Resize the global pool (joins the old workers). Used by the benchmark
+  /// driver and by tests; `threads == 0` restores the default.
   static void set_global_thread_count(std::size_t threads);
 
   /// Thread count the default-constructed pool would use

@@ -560,8 +560,8 @@ TEST(SolveCacheSnapshotTest, ConcurrentMergeSavesConvergeDeterministically) {
 // ------------------------------------------------------------ persistence --
 
 TEST(AttachPersistentFileTest, WarnsWhenSecondPathDisplacesTheFirst) {
-  // Last attach wins is deliberate (a bench's --cache-file replaces the
-  // env registration), but the displacement must be visible: the first
+  // Last attach wins is deliberate (an explicit attach replaces the env
+  // registration), but the displacement must be visible: the first
   // path will not be rewritten at exit.
   const std::string first =
       ::testing::TempDir() + "tpcool_attach_first.bin";

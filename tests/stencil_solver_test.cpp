@@ -287,7 +287,7 @@ TEST(StencilCg, NearConvergedAcceptIsReportedAndCounted) {
 }
 
 TEST(StencilCg, ColdPackageStackIterationCountIsPinned) {
-  // The solver_scaling steady_cold_2000um case: a kernel change that
+  // perf_microbench's BM_ThermalSteadySolve/200 model: a kernel change that
   // perturbs convergence on the real thermal operator shows up here.
   thermal::PackageStackConfig config;
   config.cell_size_m = 2.0e-3;
