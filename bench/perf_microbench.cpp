@@ -1,13 +1,18 @@
 /// \file perf_microbench.cpp
 /// \brief google-benchmark microbenchmarks for the numerical substrates:
 ///        steady-state thermal solves vs grid resolution, thermosyphon
-///        solves, and the full coupled server simulation.
+///        solves, the full coupled server simulation, and the fleet's
+///        per-job hot path (memoized scheduling, solve-cache hits).
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <random>
+#include <vector>
 
+#include "tpcool/core/pipelines.hpp"
 #include "tpcool/core/server.hpp"
+#include "tpcool/core/solve_cache.hpp"
 #include "tpcool/mapping/config_select.hpp"
 #include "tpcool/util/stencil_operator.hpp"
 
@@ -174,6 +179,44 @@ void BM_ScheduleDecision(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScheduleDecision)->Unit(benchmark::kMicrosecond);
+
+/// Scheduler::schedule once its memo holds the decision: what every fleet
+/// job after the first per (benchmark, QoS) pays instead of the above.
+void BM_ScheduleMemoHit(benchmark::State& state) {
+  core::ApproachPipeline pipeline(core::Approach::kProposed, 2.0e-3);
+  const auto& bench = workload::find_benchmark("ferret");
+  const workload::QoSRequirement qos{2.0};
+  (void)pipeline.scheduler().schedule(bench, qos);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pipeline.scheduler().schedule(bench, qos));
+  }
+}
+BENCHMARK(BM_ScheduleMemoHit)->Unit(benchmark::kMicrosecond);
+
+/// One solve-cache hit through ServerModel at the fleet's 2 mm pitch, the
+/// same key every time: `shared` = simulate_shared (key build + lookup),
+/// `copy` = simulate (the same plus a deep copy of the four 2D maps).
+void cache_hit(benchmark::State& state, bool shared) {
+  core::ServerModel server(config_with_cell(2.0e-3));
+  server.enable_solve_cache(std::make_shared<core::SolveCache>(), "bench");
+  const auto& bench = workload::find_benchmark("x264");
+  const workload::Configuration config{4, 2, 3.2};
+  const std::vector<int> cores{5, 4, 7, 2};
+  (void)server.simulate_shared(bench, config, cores, power::CState::kC1);
+  for (auto _ : state) {
+    if (shared) {
+      benchmark::DoNotOptimize(
+          server.simulate_shared(bench, config, cores, power::CState::kC1));
+    } else {
+      benchmark::DoNotOptimize(
+          server.simulate(bench, config, cores, power::CState::kC1));
+    }
+  }
+}
+void BM_CacheHitShared(benchmark::State& state) { cache_hit(state, true); }
+void BM_CacheHitCopy(benchmark::State& state) { cache_hit(state, false); }
+BENCHMARK(BM_CacheHitShared)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CacheHitCopy)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -13,6 +13,18 @@ Scheduler::Scheduler(ServerModel& server, const mapping::MappingPolicy& policy,
 
 ScheduleDecision Scheduler::schedule(const workload::BenchmarkProfile& bench,
                                      const workload::QoSRequirement& qos) const {
+  for (const MemoEntry& entry : memo_) {
+    if (entry.qos_factor == qos.factor && entry.bench == bench) {
+      return entry.decision;
+    }
+  }
+  ScheduleDecision decision = decide(bench, qos);
+  memo_.push_back({bench, qos.factor, decision});
+  return decision;
+}
+
+ScheduleDecision Scheduler::decide(const workload::BenchmarkProfile& bench,
+                                   const workload::QoSRequirement& qos) const {
   ScheduleDecision decision;
   decision.idle_state =
       manage_cstates_

@@ -4,6 +4,7 @@
 ///        C-state choice, and thermal-aware thread mapping.
 
 #include <memory>
+#include <vector>
 
 #include "tpcool/core/server.hpp"
 #include "tpcool/mapping/config_select.hpp"
@@ -26,6 +27,16 @@ enum class SelectionStrategy {
 
 /// Scheduler bound to a server and a mapping policy. The policy and server
 /// must outlive the scheduler.
+///
+/// Everything a decision depends on besides the benchmark and the QoS is
+/// fixed per scheduler (the server's floorplan, power model and evaporator
+/// orientation, the policy, the strategy, the C-state flag), so Algorithm 1
+/// runs as the paper runs it: the configuration space is profiled once per
+/// (benchmark profile, QoS factor) and later calls pick from a memo.  The
+/// memo keys on the full profile value, not its name, and grows by one
+/// entry per distinct pair.  Like ServerModel, a Scheduler is not
+/// thread-safe: give each thread its own (pipelines are leased
+/// exclusively).
 class Scheduler {
  public:
   Scheduler(ServerModel& server, const mapping::MappingPolicy& policy,
@@ -33,7 +44,8 @@ class Scheduler {
 
   /// Decide (configuration, C-state, placement) for a benchmark under a QoS
   /// requirement.  When C-state management is off (state-of-the-art
-  /// pipelines) idle cores stay in POLL.
+  /// pipelines) idle cores stay in POLL.  Repeated calls return the
+  /// memoized decision (see the class comment).
   [[nodiscard]] ScheduleDecision schedule(
       const workload::BenchmarkProfile& bench,
       const workload::QoSRequirement& qos) const;
@@ -44,10 +56,24 @@ class Scheduler {
                                      ScheduleDecision* decision_out = nullptr);
 
  private:
+  /// Profile the configuration space and run the selection and mapping.
+  [[nodiscard]] ScheduleDecision decide(
+      const workload::BenchmarkProfile& bench,
+      const workload::QoSRequirement& qos) const;
+
+  struct MemoEntry {
+    workload::BenchmarkProfile bench;
+    double qos_factor = 1.0;
+    ScheduleDecision decision;
+  };
+
   ServerModel* server_;
   const mapping::MappingPolicy* policy_;
   SelectionStrategy strategy_;
   bool manage_cstates_;
+  /// Decisions made so far, searched linearly (the fleet asks for at most
+  /// 13 benchmarks x 3 QoS tiers per scheduler).
+  mutable std::vector<MemoEntry> memo_;
 };
 
 }  // namespace tpcool::core

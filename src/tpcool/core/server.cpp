@@ -61,6 +61,17 @@ SimulationResult ServerModel::simulate(
     const workload::BenchmarkProfile& bench,
     const workload::Configuration& config_pt,
     const std::vector<int>& active_cores, power::CState idle_state) {
+  SimulationResult result =
+      *simulate_shared(bench, config_pt, active_cores, idle_state);
+  // The cache key treats the placement as a set; echo the caller's order.
+  result.active_cores = active_cores;
+  return result;
+}
+
+std::shared_ptr<const SimulationResult> ServerModel::simulate_shared(
+    const workload::BenchmarkProfile& bench,
+    const workload::Configuration& config_pt,
+    const std::vector<int>& active_cores, power::CState idle_state) {
   TPCOOL_REQUIRE(static_cast<int>(active_cores.size()) == config_pt.cores,
                  "mapping size does not match the configuration core count");
   const auto solve = [&] {
@@ -74,19 +85,14 @@ SimulationResult ServerModel::simulate(
     return result;
   };
 
-  SimulationResult result;
-  if (solve_cache_ != nullptr) {
-    std::string key = cache_scope_;
-    append_key_bits(key, config_.operating_point.water_flow_kg_h);
-    append_key_bits(key, config_.operating_point.water_inlet_c);
-    key += solve_request_key(bench, config_pt, active_cores, idle_state);
-    result = solve_cache_->get_or_compute(key, solve);
-  } else {
-    result = solve();
+  if (solve_cache_ == nullptr) {
+    return std::make_shared<const SimulationResult>(solve());
   }
-  // The cache key treats the placement as a set; echo the caller's order.
-  result.active_cores = active_cores;
-  return result;
+  std::string key = cache_scope_;
+  append_key_bits(key, config_.operating_point.water_flow_kg_h);
+  append_key_bits(key, config_.operating_point.water_inlet_c);
+  key += solve_request_key(bench, config_pt, active_cores, idle_state);
+  return solve_cache_->get_or_compute_shared(key, solve);
 }
 
 SimulationResult ServerModel::simulate_powers(

@@ -110,8 +110,19 @@ class ServerModel {
 
   /// Run the coupled steady solve for a benchmark in a configuration mapped
   /// onto `active_cores` (ids from a MappingPolicy), idle cores at
-  /// `idle_state`.
+  /// `idle_state`.  Returns an independent copy whose `active_cores` echo
+  /// the caller's order.
   [[nodiscard]] SimulationResult simulate(
+      const workload::BenchmarkProfile& bench,
+      const workload::Configuration& config_pt,
+      const std::vector<int>& active_cores, power::CState idle_state);
+
+  /// Same solve, without the copy: with a solve cache attached, a hit
+  /// returns the cache's stored result itself.  The cache key treats the
+  /// placement as a set, so the shared result's `active_cores` is empty;
+  /// use simulate() when the caller's core order matters.  With no cache
+  /// attached this wraps a fresh (warm-started) solve.
+  [[nodiscard]] std::shared_ptr<const SimulationResult> simulate_shared(
       const workload::BenchmarkProfile& bench,
       const workload::Configuration& config_pt,
       const std::vector<int>& active_cores, power::CState idle_state);

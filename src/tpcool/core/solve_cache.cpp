@@ -88,17 +88,14 @@ void SolveCache::evict_over_capacity() {
   }
 }
 
-SimulationResult SolveCache::get_or_compute(
+SolveCache::ResultPtr SolveCache::get_or_compute_shared(
     const std::string& key,
     const std::function<SimulationResult()>& compute) {
   std::shared_ptr<InFlight> mine;
   {
     std::unique_lock lock(mutex_);
     while (true) {
-      if (const ResultPtr hit = lookup(key)) {
-        lock.unlock();
-        return *hit;  // the deep copy happens outside the lock
-      }
+      if (ResultPtr hit = lookup(key)) return hit;
       const auto fit = in_flight_.find(key);
       if (fit == in_flight_.end()) break;
       // Another thread is computing this key: wait on its in-flight record
@@ -118,9 +115,7 @@ SimulationResult SolveCache::get_or_compute(
         if (stored != index_.end()) {
           lru_.splice(lru_.begin(), lru_, stored->second);
         }
-        const ResultPtr result = theirs->result;
-        lock.unlock();
-        return *result;
+        return theirs->result;
       }
       // The computing thread threw; loop and take over (or wait on a newer
       // in-flight record).
@@ -149,7 +144,7 @@ SimulationResult SolveCache::get_or_compute(
     in_flight_.erase(key);
   }
   compute_done_.notify_all();
-  return *result;
+  return result;
 }
 
 bool SolveCache::try_get(const std::string& key, SimulationResult& out) {

@@ -18,8 +18,10 @@
 ///
 /// One mutex guards one LRU list, its index and the in-flight records.
 /// Entries hold immutable shared results, so a hit holds the lock only for
-/// the lookup, the LRU splice and a reference-count bump; the copy handed
-/// to the caller is made after unlock.
+/// the lookup, the LRU splice and a reference-count bump.
+/// `get_or_compute_shared` hands out that shared result itself, so a hit
+/// copies nothing; `get_or_compute` and `try_get` deep-copy it after
+/// unlock for callers that mutate their result.
 ///
 /// Persistence: `save()` / `load()` write and read one versioned,
 /// endian-safe snapshot file (schema `kSnapshotVersion`), streamed entry by
@@ -101,13 +103,25 @@ class SolveCache {
     std::size_t waiting = 0;
   };
 
+  /// Immutable result shared between the cache and its readers.
+  using ResultPtr = std::shared_ptr<const SimulationResult>;
+
   /// Serve `key` from the cache, or run `compute`, store and return its
-  /// result.  `compute` runs without the cache lock held; a concurrent
-  /// call for the same key blocks until the first caller's result lands
-  /// and then counts a hit.
-  [[nodiscard]] SimulationResult get_or_compute(
+  /// result.  The returned pointer is the stored entry itself (never
+  /// null), so a hit costs a reference-count bump, not a copy; it stays
+  /// valid after eviction.  `compute` runs without the cache lock held; a
+  /// concurrent call for the same key blocks until the first caller's
+  /// result lands and then counts a hit.
+  [[nodiscard]] ResultPtr get_or_compute_shared(
       const std::string& key,
       const std::function<SimulationResult()>& compute);
+
+  /// Same, returning an independent deep copy the caller may mutate.
+  [[nodiscard]] SimulationResult get_or_compute(
+      const std::string& key,
+      const std::function<SimulationResult()>& compute) {
+    return *get_or_compute_shared(key, compute);
+  }
 
   /// Lookup without computing; returns true and fills `out` on a hit.
   [[nodiscard]] bool try_get(const std::string& key, SimulationResult& out);
@@ -170,8 +184,6 @@ class SolveCache {
   [[nodiscard]] static const std::shared_ptr<SolveCache>& global();
 
  private:
-  using ResultPtr = std::shared_ptr<const SimulationResult>;
-
   struct Entry {
     std::string key;
     ResultPtr result;

@@ -1,14 +1,15 @@
 #include "tpcool/datacenter/streaming.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
-#include <iomanip>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
 #include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "tpcool/cooling/pue.hpp"
@@ -255,12 +256,12 @@ bool StreamingFleetEngine::advance() {
           server.set_operating_point(
               {.water_flow_kg_h = design_flow_kg_h_[placed_rack[j]],
                .water_inlet_c = t_w});
-          const core::SimulationResult sim = server.simulate(
+          const auto sim = server.simulate_shared(
               *jobs[j].bench, scan.decision.point.config, scan.decision.cores,
               scan.decision.idle_state);
           scan.max_supply_temp_c = t_w;
-          scan.demand_power_w = sim.total_power_w;
-          if (sim.tcase_c <= spec.tcase_limit_c) return scan;
+          scan.demand_power_w = sim->total_power_w;
+          if (sim->tcase_c <= spec.tcase_limit_c) return scan;
         }
         scan.infeasible = true;  // runs pinned at the coldest candidate
         return scan;
@@ -307,8 +308,10 @@ bool StreamingFleetEngine::advance() {
   }
 
   // Phase 2, parallel again: every server at its rack's shared setpoint.
-  const std::vector<core::SimulationResult> at_setpoint =
-      core::parallel_map<core::SimulationResult>(
+  // Results stay shared with the cache; only three scalars are read.
+  using SharedResult = std::shared_ptr<const core::SimulationResult>;
+  const std::vector<SharedResult> at_setpoint =
+      core::parallel_map<SharedResult>(
           jobs.size(), kFleetGrain,
           [&](std::size_t chunk) {
             const RackSpec& spec = config_.racks[placed_rack[chunk]];
@@ -320,7 +323,7 @@ bool StreamingFleetEngine::advance() {
             pipeline->server().set_operating_point(
                 {.water_flow_kg_h = design_flow_kg_h_[r],
                  .water_inlet_c = rack_cooling[r].supply_temp_c});
-            return pipeline->server().simulate(
+            return pipeline->server().simulate_shared(
                 *jobs[j].bench, scans[j].decision.point.config,
                 scans[j].decision.cores, scans[j].decision.idle_state);
           });
@@ -344,13 +347,13 @@ bool StreamingFleetEngine::advance() {
     outcome.qos_factor = jobs[j].qos.factor;
     outcome.rack = r;
     outcome.decision = scans[j].decision;
-    outcome.package_power_w = at_setpoint[j].total_power_w;
+    outcome.package_power_w = at_setpoint[j]->total_power_w;
     outcome.max_supply_temp_c = scans[j].max_supply_temp_c;
-    outcome.die_max_c = at_setpoint[j].die.max_c;
-    outcome.tcase_c = at_setpoint[j].tcase_c;
+    outcome.die_max_c = at_setpoint[j]->die.max_c;
+    outcome.tcase_c = at_setpoint[j]->tcase_c;
     outcome.tcase_limit_exceeded =
         scans[j].infeasible ||
-        at_setpoint[j].tcase_c > config_.racks[r].tcase_limit_c;
+        at_setpoint[j]->tcase_c > config_.racks[r].tcase_limit_c;
     if (outcome.tcase_limit_exceeded) ++interval.qos_violations;
 
     RackInterval& rack = interval.racks[r];
@@ -451,8 +454,15 @@ namespace {
 
 /// 17 significant digits round-trip any finite IEEE double exactly through
 /// a correctly-rounded strtod, so replays reconstruct the original bits.
+/// `general` at precision 17 writes the bytes printf's %.17g writes (not
+/// the shortest round trip, which would change every stream's bytes), and
+/// ignores the stream's locale.
 void json_number(std::ostream& os, double value) {
-  os << std::setprecision(17) << value;
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value,
+                                       std::chars_format::general, 17);
+  TPCOOL_ENSURE(ec == std::errc{}, "JSONL number does not fit its buffer");
+  os.write(buf, end - buf);
 }
 
 }  // namespace

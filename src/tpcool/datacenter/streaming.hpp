@@ -197,7 +197,8 @@ class FleetResultAggregator final : public FleetObserver {
 /// JSONL file sink: one self-contained JSON object per line — a header
 /// record, one record per interval, and a summary record (schema
 /// `tpcool-fleet-stream-v2`, documented in docs/OBSERVABILITY.md).
-/// Doubles are printed with 17 significant digits, so a replay
+/// Doubles are printed with 17 significant digits (`std::to_chars`, the
+/// bytes of printf's %.17g, locale-independent), so a replay
 /// (`replay_fleet_jsonl`) reconstructs every digest-covered field of the
 /// batch `FleetResult` bit-exactly.
 class JsonlFleetSink final : public FleetObserver {

@@ -31,6 +31,8 @@ struct BenchmarkProfile {
   /// Largest scheduling latency the application tolerates [µs]; decides the
   /// deepest usable C-state for idle cores (paper §VII).
   double tolerable_latency_us = 10.0;
+
+  [[nodiscard]] bool operator==(const BenchmarkProfile&) const = default;
 };
 
 /// The 13 PARSEC 3.0 benchmarks evaluated by the paper (Fig. 3).

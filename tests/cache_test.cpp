@@ -1,6 +1,7 @@
 // Tests for the solve cache: hit/miss/eviction accounting (exact at any
 // capacity — the eviction-race regression), LRU order, in-flight dedup of
 // concurrent same-key requests, independence of the copies a hit returns,
+// identity of the shared results get_or_compute_shared returns,
 // the order-insensitive content digest, the one-file snapshot (lossless
 // round trip, merge semantics, rejection of damaged or foreign files with
 // the cache left untouched, the size warning), a concurrent merge-save
@@ -246,6 +247,29 @@ TEST(SolveCacheTest, HitReturnsAnIndependentCopy) {
   expect_results_identical(
       cache.get_or_compute("computed", [] { return SimulationResult{}; }),
       rich_result(2));
+}
+
+TEST(SolveCacheTest, SharedHitsHandOutTheStoredResult) {
+  // get_or_compute_shared serves the stored entry itself: the miss and
+  // every later hit return one and the same object, copied zero times.
+  SolveCache cache(4);
+  int computes = 0;
+  const auto compute = [&] {
+    ++computes;
+    return rich_result(3);
+  };
+  const SolveCache::ResultPtr miss = cache.get_or_compute_shared("k", compute);
+  const SolveCache::ResultPtr hit1 = cache.get_or_compute_shared("k", compute);
+  const SolveCache::ResultPtr hit2 = cache.get_or_compute_shared("k", compute);
+  EXPECT_EQ(computes, 1);
+  EXPECT_EQ(miss.get(), hit1.get());
+  EXPECT_EQ(hit1.get(), hit2.get());
+  expect_results_identical(*hit2, rich_result(3));
+  EXPECT_EQ(cache.stats().hits, 2u);
+
+  // A shared result outlives its entry's eviction.
+  cache.clear();
+  expect_results_identical(*hit1, rich_result(3));
 }
 
 TEST(SolveCacheTest, ConcurrentRequestsForOneKeyComputeOnce) {

@@ -1,7 +1,13 @@
 // Tests for tpcool::core::Scheduler and the approach pipelines — Algorithm 1
-// end to end, C-state management, and the rack coordinator.
+// end to end, C-state management, the per-scheduler decision memo, and the
+// rack coordinator.
 
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "tpcool/core/pipelines.hpp"
 #include "tpcool/core/rack_coordinator.hpp"
@@ -81,6 +87,103 @@ TEST_F(SchedulerTest, RunReturnsDecisionAndResult) {
       bench, workload::QoSRequirement{2.0}, &decision);
   EXPECT_EQ(sim.active_cores, decision.cores);
   EXPECT_GT(sim.die.max_c, 30.0);
+}
+
+// ------------------------------------------------------------ decision memo --
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void expect_same_decision(const ScheduleDecision& a,
+                          const ScheduleDecision& b) {
+  EXPECT_EQ(a.point.config, b.point.config);
+  EXPECT_TRUE(same_bits(a.point.power_w, b.point.power_w));
+  EXPECT_TRUE(same_bits(a.point.norm_time, b.point.norm_time));
+  EXPECT_TRUE(same_bits(a.point.breakdown.active_cores_w,
+                        b.point.breakdown.active_cores_w));
+  EXPECT_TRUE(same_bits(a.point.breakdown.idle_cores_w,
+                        b.point.breakdown.idle_cores_w));
+  EXPECT_TRUE(same_bits(a.point.breakdown.mcio_w, b.point.breakdown.mcio_w));
+  EXPECT_TRUE(same_bits(a.point.breakdown.llc_w, b.point.breakdown.llc_w));
+  EXPECT_EQ(a.cores, b.cores);
+  EXPECT_EQ(a.idle_state, b.idle_state);
+}
+
+/// A decision made by a scheduler that has never decided anything else.
+ScheduleDecision fresh_decision(Approach approach,
+                                const workload::BenchmarkProfile& bench,
+                                const workload::QoSRequirement& qos) {
+  ApproachPipeline pipeline(approach, kCoarseCell);
+  return pipeline.scheduler().schedule(bench, qos);
+}
+
+TEST(ScheduleMemo, RepeatedDecisionsEqualFreshOnesBitForBit) {
+  for (const Approach approach :
+       {Approach::kProposed, Approach::kSoaBalancing,
+        Approach::kSoaInletFirst}) {
+    ApproachPipeline shared(approach, kCoarseCell);
+    // Fill the memo with every (benchmark, QoS) pair first, so the checked
+    // calls below are all served from it.
+    for (const auto& bench : workload::parsec_benchmarks()) {
+      for (const auto& qos : workload::qos_levels()) {
+        (void)shared.scheduler().schedule(bench, qos);
+      }
+    }
+    for (const auto& bench : workload::parsec_benchmarks()) {
+      for (const auto& qos : workload::qos_levels()) {
+        SCOPED_TRACE(std::string(to_string(approach)) + " " + bench.name +
+                     " @" + std::to_string(qos.factor));
+        expect_same_decision(shared.scheduler().schedule(bench, qos),
+                             fresh_decision(approach, bench, qos));
+      }
+    }
+  }
+}
+
+TEST(ScheduleMemo, KeysOnTheWholeProfileNotTheName) {
+  // A custom profile reusing a PARSEC name is a different workload: it
+  // must get its own decision, not the memoized one of its namesake.
+  const workload::QoSRequirement qos{2.0};
+  const workload::BenchmarkProfile& x264 = workload::find_benchmark("x264");
+  workload::BenchmarkProfile heavy = x264;
+  heavy.c_eff_w_per_ghz_v2 *= 1.5;
+
+  ApproachPipeline pipeline(Approach::kProposed, kCoarseCell);
+  const ScheduleDecision real = pipeline.scheduler().schedule(x264, qos);
+  const ScheduleDecision custom = pipeline.scheduler().schedule(heavy, qos);
+  EXPECT_FALSE(same_bits(custom.point.power_w, real.point.power_w));
+  expect_same_decision(custom,
+                       fresh_decision(Approach::kProposed, heavy, qos));
+  expect_same_decision(pipeline.scheduler().schedule(x264, qos), real);
+}
+
+TEST(ScheduleMemo, QosFactorsOneUlpApartAreDistinctKeys) {
+  // Put the QoS factor exactly on the boundary of the configuration the
+  // 2.0 tier selects: at `edge` that configuration is still feasible (and
+  // still the cheapest feasible one), one ulp below it is not, so the two
+  // factors must decide differently on one scheduler.
+  const workload::BenchmarkProfile& bench = workload::find_benchmark("x264");
+  ApproachPipeline pipeline(Approach::kProposed, kCoarseCell);
+  const double t =
+      pipeline.scheduler().schedule(bench, workload::QoSRequirement{2.0})
+          .point.norm_time;
+  double edge = t - 1e-9;
+  while (!workload::QoSRequirement{edge}.satisfied_by(t)) {
+    edge = std::nextafter(edge, 3.0);
+  }
+  while (workload::QoSRequirement{std::nextafter(edge, 0.0)}.satisfied_by(t)) {
+    edge = std::nextafter(edge, 0.0);
+  }
+  const workload::QoSRequirement at_edge{edge};
+  const workload::QoSRequirement below{std::nextafter(edge, 0.0)};
+
+  const ScheduleDecision on = pipeline.scheduler().schedule(bench, at_edge);
+  const ScheduleDecision off = pipeline.scheduler().schedule(bench, below);
+  EXPECT_TRUE(same_bits(on.point.norm_time, t));
+  EXPECT_NE(on.point.config, off.point.config);
+  expect_same_decision(on, fresh_decision(Approach::kProposed, bench, at_edge));
+  expect_same_decision(off, fresh_decision(Approach::kProposed, bench, below));
 }
 
 TEST(ApproachPipeline, NamesMatchPaperNotation) {

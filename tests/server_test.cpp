@@ -1,11 +1,16 @@
 // Tests for tpcool::core::ServerModel — the coupled thermosyphon + thermal
-// solve: energy consistency, boundary sanity, monotone responses.
+// solve: energy consistency, boundary sanity, monotone responses, and the
+// shared (copy-free) cache-hit path.
 // Coarse grids keep the suite fast; the physics is resolution-stable.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "tpcool/core/pipelines.hpp"
 #include "tpcool/core/server.hpp"
+#include "tpcool/core/solve_cache.hpp"
 #include "tpcool/util/error.hpp"
 
 namespace tpcool::core {
@@ -117,6 +122,70 @@ TEST_F(ServerTest, ExplicitPowersSimulation) {
   const SimulationResult sim = server_.simulate_powers(powers);
   EXPECT_NEAR(sim.total_power_w, 29.0, 1e-9);
   EXPECT_GT(sim.die.max_c, sim.syphon.t_sat_c);
+}
+
+// ---------------------------------------------------------- shared results --
+
+/// Bitwise equality of everything a coupled steady solve fills, except the
+/// placement echo.
+void expect_same_solve(const SimulationResult& a, const SimulationResult& b) {
+  EXPECT_EQ(a.tcase_c, b.tcase_c);
+  EXPECT_EQ(a.total_power_w, b.total_power_w);
+  EXPECT_EQ(a.die.max_c, b.die.max_c);
+  EXPECT_EQ(a.die.avg_c, b.die.avg_c);
+  EXPECT_EQ(a.die.grad_max_c_per_mm, b.die.grad_max_c_per_mm);
+  EXPECT_EQ(a.package.max_c, b.package.max_c);
+  EXPECT_EQ(a.power.active_cores_w, b.power.active_cores_w);
+  EXPECT_EQ(a.power.idle_cores_w, b.power.idle_cores_w);
+  EXPECT_EQ(a.power.mcio_w, b.power.mcio_w);
+  EXPECT_EQ(a.power.llc_w, b.power.llc_w);
+  EXPECT_EQ(a.syphon.t_sat_c, b.syphon.t_sat_c);
+  EXPECT_EQ(a.syphon.q_total_w, b.syphon.q_total_w);
+  EXPECT_EQ(a.syphon.htc_map.data(), b.syphon.htc_map.data());
+  EXPECT_EQ(a.die_field_c.data(), b.die_field_c.data());
+  EXPECT_EQ(a.package_field_c.data(), b.package_field_c.data());
+}
+
+TEST_F(ServerTest, SharedHitIsTheCachedResultAndSimulateEchoesTheOrder) {
+  const auto cache = std::make_shared<SolveCache>(8);
+  server_.enable_solve_cache(cache, "server-test");
+  const workload::Configuration config{4, 2, 3.2};
+  const std::vector<int> order{5, 4, 7, 2};
+  const std::vector<int> permuted{2, 7, 4, 5};
+
+  const auto shared =
+      server_.simulate_shared(bench_, config, order, power::CState::kC1);
+  const auto again =
+      server_.simulate_shared(bench_, config, permuted, power::CState::kC1);
+  EXPECT_EQ(shared.get(), again.get());  // a hit shares, never copies
+  EXPECT_TRUE(shared->active_cores.empty());
+
+  const SimulationResult copy =
+      server_.simulate(bench_, config, order, power::CState::kC1);
+  expect_same_solve(*shared, copy);
+  EXPECT_EQ(copy.active_cores, order);
+  // A hit under a permuted placement still echoes the caller's order.
+  EXPECT_EQ(server_.simulate(bench_, config, permuted, power::CState::kC1)
+                .active_cores,
+            permuted);
+  EXPECT_EQ(cache->stats().misses, 1u);
+  EXPECT_EQ(cache->stats().hits, 3u);
+}
+
+TEST(ServerShared, UncachedSharedSolveEqualsSimulate) {
+  // Two fresh servers: each solve starts cold, so the results compare
+  // bitwise despite the warm-start chain.
+  ServerModel a(coarse_config());
+  ServerModel b(coarse_config());
+  const auto& bench = workload::find_benchmark("x264");
+  const auto shared =
+      a.simulate_shared(bench, {4, 2, 3.2}, {5, 4, 7, 2}, power::CState::kC1);
+  ASSERT_NE(shared, nullptr);
+  EXPECT_TRUE(shared->active_cores.empty());
+  const SimulationResult copy =
+      b.simulate(bench, {4, 2, 3.2}, {5, 4, 7, 2}, power::CState::kC1);
+  expect_same_solve(*shared, copy);
+  EXPECT_EQ(copy.active_cores, (std::vector<int>{5, 4, 7, 2}));
 }
 
 TEST(ServerFactories, ProposedAndSoaDiffer) {

@@ -4,12 +4,15 @@
 // contract (ordering, registration order, spent-after-throw, bounded
 // interval memory), batch == streaming bit-identity at 1/2/4 threads, and
 // exact JSONL round trips (replay reconstructs the batch FleetResult's
-// digest bit for bit).
+// digest bit for bit), and the interval record's golden bytes.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -413,6 +416,120 @@ TEST_F(StreamingTest, JsonlRefusesAnyOtherSchema) {
   std::istringstream replay_stream(v1);
   EXPECT_THROW((void)replay_fleet_jsonl(replay_stream),
                util::PreconditionError);
+}
+
+/// One hand-built interval whose doubles cover the encoder's edge cases:
+/// both zeros, inexact decimals, a subnormal, DBL_MAX, a negative
+/// exponent and an exponent past the 17-digit range.
+FleetInterval edge_case_interval() {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  FleetInterval interval;
+  interval.interval = 4;
+  interval.start_s = 0.0;
+  interval.duration_s = 30.0;
+  interval.it_power_w = 0.1;
+  interval.chiller_power_w = 1.0 / 3.0;
+  interval.pue = 1e22;
+  interval.qos_violations = 1;
+  interval.shed_streams = {7};
+  interval.control.active = true;
+  interval.control.target = -1.5e-7;
+  interval.control.error = -0.0;
+  interval.control.rack_bias_c = {5e-324, kMax};
+  JobOutcome job;
+  job.stream = 3;
+  job.benchmark = "x264";
+  job.qos_factor = -0.0;
+  job.package_power_w = kMax;
+  job.max_supply_temp_c = 30.0;
+  job.die_max_c = 5e-324;
+  job.tcase_c = -1.5e-7;
+  job.tcase_limit_exceeded = true;
+  interval.jobs.push_back(job);
+  RackInterval rack;
+  rack.jobs = 1;
+  rack.it_power_w = 1e22;
+  rack.headroom_c = 1.0 / 3.0;
+  rack.cooling.supply_temp_c = 0.1;
+  rack.cooling.return_temp_c = 0.0;
+  rack.cooling.chiller_electrical_w = -0.0;
+  interval.racks.push_back(rack);
+  return interval;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(JsonlFleetSink, IntervalRecordMatchesTheGoldenBytes) {
+  // The interval record's exact bytes, pinned: numbers print as printf's
+  // %.17g prints them (not shortest round trip), so JSONL streams and
+  // their digests stay byte-identical across encoder changes.
+  const std::string golden =
+      R"({"type":"interval","interval":4,"start_s":0,"duration_s":30,)"
+      R"("it_power_w":0.10000000000000001,)"
+      R"("chiller_power_w":0.33333333333333331,"pue":1e+22,)"
+      R"("qos_violations":1,"solves":2,"hits":5,"shed":[7],)"
+      R"("control":{"target":-1.4999999999999999e-07,"error":-0,)"
+      R"("bias_c":[4.9406564584124654e-324,1.7976931348623157e+308]},)"
+      R"("jobs":[{"stream":3,"rack":0,"benchmark":"x264","qos_factor":-0,)"
+      R"("package_power_w":1.7976931348623157e+308,"max_supply_temp_c":30,)"
+      R"("die_max_c":4.9406564584124654e-324,)"
+      R"("tcase_c":-1.4999999999999999e-07,"limit":true}],)"
+      R"("racks":[{"jobs":1,"it_power_w":1e+22,)"
+      R"("headroom_c":0.33333333333333331,)"
+      R"("supply_temp_c":0.10000000000000001,"return_temp_c":0,)"
+      R"("chiller_electrical_w":-0}]})"
+      "\n";
+  const FleetInterval interval = edge_case_interval();
+  std::ostringstream record;
+  JsonlFleetSink(record).on_interval(interval, IntervalCounters{2, 5});
+  EXPECT_EQ(record.str(), golden);
+
+  // Replay reconstructs every double bit for bit, signed zero included.
+  std::ostringstream jsonl;
+  JsonlFleetSink sink(jsonl);
+  FleetRunSummary summary;
+  summary.intervals = 1;
+  sink.on_run_begin(FleetConfig{}, 1, 30.0);
+  sink.on_interval(interval, IntervalCounters{2, 5});
+  sink.on_run_end(summary);
+  std::istringstream replay_stream(jsonl.str());
+  const FleetResult replayed = replay_fleet_jsonl(replay_stream);
+  ASSERT_EQ(replayed.intervals.size(), 1u);
+  const FleetInterval& back = replayed.intervals[0];
+  EXPECT_TRUE(same_bits(back.start_s, interval.start_s));
+  EXPECT_TRUE(same_bits(back.duration_s, interval.duration_s));
+  EXPECT_TRUE(same_bits(back.it_power_w, interval.it_power_w));
+  EXPECT_TRUE(same_bits(back.chiller_power_w, interval.chiller_power_w));
+  EXPECT_TRUE(same_bits(back.pue, interval.pue));
+  EXPECT_TRUE(same_bits(back.control.target, interval.control.target));
+  EXPECT_TRUE(same_bits(back.control.error, interval.control.error));
+  ASSERT_EQ(back.control.rack_bias_c.size(), 2u);
+  for (std::size_t r = 0; r < 2; ++r) {
+    EXPECT_TRUE(same_bits(back.control.rack_bias_c[r],
+                          interval.control.rack_bias_c[r]));
+  }
+  ASSERT_EQ(back.jobs.size(), 1u);
+  const JobOutcome& job = back.jobs[0];
+  EXPECT_TRUE(same_bits(job.qos_factor, interval.jobs[0].qos_factor));
+  EXPECT_TRUE(
+      same_bits(job.package_power_w, interval.jobs[0].package_power_w));
+  EXPECT_TRUE(
+      same_bits(job.max_supply_temp_c, interval.jobs[0].max_supply_temp_c));
+  EXPECT_TRUE(same_bits(job.die_max_c, interval.jobs[0].die_max_c));
+  EXPECT_TRUE(same_bits(job.tcase_c, interval.jobs[0].tcase_c));
+  ASSERT_EQ(back.racks.size(), 1u);
+  const RackInterval& rack = back.racks[0];
+  const RackInterval& sent = interval.racks[0];
+  EXPECT_TRUE(same_bits(rack.it_power_w, sent.it_power_w));
+  EXPECT_TRUE(same_bits(rack.headroom_c, sent.headroom_c));
+  EXPECT_TRUE(same_bits(rack.cooling.supply_temp_c,
+                        sent.cooling.supply_temp_c));
+  EXPECT_TRUE(same_bits(rack.cooling.return_temp_c,
+                        sent.cooling.return_temp_c));
+  EXPECT_TRUE(same_bits(rack.cooling.chiller_electrical_w,
+                        sent.cooling.chiller_electrical_w));
 }
 
 // ---------------------------------------------------------- rollup reducer --
