@@ -1,5 +1,6 @@
 #include "tpcool/core/server.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -34,6 +35,38 @@ util::Grid2D<double> uniform_footprint_heat(const thermal::StackModel& stack,
     }
   }
   return heat;
+}
+
+/// Forcing constant of the inexact inner solves (Eisenstat & Walker 1996,
+/// SIAM J. Sci. Comput. 17(1), forcing term η_k = γ·‖F(x_k)‖ with γ =
+/// kForcing).  Every outer iterate but the last only produces the heat map
+/// the next thermosyphon solve reads, so its CG residual need only stay far
+/// below how much that map still moves: iterate k is solved to
+/// η_k = kForcing · min(1, ‖q_{k−1} − q_{k−2}‖₂ / ‖q_{k−1}‖₂), floored at
+/// the final tolerance, with q_{−1} the uniform guess and η_0 = kForcing.
+/// The map moves about 45%, 30%, 28%, 17% over the default four iterates
+/// (x264, canneal, blackscholes and streamcluster on four cores, 0.75 and
+/// 2 mm), so 1e-3 leaves three orders of magnitude between the inner residual and
+/// the outer step.  Measured on the same probes against all-tight inner
+/// solves, it moves TCASE and die max by ≤ 6e-4 °C at four iterations,
+/// where the truncation error is 0.45–0.65 °C, and by ≤ 6e-8 °C at 2 mm
+/// after 40.  It is the loosest decade that keeps the path: at 2 mm, 1e-2
+/// already moves the four-iteration answer by 3e-2 °C, and 3e-2 moves even
+/// the 40-iteration one by 3e-3 °C (the fixed point is not smooth, and
+/// early fields that loose steer it elsewhere).
+constexpr double kForcing = 1e-3;
+
+/// ‖a − b‖₂ / ‖a‖₂ over two same-shape grids (0 for an all-zero `a`).
+double relative_change(const util::Grid2D<double>& a,
+                       const util::Grid2D<double>& b) {
+  double diff = 0.0;
+  double norm = 0.0;
+  for (std::size_t i = 0; i < a.data().size(); ++i) {
+    const double d = a.data()[i] - b.data()[i];
+    diff += d * d;
+    norm += a.data()[i] * a.data()[i];
+  }
+  return norm > 0.0 ? std::sqrt(diff / norm) : 0.0;
 }
 
 }  // namespace
@@ -135,20 +168,33 @@ SimulationResult ServerModel::coupled_solve(
   std::vector<double> t = warm ? last_temperature_ : std::vector<double>{};
   thermosyphon::ThermosyphonState syphon_state;
 
+  // Inexact inner solves (see kForcing): only the last iterate's field is
+  // returned, so only it is solved to the full steady tolerance.
+  constexpr double kFinalTolerance = thermal::ThermalModel::kSteadyTolerance;
+  double coupling_residual = 1.0;  // of the newest heat map; 1 before any
+  std::size_t cg_iterations = 0;
   for (int it = 0; it < config_.coupling_iterations; ++it) {
     syphon_state = syphon_.solve(evap_heat, config_.operating_point);
     thermal::TopBoundary top;
     top.htc_w_m2k = syphon_state.htc_map;
     top.fluid_temp_c = syphon_state.fluid_temp_map;
     thermal_.set_top_boundary(std::move(top));
-    t = thermal_.solve_steady(t);
+    const bool last = it + 1 == config_.coupling_iterations;
+    const double tolerance =
+        last ? kFinalTolerance
+             : std::max(kFinalTolerance,
+                        kForcing * std::min(1.0, coupling_residual));
+    t = thermal_.solve_steady(t, tolerance);
+    cg_iterations += thermal_.last_solve_stats().iterations;
 
     // Feed back the actual per-cell evaporator heat (clamp the handful of
     // fringe cells that can run slightly negative at low loads).
-    evap_heat = thermal_.top_heat_flow_map_w(t);
-    for (double& q : evap_heat.data()) {
+    util::Grid2D<double> heat = thermal_.top_heat_flow_map_w(t);
+    for (double& q : heat.data()) {
       if (q < 0.0) q = 0.0;
     }
+    coupling_residual = relative_change(heat, evap_heat);
+    evap_heat = std::move(heat);
   }
 
   if (warm) last_temperature_ = t;
@@ -157,6 +203,20 @@ SimulationResult ServerModel::coupled_solve(
            static_cast<double>(config_.coupling_iterations));
   span.arg("power_w", total_w);
   span.arg("warm", warm ? 1.0 : 0.0);
+  span.arg("cg_iterations", static_cast<double>(cg_iterations));
+  span.arg("coupling_residual", coupling_residual);
+  if (util::telemetry_enabled() && total_w > 0.0) {
+    // Energy balance of the returned field: every watt of source power
+    // must leave through the top (evaporator) or bottom (board) boundary.
+    const double imbalance =
+        std::abs(total_w - thermal_.top_heat_flow_w(t) -
+                 thermal_.bottom_heat_flow_w(t)) /
+        total_w;
+    span.arg("energy_imbalance", imbalance);
+    static util::TelemetryHistogram& imbalance_histogram =
+        util::Telemetry::instance().histogram("solve.energy_imbalance");
+    imbalance_histogram.record(imbalance);
+  }
 
   SimulationResult result;
   result.syphon = std::move(syphon_state);

@@ -159,6 +159,23 @@ double ThermalModel::top_heat_flow_w(const std::vector<double>& t) const {
   return q;
 }
 
+double ThermalModel::bottom_heat_flow_w(const std::vector<double>& t) const {
+  TPCOOL_REQUIRE(t.size() == cell_count(), "state vector size mismatch");
+  if (bottom_htc_w_m2k_ <= 0.0) return 0.0;
+  const double cell_area = stack_.grid.dx * stack_.grid.dy;
+  const double dz = stack_.layers[0].thickness_m;
+  double q = 0.0;
+  for (std::size_t iy = 0; iy < ny(); ++iy) {
+    for (std::size_t ix = 0; ix < nx(); ++ix) {
+      const double k = stack_.layers[0].conductivity_w_mk(ix, iy);
+      const double g = 1.0 / (0.5 * dz / (k * cell_area) +
+                              1.0 / (bottom_htc_w_m2k_ * cell_area));
+      q += g * (t[cell_index(ix, iy, 0)] - bottom_ambient_c_);
+    }
+  }
+  return q;
+}
+
 util::Grid2D<double> ThermalModel::top_heat_flow_map_w(
     const std::vector<double>& t) const {
   TPCOOL_REQUIRE(t.size() == cell_count(), "state vector size mismatch");

@@ -56,10 +56,15 @@ class ThermalModel {
   /// Weak convection from the substrate bottom to board ambient.
   void set_bottom_boundary(double htc_w_m2k, double ambient_c);
 
+  /// Default relative CG residual of a steady solve.
+  static constexpr double kSteadyTolerance = 1e-8;
+
   /// Solve steady state G·T = P; returns the temperature of every cell [°C].
-  /// `hint` (if non-empty) warm-starts the CG iteration.
+  /// `hint` (if non-empty) warm-starts the CG iteration; `tolerance` is the
+  /// relative residual ‖G·T − P‖₂/‖P‖₂ the CG iteration stops at.
   [[nodiscard]] std::vector<double> solve_steady(
-      const std::vector<double>& hint = {}) const;
+      const std::vector<double>& hint = {},
+      double tolerance = kSteadyTolerance) const;
 
   /// Iteration/residual statistics of the most recent steady or transient
   /// solve (feeds the solver benchmarks).
@@ -88,6 +93,10 @@ class ThermalModel {
   /// Total heat flowing out through the top boundary for a solution [W]
   /// (energy-conservation checks).
   [[nodiscard]] double top_heat_flow_w(const std::vector<double>& t) const;
+
+  /// Total heat flowing out through the bottom (board) boundary for a
+  /// solution [W]; with top_heat_flow_w it closes the energy balance.
+  [[nodiscard]] double bottom_heat_flow_w(const std::vector<double>& t) const;
 
   /// Per-cell heat flow out through the top boundary [W per cell]; feeds the
   /// thermosyphon channel model in the coupled fixed-point iteration.

@@ -5,7 +5,8 @@
 namespace tpcool::thermal {
 
 std::vector<double> ThermalModel::solve_steady(
-    const std::vector<double>& hint) const {
+    const std::vector<double>& hint, double tolerance) const {
+  TPCOOL_REQUIRE(tolerance > 0.0, "steady tolerance must be positive");
   util::TraceSpan span("steady_solve");
   assemble();
   const std::size_t n = cell_count();
@@ -23,7 +24,7 @@ std::vector<double> ThermalModel::solve_steady(
   // (previous fixed-point iterate or previous sweep point) cut the rest.
   last_stats_ = util::solve_cg(
       operator_, rhs, t,
-      {.tolerance = 1e-8,
+      {.tolerance = tolerance,
        .max_iterations = 50000,
        .preconditioner = util::Preconditioner::kSsor,
        .ssor_omega = 1.7});
@@ -31,6 +32,7 @@ std::vector<double> ThermalModel::solve_steady(
   span.arg("iterations", static_cast<double>(last_stats_.iterations));
   span.arg("residual", last_stats_.residual);
   span.arg("warm", warm ? 1.0 : 0.0);
+  span.arg("tolerance", tolerance);
   return t;
 }
 

@@ -152,7 +152,7 @@ struct MetricsSnapshot {
 struct TelemetryConfig {
   /// Span slots per thread ring.  Rings owned by live threads re-size
   /// lazily (on that thread's next recorded span) after enable() changes
-  /// this.  ~96 bytes per slot.
+  /// this.  ~170 bytes per slot.
   std::size_t ring_capacity = 1 << 15;
 };
 
@@ -221,7 +221,7 @@ class Telemetry {
 /// movable: a span is pinned to its scope and thread.
 class TraceSpan {
  public:
-  static constexpr int kMaxArgs = 4;
+  static constexpr int kMaxArgs = 6;
   static constexpr std::size_t kMaxDetail = 39;
 
   /// `name` must have static storage duration (string literals): the ring

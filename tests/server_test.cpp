@@ -1,17 +1,22 @@
 // Tests for tpcool::core::ServerModel — the coupled thermosyphon + thermal
-// solve: energy consistency, boundary sanity, monotone responses, and the
-// shared (copy-free) cache-hit path.
+// solve: energy consistency, boundary sanity, monotone responses, the
+// shared (copy-free) cache-hit path, and the inexact inner solves of the
+// fixed point held to an all-tight reference.
 // Coarse grids keep the suite fast; the physics is resolution-stable.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <vector>
 
+#include "tpcool/core/experiment.hpp"
 #include "tpcool/core/pipelines.hpp"
 #include "tpcool/core/server.hpp"
 #include "tpcool/core/solve_cache.hpp"
 #include "tpcool/util/error.hpp"
+#include "tpcool/util/telemetry.hpp"
 
 namespace tpcool::core {
 namespace {
@@ -220,6 +225,136 @@ TEST(ServerResolution, MetricsStableAcrossGrids) {
   EXPECT_NEAR(coarse.die.max_c, fine.die.max_c, 6.0);
   EXPECT_NEAR(coarse.tcase_c, fine.tcase_c, 3.0);
   EXPECT_NEAR(coarse.syphon.t_sat_c, fine.syphon.t_sat_c, 0.5);
+}
+
+// ------------------------------------------------- inexact inner solves --
+
+/// TCASE and die max of one coupled solve.
+struct Probe {
+  double tcase_c = 0.0;
+  double die_max_c = 0.0;
+};
+
+/// The coupled fixed point replayed through the public accessors with every
+/// inner solve at the full steady tolerance, cold: the reference the forced
+/// loop in ServerModel::coupled_solve is held to.
+Probe all_tight_solve(ServerModel& server,
+                      const workload::BenchmarkProfile& bench,
+                      const workload::Configuration& point,
+                      const std::vector<int>& cores) {
+  power::PackagePowerRequest req =
+      server.profiler().request_for(bench, point, power::CState::kPoll);
+  req.active_cores = cores;
+  const floorplan::UnitPowers powers = server.power_model().unit_powers(req);
+  thermal::ThermalModel& thermal = server.thermal();
+  const thermal::StackModel& stack = thermal.stack();
+  thermal.set_power_map(floorplan::rasterize_power(
+      server.floorplan(), powers, stack.grid, stack.die_offset_x,
+      stack.die_offset_y));
+
+  // Same seed as coupled_solve: the power spread over the footprint cells.
+  const auto in_footprint = [&](std::size_t ix, std::size_t iy) {
+    const floorplan::Rect cell = stack.grid.cell_rect(ix, iy);
+    return stack.evaporator_region.contains(cell.center_x(), cell.center_y());
+  };
+  util::Grid2D<double> heat(stack.grid.nx, stack.grid.ny, 0.0);
+  double cells = 0.0;
+  for (std::size_t iy = 0; iy < stack.grid.ny; ++iy) {
+    for (std::size_t ix = 0; ix < stack.grid.nx; ++ix) {
+      if (in_footprint(ix, iy)) cells += 1.0;
+    }
+  }
+  for (std::size_t iy = 0; iy < stack.grid.ny; ++iy) {
+    for (std::size_t ix = 0; ix < stack.grid.nx; ++ix) {
+      if (in_footprint(ix, iy))
+        heat(ix, iy) = floorplan::total_power(powers) / cells;
+    }
+  }
+
+  std::vector<double> t;
+  for (int it = 0; it < server.config().coupling_iterations; ++it) {
+    const thermosyphon::ThermosyphonState syphon =
+        server.thermosyphon_model().solve(heat, server.operating_point());
+    thermal.set_top_boundary({syphon.htc_map, syphon.fluid_temp_map});
+    t = thermal.solve_steady(t);  // kSteadyTolerance on every iterate
+    heat = thermal.top_heat_flow_map_w(t);
+    for (double& q : heat.data()) q = std::max(q, 0.0);
+  }
+
+  const floorplan::Rect package_region{0.0, 0.0, stack.grid.width(),
+                                       stack.grid.height()};
+  return {.tcase_c = thermal::case_temperature(
+              thermal.layer_field(t, stack.ihs_layer), stack.grid,
+              package_region),
+          .die_max_c = thermal::compute_metrics(
+                           thermal.layer_field(t, stack.die_layer),
+                           stack.grid, stack.die_region)
+                           .max_c};
+}
+
+/// Largest |TCASE| or |die max| gap between the library's cold coupled
+/// solve and the all-tight reference over the coupling probes, at
+/// `iterations` outer iterations on the 2 mm grid.
+double worst_gap_to_all_tight(int iterations) {
+  ServerConfig config = server_config_for(Approach::kProposed, 2.0e-3);
+  config.reuse_thermal_state = false;
+  config.coupling_iterations = iterations;
+  ServerModel server(std::move(config));
+  const workload::Configuration point{4, 2, 3.2};  // 4 cores, 8 threads
+  const std::vector<int> cores{1, 2, 3, 4};
+  double worst = 0.0;
+  for (const char* name :
+       {"x264", "canneal", "blackscholes", "streamcluster"}) {
+    const workload::BenchmarkProfile& bench = workload::find_benchmark(name);
+    const SimulationResult forced =
+        server.simulate(bench, point, cores, power::CState::kPoll);
+    // The returned field is always solved to the full tolerance.
+    EXPECT_LE(server.thermal().last_solve_stats().residual,
+              thermal::ThermalModel::kSteadyTolerance)
+        << name;
+    const Probe tight = all_tight_solve(server, bench, point, cores);
+    worst = std::max({worst, std::abs(forced.tcase_c - tight.tcase_c),
+                      std::abs(forced.die.max_c - tight.die_max_c)});
+  }
+  return worst;
+}
+
+TEST(ServerInexactInnerSolves, DefaultIterationsStayAtTheAllTightAnswer) {
+  // The k=4 truncation error itself is ~0.45 °C at this pitch.
+  EXPECT_LT(worst_gap_to_all_tight(4), 2e-3);
+}
+
+TEST(ServerInexactInnerSolves, ConvergedReferenceIsUnchanged) {
+  // perf's coupling_error_c reference runs 40 outer iterations; the
+  // forcing must leave it a converged reference.
+  EXPECT_LT(worst_gap_to_all_tight(40), 1e-5);
+}
+
+TEST(ServerEnergyBalance, Table2BatteryAt2mmBalances) {
+  // Every solve of the battery records |P - Q_top - Q_bottom| / P into the
+  // solve.energy_imbalance histogram while telemetry is on.
+  SolveCache::global()->clear();
+  util::Telemetry& telemetry = util::Telemetry::instance();
+  telemetry.enable();
+  telemetry.reset();
+  const std::vector<Table2Row> rows = run_table2({.cell_size_m = 2.0e-3});
+  telemetry.disable();
+  const util::MetricsSnapshot snapshot = telemetry.metrics();
+  telemetry.reset();
+  ASSERT_FALSE(rows.empty());
+
+  double executed = 0.0;
+  for (const auto& [name, value] : snapshot.counters) {
+    if (name == "solve.executed") executed = value;
+  }
+  const util::MetricsSnapshot::Histogram* imbalance = nullptr;
+  for (const auto& [name, histogram] : snapshot.histograms) {
+    if (name == "solve.energy_imbalance") imbalance = &histogram;
+  }
+  ASSERT_NE(imbalance, nullptr);
+  EXPECT_GT(executed, 0.0);
+  EXPECT_EQ(static_cast<double>(imbalance->count), executed);
+  EXPECT_LE(imbalance->max, 1e-6);
 }
 
 }  // namespace

@@ -125,6 +125,36 @@ TEST(SteadySolver, EnergyConservation) {
   EXPECT_NEAR(util::grid_sum(qmap), 8.0, 1e-4);
 }
 
+TEST(SteadySolver, EnergyLeavesThroughTopAndBottom) {
+  ThermalModel model(make_slab(10, 10, 1e-3));
+  model.set_top_boundary_uniform(3000.0, 25.0);
+  model.set_bottom_boundary(500.0, 40.0);
+  Grid2D<double> power(10, 10, 0.0);
+  power(2, 3) = 5.0;
+  power(7, 6) = 3.0;
+  model.set_power_map(power);
+  const auto t = model.solve_steady();
+  const double bottom = model.bottom_heat_flow_w(t);
+  EXPECT_GT(std::abs(bottom), 1e-3);  // the board path carries real heat
+  EXPECT_NEAR(model.top_heat_flow_w(t) + bottom, 8.0, 1e-6);
+}
+
+TEST(SteadySolver, ToleranceBoundsTheResidual) {
+  ThermalModel model(make_slab(10, 10, 1e-3));
+  model.set_top_boundary_uniform(3000.0, 25.0);
+  Grid2D<double> power(10, 10, 0.0);
+  power(4, 4) = 6.0;
+  model.set_power_map(power);
+  (void)model.solve_steady({}, 1e-3);
+  const util::CgResult loose = model.last_solve_stats();
+  (void)model.solve_steady();
+  const util::CgResult tight = model.last_solve_stats();
+  EXPECT_LE(loose.residual, 1e-3);
+  EXPECT_LE(tight.residual, ThermalModel::kSteadyTolerance);
+  EXPECT_LT(loose.iterations, tight.iterations);
+  EXPECT_THROW((void)model.solve_steady({}, 0.0), util::PreconditionError);
+}
+
 TEST(SteadySolver, SymmetricSourceGivesSymmetricField) {
   ThermalModel model(make_slab(9, 9, 1e-3));
   model.set_top_boundary_uniform(3000.0, 25.0);
