@@ -28,12 +28,10 @@ int main(int argc, char** argv) {
   std::cout << "== Ablation: proposed heuristic vs exhaustive oracle "
                "(die theta-max [C], x264, C1E idles) ==\n\n";
 
-  // The ablation server is the proposed design; running it through the
-  // pipeline scope lets every policy cost below hit the oracle's entries.
+  // The ablation server is the proposed design; solving every policy cost
+  // through the pipeline scope lets it hit the oracle's entries.
   core::ApproachPipeline pipeline(core::Approach::kProposed, cell);
-  core::ServerModel& server = pipeline.server();
-  server.enable_solve_cache(core::SolveCache::global(),
-                            core::solve_scope(core::Approach::kProposed, cell));
+  const core::ServerModel& server = pipeline.server();
   const auto& bench = workload::find_benchmark("x264");
 
   util::TablePrinter table({"cores", "oracle best", "proposed", "gap",
@@ -41,7 +39,11 @@ int main(int argc, char** argv) {
   for (const int nc : {2, 3, 4, 5}) {
     const workload::Configuration cfg{nc, 2, 3.2};
     const auto cost_of = [&](const std::vector<int>& cores) {
-      return server.simulate(bench, cfg, cores, power::CState::kC1E).die.max_c;
+      return core::cached_solve(*core::SolveCache::global(),
+                                core::Approach::kProposed, cell,
+                                server.operating_point(), bench, cfg, cores,
+                                power::CState::kC1E)
+          ->die.max_c;
     };
 
     mapping::ExhaustivePolicy oracle(
@@ -49,7 +51,7 @@ int main(int argc, char** argv) {
           return core::evaluate_placements_parallel(
               core::Approach::kProposed, cell, bench, cfg,
               power::CState::kC1E, subsets, /*grain=*/1,
-              core::SolveCache::global());
+              *core::SolveCache::global());
         });
     mapping::MappingContext ctx;
     ctx.floorplan = &server.floorplan();

@@ -6,10 +6,10 @@
 
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <random>
 #include <vector>
 
+#include "tpcool/core/parallel.hpp"
 #include "tpcool/core/pipelines.hpp"
 #include "tpcool/core/server.hpp"
 #include "tpcool/core/solve_cache.hpp"
@@ -193,23 +193,26 @@ void BM_ScheduleMemoHit(benchmark::State& state) {
 }
 BENCHMARK(BM_ScheduleMemoHit)->Unit(benchmark::kMicrosecond);
 
-/// One solve-cache hit through ServerModel at the fleet's 2 mm pitch, the
-/// same key every time: `shared` = simulate_shared (key build + lookup),
-/// `copy` = simulate (the same plus a deep copy of the four 2D maps).
+/// One solve-cache hit through core::cached_solve at the fleet's 2 mm
+/// pitch, the same key every time: `shared` = the key build + lookup,
+/// `copy` = the same plus a deep copy of the four 2D maps.
 void cache_hit(benchmark::State& state, bool shared) {
-  core::ServerModel server(config_with_cell(2.0e-3));
-  server.enable_solve_cache(std::make_shared<core::SolveCache>(), "bench");
+  core::SolveCache cache;
   const auto& bench = workload::find_benchmark("x264");
   const workload::Configuration config{4, 2, 3.2};
   const std::vector<int> cores{5, 4, 7, 2};
-  (void)server.simulate_shared(bench, config, cores, power::CState::kC1);
+  const auto lookup = [&] {
+    return core::cached_solve(cache, core::Approach::kProposed, 2.0e-3,
+                              {.water_flow_kg_h = 7.0, .water_inlet_c = 30.0},
+                              bench, config, cores, power::CState::kC1);
+  };
+  (void)lookup();
   for (auto _ : state) {
     if (shared) {
-      benchmark::DoNotOptimize(
-          server.simulate_shared(bench, config, cores, power::CState::kC1));
+      benchmark::DoNotOptimize(lookup());
     } else {
-      benchmark::DoNotOptimize(
-          server.simulate(bench, config, cores, power::CState::kC1));
+      core::SimulationResult copy = *lookup();
+      benchmark::DoNotOptimize(copy);
     }
   }
 }

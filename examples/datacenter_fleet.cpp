@@ -6,9 +6,10 @@
 ///        problem, and the fleet rolls up IT power, chiller power, PUE,
 ///        and QoS violations per interval.
 ///
-/// All solves go through the global SolveCache on pooled pipelines, so
-/// the second and third policies replay most of the first one's solves
-/// from the cache — the whole example runs in seconds.
+/// All solves go through the global SolveCache, so the second and third
+/// policies replay most of the first one's solves from the cache, and only
+/// a cache miss checks a pipeline out of the pool — the whole example runs
+/// in seconds.
 
 #include <iostream>
 

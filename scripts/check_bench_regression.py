@@ -16,11 +16,15 @@ the same counts on any machine and at any thread count.  So an increase
 is a regression (an extra solve, more CG iterations, a lost cache hit),
 and a decrease is a real change too.  Either way, the baseline is
 refreshed in the same change and the PR says why the counts moved (see
-CONTRIBUTING.md, "Refreshing the counter baseline").  Wall time is not
-gated here.
+CONTRIBUTING.md, "Refreshing the counter baseline").  One invariant is
+checked besides: pipeline checkouts (core.pipeline_constructions +
+core.pipeline_reuses) must equal core.solves, because only a cache miss
+checks a pipeline out.  Only the split between the two depends on thread
+timing, so neither is in the baseline.  Wall time is not gated here.
 
 Exit status: 0 = correct run and every counter equal to the baseline;
-1 = incorrect run, failed operations, or a counter that differs;
+1 = incorrect run, failed operations, a counter that differs, or
+    checkouts that differ from solves;
 2 = unreadable input or an unknown workload.
 """
 
@@ -60,7 +64,11 @@ def main():
         bad_input(f"{args.baseline}: unknown workload {args.workload!r}")
     try:
         correct, failed = result["correct"], result["failed"]
-        current = {name: result["metrics"][name]["value"] for name in expected}
+        metrics = result["metrics"]
+        current = {name: metrics[name]["value"] for name in expected}
+        solves = metrics["core.solves"]["value"]
+        checkouts = (metrics["core.pipeline_constructions"]["value"] +
+                     metrics["core.pipeline_reuses"]["value"])
     except (KeyError, TypeError) as exc:
         bad_input(f"{args.result}: not a --trace 1 result line ({exc!r})")
 
@@ -75,6 +83,12 @@ def main():
               f"(baseline {want})")
     failures += [f"{name} {expected[name]} -> {current[name]}"
                  for name in changed]
+    status = "ok" if checkouts == solves else "FAIL"
+    print(f"{status:4}  {args.workload} pipeline checkouts: {checkouts} "
+          f"(core.solves {solves})")
+    if checkouts != solves:
+        failures.append(f"pipeline checkouts {checkouts} != core.solves "
+                        f"{solves} (only a cache miss may check one out)")
 
     if failures:
         print(f"\n{args.workload}: " + "; ".join(failures))

@@ -15,10 +15,9 @@ namespace tpcool::core {
 
 namespace {
 
-/// Tasks per parallel_map chunk.  Pipeline construction is ~0.2 ms against
-/// ~60 ms per 1 mm coupled solve, so one context per task maximizes the
-/// parallel width at negligible overhead.  Must stay a fixed constant:
-/// chunk boundaries are part of the deterministic-result contract.
+/// Tasks per parallel_map chunk: one task per chunk maximizes the parallel
+/// width.  Must stay a fixed constant: chunk boundaries are part of the
+/// deterministic-result contract.
 constexpr std::size_t kExperimentGrain = 1;
 
 }  // namespace
@@ -116,33 +115,36 @@ std::vector<Fig5Row> run_fig5_orientation(const ExperimentOptions& options) {
   const std::vector<thermosyphon::Orientation> orientations{
       thermosyphon::Orientation::kEastWest,
       thermosyphon::Orientation::kNorthSouth};
+  // "All cores are equally loaded" (§VI-A): worst-case benchmark, full
+  // configuration.
+  const workload::BenchmarkProfile& bench = workload::worst_case_benchmark();
+  const workload::Configuration full{8, 2, 3.2};
+  const std::vector<int> cores{1, 2, 3, 4, 5, 6, 7, 8};
   // One design per chunk (grain 1): the two orientation solves run
   // concurrently, each on its own server.
   return parallel_map<Fig5Row>(
       orientations.size(), kExperimentGrain,
-      [&](std::size_t chunk) {
+      [](std::size_t chunk) { return chunk; },
+      [&](std::size_t&, std::size_t i) {
         ServerConfig config =
             server_config_for(Approach::kProposed, options.cell_size_m);
-        config.design.evaporator =
-            default_evaporator_geometry(orientations[chunk]);
-        auto server = std::make_unique<ServerModel>(std::move(config));
+        config.design.evaporator = default_evaporator_geometry(orientations[i]);
         std::string scope =
-            "fig5:" + std::to_string(static_cast<int>(orientations[chunk]));
+            "fig5:" + std::to_string(static_cast<int>(orientations[i]));
         scope.push_back(';');
         append_key_bits(scope, options.cell_size_m);
-        server->enable_solve_cache(SolveCache::global(), std::move(scope));
-        return server;
-      },
-      [&](std::unique_ptr<ServerModel>& server, std::size_t i) {
-        // "All cores are equally loaded" (§VI-A): worst-case benchmark,
-        // full configuration.
-        const workload::BenchmarkProfile& bench =
-            workload::worst_case_benchmark();
-        const workload::Configuration full{8, 2, 3.2};
-        const std::vector<int> cores{1, 2, 3, 4, 5, 6, 7, 8};
-        const SimulationResult sim =
-            server->simulate(bench, full, cores, power::CState::kPoll);
-        return Fig5Row{orientations[i], sim.die, sim.package};
+        const SolveCache::ResultPtr sim =
+            SolveCache::global()->get_or_compute_shared(
+                solve_key(scope, config.operating_point, bench, full, cores,
+                          power::CState::kPoll),
+                [&] {
+                  SimulationResult result =
+                      ServerModel(std::move(config))
+                          .simulate(bench, full, cores, power::CState::kPoll);
+                  result.active_cores.clear();  // as cached_solve stores it
+                  return result;
+                });
+        return Fig5Row{orientations[i], sim->die, sim->package};
       });
 }
 
@@ -181,7 +183,7 @@ std::vector<Fig6Row> run_fig6_scenarios(const ExperimentOptions& options) {
   }
   const std::vector<SimulationResult> sims =
       run_parallel_solves(Approach::kProposed, options.cell_size_m, requests,
-                          kExperimentGrain, SolveCache::global());
+                          kExperimentGrain, *SolveCache::global());
   for (std::size_t i = 0; i < rows.size(); ++i) rows[i].die = sims[i].die;
   return rows;
 }
@@ -208,7 +210,7 @@ std::vector<Table2Row> run_table2(const ExperimentOptions& options) {
     }
     const std::vector<SimulationResult> sims =
         run_parallel_schedules(approach, options.cell_size_m, requests,
-                               kExperimentGrain, SolveCache::global());
+                               kExperimentGrain, *SolveCache::global());
     // All approaches share the design operating point (§VI-C), so the water
     // ΔT baseline is the configured inlet temperature.
     const double water_inlet_c =
@@ -249,25 +251,31 @@ Fig7Result run_fig7_maps(const ExperimentOptions& options,
       workload::find_benchmark(benchmark);
   const workload::QoSRequirement qos{2.0};
 
-  // Two independent approach runs; each hits the shared cache when Table II
-  // already solved the same (benchmark, QoS) cell in this process.
+  // Two independent approach runs, decided serially and solved in
+  // parallel; each hits the shared cache when Table II already solved the
+  // same (benchmark, QoS) cell in this process.
   const std::vector<Approach> approaches{Approach::kProposed,
                                          Approach::kSoaBalancing};
-  const std::vector<SimulationResult> sims = parallel_map<SimulationResult>(
-      approaches.size(), kExperimentGrain,
-      [&](std::size_t chunk) {
-        auto pipeline = std::make_unique<ApproachPipeline>(
-            approaches[chunk], options.cell_size_m);
-        pipeline->server().enable_solve_cache(
-            SolveCache::global(),
-            solve_scope(approaches[chunk], options.cell_size_m));
-        return pipeline;
-      },
-      [&](std::unique_ptr<ApproachPipeline>& pipeline, std::size_t) {
-        return pipeline->scheduler().run(bench, qos);
-      });
-  const SimulationResult& sim_p = sims[0];
-  const SimulationResult& sim_s = sims[1];
+  std::vector<ScheduleDecision> decisions;
+  for (const Approach approach : approaches) {
+    decisions.push_back(ApproachPipeline(approach, options.cell_size_m)
+                            .scheduler()
+                            .schedule(bench, qos));
+  }
+  const std::vector<SolveCache::ResultPtr> sims =
+      parallel_map<SolveCache::ResultPtr>(
+          approaches.size(), kExperimentGrain,
+          [](std::size_t chunk) { return chunk; },
+          [&](std::size_t&, std::size_t i) {
+            const ScheduleDecision& d = decisions[i];
+            return cached_solve(
+                *SolveCache::global(), approaches[i], options.cell_size_m,
+                server_config_for(approaches[i], options.cell_size_m)
+                    .operating_point,
+                bench, d.point.config, d.cores, d.idle_state);
+          });
+  const SimulationResult& sim_p = *sims[0];
+  const SimulationResult& sim_s = *sims[1];
 
   Fig7Result result;
   result.proposed_map_c = sim_p.die_field_c;
@@ -285,62 +293,66 @@ CoolingPowerResult run_cooling_power(const ExperimentOptions& options) {
   const workload::BenchmarkProfile& bench = workload::find_benchmark("x264");
   const workload::QoSRequirement qos{2.0};
 
-  ApproachPipeline proposed(Approach::kProposed, options.cell_size_m);
-  ApproachPipeline soa(Approach::kSoaBalancing, options.cell_size_m);
+  const double cell = options.cell_size_m;
+  const ScheduleDecision proposed = ApproachPipeline(Approach::kProposed, cell)
+                                        .scheduler()
+                                        .schedule(bench, qos);
+  const ScheduleDecision soa = ApproachPipeline(Approach::kSoaBalancing, cell)
+                                   .scheduler()
+                                   .schedule(bench, qos);
   // The shared cache ties this experiment into Table II / Fig. 7 runs in
   // the same process and deduplicates the bisection's repeated endpoints.
-  proposed.server().enable_solve_cache(
-      SolveCache::global(),
-      solve_scope(Approach::kProposed, options.cell_size_m));
-  soa.server().enable_solve_cache(
-      SolveCache::global(),
-      solve_scope(Approach::kSoaBalancing, options.cell_size_m));
+  const auto solve = [&](Approach approach, const ScheduleDecision& d,
+                         const thermosyphon::OperatingPoint& op) {
+    return cached_solve(*SolveCache::global(), approach, cell, op, bench,
+                        d.point.config, d.cores, d.idle_state);
+  };
+  const thermosyphon::OperatingPoint design =
+      server_config_for(Approach::kProposed, cell).operating_point;
 
   CoolingPowerResult result;
 
   // Proposed approach at its design operating point (7 kg/h @ 30 °C).
-  const SimulationResult sim_p = proposed.scheduler().run(bench, qos);
-  result.proposed_die_max_c = sim_p.die.max_c;
-  result.proposed_water_c = proposed.server().operating_point().water_inlet_c;
+  const SolveCache::ResultPtr sim_p =
+      solve(Approach::kProposed, proposed, design);
+  result.proposed_die_max_c = sim_p->die.max_c;
+  result.proposed_water_c = design.water_inlet_c;
   result.proposed_loop_dt_k =
-      sim_p.syphon.water_outlet_c - result.proposed_water_c;
+      sim_p->syphon.water_outlet_c - result.proposed_water_c;
 
   // State of the art: same flow rate; find the water temperature needed to
   // reach the same hot-spot temperature (§VIII-B).
-  const double flow = soa.server().operating_point().water_flow_kg_h;
-  const auto soa_hotspot_at = [&](double water_c) {
-    soa.server().set_operating_point(
-        {.water_flow_kg_h = flow, .water_inlet_c = water_c});
-    return soa.scheduler().run(bench, qos).die.max_c;
+  const double flow = server_config_for(Approach::kSoaBalancing, cell)
+                           .operating_point.water_flow_kg_h;
+  const auto soa_at = [&](double water_c) {
+    return solve(Approach::kSoaBalancing, soa,
+                 {.water_flow_kg_h = flow, .water_inlet_c = water_c});
   };
   const double target = result.proposed_die_max_c;
-  // Each evaluation re-runs the full scheduler pipeline on `soa`; the solve
-  // cache serves the repeated endpoints (the 30 °C bracket check, the final
-  // re-run at the bisection result) for free.
+  // The solve cache serves the repeated endpoints (the 30 °C bracket check,
+  // the final re-run at the bisection result) for free.
   double soa_water = 30.0;
-  if (soa_hotspot_at(30.0) > target) {
+  if (soa_at(30.0)->die.max_c > target) {
     soa_water = util::bisect(
-        [&](double t_w) { return soa_hotspot_at(t_w) - target; }, 5.0, 30.0,
+        [&](double t_w) { return soa_at(t_w)->die.max_c - target; }, 5.0, 30.0,
         {.tolerance = 0.05, .max_iterations = 30});
   }
   result.soa_water_c = soa_water;
-  soa.server().set_operating_point(
-      {.water_flow_kg_h = flow, .water_inlet_c = soa_water});
-  const SimulationResult sim_s = soa.scheduler().run(bench, qos);
-  result.soa_loop_dt_k = sim_s.syphon.water_outlet_c - soa_water;
+  const SolveCache::ResultPtr sim_s = soa_at(soa_water);
+  result.soa_loop_dt_k = sim_s->syphon.water_outlet_c - soa_water;
 
   // Chiller power, both accountings.
   result.proposed_lift_power_w = cooling::thermal_lift_power_w(
-      proposed.server().operating_point().water_flow_kg_h,
-      result.proposed_loop_dt_k, result.proposed_water_c);
+      design.water_flow_kg_h, result.proposed_loop_dt_k,
+      result.proposed_water_c);
   result.soa_lift_power_w = cooling::thermal_lift_power_w(
       flow, result.soa_loop_dt_k, result.soa_water_c);
 
   const cooling::ChillerModel chiller;
   result.proposed_electrical_w = chiller.electrical_power_w(
-      sim_p.total_power_w, result.proposed_water_c);
+      sim_p->total_power_w, result.proposed_water_c);
   result.soa_electrical_w =
-      chiller.electrical_power_w(sim_s.total_power_w, result.soa_water_c);
+      chiller.electrical_power_w(sim_s->total_power_w, result.soa_water_c);
 
   result.lift_reduction_pct =
       100.0 * (1.0 - result.proposed_lift_power_w / result.soa_lift_power_w);

@@ -12,56 +12,64 @@ std::string solve_scope(Approach approach, double cell_size_m) {
   return scope;
 }
 
-namespace {
-
-/// Context of one chunk: a pooled pipeline with the shared cache attached
-/// (cached solves are cold-start pure, so reuse is bit-identical to fresh
-/// construction).  A cacheless caller gets an unpooled fresh pipeline —
-/// without the purity guarantee, reuse would leak warm-start state.
-PipelinePool::Lease make_cached_pipeline(
-    Approach approach, double cell_size_m,
-    const std::shared_ptr<SolveCache>& cache) {
-  if (cache == nullptr) return PipelinePool::unpooled(approach, cell_size_m);
-  return PipelinePool::global().checkout(approach, cell_size_m, cache);
+SolveCache::ResultPtr cached_solve(SolveCache& cache, Approach approach,
+                                   double cell_size_m,
+                                   const thermosyphon::OperatingPoint& op,
+                                   const workload::BenchmarkProfile& bench,
+                                   const workload::Configuration& config,
+                                   const std::vector<int>& cores,
+                                   power::CState idle_state) {
+  return cache.get_or_compute_shared(
+      solve_key(solve_scope(approach, cell_size_m), op, bench, config, cores,
+                idle_state),
+      [&] {
+        const PipelinePool::Lease pipeline =
+            PipelinePool::global().checkout(approach, cell_size_m);
+        pipeline->server().set_operating_point(op);
+        SimulationResult result =
+            pipeline->server().simulate(bench, config, cores, idle_state);
+        result.active_cores.clear();  // the key treats the placement as a set
+        return result;
+      });
 }
-
-}  // namespace
 
 std::vector<SimulationResult> run_parallel_solves(
     Approach approach, double cell_size_m,
     const std::vector<SolveRequest>& requests, std::size_t grain,
-    const std::shared_ptr<SolveCache>& cache) {
+    SolveCache& cache) {
   for (const SolveRequest& request : requests) {
     TPCOOL_REQUIRE(request.bench != nullptr, "solve request needs a benchmark");
   }
+  const thermosyphon::OperatingPoint op =
+      server_config_for(approach, cell_size_m).operating_point;
   return parallel_map<SimulationResult>(
-      requests.size(), grain,
-      [&](std::size_t) {
-        return make_cached_pipeline(approach, cell_size_m, cache);
-      },
-      [&](PipelinePool::Lease& pipeline, std::size_t i) {
+      requests.size(), grain, [](std::size_t chunk) { return chunk; },
+      [&](std::size_t&, std::size_t i) {
         const SolveRequest& request = requests[i];
-        return pipeline->server().simulate(*request.bench, request.config,
-                                           request.cores, request.idle_state);
+        SimulationResult result =
+            *cached_solve(cache, approach, cell_size_m, op, *request.bench,
+                          request.config, request.cores, request.idle_state);
+        result.active_cores = request.cores;
+        return result;
       });
 }
 
 std::vector<SimulationResult> run_parallel_schedules(
     Approach approach, double cell_size_m,
     const std::vector<ScheduleRequest>& requests, std::size_t grain,
-    const std::shared_ptr<SolveCache>& cache) {
+    SolveCache& cache) {
+  ApproachPipeline pipeline(approach, cell_size_m);
+  std::vector<SolveRequest> solves;
+  solves.reserve(requests.size());
   for (const ScheduleRequest& request : requests) {
     TPCOOL_REQUIRE(request.bench != nullptr,
                    "schedule request needs a benchmark");
+    const ScheduleDecision decision =
+        pipeline.scheduler().schedule(*request.bench, request.qos);
+    solves.push_back({request.bench, decision.point.config, decision.cores,
+                      decision.idle_state});
   }
-  return parallel_map<SimulationResult>(
-      requests.size(), grain,
-      [&](std::size_t) {
-        return make_cached_pipeline(approach, cell_size_m, cache);
-      },
-      [&](PipelinePool::Lease& pipeline, std::size_t i) {
-        return pipeline->scheduler().run(*requests[i].bench, requests[i].qos);
-      });
+  return run_parallel_solves(approach, cell_size_m, solves, grain, cache);
 }
 
 std::vector<double> evaluate_placements_parallel(
@@ -69,18 +77,16 @@ std::vector<double> evaluate_placements_parallel(
     const workload::BenchmarkProfile& bench,
     const workload::Configuration& config, power::CState idle_state,
     const std::vector<std::vector<int>>& subsets, std::size_t grain,
-    const std::shared_ptr<SolveCache>& cache) {
-  std::vector<SolveRequest> requests;
-  requests.reserve(subsets.size());
-  for (const std::vector<int>& cores : subsets) {
-    requests.push_back({&bench, config, cores, idle_state});
-  }
-  const std::vector<SimulationResult> sims =
-      run_parallel_solves(approach, cell_size_m, requests, grain, cache);
-  std::vector<double> costs;
-  costs.reserve(sims.size());
-  for (const SimulationResult& sim : sims) costs.push_back(sim.die.max_c);
-  return costs;
+    SolveCache& cache) {
+  const thermosyphon::OperatingPoint op =
+      server_config_for(approach, cell_size_m).operating_point;
+  return parallel_map<double>(
+      subsets.size(), grain, [](std::size_t chunk) { return chunk; },
+      [&](std::size_t&, std::size_t i) {
+        return cached_solve(cache, approach, cell_size_m, op, bench, config,
+                            subsets[i], idle_state)
+            ->die.max_c;
+      });
 }
 
 }  // namespace tpcool::core

@@ -13,19 +13,17 @@
 /// Determinism discipline:
 ///  - Tasks are split into chunks on fixed boundaries derived only from
 ///    (count, grain) — never from the thread count.
-///  - Each chunk builds its own context (ServerModel/ApproachPipeline), so
-///    no mutable state is shared across chunks; within a chunk, tasks run
-///    in index order.
 ///  - Results land in a pre-sized vector by task index: result order is
 ///    the serial order regardless of which thread ran what.
-///  - Shared SolveCache values are pure functions of their key (cold-start
-///    solves, see ServerModel::enable_solve_cache), so cache races are
-///    unobservable.
+///  - Every solve goes through `cached_solve`: its key is built from the
+///    solve's inputs alone, and a miss runs a cold solve on a pipeline
+///    server, so a cached value is a pure function of its key and cache
+///    races are unobservable.  Scheduling decisions are made serially,
+///    before the fan-out.
 /// Together: any thread count, including TPCOOL_NUM_THREADS=1, produces
 /// bit-identical results.
 
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -40,10 +38,22 @@ namespace tpcool::core {
 /// experiment runners and their tests spell it `core::parallel_map`.
 using util::parallel_map;
 
-/// Cache scope prefix for a pipeline-built server (see
-/// ServerModel::enable_solve_cache): approach and grid pitch fully
-/// determine the ServerConfig that `server_config_for` builds.
+/// Cache scope prefix for a pipeline-built server (see `solve_key`):
+/// approach and grid pitch fully determine the ServerConfig that
+/// `server_config_for` builds.
 [[nodiscard]] std::string solve_scope(Approach approach, double cell_size_m);
+
+/// The coupled solve of an `Approach` server built at `cell_size_m`, run at
+/// `op`, served from `cache` under `solve_key(solve_scope(...), ...)`.  A
+/// miss checks a pipeline out of the global PipelinePool, sets `op` and
+/// solves cold; a hit touches no pipeline.  The key treats the placement
+/// as a set, so the shared result's `active_cores` is empty.
+[[nodiscard]] SolveCache::ResultPtr cached_solve(
+    SolveCache& cache, Approach approach, double cell_size_m,
+    const thermosyphon::OperatingPoint& op,
+    const workload::BenchmarkProfile& bench,
+    const workload::Configuration& config, const std::vector<int>& cores,
+    power::CState idle_state);
 
 /// One independent coupled-solve request against a pipeline server.
 struct SolveRequest {
@@ -53,15 +63,16 @@ struct SolveRequest {
   power::CState idle_state = power::CState::kPoll;
 };
 
-/// Run every request against an `Approach` server built at `cell_size_m`,
-/// fanned out over the global pool with `grain` requests per context and
-/// memoized in `cache` (pass the global cache unless isolating a sweep).
-/// Results are returned in request order and are bit-identical for any
-/// thread count.
+/// Run every request against an `Approach` server built at `cell_size_m`
+/// at its design operating point, fanned out over the global pool with
+/// `grain` requests per chunk and memoized in `cache` (pass the global
+/// cache unless isolating a sweep).  Results are returned in request
+/// order, with `active_cores` echoing each request's order, and are
+/// bit-identical for any thread count.
 [[nodiscard]] std::vector<SimulationResult> run_parallel_solves(
     Approach approach, double cell_size_m,
     const std::vector<SolveRequest>& requests, std::size_t grain,
-    const std::shared_ptr<SolveCache>& cache);
+    SolveCache& cache);
 
 /// One scheduler-level request: run Algorithm 1 (or the SoA selection) and
 /// the coupled simulation for a benchmark under a QoS level.
@@ -70,21 +81,22 @@ struct ScheduleRequest {
   workload::QoSRequirement qos;
 };
 
-/// Parallel counterpart of `Scheduler::run` over a request list; same
+/// Parallel counterpart of `Scheduler::run` over a request list: decides
+/// every request serially on one pipeline, then fans the solves out; same
 /// determinism contract as `run_parallel_solves`.
 [[nodiscard]] std::vector<SimulationResult> run_parallel_schedules(
     Approach approach, double cell_size_m,
     const std::vector<ScheduleRequest>& requests, std::size_t grain,
-    const std::shared_ptr<SolveCache>& cache);
+    SolveCache& cache);
 
 /// Batch placement evaluator for mapping::ExhaustivePolicy: evaluates all
 /// subsets (die θmax) through parallel cached solves on an `Approach`
-/// server.  `grain` subsets share one context.
+/// server.  `grain` subsets share one chunk.
 [[nodiscard]] std::vector<double> evaluate_placements_parallel(
     Approach approach, double cell_size_m,
     const workload::BenchmarkProfile& bench,
     const workload::Configuration& config, power::CState idle_state,
     const std::vector<std::vector<int>>& subsets, std::size_t grain,
-    const std::shared_ptr<SolveCache>& cache);
+    SolveCache& cache);
 
 }  // namespace tpcool::core

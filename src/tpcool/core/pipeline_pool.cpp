@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "tpcool/core/parallel.hpp"
-#include "tpcool/util/error.hpp"
 #include "tpcool/util/telemetry.hpp"
 
 namespace tpcool::core {
@@ -26,36 +25,12 @@ util::TelemetryGauge& pipeline_idle_gauge() {
   return cell;
 }
 
-/// Pool key: approach + exact cell-size bit pattern (the same pair that
-/// determines the ServerConfig `server_config_for` builds, and hence the
-/// solve scope).
-std::string pool_key(Approach approach, double cell_size_m) {
-  std::string key = std::to_string(static_cast<int>(approach));
-  key.push_back(';');
-  append_key_bits(key, cell_size_m);
-  return key;
-}
-
 }  // namespace
 
-PipelinePool::Lease& PipelinePool::Lease::operator=(Lease&& other) noexcept {
-  if (this != &other) {
-    release();
-    pool_ = std::exchange(other.pool_, nullptr);
-    key_ = std::move(other.key_);
-    pipeline_ = std::move(other.pipeline_);
-  }
-  return *this;
-}
-
-void PipelinePool::Lease::release() {
-  if (pool_ != nullptr && pipeline_ != nullptr) {
-    std::lock_guard lock(pool_->mutex_);
-    pool_->idle_[key_].push_back(std::move(pipeline_));
-    pool_->update_idle_gauge();
-  }
-  pool_ = nullptr;
-  pipeline_.reset();
+PipelinePool::Lease::~Lease() {
+  std::lock_guard lock(pool_.mutex_);
+  pool_.idle_[key_].push_back(std::move(pipeline_));
+  pool_.update_idle_gauge();
 }
 
 /// Requires mutex_ held.  Cheap relative to park/checkout (idle_ has one
@@ -67,14 +42,9 @@ void PipelinePool::update_idle_gauge() const {
   pipeline_idle_gauge().set(static_cast<double>(idle));
 }
 
-PipelinePool::Lease PipelinePool::checkout(
-    Approach approach, double cell_size_m,
-    const std::shared_ptr<SolveCache>& cache) {
-  TPCOOL_REQUIRE(cache != nullptr,
-                 "PipelinePool::checkout needs a solve cache: only "
-                 "cold-start-pure cached solves make pipeline reuse "
-                 "bit-identical (use PipelinePool::unpooled otherwise)");
-  std::string key = pool_key(approach, cell_size_m);
+PipelinePool::Lease PipelinePool::checkout(Approach approach,
+                                           double cell_size_m) {
+  std::string key = solve_scope(approach, cell_size_m);
   std::unique_ptr<ApproachPipeline> pipeline;
   {
     std::lock_guard lock(mutex_);
@@ -96,25 +66,7 @@ PipelinePool::Lease PipelinePool::checkout(
     util::TraceSpan span("pipeline.construct");
     pipeline = std::make_unique<ApproachPipeline>(approach, cell_size_m);
   }
-  // (Re-)attach every checkout: the caller's cache may differ from the
-  // previous user's, and the scope is a pure function of the pool key.
-  pipeline->server().enable_solve_cache(cache,
-                                        solve_scope(approach, cell_size_m));
-  // Reset the one piece of server state a previous user may have mutated
-  // and a cached solve still observes: the operating point (it is part of
-  // every solve's cache key).  Rack scans park pipelines with their last
-  // candidate's water temperature; without this reset, a later sweep that
-  // simulates at "the constructed default" would silently inherit it —
-  // and which chunk inherits what would depend on checkout timing.
-  pipeline->server().set_operating_point(
-      server_config_for(approach, cell_size_m).operating_point);
-  return Lease(this, std::move(key), std::move(pipeline));
-}
-
-PipelinePool::Lease PipelinePool::unpooled(Approach approach,
-                                           double cell_size_m) {
-  return Lease(nullptr, std::string(),
-               std::make_unique<ApproachPipeline>(approach, cell_size_m));
+  return Lease(*this, std::move(key), std::move(pipeline));
 }
 
 PipelinePool::Stats PipelinePool::stats() const {

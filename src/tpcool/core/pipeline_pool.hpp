@@ -1,19 +1,14 @@
 #pragma once
 /// \file pipeline_pool.hpp
-/// \brief Warm-pipeline checkout for the parallel experiment engine: every
-///        `parallel_map` chunk used to construct a fresh `ApproachPipeline`
-///        (~0.2 ms each), which dominates very wide sweeps whose solves are
-///        all cache hits.  The pool keeps finished pipelines and hands them
-///        back out, so a sweep pays construction once per concurrently
-///        active chunk instead of once per chunk.
+/// \brief Pipeline source for solve-cache misses: `cached_solve` (see
+///        parallel.hpp) checks a pipeline out here only when a key misses,
+///        and parks it again afterwards, so a run constructs one pipeline
+///        per concurrently running miss instead of one per miss.
 ///
-/// Soundness: a reused pipeline carries state from its previous user (the
-/// warm-start temperature field, the operating point).  Checkout therefore
-/// REQUIRES a SolveCache — while a cache is attached, cache-miss solves run
-/// from a cold start (see ServerModel::enable_solve_cache), so every solve
-/// a pooled pipeline produces is a pure function of its key and reuse is
-/// unobservable in the results: pooled and unpooled runs are bit-identical
-/// (asserted in tests/parallel_engine_test.cpp).
+/// Soundness: pipeline servers start every solve cold (`server_config_for`
+/// sets `reuse_thermal_state = false`) and every user sets the operating
+/// point it solves at, so a reused pipeline computes the same bits as a
+/// freshly constructed one.
 
 #include <cstddef>
 #include <memory>
@@ -23,7 +18,6 @@
 #include <vector>
 
 #include "tpcool/core/pipelines.hpp"
-#include "tpcool/core/solve_cache.hpp"
 
 namespace tpcool::core {
 
@@ -38,16 +32,13 @@ class PipelinePool {
     std::size_t idle = 0;           ///< Pipelines parked in the pool now.
   };
 
-  /// RAII checkout: holds a pipeline, returns it to the pool (if any) on
-  /// destruction.  Movable so it can be a `parallel_map` chunk context.
+  /// RAII checkout: holds a pipeline and returns it to the pool on
+  /// destruction.
   class Lease {
    public:
-    Lease() = default;
-    Lease(Lease&& other) noexcept = default;
-    Lease& operator=(Lease&& other) noexcept;
     Lease(const Lease&) = delete;
     Lease& operator=(const Lease&) = delete;
-    ~Lease() { release(); }
+    ~Lease();
 
     [[nodiscard]] ApproachPipeline& operator*() const { return *pipeline_; }
     [[nodiscard]] ApproachPipeline* operator->() const {
@@ -56,13 +47,11 @@ class PipelinePool {
 
    private:
     friend class PipelinePool;
-    Lease(PipelinePool* pool, std::string key,
+    Lease(PipelinePool& pool, std::string key,
           std::unique_ptr<ApproachPipeline> pipeline)
         : pool_(pool), key_(std::move(key)), pipeline_(std::move(pipeline)) {}
 
-    void release();
-
-    PipelinePool* pool_ = nullptr;  ///< Null: plain ownership (unpooled).
+    PipelinePool& pool_;
     std::string key_;
     std::unique_ptr<ApproachPipeline> pipeline_;
   };
@@ -71,17 +60,9 @@ class PipelinePool {
   PipelinePool(const PipelinePool&) = delete;
   PipelinePool& operator=(const PipelinePool&) = delete;
 
-  /// Check out a pipeline for (approach, cell_size_m) — reused if one is
-  /// parked, constructed otherwise — with `cache` attached under the
-  /// canonical `solve_scope` key.  `cache` must not be null: only cached
-  /// (cold-start-pure) solves make reuse bit-identical to construction.
-  [[nodiscard]] Lease checkout(Approach approach, double cell_size_m,
-                               const std::shared_ptr<SolveCache>& cache);
-
-  /// A fresh pipeline in a Lease that never returns to any pool; the
-  /// uncached escape hatch for callers that want construction-per-chunk
-  /// semantics (no cache, warm-start chaining intact).
-  [[nodiscard]] static Lease unpooled(Approach approach, double cell_size_m);
+  /// Check out a pipeline for (approach, cell_size_m): reused if one is
+  /// parked, constructed otherwise.
+  [[nodiscard]] Lease checkout(Approach approach, double cell_size_m);
 
   [[nodiscard]] Stats stats() const;
 
@@ -89,8 +70,8 @@ class PipelinePool {
   /// sweep parked; the next checkout constructs again.
   void clear();
 
-  /// Process-wide pool shared by the rack coordinator, the experiment
-  /// runners, and the fleet layer.
+  /// Process-wide pool behind `cached_solve` and the transient engine's
+  /// segment misses.
   [[nodiscard]] static PipelinePool& global();
 
  private:

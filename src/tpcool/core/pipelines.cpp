@@ -29,11 +29,10 @@ ServerConfig server_config_for(Approach approach, double cell_size_m) {
   // design of [8] used the generic 50 % charge.
   config.design.filling_ratio = proposed ? 0.55 : 0.50;
   config.operating_point = {.water_flow_kg_h = 7.0, .water_inlet_c = 30.0};
-  // Experiment sweeps (Table 2 benches x QoS levels, Fig. 6 scenarios, the
-  // cooling-power bisection) run many solves on one pipeline; keep the
-  // warm-start chain explicitly on so consecutive solves reuse the
-  // previous temperature field even if the ServerConfig default changes.
-  config.reuse_thermal_state = true;
+  // Cold solves: every value a pipeline computes is then a pure function
+  // of its inputs, which is what lets solve-cache keys name it and lets
+  // one pipeline serve any sequence of misses (see cached_solve).
+  config.reuse_thermal_state = false;
   return config;
 }
 

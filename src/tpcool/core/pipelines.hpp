@@ -43,7 +43,8 @@ class ApproachPipeline {
 };
 
 /// Server config of an approach (design + operating point), with an
-/// optional cell-size override.
+/// optional cell-size override.  Pipeline servers start every solve cold
+/// (`reuse_thermal_state = false`).
 [[nodiscard]] ServerConfig server_config_for(Approach approach,
                                              double cell_size_m);
 

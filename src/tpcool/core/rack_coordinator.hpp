@@ -46,10 +46,9 @@ class RackCoordinator {
   explicit RackCoordinator(Config config);
 
   /// Schedule each named benchmark on its own server and solve the shared
-  /// cooling loop.  The per-server supply-temperature scans fan out over
-  /// the global thread pool through the shared solve cache, on pipelines
-  /// checked out of the global PipelinePool (cached solves are cold-start
-  /// pure, so pooled reuse is bit-identical to fresh construction);
+  /// cooling loop.  Decisions are made serially on one pipeline; the
+  /// per-server supply-temperature scans then fan out over the global
+  /// thread pool through `cached_solve` and the shared solve cache, so
   /// results are bit-identical for any thread count (see parallel.hpp).
   [[nodiscard]] RackPlan plan(const std::vector<std::string>& benchmarks);
 

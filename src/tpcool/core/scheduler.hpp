@@ -35,8 +35,8 @@ enum class SelectionStrategy {
 /// (benchmark profile, QoS factor) and later calls pick from a memo.  The
 /// memo keys on the full profile value, not its name, and grows by one
 /// entry per distinct pair.  Like ServerModel, a Scheduler is not
-/// thread-safe: give each thread its own (pipelines are leased
-/// exclusively).
+/// thread-safe: the fleet engines and the experiment runners decide
+/// serially, before they fan the solves out.
 class Scheduler {
  public:
   Scheduler(ServerModel& server, const mapping::MappingPolicy& policy,

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "tpcool/core/solve_cache.hpp"
 #include "tpcool/util/error.hpp"
 #include "tpcool/util/telemetry.hpp"
 
@@ -94,56 +93,24 @@ SimulationResult ServerModel::simulate(
     const workload::BenchmarkProfile& bench,
     const workload::Configuration& config_pt,
     const std::vector<int>& active_cores, power::CState idle_state) {
-  SimulationResult result =
-      *simulate_shared(bench, config_pt, active_cores, idle_state);
-  // The cache key treats the placement as a set; echo the caller's order.
+  TPCOOL_REQUIRE(static_cast<int>(active_cores.size()) == config_pt.cores,
+                 "mapping size does not match the configuration core count");
+  power::PackagePowerRequest req =
+      profiler_.request_for(bench, config_pt, idle_state);
+  req.active_cores = active_cores;
+  SimulationResult result = coupled_solve(power_model_.unit_powers(req));
+  result.power = power_model_.breakdown(req);
   result.active_cores = active_cores;
   return result;
 }
 
-std::shared_ptr<const SimulationResult> ServerModel::simulate_shared(
-    const workload::BenchmarkProfile& bench,
-    const workload::Configuration& config_pt,
-    const std::vector<int>& active_cores, power::CState idle_state) {
-  TPCOOL_REQUIRE(static_cast<int>(active_cores.size()) == config_pt.cores,
-                 "mapping size does not match the configuration core count");
-  const auto solve = [&] {
-    power::PackagePowerRequest req =
-        profiler_.request_for(bench, config_pt, idle_state);
-    req.active_cores = active_cores;
-    SimulationResult result =
-        coupled_solve(power_model_.unit_powers(req),
-                      /*reuse_state=*/solve_cache_ == nullptr);
-    result.power = power_model_.breakdown(req);
-    return result;
-  };
-
-  if (solve_cache_ == nullptr) {
-    return std::make_shared<const SimulationResult>(solve());
-  }
-  std::string key = cache_scope_;
-  append_key_bits(key, config_.operating_point.water_flow_kg_h);
-  append_key_bits(key, config_.operating_point.water_inlet_c);
-  key += solve_request_key(bench, config_pt, active_cores, idle_state);
-  return solve_cache_->get_or_compute_shared(key, solve);
-}
-
 SimulationResult ServerModel::simulate_powers(
     const floorplan::UnitPowers& powers) {
-  // Not memoized (arbitrary power maps make poor keys), but kept cold while
-  // a cache is attached so cached solves never see its residual field.
-  return coupled_solve(powers, /*reuse_state=*/solve_cache_ == nullptr);
-}
-
-void ServerModel::enable_solve_cache(std::shared_ptr<SolveCache> cache,
-                                     std::string scope_key) {
-  TPCOOL_REQUIRE(cache != nullptr, "enable_solve_cache needs a cache");
-  solve_cache_ = std::move(cache);
-  cache_scope_ = std::move(scope_key);
+  return coupled_solve(powers);
 }
 
 SimulationResult ServerModel::coupled_solve(
-    const floorplan::UnitPowers& powers, bool reuse_state) {
+    const floorplan::UnitPowers& powers) {
   // The unit of work everything above caches and parallelizes: one "solve"
   // span per cold coupled solve (cache hits never reach here), so the span
   // count must equal the solve.executed counter and the cache-miss sum.
@@ -164,7 +131,7 @@ SimulationResult ServerModel::coupled_solve(
   // iterations; across solves it is seeded from the previous call's result
   // (sweeps over benchmarks/configurations change the field only mildly).
   util::Grid2D<double> evap_heat = uniform_footprint_heat(stack, total_w);
-  const bool warm = reuse_state && config_.reuse_thermal_state;
+  const bool warm = config_.reuse_thermal_state;
   std::vector<double> t = warm ? last_temperature_ : std::vector<double>{};
   thermosyphon::ThermosyphonState syphon_state;
 

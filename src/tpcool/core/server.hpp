@@ -5,8 +5,6 @@
 ///        steady-state solve used by every experiment.
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "tpcool/floorplan/xeon_e5.hpp"
@@ -17,8 +15,6 @@
 #include "tpcool/workload/profiler.hpp"
 
 namespace tpcool::core {
-
-class SolveCache;
 
 /// Server construction parameters.
 struct ServerConfig {
@@ -32,7 +28,9 @@ struct ServerConfig {
   /// Consecutive solves in a sweep (benchmarks, QoS levels, bisection on
   /// the operating point) differ by a few degrees, so the CG iteration
   /// count collapses; converged results are identical within the solver
-  /// tolerance regardless of the start.
+  /// tolerance regardless of the start.  Pipeline servers
+  /// (`server_config_for`) turn it off, so their solves are pure functions
+  /// of their inputs and can be cached.
   bool reuse_thermal_state = true;
 };
 
@@ -110,19 +108,8 @@ class ServerModel {
 
   /// Run the coupled steady solve for a benchmark in a configuration mapped
   /// onto `active_cores` (ids from a MappingPolicy), idle cores at
-  /// `idle_state`.  Returns an independent copy whose `active_cores` echo
-  /// the caller's order.
+  /// `idle_state`.  The result's `active_cores` echo the caller's order.
   [[nodiscard]] SimulationResult simulate(
-      const workload::BenchmarkProfile& bench,
-      const workload::Configuration& config_pt,
-      const std::vector<int>& active_cores, power::CState idle_state);
-
-  /// Same solve, without the copy: with a solve cache attached, a hit
-  /// returns the cache's stored result itself.  The cache key treats the
-  /// placement as a set, so the shared result's `active_cores` is empty;
-  /// use simulate() when the caller's core order matters.  With no cache
-  /// attached this wraps a fresh (warm-started) solve.
-  [[nodiscard]] std::shared_ptr<const SimulationResult> simulate_shared(
       const workload::BenchmarkProfile& bench,
       const workload::Configuration& config_pt,
       const std::vector<int>& active_cores, power::CState idle_state);
@@ -131,30 +118,6 @@ class ServerModel {
   /// motivation experiments and tests).
   [[nodiscard]] SimulationResult simulate_powers(
       const floorplan::UnitPowers& powers);
-
-  /// Route `simulate()` through a shared memo of solve results.
-  ///
-  /// `scope_key` must uniquely identify everything this ServerModel was
-  /// constructed from (design + stack + board + coupling settings) among
-  /// all users of `cache`; the operating point and the per-solve inputs are
-  /// appended automatically.  Use `solve_scope()` (parallel.hpp) for
-  /// pipeline-built servers.
-  ///
-  /// While a cache is attached, cache-miss solves start cold and the
-  /// warm-start chain (ServerConfig::reuse_thermal_state) is suspended, so
-  /// every cached value is a pure function of its key.  This is what makes
-  /// cached sweeps bit-identical for any thread count and task order: a
-  /// duplicate compute of a key reproduces the identical bits, so races
-  /// between cache writers are unobservable.
-  void enable_solve_cache(std::shared_ptr<SolveCache> cache,
-                          std::string scope_key);
-
-  /// Detach the cache and restore warm-start chaining.
-  void disable_solve_cache() { solve_cache_.reset(); }
-
-  [[nodiscard]] bool solve_cache_enabled() const noexcept {
-    return solve_cache_ != nullptr;
-  }
 
   /// Access to the thermal model (e.g. for transient stepping).
   [[nodiscard]] thermal::ThermalModel& thermal() { return thermal_; }
@@ -166,10 +129,8 @@ class ServerModel {
   }
 
  private:
-  /// `reuse_state` gates the cross-solve warm start; cached solves pass
-  /// false so their results are independent of solve history.
   [[nodiscard]] SimulationResult coupled_solve(
-      const floorplan::UnitPowers& powers, bool reuse_state);
+      const floorplan::UnitPowers& powers);
 
   ServerConfig config_;
   floorplan::Floorplan floorplan_;
@@ -180,8 +141,6 @@ class ServerModel {
   /// Temperature field of the previous coupled solve; warm-start hint for
   /// the next one (see ServerConfig::reuse_thermal_state).
   std::vector<double> last_temperature_;
-  std::shared_ptr<SolveCache> solve_cache_;  ///< Null = no memoization.
-  std::string cache_scope_;  ///< Key prefix identifying this server's config.
 };
 
 /// Factory: the paper's proposed, workload-aware design (§VI): east-west

@@ -147,24 +147,6 @@ SolveCache::ResultPtr SolveCache::get_or_compute_shared(
   return result;
 }
 
-bool SolveCache::try_get(const std::string& key, SimulationResult& out) {
-  ResultPtr hit;
-  {
-    std::lock_guard lock(mutex_);
-    hit = lookup(key);
-    if (!hit) count_miss();
-  }
-  if (!hit) return false;
-  out = *hit;
-  return true;
-}
-
-void SolveCache::put(const std::string& key, SimulationResult result) {
-  auto shared = std::make_shared<const SimulationResult>(std::move(result));
-  std::lock_guard lock(mutex_);
-  insert(key, std::move(shared));
-}
-
 SolveCache::Stats SolveCache::stats() const {
   std::lock_guard lock(mutex_);
   Stats s = stats_;
@@ -826,8 +808,8 @@ std::string solve_request_key(const workload::BenchmarkProfile& bench,
                               power::CState idle_state) {
   // Per-core powers depend only on which cores are active, so placements
   // that permute the same set share one entry (the oracle enumerates sorted
-  // subsets, heuristics return rack order).  ServerModel restores the
-  // caller's ordering in SimulationResult::active_cores after a hit.
+  // subsets, heuristics return rack order); cached steady results leave
+  // active_cores empty for that reason.
   std::vector<int> sorted_cores = cores;
   std::sort(sorted_cores.begin(), sorted_cores.end());
   std::string key;
@@ -853,6 +835,19 @@ std::string solve_request_key(const workload::BenchmarkProfile& bench,
   }
   key.push_back(';');
   key += std::to_string(static_cast<int>(idle_state));
+  return key;
+}
+
+std::string solve_key(const std::string& scope,
+                      const thermosyphon::OperatingPoint& op,
+                      const workload::BenchmarkProfile& bench,
+                      const workload::Configuration& config,
+                      const std::vector<int>& cores,
+                      power::CState idle_state) {
+  std::string key = scope;
+  append_key_bits(key, op.water_flow_kg_h);
+  append_key_bits(key, op.water_inlet_c);
+  key += solve_request_key(bench, config, cores, idle_state);
   return key;
 }
 

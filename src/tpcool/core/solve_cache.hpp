@@ -6,10 +6,11 @@
 /// Experiment sweeps (Fig. 3/5/6 rows, Table I/II cells, the oracle's subset
 /// enumeration, rack supply-temperature scans) and the acceptance tests
 /// repeatedly request the same (server, workload, placement, operating
-/// point) solves.  The cache deduplicates them across runners and — because
-/// cache-miss solves run from a cold start (see
-/// ServerModel::enable_solve_cache) — every stored value is a pure function
-/// of its key.  That purity is what makes the parallel experiment engine
+/// point) solves.  The cache deduplicates them across runners.  Keys are
+/// built from the solve's inputs alone (`solve_key`), and every miss runs a
+/// cold solve on a server built from those inputs (see `cached_solve` in
+/// parallel.hpp), so every stored value is a pure function of its key.
+/// That purity is what makes the parallel experiment engine
 /// bit-deterministic: a racing duplicate compute produces the identical
 /// bits, so it never matters which thread's result is stored or served.
 /// Purity is also what makes snapshots sound: a value loaded from disk is
@@ -19,9 +20,8 @@
 /// One mutex guards one LRU list, its index and the in-flight records.
 /// Entries hold immutable shared results, so a hit holds the lock only for
 /// the lookup, the LRU splice and a reference-count bump.
-/// `get_or_compute_shared` hands out that shared result itself, so a hit
-/// copies nothing; `get_or_compute` and `try_get` deep-copy it after
-/// unlock for callers that mutate their result.
+/// `get_or_compute_shared`, the one way in, hands out that shared result
+/// itself, so a hit copies nothing.
 ///
 /// Persistence: `save()` / `load()` write and read one versioned,
 /// endian-safe snapshot file (schema `kSnapshotVersion`), streamed entry by
@@ -63,10 +63,10 @@ class SnapshotError : public std::runtime_error {
 ///
 /// All operations are safe to call concurrently.  The lock is released
 /// while a miss computes, so independent keys solve in parallel.
-/// Concurrent get_or_compute calls for the *same* key are deduplicated: the
-/// first caller computes, later callers wait and count a hit — exactly the
-/// serial schedule — so the miss/hit counters are deterministic and
-/// machine-independent (the exact-counter gate in
+/// Concurrent get_or_compute_shared calls for the *same* key are
+/// deduplicated: the first caller computes, later callers wait and count a
+/// hit — exactly the serial schedule — so the miss/hit counters are
+/// deterministic and machine-independent (the exact-counter gate in
 /// scripts/check_bench_regression.py relies on this).  Waiters consume the
 /// result from the in-flight computation record itself, not from the LRU
 /// store, so dedup is exact under any eviction pressure — a key evicted
@@ -115,20 +115,6 @@ class SolveCache {
   [[nodiscard]] ResultPtr get_or_compute_shared(
       const std::string& key,
       const std::function<SimulationResult()>& compute);
-
-  /// Same, returning an independent deep copy the caller may mutate.
-  [[nodiscard]] SimulationResult get_or_compute(
-      const std::string& key,
-      const std::function<SimulationResult()>& compute) {
-    return *get_or_compute_shared(key, compute);
-  }
-
-  /// Lookup without computing; returns true and fills `out` on a hit.
-  [[nodiscard]] bool try_get(const std::string& key, SimulationResult& out);
-
-  /// Insert (idempotent: an existing entry is kept and refreshed as
-  /// most-recently-used; values for one key are identical by construction).
-  void put(const std::string& key, SimulationResult result);
 
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
@@ -238,6 +224,18 @@ void append_key_bits(std::string& key, double value);
     const workload::BenchmarkProfile& bench,
     const workload::Configuration& config, const std::vector<int>& cores,
     power::CState idle_state);
+
+/// Canonical key for one coupled steady solve: `scope` (the server's
+/// construction inputs, e.g. `solve_scope` in parallel.hpp), then the
+/// operating point's exact bits, then `solve_request_key`.  These bytes
+/// are what snapshots store, so they must not change without a
+/// kSnapshotVersion bump.
+[[nodiscard]] std::string solve_key(const std::string& scope,
+                                    const thermosyphon::OperatingPoint& op,
+                                    const workload::BenchmarkProfile& bench,
+                                    const workload::Configuration& config,
+                                    const std::vector<int>& cores,
+                                    power::CState idle_state);
 
 /// Canonical key for one transient segment: server scope + the steady solve
 /// inputs of the phase + operating point + segment duration + every

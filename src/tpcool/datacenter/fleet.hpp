@@ -9,9 +9,9 @@
 ///
 /// The paper's evaluation stops at one rack (§V: one chiller, one shared
 /// water setpoint); this layer composes that rack model into a fleet.  All
-/// coupled solves run through the SolveCache / parallel_map machinery on
-/// pooled pipelines (core::PipelinePool), so fleet results are
-/// bit-identical for any thread count and snapshot-warmable: a
+/// coupled solves run through `core::cached_solve` and parallel_map, so
+/// fleet results are bit-identical for any thread count and
+/// snapshot-warmable: a
 /// `TPCOOL_SOLVE_CACHE_FILE` rerun replays every solve from disk
 /// (0 misses) and reproduces the same bits.
 
@@ -181,7 +181,7 @@ class FleetModel {
   /// Simulate the streams end to end.  Throws PreconditionError when
   /// `streams` is empty or an interval's job count exceeds the fleet
   /// capacity.  Bit-identical for any thread count; all solves go through
-  /// the global SolveCache on pooled pipelines.
+  /// the global SolveCache (`core::cached_solve`).
   [[nodiscard]] FleetResult run(
       const std::vector<workload::WorkloadTrace>& streams);
 

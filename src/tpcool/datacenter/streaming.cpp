@@ -16,7 +16,6 @@
 #include "tpcool/cooling/rack.hpp"
 #include "tpcool/core/parallel.hpp"
 #include "tpcool/datacenter/control.hpp"
-#include "tpcool/core/pipeline_pool.hpp"
 #include "tpcool/core/solve_cache.hpp"
 #include "tpcool/util/error.hpp"
 #include "tpcool/util/telemetry.hpp"
@@ -26,9 +25,8 @@ namespace tpcool::datacenter {
 
 namespace {
 
-/// One job per chunk: every (rack, server) slot schedules and scans
-/// independently, exactly like the rack coordinator (and exactly like the
-/// batch FleetModel before it was rebuilt on this engine).
+/// One job per chunk: every (rack, server) slot scans independently,
+/// exactly like the rack coordinator.
 constexpr std::size_t kFleetGrain = 1;
 
 /// Phase-1 outcome of one job: the schedule and the supply-temperature
@@ -60,13 +58,22 @@ StreamingFleetEngine::StreamingFleetEngine(
   }
 
   // Per-rack design water flow (the §VI-C operating point of the rack's
-  // approach), fixed over the run like in the rack coordinator.
+  // approach), fixed over the run like in the rack coordinator, and the
+  // rack's decision pipeline.
   design_flow_kg_h_.resize(config_.racks.size());
+  rack_scheduler_.resize(config_.racks.size());
   for (std::size_t r = 0; r < config_.racks.size(); ++r) {
+    const RackSpec& spec = config_.racks[r];
     design_flow_kg_h_[r] =
-        core::server_config_for(config_.racks[r].approach,
-                                config_.racks[r].cell_size_m)
+        core::server_config_for(spec.approach, spec.cell_size_m)
             .operating_point.water_flow_kg_h;
+    std::unique_ptr<core::ApproachPipeline>& decider =
+        deciders_[core::solve_scope(spec.approach, spec.cell_size_m)];
+    if (decider == nullptr) {
+      decider = std::make_unique<core::ApproachPipeline>(spec.approach,
+                                                         spec.cell_size_m);
+    }
+    rack_scheduler_[r] = &decider->scheduler();
   }
 
   // Runtime rack state the event timeline mutates.
@@ -234,31 +241,38 @@ bool StreamingFleetEngine::advance() {
     loads_[rack].est_power_w += jobs[j].est_power_w;
   }
 
-  // Phase 1, parallel over all jobs of all racks: schedule, then scan the
-  // rack's supply candidates for the highest feasible temperature.  The
-  // fan-out is joined here — observers never run concurrently with it.
-  // Infeasibility does not throw: the server pins to the coldest
-  // candidate and is flagged.
-  const std::vector<ScanOutcome> scans = core::parallel_map<ScanOutcome>(
-      jobs.size(), kFleetGrain,
-      [&](std::size_t chunk) {
-        const RackSpec& spec = config_.racks[placed_rack[chunk]];
-        return core::PipelinePool::global().checkout(
-            spec.approach, spec.cell_size_m, core::SolveCache::global());
-      },
-      [&](core::PipelinePool::Lease& pipeline, std::size_t j) {
+  // Schedule serially, in dispatch order: a decision depends only on
+  // (approach, benchmark, QoS) and each rack scheduler memoizes it.
+  std::vector<ScanOutcome> scans(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    scans[j].decision =
+        rack_scheduler_[placed_rack[j]]->schedule(*jobs[j].bench, jobs[j].qos);
+  }
+  // Job j's coupled solve at a supply temperature of its rack.
+  core::SolveCache& cache = *core::SolveCache::global();
+  const auto solve_at = [&](std::size_t j, double water_inlet_c) {
+    const std::size_t r = placed_rack[j];
+    const core::ScheduleDecision& decision = scans[j].decision;
+    return core::cached_solve(
+        cache, config_.racks[r].approach, config_.racks[r].cell_size_m,
+        {.water_flow_kg_h = design_flow_kg_h_[r],
+         .water_inlet_c = water_inlet_c},
+        *jobs[j].bench, decision.point.config, decision.cores,
+        decision.idle_state);
+  };
+
+  // Phase 1, parallel over all jobs of all racks: scan the rack's supply
+  // candidates for the highest feasible temperature.  The fan-out is
+  // joined here — observers never run concurrently with it.  Infeasibility
+  // does not throw: the server pins to the coldest candidate and is
+  // flagged.
+  scans = core::parallel_map<ScanOutcome>(
+      jobs.size(), kFleetGrain, [](std::size_t chunk) { return chunk; },
+      [&](std::size_t&, std::size_t j) {
         const RackSpec& spec = config_.racks[placed_rack[j]];
-        core::ServerModel& server = pipeline->server();
-        ScanOutcome scan;
-        scan.decision =
-            pipeline->scheduler().schedule(*jobs[j].bench, jobs[j].qos);
+        ScanOutcome scan = scans[j];
         for (const double t_w : spec.supply_candidates_c) {
-          server.set_operating_point(
-              {.water_flow_kg_h = design_flow_kg_h_[placed_rack[j]],
-               .water_inlet_c = t_w});
-          const auto sim = server.simulate_shared(
-              *jobs[j].bench, scan.decision.point.config, scan.decision.cores,
-              scan.decision.idle_state);
+          const auto sim = solve_at(j, t_w);
           scan.max_supply_temp_c = t_w;
           scan.demand_power_w = sim->total_power_w;
           if (sim->tcase_c <= spec.tcase_limit_c) return scan;
@@ -309,23 +323,11 @@ bool StreamingFleetEngine::advance() {
 
   // Phase 2, parallel again: every server at its rack's shared setpoint.
   // Results stay shared with the cache; only three scalars are read.
-  using SharedResult = std::shared_ptr<const core::SimulationResult>;
-  const std::vector<SharedResult> at_setpoint =
-      core::parallel_map<SharedResult>(
-          jobs.size(), kFleetGrain,
-          [&](std::size_t chunk) {
-            const RackSpec& spec = config_.racks[placed_rack[chunk]];
-            return core::PipelinePool::global().checkout(
-                spec.approach, spec.cell_size_m, core::SolveCache::global());
-          },
-          [&](core::PipelinePool::Lease& pipeline, std::size_t j) {
-            const std::size_t r = placed_rack[j];
-            pipeline->server().set_operating_point(
-                {.water_flow_kg_h = design_flow_kg_h_[r],
-                 .water_inlet_c = rack_cooling[r].supply_temp_c});
-            return pipeline->server().simulate_shared(
-                *jobs[j].bench, scans[j].decision.point.config,
-                scans[j].decision.cores, scans[j].decision.idle_state);
+  const std::vector<core::SolveCache::ResultPtr> at_setpoint =
+      core::parallel_map<core::SolveCache::ResultPtr>(
+          jobs.size(), kFleetGrain, [](std::size_t chunk) { return chunk; },
+          [&](std::size_t&, std::size_t j) {
+            return solve_at(j, rack_cooling[placed_rack[j]].supply_temp_c);
           });
 
   // Assemble the interval.  This is the only FleetInterval the engine ever

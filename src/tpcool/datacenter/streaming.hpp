@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iosfwd>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -159,6 +160,11 @@ class StreamingFleetEngine {
   std::unique_ptr<PlacementPolicy> policy_;
   std::vector<RackLoad> loads_;
   std::vector<double> design_flow_kg_h_;
+  /// Decision pipelines, one per distinct (approach, cell size) among the
+  /// racks, keyed by `core::solve_scope`; `rack_scheduler_[r]` is rack r's
+  /// scheduler.  Only the serial dispatch step uses them.
+  std::map<std::string, std::unique_ptr<core::ApproachPipeline>> deciders_;
+  std::vector<core::Scheduler*> rack_scheduler_;
   /// Runtime per-rack state the event timeline mutates (capacity drops on
   /// kRackLoss, chiller efficiency on kChillerDerate); initialized from
   /// the specs, restored by the matching restore events.

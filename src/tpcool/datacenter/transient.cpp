@@ -12,6 +12,7 @@
 #include "tpcool/core/solve_cache.hpp"
 #include "tpcool/floorplan/power_map.hpp"
 #include "tpcool/thermal/metrics.hpp"
+#include "tpcool/thermal/stack.hpp"
 #include "tpcool/util/error.hpp"
 #include "tpcool/util/fnv.hpp"
 #include "tpcool/util/telemetry.hpp"
@@ -62,8 +63,8 @@ struct SegmentTask {
   std::string cache_key;
 };
 
-/// Integrate one transient segment on a leased pipeline.  A pure function
-/// of (pipeline config, task, engine config): the boundary and power map
+/// Integrate one transient segment on a pipeline.  A pure function of
+/// (pipeline config, task, engine config): the boundary and power map
 /// are rebuilt from the task, the state starts at the task's initial
 /// field, and every numeric step is the same fixed-order double arithmetic
 /// on any thread — which is what makes the cached value sound.
@@ -225,7 +226,7 @@ TransientFleetResult TransientFleetEngine::run(
   result.duration_s = result.steady.duration_s;
 
   const FleetConfig& config = fleet_.config();
-  const std::shared_ptr<core::SolveCache>& cache = core::SolveCache::global();
+  core::SolveCache& cache = *core::SolveCache::global();
 
   // Per-rack constants: design water flow, cache scope, and grid size (for
   // sizing fresh stream states), resolved once, serially.
@@ -238,9 +239,9 @@ TransientFleetResult TransientFleetEngine::run(
         core::server_config_for(spec.approach, spec.cell_size_m)
             .operating_point.water_flow_kg_h;
     scope[r] = core::solve_scope(spec.approach, spec.cell_size_m);
-    const core::PipelinePool::Lease lease = core::PipelinePool::global()
-        .checkout(spec.approach, spec.cell_size_m, cache);
-    cell_count[r] = lease->server().thermal().cell_count();
+    const thermal::StackModel stack = thermal::make_package_stack(
+        core::server_config_for(spec.approach, spec.cell_size_m).stack);
+    cell_count[r] = stack.grid.nx * stack.grid.ny * stack.layer_count();
   }
 
   // Thermal state follows the stream across intervals (the history a
@@ -284,18 +285,19 @@ TransientFleetResult TransientFleetEngine::run(
       tasks.push_back(std::move(task));
     }
 
-    // Fan the interval's segments out on pooled pipelines, memoized under
-    // the segment key: a warm rerun replays every segment from the cache.
-    const std::vector<core::SimulationResult> segments =
-        core::parallel_map<core::SimulationResult>(
+    // Fan the interval's segments out, memoized under the segment key: a
+    // warm rerun replays every segment from the cache, and only a miss
+    // checks a pipeline out of the pool.
+    const std::vector<core::SolveCache::ResultPtr> segments =
+        core::parallel_map<core::SolveCache::ResultPtr>(
             tasks.size(), kSegmentGrain,
-            [&](std::size_t chunk) {
-              const RackSpec& spec = config.racks[tasks[chunk].job->rack];
-              return core::PipelinePool::global().checkout(
-                  spec.approach, spec.cell_size_m, cache);
-            },
-            [&](core::PipelinePool::Lease& pipeline, std::size_t j) {
-              return cache->get_or_compute(tasks[j].cache_key, [&] {
+            [](std::size_t chunk) { return chunk; },
+            [&](std::size_t&, std::size_t j) {
+              return cache.get_or_compute_shared(tasks[j].cache_key, [&] {
+                const RackSpec& spec = config.racks[tasks[j].job->rack];
+                const core::PipelinePool::Lease pipeline =
+                    core::PipelinePool::global().checkout(spec.approach,
+                                                          spec.cell_size_m);
                 return integrate_segment(*pipeline, tasks[j], config_);
               });
             });
@@ -308,7 +310,7 @@ TransientFleetResult TransientFleetEngine::run(
     out.jobs.reserve(tasks.size());
     for (std::size_t j = 0; j < tasks.size(); ++j) {
       const JobOutcome& job = *tasks[j].job;
-      const core::TransientSegmentInfo& seg = segments[j].transient;
+      const core::TransientSegmentInfo& seg = segments[j]->transient;
       TPCOOL_ENSURE(seg.sim_time_s == interval.duration_s,
                     "transient segment drifted off the interval boundary");
       TransientJobOutcome outcome;
@@ -317,7 +319,7 @@ TransientFleetResult TransientFleetEngine::run(
       outcome.benchmark = job.benchmark;
       outcome.peak_tcase_c = seg.peak_tcase_c;
       outcome.peak_die_c = seg.peak_die_c;
-      outcome.end_tcase_c = segments[j].tcase_c;
+      outcome.end_tcase_c = segments[j]->tcase_c;
       outcome.steps = seg.steps;
       outcome.rejected_steps = seg.rejected_steps;
       outcome.tcase_limit_exceeded =

@@ -21,8 +21,9 @@
 /// server accumulates); a rack move that changes the grid resets the
 /// state to the start temperature.
 ///
-/// Engine contract: segments fan out through `core::parallel_map` on
-/// pooled pipelines and are memoized in the `SolveCache` under
+/// Engine contract: segments fan out through `core::parallel_map`, are
+/// integrated on a pooled pipeline only on a cache miss, and are memoized
+/// in the `SolveCache` under
 /// `segment_request_key` — keyed on a digest of the segment's *initial
 /// field*, so a chained rerun replays the whole trajectory from a warm
 /// snapshot with zero misses, and results are bit-identical for any

@@ -1,7 +1,7 @@
 // Tests for the solve cache: hit/miss/eviction accounting (exact at any
-// capacity — the eviction-race regression), LRU order, in-flight dedup of
-// concurrent same-key requests, independence of the copies a hit returns,
-// identity of the shared results get_or_compute_shared returns,
+// capacity — the eviction-race regression), LRU order, first-value-wins,
+// in-flight dedup of concurrent same-key requests, identity of the shared
+// results get_or_compute_shared returns,
 // the order-insensitive content digest, the one-file snapshot (lossless
 // round trip, merge semantics, rejection of damaged or foreign files with
 // the cache left untouched, the size warning), a concurrent merge-save
@@ -35,6 +35,25 @@ SimulationResult result_with_max(double max_c) {
   SimulationResult result;
   result.die.max_c = max_c;
   return result;
+}
+
+/// Store `result` under `key` through get_or_compute_shared, the cache's
+/// one entry point: a miss stores it, a resident key keeps its value.
+void put(SolveCache& cache, const std::string& key, SimulationResult result) {
+  (void)cache.get_or_compute_shared(key, [&] { return std::move(result); });
+}
+
+/// The resident result for `key`, or null when there is none.  Counts a hit
+/// or a miss like any lookup; a miss stores nothing, because the compute
+/// throws.
+SolveCache::ResultPtr resident(SolveCache& cache, const std::string& key) {
+  struct Absent {};
+  try {
+    return cache.get_or_compute_shared(
+        key, []() -> SimulationResult { throw Absent{}; });
+  } catch (const Absent&) {
+    return nullptr;
+  }
 }
 
 /// A SimulationResult exercising every serialized field, deterministic in
@@ -155,63 +174,61 @@ TEST(SolveCacheTest, RejectsZeroCapacity) {
 
 TEST(SolveCacheTest, CountsHitsAndMisses) {
   SolveCache cache(4);
-  SimulationResult out;
-  EXPECT_FALSE(cache.try_get("a", out));
-  cache.put("a", result_with_max(50.0));
-  EXPECT_TRUE(cache.try_get("a", out));
-  EXPECT_DOUBLE_EQ(out.die.max_c, 50.0);
+  EXPECT_EQ(resident(cache, "a"), nullptr);
+  put(cache, "a", result_with_max(50.0));
+  const SolveCache::ResultPtr a = resident(cache, "a");
+  ASSERT_NE(a, nullptr);
+  EXPECT_DOUBLE_EQ(a->die.max_c, 50.0);
 
   int computes = 0;
   const auto compute = [&] {
     ++computes;
     return result_with_max(60.0);
   };
-  EXPECT_DOUBLE_EQ(cache.get_or_compute("b", compute).die.max_c, 60.0);
-  EXPECT_DOUBLE_EQ(cache.get_or_compute("b", compute).die.max_c, 60.0);
+  EXPECT_DOUBLE_EQ(cache.get_or_compute_shared("b", compute)->die.max_c, 60.0);
+  EXPECT_DOUBLE_EQ(cache.get_or_compute_shared("b", compute)->die.max_c, 60.0);
   EXPECT_EQ(computes, 1);
 
   const SolveCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 2u);    // try_get("a") + second get_or_compute("b")
-  EXPECT_EQ(stats.misses, 2u);  // first try_get("a") + first get_or_compute
+  EXPECT_EQ(stats.hits, 2u);    // resident("a") + second lookup of "b"
+  EXPECT_EQ(stats.misses, 3u);  // failed resident("a"), put("a"), first "b"
   EXPECT_EQ(stats.evictions, 0u);
-  EXPECT_EQ(stats.size, 2u);
+  EXPECT_EQ(stats.size, 2u);  // the failed compute stored nothing
 }
 
 TEST(SolveCacheTest, EvictsLeastRecentlyUsed) {
   SolveCache cache(2);
-  cache.put("a", result_with_max(1.0));
-  cache.put("b", result_with_max(2.0));
-  SimulationResult out;
-  ASSERT_TRUE(cache.try_get("a", out));  // "b" is now least recently used
-  cache.put("c", result_with_max(3.0));  // evicts "b"
+  put(cache, "a", result_with_max(1.0));
+  put(cache, "b", result_with_max(2.0));
+  ASSERT_NE(resident(cache, "a"), nullptr);  // "b" is now least recently used
+  put(cache, "c", result_with_max(3.0));     // evicts "b"
 
-  EXPECT_TRUE(cache.try_get("a", out));
-  EXPECT_TRUE(cache.try_get("c", out));
-  EXPECT_FALSE(cache.try_get("b", out));
+  EXPECT_NE(resident(cache, "a"), nullptr);
+  EXPECT_NE(resident(cache, "c"), nullptr);
+  EXPECT_EQ(resident(cache, "b"), nullptr);
   const SolveCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.size, 2u);
 }
 
-TEST(SolveCacheTest, PutIsIdempotent) {
+TEST(SolveCacheTest, FirstValueWins) {
   SolveCache cache(2);
-  cache.put("a", result_with_max(1.0));
-  cache.put("a", result_with_max(99.0));  // same key: first value is kept
-  SimulationResult out;
-  ASSERT_TRUE(cache.try_get("a", out));
-  EXPECT_DOUBLE_EQ(out.die.max_c, 1.0);
+  put(cache, "a", result_with_max(1.0));
+  put(cache, "a", result_with_max(99.0));  // same key: first value is kept
+  const SolveCache::ResultPtr a = resident(cache, "a");
+  ASSERT_NE(a, nullptr);
+  EXPECT_DOUBLE_EQ(a->die.max_c, 1.0);
   EXPECT_EQ(cache.stats().size, 1u);
 }
 
 TEST(SolveCacheTest, ClearResetsEverything) {
   SolveCache cache(2);
-  cache.put("a", result_with_max(1.0));
-  SimulationResult out;
-  ASSERT_TRUE(cache.try_get("a", out));
+  put(cache, "a", result_with_max(1.0));
+  ASSERT_NE(resident(cache, "a"), nullptr);
   cache.clear();
-  EXPECT_FALSE(cache.try_get("a", out));
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.stats().size, 0u);
+  EXPECT_EQ(resident(cache, "a"), nullptr);
 }
 
 TEST(SolveCacheTest, KeyDistinguishesNearbyDoubles) {
@@ -220,33 +237,6 @@ TEST(SolveCacheTest, KeyDistinguishesNearbyDoubles) {
   append_key_bits(a, 1.25e-3);
   append_key_bits(b, 1.2500000001e-3);
   EXPECT_NE(a, b);
-}
-
-TEST(SolveCacheTest, HitReturnsAnIndependentCopy) {
-  // Entries are stored once and shared; every hit must still hand out its
-  // own deep copy, so a caller mutating its result cannot reach the entry.
-  SolveCache cache(4);
-  cache.put("stored", rich_result(1));
-  SimulationResult first = cache.get_or_compute("stored", [] {
-    ADD_FAILURE() << "a resident key must not recompute";
-    return SimulationResult{};
-  });
-  first.tcase_c = -1.0;
-  first.die_field_c.data()[0] = -1.0;
-  first.syphon.channels.clear();
-  first.transient.end_state_c.push_back(-1.0);
-  SimulationResult second;
-  ASSERT_TRUE(cache.try_get("stored", second));
-  expect_results_identical(second, rich_result(1));
-
-  // The value a miss returns is independent of the stored entry as well.
-  SimulationResult computed =
-      cache.get_or_compute("computed", [] { return rich_result(2); });
-  computed.active_cores.clear();
-  computed.syphon.htc_map.data()[0] = -1.0;
-  expect_results_identical(
-      cache.get_or_compute("computed", [] { return SimulationResult{}; }),
-      rich_result(2));
 }
 
 TEST(SolveCacheTest, SharedHitsHandOutTheStoredResult) {
@@ -273,9 +263,10 @@ TEST(SolveCacheTest, SharedHitsHandOutTheStoredResult) {
 }
 
 TEST(SolveCacheTest, ConcurrentRequestsForOneKeyComputeOnce) {
-  // 8 tasks race get_or_compute on the same key from a 4-thread pool; the
-  // in-flight dedup must run the compute exactly once and count the other
-  // seven as hits — the serial schedule's numbers, independent of timing.
+  // 8 tasks race get_or_compute_shared on the same key from a 4-thread
+  // pool; the in-flight dedup must run the compute exactly once and count
+  // the other seven as hits — the serial schedule's numbers, independent
+  // of timing.
   util::ThreadPool::set_global_thread_count(4);
   SolveCache cache(4);
   std::atomic<int> computes{0};
@@ -283,12 +274,12 @@ TEST(SolveCacheTest, ConcurrentRequestsForOneKeyComputeOnce) {
       8, 1, [](std::size_t chunk) { return chunk; },
       [&](std::size_t&, std::size_t) {
         return cache
-            .get_or_compute("shared",
-                            [&] {
-                              ++computes;
-                              return result_with_max(42.0);
-                            })
-            .die.max_c;
+            .get_or_compute_shared("shared",
+                                   [&] {
+                                     ++computes;
+                                     return result_with_max(42.0);
+                                   })
+            ->die.max_c;
       });
   util::ThreadPool::set_global_thread_count(0);
 
@@ -311,10 +302,10 @@ TEST(SolveCacheTest, ExactCountersUnderEvictionPressure) {
   SolveCache cache(1);
   std::atomic<int> computes{0};
   std::atomic<bool> stop{false};
+  int pressed = 0;  // distinct keys, so every one is exactly one miss
   std::thread presser([&] {
-    int i = 0;
     while (!stop.load()) {
-      cache.put("evict" + std::to_string(i++), result_with_max(0.0));
+      put(cache, "evict" + std::to_string(pressed++), result_with_max(0.0));
       std::this_thread::sleep_for(std::chrono::microseconds(1));
     }
   });
@@ -322,17 +313,18 @@ TEST(SolveCacheTest, ExactCountersUnderEvictionPressure) {
       3, 1, [](std::size_t chunk) { return chunk; },
       [&](std::size_t&, std::size_t) {
         return cache
-            .get_or_compute("shared",
-                            [&] {
-                              ++computes;
-                              // stats() locks the cache; the compute runs
-                              // without the lock held, so polling is safe.
-                              while (cache.stats().waiting < 2) {
-                                std::this_thread::yield();
-                              }
-                              return result_with_max(7.0);
-                            })
-            .die.max_c;
+            .get_or_compute_shared(
+                "shared",
+                [&] {
+                  ++computes;
+                  // stats() locks the cache; the compute runs without the
+                  // lock held, so polling is safe.
+                  while (cache.stats().waiting < 2) {
+                    std::this_thread::yield();
+                  }
+                  return result_with_max(7.0);
+                })
+            ->die.max_c;
       });
   stop = true;
   presser.join();
@@ -341,7 +333,7 @@ TEST(SolveCacheTest, ExactCountersUnderEvictionPressure) {
   EXPECT_EQ(computes.load(), 1);
   for (const double value : results) EXPECT_DOUBLE_EQ(value, 7.0);
   const SolveCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.misses, 1u + static_cast<std::size_t>(pressed));
   EXPECT_EQ(stats.hits, 2u);
   EXPECT_EQ(stats.waiting, 0u);
 }
@@ -350,14 +342,14 @@ TEST(SolveCacheTest, ContentDigestIsOrderInsensitive) {
   SolveCache forward(16);
   SolveCache backward(16);
   for (int i = 0; i < 6; ++i) {
-    forward.put("digest/k" + std::to_string(i), rich_result(i));
-    backward.put("digest/k" + std::to_string(5 - i), rich_result(5 - i));
+    put(forward, "digest/k" + std::to_string(i), rich_result(i));
+    put(backward, "digest/k" + std::to_string(5 - i), rich_result(5 - i));
   }
   EXPECT_EQ(forward.content_digest(), backward.content_digest());
 
   SolveCache different(16);
   for (int i = 0; i < 6; ++i) {
-    different.put("digest/k" + std::to_string(i), rich_result(i + 1));
+    put(different, "digest/k" + std::to_string(i), rich_result(i + 1));
   }
   EXPECT_NE(forward.content_digest(), different.content_digest());
 }
@@ -367,11 +359,10 @@ TEST(SolveCacheTest, ContentDigestIsOrderInsensitive) {
 TEST(SolveCacheSnapshotTest, SaveLoadRoundTripIsLossless) {
   const std::string path = ::testing::TempDir() + "tpcool_snap_roundtrip.bin";
   SolveCache source(8);
-  source.put("alpha", rich_result(1));
-  source.put("beta", rich_result(2));
-  source.put("gamma", rich_result(3));
-  SimulationResult touched;
-  ASSERT_TRUE(source.try_get("alpha", touched));  // non-trivial LRU order
+  put(source, "alpha", rich_result(1));
+  put(source, "beta", rich_result(2));
+  put(source, "gamma", rich_result(3));
+  ASSERT_NE(resident(source, "alpha"), nullptr);  // non-trivial LRU order
   source.save(path);
 
   SolveCache loaded(8);
@@ -380,9 +371,9 @@ TEST(SolveCacheSnapshotTest, SaveLoadRoundTripIsLossless) {
   EXPECT_EQ(loaded.stats().size, 3u);
   for (const auto& [key, seed] :
        {std::pair<const char*, int>{"alpha", 1}, {"beta", 2}, {"gamma", 3}}) {
-    SimulationResult out;
-    ASSERT_TRUE(loaded.try_get(key, out)) << key;
-    expect_results_identical(out, rich_result(seed));
+    const SolveCache::ResultPtr out = resident(loaded, key);
+    ASSERT_NE(out, nullptr) << key;
+    expect_results_identical(*out, rich_result(seed));
   }
   // One file, and no temporary left beside it.
   const std::filesystem::path dir = std::filesystem::path(path).parent_path();
@@ -398,40 +389,40 @@ TEST(SolveCacheSnapshotTest, SaveLoadRoundTripIsLossless) {
 TEST(SolveCacheSnapshotTest, LoadMergesBehindExistingEntries) {
   const std::string path = ::testing::TempDir() + "tpcool_snap_merge.bin";
   SolveCache source(8);
-  source.put("alpha", rich_result(1));
-  source.put("beta", rich_result(2));
-  source.put("gamma", rich_result(3));
+  put(source, "alpha", rich_result(1));
+  put(source, "beta", rich_result(2));
+  put(source, "gamma", rich_result(3));
   source.save(path);  // saved MRU -> LRU: gamma, beta, alpha
 
   // Existing entries win and stay most-recently-used; loaded ones join
   // behind them in saved recency order, so capacity eviction drops the
   // snapshot's least recently used entries first.
   SolveCache target(3);
-  target.put("alpha", rich_result(9));
+  put(target, "alpha", rich_result(9));
   target.load(path);
   EXPECT_EQ(target.stats().size, 3u);
   EXPECT_EQ(target.stats().evictions, 0u);
-  SimulationResult out;
-  ASSERT_TRUE(target.try_get("alpha", out));
-  EXPECT_EQ(out.die.max_c, rich_result(9).die.max_c);
-  EXPECT_TRUE(target.try_get("gamma", out));
-  EXPECT_TRUE(target.try_get("beta", out));
+  const SolveCache::ResultPtr alpha = resident(target, "alpha");
+  ASSERT_NE(alpha, nullptr);
+  EXPECT_EQ(alpha->die.max_c, rich_result(9).die.max_c);
+  EXPECT_NE(resident(target, "gamma"), nullptr);
+  EXPECT_NE(resident(target, "beta"), nullptr);
 
   SolveCache narrow(2);
-  narrow.put("alpha", rich_result(9));
+  put(narrow, "alpha", rich_result(9));
   narrow.load(path);
   EXPECT_EQ(narrow.stats().evictions, 1u);
-  EXPECT_TRUE(narrow.try_get("alpha", out));
-  EXPECT_TRUE(narrow.try_get("gamma", out));
-  EXPECT_FALSE(narrow.try_get("beta", out));
+  EXPECT_NE(resident(narrow, "alpha"), nullptr);
+  EXPECT_NE(resident(narrow, "gamma"), nullptr);
+  EXPECT_EQ(resident(narrow, "beta"), nullptr);
   std::remove(path.c_str());
 }
 
 TEST(SolveCacheSnapshotTest, RejectsDamagedAndForeignFilesUntouched) {
   const std::string path = ::testing::TempDir() + "tpcool_snap_damage.bin";
   SolveCache source(4);
-  source.put("key", rich_result(4));
-  source.put("other", rich_result(5));
+  put(source, "key", rich_result(4));
+  put(source, "other", rich_result(5));
   source.save(path);
   const std::string blob = read_file(path);
   ASSERT_GT(blob.size(), 40u);
@@ -439,12 +430,13 @@ TEST(SolveCacheSnapshotTest, RejectsDamagedAndForeignFilesUntouched) {
   // A cache with contents of its own: every rejected load must leave them
   // (and the counters) exactly as they were.
   SolveCache target(4);
-  target.put("resident", rich_result(6));
+  put(target, "resident", rich_result(6));  // its one miss
   const std::uint64_t digest = target.content_digest();
   const auto expect_untouched = [&](const std::string& what) {
     const SolveCache::Stats stats = target.stats();
     EXPECT_EQ(stats.size, 1u) << what;
-    EXPECT_EQ(stats.hits + stats.misses, 0u) << what;
+    EXPECT_EQ(stats.hits, 0u) << what;
+    EXPECT_EQ(stats.misses, 1u) << what;
     EXPECT_EQ(target.content_digest(), digest) << what;
   };
   const auto expect_rejected = [&](const std::string& what,
@@ -498,9 +490,9 @@ TEST(SolveCacheSnapshotTest, WarnsWhenSnapshotExceedsSizeThreshold) {
   // three rich results is a few KB, so a fractional threshold trips it.
   const std::string path = ::testing::TempDir() + "tpcool_snap_warn.bin";
   SolveCache source(8);
-  source.put("alpha", rich_result(1));
-  source.put("beta", rich_result(2));
-  source.put("gamma", rich_result(3));
+  put(source, "alpha", rich_result(1));
+  put(source, "beta", rich_result(2));
+  put(source, "gamma", rich_result(3));
 
   ASSERT_EQ(setenv("TPCOOL_SOLVE_CACHE_WARN_MB", "0.001", 1), 0);
   ::testing::internal::CaptureStderr();
@@ -543,7 +535,7 @@ TEST(SolveCacheSnapshotTest, ConcurrentMergeSavesConvergeDeterministically) {
     caches.push_back(std::make_unique<SolveCache>(64));
     for (int i = 0; i < 8; ++i) {
       const int id = (4 * t + i) % kUniverse;  // overlapping slices
-      caches.back()->put("torture/k" + std::to_string(id), rich_result(id));
+      put(*caches.back(), "torture/k" + std::to_string(id), rich_result(id));
     }
   }
 
@@ -572,7 +564,7 @@ TEST(SolveCacheSnapshotTest, ConcurrentMergeSavesConvergeDeterministically) {
 
   SolveCache expected(64);
   for (int id = 0; id < kUniverse; ++id) {
-    expected.put("torture/k" + std::to_string(id), rich_result(id));
+    put(expected, "torture/k" + std::to_string(id), rich_result(id));
   }
   SolveCache merged(64);
   merged.load(path);
@@ -596,7 +588,7 @@ TEST(AttachPersistentFileTest, WarnsWhenSecondPathDisplacesTheFirst) {
   std::filesystem::remove(first);
   std::filesystem::remove(second);
   auto cache = std::make_shared<SolveCache>(8);
-  cache->put("attach/key", rich_result(1));
+  put(*cache, "attach/key", rich_result(1));
 
   SolveCache::attach_persistent_file(cache, first);
   ::testing::internal::CaptureStderr();

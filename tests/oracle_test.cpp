@@ -72,17 +72,14 @@ TEST_F(OracleTest, ProposedHeuristicNearThermalOptimum) {
   // (core::evaluate_placements_parallel).
   constexpr double kCell = 2.0e-3;
   core::ApproachPipeline pipeline(core::Approach::kProposed, kCell);
-  core::ServerModel& server = pipeline.server();
-  server.enable_solve_cache(
-      core::SolveCache::global(),
-      core::solve_scope(core::Approach::kProposed, kCell));
+  const core::ServerModel& server = pipeline.server();
   const auto& bench = workload::find_benchmark("x264");
   const workload::Configuration config{4, 2, 3.2};
 
   ExhaustivePolicy oracle([&](const std::vector<std::vector<int>>& subsets) {
     return core::evaluate_placements_parallel(
         core::Approach::kProposed, kCell, bench, config, power::CState::kC1E,
-        subsets, /*grain=*/1, core::SolveCache::global());
+        subsets, /*grain=*/1, *core::SolveCache::global());
   });
 
   MappingContext context;
@@ -100,8 +97,11 @@ TEST_F(OracleTest, ProposedHeuristicNearThermalOptimum) {
   const std::vector<int> heuristic =
       ProposedPolicy().select_cores(context);
   const double heuristic_cost =
-      server.simulate(bench, config, heuristic, power::CState::kC1E)
-          .die.max_c;
+      core::cached_solve(*core::SolveCache::global(),
+                         core::Approach::kProposed, kCell,
+                         server.operating_point(), bench, config, heuristic,
+                         power::CState::kC1E)
+          ->die.max_c;
 
   EXPECT_GE(heuristic_cost, optimal - 1e-9);    // oracle is a lower bound
   EXPECT_LE(heuristic_cost, optimal + 1.5);     // ...and we are close to it

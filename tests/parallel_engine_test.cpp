@@ -1,9 +1,10 @@
-// Tests for the parallel experiment engine: PipelinePool checkout/reuse
-// semantics, parallel_map determinism and error propagation, cold-start
-// purity of cached solves, and the headline contract — experiment results
-// bit-identical at 1, 2, and N threads (run_fig3/run_table1,
-// run_fig6_scenarios, optimize_design, RackCoordinator::plan), for cold
-// vs snapshot-warmed caches, and for pooled vs unpooled pipelines.
+// Tests for the parallel experiment engine: the solve key's golden bytes,
+// PipelinePool checkout/reuse semantics and that only cache misses check
+// pipelines out, parallel_map determinism and error propagation, the
+// history independence of pipeline solves, and the headline contract —
+// experiment results bit-identical at 1, 2, and N threads (run_fig3/
+// run_table1, run_fig6_scenarios, optimize_design, RackCoordinator::plan),
+// for cold vs snapshot-warmed caches, and against plain uncached solves.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,8 @@
 #include "tpcool/core/pipeline_pool.hpp"
 #include "tpcool/core/rack_coordinator.hpp"
 #include "tpcool/core/solve_cache.hpp"
+#include "tpcool/datacenter/streaming.hpp"
+#include "tpcool/datacenter/workload_gen.hpp"
 #include "tpcool/thermosyphon/design_optimizer.hpp"
 #include "tpcool/util/error.hpp"
 #include "tpcool/util/thread_pool.hpp"
@@ -78,27 +81,52 @@ TEST_F(ParallelEngineTest, ParallelMapRethrowsFirstChunkError) {
   }
 }
 
-// ----------------------------------------------------- cold-start purity --
+// ------------------------------------------------------------ solve keys --
 
-TEST_F(ParallelEngineTest, CachedSolvesAreIndependentOfHistory) {
+TEST_F(ParallelEngineTest, SolveKeyMatchesTheSnapshotKeyBytes) {
+  // Snapshots store these bytes, so they are pinned to a literal: any
+  // change orphans every saved snapshot and needs a kSnapshotVersion bump.
+  const std::string golden =
+      "pipeline:0;3f60624dd2f1a9fc;401c000000000000;403e000000000000;x264;"
+      "3fe0a3d70a3d70a4;3ff4000000000000;3faeb851eb851eb8;3fe3333333333333;"
+      "3fd3333333333333;4000000000000000;4,2,400999999999999a;2,4,5,7,;1";
+  const auto& bench = workload::find_benchmark("x264");
+  const workload::Configuration config{4, 2, 3.2};
+  const std::vector<int> cores{5, 4, 7, 2};
+  const thermosyphon::OperatingPoint op =
+      server_config_for(Approach::kProposed, kCell).operating_point;
+  EXPECT_EQ(solve_key(solve_scope(Approach::kProposed, kCell), op, bench,
+                      config, cores, power::CState::kC1),
+            golden);
+
+  // cached_solve stores its result under exactly that key.
+  SolveCache cache(4);
+  (void)cached_solve(cache, Approach::kProposed, kCell, op, bench, config,
+                     cores, power::CState::kC1);
+  (void)cache.get_or_compute_shared(golden, [] {
+    ADD_FAILURE() << "cached_solve stored under a different key";
+    return SimulationResult{};
+  });
+  EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+// --------------------------------------------------- history independence --
+
+TEST_F(ParallelEngineTest, PipelineSolvesAreIndependentOfHistory) {
   const auto& bench = workload::find_benchmark("x264");
   const workload::Configuration config{4, 2, 3.2};
   const std::vector<int> cores_a = fig6_scenario_cores(1);
   const std::vector<int> cores_b = fig6_scenario_cores(3);
 
-  // Server 1 solves A then B; server 2 solves only B. With separate caches
-  // nothing is shared, so equality means a cached solve's value does not
-  // depend on what the server solved before it.
+  // Server 1 solves A then B; server 2 solves only B.  Equality means a
+  // pipeline server's solve does not depend on what it solved before,
+  // which is what lets any pooled pipeline serve any cache miss.
   ApproachPipeline p1(Approach::kProposed, kCell);
-  p1.server().enable_solve_cache(std::make_shared<SolveCache>(),
-                                 solve_scope(Approach::kProposed, kCell));
   (void)p1.server().simulate(bench, config, cores_a, power::CState::kPoll);
   const SimulationResult b_after_a =
       p1.server().simulate(bench, config, cores_b, power::CState::kPoll);
 
   ApproachPipeline p2(Approach::kProposed, kCell);
-  p2.server().enable_solve_cache(std::make_shared<SolveCache>(),
-                                 solve_scope(Approach::kProposed, kCell));
   const SimulationResult b_cold =
       p2.server().simulate(bench, config, cores_b, power::CState::kPoll);
 
@@ -265,16 +293,9 @@ TEST_F(ParallelEngineTest, DesignOptimizerBitIdenticalAcrossThreadCounts) {
 
 TEST_F(ParallelEngineTest, PipelinePoolChecksOutConstructsAndReuses) {
   PipelinePool pool;
-  // Purity requirement: pooled reuse is only bit-identical with a cache.
-  EXPECT_THROW((void)pool.checkout(Approach::kProposed, kCell, nullptr),
-               util::PreconditionError);
-
-  const auto cache = std::make_shared<SolveCache>();
   {
-    const PipelinePool::Lease lease =
-        pool.checkout(Approach::kProposed, kCell, cache);
+    const PipelinePool::Lease lease = pool.checkout(Approach::kProposed, kCell);
     EXPECT_EQ(lease->approach(), Approach::kProposed);
-    EXPECT_TRUE(lease->server().solve_cache_enabled());
     const PipelinePool::Stats stats = pool.stats();
     EXPECT_EQ(stats.constructions, 1u);
     EXPECT_EQ(stats.reuses, 0u);
@@ -283,152 +304,135 @@ TEST_F(ParallelEngineTest, PipelinePoolChecksOutConstructsAndReuses) {
   EXPECT_EQ(pool.stats().idle, 1u);  // lease returned its pipeline
 
   {
-    const PipelinePool::Lease lease =
-        pool.checkout(Approach::kProposed, kCell, cache);
+    const PipelinePool::Lease lease = pool.checkout(Approach::kProposed, kCell);
     EXPECT_EQ(pool.stats().reuses, 1u);
     EXPECT_EQ(pool.stats().constructions, 1u);
     // A different (approach, cell size) key never shares pipelines.
     const PipelinePool::Lease other =
-        pool.checkout(Approach::kSoaBalancing, kCell, cache);
+        pool.checkout(Approach::kSoaBalancing, kCell);
     EXPECT_EQ(other->approach(), Approach::kSoaBalancing);
     EXPECT_EQ(pool.stats().constructions, 2u);
   }
-
-  // A previous user's operating point must not leak through a reuse: the
-  // solve call sites that simulate "at the constructed default" (fig6,
-  // the oracle sweeps) would otherwise inherit a rack scan's last water
-  // temperature, timing-dependently.
-  const thermosyphon::OperatingPoint default_op =
-      server_config_for(Approach::kProposed, kCell).operating_point;
-  {
-    PipelinePool::Lease lease =
-        pool.checkout(Approach::kProposed, kCell, cache);
-    lease->server().set_operating_point(
-        {.water_flow_kg_h = 1.0, .water_inlet_c = 15.0});
-  }
-  {
-    const PipelinePool::Lease lease =
-        pool.checkout(Approach::kProposed, kCell, cache);
-    EXPECT_EQ(lease->server().operating_point().water_flow_kg_h,
-              default_op.water_flow_kg_h);
-    EXPECT_EQ(lease->server().operating_point().water_inlet_c,
-              default_op.water_inlet_c);
-  }
+  EXPECT_EQ(pool.stats().idle, 2u);
 
   pool.clear();  // drops the idle pipelines, keeps the counters
   EXPECT_EQ(pool.stats().idle, 0u);
   EXPECT_EQ(pool.stats().constructions, 2u);
-  EXPECT_EQ(pool.stats().reuses, 3u);
-
-  // An unpooled lease owns its pipeline outright and parks nowhere.
-  {
-    const PipelinePool::Lease lease =
-        PipelinePool::unpooled(Approach::kProposed, kCell);
-    EXPECT_FALSE(lease->server().solve_cache_enabled());
-  }
-  EXPECT_EQ(pool.stats().idle, 0u);
+  EXPECT_EQ(pool.stats().reuses, 1u);
 }
 
-TEST_F(ParallelEngineTest, RackPlanReusesPooledPipelines) {
-  // The satellite claim: pooling measurably cuts per-chunk constructions.
-  // Single-threaded chunks run in order and return their lease before the
-  // next chunk begins, so the counters are exact: one construction serves
-  // all 6 checkouts (two parallel phases x 3 servers) of the first plan,
-  // and the second plan constructs nothing at all.
-  util::ThreadPool::set_global_thread_count(1);
-  SolveCache::global()->clear();
-  PipelinePool::global().clear();
-  RackCoordinator::Config config;
-  config.cell_size_m = kCell;
+TEST_F(ParallelEngineTest, OnlyCacheMissesCheckOutPipelines) {
+  // Keys are built from the solve inputs alone, so a hit touches no
+  // pipeline: a cold run's checkouts equal its misses at any thread count,
+  // and a warm rerun (all hits) leaves the pool's counters unchanged.
+  const auto checkouts = [] {
+    const PipelinePool::Stats stats = PipelinePool::global().stats();
+    return stats.constructions + stats.reuses;
+  };
+  const auto expect_cold_then_warm = [&](const auto& run) {
+    SolveCache::global()->clear();
+    const std::size_t before = checkouts();
+    run();
+    const std::size_t misses = SolveCache::global()->stats().misses;
+    EXPECT_GT(misses, 0u);
+    EXPECT_EQ(checkouts() - before, misses);
+
+    const PipelinePool::Stats cold = PipelinePool::global().stats();
+    run();
+    const PipelinePool::Stats warm = PipelinePool::global().stats();
+    EXPECT_EQ(SolveCache::global()->stats().misses, misses);
+    EXPECT_EQ(warm.constructions, cold.constructions);
+    EXPECT_EQ(warm.reuses, cold.reuses);
+  };
+
+  RackCoordinator::Config rack;
+  rack.cell_size_m = kCell;
   const std::vector<std::string> racks{"x264", "canneal", "swaptions"};
+  datacenter::WorkloadGenConfig gen;
+  gen.seed = 5;
+  gen.streams = 3;
+  gen.duration_s = 4.0 * 900.0;
+  gen.slot_s = 900.0;
+  gen.mean_phase_slots = 2.0;
+  const std::vector<workload::WorkloadTrace> streams =
+      datacenter::WorkloadGenerator(gen).generate();
+  const datacenter::FleetConfig fleet =
+      datacenter::make_heterogeneous_fleet(2, 2, kCell);
 
-  const PipelinePool::Stats before = PipelinePool::global().stats();
-  (void)RackCoordinator(config).plan(racks);
-  const PipelinePool::Stats mid = PipelinePool::global().stats();
-  EXPECT_EQ(mid.constructions - before.constructions, 1u);
-  EXPECT_EQ(mid.reuses - before.reuses, 5u);
-
-  (void)RackCoordinator(config).plan(racks);
-  const PipelinePool::Stats after = PipelinePool::global().stats();
-  EXPECT_EQ(after.constructions, mid.constructions);
-  EXPECT_EQ(after.reuses - mid.reuses, 6u);
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    util::ThreadPool::set_global_thread_count(threads);
+    expect_cold_then_warm([&] { (void)RackCoordinator(rack).plan(racks); });
+    expect_cold_then_warm(
+        [&] { datacenter::StreamingFleetEngine(fleet, streams).run(); });
+  }
 }
 
-TEST_F(ParallelEngineTest, RackPlanPooledBitIdenticalToUnpooled) {
-  // The coordinator now runs exclusively on pooled pipelines; this is the
-  // reference it must match: a fresh pipeline and a fresh private cache
-  // per server (every solve cold and pure), serial, no pool anywhere.
+TEST_F(ParallelEngineTest, RackPlanBitIdenticalToPlainSolves) {
+  // The reference the coordinator must match: every solve a plain,
+  // uncached ServerModel built from server_config_for, serial, with no
+  // cache and no pool anywhere.
   RackCoordinator::Config config;
   config.cell_size_m = kCell;
   const std::vector<std::string> racks{"x264", "canneal", "swaptions"};
   const double design_flow =
       server_config_for(config.approach, config.cell_size_m)
           .operating_point.water_flow_kg_h;
+  const auto plain_solve = [&](const ServerPlan& sp, double t_w) {
+    ServerModel server(server_config_for(config.approach, config.cell_size_m));
+    server.set_operating_point(
+        {.water_flow_kg_h = design_flow, .water_inlet_c = t_w});
+    return server.simulate(workload::find_benchmark(sp.benchmark),
+                           sp.decision.point.config, sp.decision.cores,
+                           sp.decision.idle_state);
+  };
 
-  RackPlan unpooled;
+  ApproachPipeline decider(config.approach, config.cell_size_m);
+  RackPlan reference;
   for (const std::string& name : racks) {
-    ApproachPipeline pipeline(config.approach, config.cell_size_m);
-    pipeline.server().enable_solve_cache(
-        std::make_shared<SolveCache>(),
-        solve_scope(config.approach, config.cell_size_m));
-    const workload::BenchmarkProfile& bench = workload::find_benchmark(name);
     ServerPlan sp;
     sp.benchmark = name;
-    sp.decision = pipeline.scheduler().schedule(bench, config.qos);
+    sp.decision = decider.scheduler().schedule(workload::find_benchmark(name),
+                                               config.qos);
     for (const double t_w : config.supply_candidates_c) {
-      pipeline.server().set_operating_point(
-          {.water_flow_kg_h = design_flow, .water_inlet_c = t_w});
-      const SimulationResult sim = pipeline.server().simulate(
-          bench, sp.decision.point.config, sp.decision.cores,
-          sp.decision.idle_state);
+      const SimulationResult sim = plain_solve(sp, t_w);
       if (sim.tcase_c <= config.tcase_limit_c) {
         sp.max_supply_temp_c = t_w;
         sp.package_power_w = sim.total_power_w;
         break;
       }
     }
-    unpooled.servers.push_back(std::move(sp));
+    reference.servers.push_back(std::move(sp));
   }
   std::vector<cooling::ServerDemand> demands;
-  for (const ServerPlan& sp : unpooled.servers) {
+  for (const ServerPlan& sp : reference.servers) {
     demands.push_back({sp.package_power_w, sp.max_supply_temp_c, design_flow});
   }
-  unpooled.cooling = cooling::solve_rack_cooling(demands, config.chiller);
-  for (ServerPlan& sp : unpooled.servers) {
-    ApproachPipeline pipeline(config.approach, config.cell_size_m);
-    pipeline.server().enable_solve_cache(
-        std::make_shared<SolveCache>(),
-        solve_scope(config.approach, config.cell_size_m));
-    pipeline.server().set_operating_point(
-        {.water_flow_kg_h = design_flow,
-         .water_inlet_c = unpooled.cooling.supply_temp_c});
-    sp.die_max_c = pipeline.server()
-                       .simulate(workload::find_benchmark(sp.benchmark),
-                                 sp.decision.point.config, sp.decision.cores,
-                                 sp.decision.idle_state)
-                       .die.max_c;
+  reference.cooling = cooling::solve_rack_cooling(demands, config.chiller);
+  for (ServerPlan& sp : reference.servers) {
+    sp.die_max_c = plain_solve(sp, reference.cooling.supply_temp_c).die.max_c;
   }
 
   for (const std::size_t threads : {1u, 4u}) {
     util::ThreadPool::set_global_thread_count(threads);
     SolveCache::global()->clear();
-    const RackPlan pooled = RackCoordinator(config).plan(racks);
-    ASSERT_EQ(pooled.servers.size(), unpooled.servers.size());
-    for (std::size_t i = 0; i < unpooled.servers.size(); ++i) {
+    const RackPlan plan = RackCoordinator(config).plan(racks);
+    ASSERT_EQ(plan.servers.size(), reference.servers.size());
+    for (std::size_t i = 0; i < reference.servers.size(); ++i) {
       SCOPED_TRACE("threads=" + std::to_string(threads) + " server=" +
                    std::to_string(i));
-      EXPECT_EQ(pooled.servers[i].benchmark, unpooled.servers[i].benchmark);
-      // Bitwise: pooled reuse must be unobservable in the results.
-      EXPECT_EQ(pooled.servers[i].max_supply_temp_c,
-                unpooled.servers[i].max_supply_temp_c);
-      EXPECT_EQ(pooled.servers[i].package_power_w,
-                unpooled.servers[i].package_power_w);
-      EXPECT_EQ(pooled.servers[i].die_max_c, unpooled.servers[i].die_max_c);
+      EXPECT_EQ(plan.servers[i].benchmark, reference.servers[i].benchmark);
+      // Bitwise: caching and pipeline reuse must be unobservable.
+      EXPECT_EQ(plan.servers[i].max_supply_temp_c,
+                reference.servers[i].max_supply_temp_c);
+      EXPECT_EQ(plan.servers[i].package_power_w,
+                reference.servers[i].package_power_w);
+      EXPECT_EQ(plan.servers[i].die_max_c, reference.servers[i].die_max_c);
     }
-    EXPECT_EQ(pooled.cooling.supply_temp_c, unpooled.cooling.supply_temp_c);
-    EXPECT_EQ(pooled.cooling.return_temp_c, unpooled.cooling.return_temp_c);
-    EXPECT_EQ(pooled.cooling.chiller_electrical_w,
-              unpooled.cooling.chiller_electrical_w);
+    EXPECT_EQ(plan.cooling.supply_temp_c, reference.cooling.supply_temp_c);
+    EXPECT_EQ(plan.cooling.return_temp_c, reference.cooling.return_temp_c);
+    EXPECT_EQ(plan.cooling.chiller_electrical_w,
+              reference.cooling.chiller_electrical_w);
   }
 }
 

@@ -1,17 +1,17 @@
 // Tests for tpcool::core::ServerModel — the coupled thermosyphon + thermal
 // solve: energy consistency, boundary sanity, monotone responses, the
-// shared (copy-free) cache-hit path, and the inexact inner solves of the
-// fixed point held to an all-tight reference.
+// shared (copy-free) cached_solve hit path, and the inexact inner solves of
+// the fixed point held to an all-tight reference.
 // Coarse grids keep the suite fast; the physics is resolution-stable.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <vector>
 
 #include "tpcool/core/experiment.hpp"
+#include "tpcool/core/parallel.hpp"
 #include "tpcool/core/pipelines.hpp"
 #include "tpcool/core/server.hpp"
 #include "tpcool/core/solve_cache.hpp"
@@ -151,46 +151,56 @@ void expect_same_solve(const SimulationResult& a, const SimulationResult& b) {
   EXPECT_EQ(a.package_field_c.data(), b.package_field_c.data());
 }
 
-TEST_F(ServerTest, SharedHitIsTheCachedResultAndSimulateEchoesTheOrder) {
-  const auto cache = std::make_shared<SolveCache>(8);
-  server_.enable_solve_cache(cache, "server-test");
+TEST(ServerCachedSolve, HitSharesTheStoredResult) {
+  // cached_solve keys on the solve's inputs, with the placement as a set:
+  // a permuted placement hits and hands out the stored result itself,
+  // whose value is a plain cold solve on a pipeline-configured server.
+  constexpr double kCell = 2.0e-3;
+  SolveCache cache(8);
+  const auto& bench = workload::find_benchmark("x264");
   const workload::Configuration config{4, 2, 3.2};
   const std::vector<int> order{5, 4, 7, 2};
   const std::vector<int> permuted{2, 7, 4, 5};
+  const thermosyphon::OperatingPoint op =
+      server_config_for(Approach::kProposed, kCell).operating_point;
 
-  const auto shared =
-      server_.simulate_shared(bench_, config, order, power::CState::kC1);
-  const auto again =
-      server_.simulate_shared(bench_, config, permuted, power::CState::kC1);
-  EXPECT_EQ(shared.get(), again.get());  // a hit shares, never copies
-  EXPECT_TRUE(shared->active_cores.empty());
+  const SolveCache::ResultPtr first =
+      cached_solve(cache, Approach::kProposed, kCell, op, bench, config, order,
+                   power::CState::kC1);
+  const SolveCache::ResultPtr again =
+      cached_solve(cache, Approach::kProposed, kCell, op, bench, config,
+                   permuted, power::CState::kC1);
+  EXPECT_EQ(first.get(), again.get());  // a hit shares, never copies
+  EXPECT_TRUE(first->active_cores.empty());
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
 
-  const SimulationResult copy =
-      server_.simulate(bench_, config, order, power::CState::kC1);
-  expect_same_solve(*shared, copy);
-  EXPECT_EQ(copy.active_cores, order);
-  // A hit under a permuted placement still echoes the caller's order.
-  EXPECT_EQ(server_.simulate(bench_, config, permuted, power::CState::kC1)
-                .active_cores,
-            permuted);
-  EXPECT_EQ(cache->stats().misses, 1u);
-  EXPECT_EQ(cache->stats().hits, 3u);
+  ServerModel plain(server_config_for(Approach::kProposed, kCell));
+  const SimulationResult direct =
+      plain.simulate(bench, config, order, power::CState::kC1);
+  expect_same_solve(*first, direct);
+  EXPECT_EQ(direct.active_cores, order);
 }
 
-TEST(ServerShared, UncachedSharedSolveEqualsSimulate) {
-  // Two fresh servers: each solve starts cold, so the results compare
-  // bitwise despite the warm-start chain.
-  ServerModel a(coarse_config());
-  ServerModel b(coarse_config());
+TEST(ServerCachedSolve, ParallelSolvesEchoTheRequestOrder) {
+  // Two placements of one set share one entry; each returned copy still
+  // echoes its own request's order.
+  SolveCache cache(8);
   const auto& bench = workload::find_benchmark("x264");
-  const auto shared =
-      a.simulate_shared(bench, {4, 2, 3.2}, {5, 4, 7, 2}, power::CState::kC1);
-  ASSERT_NE(shared, nullptr);
-  EXPECT_TRUE(shared->active_cores.empty());
-  const SimulationResult copy =
-      b.simulate(bench, {4, 2, 3.2}, {5, 4, 7, 2}, power::CState::kC1);
-  expect_same_solve(*shared, copy);
-  EXPECT_EQ(copy.active_cores, (std::vector<int>{5, 4, 7, 2}));
+  const workload::Configuration config{4, 2, 3.2};
+  const std::vector<int> order{5, 4, 7, 2};
+  const std::vector<int> permuted{2, 7, 4, 5};
+  const std::vector<SimulationResult> sims = run_parallel_solves(
+      Approach::kProposed, 2.0e-3,
+      {{&bench, config, order, power::CState::kC1},
+       {&bench, config, permuted, power::CState::kC1}},
+      /*grain=*/1, cache);
+  ASSERT_EQ(sims.size(), 2u);
+  EXPECT_EQ(sims[0].active_cores, order);
+  EXPECT_EQ(sims[1].active_cores, permuted);
+  expect_same_solve(sims[0], sims[1]);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
 }
 
 TEST(ServerFactories, ProposedAndSoaDiffer) {
