@@ -2,37 +2,52 @@
 /// \brief Trace-driven scenario: a server plays a day-like workload pattern
 ///        (overnight batch, interactive bursts, latency-critical spikes)
 ///        through the scheduler and the transient thermal model, carrying
-///        thermal state across phase switches.
+///        thermal state across phase switches.  The server is a one-rack,
+///        one-server fleet on 30 °C water, played by the transient engine
+///        at a fixed 0.5 s period.
 
 #include <iostream>
 
-#include "tpcool/core/pipelines.hpp"
-#include "tpcool/core/trace_runner.hpp"
+#include "tpcool/datacenter/transient.hpp"
 #include "tpcool/util/table.hpp"
 
 int main() {
   using namespace tpcool;
   std::cout << "== Daily workload trace on the proposed system ==\n\n";
 
-  core::ApproachPipeline pipeline(core::Approach::kProposed, 1.5e-3);
-  core::TraceRunner runner(pipeline.server(), pipeline.scheduler(),
-                           {.control_period_s = 0.5});
+  datacenter::RackSpec server;
+  server.name = "server";
+  server.approach = core::Approach::kProposed;
+  server.servers = 1;
+  server.cell_size_m = 1.5e-3;
+  server.supply_candidates_c = {30.0};
+  datacenter::FleetConfig fleet;
+  fleet.racks.push_back(server);
+
+  datacenter::TransientEngineConfig engine;
+  engine.fixed_dt_s = 0.5;
 
   const workload::WorkloadTrace trace = workload::make_daily_trace(8.0);
-  const core::TraceResult result = runner.run(trace);
+  const datacenter::TransientFleetResult result =
+      datacenter::TransientFleetEngine(fleet, engine).run({trace});
 
   util::TablePrinter table({"phase", "benchmark", "QoS", "config", "idle",
                             "P [W]", "peak die [C]", "peak TCASE [C]",
                             "energy [J]"});
-  for (const core::PhaseRecord& r : result.phases) {
-    table.add_row({std::to_string(r.phase_index), r.benchmark,
-                   util::TablePrinter::fmt(r.qos_factor, 0) + "x",
-                   r.decision.point.config.label(),
-                   power::to_string(r.decision.idle_state),
-                   util::TablePrinter::fmt(r.avg_power_w, 1),
-                   util::TablePrinter::fmt(r.peak_die_c, 1),
-                   util::TablePrinter::fmt(r.peak_tcase_c, 1),
-                   util::TablePrinter::fmt(r.energy_j, 0)});
+  for (std::size_t i = 0; i < result.intervals.size(); ++i) {
+    const datacenter::FleetInterval& steady = result.steady.intervals[i];
+    const datacenter::JobOutcome& job = steady.jobs.at(0);
+    const datacenter::TransientJobOutcome& transient =
+        result.intervals[i].jobs.at(0);
+    table.add_row({std::to_string(i), job.benchmark,
+                   util::TablePrinter::fmt(job.qos_factor, 0) + "x",
+                   job.decision.point.config.label(),
+                   power::to_string(job.decision.idle_state),
+                   util::TablePrinter::fmt(steady.it_power_w, 1),
+                   util::TablePrinter::fmt(transient.peak_die_c, 1),
+                   util::TablePrinter::fmt(transient.peak_tcase_c, 1),
+                   util::TablePrinter::fmt(
+                       steady.it_power_w * steady.duration_s, 0)});
   }
   table.print(std::cout);
 
@@ -40,9 +55,10 @@ int main() {
             << "peak TCASE      : "
             << util::TablePrinter::fmt(result.peak_tcase_c, 1)
             << " C (limit 85, exceeded: "
-            << (result.tcase_limit_exceeded ? "yes" : "no") << ")\n"
+            << (result.qos_violations > 0 ? "yes" : "no") << ")\n"
             << "package energy  : "
-            << util::TablePrinter::fmt(result.total_energy_j, 0) << " J\n"
+            << util::TablePrinter::fmt(result.steady.total_it_energy_j, 0)
+            << " J\n"
             << "\nnote how the scheduler shifts between full-throttle "
                "configurations for the 1x\nbursts and small, deep-sleep "
                "configurations for the 3x batch phases — the\nthermosyphon "

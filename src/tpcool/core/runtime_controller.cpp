@@ -1,6 +1,7 @@
 #include "tpcool/core/runtime_controller.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "tpcool/util/error.hpp"
 
@@ -30,24 +31,26 @@ ControlTrace RuntimeController::run(const workload::BenchmarkProfile& bench,
                                     const ScheduleDecision& decision,
                                     const workload::QoSRequirement& qos) {
   ControlTrace trace;
-  thermal::ThermalModel& thermal = server_->thermal();
-  const thermal::StackModel& stack = thermal.stack();
-  const floorplan::Rect package_region{0.0, 0.0, stack.grid.width(),
-                                       stack.grid.height()};
-
+  const std::vector<double>& flow_steps = config_.flow_steps_kg_h;
+  const double start_flow_kg_h = server_->operating_point().water_flow_kg_h;
+  // Start at the first valve step that keeps the server's current flow.
+  const auto start = std::find_if(
+      flow_steps.begin(), flow_steps.end(),
+      [&](double flow) { return flow >= start_flow_kg_h - 1e-9; });
+  TPCOOL_REQUIRE(start != flow_steps.end(),
+                 "server water flow " + std::to_string(start_flow_kg_h) +
+                     " kg/h is above the highest flow step " +
+                     std::to_string(flow_steps.back()) + " kg/h");
+  std::size_t flow_step =
+      static_cast<std::size_t>(start - flow_steps.begin());
   workload::Configuration config = decision.point.config;
-  std::size_t flow_step = 0;
-  // Start from the decision's valve setting if it matches a step.
-  for (std::size_t i = 0; i < config_.flow_steps_kg_h.size(); ++i) {
-    if (config_.flow_steps_kg_h[i] >=
-        server_->operating_point().water_flow_kg_h - 1e-9) {
-      flow_step = i;
-      break;
-    }
-  }
 
-  // Initial state: uniform package temperature.
-  std::vector<double> t(thermal.cell_count(), config_.start_temperature_c);
+  // Initial state: uniform package temperature, no evaporator heat yet
+  // (the syphon's idle-loop path gives a stagnant-pool boundary, which
+  // self-corrects within a couple of periods).
+  const thermal::StackModel& stack = server_->stack();
+  std::vector<double> t(server_->thermal().cell_count(),
+                        config_.start_temperature_c);
   util::Grid2D<double> evap_heat(stack.grid.nx, stack.grid.ny, 0.0);
 
   const auto lower_freq_ok = [&](double next_f) {
@@ -57,48 +60,20 @@ ControlTrace RuntimeController::run(const workload::BenchmarkProfile& bench,
   };
 
   for (int step = 0; step < config_.max_steps; ++step) {
-    // Apply the current operating state.
-    const thermosyphon::OperatingPoint op{
-        .water_flow_kg_h = config_.flow_steps_kg_h[flow_step],
-        .water_inlet_c = server_->operating_point().water_inlet_c};
-    server_->set_operating_point(op);
+    // Apply the current operating state, advance one period, measure.
+    server_->set_operating_point(
+        {.water_flow_kg_h = flow_steps[flow_step],
+         .water_inlet_c = server_->operating_point().water_inlet_c});
+    server_->load(bench, config, decision.cores, decision.idle_state);
+    evap_heat = server_->step_lagged(t, evap_heat, config_.control_period_s);
+    const PackageProbe probe = server_->probe(t);
 
-    power::PackagePowerRequest req =
-        server_->profiler().request_for(bench, config, decision.idle_state);
-    req.active_cores = decision.cores;
-    const util::Grid2D<double> power_map = floorplan::rasterize_power(
-        server_->floorplan(), server_->power_model().unit_powers(req),
-        stack.grid, stack.die_offset_x, stack.die_offset_y);
-    thermal.set_power_map(power_map);
-
-    // Thermosyphon boundary from the latest evaporator heat estimate; a
-    // cold start uses the total power spread uniformly via the solver's
-    // idle-loop path (zero map -> stagnant-pool HTC), which self-corrects
-    // within a couple of periods.
-    const thermosyphon::ThermosyphonState syphon =
-        server_->thermosyphon_model().solve(evap_heat, op);
-    thermal::TopBoundary top;
-    top.htc_w_m2k = syphon.htc_map;
-    top.fluid_temp_c = syphon.fluid_temp_map;
-    thermal.set_top_boundary(std::move(top));
-
-    thermal.step_transient(t, config_.control_period_s);
-    evap_heat = thermal.top_heat_flow_map_w(t);
-    for (double& q : evap_heat.data()) {
-      if (q < 0.0) q = 0.0;
-    }
-
-    // Measure.
-    const util::Grid2D<double> ihs = thermal.layer_field(t, stack.ihs_layer);
-    const util::Grid2D<double> die = thermal.layer_field(t, stack.die_layer);
     ControlRecord record;
     record.time_s = (step + 1) * config_.control_period_s;
-    record.tcase_c =
-        thermal::case_temperature(ihs, stack.grid, package_region);
-    record.die_max_c =
-        thermal::compute_metrics(die, stack.grid, stack.die_region).max_c;
+    record.tcase_c = probe.tcase_c;
+    record.die_max_c = probe.die_max_c;
     record.freq_ghz = config.freq_ghz;
-    record.flow_kg_h = config_.flow_steps_kg_h[flow_step];
+    record.flow_kg_h = flow_steps[flow_step];
 
     // React (§VII): on emergency, DVFS down when the QoS allows it,
     // otherwise open the valve; throttle as a last resort.
@@ -111,7 +86,7 @@ ControlTrace RuntimeController::run(const workload::BenchmarkProfile& bench,
       if (can_lower && lower_freq_ok(next_f)) {
         config.freq_ghz = next_f;
         record.action = ControlAction::kLowerFrequency;
-      } else if (flow_step + 1 < config_.flow_steps_kg_h.size()) {
+      } else if (flow_step + 1 < flow_steps.size()) {
         ++flow_step;
         record.action = ControlAction::kRaiseFlow;
       } else if (can_lower) {

@@ -6,8 +6,9 @@
 ///        violates the QoS requirement."
 ///
 /// The controller drives the transient thermal model in control periods:
-/// each period it re-solves the thermosyphon boundary, advances one backward
-/// Euler step, and reacts to the measured case temperature.
+/// each period is one `ServerModel::step_lagged` (the thermosyphon boundary
+/// re-solved from the previous period's evaporator heat, then one backward
+/// Euler step), after which it reacts to the measured case temperature.
 
 #include <string>
 #include <vector>
@@ -58,6 +59,8 @@ class RuntimeController {
 
   /// Run a workload phase under the controller. The decision provides the
   /// starting configuration and placement; `qos` bounds DVFS reactions.
+  /// The valve starts at the first flow step at or above the server's
+  /// current flow; a server flow above every step throws PreconditionError.
   [[nodiscard]] ControlTrace run(const workload::BenchmarkProfile& bench,
                                  const ScheduleDecision& decision,
                                  const workload::QoSRequirement& qos);

@@ -89,15 +89,31 @@ void ServerModel::set_operating_point(const thermosyphon::OperatingPoint& op) {
   config_.operating_point = op;
 }
 
-SimulationResult ServerModel::simulate(
+power::PackagePowerRequest ServerModel::request(
     const workload::BenchmarkProfile& bench,
     const workload::Configuration& config_pt,
-    const std::vector<int>& active_cores, power::CState idle_state) {
+    const std::vector<int>& active_cores, power::CState idle_state) const {
   TPCOOL_REQUIRE(static_cast<int>(active_cores.size()) == config_pt.cores,
                  "mapping size does not match the configuration core count");
   power::PackagePowerRequest req =
       profiler_.request_for(bench, config_pt, idle_state);
   req.active_cores = active_cores;
+  return req;
+}
+
+void ServerModel::set_power(const floorplan::UnitPowers& powers) {
+  const thermal::StackModel& stack = thermal_.stack();
+  thermal_.set_power_map(floorplan::rasterize_power(
+      floorplan_, powers, stack.grid, stack.die_offset_x,
+      stack.die_offset_y));
+}
+
+SimulationResult ServerModel::simulate(
+    const workload::BenchmarkProfile& bench,
+    const workload::Configuration& config_pt,
+    const std::vector<int>& active_cores, power::CState idle_state) {
+  const power::PackagePowerRequest req =
+      request(bench, config_pt, active_cores, idle_state);
   SimulationResult result = coupled_solve(power_model_.unit_powers(req));
   result.power = power_model_.breakdown(req);
   result.active_cores = active_cores;
@@ -107,6 +123,54 @@ SimulationResult ServerModel::simulate(
 SimulationResult ServerModel::simulate_powers(
     const floorplan::UnitPowers& powers) {
   return coupled_solve(powers);
+}
+
+power::PackagePowerBreakdown ServerModel::load(
+    const workload::BenchmarkProfile& bench,
+    const workload::Configuration& config_pt,
+    const std::vector<int>& active_cores, power::CState idle_state) {
+  const power::PackagePowerRequest req =
+      request(bench, config_pt, active_cores, idle_state);
+  set_power(power_model_.unit_powers(req));
+  return power_model_.breakdown(req);
+}
+
+thermosyphon::ThermosyphonState ServerModel::set_evaporator_heat(
+    const util::Grid2D<double>& heat) {
+  thermosyphon::ThermosyphonState state =
+      syphon_.solve(heat, config_.operating_point);
+  thermal_.set_top_boundary({state.htc_map, state.fluid_temp_map});
+  return state;
+}
+
+util::Grid2D<double> ServerModel::evaporator_heat(
+    const std::vector<double>& t) const {
+  util::Grid2D<double> heat = thermal_.top_heat_flow_map_w(t);
+  for (double& q : heat.data()) {
+    if (q < 0.0) q = 0.0;
+  }
+  return heat;
+}
+
+PackageProbe ServerModel::probe(const std::vector<double>& t) const {
+  const thermal::StackModel& stack = thermal_.stack();
+  const floorplan::Rect package_region{0.0, 0.0, stack.grid.width(),
+                                       stack.grid.height()};
+  return {
+      .tcase_c = thermal::case_temperature(
+          thermal_.layer_field(t, stack.ihs_layer), stack.grid,
+          package_region),
+      .die_max_c = thermal::compute_metrics(
+                       thermal_.layer_field(t, stack.die_layer), stack.grid,
+                       stack.die_region)
+                       .max_c};
+}
+
+util::Grid2D<double> ServerModel::step_lagged(
+    std::vector<double>& t, const util::Grid2D<double>& heat, double dt_s) {
+  set_evaporator_heat(heat);
+  thermal_.step_transient(t, dt_s);
+  return evaporator_heat(t);
 }
 
 SimulationResult ServerModel::coupled_solve(
@@ -122,9 +186,7 @@ SimulationResult ServerModel::coupled_solve(
   }
   const thermal::StackModel& stack = thermal_.stack();
 
-  const util::Grid2D<double> power_map = floorplan::rasterize_power(
-      floorplan_, powers, stack.grid, stack.die_offset_x, stack.die_offset_y);
-  thermal_.set_power_map(power_map);
+  set_power(powers);
   const double total_w = floorplan::total_power(powers);
 
   // Warm start: within one solve the field is reused across fixed-point
@@ -141,11 +203,7 @@ SimulationResult ServerModel::coupled_solve(
   double coupling_residual = 1.0;  // of the newest heat map; 1 before any
   std::size_t cg_iterations = 0;
   for (int it = 0; it < config_.coupling_iterations; ++it) {
-    syphon_state = syphon_.solve(evap_heat, config_.operating_point);
-    thermal::TopBoundary top;
-    top.htc_w_m2k = syphon_state.htc_map;
-    top.fluid_temp_c = syphon_state.fluid_temp_map;
-    thermal_.set_top_boundary(std::move(top));
+    syphon_state = set_evaporator_heat(evap_heat);
     const bool last = it + 1 == config_.coupling_iterations;
     const double tolerance =
         last ? kFinalTolerance
@@ -154,12 +212,8 @@ SimulationResult ServerModel::coupled_solve(
     t = thermal_.solve_steady(t, tolerance);
     cg_iterations += thermal_.last_solve_stats().iterations;
 
-    // Feed back the actual per-cell evaporator heat (clamp the handful of
-    // fringe cells that can run slightly negative at low loads).
-    util::Grid2D<double> heat = thermal_.top_heat_flow_map_w(t);
-    for (double& q : heat.data()) {
-      if (q < 0.0) q = 0.0;
-    }
+    // Feed back the actual per-cell evaporator heat.
+    util::Grid2D<double> heat = evaporator_heat(t);
     coupling_residual = relative_change(heat, evap_heat);
     evap_heat = std::move(heat);
   }

@@ -65,11 +65,20 @@ struct SimulationResult {
   TransientSegmentInfo transient;     ///< Segment payload; empty if steady.
 };
 
+/// Case temperature and die maximum of one temperature field.
+struct PackageProbe {
+  double tcase_c = 0.0;    ///< Centre-of-spreader temperature.
+  double die_max_c = 0.0;  ///< Hottest die cell.
+};
+
 /// A server with a thermosyphon on its package.
 ///
 /// The model owns all substrate objects; `simulate()` runs the coupled
 /// fixed point: power map -> thermosyphon HTC map -> thermal solve ->
 /// evaporator heat map -> thermosyphon ... until the boundary stabilizes.
+/// The boundary exchange itself (`set_evaporator_heat`, `evaporator_heat`)
+/// is public, so every transient stepper couples the field and the
+/// thermosyphon the same way the steady solve does.
 class ServerModel {
  public:
   explicit ServerModel(ServerConfig config);
@@ -119,6 +128,34 @@ class ServerModel {
   [[nodiscard]] SimulationResult simulate_powers(
       const floorplan::UnitPowers& powers);
 
+  /// Put the power map of `bench` in `config_pt` on `active_cores` (idle
+  /// cores at `idle_state`) on the thermal model, and return its breakdown.
+  power::PackagePowerBreakdown load(const workload::BenchmarkProfile& bench,
+                                    const workload::Configuration& config_pt,
+                                    const std::vector<int>& active_cores,
+                                    power::CState idle_state);
+
+  /// Solve the thermosyphon for evaporator heat map `heat` at the current
+  /// operating point and install its HTC and fluid-temperature maps as the
+  /// thermal model's top boundary.  Returns the thermosyphon state.
+  thermosyphon::ThermosyphonState set_evaporator_heat(
+      const util::Grid2D<double>& heat);
+
+  /// Per-cell heat that field `t` gives the evaporator, with the handful
+  /// of fringe cells that can run slightly negative at low loads clamped
+  /// to 0.
+  [[nodiscard]] util::Grid2D<double> evaporator_heat(
+      const std::vector<double>& t) const;
+
+  /// TCASE and die maximum of field `t`.
+  [[nodiscard]] PackageProbe probe(const std::vector<double>& t) const;
+
+  /// One lagged transient step: install the boundary for `heat`, advance
+  /// `t` by one backward-Euler step of `dt_s`, and return the evaporator
+  /// heat of the new field (the next step's boundary input).
+  [[nodiscard]] util::Grid2D<double> step_lagged(
+      std::vector<double>& t, const util::Grid2D<double>& heat, double dt_s);
+
   /// Access to the thermal model (e.g. for transient stepping).
   [[nodiscard]] thermal::ThermalModel& thermal() { return thermal_; }
   [[nodiscard]] const thermal::ThermalModel& thermal() const {
@@ -129,6 +166,11 @@ class ServerModel {
   }
 
  private:
+  [[nodiscard]] power::PackagePowerRequest request(
+      const workload::BenchmarkProfile& bench,
+      const workload::Configuration& config_pt,
+      const std::vector<int>& active_cores, power::CState idle_state) const;
+  void set_power(const floorplan::UnitPowers& powers);
   [[nodiscard]] SimulationResult coupled_solve(
       const floorplan::UnitPowers& powers);
 

@@ -95,8 +95,8 @@ struct JobOutcome {
   double tcase_c = 0.0;             ///< At the rack's shared setpoint.
   /// True when no supply candidate keeps TCASE within the rack limit (the
   /// server runs pinned at the coldest candidate) or the shared setpoint
-  /// still leaves TCASE over the limit — the fleet-level analogue of
-  /// core::TraceResult::tcase_limit_exceeded, counted as a QoS violation.
+  /// still leaves TCASE over the limit — the steady analogue of
+  /// TransientJobOutcome::tcase_limit_exceeded, counted as a QoS violation.
   bool tcase_limit_exceeded = false;
 };
 

@@ -594,13 +594,40 @@ std::string_view find_value(std::string_view text, const std::string& key) {
   return text.substr(pos + needle.size());
 }
 
-double get_number(std::string_view text, const std::string& key) {
+/// `token` as a double; the whole token must parse.
+double parse_number(std::string_view token, const std::string& key) {
+  const std::string text(token);
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  TPCOOL_REQUIRE(!text.empty() && end == text.c_str() + text.size(),
+                 "fleet JSONL replay: '" + key + "' is not a number: '" +
+                     text + "'");
+  return value;
+}
+
+/// `token` as a count: a non-negative integer that fits `std::size_t`.
+std::size_t parse_count(std::string_view token, const std::string& key) {
+  std::size_t value = 0;
+  const char* const last = token.data() + token.size();
+  const auto [end, ec] = std::from_chars(token.data(), last, value);
+  TPCOOL_REQUIRE(ec == std::errc{} && end == last,
+                 "fleet JSONL replay: '" + key + "' is not a count: '" +
+                     std::string(token) + "'");
+  return value;
+}
+
+/// The scalar value of `key`: everything up to the next ',' or '}'.
+std::string_view get_scalar(std::string_view text, const std::string& key) {
   const std::string_view tail = find_value(text, key);
-  return std::strtod(std::string(tail.substr(0, 32)).c_str(), nullptr);
+  return tail.substr(0, tail.find_first_of(",}"));
+}
+
+double get_number(std::string_view text, const std::string& key) {
+  return parse_number(get_scalar(text, key), key);
 }
 
 std::size_t get_count(std::string_view text, const std::string& key) {
-  return static_cast<std::size_t>(get_number(text, key));
+  return parse_count(get_scalar(text, key), key);
 }
 
 bool get_bool(std::string_view text, const std::string& key) {
@@ -636,15 +663,18 @@ bool has_key(std::string_view text, const std::string& key) {
   return text.find("\"" + key + "\":") != std::string_view::npos;
 }
 
-/// A flat `n0,n1,...` array payload as numbers (empty payload → empty).
-std::vector<double> parse_number_array(std::string_view payload) {
-  std::vector<double> values;
+/// The `[...]` payload of `key`, split at its commas and parsed element
+/// by element with `parse` (empty payload → empty).
+template <typename Parse>
+auto get_flat_array(std::string_view text, const std::string& key,
+                    Parse parse) {
+  const std::string_view payload = get_array(text, key);
+  std::vector<decltype(parse(payload, key))> values;
   std::size_t pos = 0;
   while (pos < payload.size()) {
     std::size_t end = payload.find(',', pos);
     if (end == std::string_view::npos) end = payload.size();
-    values.push_back(std::strtod(
-        std::string(payload.substr(pos, end - pos)).c_str(), nullptr));
+    values.push_back(parse(payload.substr(pos, end - pos), key));
     pos = end + 1;
   }
   return values;
@@ -690,15 +720,13 @@ FleetResult replay_fleet_jsonl(std::istream& is) {
       interval.chiller_power_w = get_number(text, "chiller_power_w");
       interval.pue = get_number(text, "pue");
       interval.qos_violations = get_count(text, "qos_violations");
-      for (const double stream : parse_number_array(get_array(text, "shed"))) {
-        interval.shed_streams.push_back(static_cast<std::size_t>(stream));
-      }
+      interval.shed_streams = get_flat_array(text, "shed", parse_count);
       if (has_key(text, "control")) {
         interval.control.active = true;
         interval.control.target = get_number(text, "target");
         interval.control.error = get_number(text, "error");
         interval.control.rack_bias_c =
-            parse_number_array(get_array(text, "bias_c"));
+            get_flat_array(text, "bias_c", parse_number);
       }
       for (const std::string_view object :
            split_objects(get_array(text, "jobs"))) {

@@ -10,8 +10,6 @@
 #include "tpcool/core/parallel.hpp"
 #include "tpcool/core/pipeline_pool.hpp"
 #include "tpcool/core/solve_cache.hpp"
-#include "tpcool/floorplan/power_map.hpp"
-#include "tpcool/thermal/metrics.hpp"
 #include "tpcool/thermal/stack.hpp"
 #include "tpcool/util/error.hpp"
 #include "tpcool/util/fnv.hpp"
@@ -83,52 +81,23 @@ core::SimulationResult integrate_segment(core::ApproachPipeline& pipeline,
   }
   core::ServerModel& server = pipeline.server();
   server.set_operating_point(task.op);
-  thermal::ThermalModel& thermal = server.thermal();
-  const thermal::StackModel& stack = thermal.stack();
-  const floorplan::Rect package_region{0.0, 0.0, stack.grid.width(),
-                                       stack.grid.height()};
-
-  // The phase's power map, constant over the segment (same rasterization
-  // as the steady solve and the TraceRunner).
-  power::PackagePowerRequest req = server.profiler().request_for(
-      *task.bench, task.job->decision.point.config,
-      task.job->decision.idle_state);
-  req.active_cores = task.job->decision.cores;
+  // The phase's power map, constant over the segment.
   const power::PackagePowerBreakdown breakdown =
-      server.power_model().breakdown(req);
-  thermal.set_power_map(floorplan::rasterize_power(
-      server.floorplan(), server.power_model().unit_powers(req), stack.grid,
-      stack.die_offset_x, stack.die_offset_y));
+      server.load(*task.bench, task.job->decision.point.config,
+                  task.job->decision.cores, task.job->decision.idle_state);
 
   std::vector<double> t = task.initial_field_c;
-  TPCOOL_REQUIRE(t.size() == thermal.cell_count(),
+  TPCOOL_REQUIRE(t.size() == server.thermal().cell_count(),
                  "segment initial field does not match the thermal grid");
-
-  const auto set_boundary = [&](const util::Grid2D<double>& heat) {
-    const thermosyphon::ThermosyphonState syphon =
-        server.thermosyphon_model().solve(heat, task.op);
-    thermal::TopBoundary top;
-    top.htc_w_m2k = syphon.htc_map;
-    top.fluid_temp_c = syphon.fluid_temp_map;
-    thermal.set_top_boundary(std::move(top));
-  };
-  // Per-cell evaporator heat extracted from a field (clamp the handful of
-  // fringe cells that can run slightly negative at low loads).
-  const auto clamped_top_heat = [&](const std::vector<double>& field) {
-    util::Grid2D<double> heat = thermal.top_heat_flow_map_w(field);
-    for (double& q : heat.data()) {
-      if (q < 0.0) q = 0.0;
-    }
-    return heat;
-  };
 
   // Seed the thermosyphon coupling from the initial field itself: a
   // zero-heat syphon solve gives a boundary, whose heat extraction over
   // the field is the first evaporator map — derived, not carried in, so
   // the segment stays a pure function of its key.
+  const thermal::StackModel& stack = server.stack();
   util::Grid2D<double> evap_heat(stack.grid.nx, stack.grid.ny, 0.0);
-  set_boundary(evap_heat);
-  evap_heat = clamped_top_heat(t);
+  server.set_evaporator_heat(evap_heat);
+  evap_heat = server.evaporator_heat(t);
 
   core::SimulationResult result;
   result.power = breakdown;
@@ -141,13 +110,10 @@ core::SimulationResult integrate_segment(core::ApproachPipeline& pipeline,
     const double remaining_s = task.duration_s - seg.sim_time_s;
     double dt_s = 0.0;
     if (config.fixed_dt_s > 0.0) {
-      // Fixed-period baseline: TraceRunner-style stepping — the boundary
-      // lags one step behind — with the final step clamped to the
-      // remainder.
-      set_boundary(evap_heat);
+      // Fixed-period baseline: the boundary lags one step behind, and the
+      // final step is clamped to the remainder.
       dt_s = std::min(config.fixed_dt_s, remaining_s);
-      thermal.step_transient(t, dt_s);
-      evap_heat = clamped_top_heat(t);
+      evap_heat = server.step_lagged(t, evap_heat, dt_s);
     } else {
       // Adaptive: shrink the proposal until the embedded estimate passes.
       // Each trial converges the boundary against its own end state (see
@@ -160,10 +126,11 @@ core::SimulationResult integrate_segment(core::ApproachPipeline& pipeline,
         util::Grid2D<double> trial_heat = evap_heat;
         double error_c = 0.0;
         for (int k = 0; k < kCouplingIterations; ++k) {
-          set_boundary(trial_heat);
+          server.set_evaporator_heat(trial_heat);
           trial = t;
-          error_c = thermal.step_transient_embedded(trial, dt_s);
-          const util::Grid2D<double> next_heat = clamped_top_heat(trial);
+          error_c = server.thermal().step_transient_embedded(trial, dt_s);
+          const util::Grid2D<double> next_heat =
+              server.evaporator_heat(trial);
           for (std::size_t i = 0; i < trial_heat.data().size(); ++i) {
             trial_heat.data()[i] += kCouplingRelaxation *
                                     (next_heat.data()[i] -
@@ -189,15 +156,10 @@ core::SimulationResult integrate_segment(core::ApproachPipeline& pipeline,
         dt_s == remaining_s ? task.duration_s : seg.sim_time_s + dt_s;
     ++seg.steps;
 
-    const util::Grid2D<double> ihs = thermal.layer_field(t, stack.ihs_layer);
-    const util::Grid2D<double> die = thermal.layer_field(t, stack.die_layer);
-    const double tcase =
-        thermal::case_temperature(ihs, stack.grid, package_region);
-    seg.peak_tcase_c = std::max(seg.peak_tcase_c, tcase);
-    seg.peak_die_c = std::max(
-        seg.peak_die_c,
-        thermal::compute_metrics(die, stack.grid, stack.die_region).max_c);
-    result.tcase_c = tcase;
+    const core::PackageProbe probe = server.probe(t);
+    seg.peak_tcase_c = std::max(seg.peak_tcase_c, probe.tcase_c);
+    seg.peak_die_c = std::max(seg.peak_die_c, probe.die_max_c);
+    result.tcase_c = probe.tcase_c;
   }
   TPCOOL_ENSURE(seg.sim_time_s == task.duration_s,
                 "transient segment must land exactly on its boundary");

@@ -10,16 +10,15 @@
 /// transient *segment* per (job, interval): backward-Euler steps whose
 /// length the `thermal::StepController` adapts from the step-doubling
 /// error estimate, clamped by a step-to-boundary rule so every phase and
-/// interval edge is hit exactly — never overshot (the TraceRunner bug this
-/// engine replaces), never approached with a sliver step.  Within each
-/// adaptive trial the thermosyphon boundary is converged against the
-/// trial's own end state (an under-relaxed fixed point, the transient
-/// analogue of `ServerModel::coupled_solve`), so the error estimate sees
-/// the real segment dynamics rather than boundary-lag noise.  Thermal
-/// state
-/// follows the stream across intervals (the history a migrating job's
-/// server accumulates); a rack move that changes the grid resets the
-/// state to the start temperature.
+/// interval edge is hit exactly — never overshot, never approached with a
+/// sliver step.  Within each adaptive trial the thermosyphon boundary is
+/// converged against the trial's own end state (an under-relaxed fixed
+/// point over `ServerModel`'s boundary exchange, the transient analogue of
+/// its `coupled_solve`), so the error estimate sees the real segment
+/// dynamics rather than boundary-lag noise.  Thermal state follows the
+/// stream across intervals (the history a migrating job's server
+/// accumulates); a rack move that changes the grid resets the state to the
+/// start temperature.
 ///
 /// Engine contract: segments fan out through `core::parallel_map`, are
 /// integrated on a pooled pipeline only on a cache miss, and are memoized
@@ -43,10 +42,11 @@ namespace tpcool::datacenter {
 struct TransientEngineConfig {
   /// Adaptive step controller tuning (tolerance, dt bounds, growth caps).
   thermal::StepControlConfig step_control;
-  /// > 0 selects the fixed-period baseline integrator (every step this
-  /// long, final step clamped to the boundary) instead of the adaptive
-  /// controller — the TraceRunner-style reference the bench compares
-  /// step counts against.  0 (default) = adaptive.
+  /// > 0 selects the fixed-period integrator (every step this long, the
+  /// boundary lagged one step behind via `ServerModel::step_lagged`, final
+  /// step clamped to the boundary) instead of the adaptive controller —
+  /// the reference the bench compares step counts against.
+  /// 0 (default) = adaptive.
   double fixed_dt_s = 0.0;
   /// Initial temperature of every stream's thermal state [°C].
   double start_temperature_c = 35.0;

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "tpcool/core/pipelines.hpp"
 #include "tpcool/core/runtime_controller.hpp"
 
@@ -116,6 +118,23 @@ TEST_F(ControllerTest, ImpossibleLimitEndsInThrottle) {
     throttled |= (r.action == ControlAction::kThrottle);
   }
   EXPECT_TRUE(throttled);
+}
+
+TEST_F(ControllerTest, ServerFlowAboveEveryStepIsRejected) {
+  // No valve step can hold 25 kg/h; starting at the lowest one would
+  // silently cut the flow the server runs at.
+  pipeline_.server().set_operating_point(
+      {.water_flow_kg_h = 25.0, .water_inlet_c = 30.0});
+  RuntimeController controller(pipeline_.server(), {});
+  try {
+    (void)controller.run(workload::worst_case_benchmark(),
+                         full_load_decision(), workload::QoSRequirement{1.0});
+    FAIL() << "expected PreconditionError";
+  } catch (const util::PreconditionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("25.0"), std::string::npos) << what;
+    EXPECT_NE(what.find("20.0"), std::string::npos) << what;
+  }
 }
 
 TEST_F(ControllerTest, RejectsBadConfig) {

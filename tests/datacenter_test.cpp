@@ -2,7 +2,8 @@
 // registry, FleetModel validation and metrics accounting, bit-identity of
 // fleet sweeps at 1/2/4 threads and for cold vs snapshot-warmed caches,
 // and the propagation of TCASE-limit violations into the fleet QoS
-// counters (the steady-state analogue of TraceResult::tcase_limit_exceeded).
+// counters (the steady-state analogue of the transient engine's
+// qos_violations).
 
 #include <gtest/gtest.h>
 
@@ -14,9 +15,9 @@
 
 #include "tpcool/core/pipeline_pool.hpp"
 #include "tpcool/core/solve_cache.hpp"
-#include "tpcool/core/trace_runner.hpp"
 #include "tpcool/datacenter/fleet.hpp"
 #include "tpcool/datacenter/placement.hpp"
+#include "tpcool/datacenter/transient.hpp"
 #include "tpcool/util/error.hpp"
 #include "tpcool/util/thread_pool.hpp"
 
@@ -386,23 +387,20 @@ TEST_F(DatacenterTest, FleetBitIdenticalColdVsSnapshotWarmedCache) {
 // ------------------------------------------------- QoS-violation plumbing --
 
 TEST_F(DatacenterTest, TcaseLimitExceededPropagatesIntoQoSViolations) {
-  // A limit below any reachable case temperature: the transient runner
-  // flags the trace, and the same condition surfaces in the fleet as
-  // per-job tcase_limit_exceeded and a nonzero QoS-violation count.
+  // A limit below any reachable case temperature: the transient engine
+  // flags the trajectory, and the same condition surfaces in the steady
+  // fleet it ran under as per-job tcase_limit_exceeded and a nonzero
+  // QoS-violation count.
   constexpr double kImpossibleLimitC = 30.0;
   const workload::WorkloadTrace hot({{"x264", {1.0}, 2.0}});
 
-  core::ApproachPipeline pipeline(core::Approach::kProposed, kCell);
-  core::TraceRunner runner(pipeline.server(), pipeline.scheduler(),
-                           {.control_period_s = 1.0,
-                            .tcase_limit_c = kImpossibleLimitC,
-                            .start_temperature_c = 35.0});
-  const core::TraceResult transient = runner.run(hot);
-  ASSERT_TRUE(transient.tcase_limit_exceeded);
-
   FleetConfig config = two_rack_fleet();
   for (RackSpec& rack : config.racks) rack.tcase_limit_c = kImpossibleLimitC;
-  const FleetResult fleet = FleetModel(config).run({hot});
+  const TransientFleetResult transient =
+      TransientFleetEngine(config, {}).run({hot});
+  ASSERT_GE(transient.qos_violations, 1u);
+
+  const FleetResult& fleet = transient.steady;
   ASSERT_EQ(fleet.intervals.size(), 1u);
   ASSERT_EQ(fleet.intervals[0].jobs.size(), 1u);
   EXPECT_TRUE(fleet.intervals[0].jobs[0].tcase_limit_exceeded);

@@ -532,6 +532,47 @@ TEST(JsonlFleetSink, IntervalRecordMatchesTheGoldenBytes) {
                         sent.cooling.chiller_electrical_w));
 }
 
+TEST(JsonlFleetSink, ReplayRejectsDamagedNumbers) {
+  // A valid one-interval stream, then copies with one value damaged: an
+  // unparsed number, and counts that are negative, fractional or out of
+  // range.  Each must throw instead of replaying as 0 or a wrapped count.
+  std::ostringstream jsonl;
+  JsonlFleetSink sink(jsonl);
+  FleetRunSummary summary;
+  summary.intervals = 1;
+  sink.on_run_begin(FleetConfig{}, 1, 30.0);
+  sink.on_interval(edge_case_interval(), IntervalCounters{2, 5});
+  sink.on_run_end(summary);
+  const std::string good = jsonl.str();
+  std::istringstream good_stream(good);
+  EXPECT_NO_THROW((void)replay_fleet_jsonl(good_stream));
+
+  const auto damaged = [&](const std::string& from, const std::string& to) {
+    std::string text = good;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) text.replace(at, from.size(), to);
+    return text;
+  };
+  for (const std::string& text : {
+           damaged(R"("it_power_w":0.10000000000000001)", R"("it_power_w":XX)"),
+           damaged(R"("pue":1e+22)", R"("pue":1e+22x)"),
+           damaged(R"("bias_c":[4.9406564584124654e-324,)",
+                   R"("bias_c":[4.9406564584124654e-324q,)"),
+           damaged(R"("qos_violations":1)", R"("qos_violations":-3)"),
+           damaged(R"("qos_violations":1)", R"("qos_violations":1.5)"),
+           damaged(R"("qos_violations":1)",
+                   R"("qos_violations":18446744073709551616)"),
+           damaged(R"("shed":[7])", R"("shed":[-7])"),
+           damaged(R"("stream":3)", R"("stream":)"),
+       }) {
+    SCOPED_TRACE(text);
+    std::istringstream replay_stream(text);
+    EXPECT_THROW((void)replay_fleet_jsonl(replay_stream),
+                 util::PreconditionError);
+  }
+}
+
 // ---------------------------------------------------------- rollup reducer --
 
 TEST_F(StreamingTest, RollupWindowsPartitionTheRunAndBoundTheExtremes) {

@@ -1,15 +1,14 @@
-// Tests for workload traces and the trace-driven transient runner.
+// Tests for workload traces: phase lookup, validation and the built-in
+// traces.  Playing traces through the transient thermal model is covered
+// by tests/transient_test.cpp.
 
 #include <gtest/gtest.h>
 
-#include "tpcool/core/pipelines.hpp"
-#include "tpcool/core/trace_runner.hpp"
 #include "tpcool/util/error.hpp"
+#include "tpcool/workload/trace.hpp"
 
 namespace tpcool {
 namespace {
-
-// ------------------------------------------------------------------ trace --
 
 TEST(WorkloadTrace, PhaseLookupByTime) {
   const workload::WorkloadTrace trace({
@@ -54,163 +53,10 @@ TEST(WorkloadTrace, BuiltinTracesValid) {
   EXPECT_TRUE(has_relaxed);
 }
 
-// ----------------------------------------------------------- trace runner --
-
-class TraceRunnerTest : public ::testing::Test {
- protected:
-  TraceRunnerTest() : pipeline_(core::Approach::kProposed, 2.0e-3) {}
-  core::ApproachPipeline pipeline_;
-};
-
-TEST_F(TraceRunnerTest, RunsDailyTraceWithinLimits) {
-  core::TraceRunner runner(pipeline_.server(), pipeline_.scheduler(),
-                           {.control_period_s = 1.0});
-  const core::TraceResult result =
-      runner.run(workload::make_daily_trace(4.0));
-  EXPECT_EQ(result.phases.size(), 6u);
-  EXPECT_FALSE(result.tcase_limit_exceeded);
-  EXPECT_GT(result.total_energy_j, 0.0);
-  for (const core::PhaseRecord& r : result.phases) {
-    EXPECT_GT(r.peak_tcase_c, 30.0);
-    EXPECT_LE(r.peak_tcase_c, 85.0);
-    EXPECT_GE(r.peak_die_c, r.peak_tcase_c);  // die is always hotter
-    EXPECT_GT(r.avg_power_w, 20.0);
-    EXPECT_NEAR(r.energy_j, r.avg_power_w * 4.0 *
-                    (r.phase_index == 0 || r.phase_index == 5 ? 2.0
-                     : r.phase_index == 2 || r.phase_index == 4 ? 1.5
-                                                                : 1.0),
-                1e-6);
-  }
-}
-
-TEST_F(TraceRunnerTest, InteractivePhasesRunHotterThanBatch) {
-  core::TraceRunner runner(pipeline_.server(), pipeline_.scheduler(),
-                           {.control_period_s = 1.0});
-  const core::TraceResult result =
-      runner.run(workload::make_daily_trace(6.0));
-  // Phase 1 is the 1x x264 burst; phase 0 is the 3x overnight batch.
-  EXPECT_GT(result.phases[1].avg_power_w, result.phases[0].avg_power_w);
-  EXPECT_GT(result.phases[1].peak_die_c, result.phases[0].peak_die_c);
-}
-
-TEST_F(TraceRunnerTest, ThermalStateCarriesAcrossPhases) {
-  // A light phase right after a heavy one starts warm: its *end* TCASE is
-  // lower than its *start* (cooling down), which is only observable if the
-  // state is carried over.
-  core::TraceRunner runner(pipeline_.server(), pipeline_.scheduler(),
-                           {.control_period_s = 0.5});
-  const workload::WorkloadTrace trace({
-      {"x264", {1.0}, 8.0},
-      {"canneal", {3.0}, 8.0},
-  });
-  const core::TraceResult result = runner.run(trace);
-  ASSERT_EQ(result.phases.size(), 2u);
-  // The batch phase's peak is at its beginning (inherited heat).
-  EXPECT_GT(result.phases[1].peak_tcase_c,
-            result.phases[1].end_tcase_c + 0.2);
-}
-
-// Edge cases feeding the datacenter fleet layer (which consumes the same
-// WorkloadTrace streams): the empty trace is unconstructible, a
-// single-phase trace runs end to end, and a phase that cannot hold the
-// TCASE limit raises tcase_limit_exceeded (tests/datacenter_test.cpp
-// verifies the same condition lands in the fleet QoS-violation counts).
-
-TEST_F(TraceRunnerTest, EmptyTraceIsUnconstructible) {
-  // There is no empty-trace run: validation rejects it before any runner
-  // (or the fleet layer) can see one.
+TEST(WorkloadTrace, EmptyTraceIsUnconstructible) {
+  // There is no empty-trace run: validation rejects it before the fleet
+  // layer (or its transient engine) can see one.
   EXPECT_THROW(workload::WorkloadTrace({}), util::PreconditionError);
-}
-
-TEST_F(TraceRunnerTest, SinglePhaseTraceRunsOneConsistentRecord) {
-  core::TraceRunner runner(pipeline_.server(), pipeline_.scheduler(),
-                           {.control_period_s = 1.0});
-  const workload::WorkloadTrace trace({{"x264", {2.0}, 3.0}});
-  const core::TraceResult result = runner.run(trace);
-  ASSERT_EQ(result.phases.size(), 1u);
-  const core::PhaseRecord& r = result.phases[0];
-  EXPECT_EQ(r.phase_index, 0u);
-  EXPECT_EQ(r.benchmark, "x264");
-  EXPECT_DOUBLE_EQ(r.qos_factor, 2.0);
-  EXPECT_GT(r.peak_tcase_c, 0.0);
-  EXPECT_GE(r.peak_tcase_c, r.end_tcase_c);
-  EXPECT_GE(r.peak_die_c, r.peak_tcase_c);
-  EXPECT_FALSE(result.tcase_limit_exceeded);
-  // Trace totals degenerate to the single phase.
-  EXPECT_DOUBLE_EQ(result.peak_tcase_c, r.peak_tcase_c);
-  EXPECT_DOUBLE_EQ(result.total_energy_j, r.energy_j);
-}
-
-TEST_F(TraceRunnerTest, FlagsPhaseExceedingTcaseLimit) {
-  // A limit below the start temperature is exceeded from the first step.
-  core::TraceRunner runner(pipeline_.server(), pipeline_.scheduler(),
-                           {.control_period_s = 1.0,
-                            .tcase_limit_c = 30.0,
-                            .start_temperature_c = 35.0});
-  const core::TraceResult result =
-      runner.run(workload::WorkloadTrace({{"x264", {1.0}, 2.0}}));
-  EXPECT_TRUE(result.tcase_limit_exceeded);
-  EXPECT_GT(result.peak_tcase_c, 30.0);
-}
-
-TEST_F(TraceRunnerTest, FinalStepClampsToThePhaseBoundary) {
-  // Regression: `steps = ceil(duration / period)` with every step a full
-  // period integrated a 1.1 s phase at a 0.5 s period for 1.5 s — the
-  // thermal state overshot the boundary while energy_j covered 1.1 s.
-  // The final step is now clamped to the remainder.
-  const workload::WorkloadTrace trace({{"x264", {2.0}, 1.1}});
-
-  core::TraceRunner half(pipeline_.server(), pipeline_.scheduler(),
-                         {.control_period_s = 0.5});
-  const core::TraceResult at_half = half.run(trace);
-  ASSERT_EQ(at_half.phases.size(), 1u);
-  // Exact landing (by assignment, not accumulation) and the clamped step
-  // count: 0.5 + 0.5 + 0.1.
-  EXPECT_EQ(at_half.phases[0].sim_time_s, 1.1);
-  EXPECT_EQ(at_half.phases[0].steps, 3u);
-
-  // A 0.55 s period divides 1.1 s evenly — same window, no clamp needed.
-  // Both runs now integrate the same 1.1 s, so their end states agree to
-  // discretization error; the buggy runner's extra 0.4 s of heating put
-  // them much further apart.
-  core::TraceRunner even(pipeline_.server(), pipeline_.scheduler(),
-                         {.control_period_s = 0.55});
-  const core::TraceResult at_even = even.run(trace);
-  EXPECT_EQ(at_even.phases[0].sim_time_s, 1.1);
-  EXPECT_EQ(at_even.phases[0].steps, 2u);
-  EXPECT_NEAR(at_half.phases[0].end_tcase_c, at_even.phases[0].end_tcase_c,
-              0.5);
-
-  // The buggy integrator behaved exactly like a 1.5 s phase at the same
-  // period; the clamped one must stop strictly earlier on the heating
-  // curve.
-  const core::TraceResult at_full =
-      half.run(workload::WorkloadTrace({{"x264", {2.0}, 1.5}}));
-  EXPECT_LT(at_half.phases[0].end_tcase_c, at_full.phases[0].end_tcase_c);
-
-  // energy_j and the thermal state cover the same 1.1 s window.
-  EXPECT_NEAR(at_half.phases[0].energy_j,
-              at_half.phases[0].avg_power_w * 1.1, 1e-9);
-}
-
-TEST_F(TraceRunnerTest, IntegerMultiplePhasesKeepFullPeriodSteps) {
-  // Phases that divide evenly by the period are untouched by the clamp.
-  core::TraceRunner runner(pipeline_.server(), pipeline_.scheduler(),
-                           {.control_period_s = 1.0});
-  const core::TraceResult result =
-      runner.run(workload::WorkloadTrace({{"x264", {2.0}, 3.0}}));
-  ASSERT_EQ(result.phases.size(), 1u);
-  EXPECT_EQ(result.phases[0].sim_time_s, 3.0);
-  EXPECT_EQ(result.phases[0].steps, 3u);
-}
-
-TEST_F(TraceRunnerTest, EnergyAccumulatesOverPhases) {
-  core::TraceRunner runner(pipeline_.server(), pipeline_.scheduler(), {});
-  const core::TraceResult result =
-      runner.run(workload::make_stress_trace(2.0));
-  double sum = 0.0;
-  for (const auto& r : result.phases) sum += r.energy_j;
-  EXPECT_NEAR(result.total_energy_j, sum, 1e-9);
 }
 
 }  // namespace

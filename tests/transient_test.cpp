@@ -2,8 +2,9 @@
 // error-estimate and step-to-boundary choosers), the embedded
 // step-doubling error step, and the TransientFleetEngine — exact boundary
 // landing, fewer steps than the fixed-period baseline on smooth traces,
-// bit-identity across thread counts, snapshot-warm replay with zero
-// misses, and per-stream thermal-state chaining.
+// the fixed-period mode's final-step clamp, a day-like trace on one
+// server, bit-identity across thread counts, snapshot-warm replay with
+// zero misses, and per-stream thermal-state chaining.
 
 #include <gtest/gtest.h>
 
@@ -208,6 +209,21 @@ datacenter::FleetConfig small_fleet() {
   return datacenter::make_heterogeneous_fleet(2, 2, kCell);
 }
 
+/// One proposed-design server whose only supply candidate is 30 °C water:
+/// the engine as a single-server trace player.
+datacenter::FleetConfig one_server_fleet() {
+  datacenter::FleetConfig config =
+      datacenter::make_heterogeneous_fleet(1, 1, kCell);
+  config.racks[0].supply_candidates_c = {30.0};
+  return config;
+}
+
+datacenter::TransientEngineConfig fixed_period(double dt_s) {
+  datacenter::TransientEngineConfig config;
+  config.fixed_dt_s = dt_s;
+  return config;
+}
+
 std::vector<workload::WorkloadTrace> smooth_streams() {
   // Two phases per stream with awkward durations: the engine must land on
   // 1.1, 1.8 (stream 0) and 1.1 + 0.7 interior boundaries exactly.
@@ -236,10 +252,9 @@ TEST_F(TransientEngineTest, AdaptiveTakesFewerStepsThanTheFixedBaseline) {
   const std::vector<workload::WorkloadTrace> streams{
       workload::WorkloadTrace({{"x264", {2.0}, 180.0}})};
 
-  datacenter::TransientEngineConfig fixed;
-  fixed.fixed_dt_s = 0.5;  // the TraceRunner-style reference integrator
   const datacenter::TransientFleetResult fixed_run =
-      datacenter::TransientFleetEngine(small_fleet(), fixed).run(streams);
+      datacenter::TransientFleetEngine(small_fleet(), fixed_period(0.5))
+          .run(streams);
 
   core::SolveCache::global()->clear();
   const datacenter::TransientEngineConfig adaptive;  // defaults
@@ -262,6 +277,60 @@ TEST_F(TransientEngineTest, AdaptiveTakesFewerStepsThanTheFixedBaseline) {
   // a few times the step tolerance.
   EXPECT_NEAR(adaptive_run.peak_tcase_c, fixed_run.peak_tcase_c, 1.0);
   EXPECT_EQ(adaptive_run.qos_violations, 0u);
+}
+
+TEST_F(TransientEngineTest, FixedPeriodClampsTheFinalStepToTheBoundary) {
+  // A 1.1 s phase at a 0.5 s period integrates 0.5 + 0.5 + 0.1 s, never a
+  // third full period (the engine's own check pins the exact landing).
+  const auto play = [](double duration_s, double period_s) {
+    const datacenter::TransientFleetResult result =
+        datacenter::TransientFleetEngine(one_server_fleet(),
+                                         fixed_period(period_s))
+            .run({workload::WorkloadTrace({{"x264", {2.0}, duration_s}})});
+    EXPECT_EQ(result.intervals.size(), 1u);
+    return result.intervals.at(0).jobs.at(0);
+  };
+  const datacenter::TransientJobOutcome at_half = play(1.1, 0.5);
+  EXPECT_EQ(at_half.steps, 3u);
+
+  // A 0.55 s period divides 1.1 s evenly: same window, no clamp needed,
+  // so the end states agree to discretization error.
+  const datacenter::TransientJobOutcome at_even = play(1.1, 0.55);
+  EXPECT_EQ(at_even.steps, 2u);
+  EXPECT_NEAR(at_half.end_tcase_c, at_even.end_tcase_c, 0.5);
+
+  // An unclamped integrator would behave exactly like a 1.5 s phase at the
+  // same period; the clamped one stops strictly earlier on the heating
+  // curve.
+  EXPECT_LT(at_half.end_tcase_c, play(1.5, 0.5).end_tcase_c);
+
+  // Phases that divide evenly by the period keep full-period steps.
+  EXPECT_EQ(play(3.0, 1.0).steps, 3u);
+}
+
+TEST_F(TransientEngineTest, DailyTraceOnOneServerStaysWithinLimits) {
+  // The day-like trace at a 1 s period: every phase stays under the 85 °C
+  // limit with the die hotter than the case, and the 1x interactive burst
+  // (phase 1) draws more power and runs hotter than the 3x overnight batch
+  // before it (phase 0).
+  const datacenter::TransientFleetResult result =
+      datacenter::TransientFleetEngine(one_server_fleet(), fixed_period(1.0))
+          .run({workload::make_daily_trace(4.0)});
+  ASSERT_EQ(result.intervals.size(), 6u);
+  EXPECT_EQ(result.qos_violations, 0u);
+  for (std::size_t i = 0; i < result.intervals.size(); ++i) {
+    SCOPED_TRACE("phase " + std::to_string(i));
+    const datacenter::TransientJobOutcome& job =
+        result.intervals[i].jobs.at(0);
+    EXPECT_GT(job.peak_tcase_c, 30.0);
+    EXPECT_LE(job.peak_tcase_c, 85.0);
+    EXPECT_GE(job.peak_die_c, job.peak_tcase_c);
+    EXPECT_GT(result.steady.intervals[i].it_power_w, 20.0);
+  }
+  EXPECT_GT(result.steady.intervals[1].it_power_w,
+            result.steady.intervals[0].it_power_w);
+  EXPECT_GT(result.intervals[1].jobs[0].peak_die_c,
+            result.intervals[0].jobs[0].peak_die_c);
 }
 
 TEST_F(TransientEngineTest, BitIdenticalAcrossThreadCounts) {
@@ -315,31 +384,44 @@ TEST_F(TransientEngineTest, ThermalStateFollowsTheStreamAcrossIntervals) {
   // Heavy phase then light phase on one stream: the light phase starts
   // warm (inherited field), so its peak is at its beginning and it cools
   // toward its end — only observable if the segment chain carries state.
+  // Adaptive and fixed-period stepping alike.
   const std::vector<workload::WorkloadTrace> streams{workload::WorkloadTrace(
       {{"x264", {1.0}, 8.0}, {"canneal", {3.0}, 8.0}})};
-  const datacenter::TransientEngineConfig config;
-  const datacenter::TransientFleetResult result =
-      datacenter::TransientFleetEngine(small_fleet(), config).run(streams);
+  for (const double fixed_dt_s : {0.0, 0.5}) {
+    SCOPED_TRACE("fixed_dt_s=" + std::to_string(fixed_dt_s));
+    const datacenter::TransientFleetResult result =
+        datacenter::TransientFleetEngine(small_fleet(),
+                                         fixed_period(fixed_dt_s))
+            .run(streams);
 
-  ASSERT_EQ(result.intervals.size(), 2u);
-  ASSERT_EQ(result.intervals[1].jobs.size(), 1u);
-  const datacenter::TransientJobOutcome& light = result.intervals[1].jobs[0];
-  EXPECT_GT(light.peak_tcase_c, light.end_tcase_c + 0.2);
-  // And the heavy phase heated up from the uniform start.
-  const datacenter::TransientJobOutcome& heavy = result.intervals[0].jobs[0];
-  EXPECT_GT(heavy.end_tcase_c, 36.0);
-  EXPECT_GE(heavy.peak_die_c, heavy.peak_tcase_c);
+    ASSERT_EQ(result.intervals.size(), 2u);
+    ASSERT_EQ(result.intervals[1].jobs.size(), 1u);
+    const datacenter::TransientJobOutcome& light =
+        result.intervals[1].jobs[0];
+    EXPECT_GT(light.peak_tcase_c, light.end_tcase_c + 0.2);
+    // And the heavy phase heated up from the uniform start.
+    const datacenter::TransientJobOutcome& heavy =
+        result.intervals[0].jobs[0];
+    EXPECT_GT(heavy.end_tcase_c, 36.0);
+    EXPECT_GE(heavy.peak_die_c, heavy.peak_tcase_c);
+  }
 }
 
 TEST_F(TransientEngineTest, TransientPeaksAboveTheLimitCountViolations) {
+  // A limit below the 35 °C start is exceeded from the first step, with
+  // adaptive and fixed-period stepping alike.
   datacenter::FleetConfig config = small_fleet();
   for (datacenter::RackSpec& rack : config.racks) rack.tcase_limit_c = 30.0;
-  const datacenter::TransientFleetResult result =
-      datacenter::TransientFleetEngine(config, {})
-          .run({workload::WorkloadTrace({{"x264", {1.0}, 2.0}})});
-  EXPECT_GE(result.qos_violations, 1u);
-  ASSERT_EQ(result.intervals.size(), 1u);
-  EXPECT_TRUE(result.intervals[0].jobs[0].tcase_limit_exceeded);
+  for (const double fixed_dt_s : {0.0, 1.0}) {
+    SCOPED_TRACE("fixed_dt_s=" + std::to_string(fixed_dt_s));
+    const datacenter::TransientFleetResult result =
+        datacenter::TransientFleetEngine(config, fixed_period(fixed_dt_s))
+            .run({workload::WorkloadTrace({{"x264", {1.0}, 2.0}})});
+    EXPECT_GE(result.qos_violations, 1u);
+    EXPECT_GT(result.peak_tcase_c, 30.0);
+    ASSERT_EQ(result.intervals.size(), 1u);
+    EXPECT_TRUE(result.intervals[0].jobs[0].tcase_limit_exceeded);
+  }
 }
 
 }  // namespace
