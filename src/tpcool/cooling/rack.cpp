@@ -7,10 +7,9 @@
 namespace tpcool::cooling {
 
 RackCoolingState solve_rack_cooling(const std::vector<ServerDemand>& demands,
-                                    const ChillerModel& chiller,
-                                    double max_setpoint_c) {
+                                    const ChillerModel& chiller) {
   TPCOOL_REQUIRE(!demands.empty(), "rack has no servers");
-  double setpoint_c = max_setpoint_c;
+  double setpoint_c = kDefaultMaxSetpointC;
   for (const ServerDemand& d : demands) {
     setpoint_c = std::min(setpoint_c, d.max_supply_temp_c);
   }

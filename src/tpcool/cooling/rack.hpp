@@ -28,15 +28,15 @@ struct RackCoolingState {
   double chiller_electrical_w = 0.0;  ///< COP-model electrical power.
 };
 
-/// The default ceiling on a rack's shared water setpoint.
+/// The ceiling on a rack's shared water setpoint.
 inline constexpr double kDefaultMaxSetpointC = 45.0;
 
 /// Compute the shared-loop state for a set of server demands.
 /// The supply setpoint is the minimum of the per-server maxima (every
-/// thermosyphon must stay feasible), never above `max_setpoint_c`.
+/// thermosyphon must stay feasible), never above `kDefaultMaxSetpointC`.
+/// This is the one place the §V shared-setpoint rule lives.
 [[nodiscard]] RackCoolingState solve_rack_cooling(
-    const std::vector<ServerDemand>& demands, const ChillerModel& chiller,
-    double max_setpoint_c = kDefaultMaxSetpointC);
+    const std::vector<ServerDemand>& demands, const ChillerModel& chiller);
 
 /// Compute the shared-loop state at a *forced* setpoint (a fleet
 /// controller's biased operating point).  Same downstream arithmetic as

@@ -6,9 +6,9 @@
 /// fans out the many independent ServerModel solves an experiment issues
 /// (Table II's approach × QoS × benchmark grid, Fig. 6 scenarios, the
 /// oracle's subset enumeration, rack supply-temperature scans) over the
-/// global util::ThreadPool.  A `parallel_map` nested inside another one
-/// (RackCoordinator::plan inside a fleet engine) finds the pool busy and
-/// runs its chunks serially, with the same boundaries.
+/// global util::ThreadPool.  A `parallel_map` called from inside another
+/// one's body finds the pool busy and runs its chunks serially, with the
+/// same boundaries.
 ///
 /// Determinism discipline:
 ///  - Tasks are split into chunks on fixed boundaries derived only from

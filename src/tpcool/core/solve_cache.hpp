@@ -163,8 +163,8 @@ class SolveCache {
   static void attach_persistent_file(const std::shared_ptr<SolveCache>& cache,
                                      std::string path);
 
-  /// Process-wide cache shared by the experiment runners, the rack
-  /// coordinator and the oracle sweeps.  Reads TPCOOL_SOLVE_CACHE_CAPACITY
+  /// Process-wide cache shared by the experiment runners, the fleet
+  /// engines and the oracle sweeps.  Reads TPCOOL_SOLVE_CACHE_CAPACITY
   /// (entries) and TPCOOL_SOLVE_CACHE_FILE (snapshot path) once, at first
   /// use.
   [[nodiscard]] static const std::shared_ptr<SolveCache>& global();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <utility>
 
 #include "tpcool/datacenter/streaming.hpp"
@@ -16,6 +17,12 @@ void validate_fleet_config(const FleetConfig& config) {
     TPCOOL_REQUIRE(rack.servers >= 1, "rack needs at least one server");
     TPCOOL_REQUIRE(!rack.supply_candidates_c.empty(),
                    "rack needs supply-temperature candidates");
+    TPCOOL_REQUIRE(std::adjacent_find(rack.supply_candidates_c.begin(),
+                                      rack.supply_candidates_c.end(),
+                                      std::less_equal<>()) ==
+                       rack.supply_candidates_c.end(),
+                   "rack supply-temperature candidates must be strictly "
+                   "descending");
     TPCOOL_REQUIRE(rack.cell_size_m > 0.0, "cell size must be positive");
   }
   for (const FleetEvent& event : config.events) {

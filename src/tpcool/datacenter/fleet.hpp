@@ -36,7 +36,9 @@ struct RackSpec {
   std::size_t servers = 4;          ///< Capacity: one job per server.
   double cell_size_m = 2.0e-3;      ///< Coarse default: fleet = many solves.
   double tcase_limit_c = 85.0;
-  /// Candidate supply temperatures scanned per server, descending.
+  /// Candidate supply temperatures scanned per server, strictly
+  /// descending: the first feasible one is the server's maximum and the
+  /// last is the coldest.
   std::vector<double> supply_candidates_c{40.0, 35.0, 30.0, 25.0, 20.0,
                                           15.0};
   cooling::ChillerModel chiller;
@@ -151,9 +153,10 @@ struct FleetResult {
 };
 
 /// Validate a `FleetConfig` (nonempty racks, positive server counts and
-/// cell sizes, nonempty supply-candidate lists, a registered placement
-/// policy).  Throws PreconditionError on the first violation.  Shared by
-/// `FleetModel` and `StreamingFleetEngine` so both fail identically.
+/// cell sizes, nonempty and strictly descending supply-candidate lists, a
+/// registered placement policy).  Throws PreconditionError on the first
+/// violation.  Shared by `FleetModel` and `StreamingFleetEngine` so both
+/// fail identically.
 void validate_fleet_config(const FleetConfig& config);
 
 /// N racks, one placement policy, trace-driven.
@@ -163,10 +166,11 @@ void validate_fleet_config(const FleetConfig& config);
 /// intervals; in each interval every still-active stream contributes one
 /// job, jobs are dispatched to racks by the placement policy (in stream
 /// order), each loaded rack solves the §V shared-cooling problem, and the
-/// per-interval metrics aggregate up.  Unlike `RackCoordinator::plan`, a
-/// server that is infeasible at every supply candidate does not throw: it
-/// runs pinned at the coldest candidate and counts a QoS violation, so a
-/// fleet sweep survives hot traces and reports them instead of dying.
+/// per-interval metrics aggregate up.  A one-rack fleet with one
+/// single-phase stream per server is the paper's §V rack plan.  A server
+/// that is infeasible at every supply candidate does not throw: it runs
+/// pinned at the coldest candidate and counts a QoS violation, so a fleet
+/// sweep survives hot traces and reports them instead of dying.
 ///
 /// `run` is a thin wrapper over `StreamingFleetEngine` (streaming.hpp)
 /// with the `FleetResultAggregator` observer — batch and streaming runs

@@ -25,8 +25,7 @@ namespace tpcool::datacenter {
 
 namespace {
 
-/// One job per chunk: every (rack, server) slot scans independently,
-/// exactly like the rack coordinator.
+/// One job per chunk: every (rack, server) slot scans independently.
 constexpr std::size_t kFleetGrain = 1;
 
 /// Phase-1 outcome of one job: the schedule and the supply-temperature
@@ -58,8 +57,7 @@ StreamingFleetEngine::StreamingFleetEngine(
   }
 
   // Per-rack design water flow (the §VI-C operating point of the rack's
-  // approach), fixed over the run like in the rack coordinator, and the
-  // rack's decision pipeline.
+  // approach), fixed over the run, and the rack's decision pipeline.
   design_flow_kg_h_.resize(config_.racks.size());
   rack_scheduler_.resize(config_.racks.size());
   for (std::size_t r = 0; r < config_.racks.size(); ++r) {
@@ -291,9 +289,9 @@ bool StreamingFleetEngine::advance() {
     }
   }
 
-  // Shared loop per rack: setpoint = min over its servers' maxima, then
-  // the controller bias (clamped to [coldest candidate, default max]) —
-  // a zero bias takes the exact unbiased path, so zero-gain control is
+  // Shared loop per rack: the §V setpoint rule (cooling::solve_rack_cooling),
+  // then the controller bias, clamped to [coldest candidate, default max]
+  // — a zero bias takes the exact unbiased path, so zero-gain control is
   // bit-identical to no control.  The chiller is the event timeline's
   // current one, not the spec's.
   std::vector<cooling::RackCoolingState> rack_cooling(config_.racks.size());
@@ -304,18 +302,13 @@ bool StreamingFleetEngine::advance() {
       demands.push_back({scans[j].demand_power_w, scans[j].max_supply_temp_c,
                          design_flow_kg_h_[r]});
     }
-    if (!demands.empty()) {
-      double setpoint = cooling::kDefaultMaxSetpointC;
-      for (const cooling::ServerDemand& demand : demands) {
-        setpoint = std::min(setpoint, demand.max_supply_temp_c);
-      }
-      if (bias[r] != 0.0) {
-        const double coldest =
-            *std::min_element(config_.racks[r].supply_candidates_c.begin(),
-                              config_.racks[r].supply_candidates_c.end());
-        setpoint = std::min(cooling::kDefaultMaxSetpointC,
-                            std::max(coldest, setpoint + bias[r]));
-      }
+    if (demands.empty()) continue;
+    rack_cooling[r] = cooling::solve_rack_cooling(demands, chiller_[r]);
+    if (bias[r] != 0.0) {
+      const double coldest = config_.racks[r].supply_candidates_c.back();
+      const double setpoint =
+          std::min(cooling::kDefaultMaxSetpointC,
+                   std::max(coldest, rack_cooling[r].supply_temp_c + bias[r]));
       rack_cooling[r] =
           cooling::solve_rack_cooling_at(demands, chiller_[r], setpoint);
     }
@@ -630,8 +623,13 @@ std::size_t get_count(std::string_view text, const std::string& key) {
   return parse_count(get_scalar(text, key), key);
 }
 
+/// `key`'s value, which must be exactly `true` or `false`.
 bool get_bool(std::string_view text, const std::string& key) {
-  return find_value(text, key).substr(0, 4) == "true";
+  const std::string_view token = get_scalar(text, key);
+  TPCOOL_REQUIRE(token == "true" || token == "false",
+                 "fleet JSONL replay: '" + key + "' is not a boolean: '" +
+                     std::string(token) + "'");
+  return token == "true";
 }
 
 std::string get_string(std::string_view text, const std::string& key) {

@@ -147,8 +147,8 @@ void ThreadPool::parallel_for(
 
   std::unique_lock lock(mutex_);
   if (job_active_) {
-    // A job is already in flight: this is a nested parallel_map (e.g.
-    // RackCoordinator::plan inside a fleet engine's fan-out). Run it on the
+    // A job is already in flight: this is a nested parallel_map (a
+    // parallel_map called from inside another one's body). Run it on the
     // serial chunked path instead of corrupting the active job.
     lock.unlock();
     for (std::size_t lo = begin; lo < end; lo += grain) {

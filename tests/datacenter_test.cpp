@@ -1,12 +1,13 @@
 // Tests for the datacenter fleet layer: placement-policy units and the
 // registry, FleetModel validation and metrics accounting, bit-identity of
 // fleet sweeps at 1/2/4 threads and for cold vs snapshot-warmed caches,
-// and the propagation of TCASE-limit violations into the fleet QoS
-// counters (the steady-state analogue of the transient engine's
-// qos_violations).
+// the one-rack §V plan against plain uncached solves, and the propagation
+// of TCASE-limit violations into the fleet QoS counters (the steady-state
+// analogue of the transient engine's qos_violations).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -14,12 +15,14 @@
 #include <vector>
 
 #include "tpcool/core/pipeline_pool.hpp"
+#include "tpcool/core/server.hpp"
 #include "tpcool/core/solve_cache.hpp"
 #include "tpcool/datacenter/fleet.hpp"
 #include "tpcool/datacenter/placement.hpp"
 #include "tpcool/datacenter/transient.hpp"
 #include "tpcool/util/error.hpp"
 #include "tpcool/util/thread_pool.hpp"
+#include "tpcool/workload/benchmark.hpp"
 
 namespace tpcool::datacenter {
 namespace {
@@ -149,6 +152,14 @@ TEST_F(DatacenterTest, ValidatesConfigAndStreams) {
   FleetConfig no_servers = two_rack_fleet();
   no_servers.racks[0].servers = 0;
   EXPECT_THROW(FleetModel(std::move(no_servers)), util::PreconditionError);
+  // Supply candidates are scanned in order, so they must descend strictly:
+  // ascending, a hot server would report the coldest candidate as its max.
+  for (const std::vector<double>& candidates :
+       {std::vector<double>{15.0, 40.0}, std::vector<double>{40.0, 40.0}}) {
+    FleetConfig unordered = two_rack_fleet();
+    unordered.racks[1].supply_candidates_c = candidates;
+    EXPECT_THROW(FleetModel(std::move(unordered)), util::PreconditionError);
+  }
 
   FleetModel fleet(two_rack_fleet());
   EXPECT_EQ(fleet.total_capacity(), 4u);
@@ -382,6 +393,122 @@ TEST_F(DatacenterTest, FleetBitIdenticalColdVsSnapshotWarmedCache) {
   EXPECT_GT(stats.hits, 0u);
   expect_fleet_identical(cold, warm);
   std::remove(path.c_str());
+}
+
+// -------------------------------------------------------- the §V rack plan --
+
+/// One rack of `servers` proposed servers behind one chiller.
+FleetConfig one_rack(std::size_t servers) {
+  RackSpec rack;
+  rack.servers = servers;
+  rack.cell_size_m = kCell;
+  FleetConfig config;
+  config.racks = {rack};
+  return config;
+}
+
+/// One single-phase stream per benchmark: a one-interval fleet run is the
+/// paper's rack plan for those servers.
+std::vector<workload::WorkloadTrace> one_phase_streams(
+    const std::vector<std::string>& benchmarks) {
+  std::vector<workload::WorkloadTrace> streams;
+  for (const std::string& name : benchmarks) {
+    streams.emplace_back(
+        std::vector<workload::TracePhase>{{name, {2.0}, 1.0}});
+  }
+  return streams;
+}
+
+TEST_F(DatacenterTest, OneRackFleetBitIdenticalToPlainSolves) {
+  // The reference the engine must match: every solve a plain, uncached
+  // ServerModel built from server_config_for, serial, with no cache and no
+  // pool anywhere.
+  const std::vector<std::string> names{"x264", "canneal", "swaptions"};
+  const FleetConfig config = one_rack(names.size());
+  const RackSpec& spec = config.racks[0];
+  const double design_flow =
+      core::server_config_for(spec.approach, spec.cell_size_m)
+          .operating_point.water_flow_kg_h;
+  core::ApproachPipeline decider(spec.approach, spec.cell_size_m);
+  std::vector<core::ScheduleDecision> decisions;
+  for (const std::string& name : names) {
+    decisions.push_back(decider.scheduler().schedule(
+        workload::find_benchmark(name), workload::QoSRequirement{2.0}));
+  }
+  const auto plain_solve = [&](std::size_t i, double t_w) {
+    core::ServerModel server(
+        core::server_config_for(spec.approach, spec.cell_size_m));
+    server.set_operating_point(
+        {.water_flow_kg_h = design_flow, .water_inlet_c = t_w});
+    return server.simulate(workload::find_benchmark(names[i]),
+                           decisions[i].point.config, decisions[i].cores,
+                           decisions[i].idle_state);
+  };
+
+  // Highest feasible supply per server, the shared loop over those
+  // demands, then every server at the shared setpoint.
+  std::vector<cooling::ServerDemand> demands;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    for (const double t_w : spec.supply_candidates_c) {
+      const core::SimulationResult sim = plain_solve(i, t_w);
+      if (sim.tcase_c <= spec.tcase_limit_c) {
+        demands.push_back({sim.total_power_w, t_w, design_flow});
+        break;
+      }
+    }
+  }
+  ASSERT_EQ(demands.size(), names.size());  // every server feasible
+  const cooling::RackCoolingState reference =
+      cooling::solve_rack_cooling(demands, spec.chiller);
+  std::vector<core::SimulationResult> at_setpoint;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    at_setpoint.push_back(plain_solve(i, reference.supply_temp_c));
+  }
+
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    util::ThreadPool::set_global_thread_count(threads);
+    core::SolveCache::global()->clear();
+    const FleetResult result =
+        FleetModel(config).run(one_phase_streams(names));
+    ASSERT_EQ(result.intervals.size(), 1u);
+    const FleetInterval& iv = result.intervals[0];
+    ASSERT_EQ(iv.jobs.size(), names.size());
+    double min_supply = cooling::kDefaultMaxSetpointC;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      SCOPED_TRACE("server=" + names[i]);
+      const JobOutcome& job = iv.jobs[i];
+      EXPECT_EQ(job.benchmark, names[i]);
+      // Bitwise: caching, pipeline reuse and threads must be unobservable.
+      EXPECT_EQ(job.max_supply_temp_c, demands[i].max_supply_temp_c);
+      EXPECT_EQ(job.die_max_c, at_setpoint[i].die.max_c);
+      EXPECT_EQ(job.package_power_w, at_setpoint[i].total_power_w);
+      EXPECT_FALSE(job.tcase_limit_exceeded);
+      min_supply = std::min(min_supply, job.max_supply_temp_c);
+    }
+    const cooling::RackCoolingState& cooling = iv.racks[0].cooling;
+    EXPECT_EQ(cooling.supply_temp_c, reference.supply_temp_c);
+    EXPECT_EQ(cooling.return_temp_c, reference.return_temp_c);
+    EXPECT_EQ(cooling.total_flow_kg_h, reference.total_flow_kg_h);
+    EXPECT_EQ(cooling.total_heat_w, reference.total_heat_w);
+    EXPECT_EQ(cooling.chiller_lift_power_w, reference.chiller_lift_power_w);
+    EXPECT_EQ(cooling.chiller_electrical_w, reference.chiller_electrical_w);
+    // The shared setpoint is the minimum over servers, and feasible.
+    EXPECT_EQ(cooling.supply_temp_c, min_supply);
+    EXPECT_GT(cooling.return_temp_c, cooling.supply_temp_c);
+    EXPECT_GT(cooling.chiller_electrical_w, 0.0);
+  }
+}
+
+TEST_F(DatacenterTest, HeavierRackNeedsMorePower) {
+  const auto plan = [](const std::vector<std::string>& names) {
+    return FleetModel(one_rack(3)).run(one_phase_streams(names))
+        .intervals[0].racks[0].cooling;
+  };
+  const cooling::RackCoolingState small = plan({"canneal"});
+  const cooling::RackCoolingState large = plan({"canneal", "x264", "facesim"});
+  EXPECT_GT(large.total_heat_w, small.total_heat_w);
+  EXPECT_GE(large.chiller_electrical_w, small.chiller_electrical_w);
 }
 
 // ------------------------------------------------- QoS-violation plumbing --

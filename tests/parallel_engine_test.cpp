@@ -1,10 +1,10 @@
 // Tests for the parallel experiment engine: the solve key's golden bytes,
 // PipelinePool checkout/reuse semantics and that only cache misses check
-// pipelines out, parallel_map determinism and error propagation, the
-// history independence of pipeline solves, and the headline contract —
+// pipelines out, parallel_map determinism, nesting and error propagation,
+// the history independence of pipeline solves, and the headline contract —
 // experiment results bit-identical at 1, 2, and N threads (run_fig3/
-// run_table1, run_fig6_scenarios, optimize_design, RackCoordinator::plan),
-// for cold vs snapshot-warmed caches, and against plain uncached solves.
+// run_table1, run_fig6_scenarios, optimize_design) and for cold vs
+// snapshot-warmed caches.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "tpcool/core/experiment.hpp"
 #include "tpcool/core/parallel.hpp"
 #include "tpcool/core/pipeline_pool.hpp"
-#include "tpcool/core/rack_coordinator.hpp"
 #include "tpcool/core/solve_cache.hpp"
 #include "tpcool/datacenter/streaming.hpp"
 #include "tpcool/datacenter/workload_gen.hpp"
@@ -79,6 +78,30 @@ TEST_F(ParallelEngineTest, ParallelMapRethrowsFirstChunkError) {
   } catch (const std::runtime_error& error) {
     EXPECT_STREQ(error.what(), "chunk 3");  // chunk order, not finish order
   }
+}
+
+TEST_F(ParallelEngineTest, NestedParallelMapRunsSeriallyWithoutDeadlock) {
+  // A parallel_map called from inside another one's body finds the pool
+  // busy and runs its chunks serially on the same boundaries, so the
+  // nested result at 4 threads is the 1-thread result.
+  const auto run = [] {
+    return parallel_map<std::vector<int>>(
+        8, 1, [](std::size_t chunk) { return chunk; },
+        [](std::size_t&, std::size_t i) {
+          return parallel_map<int>(
+              10, 3, [](std::size_t chunk) { return static_cast<int>(chunk); },
+              [i](int& chunk, std::size_t j) {
+                return static_cast<int>(i) * 1000 + chunk * 100 +
+                       static_cast<int>(j);
+              });
+        });
+  };
+  util::ThreadPool::set_global_thread_count(1);
+  const std::vector<std::vector<int>> serial = run();
+  ASSERT_EQ(serial.size(), 8u);
+  EXPECT_EQ(serial[5][7], 5000 + 200 + 7);
+  util::ThreadPool::set_global_thread_count(4);
+  EXPECT_EQ(run(), serial);
 }
 
 // ------------------------------------------------------------ solve keys --
@@ -329,25 +352,6 @@ TEST_F(ParallelEngineTest, OnlyCacheMissesCheckOutPipelines) {
     const PipelinePool::Stats stats = PipelinePool::global().stats();
     return stats.constructions + stats.reuses;
   };
-  const auto expect_cold_then_warm = [&](const auto& run) {
-    SolveCache::global()->clear();
-    const std::size_t before = checkouts();
-    run();
-    const std::size_t misses = SolveCache::global()->stats().misses;
-    EXPECT_GT(misses, 0u);
-    EXPECT_EQ(checkouts() - before, misses);
-
-    const PipelinePool::Stats cold = PipelinePool::global().stats();
-    run();
-    const PipelinePool::Stats warm = PipelinePool::global().stats();
-    EXPECT_EQ(SolveCache::global()->stats().misses, misses);
-    EXPECT_EQ(warm.constructions, cold.constructions);
-    EXPECT_EQ(warm.reuses, cold.reuses);
-  };
-
-  RackCoordinator::Config rack;
-  rack.cell_size_m = kCell;
-  const std::vector<std::string> racks{"x264", "canneal", "swaptions"};
   datacenter::WorkloadGenConfig gen;
   gen.seed = 5;
   gen.streams = 3;
@@ -362,109 +366,19 @@ TEST_F(ParallelEngineTest, OnlyCacheMissesCheckOutPipelines) {
   for (const std::size_t threads : {1u, 4u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     util::ThreadPool::set_global_thread_count(threads);
-    expect_cold_then_warm([&] { (void)RackCoordinator(rack).plan(racks); });
-    expect_cold_then_warm(
-        [&] { datacenter::StreamingFleetEngine(fleet, streams).run(); });
-  }
-}
-
-TEST_F(ParallelEngineTest, RackPlanBitIdenticalToPlainSolves) {
-  // The reference the coordinator must match: every solve a plain,
-  // uncached ServerModel built from server_config_for, serial, with no
-  // cache and no pool anywhere.
-  RackCoordinator::Config config;
-  config.cell_size_m = kCell;
-  const std::vector<std::string> racks{"x264", "canneal", "swaptions"};
-  const double design_flow =
-      server_config_for(config.approach, config.cell_size_m)
-          .operating_point.water_flow_kg_h;
-  const auto plain_solve = [&](const ServerPlan& sp, double t_w) {
-    ServerModel server(server_config_for(config.approach, config.cell_size_m));
-    server.set_operating_point(
-        {.water_flow_kg_h = design_flow, .water_inlet_c = t_w});
-    return server.simulate(workload::find_benchmark(sp.benchmark),
-                           sp.decision.point.config, sp.decision.cores,
-                           sp.decision.idle_state);
-  };
-
-  ApproachPipeline decider(config.approach, config.cell_size_m);
-  RackPlan reference;
-  for (const std::string& name : racks) {
-    ServerPlan sp;
-    sp.benchmark = name;
-    sp.decision = decider.scheduler().schedule(workload::find_benchmark(name),
-                                               config.qos);
-    for (const double t_w : config.supply_candidates_c) {
-      const SimulationResult sim = plain_solve(sp, t_w);
-      if (sim.tcase_c <= config.tcase_limit_c) {
-        sp.max_supply_temp_c = t_w;
-        sp.package_power_w = sim.total_power_w;
-        break;
-      }
-    }
-    reference.servers.push_back(std::move(sp));
-  }
-  std::vector<cooling::ServerDemand> demands;
-  for (const ServerPlan& sp : reference.servers) {
-    demands.push_back({sp.package_power_w, sp.max_supply_temp_c, design_flow});
-  }
-  reference.cooling = cooling::solve_rack_cooling(demands, config.chiller);
-  for (ServerPlan& sp : reference.servers) {
-    sp.die_max_c = plain_solve(sp, reference.cooling.supply_temp_c).die.max_c;
-  }
-
-  for (const std::size_t threads : {1u, 4u}) {
-    util::ThreadPool::set_global_thread_count(threads);
     SolveCache::global()->clear();
-    const RackPlan plan = RackCoordinator(config).plan(racks);
-    ASSERT_EQ(plan.servers.size(), reference.servers.size());
-    for (std::size_t i = 0; i < reference.servers.size(); ++i) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) + " server=" +
-                   std::to_string(i));
-      EXPECT_EQ(plan.servers[i].benchmark, reference.servers[i].benchmark);
-      // Bitwise: caching and pipeline reuse must be unobservable.
-      EXPECT_EQ(plan.servers[i].max_supply_temp_c,
-                reference.servers[i].max_supply_temp_c);
-      EXPECT_EQ(plan.servers[i].package_power_w,
-                reference.servers[i].package_power_w);
-      EXPECT_EQ(plan.servers[i].die_max_c, reference.servers[i].die_max_c);
-    }
-    EXPECT_EQ(plan.cooling.supply_temp_c, reference.cooling.supply_temp_c);
-    EXPECT_EQ(plan.cooling.return_temp_c, reference.cooling.return_temp_c);
-    EXPECT_EQ(plan.cooling.chiller_electrical_w,
-              reference.cooling.chiller_electrical_w);
-  }
-}
+    const std::size_t before = checkouts();
+    datacenter::StreamingFleetEngine(fleet, streams).run();
+    const std::size_t misses = SolveCache::global()->stats().misses;
+    EXPECT_GT(misses, 0u);
+    EXPECT_EQ(checkouts() - before, misses);
 
-TEST_F(ParallelEngineTest, RackPlanBitIdenticalAcrossThreadCounts) {
-  RackCoordinator::Config config;
-  config.qos = workload::QoSRequirement{2.0};
-  config.cell_size_m = kCell;
-  const std::vector<std::string> racks{"x264", "canneal", "swaptions"};
-
-  util::ThreadPool::set_global_thread_count(1);
-  SolveCache::global()->clear();
-  const RackPlan serial = RackCoordinator(config).plan(racks);
-
-  for (const std::size_t threads : {2u, 4u}) {
-    util::ThreadPool::set_global_thread_count(threads);
-    SolveCache::global()->clear();
-    const RackPlan parallel = RackCoordinator(config).plan(racks);
-    ASSERT_EQ(parallel.servers.size(), serial.servers.size());
-    for (std::size_t i = 0; i < serial.servers.size(); ++i) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) + " server=" +
-                   std::to_string(i));
-      EXPECT_EQ(parallel.servers[i].benchmark, serial.servers[i].benchmark);
-      EXPECT_EQ(parallel.servers[i].max_supply_temp_c,
-                serial.servers[i].max_supply_temp_c);
-      EXPECT_EQ(parallel.servers[i].package_power_w,
-                serial.servers[i].package_power_w);
-      EXPECT_EQ(parallel.servers[i].die_max_c, serial.servers[i].die_max_c);
-    }
-    EXPECT_EQ(parallel.cooling.supply_temp_c, serial.cooling.supply_temp_c);
-    EXPECT_EQ(parallel.cooling.return_temp_c, serial.cooling.return_temp_c);
-    EXPECT_EQ(parallel.cooling.chiller_electrical_w,
-              serial.cooling.chiller_electrical_w);
+    const PipelinePool::Stats cold = PipelinePool::global().stats();
+    datacenter::StreamingFleetEngine(fleet, streams).run();
+    const PipelinePool::Stats warm = PipelinePool::global().stats();
+    EXPECT_EQ(SolveCache::global()->stats().misses, misses);
+    EXPECT_EQ(warm.constructions, cold.constructions);
+    EXPECT_EQ(warm.reuses, cold.reuses);
   }
 }
 

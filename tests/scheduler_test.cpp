@@ -1,6 +1,5 @@
 // Tests for tpcool::core::Scheduler and the approach pipelines — Algorithm 1
-// end to end, C-state management, the per-scheduler decision memo, and the
-// rack coordinator.
+// end to end, C-state management, and the per-scheduler decision memo.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +9,6 @@
 #include <string>
 
 #include "tpcool/core/pipelines.hpp"
-#include "tpcool/core/rack_coordinator.hpp"
 #include "tpcool/util/error.hpp"
 #include "tpcool/workload/performance_model.hpp"
 
@@ -190,48 +188,6 @@ TEST(ApproachPipeline, NamesMatchPaperNotation) {
   EXPECT_STREQ(to_string(Approach::kProposed), "Proposed");
   EXPECT_STREQ(to_string(Approach::kSoaBalancing), "[8]+[27]+[9]");
   EXPECT_STREQ(to_string(Approach::kSoaInletFirst), "[8]+[27]+[7]");
-}
-
-// --------------------------------------------------------------- rack plan --
-
-TEST(RackCoordinator, SharedSupplyIsMinimumAndFeasible) {
-  RackCoordinator::Config config;
-  config.approach = Approach::kProposed;
-  config.qos = workload::QoSRequirement{2.0};
-  config.cell_size_m = 2.0e-3;  // very coarse: many solves
-  RackCoordinator coordinator(std::move(config));
-
-  const RackPlan plan =
-      coordinator.plan({"x264", "canneal", "swaptions"});
-  ASSERT_EQ(plan.servers.size(), 3u);
-  double min_supply = 1e9;
-  for (const ServerPlan& sp : plan.servers) {
-    EXPECT_GT(sp.package_power_w, 0.0);
-    min_supply = std::min(min_supply, sp.max_supply_temp_c);
-  }
-  EXPECT_DOUBLE_EQ(plan.cooling.supply_temp_c, min_supply);
-  EXPECT_GT(plan.cooling.return_temp_c, plan.cooling.supply_temp_c);
-  EXPECT_GT(plan.cooling.chiller_electrical_w, 0.0);
-}
-
-TEST(RackCoordinator, HeavierRackNeedsMorePower) {
-  RackCoordinator::Config config;
-  config.qos = workload::QoSRequirement{2.0};
-  config.cell_size_m = 2.0e-3;
-  RackCoordinator coordinator(config);
-  const RackPlan small = coordinator.plan({"canneal"});
-  RackCoordinator coordinator2(config);
-  const RackPlan large = coordinator2.plan({"canneal", "x264", "facesim"});
-  EXPECT_GT(large.cooling.total_heat_w, small.cooling.total_heat_w);
-  EXPECT_GE(large.cooling.chiller_electrical_w,
-            small.cooling.chiller_electrical_w);
-}
-
-TEST(RackCoordinator, EmptyPlanThrows) {
-  RackCoordinator::Config config;
-  config.cell_size_m = 2.0e-3;
-  RackCoordinator coordinator(config);
-  EXPECT_THROW(coordinator.plan({}), util::PreconditionError);
 }
 
 }  // namespace

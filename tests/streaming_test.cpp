@@ -534,8 +534,9 @@ TEST(JsonlFleetSink, IntervalRecordMatchesTheGoldenBytes) {
 
 TEST(JsonlFleetSink, ReplayRejectsDamagedNumbers) {
   // A valid one-interval stream, then copies with one value damaged: an
-  // unparsed number, and counts that are negative, fractional or out of
-  // range.  Each must throw instead of replaying as 0 or a wrapped count.
+  // unparsed number, counts that are negative, fractional or out of range,
+  // and booleans that are not exactly true or false.  Each must throw
+  // instead of replaying as 0, a wrapped count or a guessed flag.
   std::ostringstream jsonl;
   JsonlFleetSink sink(jsonl);
   FleetRunSummary summary;
@@ -565,6 +566,8 @@ TEST(JsonlFleetSink, ReplayRejectsDamagedNumbers) {
                    R"("qos_violations":18446744073709551616)"),
            damaged(R"("shed":[7])", R"("shed":[-7])"),
            damaged(R"("stream":3)", R"("stream":)"),
+           damaged(R"("limit":true)", R"("limit":trueish)"),
+           damaged(R"("limit":true)", R"("limit":tru)"),
        }) {
     SCOPED_TRACE(text);
     std::istringstream replay_stream(text);
