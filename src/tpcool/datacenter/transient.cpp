@@ -10,6 +10,7 @@
 #include "tpcool/core/parallel.hpp"
 #include "tpcool/core/pipeline_pool.hpp"
 #include "tpcool/core/solve_cache.hpp"
+#include "tpcool/thermal/grid.hpp"
 #include "tpcool/thermal/stack.hpp"
 #include "tpcool/util/error.hpp"
 #include "tpcool/util/fnv.hpp"
@@ -23,16 +24,46 @@ namespace {
 /// integrates independently.
 constexpr std::size_t kSegmentGrain = 1;
 
-/// Inner thermosyphon-coupling iterations per adaptive trial step (the
-/// transient analogue of ServerModel::coupled_solve's fixed point).  A
-/// boundary lagged one whole step behind sustains a discrete limit cycle
+/// Cap on the thermosyphon-coupling iterations per adaptive trial step
+/// (the transient analogue of ServerModel::coupled_solve's fixed point).
+/// A boundary lagged one whole step behind sustains a discrete limit cycle
 /// on high-power segments — the boiling HTC's strong heat-flux feedback
 /// re-excites the package's fast surface mode at every commit, which puts
 /// a dt-independent floor under the step-doubling error estimate and
 /// locks the controller at millisecond steps.  Converging the boundary
-/// against the trial's end state breaks the cycle; iteration stops early
-/// once successive trial fields agree to a tenth of the step tolerance.
+/// against the trial's end state breaks the cycle.  Each iteration solves
+/// one full backward-Euler step under the current boundary, warm-started
+/// from the previous iterate; iteration stops early once successive full
+/// steps agree to a tenth of the step tolerance.  Only then are the two
+/// committed half steps solved, under the boundary the last full step saw.
 constexpr int kCouplingIterations = 8;
+
+/// Relative CG residual of the trial's full steps, per °C of the step
+/// tolerance.  A full step is never committed: it only feeds the next
+/// boundary update and, at the end, the step-doubling estimate, so it need
+/// not be solved to the committed half steps' ThermalModel::kStepTolerance
+/// (the inexact-solve argument of Eisenstat & Walker 1996, SIAM J. Sci.
+/// Comput. 17(1), as for kForcing in core/server.cpp).  Its solver error
+/// must stay well below both the boundary loop's exit (0.1 × tolerance_c)
+/// and the estimate itself, so it scales with tolerance_c: at a fixed 1e-6,
+/// a tolerance_c = 5e-4 run of the day below takes 97,030 steps instead of
+/// 31,624.  Measured on perf/'s transient_day (three staggered daily
+/// traces on the 2x2 fleet, 30 segments, default tolerance_c = 0.05)
+/// against the same loop with every full step at 1e-9: the largest
+/// per-segment move [°C] and the run's CG iterations are
+///
+///   full step  peak TCASE  peak die  end TCASE  CG iterations  steps
+///   1e-9       —           —         —          130,163        1522
+///   1e-8       1.5e-7      8.1e-6    2.4e-7     113,916        1522
+///   1e-7       3.5e-6      6.6e-5    3.5e-6      97,364        1522
+///   1e-6       4.4e-5      6.5e-4    3.7e-5      80,338        1522
+///   1e-5       5.3e-4      2.8e-3    5.3e-4      64,046        1521
+///   1e-4       7.5e-3      4.8e-1    2.1e-3      53,278        2108
+///
+/// 1e-6 (2e-5 × 0.05) is the loosest decade that keeps every peak within
+/// 1e-3 °C.  At 1e-4 the solver error shows in the estimate, and the
+/// controller takes 39% more steps.
+constexpr double kTrialTolerance = 2e-5;
 
 /// Under-relaxation factor for the evaporator heat-map update inside the
 /// coupling loop.  At high heat flux the boiling HTC's feedback loop has
@@ -105,6 +136,14 @@ core::SimulationResult integrate_segment(core::ApproachPipeline& pipeline,
   result.active_cores = task.job->decision.cores;
   core::TransientSegmentInfo& seg = result.transient;
   thermal::StepController controller(config.step_control);
+  // Boundary-loop convergence, summed over every adaptive trial: the
+  // iterations run, and the trials that used all kCouplingIterations
+  // without meeting the exit.
+  std::size_t boundary_iterations = 0;
+  std::size_t boundary_cap_hits = 0;
+  const double trial_tolerance =
+      std::max(thermal::ThermalModel::kStepTolerance,
+               kTrialTolerance * config.step_control.tolerance_c);
 
   while (seg.sim_time_s < task.duration_s) {
     const double remaining_s = task.duration_s - seg.sim_time_s;
@@ -116,35 +155,36 @@ core::SimulationResult integrate_segment(core::ApproachPipeline& pipeline,
       evap_heat = server.step_lagged(t, evap_heat, dt_s);
     } else {
       // Adaptive: shrink the proposal until the embedded estimate passes.
-      // Each trial converges the boundary against its own end state (see
+      // Each trial converges the boundary against its own full step (see
       // kCouplingIterations) so the estimate measures the segment's real
       // dynamics, not boundary-lag noise.
       while (true) {
         dt_s = controller.propose(remaining_s);
-        std::vector<double> trial;
-        std::vector<double> prev_trial;
+        std::vector<double> full = t;
+        std::vector<double> prev_full;
         util::Grid2D<double> trial_heat = evap_heat;
-        double error_c = 0.0;
-        for (int k = 0; k < kCouplingIterations; ++k) {
+        bool converged = false;
+        for (int k = 0; k < kCouplingIterations && !converged; ++k) {
           server.set_evaporator_heat(trial_heat);
-          trial = t;
-          error_c = server.thermal().step_transient_embedded(trial, dt_s);
-          const util::Grid2D<double> next_heat =
-              server.evaporator_heat(trial);
+          prev_full = full;
+          server.thermal().step_transient(t, full, dt_s, trial_tolerance);
+          const util::Grid2D<double> next_heat = server.evaporator_heat(full);
           for (std::size_t i = 0; i < trial_heat.data().size(); ++i) {
             trial_heat.data()[i] += kCouplingRelaxation *
                                     (next_heat.data()[i] -
                                      trial_heat.data()[i]);
           }
-          if (!prev_trial.empty() &&
-              max_abs_diff(trial, prev_trial) <=
-                  0.1 * config.step_control.tolerance_c) {
-            break;
-          }
-          prev_trial = trial;
+          converged = k > 0 && max_abs_diff(full, prev_full) <=
+                                   0.1 * config.step_control.tolerance_c;
+          ++boundary_iterations;
         }
+        if (!converged) ++boundary_cap_hits;
+        // The boundary is still the one the last full step saw.
+        std::vector<double> half = t;
+        const double error_c =
+            server.thermal().step_transient_embedded(half, full, dt_s);
         if (controller.evaluate(dt_s, error_c)) {
-          t = std::move(trial);
+          t = std::move(half);
           evap_heat = std::move(trial_heat);
           break;
         }
@@ -167,6 +207,8 @@ core::SimulationResult integrate_segment(core::ApproachPipeline& pipeline,
   span.arg("duration_s", task.duration_s);
   span.arg("steps", static_cast<double>(seg.steps));
   span.arg("rejected_steps", static_cast<double>(seg.rejected_steps));
+  span.arg("boundary_iterations", static_cast<double>(boundary_iterations));
+  span.arg("boundary_cap_hits", static_cast<double>(boundary_cap_hits));
   return result;
 }
 

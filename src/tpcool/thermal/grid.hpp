@@ -72,19 +72,32 @@ class ThermalModel {
     return last_stats_;
   }
 
+  /// Default relative CG residual of a committed transient step.
+  static constexpr double kStepTolerance = 1e-9;
+
+  /// Solve one backward-Euler step of length `dt_s` from state `t` into
+  /// `x`.  CG starts from `x`'s incoming value (the caller's guess) and
+  /// stops at the relative residual `tolerance`.  `x` may alias `t`; both
+  /// must have cell_count() entries.
+  void step_transient(const std::vector<double>& t, std::vector<double>& x,
+                      double dt_s, double tolerance = kStepTolerance) const;
+
   /// Advance one backward-Euler step of length `dt_s` from state `t`
-  /// (modified in place).
+  /// (modified in place, and its own starting guess).
   void step_transient(std::vector<double>& t, double dt_s) const;
 
-  /// Advance one embedded backward-Euler step of length `dt_s`: the state
-  /// is committed from a two-half-step pass and the return value is the
-  /// max-norm difference to a single full step [°C] — the local
-  /// step-doubling error estimate an adaptive step chooser controls on
-  /// (backward Euler is first order, so the estimate scales as dt²).
-  /// Costs three linear solves per call; callers wanting rejection
-  /// semantics copy `t` before calling.
-  [[nodiscard]] double step_transient_embedded(std::vector<double>& t,
-                                               double dt_s) const;
+  /// Commit the step-doubling partner of a full step: advance `t` by two
+  /// half steps of `dt_s / 2` under the current boundary and return the
+  /// max-norm difference to `full` [°C], the caller's single step of
+  /// `dt_s` from the same `t` under the same boundary.  That is the local
+  /// error estimate an adaptive step chooser controls on (backward Euler
+  /// is first order, so the estimate scales as dt²).  Costs two linear
+  /// solves per call; the full step is never committed, so the caller may
+  /// solve it loosely.  Callers wanting rejection semantics copy `t`
+  /// before calling; `full` must not alias `t`.
+  [[nodiscard]] double step_transient_embedded(
+      std::vector<double>& t, const std::vector<double>& full,
+      double dt_s) const;
 
   /// Extract one layer of a solution as a 2D field [°C].
   [[nodiscard]] util::Grid2D<double> layer_field(const std::vector<double>& t,

@@ -2,8 +2,9 @@
 /// \file step_control.hpp
 /// \brief Adaptive time-step control for the transient thermal path: an
 ///        error-estimate chooser (PI-free dead-beat controller on the
-///        step-doubling estimate from
-///        ThermalModel::step_transient_embedded) composed with a
+///        step-doubling estimate — the caller's full step against the two
+///        half steps ThermalModel::step_transient_embedded commits, so a
+///        trial costs its full steps plus two solves) composed with a
 ///        step-to-boundary chooser that clamps proposals so phase and
 ///        interval edges are hit exactly — never overshot, never left as
 ///        near-zero slivers.  Modeled on the StepChoosers of large

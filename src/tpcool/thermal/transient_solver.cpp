@@ -7,7 +7,9 @@
 
 namespace tpcool::thermal {
 
-void ThermalModel::step_transient(std::vector<double>& t, double dt_s) const {
+void ThermalModel::step_transient(const std::vector<double>& t,
+                                  std::vector<double>& x, double dt_s,
+                                  double tolerance) const {
   TPCOOL_REQUIRE(dt_s > 0.0, "time step must be positive");
   // A counter, not a span: adaptive segments take thousands of steps and
   // each one already shows up as a "cg" span underneath.
@@ -19,11 +21,13 @@ void ThermalModel::step_transient(std::vector<double>& t, double dt_s) const {
   assemble();
   const std::size_t n = cell_count();
   TPCOOL_REQUIRE(t.size() == n, "state vector size mismatch");
+  TPCOOL_REQUIRE(x.size() == n, "step guess size mismatch");
 
   // Backward Euler: (C/dt + G)·T⁺ = C/dt·T + P + boundary.
   // G is the assembled steady operator; C/dt is diagonal, so the step
   // operator is the same 7-point stencil with a shifted diagonal — copy
-  // the bands and augment, then reuse the shared PCG path.
+  // the bands and augment, then reuse the shared PCG path.  The right-hand
+  // side is complete before CG touches `x`, so `x` may alias `t`.
   const double cell_area = stack_.grid.dx * stack_.grid.dy;
   std::vector<double> cdiag(n, 0.0);
   std::vector<double> rhs = boundary_rhs_;
@@ -45,24 +49,29 @@ void ThermalModel::step_transient(std::vector<double>& t, double dt_s) const {
   }
   step_operator_.set_shifted_diagonal(operator_, cdiag);
 
-  // Warm start from the previous state: consecutive steps differ little.
   last_stats_ = util::solve_cg(
-      step_operator_, rhs, t,
-      {.tolerance = 1e-9,
+      step_operator_, rhs, x,
+      {.tolerance = tolerance,
        .max_iterations = 20000,
        .preconditioner = util::Preconditioner::kSsor});
 }
 
+void ThermalModel::step_transient(std::vector<double>& t, double dt_s) const {
+  // Warm start from the previous state: consecutive steps differ little.
+  step_transient(t, t, dt_s);
+}
+
 double ThermalModel::step_transient_embedded(std::vector<double>& t,
+                                             const std::vector<double>& full,
                                              double dt_s) const {
   TPCOOL_REQUIRE(dt_s > 0.0, "time step must be positive");
-  // Step doubling: one full step against two half steps from the same
-  // state.  The half-step solution is committed (it is the more accurate
-  // one); the max-norm difference is the local error estimate.  Both
-  // passes reuse the shared PCG path, so the result is bit-identical for
-  // any thread count like every other solve.
-  std::vector<double> full = t;
-  step_transient(full, dt_s);
+  TPCOOL_REQUIRE(full.size() == t.size(), "full step size mismatch");
+  // Step doubling: the caller's full step against two half steps from the
+  // same state.  The half-step solution is committed (it is the more
+  // accurate one); the max-norm difference is the local error estimate.
+  // Both half steps reuse the shared PCG path at the committed tolerance,
+  // so the result is bit-identical for any thread count like every other
+  // solve.
   const double half_dt_s = 0.5 * dt_s;
   step_transient(t, half_dt_s);
   step_transient(t, half_dt_s);

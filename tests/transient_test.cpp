@@ -1,14 +1,17 @@
 // Tests for the adaptive-step transient path: StepController units (the
-// error-estimate and step-to-boundary choosers), the embedded
-// step-doubling error step, and the TransientFleetEngine — exact boundary
-// landing, fewer steps than the fixed-period baseline on smooth traces,
-// the fixed-period mode's final-step clamp, a day-like trace on one
-// server, bit-identity across thread counts, snapshot-warm replay with
-// zero misses, and per-stream thermal-state chaining.
+// error-estimate and step-to-boundary choosers), the backward-Euler step
+// from a guess and the embedded step-doubling error step, and the
+// TransientFleetEngine — exact boundary landing, fewer steps than the
+// fixed-period baseline on smooth traces, the fixed-period mode's
+// final-step clamp, a day-like trace on one server, bit-identity across
+// thread counts, snapshot-warm replay with zero misses, peak TCASE
+// against a tight-tolerance reference, no boundary limit cycle on a warm
+// burst, and per-stream thermal-state chaining.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -170,25 +173,74 @@ TEST(EmbeddedStep, CommitsTheTwoHalfStepsAndReturnsTheirDistance) {
   model.set_bottom_boundary(0.0, 0.0);
   model.set_power_map(util::Grid2D<double>(6, 6, 0.2));
   const std::vector<double> t0(model.cell_count(), 30.0);
+  const auto full_step = [&](double dt_s) {
+    std::vector<double> full = t0;
+    model.step_transient(full, dt_s);
+    return full;
+  };
 
-  // The committed state is exactly the two-half-step path.
+  // The committed state is exactly the two-half-step path, and the
+  // estimate is its distance to the caller's full step.
+  const std::vector<double> full = full_step(0.2);
   std::vector<double> embedded = t0;
-  const double error_c = model.step_transient_embedded(embedded, 0.2);
+  const double error_c = model.step_transient_embedded(embedded, full, 0.2);
   std::vector<double> manual = t0;
   model.step_transient(manual, 0.1);
   model.step_transient(manual, 0.1);
   EXPECT_EQ(embedded, manual);  // bitwise
+  double distance_c = 0.0;
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    distance_c = std::max(distance_c, std::abs(full[i] - manual[i]));
+  }
+  EXPECT_EQ(error_c, distance_c);
 
   // A heating transient has a nonzero estimate, and halving dt cuts it
   // about 4x (backward Euler is first order: the step-doubling estimate
   // scales as dt^2).
   EXPECT_GT(error_c, 0.0);
   std::vector<double> halved = t0;
-  const double error_half_c = model.step_transient_embedded(halved, 0.1);
+  const double error_half_c =
+      model.step_transient_embedded(halved, full_step(0.1), 0.1);
   EXPECT_LT(error_half_c, error_c);
   EXPECT_NEAR(error_c / error_half_c, 4.0, 2.0);
 
-  EXPECT_THROW((void)model.step_transient_embedded(embedded, 0.0),
+  EXPECT_THROW((void)model.step_transient_embedded(embedded, full, 0.0),
+               util::PreconditionError);
+  EXPECT_THROW((void)model.step_transient_embedded(
+                   embedded, std::vector<double>(3, 30.0), 0.2),
+               util::PreconditionError);
+}
+
+TEST(EmbeddedStep, StepFromAGuessMatchesTheInPlaceStep) {
+  thermal::ThermalModel model(make_slab(6, 6));
+  model.set_top_boundary_uniform(4000.0, 30.0);
+  model.set_bottom_boundary(0.0, 0.0);
+  model.set_power_map(util::Grid2D<double>(6, 6, 0.2));
+  const std::vector<double> t0(model.cell_count(), 30.0);
+  std::vector<double> in_place = t0;
+  model.step_transient(in_place, 0.2);
+
+  // Starting from the old state itself is the in-place step, bitwise.
+  std::vector<double> x = t0;
+  model.step_transient(t0, x, 0.2);
+  EXPECT_EQ(x, in_place);
+
+  // Another guess changes only the CG path: the answer agrees to the
+  // solver tolerance, and the old state is left alone.
+  std::vector<double> guess(model.cell_count(), 45.0);
+  model.step_transient(t0, guess, 0.2);
+  EXPECT_EQ(t0, std::vector<double>(model.cell_count(), 30.0));
+  for (std::size_t i = 0; i < guess.size(); ++i) {
+    EXPECT_NEAR(guess[i], in_place[i], 1e-6) << "cell " << i;
+  }
+  EXPECT_LE(model.last_solve_stats().residual,
+            thermal::ThermalModel::kStepTolerance);
+
+  std::vector<double> short_guess(3, 30.0);
+  EXPECT_THROW(model.step_transient(t0, short_guess, 0.2),
+               util::PreconditionError);
+  std::vector<double> short_state(3, 30.0);
+  EXPECT_THROW(model.step_transient(short_state, x, 0.2),
                util::PreconditionError);
 }
 
@@ -378,6 +430,57 @@ TEST_F(TransientEngineTest, SnapshotWarmRerunReplaysWithZeroMisses) {
   EXPECT_EQ(datacenter::transient_digest(warm),
             datacenter::transient_digest(cold));
   std::remove(path.c_str());
+}
+
+TEST_F(TransientEngineTest, PeakTcaseTracksATightToleranceReference) {
+  // The loose full steps and the converged boundary must not bias what is
+  // reported: on a short day, every segment's peak TCASE at the default
+  // step tolerance stays within 0.05 °C of a run at a 100x tighter one.
+  // (Peak die is not held to that: the controller bounds the local step
+  // error, not the error of a peak, and the die misses it by ~0.47 °C.)
+  const std::vector<workload::WorkloadTrace> streams{
+      workload::make_daily_trace(0.5)};
+  const datacenter::TransientFleetResult run =
+      datacenter::TransientFleetEngine(one_server_fleet(), {}).run(streams);
+  core::SolveCache::global()->clear();
+  datacenter::TransientEngineConfig tight;
+  tight.step_control.tolerance_c = 5e-4;
+  const datacenter::TransientFleetResult reference =
+      datacenter::TransientFleetEngine(one_server_fleet(), tight)
+          .run(streams);
+
+  ASSERT_EQ(run.intervals.size(), 6u);
+  ASSERT_EQ(reference.intervals.size(), run.intervals.size());
+  EXPECT_GT(reference.total_steps, 4 * run.total_steps);
+  for (std::size_t i = 0; i < run.intervals.size(); ++i) {
+    SCOPED_TRACE("phase " + std::to_string(i));
+    EXPECT_NEAR(run.intervals[i].jobs.at(0).peak_tcase_c,
+                reference.intervals[i].jobs.at(0).peak_tcase_c, 0.05);
+  }
+}
+
+TEST_F(TransientEngineTest, ConvergedBoundaryKeepsAWarmBurstOffTheLimitCycle) {
+  // An interactive burst on a field a batch phase warmed.  Under a
+  // boundary lagged one whole step behind, the boiling HTC's flux feedback
+  // re-excites the package's fast surface mode at every commit and the
+  // controller locks at ~16 ms steps: this 50 s burst then takes over
+  // 3,000 steps.  Converging the boundary in each trial crosses it in ~40.
+  const std::vector<workload::WorkloadTrace> streams{
+      workload::WorkloadTrace({{"streamcluster", {3.0}, 200.0}}),
+      workload::WorkloadTrace(
+          {{"streamcluster", {3.0}, 100.0}, {"x264", {1.0}, 50.0}})};
+  const datacenter::TransientFleetResult result =
+      datacenter::TransientFleetEngine(small_fleet(), {}).run(streams);
+
+  const datacenter::TransientJobOutcome* burst = nullptr;
+  for (const datacenter::TransientInterval& interval : result.intervals) {
+    for (const datacenter::TransientJobOutcome& job : interval.jobs) {
+      if (job.benchmark == "x264") burst = &job;
+    }
+  }
+  ASSERT_NE(burst, nullptr);
+  EXPECT_GT(burst->peak_tcase_c, 60.0);  // a high-power segment
+  EXPECT_LT(burst->steps + burst->rejected_steps, 200u);
 }
 
 TEST_F(TransientEngineTest, ThermalStateFollowsTheStreamAcrossIntervals) {
