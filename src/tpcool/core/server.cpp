@@ -265,24 +265,4 @@ thermosyphon::EvaporatorGeometry default_evaporator_geometry(
   return evaporator;
 }
 
-ServerModel make_proposed_server() {
-  ServerConfig config;
-  config.design.evaporator =
-      default_evaporator_geometry(thermosyphon::Orientation::kEastWest);
-  config.design.refrigerant = &materials::r236fa();
-  config.design.filling_ratio = 0.55;
-  config.operating_point = {.water_flow_kg_h = 7.0, .water_inlet_c = 30.0};
-  return ServerModel(std::move(config));
-}
-
-ServerModel make_soa_server() {
-  ServerConfig config;
-  config.design.evaporator =
-      default_evaporator_geometry(thermosyphon::Orientation::kNorthSouth);
-  config.design.refrigerant = &materials::r236fa();
-  config.design.filling_ratio = 0.50;
-  config.operating_point = {.water_flow_kg_h = 7.0, .water_inlet_c = 30.0};
-  return ServerModel(std::move(config));
-}
-
 }  // namespace tpcool::core

@@ -84,9 +84,9 @@ class ServerModel {
   explicit ServerModel(ServerConfig config);
 
   // The power model and profiler point back into this object, so a move
-  // would leave them referencing the source. Factories returning prvalues
-  // (make_proposed_server) still work via guaranteed copy elision; anything
-  // else must heap-allocate.
+  // would leave them referencing the source. Construct it in place (the
+  // pipelines hold one in a std::unique_ptr); a function returning a
+  // prvalue would still work via guaranteed copy elision.
   ServerModel(const ServerModel&) = delete;
   ServerModel& operator=(const ServerModel&) = delete;
   ServerModel(ServerModel&&) = delete;
@@ -184,14 +184,6 @@ class ServerModel {
   /// the next one (see ServerConfig::reuse_thermal_state).
   std::vector<double> last_temperature_;
 };
-
-/// Factory: the paper's proposed, workload-aware design (§VI): east-west
-/// channels, R236fa at 55 % fill, 7 kg/h of 30 °C water.
-[[nodiscard]] ServerModel make_proposed_server();
-
-/// Factory: the state-of-the-art design of [8], which assumed a uniform heat
-/// flux: north-south channels, R236fa at 50 % fill, same water loop.
-[[nodiscard]] ServerModel make_soa_server();
 
 /// Default evaporator geometry matched to the default stack config.
 [[nodiscard]] thermosyphon::EvaporatorGeometry default_evaporator_geometry(

@@ -5,21 +5,16 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <span>
 #include <string_view>
 #include <utility>
 
 #include "tpcool/util/error.hpp"
 #include "tpcool/util/fnv.hpp"
-#include "tpcool/util/logging.hpp"
 #include "tpcool/util/telemetry.hpp"
 
 namespace tpcool::core {
@@ -518,33 +513,6 @@ class DigestReader {
   std::string scratch_;
 };
 
-/// Snapshot-size warning threshold in bytes; TPCOOL_SOLVE_CACHE_WARN_MB
-/// overrides the 64 MB default (fractions allowed, <= 0 disables).  Read
-/// on every save — saves are rare and tests flip the env var between them.
-std::uint64_t snapshot_warn_bytes() {
-  double warn_mb = 64.0;
-  if (const char* env = std::getenv("TPCOOL_SOLVE_CACHE_WARN_MB")) {
-    char* end = nullptr;
-    const double parsed = std::strtod(env, &end);
-    if (end != env && *end == '\0' && std::isfinite(parsed)) {
-      warn_mb = parsed;
-    } else {
-      std::fprintf(stderr,
-                   "tpcool: ignoring TPCOOL_SOLVE_CACHE_WARN_MB=%s "
-                   "(want a finite number of megabytes)\n",
-                   env);
-    }
-  }
-  if (warn_mb <= 0.0) return 0;  // disabled
-  const double bytes = warn_mb * 1024.0 * 1024.0;
-  // A threshold past the integer range can never fire; saturate instead of
-  // the UB a float-to-integer overflow would be.
-  if (bytes >= static_cast<double>(std::numeric_limits<std::uint64_t>::max())) {
-    return std::numeric_limits<std::uint64_t>::max();
-  }
-  return static_cast<std::uint64_t>(bytes);
-}
-
 }  // namespace
 
 std::uint64_t SolveCache::write_snapshot(const std::string& path,
@@ -663,15 +631,6 @@ void SolveCache::save(const std::string& path) const {
   span.detail(path);
   const std::uint64_t bytes = write_snapshot(path, entries());
   span.arg("bytes", static_cast<double>(bytes));
-  const std::uint64_t warn_bytes = snapshot_warn_bytes();
-  if (warn_bytes > 0 && bytes > warn_bytes) {
-    util::log_warn() << "solve-cache snapshot " << path << " is "
-                     << static_cast<double>(bytes) / (1024.0 * 1024.0)
-                     << " MB (warn threshold "
-                     << static_cast<double>(warn_bytes) / (1024.0 * 1024.0)
-                     << " MB; raise TPCOOL_SOLVE_CACHE_WARN_MB or lower "
-                        "TPCOOL_SOLVE_CACHE_CAPACITY)";
-  }
 }
 
 void SolveCache::load(const std::string& path) {
@@ -700,96 +659,9 @@ std::uint64_t SolveCache::content_digest() const {
   return sum;
 }
 
-namespace {
-
-/// Caches registered for save-at-exit; holds shared ownership so the
-/// snapshot can be written even if all other references are gone.
-struct PersistenceRegistry {
-  std::mutex mutex;
-  bool atexit_registered = false;
-  std::vector<std::pair<std::shared_ptr<SolveCache>, std::string>> entries;
-
-  static PersistenceRegistry& instance() {
-    static PersistenceRegistry registry;
-    return registry;
-  }
-
-  static void save_all() {
-    PersistenceRegistry& registry = instance();
-    std::lock_guard lock(registry.mutex);
-    for (const auto& [cache, path] : registry.entries) {
-      try {
-        // Merge-save: fold the current on-disk snapshot back in first
-        // (in-memory entries win), so a process that cleared or only
-        // partially exercised the cache never shrinks the snapshot —
-        // warmth accumulates monotonically, bounded by the capacity.
-        try {
-          cache->load(path);
-        } catch (const SnapshotError&) {
-          // Missing or damaged file: save fresh.
-        }
-        cache->save(path);
-      } catch (const std::exception& error) {
-        std::fprintf(stderr, "tpcool: solve-cache save to %s failed: %s\n",
-                     path.c_str(), error.what());
-      }
-    }
-  }
-};
-
-}  // namespace
-
-void SolveCache::attach_persistent_file(
-    const std::shared_ptr<SolveCache>& cache, std::string path) {
-  TPCOOL_REQUIRE(cache != nullptr, "attach_persistent_file needs a cache");
-  TPCOOL_REQUIRE(!path.empty(), "attach_persistent_file needs a path");
-  std::error_code ec;
-  if (std::filesystem::exists(path, ec)) {
-    try {
-      cache->load(path);
-    } catch (const SnapshotError& error) {
-      // A bad snapshot must never fail the run; start cold and the exit
-      // save will replace it with a good one.
-      std::fprintf(stderr, "tpcool: ignoring solve-cache snapshot: %s\n",
-                   error.what());
-    }
-  }
-  PersistenceRegistry& registry = PersistenceRegistry::instance();
-  std::lock_guard lock(registry.mutex);
-  // One snapshot path per cache, last attach wins: an explicit attach
-  // replaces the TPCOOL_SOLVE_CACHE_FILE registration made by global(),
-  // so the env path is not also rewritten at exit.  The displacement is
-  // deliberate but must be visible — the first path will NOT be rewritten.
-  for (auto& [existing, existing_path] : registry.entries) {
-    if (existing == cache) {
-      if (existing_path != path) {
-        util::log_warn() << "solve-cache snapshot path " << path
-                         << " displaces previously attached " << existing_path
-                         << " (last attach wins; " << existing_path
-                         << " will not be rewritten at exit)";
-      }
-      existing_path = std::move(path);
-      return;
-    }
-  }
-  registry.entries.emplace_back(cache, std::move(path));
-  if (!registry.atexit_registered) {
-    // The registry (a function-local static) is constructed before this
-    // handler registers, so it is destroyed after the handler runs.
-    std::atexit(&PersistenceRegistry::save_all);
-    registry.atexit_registered = true;
-  }
-}
-
 const std::shared_ptr<SolveCache>& SolveCache::global() {
-  static const std::shared_ptr<SolveCache> cache = [] {
-    auto created = std::make_shared<SolveCache>(util::env_positive_integer(
-        "TPCOOL_SOLVE_CACHE_CAPACITY", kDefaultCapacity));
-    if (const char* path = std::getenv("TPCOOL_SOLVE_CACHE_FILE")) {
-      if (path[0] != '\0') attach_persistent_file(created, path);
-    }
-    return created;
-  }();
+  static const std::shared_ptr<SolveCache> cache =
+      std::make_shared<SolveCache>();
   return cache;
 }
 

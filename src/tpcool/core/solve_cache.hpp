@@ -23,14 +23,12 @@
 /// `get_or_compute_shared`, the one way in, hands out that shared result
 /// itself, so a hit copies nothing.
 ///
-/// Persistence: `save()` / `load()` write and read one versioned,
-/// endian-safe snapshot file (schema `kSnapshotVersion`), streamed entry by
-/// entry and sealed by a trailing stream digest, so truncation and
-/// corruption are detected, never undefined behavior.  Setting
-/// `TPCOOL_SOLVE_CACHE_FILE=<path>` loads the snapshot into the
-/// process-global cache at startup and atomically rewrites it at exit, so
-/// reruns and the slow CTest suites start warm.  The format and tooling
-/// are documented in docs/CACHE.md and inspectable via
+/// The cache lives for one process.  Snapshots are explicit: `save()` /
+/// `load()` write and read one versioned, endian-safe snapshot file (schema
+/// `kSnapshotVersion`), streamed entry by entry and sealed by a trailing
+/// stream digest, so truncation and corruption are detected, never
+/// undefined behavior.  Nothing loads or saves a snapshot implicitly.  The
+/// format and tooling are documented in docs/CACHE.md and inspectable via
 /// scripts/cache_inspect.py.
 
 #include <condition_variable>
@@ -73,13 +71,12 @@ class SnapshotError : public std::runtime_error {
 /// between its compute and a waiter's wake-up is still served.  A key
 /// evicted and *re-requested later* is a genuine capacity miss, and which
 /// entry eviction drops can depend on the parallel touch order: keep a
-/// sweep's unique-key working set under capacity() (or raise it via
-/// TPCOOL_SOLVE_CACHE_CAPACITY) for cross-run-exact counts.
+/// sweep's unique-key working set under capacity() (or give the sweep its
+/// own, larger SolveCache) for cross-run-exact counts.
 class SolveCache {
  public:
   /// Capacity is in entries; one 1 mm-grid SimulationResult is ~100 KB, so
-  /// the default bounds the cache around tens of MB.  The process-global
-  /// cache honors a TPCOOL_SOLVE_CACHE_CAPACITY env override.
+  /// the default bounds the cache around tens of MB.
   static constexpr std::size_t kDefaultCapacity = 256;
 
   /// Snapshot schema version; load() refuses any other version.
@@ -127,10 +124,7 @@ class SolveCache {
   /// Write every entry (most- to least-recently-used) to a temporary file
   /// next to `path`, one entry at a time, then rename it over `path`, so
   /// readers and a crash mid-write never observe a partial snapshot.
-  /// Throws SnapshotError when the file cannot be written.  Snapshots
-  /// larger than TPCOOL_SOLVE_CACHE_WARN_MB megabytes (default 64, <= 0
-  /// disables) log a warning through util/logging so fleet-scale runs
-  /// surface growth early.
+  /// Throws SnapshotError when the file cannot be written.
   void save(const std::string& path) const;
 
   /// Merge the snapshot at `path` into this cache.  The file is decoded
@@ -149,24 +143,9 @@ class SolveCache {
   /// merge-saves.
   [[nodiscard]] std::uint64_t content_digest() const;
 
-  /// Load `path` into `cache` now if the file exists (a corrupt snapshot
-  /// warns on stderr and starts cold — a cache must never make a run
-  /// fail), and register a process-exit hook that atomically saves the
-  /// cache back to `path`.  The exit save first folds the then-current
-  /// on-disk snapshot back in (in-memory entries win), so warmth
-  /// accumulates across processes instead of being clobbered by a run
-  /// that cleared the cache.  One path per cache, last attach wins — an
-  /// explicit attach replaces the TPCOOL_SOLVE_CACHE_FILE
-  /// registration, and the displacement is logged through util/logging so
-  /// a silently dropped snapshot path is visible.  The registry keeps
-  /// `cache` alive until exit.
-  static void attach_persistent_file(const std::shared_ptr<SolveCache>& cache,
-                                     std::string path);
-
   /// Process-wide cache shared by the experiment runners, the fleet
-  /// engines and the oracle sweeps.  Reads TPCOOL_SOLVE_CACHE_CAPACITY
-  /// (entries) and TPCOOL_SOLVE_CACHE_FILE (snapshot path) once, at first
-  /// use.
+  /// engines and the oracle sweeps: kDefaultCapacity entries, empty at
+  /// first use, gone at exit.
   [[nodiscard]] static const std::shared_ptr<SolveCache>& global();
 
  private:

@@ -10,10 +10,9 @@
 /// The paper's evaluation stops at one rack (§V: one chiller, one shared
 /// water setpoint); this layer composes that rack model into a fleet.  All
 /// coupled solves run through `core::cached_solve` and parallel_map, so
-/// fleet results are bit-identical for any thread count and
-/// snapshot-warmable: a
-/// `TPCOOL_SOLVE_CACHE_FILE` rerun replays every solve from disk
-/// (0 misses) and reproduces the same bits.
+/// fleet results are bit-identical for any thread count, and a cache
+/// explicitly loaded from a `save()`d snapshot replays every solve
+/// (0 misses) with the same bits.
 
 #include <cstddef>
 #include <cstdint>

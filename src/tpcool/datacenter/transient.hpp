@@ -102,13 +102,6 @@ class TransientFleetEngine {
  public:
   TransientFleetEngine(FleetConfig fleet, TransientEngineConfig config);
 
-  [[nodiscard]] const TransientEngineConfig& engine_config() const noexcept {
-    return config_;
-  }
-  [[nodiscard]] const FleetConfig& fleet_config() const noexcept {
-    return fleet_.config();
-  }
-
   /// Steady fleet pass + transient segment integration, end to end.
   [[nodiscard]] TransientFleetResult run(
       const std::vector<workload::WorkloadTrace>& streams);

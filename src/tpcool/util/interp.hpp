@@ -65,10 +65,4 @@ class LinearTable {
   return std::min(std::max(v, lo), hi);
 }
 
-/// Linear blend a + t (b - a) with t clamped to [0, 1].
-[[nodiscard]] inline double lerp_clamped(double a, double b, double t) {
-  const double tc = std::min(std::max(t, 0.0), 1.0);
-  return a + tc * (b - a);
-}
-
 }  // namespace tpcool::util

@@ -74,11 +74,6 @@ void StencilOperator::add_to_diagonal(std::size_t i, double value) {
   diag_[i] += value;
 }
 
-void StencilOperator::add_diagonal(const std::vector<double>& values) {
-  TPCOOL_REQUIRE(values.size() == size(), "diagonal size mismatch");
-  for (std::size_t i = 0; i < values.size(); ++i) diag_[i] += values[i];
-}
-
 void StencilOperator::set_shifted_diagonal(const StencilOperator& base,
                                            const std::vector<double>& shift) {
   TPCOOL_REQUIRE(base.nx_ == nx_ && base.ny_ == ny_ && base.nz_ == nz_,

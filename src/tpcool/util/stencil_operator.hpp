@@ -54,9 +54,6 @@ class StencilOperator {
   /// Accumulate a boundary (or mass) term onto the diagonal of cell `i`.
   void add_to_diagonal(std::size_t i, double value);
 
-  /// Add `values[i]` to every diagonal entry (backward-Euler mass matrix).
-  void add_diagonal(const std::vector<double>& values);
-
   /// Overwrite the diagonal with base.diag + shift. Bands are untouched;
   /// `base` must share this operator's grid. Lets a cached copy of a base
   /// operator be re-shifted every transient step without re-copying the

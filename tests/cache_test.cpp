@@ -4,9 +4,8 @@
 // results get_or_compute_shared returns,
 // the order-insensitive content digest, the one-file snapshot (lossless
 // round trip, merge semantics, rejection of damaged or foreign files with
-// the cache left untouched, the size warning), a concurrent merge-save
-// torture run with a deterministic final digest, and the
-// attach_persistent_file displacement warning.
+// the cache left untouched), and a concurrent merge-save torture run with a
+// deterministic final digest.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -484,37 +482,6 @@ TEST(SolveCacheSnapshotTest, RejectsDamagedAndForeignFilesUntouched) {
   std::remove(path.c_str());
 }
 
-TEST(SolveCacheSnapshotTest, WarnsWhenSnapshotExceedsSizeThreshold) {
-  // Fleet-scale growth guard: saves over TPCOOL_SOLVE_CACHE_WARN_MB
-  // megabytes log a warning (default 64 MB; <= 0 disables).  A snapshot of
-  // three rich results is a few KB, so a fractional threshold trips it.
-  const std::string path = ::testing::TempDir() + "tpcool_snap_warn.bin";
-  SolveCache source(8);
-  put(source, "alpha", rich_result(1));
-  put(source, "beta", rich_result(2));
-  put(source, "gamma", rich_result(3));
-
-  ASSERT_EQ(setenv("TPCOOL_SOLVE_CACHE_WARN_MB", "0.001", 1), 0);
-  ::testing::internal::CaptureStderr();
-  source.save(path);
-  const std::string warned = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(warned.find("solve-cache snapshot"), std::string::npos) << warned;
-  EXPECT_NE(warned.find("WARN"), std::string::npos) << warned;
-
-  // Disabled (<= 0): the same oversized save stays quiet.
-  ASSERT_EQ(setenv("TPCOOL_SOLVE_CACHE_WARN_MB", "0", 1), 0);
-  ::testing::internal::CaptureStderr();
-  source.save(path);
-  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
-
-  // The default 64 MB threshold never fires for a few-KB snapshot.
-  ASSERT_EQ(unsetenv("TPCOOL_SOLVE_CACHE_WARN_MB"), 0);
-  ::testing::internal::CaptureStderr();
-  source.save(path);
-  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
-  std::remove(path.c_str());
-}
-
 TEST(SolveCacheSnapshotTest, ConcurrentMergeSavesConvergeDeterministically) {
   // Torture: four OS threads repeatedly merge-save (load + save) their own
   // caches into one snapshot path.  Whole-file renames mean a load sees
@@ -571,37 +538,6 @@ TEST(SolveCacheSnapshotTest, ConcurrentMergeSavesConvergeDeterministically) {
   EXPECT_EQ(merged.stats().size, static_cast<std::size_t>(kUniverse));
   EXPECT_EQ(merged.content_digest(), expected.content_digest());
   std::remove(path.c_str());
-}
-
-// ------------------------------------------------------------ persistence --
-
-TEST(AttachPersistentFileTest, WarnsWhenSecondPathDisplacesTheFirst) {
-  // Last attach wins is deliberate (an explicit attach replaces the env
-  // registration), but the displacement must be visible: the first
-  // path will not be rewritten at exit.
-  const std::string first =
-      ::testing::TempDir() + "tpcool_attach_first.bin";
-  const std::string second =
-      ::testing::TempDir() + "tpcool_attach_second.bin";
-  // Start without snapshots: a leftover one (from an earlier run's exit
-  // save, possibly another format) would add its own load message.
-  std::filesystem::remove(first);
-  std::filesystem::remove(second);
-  auto cache = std::make_shared<SolveCache>(8);
-  put(*cache, "attach/key", rich_result(1));
-
-  SolveCache::attach_persistent_file(cache, first);
-  ::testing::internal::CaptureStderr();
-  SolveCache::attach_persistent_file(cache, second);
-  const std::string warned = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(warned.find("WARN"), std::string::npos) << warned;
-  EXPECT_NE(warned.find("displaces"), std::string::npos) << warned;
-  EXPECT_NE(warned.find(first), std::string::npos) << warned;
-
-  // Re-attaching the same path is not a displacement: no warning.
-  ::testing::internal::CaptureStderr();
-  SolveCache::attach_persistent_file(cache, second);
-  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
 }
 
 }  // namespace
