@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -20,9 +19,9 @@ namespace tpcool::datacenter {
 
 namespace {
 
-/// One segment per chunk, like the steady fleet: every (job, interval)
-/// integrates independently.
-constexpr std::size_t kSegmentGrain = 1;
+/// One stream's segment chain per chunk: chains are independent, and a
+/// chain's segments run in interval order on one thread.
+constexpr std::size_t kChainGrain = 1;
 
 /// Cap on the thermosyphon-coupling iterations per adaptive trial step
 /// (the transient analogue of ServerModel::coupled_solve's fixed point).
@@ -81,10 +80,12 @@ double max_abs_diff(const std::vector<double>& a,
   return max;
 }
 
-/// Everything one segment integration needs, resolved serially before the
-/// fan-out so the parallel closure touches no shared mutable state.
+/// Everything one segment integration needs, resolved by its chain from
+/// read-only plan data and the chain's own state, so the integration
+/// touches no shared mutable state.
 struct SegmentTask {
   const JobOutcome* job = nullptr;
+  std::size_t interval = 0;  ///< FleetInterval::interval, for the trace.
   const workload::BenchmarkProfile* bench = nullptr;
   thermosyphon::OperatingPoint op;
   double duration_s = 0.0;
@@ -204,12 +205,91 @@ core::SimulationResult integrate_segment(core::ApproachPipeline& pipeline,
   TPCOOL_ENSURE(seg.sim_time_s == task.duration_s,
                 "transient segment must land exactly on its boundary");
   seg.end_state_c = std::move(t);
+  span.arg("stream", static_cast<double>(task.job->stream));
+  span.arg("interval", static_cast<double>(task.interval));
   span.arg("duration_s", task.duration_s);
   span.arg("steps", static_cast<double>(seg.steps));
   span.arg("rejected_steps", static_cast<double>(seg.rejected_steps));
   span.arg("boundary_iterations", static_cast<double>(boundary_iterations));
   span.arg("boundary_cap_hits", static_cast<double>(boundary_cap_hits));
   return result;
+}
+
+/// Per-rack constants, resolved once, serially, before the chains run.
+struct RackConstants {
+  double design_flow_kg_h = 0.0;
+  std::string scope;           ///< Cache scope of the rack's pipeline.
+  std::size_t cell_count = 0;  ///< Grid size, for sizing fresh states.
+};
+
+/// One segment of a stream's chain: the stream's job in one interval.
+struct ChainLink {
+  const FleetInterval* interval = nullptr;
+  const JobOutcome* job = nullptr;
+};
+
+/// Walk one stream's chain in interval order and return its outcomes.
+/// Only read-only plan data and the chain's own state are touched, so
+/// chains run concurrently.  Each segment is memoized under its segment
+/// key: a warm rerun replays it from the cache, and only a miss checks a
+/// pipeline out of the pool.  The chain keeps only its own end state, never
+/// the cached results, so memory stays O(streams × cells).
+std::vector<TransientJobOutcome> walk_chain(
+    const std::vector<ChainLink>& chain, const FleetConfig& fleet,
+    const std::vector<RackConstants>& racks,
+    const TransientEngineConfig& config, core::SolveCache& cache) {
+  // Thermal state follows the stream across intervals (the history a
+  // migrating job's server accumulates — a modeling choice; see the header
+  // doc).  A rack move that changes the grid resets to the start
+  // temperature.
+  std::vector<double> state;
+  std::vector<TransientJobOutcome> outcomes;
+  outcomes.reserve(chain.size());
+  for (const ChainLink& link : chain) {
+    const FleetInterval& interval = *link.interval;
+    const JobOutcome& job = *link.job;
+    const RackConstants& rack = racks[job.rack];
+    SegmentTask task;
+    task.job = &job;
+    task.interval = interval.interval;
+    task.bench = &workload::find_benchmark(job.benchmark);
+    task.op = {.water_flow_kg_h = rack.design_flow_kg_h,
+               .water_inlet_c = interval.racks[job.rack].cooling.supply_temp_c};
+    task.duration_s = interval.duration_s;
+    if (state.size() == rack.cell_count) {
+      task.initial_field_c = std::move(state);
+    } else {
+      task.initial_field_c.assign(rack.cell_count, config.start_temperature_c);
+    }
+    task.cache_key = core::segment_request_key(
+        rack.scope, *task.bench, job.decision.point.config, job.decision.cores,
+        job.decision.idle_state, task.op, task.duration_s, config.step_control,
+        config.fixed_dt_s, task.initial_field_c);
+    const RackSpec& spec = fleet.racks[job.rack];
+    const core::SolveCache::ResultPtr segment =
+        cache.get_or_compute_shared(task.cache_key, [&] {
+          const core::PipelinePool::Lease pipeline =
+              core::PipelinePool::global().checkout(spec.approach,
+                                                    spec.cell_size_m);
+          return integrate_segment(*pipeline, task, config);
+        });
+    const core::TransientSegmentInfo& seg = segment->transient;
+    TPCOOL_ENSURE(seg.sim_time_s == interval.duration_s,
+                  "transient segment drifted off the interval boundary");
+    TransientJobOutcome outcome;
+    outcome.stream = job.stream;
+    outcome.rack = job.rack;
+    outcome.benchmark = job.benchmark;
+    outcome.peak_tcase_c = seg.peak_tcase_c;
+    outcome.peak_die_c = seg.peak_die_c;
+    outcome.end_tcase_c = segment->tcase_c;
+    outcome.steps = seg.steps;
+    outcome.rejected_steps = seg.rejected_steps;
+    outcome.tcase_limit_exceeded = seg.peak_tcase_c > spec.tcase_limit_c;
+    outcomes.push_back(std::move(outcome));
+    state = seg.end_state_c;
+  }
+  return outcomes;
 }
 
 }  // namespace
@@ -230,109 +310,55 @@ TransientFleetResult TransientFleetEngine::run(
   result.duration_s = result.steady.duration_s;
 
   const FleetConfig& config = fleet_.config();
-  core::SolveCache& cache = *core::SolveCache::global();
-
-  // Per-rack constants: design water flow, cache scope, and grid size (for
-  // sizing fresh stream states), resolved once, serially.
-  std::vector<double> design_flow_kg_h(config.racks.size());
-  std::vector<std::string> scope(config.racks.size());
-  std::vector<std::size_t> cell_count(config.racks.size());
+  std::vector<RackConstants> racks(config.racks.size());
   for (std::size_t r = 0; r < config.racks.size(); ++r) {
     const RackSpec& spec = config.racks[r];
-    design_flow_kg_h[r] =
-        core::server_config_for(spec.approach, spec.cell_size_m)
-            .operating_point.water_flow_kg_h;
-    scope[r] = core::solve_scope(spec.approach, spec.cell_size_m);
-    const thermal::StackModel stack = thermal::make_package_stack(
-        core::server_config_for(spec.approach, spec.cell_size_m).stack);
-    cell_count[r] = stack.grid.nx * stack.grid.ny * stack.layer_count();
+    const core::ServerConfig server =
+        core::server_config_for(spec.approach, spec.cell_size_m);
+    racks[r].design_flow_kg_h = server.operating_point.water_flow_kg_h;
+    racks[r].scope = core::solve_scope(spec.approach, spec.cell_size_m);
+    const thermal::StackModel stack = thermal::make_package_stack(server.stack);
+    racks[r].cell_count = stack.grid.nx * stack.grid.ny * stack.layer_count();
   }
 
-  // Thermal state follows the stream across intervals (the history a
-  // migrating job's server accumulates — a modeling choice; see the header
-  // doc).  A rack move that changes the grid resets to the start
-  // temperature.
-  std::unordered_map<std::size_t, std::vector<double>> stream_state;
-
+  // Each stream's segments in interval order.  A segment depends only on
+  // its own stream's previous end state and on the steady plan above, so
+  // every stream's chain runs as one task, with no barrier between
+  // intervals.
+  std::vector<std::vector<ChainLink>> chains(streams.size());
   for (const FleetInterval& interval : result.steady.intervals) {
-    util::TraceSpan interval_span("transient.interval");
-    interval_span.arg("interval", static_cast<double>(interval.interval));
-    interval_span.arg("jobs", static_cast<double>(interval.jobs.size()));
+    for (const JobOutcome& job : interval.jobs) {
+      chains[job.stream].push_back({&interval, &job});
+    }
+  }
+  core::SolveCache& cache = *core::SolveCache::global();
+  std::vector<std::vector<TransientJobOutcome>> outcomes =
+      core::parallel_map<std::vector<TransientJobOutcome>>(
+          chains.size(), kChainGrain, [](std::size_t chunk) { return chunk; },
+          [&](std::size_t&, std::size_t s) {
+            return walk_chain(chains[s], config, racks, config_, cache);
+          });
+
+  // Serial rollup in interval, then stream order.
+  std::vector<std::size_t> next(chains.size(), 0);
+  result.intervals.reserve(result.steady.intervals.size());
+  for (const FleetInterval& interval : result.steady.intervals) {
     if (util::telemetry_enabled()) {
       static util::TelemetryCounter& intervals =
           util::Telemetry::instance().counter("transient.intervals");
       intervals.add(1.0);
     }
-    std::vector<SegmentTask> tasks;
-    tasks.reserve(interval.jobs.size());
-    for (const JobOutcome& job : interval.jobs) {
-      const std::size_t r = job.rack;
-      SegmentTask task;
-      task.job = &job;
-      task.bench = &workload::find_benchmark(job.benchmark);
-      task.op = {.water_flow_kg_h = design_flow_kg_h[r],
-                 .water_inlet_c = interval.racks[r].cooling.supply_temp_c};
-      task.duration_s = interval.duration_s;
-      const auto carried = stream_state.find(job.stream);
-      if (carried != stream_state.end() &&
-          carried->second.size() == cell_count[r]) {
-        task.initial_field_c = carried->second;
-      } else {
-        task.initial_field_c.assign(cell_count[r],
-                                    config_.start_temperature_c);
-      }
-      task.cache_key = core::segment_request_key(
-          scope[r], *task.bench, job.decision.point.config,
-          job.decision.cores, job.decision.idle_state, task.op,
-          task.duration_s, config_.step_control, config_.fixed_dt_s,
-          task.initial_field_c);
-      tasks.push_back(std::move(task));
-    }
-
-    // Fan the interval's segments out, memoized under the segment key: a
-    // warm rerun replays every segment from the cache, and only a miss
-    // checks a pipeline out of the pool.
-    const std::vector<core::SolveCache::ResultPtr> segments =
-        core::parallel_map<core::SolveCache::ResultPtr>(
-            tasks.size(), kSegmentGrain,
-            [](std::size_t chunk) { return chunk; },
-            [&](std::size_t&, std::size_t j) {
-              return cache.get_or_compute_shared(tasks[j].cache_key, [&] {
-                const RackSpec& spec = config.racks[tasks[j].job->rack];
-                const core::PipelinePool::Lease pipeline =
-                    core::PipelinePool::global().checkout(spec.approach,
-                                                          spec.cell_size_m);
-                return integrate_segment(*pipeline, tasks[j], config_);
-              });
-            });
-
-    // Serial rollup + state chaining, in stream order.
     TransientInterval out;
     out.interval = interval.interval;
     out.start_s = interval.start_s;
     out.duration_s = interval.duration_s;
-    out.jobs.reserve(tasks.size());
-    for (std::size_t j = 0; j < tasks.size(); ++j) {
-      const JobOutcome& job = *tasks[j].job;
-      const core::TransientSegmentInfo& seg = segments[j]->transient;
-      TPCOOL_ENSURE(seg.sim_time_s == interval.duration_s,
-                    "transient segment drifted off the interval boundary");
-      TransientJobOutcome outcome;
-      outcome.stream = job.stream;
-      outcome.rack = job.rack;
-      outcome.benchmark = job.benchmark;
-      outcome.peak_tcase_c = seg.peak_tcase_c;
-      outcome.peak_die_c = seg.peak_die_c;
-      outcome.end_tcase_c = segments[j]->tcase_c;
-      outcome.steps = seg.steps;
-      outcome.rejected_steps = seg.rejected_steps;
-      outcome.tcase_limit_exceeded =
-          seg.peak_tcase_c > config.racks[job.rack].tcase_limit_c;
+    out.jobs.reserve(interval.jobs.size());
+    for (const JobOutcome& job : interval.jobs) {
+      TransientJobOutcome& outcome = outcomes[job.stream][next[job.stream]++];
       if (outcome.tcase_limit_exceeded) ++result.qos_violations;
-      result.peak_tcase_c = std::max(result.peak_tcase_c, seg.peak_tcase_c);
-      result.total_steps += seg.steps;
-      result.total_rejected_steps += seg.rejected_steps;
-      stream_state[job.stream] = seg.end_state_c;
+      result.peak_tcase_c = std::max(result.peak_tcase_c, outcome.peak_tcase_c);
+      result.total_steps += outcome.steps;
+      result.total_rejected_steps += outcome.rejected_steps;
       out.jobs.push_back(std::move(outcome));
     }
     result.intervals.push_back(std::move(out));

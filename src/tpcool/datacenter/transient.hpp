@@ -20,13 +20,18 @@
 /// accumulates); a rack move that changes the grid resets the state to the
 /// start temperature.
 ///
-/// Engine contract: segments fan out through `core::parallel_map`, are
-/// integrated on a pooled pipeline only on a cache miss, and are memoized
-/// in the `SolveCache` under
-/// `segment_request_key` — keyed on a digest of the segment's *initial
-/// field*, so a chained rerun replays the whole trajectory from a warm
-/// snapshot with zero misses, and results are bit-identical for any
-/// thread count (`transient_digest` certifies it, like `fleet_digest`).
+/// Engine contract: each stream's segments form a chain, and the chains
+/// fan out through `core::parallel_map`, one task per stream.  A chain
+/// walks its segments in interval order, carrying only its own end state,
+/// with no barrier between intervals: a segment depends only on its
+/// stream's previous end state and the steady plan.  A segment is
+/// integrated on a pooled pipeline only on a cache miss and is memoized
+/// in the `SolveCache` under `segment_request_key` — keyed on a digest of
+/// the segment's *initial field*, so a chained rerun replays the whole
+/// trajectory from a warm snapshot with zero misses.  Totals and peaks
+/// roll up serially in interval, then stream order, so results are
+/// bit-identical for any thread count (`transient_digest` certifies it,
+/// like `fleet_digest`).
 
 #include <cstddef>
 #include <cstdint>
@@ -93,11 +98,11 @@ struct TransientFleetResult {
 
 /// Adaptive-step transient engine over a fleet.
 ///
-/// `run` is bit-identical for any thread count: segments are fanned out
-/// with fixed-grain `parallel_map`, every segment value is a pure function
-/// of its cache key (cold-start integration from the keyed initial field),
-/// and all cross-segment state (per-stream chaining) updates serially in
-/// stream order.
+/// `run` is bit-identical for any thread count: per-stream chains are
+/// fanned out with fixed-grain `parallel_map`, every segment value is a
+/// pure function of its cache key (cold-start integration from the keyed
+/// initial field), a chain's state is its own, and the fleet-wide rollup
+/// runs serially in interval, then stream order.
 class TransientFleetEngine {
  public:
   TransientFleetEngine(FleetConfig fleet, TransientEngineConfig config);

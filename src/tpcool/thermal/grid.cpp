@@ -6,6 +6,17 @@
 
 namespace tpcool::thermal {
 
+namespace {
+
+/// Series conductance of two half-cells meeting at an interface (harmonic
+/// mean, the standard finite-volume interface treatment).
+double series(double g1, double g2) {
+  TPCOOL_ENSURE(g1 > 0.0 && g2 > 0.0, "non-positive conductance");
+  return 1.0 / (1.0 / g1 + 1.0 / g2);
+}
+
+}  // namespace
+
 ThermalModel::ThermalModel(StackModel stack) : stack_(std::move(stack)) {
   TPCOOL_REQUIRE(stack_.layer_count() >= 2, "stack needs at least two layers");
   for (const StackLayer& layer : stack_.layers) {
@@ -38,7 +49,7 @@ void ThermalModel::set_top_boundary(TopBoundary boundary) {
     TPCOOL_REQUIRE(h >= 0.0, "negative HTC");
   }
   top_ = std::move(boundary);
-  dirty_ = true;
+  top_dirty_ = true;  // the bands stay valid
 }
 
 void ThermalModel::set_top_boundary_uniform(double htc_w_m2k,
@@ -57,7 +68,11 @@ void ThermalModel::set_bottom_boundary(double htc_w_m2k, double ambient_c) {
 }
 
 void ThermalModel::assemble() const {
-  if (!dirty_) return;
+  if (dirty_) assemble_conductances();
+  if (top_dirty_) assemble_top_boundary();
+}
+
+void ThermalModel::assemble_conductances() const {
   const std::size_t n = cell_count();
   util::StencilOperator m(nx(), ny(), nz());
   boundary_rhs_.assign(n, 0.0);
@@ -71,13 +86,6 @@ void ThermalModel::assemble() const {
   };
   const auto dz_of = [&](std::size_t iz) {
     return stack_.layers[iz].thickness_m;
-  };
-
-  // Series conductance of two half-cells meeting at an interface
-  // (harmonic mean, the standard finite-volume interface treatment).
-  const auto series = [](double g1, double g2) {
-    TPCOOL_ENSURE(g1 > 0.0 && g2 > 0.0, "non-positive conductance");
-    return 1.0 / (1.0 / g1 + 1.0 / g2);
   };
 
   for (std::size_t iz = 0; iz < nz(); ++iz) {
@@ -104,15 +112,6 @@ void ThermalModel::assemble() const {
                      k_of(ix, iy, iz + 1) * cell_area / (0.5 * dz_of(iz + 1)));
           m.add_coupling(self, util::StencilBand::kZPlus, g);
         }
-        if (iz + 1 == nz()) {  // top convective boundary
-          const double h = top_.htc_w_m2k(ix, iy);
-          if (h > 0.0) {
-            const double g = series(k_of(ix, iy, iz) * cell_area / (0.5 * dz),
-                                    h * cell_area);
-            m.add_to_diagonal(self, g);
-            boundary_rhs_[self] += g * top_.fluid_temp_c(ix, iy);
-          }
-        }
         if (iz == 0 && bottom_htc_w_m2k_ > 0.0) {  // bottom boundary
           const double g = series(k_of(ix, iy, iz) * cell_area / (0.5 * dz),
                                   bottom_htc_w_m2k_ * cell_area);
@@ -125,6 +124,39 @@ void ThermalModel::assemble() const {
   operator_ = std::move(m);
   step_operator_valid_ = false;
   dirty_ = false;
+  top_dirty_ = true;
+}
+
+void ThermalModel::assemble_top_boundary() const {
+  const double cell_area = stack_.grid.dx * stack_.grid.dy;
+  const std::size_t iz = nz() - 1;  // never the bottom layer (nz >= 2)
+  const double dz = stack_.layers[iz].thickness_m;
+  using util::StencilBand;
+  for (std::size_t iy = 0; iy < ny(); ++iy) {
+    for (std::size_t ix = 0; ix < nx(); ++ix) {
+      const std::size_t self = cell_index(ix, iy, iz);
+      // A one-pass assembly sums this diagonal as 0 + g(z-) + g(y-) + g(x-)
+      // + g(x+) + g(y+) + g_top: the order the cell loop reaches each
+      // coupling.  Every band entry is exactly -g (0 at a grid edge), so
+      // re-summing the bands in that order reproduces it bit for bit.
+      double diag = 0.0;
+      diag += -operator_.offdiag(self, StencilBand::kZMinus);
+      diag += -operator_.offdiag(self, StencilBand::kYMinus);
+      diag += -operator_.offdiag(self, StencilBand::kXMinus);
+      diag += -operator_.offdiag(self, StencilBand::kXPlus);
+      diag += -operator_.offdiag(self, StencilBand::kYPlus);
+      boundary_rhs_[self] = 0.0;
+      const double h = top_.htc_w_m2k(ix, iy);
+      if (h > 0.0) {  // convective cell; h = 0 is adiabatic
+        const double k = stack_.layers[iz].conductivity_w_mk(ix, iy);
+        const double g = series(k * cell_area / (0.5 * dz), h * cell_area);
+        diag += g;
+        boundary_rhs_[self] += g * top_.fluid_temp_c(ix, iy);
+      }
+      operator_.set_diagonal(self, diag);
+    }
+  }
+  top_dirty_ = false;
 }
 
 util::Grid2D<double> ThermalModel::layer_field(const std::vector<double>& t,

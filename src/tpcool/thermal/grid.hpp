@@ -120,7 +120,15 @@ class ThermalModel {
   [[nodiscard]] double source_power_w() const;
 
  private:
-  void assemble() const;  // lazy; depends on boundary state
+  // Lazy assembly, in two parts with separate staleness flags.  The
+  // conductance bands, their diagonal contributions and the bottom boundary
+  // depend on geometry and the bottom boundary only: assembled once, again
+  // only after set_bottom_boundary.  The top layer's diagonal and
+  // boundary_rhs_ entries depend on the top boundary, which a coupled or
+  // transient solve re-sets every iteration: only they are rewritten then.
+  void assemble() const;
+  void assemble_conductances() const;
+  void assemble_top_boundary() const;
 
   StackModel stack_;
   util::Grid2D<double> power_w_;
@@ -130,13 +138,15 @@ class ThermalModel {
 
   // Lazily assembled operator; mutable because assembly is a cache. The
   // 7-point conductance operator is stored banded (StencilOperator), not
-  // CSR: matrix-free SpMV plus SSOR sweeps over the bands.
-  mutable bool dirty_ = true;
+  // CSR: matrix-free SpMV plus SSOR sweeps over the bands.  The two flags
+  // share one word of padding: ThermalModel does not grow.
+  mutable bool dirty_ = true;      // bands + bottom boundary stale
+  mutable bool top_dirty_ = true;  // top diagonal + top boundary_rhs_ stale
   mutable util::StencilOperator operator_{1, 1, 1};
   mutable std::vector<double> boundary_rhs_;  // G_b·T_fluid terms
   mutable util::CgResult last_stats_;
-  // Transient step operator (G + C/dt): bands cached from operator_, only
-  // the diagonal is re-shifted per step.
+  // Transient step operator (G + C/dt): bands copied from operator_ once
+  // per band assembly, only the diagonal is re-shifted per step.
   mutable util::StencilOperator step_operator_{1, 1, 1};
   mutable bool step_operator_valid_ = false;
 };

@@ -74,6 +74,11 @@ void StencilOperator::add_to_diagonal(std::size_t i, double value) {
   diag_[i] += value;
 }
 
+void StencilOperator::set_diagonal(std::size_t i, double value) {
+  TPCOOL_REQUIRE(i < size(), "cell index out of range");
+  diag_[i] = value;
+}
+
 void StencilOperator::set_shifted_diagonal(const StencilOperator& base,
                                            const std::vector<double>& shift) {
   TPCOOL_REQUIRE(base.nx_ == nx_ && base.ny_ == ny_ && base.nz_ == nz_,

@@ -54,6 +54,10 @@ class StencilOperator {
   /// Accumulate a boundary (or mass) term onto the diagonal of cell `i`.
   void add_to_diagonal(std::size_t i, double value);
 
+  /// Overwrite the diagonal of cell `i` (re-assembling one cell's boundary
+  /// terms without rebuilding the bands).
+  void set_diagonal(std::size_t i, double value);
+
   /// Overwrite the diagonal with base.diag + shift. Bands are untouched;
   /// `base` must share this operator's grid. Lets a cached copy of a base
   /// operator be re-shifted every transient step without re-copying the

@@ -221,7 +221,7 @@ class Telemetry {
 /// movable: a span is pinned to its scope and thread.
 class TraceSpan {
  public:
-  static constexpr int kMaxArgs = 6;
+  static constexpr int kMaxArgs = 8;
   static constexpr std::size_t kMaxDetail = 39;
 
   /// `name` must have static storage duration (string literals): the ring

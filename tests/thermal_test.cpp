@@ -251,6 +251,95 @@ TEST(TransientSolver, LargeStepApproachesSteady) {
   for (std::size_t i = 0; i < t.size(); ++i) EXPECT_NEAR(t[i], steady[i], 0.01);
 }
 
+// ------------------------------------------------------ boundary updates --
+
+/// A per-cell top boundary over an nx×ny grid: h and the fluid temperature
+/// vary cell to cell.  With `footprint`, h = 0 (adiabatic) outside an inner
+/// rectangle, as outside the evaporator.
+TopBoundary patterned_boundary(std::size_t nx, std::size_t ny, double h0,
+                               double fluid_c, bool footprint) {
+  TopBoundary b;
+  b.htc_w_m2k = Grid2D<double>(nx, ny, 0.0);
+  b.fluid_temp_c = Grid2D<double>(nx, ny, fluid_c);
+  for (std::size_t iy = 0; iy < ny; ++iy) {
+    for (std::size_t ix = 0; ix < nx; ++ix) {
+      const bool inside = ix >= 2 && ix + 2 < nx && iy >= 1 && iy + 1 < ny;
+      if (inside || !footprint) {
+        b.htc_w_m2k(ix, iy) =
+            h0 * (1.0 + 0.37 * std::sin(0.7 * static_cast<double>(ix) +
+                                        1.3 * static_cast<double>(iy)));
+      }
+      b.fluid_temp_c(ix, iy) =
+          fluid_c + 0.011 * static_cast<double>(ix * iy);
+    }
+  }
+  return b;
+}
+
+TEST(BoundaryUpdate, ResetBoundaryMatchesAFreshAssemblyBitwise) {
+  // set_top_boundary rewrites only the top layer's diagonal and boundary
+  // terms; set_bottom_boundary re-assembles the bands.  Either way, the
+  // re-set model must solve exactly like a model assembled fresh under the
+  // same boundaries, on the heterogeneous package stack.
+  PackageStackConfig stack_config;
+  stack_config.cell_size_m = 3.0e-3;
+  const StackModel stack = make_package_stack(stack_config);
+  const std::size_t nx = stack.grid.nx;
+  const std::size_t ny = stack.grid.ny;
+  Grid2D<double> power(nx, ny, 0.0);
+  for (std::size_t iy = 0; iy < ny; ++iy) {
+    for (std::size_t ix = 0; ix < nx; ++ix) {
+      power(ix, iy) = 0.05 + 0.01 * static_cast<double>((7 * ix + 3 * iy) % 5);
+    }
+  }
+  const TopBoundary b1 = patterned_boundary(nx, ny, 9000.0, 32.0, false);
+  const TopBoundary b2 = patterned_boundary(nx, ny, 14000.0, 28.5, true);
+  ASSERT_GT(b1.htc_w_m2k(0, 0), 0.0);
+  ASSERT_EQ(b2.htc_w_m2k(0, 0), 0.0);  // a cell that turns adiabatic
+
+  const auto expect_same_solves = [&](const ThermalModel& reused,
+                                      const ThermalModel& fresh) {
+    EXPECT_TRUE(reused.solve_steady() == fresh.solve_steady());
+    std::vector<double> a(reused.cell_count(), 45.0);
+    std::vector<double> b(fresh.cell_count(), 45.0);
+    reused.step_transient(a, 0.02);
+    fresh.step_transient(b, 0.02);
+    EXPECT_TRUE(a == b);
+  };
+  const auto fresh_model = [&](const TopBoundary& top, double bottom_htc,
+                               double ambient_c) {
+    ThermalModel model(stack);
+    model.set_power_map(power);
+    model.set_bottom_boundary(bottom_htc, ambient_c);
+    model.set_top_boundary(top);
+    return model;
+  };
+
+  ThermalModel reused(stack);
+  reused.set_power_map(power);
+  reused.set_bottom_boundary(10.0, 40.0);
+  reused.set_top_boundary(b1);
+  (void)reused.solve_steady();  // assemble both parts and the step operator
+  std::vector<double> t(reused.cell_count(), 40.0);
+  reused.step_transient(t, 0.01);
+
+  {
+    SCOPED_TRACE("top boundary re-set");
+    reused.set_top_boundary(b2);
+    expect_same_solves(reused, fresh_model(b2, 10.0, 40.0));
+  }
+  {
+    SCOPED_TRACE("bottom boundary re-set");
+    reused.set_bottom_boundary(25.0, 35.0);
+    expect_same_solves(reused, fresh_model(b2, 25.0, 35.0));
+  }
+  {
+    SCOPED_TRACE("top boundary re-set after a bottom re-set");
+    reused.set_top_boundary(b1);
+    expect_same_solves(reused, fresh_model(b1, 25.0, 35.0));
+  }
+}
+
 // ---------------------------------------------------------------- metrics --
 
 TEST(Metrics, MaxAvgAndGradient) {

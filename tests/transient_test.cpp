@@ -387,21 +387,27 @@ TEST_F(TransientEngineTest, DailyTraceOnOneServerStaysWithinLimits) {
 
 TEST_F(TransientEngineTest, BitIdenticalAcrossThreadCounts) {
   const datacenter::TransientEngineConfig config;
+  // A third, shorter stream splits the timeline at 0.6 s: streams 0 and 1
+  // run three-segment chains, stream 2 a one-segment chain that ends early.
+  std::vector<workload::WorkloadTrace> streams = smooth_streams();
+  streams.push_back(workload::WorkloadTrace({{"swaptions", {2.0}, 0.6}}));
 
   util::ThreadPool::set_global_thread_count(1);
   core::SolveCache::global()->clear();
   const datacenter::TransientFleetResult serial =
-      datacenter::TransientFleetEngine(small_fleet(), config)
-          .run(smooth_streams());
+      datacenter::TransientFleetEngine(small_fleet(), config).run(streams);
   const std::uint64_t serial_digest = datacenter::transient_digest(serial);
+  ASSERT_EQ(serial.intervals.size(), 3u);
+  EXPECT_EQ(serial.intervals[0].jobs.size(), 3u);
+  EXPECT_EQ(serial.intervals[1].jobs.size(), 2u);
+  EXPECT_EQ(serial.intervals[2].jobs.size(), 2u);
 
   for (const std::size_t threads : {2u, 4u}) {
     util::ThreadPool::set_global_thread_count(threads);
     core::SolveCache::global()->clear();  // recompute, don't replay bits
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const datacenter::TransientFleetResult parallel =
-        datacenter::TransientFleetEngine(small_fleet(), config)
-            .run(smooth_streams());
+        datacenter::TransientFleetEngine(small_fleet(), config).run(streams);
     EXPECT_EQ(datacenter::transient_digest(parallel), serial_digest);
   }
 }
