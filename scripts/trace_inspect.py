@@ -24,7 +24,10 @@ and exits non-zero on the first violation:
   * the number of "solve" spans equals the metrics counter
     "solve.executed" when no spans were dropped (with drops, recorded
     spans may be fewer — never more);
-  * metrics "spans" equals the number of "X" events.
+  * metrics "spans" equals the number of "X" events;
+  * every "fleet.interval" span has args with
+    solves <= lookups <= requests: the engine executes at most one solve
+    per cache lookup and asks the cache at most once per job request.
 
 Exit status: 0 = OK, 1 = malformed trace (--verify), 2 = bad invocation
 or an unreadable/unparseable file.
@@ -157,6 +160,26 @@ def check_counters(trace, spans):
             )
 
 
+def check_fleet_intervals(spans):
+    """solves <= lookups <= requests on every fleet.interval span."""
+    for event in spans:
+        if event["name"] != "fleet.interval":
+            continue
+        args = event.get("args", {})
+        missing = [k for k in ("solves", "lookups", "requests")
+                   if k not in args]
+        if missing:
+            raise TraceError(f"fleet.interval span lacks args {missing}")
+        solves, lookups, requests = (
+            args["solves"], args["lookups"], args["requests"])
+        if not solves <= lookups <= requests:
+            raise TraceError(
+                f"fleet.interval {args.get('interval', '?')!r}: want "
+                f"solves <= lookups <= requests, got {solves:g}, "
+                f"{lookups:g}, {requests:g}"
+            )
+
+
 def summarize(trace, spans):
     metrics = trace["metrics"]
     by_name = defaultdict(lambda: [0, 0.0])
@@ -217,6 +240,7 @@ def main():
         check_monotonic_ends(spans)
         check_nesting(spans)
         check_counters(trace, spans)
+        check_fleet_intervals(spans)
     except TraceError as error:
         print(f"trace_inspect: MALFORMED: {error}", file=sys.stderr)
         if args.verify:

@@ -19,10 +19,20 @@ SolveCache::ResultPtr cached_solve(SolveCache& cache, Approach approach,
                                    const workload::Configuration& config,
                                    const std::vector<int>& cores,
                                    power::CState idle_state) {
+  return cached_solve(cache, approach, cell_size_m,
+                      solve_scope(approach, cell_size_m), op,
+                      solve_request_key(bench, config, cores, idle_state),
+                      bench, config, cores, idle_state);
+}
+
+SolveCache::ResultPtr cached_solve(
+    SolveCache& cache, Approach approach, double cell_size_m,
+    const std::string& scope, const thermosyphon::OperatingPoint& op,
+    const std::string& request_key, const workload::BenchmarkProfile& bench,
+    const workload::Configuration& config, const std::vector<int>& cores,
+    power::CState idle_state) {
   return cache.get_or_compute_shared(
-      solve_key(solve_scope(approach, cell_size_m), op, bench, config, cores,
-                idle_state),
-      [&] {
+      solve_key(scope, op, request_key), [&] {
         const PipelinePool::Lease pipeline =
             PipelinePool::global().checkout(approach, cell_size_m);
         pipeline->server().set_operating_point(op);

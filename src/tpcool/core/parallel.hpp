@@ -55,6 +55,19 @@ using util::parallel_map;
     const workload::Configuration& config, const std::vector<int>& cores,
     power::CState idle_state);
 
+/// The same solve with the key's two fixed pieces prebuilt: `scope` must
+/// be `solve_scope(approach, cell_size_m)` and `request_key`
+/// `solve_request_key(bench, config, cores, idle_state)`.  A caller that
+/// asks one request at several operating points builds them once.  The
+/// overload above builds both and forwards here, so the key bytes and the
+/// miss path are the same.
+[[nodiscard]] SolveCache::ResultPtr cached_solve(
+    SolveCache& cache, Approach approach, double cell_size_m,
+    const std::string& scope, const thermosyphon::OperatingPoint& op,
+    const std::string& request_key, const workload::BenchmarkProfile& bench,
+    const workload::Configuration& config, const std::vector<int>& cores,
+    power::CState idle_state);
+
 /// One independent coupled-solve request against a pipeline server.
 struct SolveRequest {
   const workload::BenchmarkProfile* bench = nullptr;

@@ -666,12 +666,14 @@ const std::shared_ptr<SolveCache>& SolveCache::global() {
 }
 
 void append_key_bits(std::string& key, double value) {
-  static const char* hex = "0123456789abcdef";
+  static constexpr char kHex[] = "0123456789abcdef";
   const auto bits = std::bit_cast<std::uint64_t>(value);
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    key.push_back(hex[(bits >> shift) & 0xF]);
+  char digits[17];
+  for (int i = 0; i < 16; ++i) {
+    digits[i] = kHex[(bits >> (60 - 4 * i)) & 0xF];
   }
-  key.push_back(';');
+  digits[16] = ';';
+  key.append(digits, sizeof digits);
 }
 
 std::string solve_request_key(const workload::BenchmarkProfile& bench,
@@ -716,10 +718,19 @@ std::string solve_key(const std::string& scope,
                       const workload::Configuration& config,
                       const std::vector<int>& cores,
                       power::CState idle_state) {
-  std::string key = scope;
+  return solve_key(scope, op,
+                   solve_request_key(bench, config, cores, idle_state));
+}
+
+std::string solve_key(const std::string& scope,
+                      const thermosyphon::OperatingPoint& op,
+                      const std::string& request_key) {
+  std::string key;
+  key.reserve(scope.size() + 2 * 17 + request_key.size());
+  key += scope;
   append_key_bits(key, op.water_flow_kg_h);
   append_key_bits(key, op.water_inlet_c);
-  key += solve_request_key(bench, config, cores, idle_state);
+  key += request_key;
   return key;
 }
 

@@ -216,6 +216,13 @@ void append_key_bits(std::string& key, double value);
                                     const std::vector<int>& cores,
                                     power::CState idle_state);
 
+/// The same key from its prebuilt pieces: `scope`, the operating point's
+/// exact bits, then `request_key` (a `solve_request_key`).  Callers that
+/// ask one request at several operating points build the pieces once.
+[[nodiscard]] std::string solve_key(const std::string& scope,
+                                    const thermosyphon::OperatingPoint& op,
+                                    const std::string& request_key);
+
 /// Canonical key for one transient segment: server scope + the steady solve
 /// inputs of the phase + operating point + segment duration + every
 /// step-control parameter (`fixed_dt_s > 0` selects the fixed-period

@@ -1,6 +1,7 @@
 #include "tpcool/datacenter/streaming.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -10,6 +11,7 @@
 #include <sstream>
 #include <string_view>
 #include <system_error>
+#include <tuple>
 #include <utility>
 
 #include "tpcool/cooling/pue.hpp"
@@ -25,7 +27,8 @@ namespace tpcool::datacenter {
 
 namespace {
 
-/// One job per chunk: every (rack, server) slot scans independently.
+/// One distinct request per chunk: every request class scans, and every
+/// (class, setpoint) pair solves, independently.
 constexpr std::size_t kFleetGrain = 1;
 
 /// Phase-1 outcome of one job: the schedule and the supply-temperature
@@ -35,7 +38,41 @@ struct ScanOutcome {
   double max_supply_temp_c = 0.0;
   double demand_power_w = 0.0;  ///< Package power at the scan's endpoint.
   bool infeasible = false;      ///< No candidate kept TCASE within limit.
+  std::size_t scanned = 0;      ///< Candidates solved, the last included.
 };
+
+/// Phase-1 outcome of one request class: the scan all its jobs share, and
+/// the `core::solve_request_key` every solve of the class reuses.
+struct ClassScan {
+  ScanOutcome scan;
+  std::string request_key;
+};
+
+/// Number the distinct `key_of(i)` over i in [0, n) in order of first
+/// appearance: returns each i's group and appends each group's first i to
+/// `first`.  The numbering, not the map's order, fixes the fan-out order.
+template <typename Key, typename KeyOf>
+std::vector<std::size_t> group_by_first(std::size_t n, KeyOf key_of,
+                                        std::vector<std::size_t>& first) {
+  std::map<Key, std::size_t> index;
+  std::vector<std::size_t> group(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto [it, fresh] = index.try_emplace(key_of(i), first.size());
+    if (fresh) first.push_back(i);
+    group[i] = it->second;
+  }
+  return group;
+}
+
+/// Bitwise equality: the candidates become cache-key bits and outputs, so
+/// -0.0 and 0.0 are different candidates.
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](double x, double y) {
+                      return std::bit_cast<std::uint64_t>(x) ==
+                             std::bit_cast<std::uint64_t>(y);
+                    });
+}
 
 }  // namespace
 
@@ -57,21 +94,37 @@ StreamingFleetEngine::StreamingFleetEngine(
   }
 
   // Per-rack design water flow (the §VI-C operating point of the rack's
-  // approach), fixed over the run, and the rack's decision pipeline.
+  // approach), fixed over the run, the rack's cache scope and decision
+  // pipeline, and its scan class: the first rack whose phase-1 scan reads
+  // the same inputs.  Events change only capacity and chillers, so the
+  // class holds for the whole run.
   design_flow_kg_h_.resize(config_.racks.size());
+  rack_scope_.resize(config_.racks.size());
   rack_scheduler_.resize(config_.racks.size());
+  rack_class_.resize(config_.racks.size());
   for (std::size_t r = 0; r < config_.racks.size(); ++r) {
     const RackSpec& spec = config_.racks[r];
     design_flow_kg_h_[r] =
         core::server_config_for(spec.approach, spec.cell_size_m)
             .operating_point.water_flow_kg_h;
+    rack_scope_[r] = core::solve_scope(spec.approach, spec.cell_size_m);
     std::unique_ptr<core::ApproachPipeline>& decider =
-        deciders_[core::solve_scope(spec.approach, spec.cell_size_m)];
+        deciders_[rack_scope_[r]];
     if (decider == nullptr) {
       decider = std::make_unique<core::ApproachPipeline>(spec.approach,
                                                          spec.cell_size_m);
     }
     rack_scheduler_[r] = &decider->scheduler();
+    rack_class_[r] = r;
+    for (std::size_t q = 0; q < r; ++q) {
+      const RackSpec& other = config_.racks[q];
+      if (rack_scope_[q] == rack_scope_[r] &&
+          same_bits(other.supply_candidates_c, spec.supply_candidates_c) &&
+          other.tcase_limit_c == spec.tcase_limit_c) {
+        rack_class_[r] = rack_class_[q];
+        break;
+      }
+    }
   }
 
   // Runtime rack state the event timeline mutates.
@@ -239,45 +292,80 @@ bool StreamingFleetEngine::advance() {
     loads_[rack].est_power_w += jobs[j].est_power_w;
   }
 
-  // Schedule serially, in dispatch order: a decision depends only on
-  // (approach, benchmark, QoS) and each rack scheduler memoizes it.
-  std::vector<ScanOutcome> scans(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    scans[j].decision =
+  // Group the jobs into request classes: (rack class, benchmark, QoS
+  // factor) fixes the decision and every question a scan asks, so each
+  // class is scheduled and scanned once and its jobs copy the outcome.
+  std::vector<std::size_t> class_job;  // each class's first job
+  const std::vector<std::size_t> job_class =
+      group_by_first<std::tuple<std::size_t, const workload::BenchmarkProfile*,
+                                std::uint64_t>>(
+          jobs.size(),
+          [&](std::size_t j) {
+            return std::tuple{rack_class_[placed_rack[j]], jobs[j].bench,
+                              std::bit_cast<std::uint64_t>(jobs[j].qos.factor)};
+          },
+          class_job);
+
+  // Schedule serially, in class order (the dispatch order of each class's
+  // first job): a decision depends only on (approach, benchmark, QoS) and
+  // each rack scheduler memoizes it.
+  std::vector<ClassScan> classes(class_job.size());
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    const std::size_t j = class_job[c];
+    classes[c].scan.decision =
         rack_scheduler_[placed_rack[j]]->schedule(*jobs[j].bench, jobs[j].qos);
   }
-  // Job j's coupled solve at a supply temperature of its rack.
+  // Job j's coupled solve at a supply temperature of its rack, asked with
+  // its class's decision and request key.
   core::SolveCache& cache = *core::SolveCache::global();
-  const auto solve_at = [&](std::size_t j, double water_inlet_c) {
+  const auto solve_at = [&](std::size_t j, const ClassScan& cls,
+                            double water_inlet_c) {
     const std::size_t r = placed_rack[j];
-    const core::ScheduleDecision& decision = scans[j].decision;
+    const core::ScheduleDecision& decision = cls.scan.decision;
     return core::cached_solve(
         cache, config_.racks[r].approach, config_.racks[r].cell_size_m,
+        rack_scope_[r],
         {.water_flow_kg_h = design_flow_kg_h_[r],
          .water_inlet_c = water_inlet_c},
-        *jobs[j].bench, decision.point.config, decision.cores,
-        decision.idle_state);
+        cls.request_key, *jobs[j].bench, decision.point.config,
+        decision.cores, decision.idle_state);
   };
 
-  // Phase 1, parallel over all jobs of all racks: scan the rack's supply
+  // Phase 1, parallel over the request classes: scan the rack's supply
   // candidates for the highest feasible temperature.  The fan-out is
   // joined here — observers never run concurrently with it.  Infeasibility
   // does not throw: the server pins to the coldest candidate and is
   // flagged.
-  scans = core::parallel_map<ScanOutcome>(
-      jobs.size(), kFleetGrain, [](std::size_t chunk) { return chunk; },
-      [&](std::size_t&, std::size_t j) {
+  classes = core::parallel_map<ClassScan>(
+      classes.size(), kFleetGrain, [](std::size_t chunk) { return chunk; },
+      [&](std::size_t&, std::size_t c) {
+        const std::size_t j = class_job[c];
         const RackSpec& spec = config_.racks[placed_rack[j]];
-        ScanOutcome scan = scans[j];
+        ClassScan cls = classes[c];
+        const core::ScheduleDecision& decision = cls.scan.decision;
+        cls.request_key = core::solve_request_key(
+            *jobs[j].bench, decision.point.config, decision.cores,
+            decision.idle_state);
         for (const double t_w : spec.supply_candidates_c) {
-          const auto sim = solve_at(j, t_w);
-          scan.max_supply_temp_c = t_w;
-          scan.demand_power_w = sim->total_power_w;
-          if (sim->tcase_c <= spec.tcase_limit_c) return scan;
+          const auto sim = solve_at(j, cls, t_w);
+          ++cls.scan.scanned;
+          cls.scan.max_supply_temp_c = t_w;
+          cls.scan.demand_power_w = sim->total_power_w;
+          if (sim->tcase_c <= spec.tcase_limit_c) return cls;
         }
-        scan.infeasible = true;  // runs pinned at the coldest candidate
-        return scan;
+        cls.scan.infeasible = true;  // runs pinned at the coldest candidate
+        return cls;
       });
+  // Requests are what a per-job engine would ask: each job's scan, then
+  // its solve at the setpoint.
+  std::vector<ScanOutcome> scans(jobs.size());
+  std::size_t requests = 0;
+  std::size_t lookups = 0;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    scans[j] = classes[job_class[j]].scan;
+    requests += scans[j].scanned + 1;
+  }
+  for (const ClassScan& cls : classes) lookups += cls.scan.scanned;
 
   // The controller's actuation for this interval: the biases its state
   // held after the previous interval (interval 0 runs unbiased).  Queried
@@ -314,14 +402,33 @@ bool StreamingFleetEngine::advance() {
     }
   }
 
-  // Phase 2, parallel again: every server at its rack's shared setpoint.
-  // Results stay shared with the cache; only three scalars are read.
-  const std::vector<core::SolveCache::ResultPtr> at_setpoint =
+  // Phase 2, parallel again: every server at its rack's shared setpoint,
+  // asked once per distinct (class, setpoint) pair.  Results stay shared
+  // with the cache; only three scalars are read.
+  std::vector<std::size_t> pair_job;  // each pair's first job
+  const std::vector<std::size_t> job_pair =
+      group_by_first<std::pair<std::size_t, std::uint64_t>>(
+          jobs.size(),
+          [&](std::size_t j) {
+            return std::pair{job_class[j],
+                             std::bit_cast<std::uint64_t>(
+                                 rack_cooling[placed_rack[j]].supply_temp_c)};
+          },
+          pair_job);
+  const std::vector<core::SolveCache::ResultPtr> pair_results =
       core::parallel_map<core::SolveCache::ResultPtr>(
-          jobs.size(), kFleetGrain, [](std::size_t chunk) { return chunk; },
-          [&](std::size_t&, std::size_t j) {
-            return solve_at(j, rack_cooling[placed_rack[j]].supply_temp_c);
+          pair_job.size(), kFleetGrain,
+          [](std::size_t chunk) { return chunk; },
+          [&](std::size_t&, std::size_t p) {
+            const std::size_t j = pair_job[p];
+            return solve_at(j, classes[job_class[j]],
+                            rack_cooling[placed_rack[j]].supply_temp_c);
           });
+  lookups += pair_job.size();
+  std::vector<core::SolveCache::ResultPtr> at_setpoint(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    at_setpoint[j] = pair_results[job_pair[j]];
+  }
 
   // Assemble the interval.  This is the only FleetInterval the engine ever
   // holds (kMaxHeldIntervals); it dies when the last observer returns.
@@ -397,12 +504,18 @@ bool StreamingFleetEngine::advance() {
 
   const core::SolveCache::Stats cache_after =
       core::SolveCache::global()->stats();
-  const IntervalCounters counters{cache_after.misses - cache_before.misses,
-                                  cache_after.hits - cache_before.hits};
+  // Every request a solve did not execute for was served: a class
+  // member, an in-flight wait or a stored entry.  Clamped so another cache
+  // user's misses cannot wrap it.
+  const std::size_t solves = cache_after.misses - cache_before.misses;
+  const IntervalCounters counters{solves,
+                                  requests - std::min(requests, solves)};
   summary_.counters.solves += counters.solves;
   summary_.counters.hits += counters.hits;
   span.arg("solves", static_cast<double>(counters.solves));
   span.arg("hits", static_cast<double>(counters.hits));
+  span.arg("requests", static_cast<double>(requests));
+  span.arg("lookups", static_cast<double>(lookups));
 
   // Dispatch on the caller's thread, in registration order, strictly after
   // the interval's parallel fan-out joined.

@@ -21,12 +21,23 @@
 ///    in registration order.
 ///  - **Threading** — all callbacks run on the thread that calls
 ///    `advance()`/`run()`, never concurrently.  The engine's parallelism
-///    (`core::parallel_map` fan-out over an interval's jobs) is fully
-///    joined before dispatch, so an observer may freely read shared state.
+///    (`core::parallel_map` fan-out over an interval's distinct requests)
+///    is fully joined before dispatch, so an observer may freely read
+///    shared state.
 ///  - **Errors** — an exception thrown by an observer propagates out of
 ///    `advance()`/`run()` and aborts the run; the engine is then spent
 ///    (later intervals are never computed or dispatched).  Observers that
 ///    must survive sink failures (e.g. disk full) should catch their own.
+///
+/// Request classes: jobs whose rack class (cache scope, supply candidates,
+/// TCASE limit), benchmark and QoS factor are equal ask the solve cache
+/// the same questions, so each interval schedules and scans each class
+/// once, and solves each distinct (class, rack setpoint) pair once; every
+/// job copies its class's outcome.  Values are pure functions of their
+/// keys, so results are those of one scan per job.  Fewer lookups do
+/// change the cache's recency order: with more distinct keys than its
+/// capacity, eviction, and so the `solves` counter, could differ from a
+/// per-job engine's, never the results.
 ///
 /// `FleetModel::run` is rebuilt on top of this engine with the
 /// `FleetResultAggregator` observer, so batch and streaming runs are one
@@ -49,13 +60,15 @@ namespace tpcool::datacenter {
 
 class FleetController;  // control.hpp
 
-/// Process-global solve-cache activity attributed to one interval (or to
-/// the whole run, in `FleetRunSummary`): misses = coupled solves actually
-/// executed, hits = solves served from the memo.  Deltas of
-/// `core::SolveCache::global()` stats around the interval's computation —
-/// exact and deterministic for any thread count *when the engine is the
-/// only cache user in the process* (the normal case; concurrent engines
-/// would attribute each other's solves to whichever interval was active).
+/// Solve activity attributed to one interval (or to the whole run, in
+/// `FleetRunSummary`).  `solves` = coupled solves actually executed, the
+/// delta of `core::SolveCache::global()` misses around the interval's
+/// computation; `hits` = requests served without executing a solve, where
+/// the requests are each job's scanned candidates plus its solve at the
+/// rack setpoint, whether or not its request class asked the cache.  Exact
+/// and deterministic for any thread count *when the engine is the only
+/// cache user in the process* (the normal case; concurrent engines would
+/// attribute each other's solves to whichever interval was active).
 struct IntervalCounters {
   std::size_t solves = 0;
   std::size_t hits = 0;
@@ -160,6 +173,11 @@ class StreamingFleetEngine {
   std::unique_ptr<PlacementPolicy> policy_;
   std::vector<RackLoad> loads_;
   std::vector<double> design_flow_kg_h_;
+  std::vector<std::string> rack_scope_;  ///< `core::solve_scope` per rack.
+  /// Scan class per rack: the lowest rack index with the same scope,
+  /// supply candidates (bitwise) and TCASE limit, i.e. the same phase-1
+  /// scan for the same request.
+  std::vector<std::size_t> rack_class_;
   /// Decision pipelines, one per distinct (approach, cell size) among the
   /// racks, keyed by `core::solve_scope`; `rack_scheduler_[r]` is rack r's
   /// scheduler.  Only the serial dispatch step uses them.

@@ -1,15 +1,17 @@
 // Tests for the datacenter fleet layer: placement-policy units and the
 // registry, FleetModel validation and metrics accounting, bit-identity of
 // fleet sweeps at 1/2/4 threads and for cold vs snapshot-warmed caches,
-// the one-rack §V plan against plain uncached solves, and the propagation
-// of TCASE-limit violations into the fleet QoS counters (the steady-state
-// analogue of the transient engine's qos_violations).
+// the §V plan against plain uncached solves (one rack, and racks that may
+// or may not share scans), and the propagation of TCASE-limit violations
+// into the fleet QoS counters (the steady-state analogue of the transient
+// engine's qos_violations).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "tpcool/core/solve_cache.hpp"
 #include "tpcool/datacenter/fleet.hpp"
 #include "tpcool/datacenter/placement.hpp"
+#include "tpcool/datacenter/streaming.hpp"
 #include "tpcool/datacenter/transient.hpp"
 #include "tpcool/util/error.hpp"
 #include "tpcool/util/thread_pool.hpp"
@@ -419,13 +422,20 @@ std::vector<workload::WorkloadTrace> one_phase_streams(
   return streams;
 }
 
-TEST_F(DatacenterTest, OneRackFleetBitIdenticalToPlainSolves) {
-  // The reference the engine must match: every solve a plain, uncached
-  // ServerModel built from server_config_for, serial, with no cache and no
-  // pool anywhere.
-  const std::vector<std::string> names{"x264", "canneal", "swaptions"};
-  const FleetConfig config = one_rack(names.size());
-  const RackSpec& spec = config.racks[0];
+/// The reference a fleet run must match for one rack's servers: every
+/// solve a plain, uncached ServerModel built from server_config_for,
+/// serial, with no cache and no pool anywhere.  Highest feasible supply
+/// per server, the shared loop over those demands, then every server at
+/// the shared setpoint.
+struct PlainRackPlan {
+  std::vector<cooling::ServerDemand> demands;  ///< Feasible servers only.
+  std::vector<std::size_t> scanned;            ///< Candidates solved.
+  cooling::RackCoolingState cooling;
+  std::vector<core::SimulationResult> at_setpoint;
+};
+
+PlainRackPlan plain_rack_plan(const RackSpec& spec,
+                              const std::vector<std::string>& names) {
   const double design_flow =
       core::server_config_for(spec.approach, spec.cell_size_m)
           .operating_point.water_flow_kg_h;
@@ -445,25 +455,32 @@ TEST_F(DatacenterTest, OneRackFleetBitIdenticalToPlainSolves) {
                            decisions[i].idle_state);
   };
 
-  // Highest feasible supply per server, the shared loop over those
-  // demands, then every server at the shared setpoint.
-  std::vector<cooling::ServerDemand> demands;
+  PlainRackPlan plan;
   for (std::size_t i = 0; i < names.size(); ++i) {
+    plan.scanned.push_back(0);
     for (const double t_w : spec.supply_candidates_c) {
       const core::SimulationResult sim = plain_solve(i, t_w);
+      ++plan.scanned.back();
       if (sim.tcase_c <= spec.tcase_limit_c) {
-        demands.push_back({sim.total_power_w, t_w, design_flow});
+        plan.demands.push_back({sim.total_power_w, t_w, design_flow});
         break;
       }
     }
   }
-  ASSERT_EQ(demands.size(), names.size());  // every server feasible
-  const cooling::RackCoolingState reference =
-      cooling::solve_rack_cooling(demands, spec.chiller);
-  std::vector<core::SimulationResult> at_setpoint;
+  if (plan.demands.size() != names.size()) return plan;  // callers assert
+  plan.cooling = cooling::solve_rack_cooling(plan.demands, spec.chiller);
   for (std::size_t i = 0; i < names.size(); ++i) {
-    at_setpoint.push_back(plain_solve(i, reference.supply_temp_c));
+    plan.at_setpoint.push_back(plain_solve(i, plan.cooling.supply_temp_c));
   }
+  return plan;
+}
+
+TEST_F(DatacenterTest, OneRackFleetBitIdenticalToPlainSolves) {
+  const std::vector<std::string> names{"x264", "canneal", "swaptions"};
+  const FleetConfig config = one_rack(names.size());
+  const PlainRackPlan plan = plain_rack_plan(config.racks[0], names);
+  ASSERT_EQ(plan.demands.size(), names.size());  // every server feasible
+  const cooling::RackCoolingState& reference = plan.cooling;
 
   for (const std::size_t threads : {1u, 4u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -480,9 +497,9 @@ TEST_F(DatacenterTest, OneRackFleetBitIdenticalToPlainSolves) {
       const JobOutcome& job = iv.jobs[i];
       EXPECT_EQ(job.benchmark, names[i]);
       // Bitwise: caching, pipeline reuse and threads must be unobservable.
-      EXPECT_EQ(job.max_supply_temp_c, demands[i].max_supply_temp_c);
-      EXPECT_EQ(job.die_max_c, at_setpoint[i].die.max_c);
-      EXPECT_EQ(job.package_power_w, at_setpoint[i].total_power_w);
+      EXPECT_EQ(job.max_supply_temp_c, plan.demands[i].max_supply_temp_c);
+      EXPECT_EQ(job.die_max_c, plan.at_setpoint[i].die.max_c);
+      EXPECT_EQ(job.package_power_w, plan.at_setpoint[i].total_power_w);
       EXPECT_FALSE(job.tcase_limit_exceeded);
       min_supply = std::min(min_supply, job.max_supply_temp_c);
     }
@@ -497,6 +514,95 @@ TEST_F(DatacenterTest, OneRackFleetBitIdenticalToPlainSolves) {
     EXPECT_EQ(cooling.supply_temp_c, min_supply);
     EXPECT_GT(cooling.return_temp_c, cooling.supply_temp_c);
     EXPECT_GT(cooling.chiller_electrical_w, 0.0);
+  }
+}
+
+/// The count after `"key":` in a JSONL record.
+std::size_t jsonl_count(const std::string& record, const std::string& key) {
+  const std::size_t pos = record.find("\"" + key + "\":");
+  EXPECT_NE(pos, std::string::npos) << key;
+  return pos == std::string::npos
+             ? 0
+             : std::stoul(record.substr(pos + key.size() + 3));
+}
+
+TEST_F(DatacenterTest, SharedScansOnlyAmongInterchangeableRacks) {
+  // Three racks of one approach.  Rack 1 scans other supply candidates
+  // and rack 2 has a lower TCASE limit, so neither may share rack 0's
+  // scans; within a rack, the duplicate benchmarks do share them.
+  FleetConfig config = one_rack(4);
+  config.racks.resize(3, config.racks[0]);
+  config.racks[1].supply_candidates_c = {38.0, 33.0, 28.0};
+  config.racks[2].tcase_limit_c = 45.5;
+  // Round-robin places stream j on rack j % 3, so every rack runs x264
+  // twice, then canneal twice.
+  std::vector<std::string> names(6, "x264");
+  names.resize(12, "canneal");
+
+  std::vector<PlainRackPlan> plans;
+  std::size_t requests = 0;
+  for (std::size_t r = 0; r < config.racks.size(); ++r) {
+    std::vector<std::string> rack_names;
+    for (std::size_t j = r; j < names.size(); j += config.racks.size()) {
+      rack_names.push_back(names[j]);
+    }
+    plans.push_back(plain_rack_plan(config.racks[r], rack_names));
+    ASSERT_EQ(plans[r].demands.size(), rack_names.size());
+    for (const std::size_t scanned : plans[r].scanned) {
+      requests += scanned + 1;
+    }
+  }
+  // The test is only sharp where a shared scan would change an outcome.
+  ASSERT_NE(plans[1].demands[0].max_supply_temp_c,
+            plans[0].demands[0].max_supply_temp_c);
+  ASSERT_NE(plans[2].demands[0].max_supply_temp_c,
+            plans[0].demands[0].max_supply_temp_c);
+
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    util::ThreadPool::set_global_thread_count(threads);
+    core::SolveCache::global()->clear();
+    std::ostringstream jsonl;
+    JsonlFleetSink sink(jsonl);
+    FleetResultAggregator aggregator;
+    StreamingFleetEngine engine(config, one_phase_streams(names));
+    engine.add_observer(sink);
+    engine.add_observer(aggregator);
+    engine.run();
+
+    const FleetResult& result = aggregator.result();
+    ASSERT_EQ(result.intervals.size(), 1u);
+    const FleetInterval& iv = result.intervals[0];
+    ASSERT_EQ(iv.jobs.size(), names.size());
+    for (std::size_t j = 0; j < names.size(); ++j) {
+      SCOPED_TRACE("job=" + std::to_string(j));
+      const std::size_t r = j % config.racks.size();
+      const std::size_t i = j / config.racks.size();
+      const JobOutcome& job = iv.jobs[j];
+      ASSERT_EQ(job.rack, r);
+      EXPECT_EQ(job.max_supply_temp_c, plans[r].demands[i].max_supply_temp_c);
+      EXPECT_EQ(job.die_max_c, plans[r].at_setpoint[i].die.max_c);
+      EXPECT_EQ(job.package_power_w, plans[r].at_setpoint[i].total_power_w);
+      EXPECT_EQ(job.tcase_c, plans[r].at_setpoint[i].tcase_c);
+      EXPECT_FALSE(job.tcase_limit_exceeded);
+    }
+    for (std::size_t r = 0; r < config.racks.size(); ++r) {
+      EXPECT_EQ(iv.racks[r].cooling.supply_temp_c,
+                plans[r].cooling.supply_temp_c);
+      EXPECT_EQ(iv.racks[r].cooling.chiller_electrical_w,
+                plans[r].cooling.chiller_electrical_w);
+    }
+
+    // The stream counts every request a per-job scan asks; the cache saw
+    // strictly fewer lookups.
+    const std::string text = jsonl.str();
+    const std::string summary =
+        text.substr(text.rfind("{\"type\":\"summary\""));
+    EXPECT_EQ(jsonl_count(summary, "solves") + jsonl_count(summary, "hits"),
+              requests);
+    const core::SolveCache::Stats stats = core::SolveCache::global()->stats();
+    EXPECT_EQ(stats.misses, jsonl_count(summary, "solves"));
+    EXPECT_LT(stats.hits + stats.misses, requests);
   }
 }
 

@@ -121,6 +121,11 @@ TEST_F(ParallelEngineTest, SolveKeyMatchesTheSnapshotKeyBytes) {
   EXPECT_EQ(solve_key(solve_scope(Approach::kProposed, kCell), op, bench,
                       config, cores, power::CState::kC1),
             golden);
+  // The same bytes from the prebuilt pieces the fleet engine reuses.
+  EXPECT_EQ(solve_key(solve_scope(Approach::kProposed, kCell), op,
+                      solve_request_key(bench, config, cores,
+                                        power::CState::kC1)),
+            golden);
 
   // cached_solve stores its result under exactly that key.
   SolveCache cache(4);
