@@ -26,7 +26,6 @@ std::vector<double> ThermalModel::solve_steady(
       operator_, rhs, t,
       {.tolerance = tolerance,
        .max_iterations = 50000,
-       .preconditioner = util::Preconditioner::kSsor,
        .ssor_omega = 1.7});
   span.arg("cells", static_cast<double>(n));
   span.arg("iterations", static_cast<double>(last_stats_.iterations));

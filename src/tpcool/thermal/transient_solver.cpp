@@ -51,9 +51,7 @@ void ThermalModel::step_transient(const std::vector<double>& t,
 
   last_stats_ = util::solve_cg(
       step_operator_, rhs, x,
-      {.tolerance = tolerance,
-       .max_iterations = 20000,
-       .preconditioner = util::Preconditioner::kSsor});
+      {.tolerance = tolerance, .max_iterations = 20000});
 }
 
 void ThermalModel::step_transient(std::vector<double>& t, double dt_s) const {

@@ -4,58 +4,6 @@
 
 namespace tpcool::util {
 
-CsvWriter::CsvWriter(std::ostream& out, char separator)
-    : out_(out), sep_(separator) {}
-
-void CsvWriter::header(const std::vector<std::string>& names) {
-  for (const auto& n : names) field(n);
-  end_row();
-}
-
-void CsvWriter::separator_if_needed() {
-  if (row_open_) out_ << sep_;
-  row_open_ = true;
-}
-
-CsvWriter& CsvWriter::field(const std::string& value) {
-  separator_if_needed();
-  const bool needs_quotes = value.find_first_of(",\"\n") != std::string::npos ||
-                            value.find(sep_) != std::string::npos;
-  if (needs_quotes) {
-    out_ << '"';
-    for (const char c : value) {
-      if (c == '"') out_ << '"';
-      out_ << c;
-    }
-    out_ << '"';
-  } else {
-    out_ << value;
-  }
-  return *this;
-}
-
-CsvWriter& CsvWriter::field(double value) {
-  separator_if_needed();
-  out_ << std::setprecision(12) << value;
-  return *this;
-}
-
-CsvWriter& CsvWriter::field(long long value) {
-  separator_if_needed();
-  out_ << value;
-  return *this;
-}
-
-void CsvWriter::end_row() {
-  out_ << '\n';
-  row_open_ = false;
-}
-
-void CsvWriter::row(const std::vector<double>& values) {
-  for (const double v : values) field(v);
-  end_row();
-}
-
 void write_grid_csv(std::ostream& out, const Grid2D<double>& grid) {
   for (std::size_t iy = grid.ny(); iy-- > 0;) {
     for (std::size_t ix = 0; ix < grid.nx(); ++ix) {

@@ -1,40 +1,13 @@
 #pragma once
 /// \file csv.hpp
-/// \brief Minimal CSV writer used by benches to dump thermal maps and sweep
-///        series for external plotting.
+/// \brief CSV dump of a 2D field, used by benches to write thermal maps for
+///        external plotting.
 
 #include <ostream>
-#include <string>
-#include <vector>
 
 #include "tpcool/util/grid2d.hpp"
 
 namespace tpcool::util {
-
-/// Row-oriented CSV writer. Values are formatted with full double precision;
-/// strings containing separators or quotes are quoted per RFC 4180.
-class CsvWriter {
- public:
-  explicit CsvWriter(std::ostream& out, char separator = ',');
-
-  /// Write a header row.
-  void header(const std::vector<std::string>& names);
-
-  /// Begin a new row; subsequent `field()` calls append to it.
-  CsvWriter& field(const std::string& value);
-  CsvWriter& field(double value);
-  CsvWriter& field(long long value);
-  void end_row();
-
-  /// Convenience: write a full row of doubles.
-  void row(const std::vector<double>& values);
-
- private:
-  void separator_if_needed();
-  std::ostream& out_;
-  char sep_;
-  bool row_open_ = false;
-};
 
 /// Dump a 2D field as a dense CSV matrix (one line per iy, north row first,
 /// matching how thermal maps are usually plotted).

@@ -65,17 +65,6 @@ void SparseMatrix::multiply(const std::vector<double>& x,
   }
 }
 
-std::vector<double> SparseMatrix::diagonal() const {
-  TPCOOL_REQUIRE(finalized_, "diagonal() before finalize()");
-  std::vector<double> d(n_, 0.0);
-  for (std::size_t row = 0; row < n_; ++row) {
-    for (std::size_t k = row_ptr_[row]; k < row_ptr_[row + 1]; ++k) {
-      if (col_idx_[k] == row) d[row] = values_[k];
-    }
-  }
-  return d;
-}
-
 std::size_t SparseMatrix::nonzeros() const {
   TPCOOL_REQUIRE(finalized_, "nonzeros() before finalize()");
   return values_.size();
@@ -137,13 +126,10 @@ double dot(const std::vector<double>& a, const std::vector<double>& b) {
 
 double norm2(const std::vector<double>& a) { return std::sqrt(dot(a, a)); }
 
-/// Preconditioned CG over SparseMatrix or StencilOperator (size(),
-/// multiply(), diagonal(), ssor_apply()). The convergence check runs after
-/// each update, so the final residual is never recomputed and `iterations`
-/// is always populated — including on the throw path. One solve runs on
-/// one thread; parallelism is across solves.
-template <typename Op>
-CgResult cg_impl(const Op& a, const std::vector<double>& b,
+/// The convergence check runs after each update, so the final residual is
+/// never recomputed and `iterations` is always populated — including on
+/// the throw path.
+CgResult cg_impl(const StencilOperator& a, const std::vector<double>& b,
                  std::vector<double>& x, const CgOptions& options) {
   const std::size_t n = a.size();
   TPCOOL_REQUIRE(b.size() == n, "solve_cg: rhs size mismatch");
@@ -164,15 +150,6 @@ CgResult cg_impl(const Op& a, const std::vector<double>& b,
                   "solve_cg: non-positive diagonal (matrix not SPD?)");
     inv_diag[i] = 1.0 / diag[i];
   }
-  const bool ssor = options.preconditioner == Preconditioner::kSsor;
-  const auto precondition = [&](const std::vector<double>& r,
-                                std::vector<double>& z) {
-    if (ssor) {
-      a.ssor_apply(inv_diag, r, z, options.ssor_omega);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) z[i] = inv_diag[i] * r[i];
-    }
-  };
 
   std::vector<double> r(n), z(n), p(n), ap(n);
   a.multiply(x, ap);
@@ -182,7 +159,7 @@ CgResult cg_impl(const Op& a, const std::vector<double>& b,
   result.residual = norm2(r) / bnorm;
   if (result.residual <= options.tolerance) return result;  // warm-start hit
 
-  precondition(r, z);
+  a.ssor_apply(inv_diag, r, z, options.ssor_omega);
   p = z;
   double rz = dot(r, z);
 
@@ -201,7 +178,7 @@ CgResult cg_impl(const Op& a, const std::vector<double>& b,
     result.iterations = it;
     result.residual = std::sqrt(rr) / bnorm;
     if (result.residual <= options.tolerance) return result;
-    precondition(r, z);
+    a.ssor_apply(inv_diag, r, z, options.ssor_omega);
     const double rz_new = dot(r, z);
     const double beta = rz_new / rz;
     rz = rz_new;
@@ -223,82 +200,21 @@ CgResult cg_impl(const Op& a, const std::vector<double>& b,
                          std::to_string(result.iterations) + " iterations)");
 }
 
-/// cg_impl inside a "cg" span, recorded into the cg.iterations histogram.
-template <typename Op>
-CgResult traced_cg(const Op& a, const std::vector<double>& b,
-                   std::vector<double>& x, const CgOptions& options) {
+}  // namespace
+
+CgResult solve_cg(const StencilOperator& a, const std::vector<double>& b,
+                  std::vector<double>& x, const CgOptions& options) {
   TraceSpan span("cg");
   const CgResult result = cg_impl(a, b, x, options);
   span.arg("n", static_cast<double>(b.size()));
   span.arg("iterations", static_cast<double>(result.iterations));
   span.arg("residual", result.residual);
-  Telemetry::instance().histogram_record(
-      "cg.iterations", static_cast<double>(result.iterations));
+  if (telemetry_enabled()) {
+    static TelemetryHistogram& iterations =
+        Telemetry::instance().histogram("cg.iterations");
+    iterations.record(static_cast<double>(result.iterations));
+  }
   return result;
-}
-
-}  // namespace
-
-CgResult solve_cg(const SparseMatrix& a, const std::vector<double>& b,
-                  std::vector<double>& x, const CgOptions& options) {
-  TPCOOL_REQUIRE(a.finalized(), "solve_cg: matrix not finalized");
-  return traced_cg(a, b, x, options);
-}
-
-CgResult solve_cg(const StencilOperator& a, const std::vector<double>& b,
-                  std::vector<double>& x, const CgOptions& options) {
-  return traced_cg(a, b, x, options);
-}
-
-CgResult solve_sor(const SparseMatrix& a, const std::vector<double>& b,
-                   std::vector<double>& x, const SorOptions& options) {
-  TPCOOL_REQUIRE(a.finalized(), "solve_sor: matrix not finalized");
-  TPCOOL_REQUIRE(options.relaxation > 0.0 && options.relaxation < 2.0,
-                 "solve_sor: relaxation outside (0, 2)");
-  const std::size_t n = a.size();
-  TPCOOL_REQUIRE(b.size() == n, "solve_sor: rhs size mismatch");
-  if (x.size() != n) x.assign(n, 0.0);
-
-  const std::vector<double> diag = a.diagonal();
-  for (const double d : diag) {
-    TPCOOL_ENSURE(d > 0.0, "solve_sor: non-positive diagonal");
-  }
-  double bnorm = norm2(b);
-  if (bnorm == 0.0) {
-    x.assign(n, 0.0);
-    return {0, 0.0};
-  }
-
-  CgResult result;
-  std::vector<double> r(n);
-  // Warm-start check: an already-converged initial guess costs one SpMV,
-  // not a full block of sweeps.
-  a.multiply(x, r);
-  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
-  result.residual = norm2(r) / bnorm;
-  if (result.residual <= options.tolerance) return result;
-
-  for (std::size_t it = 0; it < options.max_iterations; ++it) {
-    // One SOR sweep.
-    for (std::size_t i = 0; i < n; ++i) {
-      double sigma = 0.0;
-      a.for_each_in_row(i, [&](std::size_t j, double v) {
-        if (j != i) sigma += v * x[j];
-      });
-      const double gs = (b[i] - sigma) / diag[i];
-      x[i] += options.relaxation * (gs - x[i]);
-    }
-    // Residual check every few sweeps (it is as expensive as a sweep).
-    if (it % 4 == 3 || it + 1 == options.max_iterations) {
-      a.multiply(x, r);
-      for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
-      result.residual = norm2(r) / bnorm;
-      result.iterations = it + 1;
-      if (result.residual <= options.tolerance) return result;
-    }
-  }
-  throw ConvergenceError("solve_sor: failed to converge (residual " +
-                         std::to_string(result.residual) + ")");
 }
 
 std::vector<double> solve_dense(std::vector<double> a, std::vector<double> b) {

@@ -1,12 +1,12 @@
 #pragma once
 /// \file linear_solver.hpp
-/// \brief Sparse (CSR) and small dense linear algebra used by the thermal
-///        finite-volume solver.
+/// \brief The thermal solver's SSOR-preconditioned CG, plus the CSR and
+///        dense reference solvers its tests compare against.
 ///
 /// The thermal grid produces symmetric positive-definite systems with a
-/// 7-point stencil, which preconditioned conjugate gradient handles well.
-/// A dense Gaussian-elimination solver is provided for small auxiliary
-/// systems and for cross-checking CG in tests.
+/// 7-point stencil, which `solve_cg` solves over the banded
+/// `StencilOperator`. `SparseMatrix` is the row-by-row reference for that
+/// operator's kernels, and dense Gaussian elimination cross-checks CG.
 
 #include <cstddef>
 #include <vector>
@@ -19,7 +19,7 @@ namespace tpcool::util {
 ///
 /// Usage: construct with the dimension, `add(i, j, v)` (duplicates
 /// accumulate), then `finalize()`. After finalization the matrix is
-/// read-only and `multiply()`/solvers may be used.
+/// read-only and `multiply()` may be used.
 class SparseMatrix {
  public:
   explicit SparseMatrix(std::size_t n);
@@ -42,9 +42,6 @@ class SparseMatrix {
   void ssor_apply(const std::vector<double>& inv_diag,
                   const std::vector<double>& r, std::vector<double>& z,
                   double omega) const;
-
-  /// Diagonal entries (zero where absent). Requires finalize().
-  [[nodiscard]] std::vector<double> diagonal() const;
 
   /// Number of stored nonzeros. Requires finalize().
   [[nodiscard]] std::size_t nonzeros() const;
@@ -80,18 +77,10 @@ class SparseMatrix {
 
 class StencilOperator;
 
-/// Preconditioner applied inside the CG iteration.
-enum class Preconditioner {
-  kJacobi,  ///< Diagonal scaling; cheapest per iteration.
-  kSsor,    ///< Symmetric SOR sweeps; ~3-5x fewer iterations on the
-            ///< thermal stencil at roughly twice the cost per iteration.
-};
-
 /// Options controlling the iterative solver.
 struct CgOptions {
   double tolerance = 1e-9;      ///< Relative residual ||r||/||b|| target.
   std::size_t max_iterations = 20000;
-  Preconditioner preconditioner = Preconditioner::kJacobi;
   double ssor_omega = 1.5;      ///< SSOR relaxation factor, in (0, 2).
 };
 
@@ -104,17 +93,13 @@ struct CgResult {
   bool near_converged = false;
 };
 
-/// Solve A x = b with preconditioned conjugate gradient.
+/// Solve A x = b with SSOR-preconditioned conjugate gradient over the
+/// banded 7-point operator (matrix-free SpMV, division-free SSOR sweeps).
 /// A must be symmetric positive definite. A non-empty `x` warm-starts the
 /// iteration (an exact warm start converges in 0 iterations). At the
 /// iteration limit a residual within 10× the tolerance is accepted with
 /// `near_converged` set; anything worse throws ConvergenceError (naming
-/// the iteration count).
-CgResult solve_cg(const SparseMatrix& a, const std::vector<double>& b,
-                  std::vector<double>& x, const CgOptions& options = {});
-
-/// solve_cg over the banded 7-point operator: matrix-free SpMV and
-/// division-free SSOR sweeps. One solve runs on one thread; parallelism is
+/// the iteration count). One solve runs on one thread; parallelism is
 /// across solves.
 CgResult solve_cg(const StencilOperator& a, const std::vector<double>& b,
                   std::vector<double>& x, const CgOptions& options = {});
@@ -122,18 +107,5 @@ CgResult solve_cg(const StencilOperator& a, const std::vector<double>& b,
 /// Dense Gaussian elimination with partial pivoting; for small systems and
 /// cross-checks. `a` is row-major n-by-n and is consumed (modified).
 std::vector<double> solve_dense(std::vector<double> a, std::vector<double> b);
-
-/// Options for the stationary SOR iteration.
-struct SorOptions {
-  double relaxation = 1.5;      ///< ω in (0, 2); 1.0 = Gauss-Seidel.
-  double tolerance = 1e-9;      ///< Relative residual target.
-  std::size_t max_iterations = 50000;
-};
-
-/// Solve A x = b by successive over-relaxation. Converges for SPD matrices
-/// with ω in (0, 2); used to cross-validate the CG solver on the thermal
-/// operator. Throws ConvergenceError on iteration exhaustion.
-CgResult solve_sor(const SparseMatrix& a, const std::vector<double>& b,
-                   std::vector<double>& x, const SorOptions& options = {});
 
 }  // namespace tpcool::util

@@ -1,7 +1,7 @@
 #pragma once
 /// \file rootfind.hpp
-/// \brief Scalar root finding and fixed-point iteration helpers used by the
-///        thermosyphon loop solver and the design optimizer.
+/// \brief Scalar root finding by bisection (the thermosyphon loop, the
+///        refrigerant model and the cooling models solve with it).
 
 #include <cmath>
 #include <cstddef>
@@ -40,28 +40,6 @@ template <typename F>
     }
   }
   return 0.5 * (lo + hi);
-}
-
-struct FixedPointOptions {
-  double tolerance = 1e-6;   ///< Absolute tolerance on |x_{k+1} - x_k|.
-  double relaxation = 1.0;   ///< Under-relaxation factor in (0, 1].
-  std::size_t max_iterations = 200;
-};
-
-/// Iterate x <- (1-w)·x + w·g(x) until the update is below tolerance.
-/// Throws ConvergenceError when the iteration limit is exhausted.
-template <typename G>
-[[nodiscard]] double fixed_point(G&& g, double x0,
-                                 const FixedPointOptions& options = {}) {
-  TPCOOL_REQUIRE(options.relaxation > 0.0 && options.relaxation <= 1.0,
-                 "fixed_point: relaxation must be in (0, 1]");
-  double x = x0;
-  for (std::size_t it = 0; it < options.max_iterations; ++it) {
-    const double next = (1.0 - options.relaxation) * x + options.relaxation * g(x);
-    if (std::abs(next - x) < options.tolerance) return next;
-    x = next;
-  }
-  throw ConvergenceError("fixed_point: failed to converge");
 }
 
 }  // namespace tpcool::util

@@ -7,12 +7,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iostream>
 #include <map>
 #include <memory>
 #include <mutex>
 
 #include "tpcool/util/error.hpp"
-#include "tpcool/util/logging.hpp"
 
 namespace tpcool::util {
 
@@ -149,9 +149,9 @@ void json_us(std::string& out, std::int64_t ns) {
   out += buf;
 }
 
-void append_metrics_json(std::string& out, const MetricsSnapshot& snap,
-                         const char* indent) {
-  const std::string pad = indent;
+/// The snapshot as the trace's "metrics" object, indented one level.
+void append_metrics_json(std::string& out, const MetricsSnapshot& snap) {
+  const std::string pad = "  ";
   out += "{\n";
   out += pad;
   out += "  \"schema\": \"tpcool-metrics-v1\",\n";
@@ -221,18 +221,17 @@ void append_metrics_json(std::string& out, const MetricsSnapshot& snap,
   out += "}";
 }
 
-void write_file_or_throw(const std::string& path, const std::string& body,
-                         const char* what) {
+void write_file_or_throw(const std::string& path, const std::string& body) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
-    throw PreconditionError("telemetry: cannot open " + std::string(what) +
-                            " file for writing: " + path);
+    throw PreconditionError(
+        "telemetry: cannot open trace file for writing: " + path);
   }
   out << body;
   out.flush();
   if (!out) {
-    throw PreconditionError("telemetry: write failed for " +
-                            std::string(what) + " file: " + path);
+    throw PreconditionError("telemetry: write failed for trace file: " +
+                            path);
   }
 }
 
@@ -345,21 +344,6 @@ TelemetryHistogram& Telemetry::histogram(std::string_view name) {
              .first;
   }
   return *it->second;
-}
-
-void Telemetry::counter_add(std::string_view name, double delta) {
-  if (!telemetry_enabled()) return;
-  counter(name).add(delta);
-}
-
-void Telemetry::gauge_set(std::string_view name, double value) {
-  if (!telemetry_enabled()) return;
-  gauge(name).set(value);
-}
-
-void Telemetry::histogram_record(std::string_view name, double value) {
-  if (!telemetry_enabled()) return;
-  histogram(name).record(value);
 }
 
 telemetry_detail::ThreadRing& Telemetry::local_ring() {
@@ -475,7 +459,7 @@ void Telemetry::export_chrome_trace(const std::string& path) const {
   out += "{\n  \"displayTimeUnit\": \"ms\",\n";
   out += "  \"otherData\": {\"schema\": \"tpcool-trace-v1\"},\n";
   out += "  \"metrics\": ";
-  telemetry_detail::append_metrics_json(out, snap, "  ");
+  telemetry_detail::append_metrics_json(out, snap);
   out += ",\n  \"traceEvents\": [\n";
 
   out +=
@@ -524,61 +508,36 @@ void Telemetry::export_chrome_trace(const std::string& path) const {
   }
   out += "\n  ]\n}\n";
 
-  telemetry_detail::write_file_or_throw(path, out, "trace");
-}
-
-void Telemetry::export_metrics_json(const std::string& path) const {
-  std::string out;
-  telemetry_detail::append_metrics_json(out, metrics(), "");
-  out += "\n";
-  telemetry_detail::write_file_or_throw(path, out, "metrics");
+  telemetry_detail::write_file_or_throw(path, out);
 }
 
 namespace {
 
-std::mutex g_trace_path_mutex;
+/// TPCOOL_TRACE_FILE: the process-exit export target ("" = not armed).
 std::string g_trace_path;
-bool g_atexit_registered = false;
 
 void export_at_exit() {
-  std::string path;
-  {
-    std::lock_guard lock(g_trace_path_mutex);
-    path = g_trace_path;
-  }
-  if (path.empty()) return;
   try {
-    Telemetry::instance().export_chrome_trace(path);
-    Telemetry::instance().export_metrics_json(path + ".metrics.json");
+    Telemetry::instance().export_chrome_trace(g_trace_path);
   } catch (const std::exception& error) {
-    log_error() << "telemetry: trace export failed: " << error.what();
+    std::cerr << "tpcool: telemetry trace export failed: " << error.what()
+              << '\n';
   }
 }
 
-/// TPCOOL_TRACE_FILE arms process tracing before main() runs.  This TU is
-/// always linked: every instrumented hot path references telemetry symbols.
+/// TPCOOL_TRACE_FILE enables tracing before main() runs and exports the
+/// Chrome trace at process exit.  This TU is always linked: every
+/// instrumented hot path references telemetry symbols.
 [[maybe_unused]] const bool g_env_trace_armed = [] {
   if (const char* path = std::getenv("TPCOOL_TRACE_FILE");
       path != nullptr && *path != '\0') {
-    Telemetry::arm_process_trace(path);
+    g_trace_path = path;
+    Telemetry::instance().enable();
+    std::atexit(&export_at_exit);
   }
   return true;
 }();
 
 }  // namespace
-
-void Telemetry::arm_process_trace(std::string path) {
-  instance().enable();
-  std::lock_guard lock(g_trace_path_mutex);
-  if (!g_trace_path.empty() && g_trace_path != path) {
-    log_info() << "telemetry: trace file " << g_trace_path << " replaced by "
-               << path;
-  }
-  g_trace_path = std::move(path);
-  if (!g_atexit_registered) {
-    std::atexit(&export_at_exit);
-    g_atexit_registered = true;
-  }
-}
 
 }  // namespace tpcool::util

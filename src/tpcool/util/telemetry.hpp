@@ -28,18 +28,17 @@
 ///
 /// Export: `export_chrome_trace(path)` writes Chrome trace-event JSON
 /// (loads directly in Perfetto / chrome://tracing) with the metrics
-/// snapshot embedded under a top-level `"metrics"` key;
-/// `export_metrics_json(path)` writes the snapshot standalone.  Setting
+/// snapshot embedded under a top-level `"metrics"` key.  Setting
 /// `TPCOOL_TRACE_FILE=<path>` enables tracing at startup and exports to
 /// `path` at process exit.  `scripts/trace_inspect.py` validates emitted
 /// traces.
 ///
 /// Quiescence: merging rings is safe only while no other thread is
 /// recording (the engines join their `parallel_map` fan-out before
-/// returning, so "after a run" is always quiescent).  `export_*`,
-/// `metrics()`, `merged_spans()`, and `reset()` are snapshot operations in
-/// that sense; calling them mid-fan-out yields a torn (but memory-safe)
-/// view, never undefined behavior for counters.
+/// returning, so "after a run" is always quiescent).
+/// `export_chrome_trace()`, `metrics()`, `merged_spans()`, and `reset()`
+/// are snapshot operations in that sense; calling them mid-fan-out yields a
+/// torn (but memory-safe) view, never undefined behavior for counters.
 
 #include <atomic>
 #include <cstddef>
@@ -176,11 +175,6 @@ class Telemetry {
   [[nodiscard]] TelemetryGauge& gauge(std::string_view name);
   [[nodiscard]] TelemetryHistogram& histogram(std::string_view name);
 
-  /// Convenience one-shot forms for cool paths (registry lookup per call).
-  void counter_add(std::string_view name, double delta = 1.0);
-  void gauge_set(std::string_view name, double value);
-  void histogram_record(std::string_view name, double value);
-
   [[nodiscard]] MetricsSnapshot metrics() const;
   /// Every ring's spans, per-thread in ring order (= end-time order),
   /// threads in registration order.
@@ -191,14 +185,6 @@ class Telemetry {
   /// under a top-level "metrics" key.  Throws PreconditionError when the
   /// file cannot be written.
   void export_chrome_trace(const std::string& path) const;
-  /// The metrics snapshot standalone (schema `tpcool-metrics-v1`).
-  void export_metrics_json(const std::string& path) const;
-
-  /// Enable now and export the Chrome trace to `path` at process exit
-  /// (plus the standalone snapshot to `path + ".metrics.json"`).  One
-  /// path per process, last call wins — a later call replaces the
-  /// TPCOOL_TRACE_FILE registration, logged through util/logging.
-  static void arm_process_trace(std::string path);
 
   /// Nanoseconds since the enable() epoch (callers gate on
   /// telemetry_enabled() first; this reads the clock unconditionally).

@@ -1,11 +1,15 @@
 #include "tpcool/util/thread_pool.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdlib>
+#include <iostream>
 #include <memory>
+#include <set>
 #include <string>
+#include <string_view>
 
 #include "tpcool/util/error.hpp"
-#include "tpcool/util/logging.hpp"
 #include "tpcool/util/telemetry.hpp"
 
 namespace tpcool::util {
@@ -48,9 +52,32 @@ TelemetryCounter& pool_busy_counter(std::size_t worker_index) {
 
 }  // namespace
 
+std::size_t env_positive_integer(const char* name, std::size_t fallback,
+                                 std::size_t max) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return fallback;
+  const std::string_view text(env);
+  std::size_t value = 0;
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (error == std::errc() && end == text.data() + text.size() &&
+      value >= 1 && value <= max) {
+    return value;
+  }
+  static std::mutex mutex;
+  static std::set<std::string> warned;
+  std::lock_guard lock(mutex);
+  if (warned.emplace(name).second) {
+    std::cerr << "tpcool: ignoring " << name << "=" << env
+              << " (want an integer from 1 to " << max << ")\n";
+  }
+  return fallback;
+}
+
 std::size_t ThreadPool::default_thread_count() {
   const unsigned hw = std::thread::hardware_concurrency();
-  return env_positive_integer("TPCOOL_NUM_THREADS", hw == 0 ? 1 : hw);
+  return env_positive_integer("TPCOOL_NUM_THREADS", hw == 0 ? 1 : hw,
+                              kMaxThreads);
 }
 
 ThreadPool::ThreadPool(std::size_t threads) {

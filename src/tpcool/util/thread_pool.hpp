@@ -12,7 +12,8 @@
 ///    single thread.
 ///
 /// The default pool size comes from the TPCOOL_NUM_THREADS environment
-/// variable (if set and positive) or std::thread::hardware_concurrency().
+/// variable (if set to an integer in [1, kMaxThreads]) or
+/// std::thread::hardware_concurrency().
 /// The benchmark driver (perf/driver.cpp) and tests pin the count with
 /// `set_global_thread_count()` before the first solve.
 ///
@@ -32,6 +33,15 @@
 
 namespace tpcool::util {
 
+/// Read the environment variable `name` as an integer in [1, `max`] written
+/// in decimal digits and nothing else.  Returns `fallback` when the
+/// variable is unset, and also when it holds anything else ("4x", "0", "",
+/// "1e3", a value above `max`), after a warning on stderr the first time
+/// `name` is rejected.
+[[nodiscard]] std::size_t env_positive_integer(const char* name,
+                                               std::size_t fallback,
+                                               std::size_t max);
+
 /// Fixed-size worker pool executing chunked index-range loops.
 ///
 /// The pool owns `thread_count() - 1` workers; the caller of
@@ -39,6 +49,9 @@ namespace tpcool::util {
 /// thread runs everything inline with zero synchronization.
 class ThreadPool {
  public:
+  /// Largest TPCOOL_NUM_THREADS accepted; larger values keep the default.
+  static constexpr std::size_t kMaxThreads = 1024;
+
   /// Spawn a pool with `threads` total workers (including the caller of
   /// parallel_for). `threads == 0` selects the default (env/hardware).
   explicit ThreadPool(std::size_t threads = 0);
@@ -66,7 +79,8 @@ class ThreadPool {
   static void set_global_thread_count(std::size_t threads);
 
   /// Thread count the default-constructed pool would use
-  /// (TPCOOL_NUM_THREADS env override, else hardware concurrency).
+  /// (TPCOOL_NUM_THREADS env override up to kMaxThreads, else hardware
+  /// concurrency).
   [[nodiscard]] static std::size_t default_thread_count();
 
  private:

@@ -122,25 +122,25 @@ TEST_F(ControlTest, DampedStepResponseConvergesMonotonicallyToFixedPoint) {
   FleetController controller(config);
   controller.on_run_begin(make_heterogeneous_fleet(2, 2, kCell), 1, 3600.0);
 
-  const double fixed_point =
+  const double limit_c =
       config.gain_c * (1.0 - config.target) / (1.0 - config.damping);
   double previous = controller.bias_c(0);
-  double previous_distance = std::abs(previous - fixed_point);
+  double previous_distance = std::abs(previous - limit_c);
   for (std::size_t i = 0; i < 50; ++i) {
     controller.on_interval(constant_pue_interval(i, 1.0), {});
     EXPECT_DOUBLE_EQ(controller.last_error(), 1.0 - config.target);
     const double bias = controller.bias_c(0);
     // Monotone: each step moves toward the fixed point, never past it.
     EXPECT_LT(bias, previous);
-    EXPECT_GE(bias, fixed_point);
-    const double distance = std::abs(bias - fixed_point);
+    EXPECT_GE(bias, limit_c);
+    const double distance = std::abs(bias - limit_c);
     EXPECT_LE(distance, config.damping * previous_distance + 1e-12);
     // Both racks see the same fleet-wide error: identical trajectories.
     EXPECT_DOUBLE_EQ(controller.bias_c(1), bias);
     previous = bias;
     previous_distance = distance;
   }
-  EXPECT_NEAR(controller.bias_c(0), fixed_point, 1e-9);
+  EXPECT_NEAR(controller.bias_c(0), limit_c, 1e-9);
   // Quantized actuation lands on the configured lattice.
   EXPECT_DOUBLE_EQ(controller.applied_bias_c(0), -4.0);
 }

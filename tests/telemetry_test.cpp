@@ -1,7 +1,7 @@
 // Tests for the telemetry layer: disabled-by-default no-op behavior,
 // counter/gauge/histogram exactness, RAII span recording and nesting (on
 // the main thread and across pool threads), ring-overflow drop-newest
-// accounting, the two export formats, and the purity contract — engine
+// accounting, the Chrome trace export, and the purity contract — engine
 // digests are bit-identical with tracing on or off at 1 and 4 threads.
 
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 #include "tpcool/datacenter/streaming.hpp"
 #include "tpcool/datacenter/workload_gen.hpp"
 #include "tpcool/util/error.hpp"
-#include "tpcool/util/logging.hpp"
 #include "tpcool/util/telemetry.hpp"
 #include "tpcool/util/thread_pool.hpp"
 
@@ -114,11 +113,12 @@ TEST_F(TelemetryTest, CountersGaugesHistogramsAreExact) {
   TelemetryCounter& counter = telemetry.counter("test.counter");
   counter.add();          // default delta 1
   counter.add(2.5);
-  telemetry.counter_add("test.counter", 0.5);  // one-shot hits the same cell
+  telemetry.counter("test.counter").add(0.5);  // same name, same cell
   EXPECT_EQ(counter.value(), 4.0);
 
-  telemetry.gauge_set("test.gauge", 1.0);
-  telemetry.gauge_set("test.gauge", -2.0);  // last write wins
+  TelemetryGauge& gauge = telemetry.gauge("test.gauge");
+  gauge.set(1.0);
+  gauge.set(-2.0);  // last write wins
   EXPECT_EQ(telemetry.gauge("test.gauge").value(), -2.0);
 
   TelemetryHistogram& hist = telemetry.histogram("test.hist");
@@ -276,13 +276,10 @@ TEST_F(TelemetryTest, ChromeTraceExportRoundTrips) {
     inner.arg("n", 42.0);
     inner.detail("with \"quotes\" and \\slashes");
   }
-  telemetry.counter_add("test.export.counter", 7.0);
+  telemetry.counter("test.export.counter").add(7.0);
 
   const std::string trace_path = testing::TempDir() + "telemetry_trace.json";
-  const std::string metrics_path =
-      testing::TempDir() + "telemetry_metrics.json";
   telemetry.export_chrome_trace(trace_path);
-  telemetry.export_metrics_json(metrics_path);
 
   std::ifstream trace_in(trace_path);
   ASSERT_TRUE(trace_in.good());
@@ -294,21 +291,12 @@ TEST_F(TelemetryTest, ChromeTraceExportRoundTrips) {
   EXPECT_NE(trace.find("\"test.export.inner\""), std::string::npos);
   EXPECT_NE(trace.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(trace.find("\"metrics\""), std::string::npos);
+  EXPECT_NE(trace.find("\"tpcool-metrics-v1\""), std::string::npos);
   EXPECT_NE(trace.find("\"test.export.counter\": 7"), std::string::npos);
   EXPECT_NE(trace.find("with \\\"quotes\\\" and \\\\slashes"),
             std::string::npos);
 
-  std::ifstream metrics_in(metrics_path);
-  ASSERT_TRUE(metrics_in.good());
-  std::stringstream metrics_text;
-  metrics_text << metrics_in.rdbuf();
-  EXPECT_NE(metrics_text.str().find("\"tpcool-metrics-v1\""),
-            std::string::npos);
-  EXPECT_NE(metrics_text.str().find("\"test.export.counter\": 7"),
-            std::string::npos);
-
   std::remove(trace_path.c_str());
-  std::remove(metrics_path.c_str());
 }
 
 TEST_F(TelemetryTest, ExportToUnwritablePathThrows) {
@@ -369,22 +357,6 @@ TEST_F(TelemetryTest, EngineDigestsAreIdenticalTracingOnOrOff) {
                   Telemetry::instance().counter("pipeline.reuses").value(),
               solve_spans);
   }
-}
-
-// ----------------------------------------------------------------- logging --
-
-TEST(ParseLogLevel, AcceptsNamesAndDigits) {
-  EXPECT_EQ(parse_log_level("error"), LogLevel::kError);
-  EXPECT_EQ(parse_log_level("WARN"), LogLevel::kWarn);
-  EXPECT_EQ(parse_log_level("Warning"), LogLevel::kWarn);
-  EXPECT_EQ(parse_log_level("info"), LogLevel::kInfo);
-  EXPECT_EQ(parse_log_level("DEBUG"), LogLevel::kDebug);
-  EXPECT_EQ(parse_log_level("0"), LogLevel::kError);
-  EXPECT_EQ(parse_log_level("3"), LogLevel::kDebug);
-  EXPECT_EQ(parse_log_level(""), std::nullopt);
-  EXPECT_EQ(parse_log_level("verbose"), std::nullopt);
-  EXPECT_EQ(parse_log_level("4"), std::nullopt);
-  EXPECT_EQ(parse_log_level("-1"), std::nullopt);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for tpcool::util — grids, linear solvers, root finding,
-// interpolation, statistics, CSV and table output, and the strict parse of
-// integer environment overrides.
+// interpolation, CSV and table output, and the strict parse of integer
+// environment overrides.
 
 #include <gtest/gtest.h>
 
@@ -16,9 +16,8 @@
 #include "tpcool/util/grid2d.hpp"
 #include "tpcool/util/interp.hpp"
 #include "tpcool/util/linear_solver.hpp"
-#include "tpcool/util/logging.hpp"
 #include "tpcool/util/rootfind.hpp"
-#include "tpcool/util/statistics.hpp"
+#include "tpcool/util/stencil_operator.hpp"
 #include "tpcool/util/table.hpp"
 #include "tpcool/util/thread_pool.hpp"
 
@@ -127,244 +126,53 @@ TEST(SparseMatrix, SymmetryCheck) {
 // --------------------------------------------------------------------- CG --
 
 TEST(SolveCg, SolvesIdentity) {
-  SparseMatrix m(3);
-  for (std::size_t i = 0; i < 3; ++i) m.add(i, i, 1.0);
-  m.finalize();
+  StencilOperator op(3, 1, 1);
+  for (std::size_t i = 0; i < 3; ++i) op.add_to_diagonal(i, 1.0);
   std::vector<double> b{1.0, -2.0, 3.0}, x;
-  solve_cg(m, b, x);
+  solve_cg(op, b, x);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(x[i], b[i], 1e-10);
 }
 
 TEST(SolveCg, MatchesDenseOnRandomSpd) {
-  // Random SPD system A = B^T B + n I, cross-checked against dense LU.
+  // Random diagonally dominant 7-point stencil (random face couplings plus
+  // a positive leak on every diagonal), cross-checked against dense LU.
   std::mt19937 rng(42);
-  std::uniform_real_distribution<double> dist(-1.0, 1.0);
-  constexpr std::size_t n = 12;
-  std::vector<double> b_mat(n * n);
-  for (auto& v : b_mat) v = dist(rng);
-  std::vector<double> a_dense(n * n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      double s = 0.0;
-      for (std::size_t k = 0; k < n; ++k) {
-        s += b_mat[k * n + i] * b_mat[k * n + j];
+  std::uniform_real_distribution<double> dist(0.1, 1.0);
+  constexpr std::size_t nx = 4, ny = 3, nz = 2;
+  StencilOperator op(nx, ny, nz);
+  for (std::size_t iz = 0; iz < nz; ++iz) {
+    for (std::size_t iy = 0; iy < ny; ++iy) {
+      for (std::size_t ix = 0; ix < nx; ++ix) {
+        const std::size_t i = op.cell_index(ix, iy, iz);
+        if (ix + 1 < nx) op.add_coupling(i, StencilBand::kXPlus, dist(rng));
+        if (iy + 1 < ny) op.add_coupling(i, StencilBand::kYPlus, dist(rng));
+        if (iz + 1 < nz) op.add_coupling(i, StencilBand::kZPlus, dist(rng));
+        op.add_to_diagonal(i, dist(rng));
       }
-      a_dense[i * n + j] = s + (i == j ? static_cast<double>(n) : 0.0);
     }
   }
-  SparseMatrix a(n);
+  const std::size_t n = op.size();
+  const SparseMatrix csr = op.to_sparse();
+  std::vector<double> a_dense(n * n);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) a.add(i, j, a_dense[i * n + j]);
+    for (std::size_t j = 0; j < n; ++j) a_dense[i * n + j] = csr.coeff(i, j);
   }
-  a.finalize();
-  ASSERT_TRUE(a.is_symmetric(1e-12));
 
+  std::uniform_real_distribution<double> rhs_dist(-1.0, 1.0);
   std::vector<double> rhs(n);
-  for (auto& v : rhs) v = dist(rng);
+  for (auto& v : rhs) v = rhs_dist(rng);
   std::vector<double> x_cg;
-  solve_cg(a, rhs, x_cg, {.tolerance = 1e-12});
+  solve_cg(op, rhs, x_cg, {.tolerance = 1e-12});
   const std::vector<double> x_lu = solve_dense(a_dense, rhs);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x_cg[i], x_lu[i], 1e-8);
 }
 
-TEST(SolveCg, ZeroRhsGivesZero) {
-  SparseMatrix m(2);
-  m.add(0, 0, 1.0);
-  m.add(1, 1, 1.0);
-  m.finalize();
-  std::vector<double> x{5.0, 5.0};
-  const CgResult r = solve_cg(m, {0.0, 0.0}, x);
-  EXPECT_EQ(r.iterations, 0u);
-  EXPECT_DOUBLE_EQ(x[0], 0.0);
-}
-
-TEST(SolveCg, OneByOneSystem) {
-  SparseMatrix m(1);
-  m.add(0, 0, 5.0);
-  m.finalize();
-  std::vector<double> x;
-  const CgResult r = solve_cg(m, {10.0}, x);
-  EXPECT_NEAR(x[0], 2.0, 1e-12);
-  EXPECT_LE(r.iterations, 1u);
-}
-
-TEST(SolveCg, ExactWarmStartConvergesInZeroIterations) {
-  SparseMatrix m(2);
-  m.add(0, 0, 2.0);
-  m.add(1, 1, 4.0);
-  m.finalize();
-  std::vector<double> x{3.0, 0.5};  // exact solution of {6, 2}
-  const CgResult r = solve_cg(m, {6.0, 2.0}, x);
-  EXPECT_EQ(r.iterations, 0u);
-  EXPECT_DOUBLE_EQ(x[0], 3.0);
-  EXPECT_DOUBLE_EQ(x[1], 0.5);
-}
-
-TEST(SolveCg, SsorPreconditionerSolvesSparseSystem) {
-  constexpr std::size_t n = 30;
-  SparseMatrix m(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double diag = 0.3;
-    if (i > 0) {
-      m.add(i, i - 1, -1.0);
-      diag += 1.0;
-    }
-    if (i + 1 < n) {
-      m.add(i, i + 1, -1.0);
-      diag += 1.0;
-    }
-    m.add(i, i, diag);
-  }
-  m.finalize();
-  std::vector<double> b(n, 1.0), x_ssor, x_jacobi;
-  const CgResult ssor = solve_cg(
-      m, b, x_ssor,
-      {.tolerance = 1e-11, .preconditioner = Preconditioner::kSsor});
-  const CgResult jacobi = solve_cg(m, b, x_jacobi, {.tolerance = 1e-11});
-  EXPECT_LE(ssor.residual, 1e-11);
-  EXPECT_LE(ssor.iterations, jacobi.iterations);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x_ssor[i], x_jacobi[i], 1e-8);
-}
-
-TEST(SolveCg, NonConvergedThrowReportsIterations) {
-  constexpr std::size_t n = 50;
-  SparseMatrix m(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double diag = 1e-3;
-    if (i > 0) {
-      m.add(i, i - 1, -1.0);
-      diag += 1.0;
-    }
-    if (i + 1 < n) {
-      m.add(i, i + 1, -1.0);
-      diag += 1.0;
-    }
-    m.add(i, i, diag);
-  }
-  m.finalize();
-  std::vector<double> x;
-  try {
-    (void)solve_cg(m, std::vector<double>(n, 1.0), x,
-                   {.tolerance = 1e-15, .max_iterations = 3});
-    FAIL() << "expected ConvergenceError";
-  } catch (const ConvergenceError& e) {
-    EXPECT_NE(std::string(e.what()).find("after 3 iterations"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
 TEST(SolveCg, NonSpdDiagonalThrows) {
-  SparseMatrix m(2);
-  m.add(0, 0, -1.0);
-  m.add(1, 1, 1.0);
-  m.finalize();
+  StencilOperator op(2, 1, 1);
+  op.add_to_diagonal(0, -1.0);
+  op.add_to_diagonal(1, 1.0);
   std::vector<double> x;
-  EXPECT_THROW(solve_cg(m, {1.0, 1.0}, x), InvariantError);
-}
-
-// -------------------------------------------------------------------- SOR --
-
-TEST(SolveSor, SolvesIdentity) {
-  SparseMatrix m(3);
-  for (std::size_t i = 0; i < 3; ++i) m.add(i, i, 2.0);
-  m.finalize();
-  std::vector<double> x;
-  solve_sor(m, {2.0, -4.0, 6.0}, x);
-  EXPECT_NEAR(x[0], 1.0, 1e-8);
-  EXPECT_NEAR(x[1], -2.0, 1e-8);
-  EXPECT_NEAR(x[2], 3.0, 1e-8);
-}
-
-TEST(SolveSor, AgreesWithCgOnLaplacianLikeSystem) {
-  // 1D diffusion chain with Dirichlet-ish end terms: the same structure as
-  // one row of the thermal operator.
-  constexpr std::size_t n = 40;
-  SparseMatrix m(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double diag = 0.2;  // boundary leak keeps the system SPD
-    if (i > 0) {
-      m.add(i, i - 1, -1.0);
-      diag += 1.0;
-    }
-    if (i + 1 < n) {
-      m.add(i, i + 1, -1.0);
-      diag += 1.0;
-    }
-    m.add(i, i, diag);
-  }
-  m.finalize();
-  std::vector<double> b(n, 0.0);
-  b[n / 2] = 5.0;
-  std::vector<double> x_cg, x_sor;
-  solve_cg(m, b, x_cg, {.tolerance = 1e-11});
-  solve_sor(m, b, x_sor, {.relaxation = 1.6, .tolerance = 1e-11});
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x_sor[i], x_cg[i], 1e-7);
-}
-
-TEST(SolveSor, GaussSeidelIsOmegaOne) {
-  SparseMatrix m(2);
-  m.add(0, 0, 4.0);
-  m.add(0, 1, 1.0);
-  m.add(1, 0, 1.0);
-  m.add(1, 1, 3.0);
-  m.finalize();
-  std::vector<double> x;
-  const CgResult r = solve_sor(m, {1.0, 2.0}, x, {.relaxation = 1.0});
-  EXPECT_LE(r.residual, 1e-9);
-  // Check against the dense solution.
-  const auto exact = solve_dense({4.0, 1.0, 1.0, 3.0}, {1.0, 2.0});
-  EXPECT_NEAR(x[0], exact[0], 1e-7);
-  EXPECT_NEAR(x[1], exact[1], 1e-7);
-}
-
-TEST(SolveSor, ZeroRhsGivesZero) {
-  SparseMatrix m(2);
-  m.add(0, 0, 1.0);
-  m.add(1, 1, 1.0);
-  m.finalize();
-  std::vector<double> x{5.0, -5.0};
-  const CgResult r = solve_sor(m, {0.0, 0.0}, x);
-  EXPECT_EQ(r.iterations, 0u);
-  EXPECT_DOUBLE_EQ(x[0], 0.0);
-  EXPECT_DOUBLE_EQ(x[1], 0.0);
-}
-
-TEST(SolveSor, OneByOneSystem) {
-  SparseMatrix m(1);
-  m.add(0, 0, 2.0);
-  m.finalize();
-  std::vector<double> x;
-  // Gauss-Seidel (ω = 1) lands exactly in one sweep; the first residual
-  // check happens after the 4-sweep block.
-  const CgResult r = solve_sor(m, {6.0}, x, {.relaxation = 1.0});
-  EXPECT_NEAR(x[0], 3.0, 1e-9);
-  EXPECT_LE(r.iterations, 4u);
-}
-
-TEST(SolveSor, ExactWarmStartConvergesInZeroIterations) {
-  SparseMatrix m(2);
-  m.add(0, 0, 4.0);
-  m.add(0, 1, 1.0);
-  m.add(1, 0, 1.0);
-  m.add(1, 1, 3.0);
-  m.finalize();
-  const auto exact = solve_dense({4.0, 1.0, 1.0, 3.0}, {1.0, 2.0});
-  std::vector<double> x = exact;
-  const CgResult r = solve_sor(m, {1.0, 2.0}, x, {.tolerance = 1e-8});
-  EXPECT_EQ(r.iterations, 0u);
-  EXPECT_EQ(x, exact);  // untouched
-}
-
-TEST(SolveSor, RejectsBadRelaxation) {
-  SparseMatrix m(1);
-  m.add(0, 0, 1.0);
-  m.finalize();
-  std::vector<double> x;
-  EXPECT_THROW(solve_sor(m, {1.0}, x, {.relaxation = 0.0}),
-               PreconditionError);
-  EXPECT_THROW(solve_sor(m, {1.0}, x, {.relaxation = 2.0}),
-               PreconditionError);
+  EXPECT_THROW(solve_cg(op, {1.0, 1.0}, x), InvariantError);
 }
 
 TEST(SparseMatrix, RowVisitor) {
@@ -409,20 +217,6 @@ TEST(Bisect, NonBracketingThrows) {
                PreconditionError);
 }
 
-TEST(FixedPoint, ConvergesToSqrt) {
-  // Babylonian iteration for sqrt(2).
-  const double r =
-      fixed_point([](double x) { return 0.5 * (x + 2.0 / x); }, 1.0,
-                  {.tolerance = 1e-12});
-  EXPECT_NEAR(r, std::sqrt(2.0), 1e-9);
-}
-
-TEST(FixedPoint, DivergentThrows) {
-  EXPECT_THROW((void)fixed_point([](double x) { return 2.0 * x + 1.0; }, 1.0,
-                           {.max_iterations = 20}),
-               ConvergenceError);
-}
-
 // ----------------------------------------------------------------- interp --
 
 TEST(LinearTable, InterpolatesAndClamps) {
@@ -445,46 +239,9 @@ TEST(Clamp, Bounds) {
   EXPECT_THROW((void)clamp(0.0, 1.0, 0.0), PreconditionError);
 }
 
-// ------------------------------------------------------------- statistics --
-
-TEST(Statistics, Summary) {
-  const std::vector<double> v{1.0, 2.0, 3.0, 4.0};
-  const Summary s = summarize(v);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 4.0);
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_NEAR(s.stddev, std::sqrt(1.25), 1e-12);
-  EXPECT_EQ(s.count, 4u);
-}
-
-TEST(Statistics, Percentile) {
-  const std::vector<double> v{4.0, 1.0, 3.0, 2.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 100.0), 4.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 50.0), 2.5);
-}
-
-TEST(Statistics, EmptyThrows) {
-  const std::vector<double> v;
-  EXPECT_THROW((void)summarize(v), PreconditionError);
-  EXPECT_THROW((void)mean(v), PreconditionError);
-}
-
 // -------------------------------------------------------------------- csv --
 
-TEST(CsvWriter, QuotesSpecialCharacters) {
-  std::ostringstream os;
-  CsvWriter w(os);
-  w.header({"a", "b,c", "d\"e"});
-  w.field(1.5).field(std::string("x"));
-  w.end_row();
-  const std::string out = os.str();
-  EXPECT_NE(out.find("\"b,c\""), std::string::npos);
-  EXPECT_NE(out.find("\"d\"\"e\""), std::string::npos);
-  EXPECT_NE(out.find("1.5,x"), std::string::npos);
-}
-
-TEST(CsvWriter, GridDumpHasOneRowPerY) {
+TEST(WriteGridCsv, OneRowPerY) {
   Grid2D<double> g(3, 2, 0.0);
   std::ostringstream os;
   write_grid_csv(os, g);
@@ -538,7 +295,7 @@ TEST(TablePrinter, SingleRowWiderThanHeader) {
 }
 
 // Round-trip: values written by write_grid_csv parse back to the exact grid.
-TEST(CsvWriter, GridRoundTripPreservesValues) {
+TEST(WriteGridCsv, RoundTripPreservesValues) {
   Grid2D<double> g(3, 2, 0.0);
   for (std::size_t iy = 0; iy < 2; ++iy) {
     for (std::size_t ix = 0; ix < 3; ++ix) {
@@ -570,39 +327,18 @@ TEST(CsvWriter, GridRoundTripPreservesValues) {
   }
 }
 
-// Round-trip through the field API: numeric fields re-parse exactly and
-// quoted strings keep their separators.
-TEST(CsvWriter, FieldRowRoundTrip) {
-  std::ostringstream os;
-  CsvWriter w(os);
-  w.field(std::string("label,with,commas")).field(-1.25).field(3.0);
-  w.end_row();
-  w.row({0.5, 2.0, 100.0});
-  std::istringstream is(os.str());
-  std::string first, second;
-  ASSERT_TRUE(static_cast<bool>(std::getline(is, first)));
-  ASSERT_TRUE(static_cast<bool>(std::getline(is, second)));
-  EXPECT_EQ(first.substr(0, 20), "\"label,with,commas\",");
-  EXPECT_NE(first.find("-1.25"), std::string::npos);
-  std::istringstream ls(second);
-  std::string cell;
-  std::vector<double> values;
-  while (std::getline(ls, cell, ',')) values.push_back(std::stod(cell));
-  EXPECT_EQ(values, (std::vector<double>{0.5, 2.0, 100.0}));
-}
-
 // ------------------------------------------------- integer env overrides --
 
 TEST(EnvPositiveInteger, AcceptsOnlyWholePositiveIntegers) {
   constexpr const char* kName = "TPCOOL_TEST_POSITIVE_INTEGER";
   ASSERT_EQ(unsetenv(kName), 0);
-  EXPECT_EQ(env_positive_integer(kName, 7), 7u);
+  EXPECT_EQ(env_positive_integer(kName, 7, 1000), 7u);
   ASSERT_EQ(setenv(kName, "256", 1), 0);
-  EXPECT_EQ(env_positive_integer(kName, 7), 256u);
+  EXPECT_EQ(env_positive_integer(kName, 7, 1000), 256u);
   ::testing::internal::CaptureStderr();
-  for (const char* bad : {"256MB", "1e3", "-3", "+3", " 3", "0", ""}) {
+  for (const char* bad : {"256MB", "1e3", "-3", "+3", " 3", "0", "", "1001"}) {
     ASSERT_EQ(setenv(kName, bad, 1), 0);
-    EXPECT_EQ(env_positive_integer(kName, 7), 7u) << '"' << bad << '"';
+    EXPECT_EQ(env_positive_integer(kName, 7, 1000), 7u) << '"' << bad << '"';
   }
   // One warning for the variable, naming the first rejected value.
   const std::string warned = ::testing::internal::GetCapturedStderr();
@@ -618,8 +354,13 @@ TEST(EnvPositiveInteger, ThreadCountOverrideIsStrict) {
   const std::size_t hardware = hw == 0 ? 1 : hw;
   ASSERT_EQ(setenv("TPCOOL_NUM_THREADS", "3", 1), 0);
   EXPECT_EQ(ThreadPool::default_thread_count(), 3u);
+  ASSERT_EQ(setenv("TPCOOL_NUM_THREADS", "1024", 1), 0);
+  EXPECT_EQ(ThreadPool::default_thread_count(), ThreadPool::kMaxThreads);
   ::testing::internal::CaptureStderr();
-  for (const char* bad : {"4x", "0", ""}) {
+  // The last two would throw in the pool's reserve() or start 99,999
+  // threads; only default_thread_count() runs here, no pool is built.
+  for (const char* bad :
+       {"4x", "0", "", "18446744073709551615", "100000"}) {
     ASSERT_EQ(setenv("TPCOOL_NUM_THREADS", bad, 1), 0);
     EXPECT_EQ(ThreadPool::default_thread_count(), hardware)
         << '"' << bad << '"';
