@@ -60,8 +60,7 @@ int main(int argc, char** argv) {
     }
   }
   const std::vector<core::SimulationResult> sims = core::run_parallel_solves(
-      core::Approach::kProposed, cell, requests, /*grain=*/1,
-      *core::SolveCache::global());
+      core::Approach::kProposed, cell, requests, *core::SolveCache::global());
 
   std::size_t next = 0;
   for (const power::CState idle : idles) {

@@ -13,15 +13,6 @@
 
 namespace tpcool::core {
 
-namespace {
-
-/// Tasks per parallel_map chunk: one task per chunk maximizes the parallel
-/// width.  Must stay a fixed constant: chunk boundaries are part of the
-/// deterministic-result contract.
-constexpr std::size_t kExperimentGrain = 1;
-
-}  // namespace
-
 std::vector<workload::BenchmarkProfile> selected_benchmarks(
     const ExperimentOptions& options) {
   const auto& all = workload::parsec_benchmarks();
@@ -40,12 +31,9 @@ std::vector<Fig3Row> run_fig3(const ExperimentOptions& options) {
   // The (2,4,fmax) column carries the paper's QoS annotation.
   const workload::Configuration annotated{2, 2, 3.2};
 
-  // One benchmark per task; the performance model needs no context, so the
-  // chunk context is just the chunk index.
-  return parallel_map<Fig3Row>(
-      benches.size(), kExperimentGrain,
-      [](std::size_t chunk) { return chunk; },
-      [&](std::size_t&, std::size_t i) {
+  // One benchmark per task.
+  return util::parallel_map<Fig3Row>(
+      benches.size(), [&](std::size_t i) {
         Fig3Row row;
         row.benchmark = benches[i].name;
         row.normalized_time.resize(configs.size());
@@ -68,10 +56,8 @@ const std::vector<double>& table1_frequencies() {
 std::vector<Table1Row> run_table1() {
   const std::vector<power::CState>& states = power::all_cstates();
   const std::vector<double>& freqs = table1_frequencies();
-  return parallel_map<Table1Row>(
-      states.size(), kExperimentGrain,
-      [](std::size_t chunk) { return chunk; },
-      [&](std::size_t&, std::size_t i) {
+  return util::parallel_map<Table1Row>(
+      states.size(), [&](std::size_t i) {
         Table1Row row;
         row.state = states[i];
         row.latency_us = power::cstate_latency_us(states[i]);
@@ -120,12 +106,10 @@ std::vector<Fig5Row> run_fig5_orientation(const ExperimentOptions& options) {
   const workload::BenchmarkProfile& bench = workload::worst_case_benchmark();
   const workload::Configuration full{8, 2, 3.2};
   const std::vector<int> cores{1, 2, 3, 4, 5, 6, 7, 8};
-  // One design per chunk (grain 1): the two orientation solves run
-  // concurrently, each on its own server.
-  return parallel_map<Fig5Row>(
-      orientations.size(), kExperimentGrain,
-      [](std::size_t chunk) { return chunk; },
-      [&](std::size_t&, std::size_t i) {
+  // One design per task: the two orientation solves run concurrently, each
+  // on its own server.
+  return util::parallel_map<Fig5Row>(
+      orientations.size(), [&](std::size_t i) {
         ServerConfig config =
             server_config_for(Approach::kProposed, options.cell_size_m);
         config.design.evaporator = default_evaporator_geometry(orientations[i]);
@@ -183,7 +167,7 @@ std::vector<Fig6Row> run_fig6_scenarios(const ExperimentOptions& options) {
   }
   const std::vector<SimulationResult> sims =
       run_parallel_solves(Approach::kProposed, options.cell_size_m, requests,
-                          kExperimentGrain, *SolveCache::global());
+                          *SolveCache::global());
   for (std::size_t i = 0; i < rows.size(); ++i) rows[i].die = sims[i].die;
   return rows;
 }
@@ -210,7 +194,7 @@ std::vector<Table2Row> run_table2(const ExperimentOptions& options) {
     }
     const std::vector<SimulationResult> sims =
         run_parallel_schedules(approach, options.cell_size_m, requests,
-                               kExperimentGrain, *SolveCache::global());
+                               *SolveCache::global());
     // All approaches share the design operating point (§VI-C), so the water
     // ΔT baseline is the configured inlet temperature.
     const double water_inlet_c =
@@ -263,10 +247,8 @@ Fig7Result run_fig7_maps(const ExperimentOptions& options,
                             .schedule(bench, qos));
   }
   const std::vector<SolveCache::ResultPtr> sims =
-      parallel_map<SolveCache::ResultPtr>(
-          approaches.size(), kExperimentGrain,
-          [](std::size_t chunk) { return chunk; },
-          [&](std::size_t&, std::size_t i) {
+      util::parallel_map<SolveCache::ResultPtr>(
+          approaches.size(), [&](std::size_t i) {
             const ScheduleDecision& d = decisions[i];
             return cached_solve(
                 *SolveCache::global(), approaches[i], options.cell_size_m,

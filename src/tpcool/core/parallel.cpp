@@ -45,16 +45,14 @@ SolveCache::ResultPtr cached_solve(
 
 std::vector<SimulationResult> run_parallel_solves(
     Approach approach, double cell_size_m,
-    const std::vector<SolveRequest>& requests, std::size_t grain,
-    SolveCache& cache) {
+    const std::vector<SolveRequest>& requests, SolveCache& cache) {
   for (const SolveRequest& request : requests) {
     TPCOOL_REQUIRE(request.bench != nullptr, "solve request needs a benchmark");
   }
   const thermosyphon::OperatingPoint op =
       server_config_for(approach, cell_size_m).operating_point;
-  return parallel_map<SimulationResult>(
-      requests.size(), grain, [](std::size_t chunk) { return chunk; },
-      [&](std::size_t&, std::size_t i) {
+  return util::parallel_map<SimulationResult>(
+      requests.size(), [&](std::size_t i) {
         const SolveRequest& request = requests[i];
         SimulationResult result =
             *cached_solve(cache, approach, cell_size_m, op, *request.bench,
@@ -66,8 +64,7 @@ std::vector<SimulationResult> run_parallel_solves(
 
 std::vector<SimulationResult> run_parallel_schedules(
     Approach approach, double cell_size_m,
-    const std::vector<ScheduleRequest>& requests, std::size_t grain,
-    SolveCache& cache) {
+    const std::vector<ScheduleRequest>& requests, SolveCache& cache) {
   ApproachPipeline pipeline(approach, cell_size_m);
   std::vector<SolveRequest> solves;
   solves.reserve(requests.size());
@@ -79,24 +76,21 @@ std::vector<SimulationResult> run_parallel_schedules(
     solves.push_back({request.bench, decision.point.config, decision.cores,
                       decision.idle_state});
   }
-  return run_parallel_solves(approach, cell_size_m, solves, grain, cache);
+  return run_parallel_solves(approach, cell_size_m, solves, cache);
 }
 
 std::vector<double> evaluate_placements_parallel(
     Approach approach, double cell_size_m,
     const workload::BenchmarkProfile& bench,
     const workload::Configuration& config, power::CState idle_state,
-    const std::vector<std::vector<int>>& subsets, std::size_t grain,
-    SolveCache& cache) {
+    const std::vector<std::vector<int>>& subsets, SolveCache& cache) {
   const thermosyphon::OperatingPoint op =
       server_config_for(approach, cell_size_m).operating_point;
-  return parallel_map<double>(
-      subsets.size(), grain, [](std::size_t chunk) { return chunk; },
-      [&](std::size_t&, std::size_t i) {
-        return cached_solve(cache, approach, cell_size_m, op, bench, config,
-                            subsets[i], idle_state)
-            ->die.max_c;
-      });
+  return util::parallel_map<double>(subsets.size(), [&](std::size_t i) {
+    return cached_solve(cache, approach, cell_size_m, op, bench, config,
+                        subsets[i], idle_state)
+        ->die.max_c;
+  });
 }
 
 }  // namespace tpcool::core

@@ -6,13 +6,11 @@
 /// fans out the many independent ServerModel solves an experiment issues
 /// (Table II's approach × QoS × benchmark grid, Fig. 6 scenarios, the
 /// oracle's subset enumeration, rack supply-temperature scans) over the
-/// global util::ThreadPool.  A `parallel_map` called from inside another
-/// one's body finds the pool busy and runs its chunks serially, with the
-/// same boundaries.
+/// global util::ThreadPool through `util::parallel_map`, one task per
+/// solve.  A `parallel_map` called from inside another one's body finds the
+/// pool busy and runs its tasks serially, in index order.
 ///
 /// Determinism discipline:
-///  - Tasks are split into chunks on fixed boundaries derived only from
-///    (count, grain) — never from the thread count.
 ///  - Results land in a pre-sized vector by task index: result order is
 ///    the serial order regardless of which thread ran what.
 ///  - Every solve goes through `cached_solve`: its key is built from the
@@ -32,11 +30,6 @@
 #include "tpcool/util/parallel_map.hpp"
 
 namespace tpcool::core {
-
-/// The generic deterministic fan-out engine (see util/parallel_map.hpp for
-/// the chunking and determinism contract).  Re-exported here because the
-/// experiment runners and their tests spell it `core::parallel_map`.
-using util::parallel_map;
 
 /// Cache scope prefix for a pipeline-built server (see `solve_key`):
 /// approach and grid pitch fully determine the ServerConfig that
@@ -77,15 +70,13 @@ struct SolveRequest {
 };
 
 /// Run every request against an `Approach` server built at `cell_size_m`
-/// at its design operating point, fanned out over the global pool with
-/// `grain` requests per chunk and memoized in `cache` (pass the global
-/// cache unless isolating a sweep).  Results are returned in request
-/// order, with `active_cores` echoing each request's order, and are
-/// bit-identical for any thread count.
+/// at its design operating point, one task per request on the global pool,
+/// memoized in `cache` (pass the global cache unless isolating a sweep).
+/// Results are returned in request order, with `active_cores` echoing each
+/// request's order, and are bit-identical for any thread count.
 [[nodiscard]] std::vector<SimulationResult> run_parallel_solves(
     Approach approach, double cell_size_m,
-    const std::vector<SolveRequest>& requests, std::size_t grain,
-    SolveCache& cache);
+    const std::vector<SolveRequest>& requests, SolveCache& cache);
 
 /// One scheduler-level request: run Algorithm 1 (or the SoA selection) and
 /// the coupled simulation for a benchmark under a QoS level.
@@ -99,17 +90,15 @@ struct ScheduleRequest {
 /// determinism contract as `run_parallel_solves`.
 [[nodiscard]] std::vector<SimulationResult> run_parallel_schedules(
     Approach approach, double cell_size_m,
-    const std::vector<ScheduleRequest>& requests, std::size_t grain,
-    SolveCache& cache);
+    const std::vector<ScheduleRequest>& requests, SolveCache& cache);
 
 /// Batch placement evaluator for mapping::ExhaustivePolicy: evaluates all
 /// subsets (die θmax) through parallel cached solves on an `Approach`
-/// server.  `grain` subsets share one chunk.
+/// server, one task per subset.
 [[nodiscard]] std::vector<double> evaluate_placements_parallel(
     Approach approach, double cell_size_m,
     const workload::BenchmarkProfile& bench,
     const workload::Configuration& config, power::CState idle_state,
-    const std::vector<std::vector<int>>& subsets, std::size_t grain,
-    SolveCache& cache);
+    const std::vector<std::vector<int>>& subsets, SolveCache& cache);
 
 }  // namespace tpcool::core

@@ -60,7 +60,7 @@ PipelinePool::Lease PipelinePool::checkout(Approach approach,
     }
     update_idle_gauge();
   }
-  // Construct outside the lock: ~0.2 ms each, and concurrent chunks must
+  // Construct outside the lock: ~0.2 ms each, and concurrent tasks must
   // not serialize on it.
   if (pipeline == nullptr) {
     util::TraceSpan span("pipeline.construct");

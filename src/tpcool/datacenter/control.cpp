@@ -20,8 +20,8 @@ void validate_controller_config(const FleetControllerConfig& config) {
       std::isfinite(config.min_bias_c) && std::isfinite(config.max_bias_c) &&
           config.min_bias_c <= config.max_bias_c,
       "controller bias range needs min_bias_c <= max_bias_c, both finite");
-  TPCOOL_REQUIRE(config.quantum_c > 0.0,
-                 "controller bias quantum must be positive");
+  TPCOOL_REQUIRE(std::isfinite(config.quantum_c) && config.quantum_c > 0.0,
+                 "controller bias quantum must be finite and positive");
   TPCOOL_REQUIRE(config.qos_backoff_c >= 0.0,
                  "controller QoS backoff must be nonnegative");
 }

@@ -43,12 +43,6 @@ FleetModel::FleetModel(FleetConfig config) : config_(std::move(config)) {
   validate_fleet_config(config_);
 }
 
-std::size_t FleetModel::total_capacity() const noexcept {
-  std::size_t capacity = 0;
-  for (const RackSpec& rack : config_.racks) capacity += rack.servers;
-  return capacity;
-}
-
 FleetResult FleetModel::run(
     const std::vector<workload::WorkloadTrace>& streams) {
   // The engine owns the entire interval computation (it is the one code

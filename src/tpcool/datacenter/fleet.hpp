@@ -179,7 +179,6 @@ class FleetModel {
   explicit FleetModel(FleetConfig config);
 
   [[nodiscard]] const FleetConfig& config() const noexcept { return config_; }
-  [[nodiscard]] std::size_t total_capacity() const noexcept;
 
   /// Simulate the streams end to end.  Throws PreconditionError when
   /// `streams` is empty or an interval's job count exceeds the fleet

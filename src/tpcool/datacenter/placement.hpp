@@ -188,8 +188,6 @@ class WindowedPlacement final : public PlacementPolicy {
   [[nodiscard]] std::size_t select_rack(
       const JobRequest& job, const std::vector<RackLoad>& racks) override;
 
-  [[nodiscard]] std::size_t window() const noexcept { return window_; }
-
  private:
   std::size_t window_;
   std::string name_;

@@ -27,10 +27,6 @@ namespace tpcool::datacenter {
 
 namespace {
 
-/// One distinct request per chunk: every request class scans, and every
-/// (class, setpoint) pair solves, independently.
-constexpr std::size_t kFleetGrain = 1;
-
 /// Phase-1 outcome of one job: the schedule and the supply-temperature
 /// scan against its rack's candidates.
 struct ScanOutcome {
@@ -336,9 +332,8 @@ bool StreamingFleetEngine::advance() {
   // joined here — observers never run concurrently with it.  Infeasibility
   // does not throw: the server pins to the coldest candidate and is
   // flagged.
-  classes = core::parallel_map<ClassScan>(
-      classes.size(), kFleetGrain, [](std::size_t chunk) { return chunk; },
-      [&](std::size_t&, std::size_t c) {
+  classes = util::parallel_map<ClassScan>(
+      classes.size(), [&](std::size_t c) {
         const std::size_t j = class_job[c];
         const RackSpec& spec = config_.racks[placed_rack[j]];
         ClassScan cls = classes[c];
@@ -416,10 +411,8 @@ bool StreamingFleetEngine::advance() {
           },
           pair_job);
   const std::vector<core::SolveCache::ResultPtr> pair_results =
-      core::parallel_map<core::SolveCache::ResultPtr>(
-          pair_job.size(), kFleetGrain,
-          [](std::size_t chunk) { return chunk; },
-          [&](std::size_t&, std::size_t p) {
+      util::parallel_map<core::SolveCache::ResultPtr>(
+          pair_job.size(), [&](std::size_t p) {
             const std::size_t j = pair_job[p];
             return solve_at(j, classes[job_class[j]],
                             rack_cooling[placed_rack[j]].supply_temp_c);

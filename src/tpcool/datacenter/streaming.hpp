@@ -21,7 +21,7 @@
 ///    in registration order.
 ///  - **Threading** — all callbacks run on the thread that calls
 ///    `advance()`/`run()`, never concurrently.  The engine's parallelism
-///    (`core::parallel_map` fan-out over an interval's distinct requests)
+///    (`util::parallel_map` fan-out over an interval's distinct requests)
 ///    is fully joined before dispatch, so an observer may freely read
 ///    shared state.
 ///  - **Errors** — an exception thrown by an observer propagates out of

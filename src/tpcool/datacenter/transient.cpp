@@ -19,10 +19,6 @@ namespace tpcool::datacenter {
 
 namespace {
 
-/// One stream's segment chain per chunk: chains are independent, and a
-/// chain's segments run in interval order on one thread.
-constexpr std::size_t kChainGrain = 1;
-
 /// Cap on the thermosyphon-coupling iterations per adaptive trial step
 /// (the transient analogue of ServerModel::coupled_solve's fixed point).
 /// A boundary lagged one whole step behind sustains a discrete limit cycle
@@ -101,7 +97,7 @@ struct SegmentTask {
 core::SimulationResult integrate_segment(core::ApproachPipeline& pipeline,
                                          const SegmentTask& task,
                                          const TransientEngineConfig& config) {
-  // Runs on whatever pool thread claimed the chunk: these spans are the
+  // Runs on whatever pool thread claimed the chain: these spans are the
   // repo's cross-thread nesting exercise (cg spans nest under them on
   // worker rings).  Cache hits replay the value without re-entering here,
   // so transient.segments counts cold integrations only.
@@ -333,9 +329,8 @@ TransientFleetResult TransientFleetEngine::run(
   }
   core::SolveCache& cache = *core::SolveCache::global();
   std::vector<std::vector<TransientJobOutcome>> outcomes =
-      core::parallel_map<std::vector<TransientJobOutcome>>(
-          chains.size(), kChainGrain, [](std::size_t chunk) { return chunk; },
-          [&](std::size_t&, std::size_t s) {
+      util::parallel_map<std::vector<TransientJobOutcome>>(
+          chains.size(), [&](std::size_t s) {
             return walk_chain(chains[s], config, racks, config_, cache);
           });
 

@@ -21,7 +21,7 @@
 /// start temperature.
 ///
 /// Engine contract: each stream's segments form a chain, and the chains
-/// fan out through `core::parallel_map`, one task per stream.  A chain
+/// fan out through `util::parallel_map`, one task per stream.  A chain
 /// walks its segments in interval order, carrying only its own end state,
 /// with no barrier between intervals: a segment depends only on its
 /// stream's previous end state and the steady plan.  A segment is
@@ -99,10 +99,10 @@ struct TransientFleetResult {
 /// Adaptive-step transient engine over a fleet.
 ///
 /// `run` is bit-identical for any thread count: per-stream chains are
-/// fanned out with fixed-grain `parallel_map`, every segment value is a
-/// pure function of its cache key (cold-start integration from the keyed
-/// initial field), a chain's state is its own, and the fleet-wide rollup
-/// runs serially in interval, then stream order.
+/// fanned out with `parallel_map`, every segment value is a pure function
+/// of its cache key (cold-start integration from the keyed initial field),
+/// a chain's state is its own, and the fleet-wide rollup runs serially in
+/// interval, then stream order.
 class TransientFleetEngine {
  public:
   TransientFleetEngine(FleetConfig fleet, TransientEngineConfig config);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <utility>
 
@@ -61,8 +62,14 @@ double clamp01(double x) { return std::clamp(x, 0.0, 1.0); }
 std::size_t WorkloadGenConfig::total_slots() const {
   // ceil(duration / slot) with an epsilon so exact multiples (86400 / 900)
   // do not round up to an extra slot from FP division error.
-  return static_cast<std::size_t>(
-      std::ceil(duration_s / slot_s - 1.0e-9));
+  const double slots = std::ceil(duration_s / slot_s - 1.0e-9);
+  // Casting a value std::size_t cannot hold (inf, NaN, >= 2^64) is
+  // undefined behavior, so check the fit first.
+  TPCOOL_REQUIRE(
+      slots >= 0.0 &&
+          slots < static_cast<double>(std::numeric_limits<std::size_t>::max()),
+      "slot count (duration / slot length) must fit std::size_t");
+  return static_cast<std::size_t>(slots);
 }
 
 std::vector<QoSTier> default_qos_tiers() {
@@ -171,7 +178,10 @@ workload::WorkloadTrace WorkloadGenerator::stream(std::size_t index) const {
 
   const std::size_t slots = config_.total_slots();
   std::vector<workload::TracePhase> phases;
-  phases.reserve(slots / static_cast<std::size_t>(config_.mean_phase_slots) +
+  // Divide in double: mean_phase_slots >= 1 may be too large (or inf) for
+  // std::size_t, and the quotient never exceeds `slots`.
+  phases.reserve(static_cast<std::size_t>(static_cast<double>(slots) /
+                                          config_.mean_phase_slots) +
                  2);
 
   std::size_t slot = 0;

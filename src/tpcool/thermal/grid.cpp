@@ -228,6 +228,4 @@ util::Grid2D<double> ThermalModel::top_heat_flow_map_w(
   return q;
 }
 
-double ThermalModel::source_power_w() const { return util::grid_sum(power_w_); }
-
 }  // namespace tpcool::thermal

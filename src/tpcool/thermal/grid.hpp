@@ -116,9 +116,6 @@ class ThermalModel {
   [[nodiscard]] util::Grid2D<double> top_heat_flow_map_w(
       const std::vector<double>& t) const;
 
-  /// Total source power [W].
-  [[nodiscard]] double source_power_w() const;
-
  private:
   // Lazy assembly, in two parts with separate staleness flags.  The
   // conductance bands, their diagonal contributions and the bottom boundary

@@ -10,12 +10,6 @@ namespace tpcool::thermosyphon {
 
 namespace {
 
-/// Candidates per parallel_map chunk.  Every evaluation is a full coupled
-/// solve (tens of milliseconds), so one evaluator per candidate maximizes
-/// width at negligible factory overhead.  Must stay a fixed constant: chunk
-/// boundaries are part of the deterministic-result contract.
-constexpr std::size_t kDesignGrain = 1;
-
 bool feasible(const DesignSearchSpace& space, const DesignEvaluation& eval) {
   return eval.tcase_c <= space.tcase_limit_c && !eval.dryout &&
          eval.loop_pressure_pa <= space.max_loop_pressure_pa;
@@ -25,14 +19,11 @@ bool feasible(const DesignSearchSpace& space, const DesignEvaluation& eval) {
 /// the callers' selection scans see the enumeration order at any thread
 /// count.
 std::vector<DesignRecord> evaluate_all(
-    const DesignSearchSpace& space,
-    const DesignEvaluatorFactory& make_evaluator,
+    const DesignSearchSpace& space, const DesignEvaluator& evaluate,
     const std::vector<std::pair<ThermosyphonDesign, OperatingPoint>>&
         candidates) {
   return util::parallel_map<DesignRecord>(
-      candidates.size(), kDesignGrain,
-      [&](std::size_t) { return make_evaluator(); },
-      [&](DesignEvaluator& evaluate, std::size_t i) {
+      candidates.size(), [&](std::size_t i) {
         DesignRecord record;
         record.design = candidates[i].first;
         record.op = candidates[i].second;
@@ -45,9 +36,8 @@ std::vector<DesignRecord> evaluate_all(
 }  // namespace
 
 DesignResult optimize_design(const DesignSearchSpace& space,
-                             const DesignEvaluatorFactory& make_evaluator) {
-  TPCOOL_REQUIRE(static_cast<bool>(make_evaluator),
-                 "evaluator factory must be callable");
+                             const DesignEvaluator& evaluate) {
+  TPCOOL_REQUIRE(static_cast<bool>(evaluate), "evaluator must be callable");
   TPCOOL_REQUIRE(!space.orientations.empty() && !space.refrigerants.empty() &&
                      !space.filling_ratios.empty(),
                  "empty design search space");
@@ -76,7 +66,7 @@ DesignResult optimize_design(const DesignSearchSpace& space,
       }
     }
   }
-  result.records = evaluate_all(space, make_evaluator, stage1);
+  result.records = evaluate_all(space, evaluate, stage1);
   for (const DesignRecord& record : result.records) {
     if (!record.feasible) continue;
     const bool better =
@@ -107,7 +97,7 @@ DesignResult optimize_design(const DesignSearchSpace& space,
                                       .water_inlet_c = t_w});
     }
     const std::vector<DesignRecord> evaluated =
-        evaluate_all(space, make_evaluator, row);
+        evaluate_all(space, evaluate, row);
     result.records.insert(result.records.end(), evaluated.begin(),
                           evaluated.end());
     for (const DesignRecord& record : evaluated) {
@@ -122,13 +112,6 @@ DesignResult optimize_design(const DesignSearchSpace& space,
   }
   TPCOOL_REQUIRE(op_found, "no feasible operating point found");
   return result;
-}
-
-DesignResult optimize_design(const DesignSearchSpace& space,
-                             const DesignEvaluator& evaluate) {
-  TPCOOL_REQUIRE(static_cast<bool>(evaluate), "evaluator must be callable");
-  return optimize_design(space,
-                         DesignEvaluatorFactory([&] { return evaluate; }));
 }
 
 }  // namespace tpcool::thermosyphon

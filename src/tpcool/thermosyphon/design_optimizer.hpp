@@ -32,13 +32,6 @@ struct DesignEvaluation {
 using DesignEvaluator = std::function<DesignEvaluation(
     const ThermosyphonDesign&, const OperatingPoint&)>;
 
-/// Factory producing one evaluator per parallel chunk.  The optimizer fans
-/// candidate evaluations out over the global thread pool; evaluators built
-/// by one factory call are never invoked concurrently with each other, so
-/// a factory that builds a fresh ServerModel per call makes any evaluator
-/// state thread-safe by construction.
-using DesignEvaluatorFactory = std::function<DesignEvaluator()>;
-
 /// Search-space and constraints.
 struct DesignSearchSpace {
   std::vector<Orientation> orientations{Orientation::kEastWest,
@@ -82,23 +75,17 @@ struct DesignResult {
 ///     lowest flow rate that keep TCASE under the limit without dry-out.
 /// Throws PreconditionError when no candidate is feasible.
 ///
-/// Evaluations fan out over the global thread pool (util::parallel_map):
-/// stage 1 evaluates all candidates concurrently and selects with a serial
+/// Evaluations fan out over the global thread pool (util::parallel_map,
+/// one task per candidate), so calls to `evaluate` run concurrently: it
+/// must be reentrant (e.g. a stateless lambda building a fresh ServerModel
+/// per call), and anything it captures is shared by every call.  Stage 1
+/// evaluates all candidates concurrently and selects with a serial
 /// first-wins scan in enumeration order; stage 2 evaluates one preference
 /// row (all flow rates of a water temperature) at a time and scans it in
 /// flow order, stopping at the first feasible row.  Selection scans run on
 /// index-addressed results, so the outcome — including `records`, which
 /// holds stage 1 plus every row up to and including the first feasible one
 /// — is bit-identical for any thread count.
-[[nodiscard]] DesignResult optimize_design(
-    const DesignSearchSpace& space, const DesignEvaluatorFactory& make_evaluator);
-
-/// Convenience overload: every chunk gets its own copy of `evaluate`.
-/// Copies of one std::function still share anything the callable captured
-/// by reference or pointer, and the copies run concurrently — so the
-/// evaluator must be reentrant (e.g. a stateless lambda building a fresh
-/// ServerModel per call), and state captured by value does not accumulate
-/// across candidates.  Pass a factory when either matters.
 [[nodiscard]] DesignResult optimize_design(const DesignSearchSpace& space,
                                            const DesignEvaluator& evaluate);
 

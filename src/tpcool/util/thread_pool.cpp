@@ -1,6 +1,5 @@
 #include "tpcool/util/thread_pool.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cstdlib>
 #include <iostream>
@@ -9,7 +8,6 @@
 #include <string>
 #include <string_view>
 
-#include "tpcool/util/error.hpp"
 #include "tpcool/util/telemetry.hpp"
 
 namespace tpcool::util {
@@ -31,14 +29,9 @@ TelemetryHistogram& pool_chunks_per_job_histogram() {
       Telemetry::instance().histogram("pool.chunks_per_job");
   return cell;
 }
-TelemetryGauge& pool_queue_depth_gauge() {
-  static TelemetryGauge& cell =
-      Telemetry::instance().gauge("pool.queue_depth");
-  return cell;
-}
 
 /// Busy-time counter for a drain participant (0 = the parallel_for
-/// caller).  Looked up per drain pass, not per chunk.
+/// caller).  Looked up per drain pass, not per task.
 TelemetryCounter& pool_busy_counter(std::size_t worker_index) {
   if (worker_index == 0) {
     static TelemetryCounter& cell =
@@ -119,91 +112,73 @@ void ThreadPool::worker_loop(const std::stop_token& stop,
 
 void ThreadPool::drain_job(std::unique_lock<std::mutex>& lock,
                            std::size_t worker_index) {
-  // Resolve telemetry handles once per drain pass, never per chunk; the
+  // Resolve telemetry handles once per drain pass, never per task; the
   // whole disabled cost is this one gate.
   const bool traced = telemetry_enabled();
   TelemetryCounter* busy = traced ? &pool_busy_counter(worker_index) : nullptr;
   TelemetryCounter* chunks = traced ? &pool_chunks_counter() : nullptr;
-  while (job_.next_chunk < job_.chunk_count) {
-    const std::size_t chunk = job_.next_chunk++;
-    const std::size_t lo = job_.begin + chunk * job_.grain;
-    const std::size_t hi = std::min(lo + job_.grain, job_.end);
+  while (job_.next_task < job_.task_count) {
+    const std::size_t task = job_.next_task++;
     const auto* body = job_.body;
     lock.unlock();
     if (traced) {
       const std::int64_t t0 = Telemetry::now_ns();
-      (*body)(lo, hi);
+      (*body)(task);
       busy->add(static_cast<double>(Telemetry::now_ns() - t0) / 1e6);
       chunks->add(1.0);
     } else {
-      (*body)(lo, hi);
+      (*body)(task);
     }
     lock.lock();
-    if (++job_.chunks_done == job_.chunk_count) job_done_.notify_all();
+    if (++job_.tasks_done == job_.task_count) job_done_.notify_all();
   }
 }
 
-void ThreadPool::parallel_for(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  TPCOOL_REQUIRE(begin <= end && grain > 0, "bad parallel_for range");
-  if (begin == end) return;
-  const std::size_t count = end - begin;
-  const std::size_t chunk_count = (count + grain - 1) / grain;
-  if (workers_.empty() || count <= grain) {
-    // Serial path: keep the exact chunk boundaries of the threaded path so
-    // chunk-indexed bodies (parallel_map) behave identically.
+void ThreadPool::parallel_for(std::size_t count,
+                              const std::function<void(std::size_t)>& body) {
+  if (count == 0) return;
+  const auto run_inline = [&] {
+    for (std::size_t i = 0; i < count; ++i) body(i);
+  };
+  if (workers_.empty() || count == 1) {
     if (telemetry_enabled()) {
       const std::int64_t t0 = Telemetry::now_ns();
-      for (std::size_t lo = begin; lo < end; lo += grain) {
-        body(lo, std::min(lo + grain, end));
-      }
+      run_inline();
       pool_busy_counter(0).add(
           static_cast<double>(Telemetry::now_ns() - t0) / 1e6);
       pool_jobs_counter().add(1.0);
-      pool_chunks_counter().add(static_cast<double>(chunk_count));
-      pool_chunks_per_job_histogram().record(
-          static_cast<double>(chunk_count));
+      pool_chunks_counter().add(static_cast<double>(count));
+      pool_chunks_per_job_histogram().record(static_cast<double>(count));
       return;
     }
-    for (std::size_t lo = begin; lo < end; lo += grain) {
-      body(lo, std::min(lo + grain, end));
-    }
+    run_inline();
     return;
   }
 
   std::unique_lock lock(mutex_);
   if (job_active_) {
     // A job is already in flight: this is a nested parallel_map (a
-    // parallel_map called from inside another one's body). Run it on the
-    // serial chunked path instead of corrupting the active job.
+    // parallel_map called from inside another one's body). Run it inline
+    // instead of corrupting the active job.
     lock.unlock();
-    for (std::size_t lo = begin; lo < end; lo += grain) {
-      body(lo, std::min(lo + grain, end));
-    }
+    run_inline();
     return;
   }
   job_.body = &body;
-  job_.begin = begin;
-  job_.end = end;
-  job_.grain = grain;
-  job_.next_chunk = 0;
-  job_.chunk_count = chunk_count;
-  job_.chunks_done = 0;
+  job_.next_task = 0;
+  job_.task_count = count;
+  job_.tasks_done = 0;
   ++job_.generation;
   job_active_ = true;
-  const bool traced = telemetry_enabled();
-  if (traced) {
+  if (telemetry_enabled()) {
     pool_jobs_counter().add(1.0);
-    pool_chunks_per_job_histogram().record(static_cast<double>(chunk_count));
-    pool_queue_depth_gauge().set(static_cast<double>(chunk_count));
+    pool_chunks_per_job_histogram().record(static_cast<double>(count));
   }
   work_ready_.notify_all();
 
   drain_job(lock, 0);  // the caller works too
-  job_done_.wait(lock, [&] { return job_.chunks_done == job_.chunk_count; });
+  job_done_.wait(lock, [&] { return job_.tasks_done == job_.task_count; });
   job_active_ = false;
-  if (traced) pool_queue_depth_gauge().set(0.0);
 }
 
 namespace {

@@ -1,15 +1,16 @@
 #pragma once
 /// \file thread_pool.hpp
-/// \brief Minimal std::jthread worker pool with a deterministic
-///        parallel-for, the engine under util::parallel_map.
+/// \brief Minimal std::jthread worker pool with a parallel-for over task
+///        indices, the engine under util::parallel_map.
 ///
 /// Design constraints (see README "Solver architecture"):
 ///  - No new dependencies: std::jthread + condition_variable only.
-///  - Determinism: chunk boundaries depend only on the range and the
-///    grain, so disjoint-write bodies are bit-identical for 1 vs N threads.
-///    One solve runs on one thread; parallelism is across solves.
-///  - The pool runs inline when the range is one grain or the pool has a
-///    single thread.
+///  - Determinism: every task is one index and runs once, on whichever
+///    thread claims it, so disjoint-write bodies are bit-identical for 1 vs
+///    N threads.  One solve runs on one thread; parallelism is across
+///    solves.
+///  - The pool runs inline when the job has one task, the pool has a
+///    single thread, or a job is already in flight (a nested call).
 ///
 /// The default pool size comes from the TPCOOL_NUM_THREADS environment
 /// variable (if set to an integer in [1, kMaxThreads]) or
@@ -18,9 +19,8 @@
 /// `set_global_thread_count()` before the first solve.
 ///
 /// Telemetry (docs/TRACING.md): with tracing enabled the pool maintains
-/// `pool.jobs` / `pool.chunks` counters, a `pool.chunks_per_job`
-/// histogram, a `pool.queue_depth` gauge (chunks outstanding when a job is
-/// posted, 0 between jobs), and per-worker busy-time counters
+/// `pool.jobs` / `pool.chunks` counters (a chunk is one task), a
+/// `pool.chunks_per_job` histogram, and per-worker busy-time counters
 /// (`pool.caller.busy_ms`, `pool.worker<i>.busy_ms`). Disabled tracing
 /// costs one atomic load per parallel_for / drain pass.
 
@@ -42,7 +42,7 @@ namespace tpcool::util {
                                                std::size_t fallback,
                                                std::size_t max);
 
-/// Fixed-size worker pool executing chunked index-range loops.
+/// Fixed-size worker pool executing one task per index.
 ///
 /// The pool owns `thread_count() - 1` workers; the caller of
 /// `parallel_for()` participates as the remaining worker, so a pool of one
@@ -64,12 +64,10 @@ class ThreadPool {
     return workers_.size() + 1;
   }
 
-  /// Run `body(begin, end)` over [begin, end) split into chunks of at most
-  /// `grain` indices. Blocks until every chunk has run. Chunk boundaries
-  /// depend only on (begin, end, grain) — not on the thread count — so
-  /// disjoint-write bodies are deterministic.
-  void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
-                    const std::function<void(std::size_t, std::size_t)>& body);
+  /// Run `body(i)` once for every i in [0, count), each index claimed by
+  /// one thread. Blocks until every task has run.
+  void parallel_for(std::size_t count,
+                    const std::function<void(std::size_t)>& body);
 
   /// Process-wide pool behind parallel_map. Lazily constructed.
   [[nodiscard]] static ThreadPool& global();
@@ -85,19 +83,16 @@ class ThreadPool {
 
  private:
   struct Job {
-    const std::function<void(std::size_t, std::size_t)>* body = nullptr;
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    std::size_t grain = 1;
-    std::size_t next_chunk = 0;   // next chunk index to claim
-    std::size_t chunk_count = 0;
-    std::size_t chunks_done = 0;
+    const std::function<void(std::size_t)>* body = nullptr;
+    std::size_t next_task = 0;  // next task index to claim
+    std::size_t task_count = 0;
+    std::size_t tasks_done = 0;
     std::size_t generation = 0;
   };
 
   void worker_loop(const std::stop_token& stop, std::size_t worker_index);
-  /// Claim and run chunks of the current job until none remain. Returns
-  /// after the last chunk this thread ran is recorded. `worker_index` 0 is
+  /// Claim and run tasks of the current job until none remain. Returns
+  /// after the last task this thread ran is recorded. `worker_index` 0 is
   /// the parallel_for caller, 1..N the pool workers; it selects the
   /// telemetry busy-time counter (`pool.caller.busy_ms` /
   /// `pool.worker<i>.busy_ms`) and is unused while telemetry is disabled.

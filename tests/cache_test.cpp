@@ -4,7 +4,8 @@
 // results get_or_compute_shared returns,
 // the order-insensitive content digest, the one-file snapshot (lossless
 // round trip, merge semantics, rejection of damaged or foreign files with
-// the cache left untouched), and a concurrent merge-save torture run with a
+// the cache left untouched, seeded byte mutations that load or throw the
+// typed error), and a concurrent merge-save torture run with a
 // deterministic final digest.
 
 #include <gtest/gtest.h>
@@ -16,15 +17,17 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "tpcool/core/parallel.hpp"
 #include "tpcool/core/solve_cache.hpp"
 #include "tpcool/util/error.hpp"
 #include "tpcool/util/grid2d.hpp"
+#include "tpcool/util/parallel_map.hpp"
 #include "tpcool/util/thread_pool.hpp"
+#include "byte_mutation.hpp"
 
 namespace tpcool::core {
 namespace {
@@ -268,17 +271,15 @@ TEST(SolveCacheTest, ConcurrentRequestsForOneKeyComputeOnce) {
   util::ThreadPool::set_global_thread_count(4);
   SolveCache cache(4);
   std::atomic<int> computes{0};
-  const auto results = parallel_map<double>(
-      8, 1, [](std::size_t chunk) { return chunk; },
-      [&](std::size_t&, std::size_t) {
-        return cache
-            .get_or_compute_shared("shared",
-                                   [&] {
-                                     ++computes;
-                                     return result_with_max(42.0);
-                                   })
-            ->die.max_c;
-      });
+  const auto results = util::parallel_map<double>(8, [&](std::size_t) {
+    return cache
+        .get_or_compute_shared("shared",
+                               [&] {
+                                 ++computes;
+                                 return result_with_max(42.0);
+                               })
+        ->die.max_c;
+  });
   util::ThreadPool::set_global_thread_count(0);
 
   EXPECT_EQ(computes.load(), 1);
@@ -307,23 +308,21 @@ TEST(SolveCacheTest, ExactCountersUnderEvictionPressure) {
       std::this_thread::sleep_for(std::chrono::microseconds(1));
     }
   });
-  const auto results = parallel_map<double>(
-      3, 1, [](std::size_t chunk) { return chunk; },
-      [&](std::size_t&, std::size_t) {
-        return cache
-            .get_or_compute_shared(
-                "shared",
-                [&] {
-                  ++computes;
-                  // stats() locks the cache; the compute runs without the
-                  // lock held, so polling is safe.
-                  while (cache.stats().waiting < 2) {
-                    std::this_thread::yield();
-                  }
-                  return result_with_max(7.0);
-                })
-            ->die.max_c;
-      });
+  const auto results = util::parallel_map<double>(3, [&](std::size_t) {
+    return cache
+        .get_or_compute_shared(
+            "shared",
+            [&] {
+              ++computes;
+              // stats() locks the cache; the compute runs without the lock
+              // held, so polling is safe.
+              while (cache.stats().waiting < 2) {
+                std::this_thread::yield();
+              }
+              return result_with_max(7.0);
+            })
+        ->die.max_c;
+  });
   stop = true;
   presser.join();
   util::ThreadPool::set_global_thread_count(0);
@@ -479,6 +478,41 @@ TEST(SolveCacheSnapshotTest, RejectsDamagedAndForeignFilesUntouched) {
               std::string::npos)
         << error.what();
   }
+  std::remove(path.c_str());
+}
+
+TEST(SolveCacheSnapshotTest, MutatedSnapshotsLoadOrThrowTyped) {
+  // Malformed input: seeded flips, insertions, deletions and truncations
+  // of a small snapshot, each loaded as written and again with its stream
+  // digest resealed so the damage reaches the entry parser.  Each must
+  // load or throw SnapshotError, leaving a refusing cache empty.
+  const std::string path = ::testing::TempDir() + "tpcool_snap_mutant.bin";
+  SolveCache source(4);
+  put(source, "key", rich_result(4));
+  put(source, "other", rich_result(5));
+  source.save(path);
+  const std::string good = read_file(path);
+
+  std::mt19937_64 rng(20261018);
+  std::size_t loaded = 0;
+  for (int m = 0; m < 300; ++m) {
+    std::string mutant = test::mutate_bytes(good, rng);
+    for (const bool resealed : {false, true}) {
+      if (resealed && mutant.size() >= 8) reseal(mutant);
+      write_file(path, mutant);
+      SolveCache target(4);
+      try {
+        target.load(path);
+        ++loaded;
+      } catch (const SnapshotError&) {
+        EXPECT_EQ(target.stats().size, 0u) << "mutant " << m;
+      } catch (const std::exception& error) {
+        ADD_FAILURE() << "mutant " << m << " threw " << error.what();
+      }
+    }
+  }
+  // Resealed payload edits that keep every length intact do load.
+  EXPECT_GT(loaded, 0u);
   std::remove(path.c_str());
 }
 

@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -96,6 +97,9 @@ TEST_F(ControlTest, ValidatesItsConfig) {
   EXPECT_THROW(validate_controller_config(bad), util::PreconditionError);
   bad = {};
   bad.quantum_c = 0.0;
+  EXPECT_THROW(validate_controller_config(bad), util::PreconditionError);
+  bad = {};
+  bad.quantum_c = std::numeric_limits<double>::infinity();
   EXPECT_THROW(validate_controller_config(bad), util::PreconditionError);
   bad = {};
   bad.qos_backoff_c = -0.1;

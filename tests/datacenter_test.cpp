@@ -165,7 +165,6 @@ TEST_F(DatacenterTest, ValidatesConfigAndStreams) {
   }
 
   FleetModel fleet(two_rack_fleet());
-  EXPECT_EQ(fleet.total_capacity(), 4u);
   EXPECT_THROW((void)fleet.run({}), util::PreconditionError);
 
   // 5 streams against 4 servers: over capacity, reported not deadlocked.

@@ -47,59 +47,49 @@ class ParallelEngineTest : public ::testing::Test {
 TEST_F(ParallelEngineTest, ParallelMapPreservesTaskOrder) {
   for (const std::size_t threads : {1u, 4u}) {
     util::ThreadPool::set_global_thread_count(threads);
-    const std::vector<int> out = parallel_map<int>(
-        100, 7, [](std::size_t chunk) { return static_cast<int>(chunk); },
-        [](int& chunk, std::size_t i) {
-          return chunk * 1000 + static_cast<int>(i);
-        });
+    const std::vector<int> out = util::parallel_map<int>(
+        100, [](std::size_t i) { return static_cast<int>(i * i); });
     ASSERT_EQ(out.size(), 100u);
     for (std::size_t i = 0; i < out.size(); ++i) {
-      EXPECT_EQ(out[i], static_cast<int>(i / 7) * 1000 + static_cast<int>(i))
+      EXPECT_EQ(out[i], static_cast<int>(i * i))
           << "threads=" << threads << " i=" << i;
     }
   }
 }
 
-TEST_F(ParallelEngineTest, ParallelMapRethrowsFirstChunkError) {
+TEST_F(ParallelEngineTest, ParallelMapRethrowsFirstTaskError) {
   util::ThreadPool::set_global_thread_count(4);
   const auto run = [] {
-    return parallel_map<int>(
-        10, 1, [](std::size_t chunk) { return chunk; },
-        [](std::size_t& chunk, std::size_t) -> int {
-          if (chunk == 3 || chunk == 7) {
-            throw std::runtime_error("chunk " + std::to_string(chunk));
-          }
-          return 0;
-        });
+    return util::parallel_map<int>(10, [](std::size_t i) -> int {
+      if (i == 3 || i == 7) {
+        throw std::runtime_error("task " + std::to_string(i));
+      }
+      return 0;
+    });
   };
   try {
     (void)run();
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& error) {
-    EXPECT_STREQ(error.what(), "chunk 3");  // chunk order, not finish order
+    EXPECT_STREQ(error.what(), "task 3");  // index order, not finish order
   }
 }
 
 TEST_F(ParallelEngineTest, NestedParallelMapRunsSeriallyWithoutDeadlock) {
   // A parallel_map called from inside another one's body finds the pool
-  // busy and runs its chunks serially on the same boundaries, so the
-  // nested result at 4 threads is the 1-thread result.
+  // busy and runs its tasks serially in index order, so the nested result
+  // at 4 threads is the 1-thread result.
   const auto run = [] {
-    return parallel_map<std::vector<int>>(
-        8, 1, [](std::size_t chunk) { return chunk; },
-        [](std::size_t&, std::size_t i) {
-          return parallel_map<int>(
-              10, 3, [](std::size_t chunk) { return static_cast<int>(chunk); },
-              [i](int& chunk, std::size_t j) {
-                return static_cast<int>(i) * 1000 + chunk * 100 +
-                       static_cast<int>(j);
-              });
-        });
+    return util::parallel_map<std::vector<int>>(8, [](std::size_t i) {
+      return util::parallel_map<int>(10, [i](std::size_t j) {
+        return static_cast<int>(i) * 1000 + static_cast<int>(j);
+      });
+    });
   };
   util::ThreadPool::set_global_thread_count(1);
   const std::vector<std::vector<int>> serial = run();
   ASSERT_EQ(serial.size(), 8u);
-  EXPECT_EQ(serial[5][7], 5000 + 200 + 7);
+  EXPECT_EQ(serial[5][7], 5000 + 7);
   util::ThreadPool::set_global_thread_count(4);
   EXPECT_EQ(run(), serial);
 }
@@ -264,39 +254,31 @@ TEST_F(ParallelEngineTest, Table1BitIdenticalAcrossThreadCounts) {
 TEST_F(ParallelEngineTest, DesignOptimizerBitIdenticalAcrossThreadCounts) {
   // Analytic evaluator (no thermal solves): a pure, reentrant function of
   // the candidate, so the test isolates the optimizer's own fan-out.
-  const auto make_evaluator = [] {
-    return thermosyphon::DesignEvaluator(
-        [](const thermosyphon::ThermosyphonDesign& design,
-           const thermosyphon::OperatingPoint& op) {
-          thermosyphon::DesignEvaluation eval;
-          const double orientation_penalty =
-              design.evaporator.orientation ==
-                      thermosyphon::Orientation::kEastWest
-                  ? 0.0
-                  : 2.0;
-          eval.die_max_c = 60.0 + orientation_penalty +
-                           20.0 * std::fabs(design.filling_ratio - 0.55) +
-                           0.4 * op.water_inlet_c -
-                           0.2 * op.water_flow_kg_h;
-          eval.die_grad_c_per_mm = 1.0 + design.filling_ratio;
-          eval.tcase_c = eval.die_max_c - 5.0;
-          eval.dryout = false;
-          eval.loop_pressure_pa =
-              design.refrigerant->saturation_pressure_pa(30.0);
-          return eval;
-        });
+  const auto evaluate = [](const thermosyphon::ThermosyphonDesign& design,
+                           const thermosyphon::OperatingPoint& op) {
+    thermosyphon::DesignEvaluation eval;
+    const double orientation_penalty =
+        design.evaporator.orientation == thermosyphon::Orientation::kEastWest
+            ? 0.0
+            : 2.0;
+    eval.die_max_c = 60.0 + orientation_penalty +
+                     20.0 * std::fabs(design.filling_ratio - 0.55) +
+                     0.4 * op.water_inlet_c - 0.2 * op.water_flow_kg_h;
+    eval.die_grad_c_per_mm = 1.0 + design.filling_ratio;
+    eval.tcase_c = eval.die_max_c - 5.0;
+    eval.dryout = false;
+    eval.loop_pressure_pa = design.refrigerant->saturation_pressure_pa(30.0);
+    return eval;
   };
 
   util::ThreadPool::set_global_thread_count(1);
   const thermosyphon::DesignResult serial = thermosyphon::optimize_design(
-      thermosyphon::DesignSearchSpace{},
-      thermosyphon::DesignEvaluatorFactory(make_evaluator));
+      thermosyphon::DesignSearchSpace{}, evaluate);
 
   for (const std::size_t threads : {2u, 4u}) {
     util::ThreadPool::set_global_thread_count(threads);
     const thermosyphon::DesignResult parallel = thermosyphon::optimize_design(
-        thermosyphon::DesignSearchSpace{},
-        thermosyphon::DesignEvaluatorFactory(make_evaluator));
+        thermosyphon::DesignSearchSpace{}, evaluate);
     SCOPED_TRACE("threads=" + std::to_string(threads));
     EXPECT_EQ(parallel.design.evaporator.orientation,
               serial.design.evaporator.orientation);

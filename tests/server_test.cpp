@@ -194,7 +194,7 @@ TEST(ServerCachedSolve, ParallelSolvesEchoTheRequestOrder) {
       Approach::kProposed, 2.0e-3,
       {{&bench, config, order, power::CState::kC1},
        {&bench, config, permuted, power::CState::kC1}},
-      /*grain=*/1, cache);
+      cache);
   ASSERT_EQ(sims.size(), 2u);
   EXPECT_EQ(sims[0].active_cores, order);
   EXPECT_EQ(sims[1].active_cores, permuted);

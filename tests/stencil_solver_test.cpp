@@ -298,9 +298,7 @@ TEST(StencilCg, ColdPackageStackIterationCountIsPinned) {
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(4);
   std::vector<int> hits(1000, 0);
-  pool.parallel_for(0, hits.size(), 37, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) ++hits[i];
-  });
+  pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
   for (const int h : hits) EXPECT_EQ(h, 1);
 }
 

@@ -4,7 +4,8 @@
 // contract (ordering, registration order, spent-after-throw, bounded
 // interval memory), batch == streaming bit-identity at 1/2/4 threads, and
 // exact JSONL round trips (replay reconstructs the batch FleetResult's
-// digest bit for bit), and the interval record's golden bytes.
+// digest bit for bit), the interval record's golden bytes, and seeded byte
+// mutations of a stream that replay or throw the typed error.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -26,6 +28,7 @@
 #include "tpcool/datacenter/workload_gen.hpp"
 #include "tpcool/util/error.hpp"
 #include "tpcool/util/thread_pool.hpp"
+#include "byte_mutation.hpp"
 
 namespace tpcool::datacenter {
 namespace {
@@ -114,6 +117,21 @@ TEST(WorkloadGenerator, ValidatesItsConfig) {
   zero_slot.slot_s = 0.0;
   EXPECT_THROW(WorkloadGenerator(std::move(zero_slot)),
                util::PreconditionError);
+  // Slot counts too large for std::size_t are refused before the cast.
+  WorkloadGenConfig endless;
+  endless.duration_s = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(WorkloadGenerator(std::move(endless)), util::PreconditionError);
+  WorkloadGenConfig tiny_slot;
+  tiny_slot.slot_s = 1e-300;
+  EXPECT_THROW(WorkloadGenerator(std::move(tiny_slot)),
+               util::PreconditionError);
+  // An endless mean phase is valid: every stream is one whole-trace phase.
+  WorkloadGenConfig endless_phase = short_scenario(7);
+  endless_phase.mean_phase_slots = std::numeric_limits<double>::infinity();
+  for (const workload::WorkloadTrace& trace :
+       WorkloadGenerator(std::move(endless_phase)).generate()) {
+    EXPECT_EQ(trace.phases().size(), 1u);
+  }
   WorkloadGenConfig bad_correlation;
   bad_correlation.correlation = 1.5;
   EXPECT_THROW(WorkloadGenerator(std::move(bad_correlation)),
@@ -339,11 +357,26 @@ TEST_F(StreamingTest, JsonlFileSinkRoundTripsThroughDisk) {
   EXPECT_THROW((void)replay_fleet_jsonl(garbage), util::PreconditionError);
 }
 
-TEST_F(StreamingTest, JsonlV2RoundTripsControllerStateAndShedJobs) {
-  // The v2 golden: a run with both new record features live — a fleet
-  // controller in the loop and admission-control shedding (5 streams on
-  // 4 servers) — streams to JSONL and replays digest-exactly, controller
-  // stamps and shed lists included.
+/// The controller of the v2 golden run.
+FleetControllerConfig golden_controller_config() {
+  FleetControllerConfig control;
+  control.target = 1.12;
+  control.window_intervals = 3;
+  control.gain_c = 60.0;
+  control.damping = 0.80;
+  control.max_bias_c = 0.0;
+  return control;
+}
+
+/// The v2 golden run: both v2 record features live — a fleet controller in
+/// the loop and admission-control shedding (5 streams on 4 servers) —
+/// streamed to JSONL, with the batch result of the same run alongside.
+struct GoldenRun {
+  std::string jsonl;
+  FleetResult reference;
+};
+
+GoldenRun run_v2_golden() {
   FleetConfig config = make_heterogeneous_fleet(2, 2, kCell);
   config.shed_overload = true;
   for (std::size_t r = 0; r < config.racks.size(); ++r) {
@@ -353,13 +386,7 @@ TEST_F(StreamingTest, JsonlV2RoundTripsControllerStateAndShedJobs) {
   workload.streams = 5;  // capacity is 4: full-arrival intervals shed
   const std::vector<workload::WorkloadTrace> streams =
       WorkloadGenerator(workload).generate();
-  FleetControllerConfig control;
-  control.target = 1.12;
-  control.window_intervals = 3;
-  control.gain_c = 60.0;
-  control.damping = 0.80;
-  control.max_bias_c = 0.0;
-  FleetController controller(control);
+  FleetController controller(golden_controller_config());
 
   std::ostringstream jsonl;
   StreamingFleetEngine engine(config, streams);
@@ -369,13 +396,18 @@ TEST_F(StreamingTest, JsonlV2RoundTripsControllerStateAndShedJobs) {
   engine.add_observer(aggregator);
   engine.add_observer(sink);
   engine.run();
+  return {jsonl.str(), aggregator.result()};
+}
 
-  EXPECT_NE(jsonl.str().find("\"schema\":\"tpcool-fleet-stream-v2\""),
+TEST_F(StreamingTest, JsonlV2RoundTripsControllerStateAndShedJobs) {
+  // The v2 golden streams to JSONL and replays digest-exactly, controller
+  // stamps and shed lists included.
+  const GoldenRun golden = run_v2_golden();
+  EXPECT_NE(golden.jsonl.find("\"schema\":\"tpcool-fleet-stream-v2\""),
             std::string::npos);
-  std::istringstream replay_stream(jsonl.str());
+  std::istringstream replay_stream(golden.jsonl);
   const FleetResult replayed = replay_fleet_jsonl(replay_stream);
-  const FleetResult& reference = aggregator.result();
-  EXPECT_EQ(fleet_digest(replayed), fleet_digest(reference));
+  EXPECT_EQ(fleet_digest(replayed), fleet_digest(golden.reference));
 
   // The digest equality above already certifies the stamps; spot-check
   // that the scenario actually exercised them.
@@ -384,7 +416,7 @@ TEST_F(StreamingTest, JsonlV2RoundTripsControllerStateAndShedJobs) {
   bool saw_bias = false;
   for (const FleetInterval& interval : replayed.intervals) {
     EXPECT_TRUE(interval.control.active);
-    EXPECT_EQ(interval.control.target, control.target);
+    EXPECT_EQ(interval.control.target, golden_controller_config().target);
     saw_shed = saw_shed || !interval.shed_streams.empty();
     for (const double bias : interval.control.rack_bias_c) {
       saw_bias = saw_bias || bias != 0.0;
@@ -392,6 +424,31 @@ TEST_F(StreamingTest, JsonlV2RoundTripsControllerStateAndShedJobs) {
   }
   EXPECT_TRUE(saw_shed);
   EXPECT_TRUE(saw_bias);
+}
+
+TEST_F(StreamingTest, JsonlReplayOfMutatedStreamsReplaysOrThrowsTyped) {
+  // Malformed input: seeded flips, insertions, deletions and truncations
+  // of the v2 golden stream.  Each mutant must replay or throw
+  // PreconditionError — never another exception, a crash or UB.
+  constexpr std::size_t kMutants = 400;
+  const std::string good = run_v2_golden().jsonl;
+  std::mt19937_64 rng(20261018);
+  std::size_t rejected = 0;
+  for (std::size_t m = 0; m < kMutants; ++m) {
+    const std::string mutant = test::mutate_bytes(good, rng);
+    std::istringstream replay_stream(mutant);
+    try {
+      (void)replay_fleet_jsonl(replay_stream);
+    } catch (const util::PreconditionError&) {
+      ++rejected;
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "mutant " << m << " threw " << error.what();
+    }
+  }
+  // The mix reaches both outcomes: damage the parser must refuse, and
+  // damage (a changed digit) that still reads as a stream.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_LT(rejected, kMutants);
 }
 
 TEST_F(StreamingTest, JsonlRefusesAnyOtherSchema) {

@@ -212,17 +212,15 @@ TEST_F(TelemetryTest, SpanArgsBeyondTheLimitAreIgnored) {
 
 TEST_F(TelemetryTest, SpansNestAcrossPoolThreads) {
   ThreadPool pool(4);
-  pool.parallel_for(0, 32, 1, [](std::size_t begin, std::size_t end) {
-    TraceSpan chunk("test.chunk");
-    chunk.arg("begin", static_cast<double>(begin));
-    for (std::size_t i = begin; i < end; ++i) {
-      TraceSpan item("test.item");
-      item.arg("i", static_cast<double>(i));
-    }
+  pool.parallel_for(32, [](std::size_t i) {
+    TraceSpan task("test.task");
+    task.arg("i", static_cast<double>(i));
+    TraceSpan item("test.item");
+    item.arg("i", static_cast<double>(i));
   });
 
   const auto grouped = spans_by_tid();
-  std::size_t chunks = 0;
+  std::size_t tasks = 0;
   std::size_t items = 0;
   for (const auto& [tid, ring] : grouped) {
     expect_proper_nesting(ring);
@@ -230,12 +228,12 @@ TEST_F(TelemetryTest, SpansNestAcrossPoolThreads) {
     for (const SpanRecord& span : ring) {
       EXPECT_GE(span.start_ns + span.dur_ns, last_end);
       last_end = span.start_ns + span.dur_ns;
-      chunks += span.name == "test.chunk" ? 1 : 0;
+      tasks += span.name == "test.task" ? 1 : 0;
       items += span.name == "test.item" ? 1 : 0;
     }
   }
-  // Every chunk and item recorded exactly once, wherever it ran.
-  EXPECT_EQ(chunks, 32u);
+  // Every task and item recorded exactly once, wherever it ran.
+  EXPECT_EQ(tasks, 32u);
   EXPECT_EQ(items, 32u);
   EXPECT_EQ(Telemetry::instance().metrics().dropped_spans, 0u);
   // The pool instrumented itself along the way.
