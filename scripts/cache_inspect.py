@@ -27,7 +27,7 @@ import struct
 import sys
 
 MAGIC = b"TPCOOLSC"
-VERSION = 4
+VERSION = 5
 
 # util/fnv.hpp's pinned constants (the offset basis is the repo's own
 # value, not the textbook FNV-1a one — it is part of the on-disk format).

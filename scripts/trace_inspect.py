@@ -205,11 +205,6 @@ def summarize(trace, spans):
         print("counters:")
         for name in sorted(counters):
             print(f"  {name:<28} {counters[name]:g}")
-    gauges = metrics.get("gauges", {})
-    if gauges:
-        print("gauges:")
-        for name in sorted(gauges):
-            print(f"  {name:<28} {gauges[name]:g}")
     histograms = metrics.get("histograms", {})
     if histograms:
         print("histograms (count, sum, min, max):")

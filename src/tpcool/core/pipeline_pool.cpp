@@ -19,27 +19,12 @@ util::TelemetryCounter& pipeline_reuses_counter() {
       util::Telemetry::instance().counter("pipeline.reuses");
   return cell;
 }
-util::TelemetryGauge& pipeline_idle_gauge() {
-  static util::TelemetryGauge& cell =
-      util::Telemetry::instance().gauge("pipeline.idle");
-  return cell;
-}
 
 }  // namespace
 
 PipelinePool::Lease::~Lease() {
   std::lock_guard lock(pool_.mutex_);
   pool_.idle_[key_].push_back(std::move(pipeline_));
-  pool_.update_idle_gauge();
-}
-
-/// Requires mutex_ held.  Cheap relative to park/checkout (idle_ has one
-/// entry per distinct (approach, cell size) pair).
-void PipelinePool::update_idle_gauge() const {
-  if (!util::telemetry_enabled()) return;
-  std::size_t idle = 0;
-  for (const auto& [key, parked] : idle_) idle += parked.size();
-  pipeline_idle_gauge().set(static_cast<double>(idle));
 }
 
 PipelinePool::Lease PipelinePool::checkout(Approach approach,
@@ -58,7 +43,6 @@ PipelinePool::Lease PipelinePool::checkout(Approach approach,
       ++stats_.constructions;
       pipeline_constructions_counter().add(1.0);
     }
-    update_idle_gauge();
   }
   // Construct outside the lock: ~0.2 ms each, and concurrent tasks must
   // not serialize on it.
@@ -79,7 +63,6 @@ PipelinePool::Stats PipelinePool::stats() const {
 void PipelinePool::clear() {
   std::lock_guard lock(mutex_);
   idle_.clear();
-  update_idle_gauge();
 }
 
 PipelinePool& PipelinePool::global() {

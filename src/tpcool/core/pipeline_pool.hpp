@@ -1,9 +1,9 @@
 #pragma once
 /// \file pipeline_pool.hpp
-/// \brief Pipeline source for solve-cache misses: `cached_solve` (see
-///        parallel.hpp) checks a pipeline out here only when a key misses,
-///        and parks it again afterwards, so a run constructs one pipeline
-///        per concurrently running miss instead of one per miss.
+/// \brief Pipeline source: `cached_solve` (see parallel.hpp) checks one out
+///        only when a key misses, the transient engine once per segment it
+///        integrates, and both park it again afterwards, so a run constructs
+///        one pipeline per concurrent checkout instead of one per checkout.
 ///
 /// Soundness: pipeline servers start every solve cold (`server_config_for`
 /// sets `reuse_thermal_state = false`) and every user sets the operating
@@ -71,14 +71,10 @@ class PipelinePool {
   void clear();
 
   /// Process-wide pool behind `cached_solve` and the transient engine's
-  /// segment misses.
+  /// segments.
   [[nodiscard]] static PipelinePool& global();
 
  private:
-  /// Mirror the parked-pipeline total into the `pipeline.idle` telemetry
-  /// gauge (requires mutex_ held; no-op while telemetry is disabled).
-  void update_idle_gauge() const;
-
   mutable std::mutex mutex_;
   Stats stats_;
   std::unordered_map<std::string,

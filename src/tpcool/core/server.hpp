@@ -4,7 +4,6 @@
 ///        + 3D thermal grid + two-phase thermosyphon, with the coupled
 ///        steady-state solve used by every experiment.
 
-#include <cstdint>
 #include <vector>
 
 #include "tpcool/floorplan/xeon_e5.hpp"
@@ -34,24 +33,7 @@ struct ServerConfig {
   bool reuse_thermal_state = true;
 };
 
-/// Transient-segment outcome carried inside a SimulationResult when the
-/// result was produced by the adaptive transient engine (see
-/// datacenter/transient.hpp) instead of a steady coupled solve.  Steady
-/// results leave it default-initialized (empty end state, zero counters),
-/// which serializes to a few bytes in cache snapshots.
-struct TransientSegmentInfo {
-  /// Full 3D temperature field at segment end (ThermalModel cell order);
-  /// the next chained segment starts from it.  Empty for steady solves.
-  std::vector<double> end_state_c;
-  double peak_tcase_c = 0.0;   ///< Max TCASE over the segment's steps.
-  double peak_die_c = 0.0;     ///< Max die temperature over the segment.
-  double sim_time_s = 0.0;     ///< Accepted-dt sum; equals the duration.
-  std::uint64_t steps = 0;           ///< Accepted adaptive steps.
-  std::uint64_t rejected_steps = 0;  ///< Trials redone at a smaller dt.
-};
-
-/// Result of one coupled steady-state simulation (or, via the transient
-/// engine, one cached transient segment — see `transient`).
+/// Result of one coupled steady-state simulation.
 struct SimulationResult {
   thermal::ThermalMetrics die;        ///< Metrics over the die region.
   thermal::ThermalMetrics package;    ///< Metrics over the IHS (package top).
@@ -62,7 +44,6 @@ struct SimulationResult {
   util::Grid2D<double> die_field_c;       ///< Die-layer temperature map.
   util::Grid2D<double> package_field_c;   ///< IHS-layer temperature map.
   std::vector<int> active_cores;
-  TransientSegmentInfo transient;     ///< Segment payload; empty if steady.
 };
 
 /// Case temperature and die maximum of one temperature field.

@@ -165,7 +165,7 @@ std::vector<SolveCache::Entry> SolveCache::entries() const {
 
 // ------------------------------------------------------- snapshot codec --
 //
-// Snapshot file (v4), all integers little-endian, doubles as IEEE-754 bit
+// Snapshot file (v5), all integers little-endian, doubles as IEEE-754 bit
 // patterns:
 //
 //   magic   8 bytes  "TPCOOLSC"
@@ -215,9 +215,8 @@ void put_f64(std::string& out, double value) {
   put_u64(out, std::bit_cast<std::uint64_t>(value));
 }
 
-/// The fields and transient states are most of a payload: on
-/// little-endian hosts their bytes already are the format, so copy them in
-/// bulk.
+/// The fields are most of a payload: on little-endian hosts their bytes
+/// already are the format, so copy them in bulk.
 void put_f64s(std::string& out, std::span<const double> values) {
   if constexpr (std::endian::native == std::endian::little) {
     out.append(reinterpret_cast<const char*>(values.data()),
@@ -273,15 +272,6 @@ void serialize_result(std::string& out, const SimulationResult& r) {
   for (const int core : r.active_cores) {
     put_u64(out, std::bit_cast<std::uint64_t>(static_cast<std::int64_t>(core)));
   }
-  // Transient-segment payload.  Steady results serialize an empty end
-  // state and zero counters — a few dozen bytes of overhead per entry.
-  put_u64(out, r.transient.end_state_c.size());
-  put_f64s(out, r.transient.end_state_c);
-  put_f64(out, r.transient.peak_tcase_c);
-  put_f64(out, r.transient.peak_die_c);
-  put_f64(out, r.transient.sim_time_s);
-  put_u64(out, r.transient.steps);
-  put_u64(out, r.transient.rejected_steps);
 }
 
 std::uint64_t decode_u64(std::string_view bytes) {
@@ -408,13 +398,6 @@ SimulationResult parse_result(std::string_view payload) {
   for (int& core : r.active_cores) {
     core = static_cast<int>(std::bit_cast<std::int64_t>(cursor.u64()));
   }
-  r.transient.end_state_c.resize(cursor.count("transient end state", 8));
-  cursor.f64s(r.transient.end_state_c);
-  r.transient.peak_tcase_c = cursor.f64();
-  r.transient.peak_die_c = cursor.f64();
-  r.transient.sim_time_s = cursor.f64();
-  r.transient.steps = cursor.u64();
-  r.transient.rejected_steps = cursor.u64();
   if (cursor.remaining() != 0) {
     throw SnapshotError(
         "corrupt solve-cache snapshot: result payload has trailing bytes");
@@ -731,53 +714,6 @@ std::string solve_key(const std::string& scope,
   append_key_bits(key, op.water_flow_kg_h);
   append_key_bits(key, op.water_inlet_c);
   key += request_key;
-  return key;
-}
-
-std::string segment_request_key(const std::string& scope,
-                                const workload::BenchmarkProfile& bench,
-                                const workload::Configuration& config,
-                                const std::vector<int>& cores,
-                                power::CState idle_state,
-                                const thermosyphon::OperatingPoint& op,
-                                double duration_s,
-                                const thermal::StepControlConfig& step_control,
-                                double fixed_dt_s,
-                                const std::vector<double>& initial_field_c) {
-  // 128-bit initial-field digest: two FNV-1a streams over the exact cell
-  // bit patterns, differing only in seed.  A single 64-bit stream invites
-  // birthday collisions at fleet scale; two independent seeds push the
-  // collision probability below any practical run length while keeping the
-  // key a fixed, small size.
-  std::uint64_t lo = util::kFnvOffsetBasis;
-  std::uint64_t hi = util::kFnvOffsetBasis ^ 0x9e3779b97f4a7c15ULL;
-  for (const double value : initial_field_c) {
-    const auto bits = std::bit_cast<std::uint64_t>(value);
-    for (int shift = 0; shift < 64; shift += 8) {
-      const auto byte = static_cast<unsigned char>((bits >> shift) & 0xFF);
-      lo = (lo ^ byte) * util::kFnvPrime;
-      hi = (hi ^ byte) * util::kFnvPrime;
-    }
-  }
-  std::string key = "segment;";
-  key += scope;
-  key.push_back(';');
-  key += solve_request_key(bench, config, cores, idle_state);
-  key.push_back(';');
-  append_key_bits(key, op.water_flow_kg_h);
-  append_key_bits(key, op.water_inlet_c);
-  append_key_bits(key, duration_s);
-  append_key_bits(key, step_control.tolerance_c);
-  append_key_bits(key, step_control.min_dt_s);
-  append_key_bits(key, step_control.max_dt_s);
-  append_key_bits(key, step_control.initial_dt_s);
-  append_key_bits(key, step_control.max_growth);
-  append_key_bits(key, step_control.safety);
-  append_key_bits(key, fixed_dt_s);
-  key += std::to_string(initial_field_c.size());
-  key.push_back(';');
-  append_key_bits(key, std::bit_cast<double>(lo));
-  append_key_bits(key, std::bit_cast<double>(hi));
   return key;
 }
 

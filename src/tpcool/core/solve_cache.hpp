@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "tpcool/core/server.hpp"
-#include "tpcool/thermal/step_control.hpp"
 #include "tpcool/workload/benchmark.hpp"
 #include "tpcool/workload/configuration.hpp"
 
@@ -82,7 +81,8 @@ class SolveCache {
   /// Snapshot schema version; load() refuses any other version.
   /// v2: SimulationResult gained the transient-segment payload.
   /// v4: one streamed file replaces the v3 manifest plus segments.
-  static constexpr std::uint32_t kSnapshotVersion = 4;
+  /// v5: the transient-segment payload is gone (steady solves only).
+  static constexpr std::uint32_t kSnapshotVersion = 5;
 
   explicit SolveCache(std::size_t capacity = kDefaultCapacity);
 
@@ -222,21 +222,5 @@ void append_key_bits(std::string& key, double value);
 [[nodiscard]] std::string solve_key(const std::string& scope,
                                     const thermosyphon::OperatingPoint& op,
                                     const std::string& request_key);
-
-/// Canonical key for one transient segment: server scope + the steady solve
-/// inputs of the phase + operating point + segment duration + every
-/// step-control parameter (`fixed_dt_s > 0` selects the fixed-period
-/// baseline integrator; the adaptive parameters are keyed either way) + a
-/// 128-bit digest of the initial temperature field's exact bit patterns.
-/// The digest stands in for the full field — two seeds of an FNV-1a stream
-/// over the cell bits make an accidental collision negligible — so chained
-/// segments key on where they start, which is what makes warm transient
-/// reruns pure cache replay.
-[[nodiscard]] std::string segment_request_key(
-    const std::string& scope, const workload::BenchmarkProfile& bench,
-    const workload::Configuration& config, const std::vector<int>& cores,
-    power::CState idle_state, const thermosyphon::OperatingPoint& op,
-    double duration_s, const thermal::StepControlConfig& step_control,
-    double fixed_dt_s, const std::vector<double>& initial_field_c);
 
 }  // namespace tpcool::core

@@ -893,7 +893,8 @@ FleetResult replay_fleet_jsonl(const std::string& path) {
 
 FleetRollupReducer::FleetRollupReducer(double window_s)
     : window_s_(window_s) {
-  TPCOOL_REQUIRE(window_s_ > 0.0, "rollup window must be positive");
+  TPCOOL_REQUIRE(window_s_ > 0.0 && std::isfinite(window_s_),
+                 "rollup window must be positive and finite");
 }
 
 void FleetRollupReducer::flush() {

@@ -274,7 +274,7 @@ class FleetRollupReducer final : public FleetObserver {
     std::size_t solves = 0;  ///< Coupled solves executed in the window.
   };
 
-  /// `window_s` > 0: rollup width in simulated seconds.
+  /// `window_s` > 0 and finite: rollup width in simulated seconds.
   explicit FleetRollupReducer(double window_s);
 
   void on_interval(const FleetInterval& interval,

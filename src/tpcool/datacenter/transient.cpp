@@ -2,17 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
+#include <exception>
+#include <future>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "tpcool/core/parallel.hpp"
 #include "tpcool/core/pipeline_pool.hpp"
-#include "tpcool/core/solve_cache.hpp"
 #include "tpcool/thermal/grid.hpp"
 #include "tpcool/thermal/stack.hpp"
 #include "tpcool/util/error.hpp"
 #include "tpcool/util/fnv.hpp"
+#include "tpcool/util/parallel_map.hpp"
 #include "tpcool/util/telemetry.hpp"
 
 namespace tpcool::datacenter {
@@ -76,62 +78,77 @@ double max_abs_diff(const std::vector<double>& a,
   return max;
 }
 
-/// Everything one segment integration needs, resolved by its chain from
-/// read-only plan data and the chain's own state, so the integration
-/// touches no shared mutable state.
-struct SegmentTask {
-  const JobOutcome* job = nullptr;
-  std::size_t interval = 0;  ///< FleetInterval::interval, for the trace.
-  const workload::BenchmarkProfile* bench = nullptr;
-  thermosyphon::OperatingPoint op;
-  double duration_s = 0.0;
-  std::vector<double> initial_field_c;  ///< Stream state entering the interval.
-  std::string cache_key;
+/// What one segment integration hands back to its chain.
+struct SegmentResult {
+  std::vector<double> end_state_c;  ///< Field at the interval boundary.
+  double peak_tcase_c = 0.0;        ///< Max TCASE over the segment's steps.
+  double peak_die_c = 0.0;          ///< Max die temperature over the steps.
+  double end_tcase_c = 0.0;         ///< TCASE at the interval boundary.
+  std::uint64_t steps = 0;           ///< Accepted steps.
+  std::uint64_t rejected_steps = 0;  ///< Trials redone at a smaller dt.
 };
 
-/// Integrate one transient segment on a pipeline.  A pure function of
-/// (pipeline config, task, engine config): the boundary and power map
-/// are rebuilt from the task, the state starts at the task's initial
-/// field, and every numeric step is the same fixed-order double arithmetic
-/// on any thread — which is what makes the cached value sound.
-core::SimulationResult integrate_segment(core::ApproachPipeline& pipeline,
-                                         const SegmentTask& task,
-                                         const TransientEngineConfig& config) {
+/// A segment that several chains share: its lowest stream integrates it and
+/// publishes the result here, and the other streams wait for it.
+struct SharedSegment {
+  std::promise<SegmentResult> promise;
+  std::shared_future<SegmentResult> result = promise.get_future().share();
+};
+
+/// One segment of a stream's chain: the stream's job in one interval.
+struct ChainLink {
+  const FleetInterval* interval = nullptr;
+  const JobOutcome* job = nullptr;
+  /// Non-null when chains share this segment: this link publishes the
+  /// result if `publishes`, and otherwise replays it.
+  SharedSegment* shared = nullptr;
+  bool publishes = false;
+};
+
+/// Integrate `link`'s segment on a pipeline, starting from field `t`, with
+/// the rack's design water flow.  A pure function of (pipeline config, the
+/// link's plan data, flow, `t`, engine config): the boundary and power map
+/// are rebuilt from the plan, and every numeric step is the same
+/// fixed-order double arithmetic on any thread, so the result does not
+/// depend on which pipeline or thread ran it.
+SegmentResult integrate_segment(core::ApproachPipeline& pipeline,
+                                const ChainLink& link, double design_flow_kg_h,
+                                std::vector<double> t,
+                                const TransientEngineConfig& config) {
   // Runs on whatever pool thread claimed the chain: these spans are the
   // repo's cross-thread nesting exercise (cg spans nest under them on
-  // worker rings).  Cache hits replay the value without re-entering here,
-  // so transient.segments counts cold integrations only.
+  // worker rings).
   util::TraceSpan span("transient.segment");
   if (util::telemetry_enabled()) {
     static util::TelemetryCounter& segments =
         util::Telemetry::instance().counter("transient.segments");
     segments.add(1.0);
   }
+  const JobOutcome& job = *link.job;
+  const double duration_s = link.interval->duration_s;
   core::ServerModel& server = pipeline.server();
-  server.set_operating_point(task.op);
+  server.set_operating_point(
+      {.water_flow_kg_h = design_flow_kg_h,
+       .water_inlet_c = link.interval->racks[job.rack].cooling.supply_temp_c});
   // The phase's power map, constant over the segment.
-  const power::PackagePowerBreakdown breakdown =
-      server.load(*task.bench, task.job->decision.point.config,
-                  task.job->decision.cores, task.job->decision.idle_state);
+  server.load(workload::find_benchmark(job.benchmark),
+              job.decision.point.config, job.decision.cores,
+              job.decision.idle_state);
 
-  std::vector<double> t = task.initial_field_c;
   TPCOOL_REQUIRE(t.size() == server.thermal().cell_count(),
                  "segment initial field does not match the thermal grid");
 
   // Seed the thermosyphon coupling from the initial field itself: a
   // zero-heat syphon solve gives a boundary, whose heat extraction over
   // the field is the first evaporator map — derived, not carried in, so
-  // the segment stays a pure function of its key.
+  // the segment stays a pure function of its inputs.
   const thermal::StackModel& stack = server.stack();
   util::Grid2D<double> evap_heat(stack.grid.nx, stack.grid.ny, 0.0);
   server.set_evaporator_heat(evap_heat);
   evap_heat = server.evaporator_heat(t);
 
-  core::SimulationResult result;
-  result.power = breakdown;
-  result.total_power_w = breakdown.total_w();
-  result.active_cores = task.job->decision.cores;
-  core::TransientSegmentInfo& seg = result.transient;
+  SegmentResult seg;
+  double sim_time_s = 0.0;  // accepted-dt sum
   thermal::StepController controller(config.step_control);
   // Boundary-loop convergence, summed over every adaptive trial: the
   // iterations run, and the trials that used all kCouplingIterations
@@ -142,8 +159,8 @@ core::SimulationResult integrate_segment(core::ApproachPipeline& pipeline,
       std::max(thermal::ThermalModel::kStepTolerance,
                kTrialTolerance * config.step_control.tolerance_c);
 
-  while (seg.sim_time_s < task.duration_s) {
-    const double remaining_s = task.duration_s - seg.sim_time_s;
+  while (sim_time_s < duration_s) {
+    const double remaining_s = duration_s - sim_time_s;
     double dt_s = 0.0;
     if (config.fixed_dt_s > 0.0) {
       // Fixed-period baseline: the boundary lags one step behind, and the
@@ -189,51 +206,60 @@ core::SimulationResult integrate_segment(core::ApproachPipeline& pipeline,
       }
     }
     // Landing on the boundary is exact by assignment, not accumulation.
-    seg.sim_time_s =
-        dt_s == remaining_s ? task.duration_s : seg.sim_time_s + dt_s;
+    sim_time_s = dt_s == remaining_s ? duration_s : sim_time_s + dt_s;
     ++seg.steps;
 
     const core::PackageProbe probe = server.probe(t);
     seg.peak_tcase_c = std::max(seg.peak_tcase_c, probe.tcase_c);
     seg.peak_die_c = std::max(seg.peak_die_c, probe.die_max_c);
-    result.tcase_c = probe.tcase_c;
+    seg.end_tcase_c = probe.tcase_c;
   }
-  TPCOOL_ENSURE(seg.sim_time_s == task.duration_s,
+  TPCOOL_ENSURE(sim_time_s == duration_s,
                 "transient segment must land exactly on its boundary");
   seg.end_state_c = std::move(t);
-  span.arg("stream", static_cast<double>(task.job->stream));
-  span.arg("interval", static_cast<double>(task.interval));
-  span.arg("duration_s", task.duration_s);
+  span.arg("stream", static_cast<double>(job.stream));
+  span.arg("interval", static_cast<double>(link.interval->interval));
+  span.arg("duration_s", duration_s);
   span.arg("steps", static_cast<double>(seg.steps));
   span.arg("rejected_steps", static_cast<double>(seg.rejected_steps));
   span.arg("boundary_iterations", static_cast<double>(boundary_iterations));
   span.arg("boundary_cap_hits", static_cast<double>(boundary_cap_hits));
-  return result;
+  return seg;
 }
 
 /// Per-rack constants, resolved once, serially, before the chains run.
 struct RackConstants {
   double design_flow_kg_h = 0.0;
-  std::string scope;           ///< Cache scope of the rack's pipeline.
   std::size_t cell_count = 0;  ///< Grid size, for sizing fresh states.
 };
 
-/// One segment of a stream's chain: the stream's job in one interval.
-struct ChainLink {
-  const FleetInterval* interval = nullptr;
-  const JobOutcome* job = nullptr;
-};
+/// Whether two links integrate to the same bits from the same initial field:
+/// the same pipeline, phase, placement, operating point and duration.
+bool same_segment(const ChainLink& a, const ChainLink& b,
+                  const FleetConfig& fleet) {
+  const JobOutcome& ja = *a.job;
+  const JobOutcome& jb = *b.job;
+  const RackSpec& ra = fleet.racks[ja.rack];
+  const RackSpec& rb = fleet.racks[jb.rack];
+  return ra.approach == rb.approach && ra.cell_size_m == rb.cell_size_m &&
+         a.interval->racks[ja.rack].cooling.supply_temp_c ==
+             b.interval->racks[jb.rack].cooling.supply_temp_c &&
+         a.interval->duration_s == b.interval->duration_s &&
+         ja.benchmark == jb.benchmark &&
+         ja.decision.point.config == jb.decision.point.config &&
+         ja.decision.cores == jb.decision.cores &&
+         ja.decision.idle_state == jb.decision.idle_state;
+}
 
 /// Walk one stream's chain in interval order and return its outcomes.
-/// Only read-only plan data and the chain's own state are touched, so
-/// chains run concurrently.  Each segment is memoized under its segment
-/// key: a warm rerun replays it from the cache, and only a miss checks a
-/// pipeline out of the pool.  The chain keeps only its own end state, never
-/// the cached results, so memory stays O(streams × cells).
+/// Only read-only plan data, the chain's own state and the shared segments
+/// are touched, so chains run concurrently.  Each integrated segment checks
+/// a pipeline out of the pool, and the state moves into the segment and
+/// back out, so memory stays O(streams × cells).
 std::vector<TransientJobOutcome> walk_chain(
     const std::vector<ChainLink>& chain, const FleetConfig& fleet,
     const std::vector<RackConstants>& racks,
-    const TransientEngineConfig& config, core::SolveCache& cache) {
+    const TransientEngineConfig& config) {
   // Thermal state follows the stream across intervals (the history a
   // migrating job's server accumulates — a modeling choice; see the header
   // doc).  A rack move that changes the grid resets to the start
@@ -242,48 +268,42 @@ std::vector<TransientJobOutcome> walk_chain(
   std::vector<TransientJobOutcome> outcomes;
   outcomes.reserve(chain.size());
   for (const ChainLink& link : chain) {
-    const FleetInterval& interval = *link.interval;
     const JobOutcome& job = *link.job;
-    const RackConstants& rack = racks[job.rack];
-    SegmentTask task;
-    task.job = &job;
-    task.interval = interval.interval;
-    task.bench = &workload::find_benchmark(job.benchmark);
-    task.op = {.water_flow_kg_h = rack.design_flow_kg_h,
-               .water_inlet_c = interval.racks[job.rack].cooling.supply_temp_c};
-    task.duration_s = interval.duration_s;
-    if (state.size() == rack.cell_count) {
-      task.initial_field_c = std::move(state);
-    } else {
-      task.initial_field_c.assign(rack.cell_count, config.start_temperature_c);
-    }
-    task.cache_key = core::segment_request_key(
-        rack.scope, *task.bench, job.decision.point.config, job.decision.cores,
-        job.decision.idle_state, task.op, task.duration_s, config.step_control,
-        config.fixed_dt_s, task.initial_field_c);
     const RackSpec& spec = fleet.racks[job.rack];
-    const core::SolveCache::ResultPtr segment =
-        cache.get_or_compute_shared(task.cache_key, [&] {
-          const core::PipelinePool::Lease pipeline =
-              core::PipelinePool::global().checkout(spec.approach,
-                                                    spec.cell_size_m);
-          return integrate_segment(*pipeline, task, config);
-        });
-    const core::TransientSegmentInfo& seg = segment->transient;
-    TPCOOL_ENSURE(seg.sim_time_s == interval.duration_s,
-                  "transient segment drifted off the interval boundary");
+    SegmentResult seg;
+    if (link.shared && !link.publishes) {
+      seg = link.shared->result.get();
+    } else {
+      try {
+        const RackConstants& rack = racks[job.rack];
+        if (state.size() != rack.cell_count) {
+          state.assign(rack.cell_count, config.start_temperature_c);
+        }
+        seg = integrate_segment(*core::PipelinePool::global().checkout(
+                                    spec.approach, spec.cell_size_m),
+                                link, rack.design_flow_kg_h, std::move(state),
+                                config);
+      } catch (...) {
+        // Chains waiting on this segment fail with it instead of hanging.
+        if (link.shared) {
+          link.shared->promise.set_exception(std::current_exception());
+        }
+        throw;
+      }
+      if (link.shared) link.shared->promise.set_value(seg);
+    }
     TransientJobOutcome outcome;
     outcome.stream = job.stream;
     outcome.rack = job.rack;
     outcome.benchmark = job.benchmark;
     outcome.peak_tcase_c = seg.peak_tcase_c;
     outcome.peak_die_c = seg.peak_die_c;
-    outcome.end_tcase_c = segment->tcase_c;
+    outcome.end_tcase_c = seg.end_tcase_c;
     outcome.steps = seg.steps;
     outcome.rejected_steps = seg.rejected_steps;
     outcome.tcase_limit_exceeded = seg.peak_tcase_c > spec.tcase_limit_c;
     outcomes.push_back(std::move(outcome));
-    state = seg.end_state_c;
+    state = std::move(seg.end_state_c);
   }
   return outcomes;
 }
@@ -312,7 +332,6 @@ TransientFleetResult TransientFleetEngine::run(
     const core::ServerConfig server =
         core::server_config_for(spec.approach, spec.cell_size_m);
     racks[r].design_flow_kg_h = server.operating_point.water_flow_kg_h;
-    racks[r].scope = core::solve_scope(spec.approach, spec.cell_size_m);
     const thermal::StackModel stack = thermal::make_package_stack(server.stack);
     racks[r].cell_count = stack.grid.nx * stack.grid.ny * stack.layer_count();
   }
@@ -327,11 +346,33 @@ TransientFleetResult TransientFleetEngine::run(
       chains[job.stream].push_back({&interval, &job});
     }
   }
-  core::SolveCache& cache = *core::SolveCache::global();
+  // Chains that agree on every link up to k start segment k from the same
+  // field, so it integrates to the same bits in each: the lowest such
+  // stream integrates it and the others replay its result (identical
+  // streams in a trace set do this).  The pool claims chains in index
+  // order, so a publisher is always running before a chain waits on it.
+  std::deque<SharedSegment> shared;  // stable addresses
+  for (std::size_t s = 1; s < chains.size(); ++s) {
+    for (std::size_t r = 0; r < s; ++r) {
+      for (std::size_t k = 0;
+           k < std::min(chains[r].size(), chains[s].size()) &&
+           same_segment(chains[r][k], chains[s][k], config);
+           ++k) {
+        ChainLink& theirs = chains[r][k];
+        ChainLink& mine = chains[s][k];
+        if (mine.shared != nullptr) continue;  // a lower stream owns it
+        if (theirs.shared == nullptr) {
+          theirs.shared = &shared.emplace_back();
+          theirs.publishes = true;
+        }
+        mine.shared = theirs.shared;
+      }
+    }
+  }
   std::vector<std::vector<TransientJobOutcome>> outcomes =
       util::parallel_map<std::vector<TransientJobOutcome>>(
           chains.size(), [&](std::size_t s) {
-            return walk_chain(chains[s], config, racks, config_, cache);
+            return walk_chain(chains[s], config, racks, config_);
           });
 
   // Serial rollup in interval, then stream order.

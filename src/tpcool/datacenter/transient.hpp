@@ -25,10 +25,12 @@
 /// walks its segments in interval order, carrying only its own end state,
 /// with no barrier between intervals: a segment depends only on its
 /// stream's previous end state and the steady plan.  A segment is
-/// integrated on a pooled pipeline only on a cache miss and is memoized
-/// in the `SolveCache` under `segment_request_key` — keyed on a digest of
-/// the segment's *initial field*, so a chained rerun replays the whole
-/// trajectory from a warm snapshot with zero misses.  Totals and peaks
+/// integrated directly on a pipeline checked out of `core::PipelinePool`:
+/// the chain moves its state into the segment and takes the end state back.
+/// Only the steady pass goes through the `SolveCache`.  Chains that agree
+/// link for link with a lower stream's chain start from the same field, so
+/// they replay that stream's segments instead of integrating them (identical
+/// streams do this).  Totals and peaks
 /// roll up serially in interval, then stream order, so results are
 /// bit-identical for any thread count (`transient_digest` certifies it,
 /// like `fleet_digest`).
@@ -68,8 +70,7 @@ struct TransientJobOutcome {
   std::uint64_t steps = 0;           ///< Accepted transient steps.
   std::uint64_t rejected_steps = 0;  ///< Trials redone at a smaller dt.
   /// Transient peak TCASE exceeded the rack's limit (the trajectory-level
-  /// analogue of the steady JobOutcome flag; computed outside the cached
-  /// segment so limit changes do not fragment the cache).
+  /// analogue of the steady JobOutcome flag).
   bool tcase_limit_exceeded = false;
 };
 
@@ -100,9 +101,9 @@ struct TransientFleetResult {
 ///
 /// `run` is bit-identical for any thread count: per-stream chains are
 /// fanned out with `parallel_map`, every segment value is a pure function
-/// of its cache key (cold-start integration from the keyed initial field),
-/// a chain's state is its own, and the fleet-wide rollup runs serially in
-/// interval, then stream order.
+/// of its inputs and its initial field (the pipeline it runs on carries no
+/// state into it), a chain's state is its own, and the fleet-wide rollup
+/// runs serially in interval, then stream order.
 class TransientFleetEngine {
  public:
   TransientFleetEngine(FleetConfig fleet, TransientEngineConfig config);

@@ -1,6 +1,8 @@
 #include "tpcool/thermal/stack.hpp"
 
 #include <cmath>
+#include <cstddef>
+#include <limits>
 
 #include "tpcool/util/error.hpp"
 
@@ -11,6 +13,18 @@ namespace {
 using floorplan::GridSpec;
 using floorplan::Rect;
 using materials::SolidMaterial;
+
+/// Cells covering `extent_m` at pitch `cell_size_m`.  Casting a value
+/// std::size_t cannot hold (inf, NaN, >= 2^64) is UB: check the fit first.
+std::size_t cells_covering(double extent_m, double cell_size_m) {
+  const double cells = std::ceil(extent_m / cell_size_m);
+  TPCOOL_REQUIRE(
+      cells >= 1.0 &&
+          cells < static_cast<double>(std::numeric_limits<std::size_t>::max()),
+      "grid cell count (package extent / cell size) must be at least 1 and "
+      "fit std::size_t");
+  return static_cast<std::size_t>(cells);
+}
 
 /// Uniform layer over the full grid.
 StackLayer uniform_layer(const std::string& name, double thickness,
@@ -65,10 +79,9 @@ StackModel make_package_stack(const PackageStackConfig& config) {
   GridSpec grid;
   grid.x0 = 0.0;
   grid.y0 = 0.0;
-  grid.nx = static_cast<std::size_t>(
-      std::ceil(config.geometry.package_width_m / config.cell_size_m));
-  grid.ny = static_cast<std::size_t>(
-      std::ceil(config.geometry.package_height_m / config.cell_size_m));
+  grid.nx = cells_covering(config.geometry.package_width_m, config.cell_size_m);
+  grid.ny =
+      cells_covering(config.geometry.package_height_m, config.cell_size_m);
   grid.dx = config.geometry.package_width_m / static_cast<double>(grid.nx);
   grid.dy = config.geometry.package_height_m / static_cast<double>(grid.ny);
   model.grid = grid;

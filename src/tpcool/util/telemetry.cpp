@@ -154,7 +154,7 @@ void append_metrics_json(std::string& out, const MetricsSnapshot& snap) {
   const std::string pad = "  ";
   out += "{\n";
   out += pad;
-  out += "  \"schema\": \"tpcool-metrics-v1\",\n";
+  out += "  \"schema\": \"tpcool-metrics-v2\",\n";
   out += pad;
   out += "  \"spans\": ";
   json_number(out, static_cast<double>(snap.spans));
@@ -176,17 +176,6 @@ void append_metrics_json(std::string& out, const MetricsSnapshot& snap) {
     json_escape(out, snap.counters[i].first);
     out += "\": ";
     json_number(out, snap.counters[i].second);
-  }
-  out += "},\n";
-
-  out += pad;
-  out += "  \"gauges\": {";
-  for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
-    out += i ? ", " : "";
-    out += '"';
-    json_escape(out, snap.gauges[i].first);
-    out += "\": ";
-    json_number(out, snap.gauges[i].second);
   }
   out += "},\n";
 
@@ -253,7 +242,6 @@ struct Telemetry::Impl {
   // Node-based maps: cell addresses are stable for the process lifetime.
   std::map<std::string, std::unique_ptr<TelemetryCounter>, std::less<>>
       counters;
-  std::map<std::string, std::unique_ptr<TelemetryGauge>, std::less<>> gauges;
   std::map<std::string, std::unique_ptr<TelemetryHistogram>, std::less<>>
       histograms;
   std::vector<std::shared_ptr<telemetry_detail::ThreadRing>> rings;
@@ -291,9 +279,6 @@ void Telemetry::reset() {
   for (auto& [name, cell] : impl_->counters) {
     cell->value_.store(0.0, std::memory_order_relaxed);
   }
-  for (auto& [name, cell] : impl_->gauges) {
-    cell->value_.store(0.0, std::memory_order_relaxed);
-  }
   for (auto& [name, cell] : impl_->histograms) {
     for (auto& bucket : cell->buckets_) {
       bucket.store(0, std::memory_order_relaxed);
@@ -319,17 +304,6 @@ TelemetryCounter& Telemetry::counter(std::string_view name) {
   if (it == impl_->counters.end()) {
     it = impl_->counters
              .emplace(std::string(name), std::make_unique<TelemetryCounter>())
-             .first;
-  }
-  return *it->second;
-}
-
-TelemetryGauge& Telemetry::gauge(std::string_view name) {
-  std::lock_guard lock(impl_->mutex);
-  auto it = impl_->gauges.find(name);
-  if (it == impl_->gauges.end()) {
-    it = impl_->gauges
-             .emplace(std::string(name), std::make_unique<TelemetryGauge>())
              .first;
   }
   return *it->second;
@@ -394,10 +368,6 @@ MetricsSnapshot Telemetry::metrics() const {
   snap.counters.reserve(impl_->counters.size());
   for (const auto& [name, cell] : impl_->counters) {
     snap.counters.emplace_back(name, cell->value());
-  }
-  snap.gauges.reserve(impl_->gauges.size());
-  for (const auto& [name, cell] : impl_->gauges) {
-    snap.gauges.emplace_back(name, cell->value());
   }
   snap.histograms.reserve(impl_->histograms.size());
   for (const auto& [name, cell] : impl_->histograms) {

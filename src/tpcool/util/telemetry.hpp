@@ -1,7 +1,7 @@
 #pragma once
 /// \file telemetry.hpp
 /// \brief Process-wide tracing and metrics: RAII spans into per-thread ring
-///        buffers, named counters/gauges/histograms, Chrome-trace export.
+///        buffers, named counters and histograms, Chrome-trace export.
 ///
 /// Every subsystem from the CG kernels up to the fleet engines is
 /// instrumented against this registry (span taxonomy and counter names are
@@ -83,21 +83,6 @@ class TelemetryCounter {
   std::atomic<double> value_{0.0};
 };
 
-/// Last-write-wins gauge cell; same lifetime contract as counters.
-class TelemetryGauge {
- public:
-  void set(double value) noexcept {
-    if (telemetry_enabled()) value_.store(value, std::memory_order_relaxed);
-  }
-  [[nodiscard]] double value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  friend class Telemetry;
-  std::atomic<double> value_{0.0};
-};
-
 /// Power-of-two-bucketed histogram cell: bucket k counts values in
 /// (2^(k-1), 2^k] (bucket 0 is everything <= 1).  Exact count/sum/min/max
 /// alongside, all updated lock-free.
@@ -141,7 +126,6 @@ struct MetricsSnapshot {
     std::vector<std::pair<double, std::uint64_t>> buckets;
   };
   std::vector<std::pair<std::string, double>> counters;
-  std::vector<std::pair<std::string, double>> gauges;
   std::vector<std::pair<std::string, Histogram>> histograms;
   std::uint64_t spans = 0;          ///< Spans currently recorded in rings.
   std::uint64_t dropped_spans = 0;  ///< Spans lost to ring overflow.
@@ -166,13 +150,12 @@ class Telemetry {
   void enable(const TelemetryConfig& config = {});
   /// Stop recording (spans already started still record on destruction).
   void disable();
-  /// Zero every counter/gauge/histogram cell, empty every ring, re-stamp
+  /// Zero every counter and histogram cell, empty every ring, re-stamp
   /// the epoch.  Handles stay valid.
   void reset();
 
   /// Named-cell handles; created on first use, live for the process.
   [[nodiscard]] TelemetryCounter& counter(std::string_view name);
-  [[nodiscard]] TelemetryGauge& gauge(std::string_view name);
   [[nodiscard]] TelemetryHistogram& histogram(std::string_view name);
 
   [[nodiscard]] MetricsSnapshot metrics() const;

@@ -91,12 +91,6 @@ SimulationResult rich_result(int seed) {
     r.package_field_c.data()[i] = 45.0 + s + 0.5 * static_cast<double>(i);
   }
   r.active_cores = {seed, 1, 5};
-  r.transient.end_state_c = {70.0 + s, 68.5 + s, 67.0 + s, 66.25 + s};
-  r.transient.peak_tcase_c = 58.0 + s;
-  r.transient.peak_die_c = 63.0 + s;
-  r.transient.sim_time_s = 120.0 + s;
-  r.transient.steps = 17u + static_cast<std::uint64_t>(seed);
-  r.transient.rejected_steps = static_cast<std::uint64_t>(seed % 3);
   return r;
 }
 
@@ -134,12 +128,6 @@ void expect_results_identical(const SimulationResult& a,
   EXPECT_EQ(a.die_field_c.data(), b.die_field_c.data());
   EXPECT_EQ(a.package_field_c.data(), b.package_field_c.data());
   EXPECT_EQ(a.active_cores, b.active_cores);
-  EXPECT_EQ(a.transient.end_state_c, b.transient.end_state_c);
-  EXPECT_EQ(a.transient.peak_tcase_c, b.transient.peak_tcase_c);
-  EXPECT_EQ(a.transient.peak_die_c, b.transient.peak_die_c);
-  EXPECT_EQ(a.transient.sim_time_s, b.transient.sim_time_s);
-  EXPECT_EQ(a.transient.steps, b.transient.steps);
-  EXPECT_EQ(a.transient.rejected_steps, b.transient.rejected_steps);
 }
 
 std::string read_file(const std::string& path) {
@@ -463,18 +451,19 @@ TEST(SolveCacheSnapshotTest, RejectsDamagedAndForeignFilesUntouched) {
   reseal(manifest);
   expect_rejected("segmented manifest", manifest);
 
-  // A version-3 header, digest intact: refused by the version check, with
-  // a message saying so.
-  std::string v3 = blob;
-  v3[8] = 3;
-  v3[9] = v3[10] = v3[11] = 0;
-  reseal(v3);
-  expect_rejected("version 3", v3);
+  // A version-4 header (the format that still carried transient
+  // segments), digest intact: refused by the version check, with a message
+  // saying so.
+  std::string v4 = blob;
+  v4[8] = 4;
+  v4[9] = v4[10] = v4[11] = 0;
+  reseal(v4);
+  expect_rejected("version 4", v4);
   try {
     target.load(path);
     ADD_FAILURE() << "expected SnapshotError";
   } catch (const SnapshotError& error) {
-    EXPECT_NE(std::string(error.what()).find("schema version 3"),
+    EXPECT_NE(std::string(error.what()).find("schema version 4"),
               std::string::npos)
         << error.what();
   }

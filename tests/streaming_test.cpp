@@ -666,6 +666,9 @@ TEST_F(StreamingTest, RollupWindowsPartitionTheRunAndBoundTheExtremes) {
   EXPECT_EQ(violations, result.qos_violations);
 
   EXPECT_THROW(FleetRollupReducer(0.0), util::PreconditionError);
+  // An infinite window would start every rollup at 0 * inf = NaN.
+  EXPECT_THROW(FleetRollupReducer(std::numeric_limits<double>::infinity()),
+               util::PreconditionError);
 }
 
 }  // namespace

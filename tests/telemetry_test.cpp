@@ -1,5 +1,5 @@
 // Tests for the telemetry layer: disabled-by-default no-op behavior,
-// counter/gauge/histogram exactness, RAII span recording and nesting (on
+// counter and histogram exactness, RAII span recording and nesting (on
 // the main thread and across pool threads), ring-overflow drop-newest
 // accounting, the Chrome trace export, and the purity contract — engine
 // digests are bit-identical with tracing on or off at 1 and 4 threads.
@@ -89,7 +89,6 @@ TEST_F(TelemetryTest, DisabledRecordsNothing) {
 
   TelemetryCounter& counter = telemetry.counter("test.disabled.counter");
   counter.add(5.0);
-  telemetry.gauge("test.disabled.gauge").set(3.0);
   telemetry.histogram("test.disabled.hist").record(7.0);
   {
     TraceSpan span("test.disabled.span");
@@ -99,7 +98,6 @@ TEST_F(TelemetryTest, DisabledRecordsNothing) {
 
   EXPECT_FALSE(telemetry_enabled());
   EXPECT_EQ(counter.value(), 0.0);
-  EXPECT_EQ(telemetry.gauge("test.disabled.gauge").value(), 0.0);
   EXPECT_EQ(telemetry.histogram("test.disabled.hist").count(), 0u);
   const MetricsSnapshot snapshot = telemetry.metrics();
   EXPECT_EQ(snapshot.spans, 0u);
@@ -108,18 +106,13 @@ TEST_F(TelemetryTest, DisabledRecordsNothing) {
 
 // ----------------------------------------------------- counters and cells --
 
-TEST_F(TelemetryTest, CountersGaugesHistogramsAreExact) {
+TEST_F(TelemetryTest, CountersAndHistogramsAreExact) {
   Telemetry& telemetry = Telemetry::instance();
   TelemetryCounter& counter = telemetry.counter("test.counter");
   counter.add();          // default delta 1
   counter.add(2.5);
   telemetry.counter("test.counter").add(0.5);  // same name, same cell
   EXPECT_EQ(counter.value(), 4.0);
-
-  TelemetryGauge& gauge = telemetry.gauge("test.gauge");
-  gauge.set(1.0);
-  gauge.set(-2.0);  // last write wins
-  EXPECT_EQ(telemetry.gauge("test.gauge").value(), -2.0);
 
   TelemetryHistogram& hist = telemetry.histogram("test.hist");
   for (const double v : {0.5, 1.0, 3.0, 100.0}) hist.record(v);
@@ -289,7 +282,7 @@ TEST_F(TelemetryTest, ChromeTraceExportRoundTrips) {
   EXPECT_NE(trace.find("\"test.export.inner\""), std::string::npos);
   EXPECT_NE(trace.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(trace.find("\"metrics\""), std::string::npos);
-  EXPECT_NE(trace.find("\"tpcool-metrics-v1\""), std::string::npos);
+  EXPECT_NE(trace.find("\"tpcool-metrics-v2\""), std::string::npos);
   EXPECT_NE(trace.find("\"test.export.counter\": 7"), std::string::npos);
   EXPECT_NE(trace.find("with \\\"quotes\\\" and \\\\slashes"),
             std::string::npos);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "tpcool/thermal/grid.hpp"
 #include "tpcool/thermal/metrics.hpp"
@@ -84,6 +85,17 @@ TEST(PackageStack, GridCoversPackage) {
 TEST(PackageStack, RejectsOversizedEvaporator) {
   PackageStackConfig config;
   config.evaporator_width_m = 50e-3;  // > package width
+  EXPECT_THROW(make_package_stack(config), util::PreconditionError);
+}
+
+TEST(PackageStack, RejectsCellCountsThatDoNotFit) {
+  // 45 mm / 1e-300 m is ~4.5e298 cells per side: no std::size_t holds it,
+  // so the count is refused before it is cast.  An infinite pitch gives no
+  // cell at all.
+  PackageStackConfig config;
+  config.cell_size_m = 1e-300;
+  EXPECT_THROW(make_package_stack(config), util::PreconditionError);
+  config.cell_size_m = std::numeric_limits<double>::infinity();
   EXPECT_THROW(make_package_stack(config), util::PreconditionError);
 }
 

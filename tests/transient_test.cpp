@@ -4,7 +4,9 @@
 // TransientFleetEngine — exact boundary landing, fewer steps than the
 // fixed-period baseline on smooth traces, the fixed-period mode's
 // final-step clamp, a day-like trace on one server, bit-identity across
-// thread counts, snapshot-warm replay with zero misses, peak TCASE
+// thread counts, a warm rerun that misses nothing (only the steady pass
+// uses the solve cache), identical streams integrating their segments
+// once, peak TCASE
 // against a tight-tolerance reference, no boundary limit cycle on a warm
 // burst, and per-stream thermal-state chaining.
 
@@ -12,7 +14,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -412,30 +413,74 @@ TEST_F(TransientEngineTest, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_F(TransientEngineTest, SnapshotWarmRerunReplaysWithZeroMisses) {
-  // Cold run, snapshot, reload into an empty cache: the rerun must serve
-  // every solve — steady fleet AND chained transient segments (whose keys
-  // include the initial-field digest) — from the snapshot, bit-identically.
+TEST_F(TransientEngineTest, WarmRerunMissesNothingAndCachesOnlySteadySolves) {
+  // Segments are integrated directly, never looked up: a cold transient run
+  // misses exactly the solves of its steady fleet pass, and a rerun on the
+  // warm cache misses nothing and reproduces the cold run's bits.
   const datacenter::TransientEngineConfig config;
   util::ThreadPool::set_global_thread_count(2);
+  core::SolveCache::global()->clear();
+  (void)datacenter::FleetModel(small_fleet()).run(smooth_streams());
+  const std::size_t steady_misses = core::SolveCache::global()->stats().misses;
+  ASSERT_GT(steady_misses, 0u);
+
   core::SolveCache::global()->clear();
   const datacenter::TransientFleetResult cold =
       datacenter::TransientFleetEngine(small_fleet(), config)
           .run(smooth_streams());
+  EXPECT_EQ(core::SolveCache::global()->stats().misses, steady_misses);
 
-  const std::string path = ::testing::TempDir() + "tpcool_transient_snap.bin";
-  core::SolveCache::global()->save(path);
-  core::SolveCache::global()->clear();
-  core::SolveCache::global()->load(path);
+  const core::SolveCache::Stats before = core::SolveCache::global()->stats();
   const datacenter::TransientFleetResult warm =
       datacenter::TransientFleetEngine(small_fleet(), config)
           .run(smooth_streams());
-  const core::SolveCache::Stats stats = core::SolveCache::global()->stats();
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_GT(stats.hits, 0u);
+  const core::SolveCache::Stats after = core::SolveCache::global()->stats();
+  EXPECT_EQ(after.misses - before.misses, 0u);
+  EXPECT_GT(after.hits, before.hits);
   EXPECT_EQ(datacenter::transient_digest(warm),
             datacenter::transient_digest(cold));
-  std::remove(path.c_str());
+}
+
+TEST_F(TransientEngineTest, IdenticalStreamsIntegrateTheirSegmentsOnce) {
+  // Two copies of one stream on a one-rack fleet get the same plan, so the
+  // copy's chain agrees with the original's link for link: it replays each
+  // segment instead of integrating it (one pipeline checkout per segment
+  // beyond the steady misses, not two), reports the same outcomes, and
+  // gives the same bits at any thread count.
+  const workload::WorkloadTrace stream = smooth_streams()[0];
+  const std::vector<workload::WorkloadTrace> streams{stream, stream};
+  std::uint64_t serial_digest = 0;
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    util::ThreadPool::set_global_thread_count(threads);
+    core::SolveCache::global()->clear();
+    const core::PipelinePool::Stats before =
+        core::PipelinePool::global().stats();
+    const datacenter::TransientFleetResult result =
+        datacenter::TransientFleetEngine(
+            datacenter::make_heterogeneous_fleet(1, 2, kCell), {})
+            .run(streams);
+    const core::PipelinePool::Stats after =
+        core::PipelinePool::global().stats();
+
+    ASSERT_EQ(result.intervals.size(), 2u);
+    for (const datacenter::TransientInterval& interval : result.intervals) {
+      ASSERT_EQ(interval.jobs.size(), 2u);
+      const datacenter::TransientJobOutcome& original = interval.jobs[0];
+      const datacenter::TransientJobOutcome& copy = interval.jobs[1];
+      EXPECT_EQ(copy.stream, 1u);
+      EXPECT_EQ(copy.peak_tcase_c, original.peak_tcase_c);
+      EXPECT_EQ(copy.peak_die_c, original.peak_die_c);
+      EXPECT_EQ(copy.end_tcase_c, original.end_tcase_c);
+      EXPECT_EQ(copy.steps, original.steps);
+    }
+    const std::size_t checkouts = after.constructions + after.reuses -
+                                  before.constructions - before.reuses;
+    EXPECT_EQ(checkouts, core::SolveCache::global()->stats().misses +
+                             result.intervals.size());
+    if (threads == 1) serial_digest = datacenter::transient_digest(result);
+    EXPECT_EQ(datacenter::transient_digest(result), serial_digest);
+  }
 }
 
 TEST_F(TransientEngineTest, PeakTcaseTracksATightToleranceReference) {
