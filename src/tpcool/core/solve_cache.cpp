@@ -83,6 +83,11 @@ void SolveCache::evict_over_capacity() {
   }
 }
 
+SolveCache::ResultPtr SolveCache::find(const std::string& key) {
+  std::lock_guard lock(mutex_);
+  return lookup(key);
+}
+
 SolveCache::ResultPtr SolveCache::get_or_compute_shared(
     const std::string& key,
     const std::function<SimulationResult()>& compute) {

@@ -20,8 +20,9 @@
 /// One mutex guards one LRU list, its index and the in-flight records.
 /// Entries hold immutable shared results, so a hit holds the lock only for
 /// the lookup, the LRU splice and a reference-count bump.
-/// `get_or_compute_shared`, the one way in, hands out that shared result
-/// itself, so a hit copies nothing.
+/// `get_or_compute_shared` hands out that shared result itself, so a hit
+/// copies nothing.  `find` beside it answers only what is already stored,
+/// so a caller can serve its hits inline and compute only its misses.
 ///
 /// The cache lives for one process.  Snapshots are explicit: `save()` /
 /// `load()` write and read one versioned, endian-safe snapshot file (schema
@@ -112,6 +113,12 @@ class SolveCache {
   [[nodiscard]] ResultPtr get_or_compute_shared(
       const std::string& key,
       const std::function<SimulationResult()>& compute);
+
+  /// Serve `key` if it is stored: count a hit, move the entry to the LRU
+  /// front and return it.  Otherwise (absent or still in flight) return
+  /// null and count nothing, so a later get_or_compute_shared for the key
+  /// counts the request once, as its miss or its hit.
+  [[nodiscard]] ResultPtr find(const std::string& key);
 
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }

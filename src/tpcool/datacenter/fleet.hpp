@@ -9,7 +9,8 @@
 ///
 /// The paper's evaluation stops at one rack (§V: one chiller, one shared
 /// water setpoint); this layer composes that rack model into a fleet.  All
-/// coupled solves run through `core::cached_solve` and parallel_map, so
+/// coupled solves run through `core::cached_solve` (cache hits are read
+/// with `SolveCache::find` under the same key) and parallel_map, so
 /// fleet results are bit-identical for any thread count, and a cache
 /// explicitly loaded from a `save()`d snapshot replays every solve
 /// (0 misses) with the same bits.

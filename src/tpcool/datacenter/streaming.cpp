@@ -34,7 +34,7 @@ struct ScanOutcome {
   double max_supply_temp_c = 0.0;
   double demand_power_w = 0.0;  ///< Package power at the scan's endpoint.
   bool infeasible = false;      ///< No candidate kept TCASE within limit.
-  std::size_t scanned = 0;      ///< Candidates solved, the last included.
+  std::size_t scanned = 0;      ///< Candidates answered, the last included.
 };
 
 /// Phase-1 outcome of one request class: the scan all its jobs share, and
@@ -308,49 +308,77 @@ bool StreamingFleetEngine::advance() {
   std::vector<ClassScan> classes(class_job.size());
   for (std::size_t c = 0; c < classes.size(); ++c) {
     const std::size_t j = class_job[c];
-    classes[c].scan.decision =
+    ClassScan& cls = classes[c];
+    cls.scan.decision =
         rack_scheduler_[placed_rack[j]]->schedule(*jobs[j].bench, jobs[j].qos);
+    const core::ScheduleDecision& decision = cls.scan.decision;
+    cls.request_key = core::solve_request_key(
+        *jobs[j].bench, decision.point.config, decision.cores,
+        decision.idle_state);
   }
   // Job j's coupled solve at a supply temperature of its rack, asked with
-  // its class's decision and request key.
+  // its class's decision and request key: `solve_at` answers it, solving on
+  // a miss; `find_at` answers it only if the cache already holds it, under
+  // the same key bytes.
   core::SolveCache& cache = *core::SolveCache::global();
+  const auto operating_point = [&](std::size_t j, double water_inlet_c) {
+    return thermosyphon::OperatingPoint{
+        .water_flow_kg_h = design_flow_kg_h_[placed_rack[j]],
+        .water_inlet_c = water_inlet_c};
+  };
   const auto solve_at = [&](std::size_t j, const ClassScan& cls,
                             double water_inlet_c) {
     const std::size_t r = placed_rack[j];
     const core::ScheduleDecision& decision = cls.scan.decision;
     return core::cached_solve(
         cache, config_.racks[r].approach, config_.racks[r].cell_size_m,
-        rack_scope_[r],
-        {.water_flow_kg_h = design_flow_kg_h_[r],
-         .water_inlet_c = water_inlet_c},
-        cls.request_key, *jobs[j].bench, decision.point.config,
-        decision.cores, decision.idle_state);
+        rack_scope_[r], operating_point(j, water_inlet_c), cls.request_key,
+        *jobs[j].bench, decision.point.config, decision.cores,
+        decision.idle_state);
+  };
+  const auto find_at = [&](std::size_t j, const ClassScan& cls,
+                           double water_inlet_c) {
+    return cache.find(core::solve_key(rack_scope_[placed_rack[j]],
+                                      operating_point(j, water_inlet_c),
+                                      cls.request_key));
   };
 
-  // Phase 1, parallel over the request classes: scan the rack's supply
-  // candidates for the highest feasible temperature.  The fan-out is
-  // joined here — observers never run concurrently with it.  Infeasibility
-  // does not throw: the server pins to the coldest candidate and is
-  // flagged.
-  classes = util::parallel_map<ClassScan>(
-      classes.size(), [&](std::size_t c) {
-        const std::size_t j = class_job[c];
-        const RackSpec& spec = config_.racks[placed_rack[j]];
-        ClassScan cls = classes[c];
-        const core::ScheduleDecision& decision = cls.scan.decision;
-        cls.request_key = core::solve_request_key(
-            *jobs[j].bench, decision.point.config, decision.cores,
-            decision.idle_state);
-        for (const double t_w : spec.supply_candidates_c) {
-          const auto sim = solve_at(j, cls, t_w);
-          ++cls.scan.scanned;
-          cls.scan.max_supply_temp_c = t_w;
-          cls.scan.demand_power_w = sim->total_power_w;
-          if (sim->tcase_c <= spec.tcase_limit_c) return cls;
-        }
-        cls.scan.infeasible = true;  // runs pinned at the coldest candidate
+  // Phase 1: scan the rack's supply candidates, coldest last, for the
+  // highest feasible temperature.  `ask` answers one candidate, or returns
+  // null to pause the scan there; true once the scan has ended.
+  // Infeasibility does not throw: the server pins to the coldest candidate
+  // and is flagged.
+  const auto scan = [&](std::size_t j, ClassScan& cls, const auto& ask) {
+    const RackSpec& spec = config_.racks[placed_rack[j]];
+    const std::vector<double>& candidates = spec.supply_candidates_c;
+    while (cls.scan.scanned < candidates.size()) {
+      const double t_w = candidates[cls.scan.scanned];
+      const core::SolveCache::ResultPtr sim = ask(j, cls, t_w);
+      if (sim == nullptr) return false;
+      ++cls.scan.scanned;
+      cls.scan.max_supply_temp_c = t_w;
+      cls.scan.demand_power_w = sim->total_power_w;
+      if (sim->tcase_c <= spec.tcase_limit_c) return true;
+    }
+    cls.scan.infeasible = true;  // runs pinned at the coldest candidate
+    return true;
+  };
+  // The calling thread walks every scan while the cache answers it; only
+  // the classes paused at an unanswered candidate fan out, resuming there.
+  // The fan-out is joined here — observers never run concurrently with it.
+  std::vector<std::size_t> paused;
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    if (!scan(class_job[c], classes[c], find_at)) paused.push_back(c);
+  }
+  std::vector<ClassScan> resumed = util::parallel_map<ClassScan>(
+      paused.size(), [&](std::size_t i) {
+        ClassScan cls = classes[paused[i]];
+        scan(class_job[paused[i]], cls, solve_at);
         return cls;
       });
+  for (std::size_t i = 0; i < paused.size(); ++i) {
+    classes[paused[i]] = std::move(resumed[i]);
+  }
   // Requests are what a per-job engine would ask: each job's scan, then
   // its solve at the setpoint.
   std::vector<ScanOutcome> scans(jobs.size());
@@ -397,26 +425,38 @@ bool StreamingFleetEngine::advance() {
     }
   }
 
-  // Phase 2, parallel again: every server at its rack's shared setpoint,
-  // asked once per distinct (class, setpoint) pair.  Results stay shared
-  // with the cache; only three scalars are read.
+  // Phase 2: every server at its rack's shared setpoint, asked once per
+  // distinct (class, setpoint) pair.  The calling thread serves the pairs
+  // the cache holds; only the rest fan out.  Results stay shared with the
+  // cache; only three scalars are read.
+  const auto setpoint_of = [&](std::size_t j) {
+    return rack_cooling[placed_rack[j]].supply_temp_c;
+  };
   std::vector<std::size_t> pair_job;  // each pair's first job
   const std::vector<std::size_t> job_pair =
       group_by_first<std::pair<std::size_t, std::uint64_t>>(
           jobs.size(),
           [&](std::size_t j) {
             return std::pair{job_class[j],
-                             std::bit_cast<std::uint64_t>(
-                                 rack_cooling[placed_rack[j]].supply_temp_c)};
+                             std::bit_cast<std::uint64_t>(setpoint_of(j))};
           },
           pair_job);
-  const std::vector<core::SolveCache::ResultPtr> pair_results =
+  std::vector<core::SolveCache::ResultPtr> pair_results(pair_job.size());
+  std::vector<std::size_t> unanswered;
+  for (std::size_t p = 0; p < pair_job.size(); ++p) {
+    const std::size_t j = pair_job[p];
+    pair_results[p] = find_at(j, classes[job_class[j]], setpoint_of(j));
+    if (pair_results[p] == nullptr) unanswered.push_back(p);
+  }
+  const std::vector<core::SolveCache::ResultPtr> solved =
       util::parallel_map<core::SolveCache::ResultPtr>(
-          pair_job.size(), [&](std::size_t p) {
-            const std::size_t j = pair_job[p];
-            return solve_at(j, classes[job_class[j]],
-                            rack_cooling[placed_rack[j]].supply_temp_c);
+          unanswered.size(), [&](std::size_t i) {
+            const std::size_t j = pair_job[unanswered[i]];
+            return solve_at(j, classes[job_class[j]], setpoint_of(j));
           });
+  for (std::size_t i = 0; i < unanswered.size(); ++i) {
+    pair_results[unanswered[i]] = solved[i];
+  }
   lookups += pair_job.size();
   std::vector<core::SolveCache::ResultPtr> at_setpoint(jobs.size());
   for (std::size_t j = 0; j < jobs.size(); ++j) {
@@ -553,18 +593,40 @@ void FleetResultAggregator::on_run_end(const FleetRunSummary& summary) {
 
 namespace {
 
-/// 17 significant digits round-trip any finite IEEE double exactly through
-/// a correctly-rounded strtod, so replays reconstruct the original bits.
-/// `general` at precision 17 writes the bytes printf's %.17g writes (not
-/// the shortest round trip, which would change every stream's bytes), and
-/// ignores the stream's locale.
-void json_number(std::ostream& os, double value) {
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value,
-                                       std::chars_format::general, 17);
-  TPCOOL_ENSURE(ec == std::errc{}, "JSONL number does not fit its buffer");
-  os.write(buf, end - buf);
-}
+/// One JSONL record, built in memory and handed to the stream in one
+/// write (an `operator<<` on the stream costs a sentry and a virtual call,
+/// and a job record takes a dozen).  Text is copied as is; counts and
+/// doubles are formatted without the stream's locale.  A double gets 17
+/// significant digits, which round-trip any finite IEEE double exactly
+/// through a correctly-rounded strtod, so replays reconstruct the original
+/// bits: `general` at precision 17 writes the bytes printf's %.17g writes
+/// (not the shortest round trip, which would change every stream's bytes).
+class Record {
+ public:
+  Record& operator<<(std::string_view text) {
+    text_ += text;
+    return *this;
+  }
+  Record& operator<<(std::size_t count) {
+    char buf[24];
+    text_.append(buf, std::to_chars(buf, buf + sizeof buf, count).ptr);
+    return *this;
+  }
+  Record& operator<<(double value) {
+    char buf[32];
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value,
+                                         std::chars_format::general, 17);
+    TPCOOL_ENSURE(ec == std::errc{}, "JSONL number does not fit its buffer");
+    text_.append(buf, end);
+    return *this;
+  }
+  void write_to(std::ostream& os) const {
+    os.write(text_.data(), static_cast<std::streamsize>(text_.size()));
+  }
+
+ private:
+  std::string text_;
+};
 
 }  // namespace
 
@@ -579,102 +641,81 @@ JsonlFleetSink::JsonlFleetSink(const std::string& path)
 void JsonlFleetSink::on_run_begin(const FleetConfig& config,
                                   std::size_t stream_count,
                                   double total_duration_s) {
-  std::ostream& os = *os_;
-  os << "{\"type\":\"header\",\"schema\":\"tpcool-fleet-stream-v2\""
-     << ",\"racks\":" << config.racks.size()
-     << ",\"streams\":" << stream_count << ",\"placement\":\""
-     << config.placement << "\",\"duration_s\":";
-  json_number(os, total_duration_s);
-  os << "}\n";
+  Record line;
+  line << "{\"type\":\"header\",\"schema\":\"tpcool-fleet-stream-v2\""
+       << ",\"racks\":" << config.racks.size()
+       << ",\"streams\":" << stream_count
+       << ",\"placement\":\"" << config.placement
+       << "\",\"duration_s\":" << total_duration_s << "}\n";
+  line.write_to(*os_);
 }
 
 void JsonlFleetSink::on_interval(const FleetInterval& interval,
                                  const IntervalCounters& counters) {
-  std::ostream& os = *os_;
-  os << "{\"type\":\"interval\",\"interval\":" << interval.interval
-     << ",\"start_s\":";
-  json_number(os, interval.start_s);
-  os << ",\"duration_s\":";
-  json_number(os, interval.duration_s);
-  os << ",\"it_power_w\":";
-  json_number(os, interval.it_power_w);
-  os << ",\"chiller_power_w\":";
-  json_number(os, interval.chiller_power_w);
-  os << ",\"pue\":";
-  json_number(os, interval.pue);
-  os << ",\"qos_violations\":" << interval.qos_violations
-     << ",\"solves\":" << counters.solves << ",\"hits\":" << counters.hits
-     << ",\"shed\":[";
+  Record line;
+  line << "{\"type\":\"interval\",\"interval\":" << interval.interval
+       << ",\"start_s\":" << interval.start_s
+       << ",\"duration_s\":" << interval.duration_s
+       << ",\"it_power_w\":" << interval.it_power_w
+       << ",\"chiller_power_w\":" << interval.chiller_power_w
+       << ",\"pue\":" << interval.pue
+       << ",\"qos_violations\":" << interval.qos_violations
+       << ",\"solves\":" << counters.solves << ",\"hits\":" << counters.hits
+       << ",\"shed\":[";
   for (std::size_t s = 0; s < interval.shed_streams.size(); ++s) {
-    os << (s ? "," : "") << interval.shed_streams[s];
+    line << (s ? "," : "") << interval.shed_streams[s];
   }
-  os << "]";
+  line << "]";
   if (interval.control.active) {
-    os << ",\"control\":{\"target\":";
-    json_number(os, interval.control.target);
-    os << ",\"error\":";
-    json_number(os, interval.control.error);
-    os << ",\"bias_c\":[";
+    line << ",\"control\":{\"target\":" << interval.control.target
+         << ",\"error\":" << interval.control.error << ",\"bias_c\":[";
     for (std::size_t r = 0; r < interval.control.rack_bias_c.size(); ++r) {
-      if (r) os << ",";
-      json_number(os, interval.control.rack_bias_c[r]);
+      line << (r ? "," : "") << interval.control.rack_bias_c[r];
     }
-    os << "]}";
+    line << "]}";
   }
-  os << ",\"jobs\":[";
+  line << ",\"jobs\":[";
   for (std::size_t j = 0; j < interval.jobs.size(); ++j) {
     const JobOutcome& job = interval.jobs[j];
-    os << (j ? "," : "") << "{\"stream\":" << job.stream << ",\"rack\":"
-       << job.rack << ",\"benchmark\":\"" << job.benchmark
-       << "\",\"qos_factor\":";
-    json_number(os, job.qos_factor);
-    os << ",\"package_power_w\":";
-    json_number(os, job.package_power_w);
-    os << ",\"max_supply_temp_c\":";
-    json_number(os, job.max_supply_temp_c);
-    os << ",\"die_max_c\":";
-    json_number(os, job.die_max_c);
-    os << ",\"tcase_c\":";
-    json_number(os, job.tcase_c);
-    os << ",\"limit\":" << (job.tcase_limit_exceeded ? "true" : "false")
-       << "}";
+    line << (j ? "," : "") << "{\"stream\":" << job.stream
+         << ",\"rack\":" << job.rack << ",\"benchmark\":\"" << job.benchmark
+         << "\",\"qos_factor\":" << job.qos_factor
+         << ",\"package_power_w\":" << job.package_power_w
+         << ",\"max_supply_temp_c\":" << job.max_supply_temp_c
+         << ",\"die_max_c\":" << job.die_max_c
+         << ",\"tcase_c\":" << job.tcase_c
+         << ",\"limit\":" << (job.tcase_limit_exceeded ? "true" : "false")
+         << "}";
   }
-  os << "],\"racks\":[";
+  line << "],\"racks\":[";
   for (std::size_t r = 0; r < interval.racks.size(); ++r) {
     const RackInterval& rack = interval.racks[r];
-    os << (r ? "," : "") << "{\"jobs\":" << rack.jobs << ",\"it_power_w\":";
-    json_number(os, rack.it_power_w);
-    os << ",\"headroom_c\":";
-    json_number(os, rack.headroom_c);
-    os << ",\"supply_temp_c\":";
-    json_number(os, rack.cooling.supply_temp_c);
-    os << ",\"return_temp_c\":";
-    json_number(os, rack.cooling.return_temp_c);
-    os << ",\"chiller_electrical_w\":";
-    json_number(os, rack.cooling.chiller_electrical_w);
-    os << "}";
+    line << (r ? "," : "") << "{\"jobs\":" << rack.jobs
+         << ",\"it_power_w\":" << rack.it_power_w
+         << ",\"headroom_c\":" << rack.headroom_c
+         << ",\"supply_temp_c\":" << rack.cooling.supply_temp_c
+         << ",\"return_temp_c\":" << rack.cooling.return_temp_c
+         << ",\"chiller_electrical_w\":" << rack.cooling.chiller_electrical_w
+         << "}";
   }
-  os << "]}\n";
+  line << "]}\n";
+  line.write_to(*os_);
 }
 
 void JsonlFleetSink::on_run_end(const FleetRunSummary& summary) {
-  std::ostream& os = *os_;
-  os << "{\"type\":\"summary\",\"intervals\":" << summary.intervals
-     << ",\"duration_s\":";
-  json_number(os, summary.duration_s);
-  os << ",\"total_it_energy_j\":";
-  json_number(os, summary.total_it_energy_j);
-  os << ",\"total_chiller_energy_j\":";
-  json_number(os, summary.total_chiller_energy_j);
-  os << ",\"total_facility_energy_j\":";
-  json_number(os, summary.total_facility_energy_j);
-  os << ",\"avg_pue\":";
-  json_number(os, summary.avg_pue);
-  os << ",\"qos_violations\":" << summary.qos_violations
-     << ",\"shed_jobs\":" << summary.shed_jobs
-     << ",\"solves\":" << summary.counters.solves
-     << ",\"hits\":" << summary.counters.hits << "}\n";
-  os.flush();
+  Record line;
+  line << "{\"type\":\"summary\",\"intervals\":" << summary.intervals
+       << ",\"duration_s\":" << summary.duration_s
+       << ",\"total_it_energy_j\":" << summary.total_it_energy_j
+       << ",\"total_chiller_energy_j\":" << summary.total_chiller_energy_j
+       << ",\"total_facility_energy_j\":" << summary.total_facility_energy_j
+       << ",\"avg_pue\":" << summary.avg_pue
+       << ",\"qos_violations\":" << summary.qos_violations
+       << ",\"shed_jobs\":" << summary.shed_jobs
+       << ",\"solves\":" << summary.counters.solves
+       << ",\"hits\":" << summary.counters.hits << "}\n";
+  line.write_to(*os_);
+  os_->flush();
 }
 
 // -------------------------------------------------------------- the replay --

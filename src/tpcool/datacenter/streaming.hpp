@@ -21,9 +21,9 @@
 ///    in registration order.
 ///  - **Threading** — all callbacks run on the thread that calls
 ///    `advance()`/`run()`, never concurrently.  The engine's parallelism
-///    (`util::parallel_map` fan-out over an interval's distinct requests)
-///    is fully joined before dispatch, so an observer may freely read
-///    shared state.
+///    (`util::parallel_map` fan-out over the requests the solve cache
+///    cannot answer on the calling thread) is fully joined before
+///    dispatch, so an observer may freely read shared state.
 ///  - **Errors** — an exception thrown by an observer propagates out of
 ///    `advance()`/`run()` and aborts the run; the engine is then spent
 ///    (later intervals are never computed or dispatched).  Observers that
@@ -32,12 +32,14 @@
 /// Request classes: jobs whose rack class (cache scope, supply candidates,
 /// TCASE limit), benchmark and QoS factor are equal ask the solve cache
 /// the same questions, so each interval schedules and scans each class
-/// once, and solves each distinct (class, rack setpoint) pair once; every
-/// job copies its class's outcome.  Values are pure functions of their
-/// keys, so results are those of one scan per job.  Fewer lookups do
-/// change the cache's recency order: with more distinct keys than its
-/// capacity, eviction, and so the `solves` counter, could differ from a
-/// per-job engine's, never the results.
+/// once, and asks each distinct (class, rack setpoint) pair once; every
+/// job copies its class's outcome.  The calling thread answers what the
+/// cache already holds (`core::SolveCache::find`); only scans paused at an
+/// unanswered candidate, and pairs not found, fan out to solve.  Values
+/// are pure functions of their keys, so results are those of one scan per
+/// job.  Fewer lookups do change the cache's recency order: with more
+/// distinct keys than its capacity, eviction, and so the `solves` counter,
+/// could differ from a per-job engine's, never the results.
 ///
 /// `FleetModel::run` is rebuilt on top of this engine with the
 /// `FleetResultAggregator` observer, so batch and streaming runs are one
@@ -222,7 +224,8 @@ class FleetResultAggregator final : public FleetObserver {
 /// record, one record per interval, and a summary record (schema
 /// `tpcool-fleet-stream-v2`, documented in docs/OBSERVABILITY.md).
 /// Doubles are printed with 17 significant digits (`std::to_chars`, the
-/// bytes of printf's %.17g, locale-independent), so a replay
+/// bytes of printf's %.17g), and no value depends on the stream's locale.
+/// Each record reaches the stream in one write.  A replay
 /// (`replay_fleet_jsonl`) reconstructs every digest-covered field of the
 /// batch `FleetResult` bit-exactly.
 class JsonlFleetSink final : public FleetObserver {

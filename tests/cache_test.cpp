@@ -1,7 +1,8 @@
 // Tests for the solve cache: hit/miss/eviction accounting (exact at any
 // capacity — the eviction-race regression), LRU order, first-value-wins,
 // in-flight dedup of concurrent same-key requests, identity of the shared
-// results get_or_compute_shared returns,
+// results get_or_compute_shared returns, `find` (a hit counts and refreshes
+// recency, a miss counts nothing, alone or racing a compute),
 // the order-insensitive content digest, the one-file snapshot (lossless
 // round trip, merge semantics, rejection of damaged or foreign files with
 // the cache left untouched, seeded byte mutations that load or throw the
@@ -38,23 +39,10 @@ SimulationResult result_with_max(double max_c) {
   return result;
 }
 
-/// Store `result` under `key` through get_or_compute_shared, the cache's
-/// one entry point: a miss stores it, a resident key keeps its value.
+/// Store `result` under `key` through get_or_compute_shared, the only way
+/// to store: a miss stores it, a resident key keeps its value.
 void put(SolveCache& cache, const std::string& key, SimulationResult result) {
   (void)cache.get_or_compute_shared(key, [&] { return std::move(result); });
-}
-
-/// The resident result for `key`, or null when there is none.  Counts a hit
-/// or a miss like any lookup; a miss stores nothing, because the compute
-/// throws.
-SolveCache::ResultPtr resident(SolveCache& cache, const std::string& key) {
-  struct Absent {};
-  try {
-    return cache.get_or_compute_shared(
-        key, []() -> SimulationResult { throw Absent{}; });
-  } catch (const Absent&) {
-    return nullptr;
-  }
 }
 
 /// A SimulationResult exercising every serialized field, deterministic in
@@ -162,10 +150,19 @@ TEST(SolveCacheTest, RejectsZeroCapacity) {
 }
 
 TEST(SolveCacheTest, CountsHitsAndMisses) {
+  // find counts a hit and nothing on a miss, so the request that follows a
+  // null find counts exactly one miss; a compute that throws counts its
+  // miss and stores nothing.
   SolveCache cache(4);
-  EXPECT_EQ(resident(cache, "a"), nullptr);
+  EXPECT_EQ(cache.find("a"), nullptr);
+  struct Failed {};
+  EXPECT_THROW((void)cache.get_or_compute_shared(
+                   "a", []() -> SimulationResult { throw Failed{}; }),
+               Failed);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 1u);
   put(cache, "a", result_with_max(50.0));
-  const SolveCache::ResultPtr a = resident(cache, "a");
+  const SolveCache::ResultPtr a = cache.find("a");
   ASSERT_NE(a, nullptr);
   EXPECT_DOUBLE_EQ(a->die.max_c, 50.0);
 
@@ -179,8 +176,8 @@ TEST(SolveCacheTest, CountsHitsAndMisses) {
   EXPECT_EQ(computes, 1);
 
   const SolveCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 2u);    // resident("a") + second lookup of "b"
-  EXPECT_EQ(stats.misses, 3u);  // failed resident("a"), put("a"), first "b"
+  EXPECT_EQ(stats.hits, 2u);    // find("a") + second lookup of "b"
+  EXPECT_EQ(stats.misses, 3u);  // failed compute of "a", put("a"), first "b"
   EXPECT_EQ(stats.evictions, 0u);
   EXPECT_EQ(stats.size, 2u);  // the failed compute stored nothing
 }
@@ -189,12 +186,12 @@ TEST(SolveCacheTest, EvictsLeastRecentlyUsed) {
   SolveCache cache(2);
   put(cache, "a", result_with_max(1.0));
   put(cache, "b", result_with_max(2.0));
-  ASSERT_NE(resident(cache, "a"), nullptr);  // "b" is now least recently used
+  ASSERT_NE(cache.find("a"), nullptr);  // "b" is now least recently used
   put(cache, "c", result_with_max(3.0));     // evicts "b"
 
-  EXPECT_NE(resident(cache, "a"), nullptr);
-  EXPECT_NE(resident(cache, "c"), nullptr);
-  EXPECT_EQ(resident(cache, "b"), nullptr);
+  EXPECT_NE(cache.find("a"), nullptr);
+  EXPECT_NE(cache.find("c"), nullptr);
+  EXPECT_EQ(cache.find("b"), nullptr);
   const SolveCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.size, 2u);
@@ -204,7 +201,7 @@ TEST(SolveCacheTest, FirstValueWins) {
   SolveCache cache(2);
   put(cache, "a", result_with_max(1.0));
   put(cache, "a", result_with_max(99.0));  // same key: first value is kept
-  const SolveCache::ResultPtr a = resident(cache, "a");
+  const SolveCache::ResultPtr a = cache.find("a");
   ASSERT_NE(a, nullptr);
   EXPECT_DOUBLE_EQ(a->die.max_c, 1.0);
   EXPECT_EQ(cache.stats().size, 1u);
@@ -213,11 +210,11 @@ TEST(SolveCacheTest, FirstValueWins) {
 TEST(SolveCacheTest, ClearResetsEverything) {
   SolveCache cache(2);
   put(cache, "a", result_with_max(1.0));
-  ASSERT_NE(resident(cache, "a"), nullptr);
+  ASSERT_NE(cache.find("a"), nullptr);
   cache.clear();
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.stats().size, 0u);
-  EXPECT_EQ(resident(cache, "a"), nullptr);
+  EXPECT_EQ(cache.find("a"), nullptr);
 }
 
 TEST(SolveCacheTest, KeyDistinguishesNearbyDoubles) {
@@ -243,8 +240,9 @@ TEST(SolveCacheTest, SharedHitsHandOutTheStoredResult) {
   EXPECT_EQ(computes, 1);
   EXPECT_EQ(miss.get(), hit1.get());
   EXPECT_EQ(hit1.get(), hit2.get());
+  EXPECT_EQ(cache.find("k").get(), miss.get());
   expect_results_identical(*hit2, rich_result(3));
-  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.stats().hits, 3u);
 
   // A shared result outlives its entry's eviction.
   cache.clear();
@@ -275,6 +273,36 @@ TEST(SolveCacheTest, ConcurrentRequestsForOneKeyComputeOnce) {
   const SolveCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 7u);
+}
+
+TEST(SolveCacheTest, ConcurrentFindThenComputeCountsEachRequestOnce) {
+  // 8 tasks each ask one key the way the fleet engine does: find first,
+  // compute only on a null.  Whether a task's find lands before, during or
+  // after the one compute, the totals are the serial schedule's: one
+  // compute, one miss, seven hits.
+  util::ThreadPool::set_global_thread_count(4);
+  SolveCache cache(4);
+  std::atomic<int> computes{0};
+  const auto results = util::parallel_map<double>(8, [&](std::size_t) {
+    if (const SolveCache::ResultPtr hit = cache.find("shared")) {
+      return hit->die.max_c;
+    }
+    return cache
+        .get_or_compute_shared("shared",
+                               [&] {
+                                 ++computes;
+                                 return result_with_max(42.0);
+                               })
+        ->die.max_c;
+  });
+  util::ThreadPool::set_global_thread_count(0);
+
+  EXPECT_EQ(computes.load(), 1);
+  for (const double value : results) EXPECT_DOUBLE_EQ(value, 42.0);
+  const SolveCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 7u);
+  EXPECT_EQ(stats.waiting, 0u);
 }
 
 TEST(SolveCacheTest, ExactCountersUnderEvictionPressure) {
@@ -347,7 +375,7 @@ TEST(SolveCacheSnapshotTest, SaveLoadRoundTripIsLossless) {
   put(source, "alpha", rich_result(1));
   put(source, "beta", rich_result(2));
   put(source, "gamma", rich_result(3));
-  ASSERT_NE(resident(source, "alpha"), nullptr);  // non-trivial LRU order
+  ASSERT_NE(source.find("alpha"), nullptr);  // non-trivial LRU order
   source.save(path);
 
   SolveCache loaded(8);
@@ -356,7 +384,7 @@ TEST(SolveCacheSnapshotTest, SaveLoadRoundTripIsLossless) {
   EXPECT_EQ(loaded.stats().size, 3u);
   for (const auto& [key, seed] :
        {std::pair<const char*, int>{"alpha", 1}, {"beta", 2}, {"gamma", 3}}) {
-    const SolveCache::ResultPtr out = resident(loaded, key);
+    const SolveCache::ResultPtr out = loaded.find(key);
     ASSERT_NE(out, nullptr) << key;
     expect_results_identical(*out, rich_result(seed));
   }
@@ -387,19 +415,19 @@ TEST(SolveCacheSnapshotTest, LoadMergesBehindExistingEntries) {
   target.load(path);
   EXPECT_EQ(target.stats().size, 3u);
   EXPECT_EQ(target.stats().evictions, 0u);
-  const SolveCache::ResultPtr alpha = resident(target, "alpha");
+  const SolveCache::ResultPtr alpha = target.find("alpha");
   ASSERT_NE(alpha, nullptr);
   EXPECT_EQ(alpha->die.max_c, rich_result(9).die.max_c);
-  EXPECT_NE(resident(target, "gamma"), nullptr);
-  EXPECT_NE(resident(target, "beta"), nullptr);
+  EXPECT_NE(target.find("gamma"), nullptr);
+  EXPECT_NE(target.find("beta"), nullptr);
 
   SolveCache narrow(2);
   put(narrow, "alpha", rich_result(9));
   narrow.load(path);
   EXPECT_EQ(narrow.stats().evictions, 1u);
-  EXPECT_NE(resident(narrow, "alpha"), nullptr);
-  EXPECT_NE(resident(narrow, "gamma"), nullptr);
-  EXPECT_EQ(resident(narrow, "beta"), nullptr);
+  EXPECT_NE(narrow.find("alpha"), nullptr);
+  EXPECT_NE(narrow.find("gamma"), nullptr);
+  EXPECT_EQ(narrow.find("beta"), nullptr);
   std::remove(path.c_str());
 }
 

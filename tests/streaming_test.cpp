@@ -4,8 +4,10 @@
 // contract (ordering, registration order, spent-after-throw, bounded
 // interval memory), batch == streaming bit-identity at 1/2/4 threads, and
 // exact JSONL round trips (replay reconstructs the batch FleetResult's
-// digest bit for bit), the interval record's golden bytes, and seeded byte
-// mutations of a stream that replay or throw the typed error.
+// digest bit for bit), the interval record's golden bytes, seeded byte
+// mutations of a stream that replay or throw the typed error, bytes that
+// do not depend on the stream's locale, and warm reruns that the cache
+// answers without a solve or a pool job.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <locale>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -27,6 +30,7 @@
 #include "tpcool/datacenter/streaming.hpp"
 #include "tpcool/datacenter/workload_gen.hpp"
 #include "tpcool/util/error.hpp"
+#include "tpcool/util/telemetry.hpp"
 #include "tpcool/util/thread_pool.hpp"
 #include "byte_mutation.hpp"
 
@@ -357,6 +361,88 @@ TEST_F(StreamingTest, JsonlFileSinkRoundTripsThroughDisk) {
   EXPECT_THROW((void)replay_fleet_jsonl(garbage), util::PreconditionError);
 }
 
+// ------------------------------------------------- cache-served questions --
+
+/// Records every interval's solve/hit counters.
+class CounterLog final : public FleetObserver {
+ public:
+  void on_interval(const FleetInterval& interval,
+                   const IntervalCounters& counters) override {
+    (void)interval;
+    solves.push_back(counters.solves);
+    hits.push_back(counters.hits);
+  }
+  std::vector<std::size_t> solves;
+  std::vector<std::size_t> hits;
+};
+
+/// One streamed run's JSONL bytes, per-interval counters, and the pool
+/// jobs it dispatched (telemetry must be on).
+struct CountedRun {
+  std::string jsonl;
+  CounterLog log;
+  double pool_jobs = 0.0;
+};
+
+CountedRun counted_run(const FleetConfig& config,
+                       const std::vector<workload::WorkloadTrace>& streams) {
+  CountedRun run;
+  std::ostringstream jsonl;
+  JsonlFleetSink sink(jsonl);
+  StreamingFleetEngine engine(config, streams);
+  engine.add_observer(sink);
+  engine.add_observer(run.log);
+  const util::TelemetryCounter& jobs =
+      util::Telemetry::instance().counter("pool.jobs");
+  const double before = jobs.value();
+  engine.run();
+  run.pool_jobs = jobs.value() - before;
+  run.jsonl = jsonl.str();
+  return run;
+}
+
+TEST_F(StreamingTest, WarmRerunsAnswerEveryQuestionWithoutThePool) {
+  // The engine asks the cache inline and fans out only what it cannot
+  // answer: a rerun on a warm cache solves nothing and dispatches no pool
+  // job at any thread count, and its bytes do not depend on the count.
+  const FleetConfig config = make_heterogeneous_fleet(2, 2, kCell);
+  const std::vector<workload::WorkloadTrace> streams =
+      WorkloadGenerator(short_scenario(13)).generate();
+  util::Telemetry::instance().enable();
+  util::Telemetry::instance().reset();
+
+  util::ThreadPool::set_global_thread_count(4);
+  core::SolveCache::global()->clear();
+  const CountedRun cold = counted_run(config, streams);
+  // Captured from the engine that fanned every question out: inline
+  // answers change who asks, never what is asked or how it is counted.
+  EXPECT_EQ(cold.log.solves, (std::vector<std::size_t>{3, 3, 2, 1, 1}));
+  EXPECT_EQ(cold.log.hits, (std::vector<std::size_t>{3, 3, 4, 5, 5}));
+  EXPECT_GT(cold.pool_jobs, 0.0);
+
+  std::string warm_jsonl;
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    util::ThreadPool::set_global_thread_count(threads);
+    const CountedRun warm = counted_run(config, streams);
+    EXPECT_EQ(warm.pool_jobs, 0.0);
+    ASSERT_EQ(warm.log.solves.size(), cold.log.solves.size());
+    for (std::size_t i = 0; i < warm.log.solves.size(); ++i) {
+      EXPECT_EQ(warm.log.solves[i], 0u);
+      EXPECT_EQ(warm.log.hits[i], cold.log.solves[i] + cold.log.hits[i]);
+    }
+    if (warm_jsonl.empty()) warm_jsonl = warm.jsonl;
+    EXPECT_EQ(warm.jsonl, warm_jsonl);
+
+    std::istringstream cold_stream(cold.jsonl);
+    std::istringstream warm_stream(warm.jsonl);
+    EXPECT_EQ(fleet_digest(replay_fleet_jsonl(warm_stream)),
+              fleet_digest(replay_fleet_jsonl(cold_stream)));
+  }
+  util::Telemetry::instance().reset();
+  util::Telemetry::instance().disable();
+}
+
 /// The controller of the v2 golden run.
 FleetControllerConfig golden_controller_config() {
   FleetControllerConfig control;
@@ -449,6 +535,34 @@ TEST_F(StreamingTest, JsonlReplayOfMutatedStreamsReplaysOrThrowsTyped) {
   // damage (a changed digit) that still reads as a stream.
   EXPECT_GT(rejected, 0u);
   EXPECT_LT(rejected, kMutants);
+}
+
+/// Groups every digit of a formatted integer: 20 reads "2,0" under it.
+struct EveryDigitGrouped final : std::numpunct<char> {
+  char do_thousands_sep() const override { return ','; }
+  std::string do_grouping() const override { return "\1"; }
+};
+
+TEST_F(StreamingTest, JsonlIgnoresTheStreamLocale) {
+  // The sink formats every count and number itself, so a stream imbued
+  // with digit grouping gets the same replayable bytes as a classic one.
+  const FleetConfig config = make_heterogeneous_fleet(2, 2, kCell);
+  const std::vector<workload::WorkloadTrace> streams =
+      WorkloadGenerator(short_scenario(13)).generate();
+  std::string bytes[2];
+  for (const bool grouped : {false, true}) {
+    core::SolveCache::global()->clear();  // same counters in both runs
+    std::ostringstream jsonl;
+    if (grouped) {
+      jsonl.imbue(std::locale(jsonl.getloc(), new EveryDigitGrouped));
+    }
+    StreamingFleetEngine engine(config, streams);
+    JsonlFleetSink sink(jsonl);
+    engine.add_observer(sink);
+    engine.run();
+    bytes[grouped] = jsonl.str();
+  }
+  EXPECT_EQ(bytes[true], bytes[false]);
 }
 
 TEST_F(StreamingTest, JsonlRefusesAnyOtherSchema) {
