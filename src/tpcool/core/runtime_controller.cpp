@@ -7,6 +7,13 @@
 
 namespace tpcool::core {
 
+namespace {
+
+/// Initial uniform package temperature of a controlled run [°C].
+constexpr double kStartTemperatureC = 40.0;
+
+}  // namespace
+
 const char* to_string(ControlAction action) {
   switch (action) {
     case ControlAction::kNone: return "-";
@@ -49,8 +56,7 @@ ControlTrace RuntimeController::run(const workload::BenchmarkProfile& bench,
   // (the syphon's idle-loop path gives a stagnant-pool boundary, which
   // self-corrects within a couple of periods).
   const thermal::StackModel& stack = server_->stack();
-  std::vector<double> t(server_->thermal().cell_count(),
-                        config_.start_temperature_c);
+  std::vector<double> t(server_->thermal().cell_count(), kStartTemperatureC);
   util::Grid2D<double> evap_heat(stack.grid.nx, stack.grid.ny, 0.0);
 
   const auto lower_freq_ok = [&](double next_f) {

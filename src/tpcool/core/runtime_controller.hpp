@@ -52,7 +52,6 @@ class RuntimeController {
     std::vector<double> flow_steps_kg_h{7.0, 10.0, 14.0, 20.0};
     double control_period_s = 0.5;
     int max_steps = 40;
-    double start_temperature_c = 40.0;  ///< Initial uniform package state.
   };
 
   RuntimeController(ServerModel& server, Config config);

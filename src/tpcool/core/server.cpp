@@ -11,6 +11,11 @@ namespace tpcool::core {
 
 namespace {
 
+/// Weak secondary heat path from the package bottom to the board [W/(m²·K)],
+/// and the in-chassis air temperature it ends at [°C].
+constexpr double kBoardHtcWm2K = 10.0;
+constexpr double kBoardAmbientC = 40.0;
+
 /// Initial evaporator heat-map guess: the total power spread uniformly over
 /// the footprint cells. The fixed point replaces it within one iteration.
 util::Grid2D<double> uniform_footprint_heat(const thermal::StackModel& stack,
@@ -80,8 +85,7 @@ ServerModel::ServerModel(ServerConfig config)
               thermal_.stack().evaporator_region) {
   TPCOOL_REQUIRE(config_.coupling_iterations >= 1,
                  "need at least one coupling iteration");
-  thermal_.set_bottom_boundary(config_.board_htc_w_m2k,
-                               config_.board_ambient_c);
+  thermal_.set_bottom_boundary(kBoardHtcWm2K, kBoardAmbientC);
 }
 
 void ServerModel::set_operating_point(const thermosyphon::OperatingPoint& op) {

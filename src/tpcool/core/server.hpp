@@ -20,8 +20,6 @@ struct ServerConfig {
   thermal::PackageStackConfig stack;            ///< Package + grid geometry.
   thermosyphon::ThermosyphonDesign design;      ///< Cooling-device design.
   thermosyphon::OperatingPoint operating_point; ///< Water valve + setpoint.
-  double board_htc_w_m2k = 10.0;   ///< Weak secondary path to the board.
-  double board_ambient_c = 40.0;   ///< In-chassis air temperature.
   int coupling_iterations = 4;     ///< Thermosyphon<->thermal fixed point.
   /// Warm-start each coupled solve from the previous temperature field.
   /// Consecutive solves in a sweep (benchmarks, QoS levels, bisection on

@@ -17,12 +17,20 @@ void validate_fleet_config(const FleetConfig& config) {
     TPCOOL_REQUIRE(rack.servers >= 1, "rack needs at least one server");
     TPCOOL_REQUIRE(!rack.supply_candidates_c.empty(),
                    "rack needs supply-temperature candidates");
+    // No comparison with NaN is true, so the descent check below would
+    // pass a NaN candidate; check finiteness first.
+    TPCOOL_REQUIRE(std::all_of(rack.supply_candidates_c.begin(),
+                               rack.supply_candidates_c.end(),
+                               [](double t) { return std::isfinite(t); }),
+                   "rack supply-temperature candidates must be finite");
     TPCOOL_REQUIRE(std::adjacent_find(rack.supply_candidates_c.begin(),
                                       rack.supply_candidates_c.end(),
                                       std::less_equal<>()) ==
                        rack.supply_candidates_c.end(),
                    "rack supply-temperature candidates must be strictly "
                    "descending");
+    TPCOOL_REQUIRE(std::isfinite(rack.tcase_limit_c),
+                   "rack TCASE limit must be finite");
     TPCOOL_REQUIRE(rack.cell_size_m > 0.0, "cell size must be positive");
   }
   for (const FleetEvent& event : config.events) {

@@ -72,8 +72,6 @@ struct FleetConfig {
   std::vector<RackSpec> racks;
   /// Placement-policy registry name (see placement.hpp).
   std::string placement = "round-robin";
-  /// UPS/PDU conversion-loss fraction for the PUE accounting.
-  double distribution_loss_fraction = 0.03;
   /// Scheduled mid-run disturbances, applied by the engine in time order.
   std::vector<FleetEvent> events;
   /// Flash-crowd admission control: when true, an over-capacity interval

@@ -521,8 +521,7 @@ bool StreamingFleetEngine::advance() {
   cooling::FacilityPower facility;
   facility.it_w = interval.it_power_w;
   facility.chiller_w = interval.chiller_power_w;
-  facility.distribution_w = cooling::distribution_loss_w(
-      interval.it_power_w, config_.distribution_loss_fraction);
+  facility.distribution_w = cooling::distribution_loss_w(interval.it_power_w);
   // An all-idle interval (every active stream shed, e.g. total rack loss)
   // has no IT power; define its PUE as 1 instead of dividing by zero.
   interval.pue = interval.it_power_w > 0.0 ? cooling::pue(facility) : 1.0;

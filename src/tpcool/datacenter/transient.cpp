@@ -21,6 +21,9 @@ namespace tpcool::datacenter {
 
 namespace {
 
+/// Initial temperature of every stream's thermal state [°C].
+constexpr double kStartTemperatureC = 35.0;
+
 /// Cap on the thermosyphon-coupling iterations per adaptive trial step
 /// (the transient analogue of ServerModel::coupled_solve's fixed point).
 /// A boundary lagged one whole step behind sustains a discrete limit cycle
@@ -277,7 +280,7 @@ std::vector<TransientJobOutcome> walk_chain(
       try {
         const RackConstants& rack = racks[job.rack];
         if (state.size() != rack.cell_count) {
-          state.assign(rack.cell_count, config.start_temperature_c);
+          state.assign(rack.cell_count, kStartTemperatureC);
         }
         seg = integrate_segment(*core::PipelinePool::global().checkout(
                                     spec.approach, spec.cell_size_m),

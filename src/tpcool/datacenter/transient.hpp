@@ -55,8 +55,6 @@ struct TransientEngineConfig {
   /// the reference the bench compares step counts against.
   /// 0 (default) = adaptive.
   double fixed_dt_s = 0.0;
-  /// Initial temperature of every stream's thermal state [°C].
-  double start_temperature_c = 35.0;
 };
 
 /// Transient outcome of one (job, interval) segment.

@@ -167,11 +167,6 @@ double WorkloadGenerator::fleet_intensity(std::size_t slot) const {
   return intensity;
 }
 
-bool WorkloadGenerator::burst_active(std::size_t slot) const {
-  TPCOOL_REQUIRE(slot < config_.total_slots(), "slot out of range");
-  return burst_slots_[slot];
-}
-
 workload::WorkloadTrace WorkloadGenerator::stream(std::size_t index) const {
   TPCOOL_REQUIRE(index < config_.streams, "stream index out of range");
   SplitMix64 rng{substream_seed(config_.seed, kStreamTagBase + index)};

@@ -108,15 +108,11 @@ class WorkloadGenerator {
   /// All `config().streams` traces, in stream order.
   [[nodiscard]] std::vector<workload::WorkloadTrace> generate() const;
 
+ private:
   /// The fleet-wide intensity offset at a slot (diurnal + shared noise +
-  /// burst boost, before per-stream noise and clamping) — exposed for
-  /// tests and diagnostics.
+  /// burst boost, before per-stream noise and clamping).
   [[nodiscard]] double fleet_intensity(std::size_t slot) const;
 
-  /// True when the fleet-wide burst timeline is active at a slot.
-  [[nodiscard]] bool burst_active(std::size_t slot) const;
-
- private:
   WorkloadGenConfig config_;
   std::vector<double> shared_noise_;  ///< Per-slot, in [-0.5, 0.5].
   std::vector<bool> burst_slots_;     ///< Fleet-wide burst timeline.

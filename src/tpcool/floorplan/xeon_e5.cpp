@@ -6,11 +6,6 @@
 
 namespace tpcool::floorplan {
 
-const XeonE5Geometry& xeon_e5_geometry() {
-  static const XeonE5Geometry g{};
-  return g;
-}
-
 Floorplan make_xeon_e5_floorplan(const XeonE5Geometry& geometry) {
   TPCOOL_REQUIRE(geometry.core_count == 8 && geometry.core_rows == 4 &&
                      geometry.core_columns == 2,

@@ -28,7 +28,4 @@ struct XeonE5Geometry {
 [[nodiscard]] Floorplan make_xeon_e5_floorplan(
     const XeonE5Geometry& geometry = {});
 
-/// Default geometry accessor (shared by server builders and tests).
-[[nodiscard]] const XeonE5Geometry& xeon_e5_geometry();
-
 }  // namespace tpcool::floorplan

@@ -1,20 +1,14 @@
 #include "tpcool/mapping/exhaustive.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "tpcool/util/error.hpp"
 
 namespace tpcool::mapping {
 
-ExhaustivePolicy::ExhaustivePolicy(PlacementEvaluator evaluator)
+ExhaustivePolicy::ExhaustivePolicy(BatchPlacementEvaluator evaluator)
     : evaluator_(std::move(evaluator)) {
   TPCOOL_REQUIRE(static_cast<bool>(evaluator_),
-                 "oracle needs a placement evaluator");
-}
-
-ExhaustivePolicy::ExhaustivePolicy(BatchPlacementEvaluator evaluator)
-    : batch_evaluator_(std::move(evaluator)) {
-  TPCOOL_REQUIRE(static_cast<bool>(batch_evaluator_),
                  "oracle needs a placement evaluator");
 }
 
@@ -54,31 +48,17 @@ std::vector<int> ExhaustivePolicy::select_cores(
   const auto subsets = core_subsets(*context.floorplan, context.cores_needed);
   TPCOOL_ENSURE(!subsets.empty(), "no subsets enumerated");
 
-  std::vector<int> best;
-  best_cost_ = 0.0;
-  evaluations_ = 0;
-  if (batch_evaluator_) {
-    const std::vector<double> costs = batch_evaluator_(subsets);
-    TPCOOL_ENSURE(costs.size() == subsets.size(),
-                  "batch evaluator returned the wrong number of costs");
-    evaluations_ = costs.size();
-    // Argmin with first-wins ties: identical to the serial scan below.
-    std::size_t best_index = 0;
-    for (std::size_t i = 1; i < costs.size(); ++i) {
-      if (costs[i] < costs[best_index]) best_index = i;
-    }
-    best_cost_ = costs[best_index];
-    return subsets[best_index];
+  const std::vector<double> costs = evaluator_(subsets);
+  TPCOOL_ENSURE(costs.size() == subsets.size(),
+                "evaluator returned the wrong number of costs");
+  evaluations_ = costs.size();
+  // Argmin with first-wins ties.
+  std::size_t best_index = 0;
+  for (std::size_t i = 1; i < costs.size(); ++i) {
+    if (costs[i] < costs[best_index]) best_index = i;
   }
-  for (const std::vector<int>& subset : subsets) {
-    const double cost = evaluator_(subset);
-    ++evaluations_;
-    if (best.empty() || cost < best_cost_) {
-      best = subset;
-      best_cost_ = cost;
-    }
-  }
-  return best;
+  best_cost_ = costs[best_index];
+  return subsets[best_index];
 }
 
 }  // namespace tpcool::mapping

@@ -12,24 +12,18 @@
 
 namespace tpcool::mapping {
 
-/// Thermal cost of a placement (lower is better) — typically the die θmax
-/// from a coupled server simulation.
-using PlacementEvaluator =
-    std::function<double(const std::vector<int>& cores)>;
-
-/// Batch form: costs for all candidate placements at once, index-aligned
-/// with the input. Lets the caller fan the independent simulations out over
-/// a thread pool (core::evaluate_placements_parallel) instead of being
-/// called back one subset at a time.
+/// Thermal costs of all candidate placements at once (lower is better),
+/// index-aligned with the input — typically the die θmax of each from a
+/// coupled server simulation. Taking the whole sweep lets the caller fan
+/// the independent simulations out over a thread pool
+/// (core::evaluate_placements_parallel).
 using BatchPlacementEvaluator = std::function<std::vector<double>(
     const std::vector<std::vector<int>>& subsets)>;
 
 /// Exhaustive-search oracle. Stateless per call; the evaluator is invoked
-/// once per subset (or once per sweep in batch form). Ties break toward
-/// the lexicographically first subset in both forms.
+/// once per sweep. Ties break toward the lexicographically first subset.
 class ExhaustivePolicy final : public MappingPolicy {
  public:
-  explicit ExhaustivePolicy(PlacementEvaluator evaluator);
   explicit ExhaustivePolicy(BatchPlacementEvaluator evaluator);
 
   [[nodiscard]] std::string name() const override { return "oracle"; }
@@ -45,8 +39,7 @@ class ExhaustivePolicy final : public MappingPolicy {
   }
 
  private:
-  PlacementEvaluator evaluator_;
-  BatchPlacementEvaluator batch_evaluator_;  ///< Wins when set.
+  BatchPlacementEvaluator evaluator_;
   mutable double best_cost_ = 0.0;
   mutable std::size_t evaluations_ = 0;
 };

@@ -87,11 +87,6 @@ double Refrigerant::vapor_density_kg_m3(double t_c) const {
   return p * m_kg_mol / (z * kGasConstant * t_k);
 }
 
-double Refrigerant::liquid_viscosity_pa_s(double t_c) const {
-  // Mild exponential thinning with temperature, ~1 %/K.
-  return spec_.liquid_viscosity_25c_pa_s * std::exp(-0.011 * (t_c - 25.0));
-}
-
 double Refrigerant::liquid_conductivity_w_mk(double t_c) const {
   // HFC liquid conductivity decreases slowly with temperature.
   return spec_.liquid_conductivity_w_mk * (1.0 - 2.4e-3 * (t_c - 25.0));
@@ -100,16 +95,6 @@ double Refrigerant::liquid_conductivity_w_mk(double t_c) const {
 double Refrigerant::liquid_cp_j_kgk(double t_c) const {
   // Weak increase toward the critical point.
   return spec_.liquid_cp_j_kgk * (1.0 + 2.0e-3 * (t_c - 25.0));
-}
-
-double Refrigerant::surface_tension_n_m(double t_c) const {
-  const double tr = celsius_to_kelvin(t_c) /
-                    celsius_to_kelvin(spec_.critical_temp_c);
-  const double tr25 = celsius_to_kelvin(25.0) /
-                      celsius_to_kelvin(spec_.critical_temp_c);
-  TPCOOL_REQUIRE(tr < 1.0, "temperature at/above critical point");
-  return spec_.surface_tension_25c_n_m *
-         std::pow((1.0 - tr) / (1.0 - tr25), 1.26);
 }
 
 const Refrigerant& r236fa() {
@@ -123,10 +108,8 @@ const Refrigerant& r236fa() {
       .latent_heat_25c_j_kg = 145.0e3,
       .liquid_density_25c_kg_m3 = 1360.0,
       .liquid_density_slope = -3.0,
-      .liquid_viscosity_25c_pa_s = 3.0e-4,
       .liquid_conductivity_w_mk = 0.075,
       .liquid_cp_j_kgk = 1260.0,
-      .surface_tension_25c_n_m = 0.0105,
   });
   return fluid;
 }
@@ -142,10 +125,8 @@ const Refrigerant& r134a() {
       .latent_heat_25c_j_kg = 177.0e3,
       .liquid_density_25c_kg_m3 = 1207.0,
       .liquid_density_slope = -3.4,
-      .liquid_viscosity_25c_pa_s = 1.95e-4,
       .liquid_conductivity_w_mk = 0.081,
       .liquid_cp_j_kgk = 1425.0,
-      .surface_tension_25c_n_m = 0.0081,
   });
   return fluid;
 }
@@ -161,10 +142,8 @@ const Refrigerant& r245fa() {
       .latent_heat_25c_j_kg = 190.0e3,
       .liquid_density_25c_kg_m3 = 1338.0,
       .liquid_density_slope = -2.6,
-      .liquid_viscosity_25c_pa_s = 4.0e-4,
       .liquid_conductivity_w_mk = 0.087,
       .liquid_cp_j_kgk = 1322.0,
-      .surface_tension_25c_n_m = 0.0139,
   });
   return fluid;
 }

@@ -7,8 +7,8 @@
 /// smooth engineering correlations fitted to tabulated saturation data over
 /// 0–90 °C:
 ///   - saturation pressure: Antoine equation fitted through three anchors,
-///   - latent heat and surface tension: Watson-type critical scaling,
-///   - liquid density/viscosity: linear fits,
+///   - latent heat: Watson-type critical scaling,
+///   - liquid density: linear fit,
 ///   - vapor density: real-gas-corrected ideal gas.
 /// Accuracy is a few percent across the operating range, which is well below
 /// the sensitivity of the system-level results (see DESIGN.md §1).
@@ -29,10 +29,8 @@ struct RefrigerantSpec {
   double latent_heat_25c_j_kg;     ///< h_fg at 25 °C [J/kg].
   double liquid_density_25c_kg_m3; ///< ρ_l at 25 °C [kg/m³].
   double liquid_density_slope;     ///< dρ_l/dT [kg/(m³·K)] (negative).
-  double liquid_viscosity_25c_pa_s;///< μ_l at 25 °C [Pa·s].
   double liquid_conductivity_w_mk; ///< k_l [W/(m·K)].
   double liquid_cp_j_kgk;          ///< c_p,l [J/(kg·K)].
-  double surface_tension_25c_n_m;  ///< σ at 25 °C [N/m].
 };
 
 /// Saturated-fluid property evaluator.  Thread-safe after construction.
@@ -70,17 +68,11 @@ class Refrigerant {
   /// Saturated vapor density [kg/m³] (real-gas-corrected ideal gas).
   [[nodiscard]] double vapor_density_kg_m3(double t_c) const;
 
-  /// Saturated liquid dynamic viscosity [Pa·s].
-  [[nodiscard]] double liquid_viscosity_pa_s(double t_c) const;
-
   /// Saturated liquid thermal conductivity [W/(m·K)].
   [[nodiscard]] double liquid_conductivity_w_mk(double t_c) const;
 
   /// Saturated liquid specific heat [J/(kg·K)].
   [[nodiscard]] double liquid_cp_j_kgk(double t_c) const;
-
-  /// Surface tension [N/m] (critical scaling, exponent 1.26).
-  [[nodiscard]] double surface_tension_n_m(double t_c) const;
 
  private:
   RefrigerantSpec spec_;

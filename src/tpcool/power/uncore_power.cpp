@@ -28,8 +28,4 @@ double uncore_frequency_for_core_ghz(double core_freq_ghz) {
   return 2.0 + 0.8 * frac;
 }
 
-double total_uncore_power_w(double uncore_freq_ghz, double llc_activity) {
-  return uncore_mcio_power_w(uncore_freq_ghz) + llc_power_w(llc_activity);
-}
-
 }  // namespace tpcool::power

@@ -29,8 +29,4 @@ inline constexpr double kLlcMaxW = 2.0;
 /// uncore clock linearly with the core clock (2.6 GHz -> 2.0, 3.2 -> 2.8).
 [[nodiscard]] double uncore_frequency_for_core_ghz(double core_freq_ghz);
 
-/// Total uncore power [W] (MC/IO + LLC).
-[[nodiscard]] double total_uncore_power_w(double uncore_freq_ghz,
-                                          double llc_activity);
-
 }  // namespace tpcool::power

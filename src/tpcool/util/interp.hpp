@@ -50,8 +50,6 @@ class LinearTable {
     return ys_[i - 1] + t * (ys_[i] - ys_[i - 1]);
   }
 
-  [[nodiscard]] double x_min() const { return xs_.front(); }
-  [[nodiscard]] double x_max() const { return xs_.back(); }
   [[nodiscard]] std::size_t size() const noexcept { return xs_.size(); }
 
  private:

@@ -44,7 +44,7 @@ namespace tpcool::util {
 
 /// Fixed-size worker pool executing one task per index.
 ///
-/// The pool owns `thread_count() - 1` workers; the caller of
+/// A pool of `threads` owns `threads - 1` workers; the caller of
 /// `parallel_for()` participates as the remaining worker, so a pool of one
 /// thread runs everything inline with zero synchronization.
 class ThreadPool {
@@ -59,10 +59,6 @@ class ThreadPool {
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
-
-  [[nodiscard]] std::size_t thread_count() const noexcept {
-    return workers_.size() + 1;
-  }
 
   /// Run `body(i)` once for every i in [0, count), each index claimed by
   /// one thread. Blocks until every task has run.

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -163,6 +164,20 @@ TEST_F(DatacenterTest, ValidatesConfigAndStreams) {
     unordered.racks[1].supply_candidates_c = candidates;
     EXPECT_THROW(FleetModel(std::move(unordered)), util::PreconditionError);
   }
+  // No comparison with NaN is true, so the descent check alone would let
+  // these through; a non-finite limit would write NaN or inf headroom.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& candidates :
+       {std::vector<double>{40.0, kNaN, 30.0}, std::vector<double>{kNaN},
+        std::vector<double>{kInf, 30.0}}) {
+    FleetConfig non_finite = two_rack_fleet();
+    non_finite.racks[1].supply_candidates_c = candidates;
+    EXPECT_THROW(FleetModel(std::move(non_finite)), util::PreconditionError);
+  }
+  FleetConfig nan_limit = two_rack_fleet();
+  nan_limit.racks[0].tcase_limit_c = kNaN;
+  EXPECT_THROW(FleetModel(std::move(nan_limit)), util::PreconditionError);
 
   FleetModel fleet(two_rack_fleet());
   EXPECT_THROW((void)fleet.run({}), util::PreconditionError);

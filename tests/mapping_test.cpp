@@ -1,10 +1,11 @@
 // Tests for tpcool::mapping — the proposed policy and the three baselines
 // (placement invariants, Fig. 6 scenario reproduction), plus configuration
-// selection (Algorithm 1 and Pack & Cap).
+// selection (Algorithm 1 and Pack & Cap, including their energy cost).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "tpcool/floorplan/xeon_e5.hpp"
@@ -166,10 +167,48 @@ class SelectTest : public ::testing::Test {
         model_(fp_),
         profiler_(model_) {}
 
+  /// Least power × normalized time over the points that meet the QoS.
+  static double min_energy(const std::vector<workload::ConfigPoint>& profile,
+                           const workload::QoSRequirement& qos) {
+    double best = std::numeric_limits<double>::infinity();
+    for (const auto& p : profile) {
+      if (qos.satisfied_by(p.norm_time)) {
+        best = std::min(best, p.power_w * p.norm_time);
+      }
+    }
+    return best;
+  }
+
   floorplan::Floorplan fp_;
   power::PackagePowerModel model_;
   workload::Profiler profiler_;
 };
+
+TEST_F(SelectTest, Algorithm1NearMinEnergyAtRelaxedQos) {
+  // Min-power and min-energy selections agree closely at relaxed QoS: the
+  // min-power config runs longer but the energy penalty is bounded.
+  const auto profile = profiler_.profile(workload::find_benchmark("x264"),
+                                         power::CState::kC1E);
+  const workload::QoSRequirement qos{3.0};
+  const workload::ConfigPoint algo1 = algorithm1_select(profile, qos);
+  EXPECT_LE(algo1.power_w * algo1.norm_time, 1.5 * min_energy(profile, qos));
+}
+
+TEST_F(SelectTest, PackingCostsEnergy) {
+  // Pack & Cap's high-frequency packing burns more energy than the
+  // min-energy configuration for most benchmarks at relaxed QoS.
+  const workload::QoSRequirement qos{3.0};
+  int worse = 0, total = 0;
+  for (const auto& bench : workload::parsec_benchmarks()) {
+    const auto profile = profiler_.profile(bench, power::CState::kPoll);
+    const workload::ConfigPoint packed = packcap_select(profile, qos);
+    if (packed.power_w * packed.norm_time > min_energy(profile, qos) * 1.05) {
+      ++worse;
+    }
+    ++total;
+  }
+  EXPECT_GT(worse, total / 2);
+}
 
 TEST_F(SelectTest, Algorithm1PicksMinimumPowerMeetingQos) {
   const auto& bench = workload::find_benchmark("ferret");

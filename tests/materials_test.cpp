@@ -101,12 +101,6 @@ TEST_P(RefrigerantSuite, LiquidMuchDenserThanVapor) {
   }
 }
 
-TEST_P(RefrigerantSuite, SurfaceTensionVanishesTowardCritical) {
-  const Refrigerant& f = *GetParam();
-  EXPECT_GT(f.surface_tension_n_m(20.0), f.surface_tension_n_m(80.0));
-  EXPECT_GT(f.surface_tension_n_m(80.0), 0.0);
-}
-
 TEST_P(RefrigerantSuite, ReducedPressureInPhysicalRange) {
   const Refrigerant& f = *GetParam();
   for (double t = 10.0; t <= 80.0; t += 10.0) {

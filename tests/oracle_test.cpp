@@ -45,10 +45,14 @@ TEST_F(OracleTest, SubsetsAreDistinctAndValid) {
 
 TEST_F(OracleTest, PicksTheCheapestSubset) {
   // Synthetic cost: prefer low core-id sums; the oracle must find {1,2}.
-  ExhaustivePolicy oracle([](const std::vector<int>& cores) {
-    double cost = 0.0;
-    for (const int id : cores) cost += id;
-    return cost;
+  ExhaustivePolicy oracle([](const std::vector<std::vector<int>>& subsets) {
+    std::vector<double> costs;
+    for (const auto& cores : subsets) {
+      double cost = 0.0;
+      for (const int id : cores) cost += id;
+      costs.push_back(cost);
+    }
+    return costs;
   });
   MappingContext context;
   context.floorplan = &fp_;
@@ -60,7 +64,7 @@ TEST_F(OracleTest, PicksTheCheapestSubset) {
 }
 
 TEST_F(OracleTest, NullEvaluatorRejected) {
-  EXPECT_THROW(ExhaustivePolicy(PlacementEvaluator{}),
+  EXPECT_THROW(ExhaustivePolicy(BatchPlacementEvaluator{}),
                util::PreconditionError);
 }
 
