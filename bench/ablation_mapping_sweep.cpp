@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
                "(die theta-max [C], x264 @ fmax) ==\n\n";
 
   // The ablation server is the proposed design (east-west channels), i.e.
-  // the same config the proposed pipeline builds at this pitch.
+  // the same config `server_config_for` builds for it at this pitch.
   const floorplan::Floorplan floorplan = floorplan::make_xeon_e5_floorplan();
   const auto& bench = workload::find_benchmark("x264");
 

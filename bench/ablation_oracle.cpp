@@ -29,9 +29,9 @@ int main(int argc, char** argv) {
                "(die theta-max [C], x264, C1E idles) ==\n\n";
 
   // The ablation server is the proposed design; solving every policy cost
-  // through the pipeline scope lets it hit the oracle's entries.
-  core::ApproachPipeline pipeline(core::Approach::kProposed, cell);
-  const core::ServerModel& server = pipeline.server();
+  // through the approach's solve scope lets it hit the oracle's entries.
+  const core::ServerModel server(
+      core::server_config_for(core::Approach::kProposed, cell));
   const auto& bench = workload::find_benchmark("x264");
 
   util::TablePrinter table({"cores", "oracle best", "proposed", "gap",

@@ -11,6 +11,7 @@
 
 #include "tpcool/core/parallel.hpp"
 #include "tpcool/core/pipelines.hpp"
+#include "tpcool/core/scheduler.hpp"
 #include "tpcool/core/server.hpp"
 #include "tpcool/core/solve_cache.hpp"
 #include "tpcool/mapping/config_select.hpp"
@@ -177,12 +178,12 @@ BENCHMARK(BM_ScheduleDecision)->Unit(benchmark::kMicrosecond);
 /// Scheduler::schedule once its memo holds the decision: what every fleet
 /// job after the first per (benchmark, QoS) pays instead of the above.
 void BM_ScheduleMemoHit(benchmark::State& state) {
-  core::ApproachPipeline pipeline(core::Approach::kProposed, 2.0e-3);
+  const core::Scheduler scheduler(core::Approach::kProposed);
   const auto& bench = workload::find_benchmark("ferret");
   const workload::QoSRequirement qos{2.0};
-  (void)pipeline.scheduler().schedule(bench, qos);
+  (void)scheduler.schedule(bench, qos);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pipeline.scheduler().schedule(bench, qos));
+    benchmark::DoNotOptimize(scheduler.schedule(bench, qos));
   }
 }
 BENCHMARK(BM_ScheduleMemoHit)->Unit(benchmark::kMicrosecond);

@@ -8,7 +8,7 @@
 ///
 /// All solves go through the global SolveCache, so the second and third
 /// policies replay most of the first one's solves from the cache, and only
-/// a cache miss checks a pipeline out of the pool — the whole example runs
+/// a cache miss checks a server out of the pool — the whole example runs
 /// in seconds.
 
 #include <iostream>

@@ -14,8 +14,7 @@ namespace {
 
 void loop_vs_load() {
   std::cout << "== loop state vs load (proposed design) ==\n";
-  core::ApproachPipeline pipeline(core::Approach::kProposed);
-  core::ServerModel& server = pipeline.server();
+  core::ServerModel server(core::server_config_for(core::Approach::kProposed));
   const workload::BenchmarkProfile& bench = workload::worst_case_benchmark();
 
   util::TablePrinter table({"cores", "P[W]", "Tsat[C]", "mdot[g/s]",

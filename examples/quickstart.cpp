@@ -5,7 +5,7 @@
 
 #include <iostream>
 
-#include "tpcool/core/pipelines.hpp"
+#include "tpcool/core/scheduler.hpp"
 #include "tpcool/util/table.hpp"
 
 int main() {
@@ -13,17 +13,20 @@ int main() {
 
   // 1. The paper's proposed system: east-west thermosyphon charged with
   //    R236fa at 55 %, Algorithm-1 configuration selection, C-state-aware
-  //    thermal mapping.
-  core::ApproachPipeline pipeline(core::Approach::kProposed);
+  //    thermal mapping.  The scheduler decides from offline profiles and
+  //    the floorplan; the server runs the coupled thermal solve.
+  const core::Scheduler scheduler(core::Approach::kProposed);
+  core::ServerModel server(core::server_config_for(core::Approach::kProposed));
 
   // 2. Pick a workload and a QoS requirement (2x tolerated degradation).
   const workload::BenchmarkProfile& bench = workload::find_benchmark("x264");
   const workload::QoSRequirement qos{2.0};
 
   // 3. Schedule: configuration (Nc, Nt, f), C-state, core placement.
-  core::ScheduleDecision decision;
+  const core::ScheduleDecision decision = scheduler.schedule(bench, qos);
   const core::SimulationResult sim =
-      pipeline.scheduler().run(bench, qos, &decision);
+      server.simulate(bench, decision.point.config, decision.cores,
+                      decision.idle_state);
 
   std::cout << "benchmark        : " << bench.name << "\n"
             << "QoS              : " << qos.factor << "x\n"

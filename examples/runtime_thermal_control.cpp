@@ -14,7 +14,8 @@ int main() {
   using namespace tpcool;
   std::cout << "== Runtime thermal control (transient, tightened limit) ==\n\n";
 
-  core::ApproachPipeline pipeline(core::Approach::kProposed, 1.5e-3);
+  core::ServerModel server(
+      core::server_config_for(core::Approach::kProposed, 1.5e-3));
   const auto& bench = workload::worst_case_benchmark();
 
   // Full-load decision: all 8 cores at fmax, idle state irrelevant.
@@ -28,7 +29,7 @@ int main() {
   config.tcase_limit_c = 46.0;  // tightened so the demo shows reactions
   config.control_period_s = 0.5;
   config.max_steps = 24;
-  core::RuntimeController controller(pipeline.server(), config);
+  core::RuntimeController controller(server, config);
 
   // 3x QoS slack: the controller may lower the frequency before opening
   // the valve (paper §VII: raise the flow only if DVFS would violate QoS).

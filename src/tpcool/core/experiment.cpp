@@ -4,6 +4,7 @@
 
 #include "tpcool/cooling/chiller.hpp"
 #include "tpcool/core/parallel.hpp"
+#include "tpcool/core/scheduler.hpp"
 #include "tpcool/core/solve_cache.hpp"
 #include "tpcool/mapping/clustered.hpp"
 #include "tpcool/mapping/proposed.hpp"
@@ -73,8 +74,8 @@ Fig2Result run_fig2_motivation(const ExperimentOptions& options) {
   // Non-optimized design (the uniform-flux N-S design of [8]) with a naive
   // clustered placement of a heavy workload on six cores — the situation
   // the paper's motivational example illustrates.
-  ApproachPipeline pipeline(Approach::kSoaBalancing, options.cell_size_m);
-  ServerModel& server = pipeline.server();
+  ServerModel server(
+      server_config_for(Approach::kSoaBalancing, options.cell_size_m));
 
   const workload::BenchmarkProfile& bench = workload::find_benchmark("x264");
   const workload::Configuration config{6, 2, 3.2};
@@ -180,21 +181,23 @@ std::vector<Table2Row> run_table2(const ExperimentOptions& options) {
   for (const Approach approach :
        {Approach::kProposed, Approach::kSoaBalancing,
         Approach::kSoaInletFirst}) {
-    // All of this approach's (QoS, benchmark) cells are independent
-    // scheduler runs: solve the whole grid in parallel.  Cell (q, b) lives
-    // at request index q * benches.size() + b, and the averaging below
-    // addresses cells by that index and reduces in benchmark-index order —
-    // the result bits depend only on the grid layout, never on which
-    // thread or schedule produced a cell.
-    std::vector<ScheduleRequest> requests;
+    // All of this approach's (QoS, benchmark) cells are independent: decide
+    // them serially on one scheduler, then solve the whole grid in
+    // parallel.  Cell (q, b) lives at request index q * benches.size() + b,
+    // and the averaging below addresses cells by that index and reduces in
+    // benchmark-index order — the result bits depend only on the grid
+    // layout, never on which thread or schedule produced a cell.
+    const Scheduler scheduler(approach);
+    std::vector<SolveRequest> requests;
     for (const workload::QoSRequirement& qos : workload::qos_levels()) {
       for (const workload::BenchmarkProfile& bench : benches) {
-        requests.push_back({&bench, qos});
+        const ScheduleDecision d = scheduler.schedule(bench, qos);
+        requests.push_back({&bench, d.point.config, d.cores, d.idle_state});
       }
     }
     const std::vector<SimulationResult> sims =
-        run_parallel_schedules(approach, options.cell_size_m, requests,
-                               *SolveCache::global());
+        run_parallel_solves(approach, options.cell_size_m, requests,
+                            *SolveCache::global());
     // All approaches share the design operating point (§VI-C), so the water
     // ΔT baseline is the configured inlet temperature.
     const double water_inlet_c =
@@ -242,9 +245,7 @@ Fig7Result run_fig7_maps(const ExperimentOptions& options,
                                          Approach::kSoaBalancing};
   std::vector<ScheduleDecision> decisions;
   for (const Approach approach : approaches) {
-    decisions.push_back(ApproachPipeline(approach, options.cell_size_m)
-                            .scheduler()
-                            .schedule(bench, qos));
+    decisions.push_back(Scheduler(approach).schedule(bench, qos));
   }
   const std::vector<SolveCache::ResultPtr> sims =
       util::parallel_map<SolveCache::ResultPtr>(
@@ -276,12 +277,10 @@ CoolingPowerResult run_cooling_power(const ExperimentOptions& options) {
   const workload::QoSRequirement qos{2.0};
 
   const double cell = options.cell_size_m;
-  const ScheduleDecision proposed = ApproachPipeline(Approach::kProposed, cell)
-                                        .scheduler()
-                                        .schedule(bench, qos);
-  const ScheduleDecision soa = ApproachPipeline(Approach::kSoaBalancing, cell)
-                                   .scheduler()
-                                   .schedule(bench, qos);
+  const ScheduleDecision proposed =
+      Scheduler(Approach::kProposed).schedule(bench, qos);
+  const ScheduleDecision soa =
+      Scheduler(Approach::kSoaBalancing).schedule(bench, qos);
   // The shared cache ties this experiment into Table II / Fig. 7 runs in
   // the same process and deduplicates the bisection's repeated endpoints.
   const auto solve = [&](Approach approach, const ScheduleDecision& d,

@@ -33,11 +33,11 @@ SolveCache::ResultPtr cached_solve(
     power::CState idle_state) {
   return cache.get_or_compute_shared(
       solve_key(scope, op, request_key), [&] {
-        const PipelinePool::Lease pipeline =
+        const PipelinePool::Lease server =
             PipelinePool::global().checkout(approach, cell_size_m);
-        pipeline->server().set_operating_point(op);
+        server->set_operating_point(op);
         SimulationResult result =
-            pipeline->server().simulate(bench, config, cores, idle_state);
+            server->simulate(bench, config, cores, idle_state);
         result.active_cores.clear();  // the key treats the placement as a set
         return result;
       });
@@ -60,23 +60,6 @@ std::vector<SimulationResult> run_parallel_solves(
         result.active_cores = request.cores;
         return result;
       });
-}
-
-std::vector<SimulationResult> run_parallel_schedules(
-    Approach approach, double cell_size_m,
-    const std::vector<ScheduleRequest>& requests, SolveCache& cache) {
-  ApproachPipeline pipeline(approach, cell_size_m);
-  std::vector<SolveRequest> solves;
-  solves.reserve(requests.size());
-  for (const ScheduleRequest& request : requests) {
-    TPCOOL_REQUIRE(request.bench != nullptr,
-                   "schedule request needs a benchmark");
-    const ScheduleDecision decision =
-        pipeline.scheduler().schedule(*request.bench, request.qos);
-    solves.push_back({request.bench, decision.point.config, decision.cores,
-                      decision.idle_state});
-  }
-  return run_parallel_solves(approach, cell_size_m, solves, cache);
 }
 
 std::vector<double> evaluate_placements_parallel(

@@ -14,10 +14,10 @@
 ///  - Results land in a pre-sized vector by task index: result order is
 ///    the serial order regardless of which thread ran what.
 ///  - Every solve goes through `cached_solve`: its key is built from the
-///    solve's inputs alone, and a miss runs a cold solve on a pipeline
-///    server, so a cached value is a pure function of its key and cache
-///    races are unobservable.  Scheduling decisions are made serially,
-///    before the fan-out.
+///    solve's inputs alone, and a miss runs a cold solve on a server lent
+///    by the PipelinePool, so a cached value is a pure function of its key
+///    and cache races are unobservable.  Scheduling decisions are made
+///    serially on a `Scheduler`, before the fan-out.
 /// Together: any thread count, including TPCOOL_NUM_THREADS=1, produces
 /// bit-identical results.
 
@@ -31,15 +31,14 @@
 
 namespace tpcool::core {
 
-/// Cache scope prefix for a pipeline-built server (see `solve_key`):
-/// approach and grid pitch fully determine the ServerConfig that
-/// `server_config_for` builds.
+/// Cache scope prefix for a `server_config_for` server (see `solve_key`):
+/// approach and grid pitch fully determine its ServerConfig.
 [[nodiscard]] std::string solve_scope(Approach approach, double cell_size_m);
 
 /// The coupled solve of an `Approach` server built at `cell_size_m`, run at
 /// `op`, served from `cache` under `solve_key(solve_scope(...), ...)`.  A
-/// miss checks a pipeline out of the global PipelinePool, sets `op` and
-/// solves cold; a hit touches no pipeline.  The key treats the placement
+/// miss checks a server out of the global PipelinePool, sets `op` and
+/// solves cold; a hit touches no server.  The key treats the placement
 /// as a set, so the shared result's `active_cores` is empty.
 [[nodiscard]] SolveCache::ResultPtr cached_solve(
     SolveCache& cache, Approach approach, double cell_size_m,
@@ -61,7 +60,7 @@ namespace tpcool::core {
     const workload::Configuration& config, const std::vector<int>& cores,
     power::CState idle_state);
 
-/// One independent coupled-solve request against a pipeline server.
+/// One independent coupled-solve request against an `Approach` server.
 struct SolveRequest {
   const workload::BenchmarkProfile* bench = nullptr;
   workload::Configuration config;
@@ -77,20 +76,6 @@ struct SolveRequest {
 [[nodiscard]] std::vector<SimulationResult> run_parallel_solves(
     Approach approach, double cell_size_m,
     const std::vector<SolveRequest>& requests, SolveCache& cache);
-
-/// One scheduler-level request: run Algorithm 1 (or the SoA selection) and
-/// the coupled simulation for a benchmark under a QoS level.
-struct ScheduleRequest {
-  const workload::BenchmarkProfile* bench = nullptr;
-  workload::QoSRequirement qos;
-};
-
-/// Parallel counterpart of `Scheduler::run` over a request list: decides
-/// every request serially on one pipeline, then fans the solves out; same
-/// determinism contract as `run_parallel_solves`.
-[[nodiscard]] std::vector<SimulationResult> run_parallel_schedules(
-    Approach approach, double cell_size_m,
-    const std::vector<ScheduleRequest>& requests, SolveCache& cache);
 
 /// Batch placement evaluator for mapping::ExhaustivePolicy: evaluates all
 /// subsets (die θmax) through parallel cached solves on an `Approach`

@@ -24,18 +24,18 @@ util::TelemetryCounter& pipeline_reuses_counter() {
 
 PipelinePool::Lease::~Lease() {
   std::lock_guard lock(pool_.mutex_);
-  pool_.idle_[key_].push_back(std::move(pipeline_));
+  pool_.idle_[key_].push_back(std::move(server_));
 }
 
 PipelinePool::Lease PipelinePool::checkout(Approach approach,
                                            double cell_size_m) {
   std::string key = solve_scope(approach, cell_size_m);
-  std::unique_ptr<ApproachPipeline> pipeline;
+  std::unique_ptr<ServerModel> server;
   {
     std::lock_guard lock(mutex_);
     auto& parked = idle_[key];
     if (!parked.empty()) {
-      pipeline = std::move(parked.back());
+      server = std::move(parked.back());
       parked.pop_back();
       ++stats_.reuses;
       pipeline_reuses_counter().add(1.0);
@@ -46,11 +46,12 @@ PipelinePool::Lease PipelinePool::checkout(Approach approach,
   }
   // Construct outside the lock: ~0.2 ms each, and concurrent tasks must
   // not serialize on it.
-  if (pipeline == nullptr) {
+  if (server == nullptr) {
     util::TraceSpan span("pipeline.construct");
-    pipeline = std::make_unique<ApproachPipeline>(approach, cell_size_m);
+    server =
+        std::make_unique<ServerModel>(server_config_for(approach, cell_size_m));
   }
-  return Lease(*this, std::move(key), std::move(pipeline));
+  return Lease(*this, std::move(key), std::move(server));
 }
 
 PipelinePool::Stats PipelinePool::stats() const {

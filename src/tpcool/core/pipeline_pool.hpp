@@ -1,14 +1,15 @@
 #pragma once
 /// \file pipeline_pool.hpp
-/// \brief Pipeline source: `cached_solve` (see parallel.hpp) checks one out
-///        only when a key misses, the transient engine once per segment it
-///        integrates, and both park it again afterwards, so a run constructs
-///        one pipeline per concurrent checkout instead of one per checkout.
+/// \brief Solver servers on loan: `cached_solve` (see parallel.hpp) checks
+///        a `ServerModel` out only when a key misses, the transient engine
+///        once per segment it integrates, and both park it again
+///        afterwards, so a run constructs one server per concurrent
+///        checkout instead of one per checkout.
 ///
-/// Soundness: pipeline servers start every solve cold (`server_config_for`
-/// sets `reuse_thermal_state = false`) and every user sets the operating
-/// point it solves at, so a reused pipeline computes the same bits as a
-/// freshly constructed one.
+/// Soundness: the pool builds its servers from `server_config_for`, which
+/// makes every solve start cold (`reuse_thermal_state = false`), and every
+/// user sets the operating point it solves at, so a reused server computes
+/// the same bits as a freshly constructed one.
 
 #include <cstddef>
 #include <memory>
@@ -21,18 +22,19 @@
 
 namespace tpcool::core {
 
-/// Thread-safe pool of `ApproachPipeline`s keyed by (approach, cell size).
+/// Thread-safe pool of `server_config_for` servers keyed by (approach, cell
+/// size).
 class PipelinePool {
  public:
   /// Lifetime counters (never reset by clear(): the construction savings a
   /// bench reports span cache clears).
   struct Stats {
-    std::size_t constructions = 0;  ///< Pipelines built fresh on checkout.
+    std::size_t constructions = 0;  ///< Servers built fresh on checkout.
     std::size_t reuses = 0;         ///< Checkouts served from the pool.
-    std::size_t idle = 0;           ///< Pipelines parked in the pool now.
+    std::size_t idle = 0;           ///< Servers parked in the pool now.
   };
 
-  /// RAII checkout: holds a pipeline and returns it to the pool on
+  /// RAII checkout: holds a server and returns it to the pool on
   /// destruction.
   class Lease {
    public:
@@ -40,33 +42,31 @@ class PipelinePool {
     Lease& operator=(const Lease&) = delete;
     ~Lease();
 
-    [[nodiscard]] ApproachPipeline& operator*() const { return *pipeline_; }
-    [[nodiscard]] ApproachPipeline* operator->() const {
-      return pipeline_.get();
-    }
+    [[nodiscard]] ServerModel& operator*() const { return *server_; }
+    [[nodiscard]] ServerModel* operator->() const { return server_.get(); }
 
    private:
     friend class PipelinePool;
     Lease(PipelinePool& pool, std::string key,
-          std::unique_ptr<ApproachPipeline> pipeline)
-        : pool_(pool), key_(std::move(key)), pipeline_(std::move(pipeline)) {}
+          std::unique_ptr<ServerModel> server)
+        : pool_(pool), key_(std::move(key)), server_(std::move(server)) {}
 
     PipelinePool& pool_;
     std::string key_;
-    std::unique_ptr<ApproachPipeline> pipeline_;
+    std::unique_ptr<ServerModel> server_;
   };
 
   PipelinePool() = default;
   PipelinePool(const PipelinePool&) = delete;
   PipelinePool& operator=(const PipelinePool&) = delete;
 
-  /// Check out a pipeline for (approach, cell_size_m): reused if one is
-  /// parked, constructed otherwise.
+  /// Check out a `server_config_for(approach, cell_size_m)` server: reused
+  /// if one is parked, constructed otherwise.
   [[nodiscard]] Lease checkout(Approach approach, double cell_size_m);
 
   [[nodiscard]] Stats stats() const;
 
-  /// Drop the idle pipelines (counters are kept).  Frees the ~MBs a wide
+  /// Drop the idle servers (counters are kept).  Frees the ~MBs a wide
   /// sweep parked; the next checkout constructs again.
   void clear();
 
@@ -77,8 +77,7 @@ class PipelinePool {
  private:
   mutable std::mutex mutex_;
   Stats stats_;
-  std::unordered_map<std::string,
-                     std::vector<std::unique_ptr<ApproachPipeline>>>
+  std::unordered_map<std::string, std::vector<std::unique_ptr<ServerModel>>>
       idle_;
 };
 

@@ -1,8 +1,5 @@
 #include "tpcool/core/pipelines.hpp"
 
-#include "tpcool/mapping/balancing.hpp"
-#include "tpcool/mapping/inlet_first.hpp"
-#include "tpcool/mapping/proposed.hpp"
 #include "tpcool/util/error.hpp"
 
 namespace tpcool::core {
@@ -29,41 +26,11 @@ ServerConfig server_config_for(Approach approach, double cell_size_m) {
   // design of [8] used the generic 50 % charge.
   config.design.filling_ratio = proposed ? 0.55 : 0.50;
   config.operating_point = {.water_flow_kg_h = 7.0, .water_inlet_c = 30.0};
-  // Cold solves: every value a pipeline computes is then a pure function
-  // of its inputs, which is what lets solve-cache keys name it and lets
-  // one pipeline serve any sequence of misses (see cached_solve).
+  // Cold solves: every value such a server computes is then a pure
+  // function of its inputs, which is what lets solve-cache keys name it and
+  // lets one server serve any sequence of misses (see cached_solve).
   config.reuse_thermal_state = false;
   return config;
-}
-
-ApproachPipeline::ApproachPipeline(Approach approach)
-    : ApproachPipeline(approach, thermal::PackageStackConfig{}.cell_size_m) {}
-
-ApproachPipeline::ApproachPipeline(Approach approach, double cell_size_m)
-    : approach_(approach),
-      server_(std::make_unique<ServerModel>(
-          server_config_for(approach, cell_size_m))) {
-  switch (approach) {
-    case Approach::kProposed:
-      policy_ = std::make_unique<mapping::ProposedPolicy>();
-      scheduler_ = std::make_unique<Scheduler>(
-          *server_, *policy_, SelectionStrategy::kAlgorithm1,
-          /*manage_cstates=*/true);
-      break;
-    case Approach::kSoaBalancing:
-      policy_ = std::make_unique<mapping::BalancingPolicy>();
-      scheduler_ = std::make_unique<Scheduler>(
-          *server_, *policy_, SelectionStrategy::kPackAndCap,
-          /*manage_cstates=*/false);
-      break;
-    case Approach::kSoaInletFirst:
-      policy_ = std::make_unique<mapping::InletFirstPolicy>();
-      scheduler_ = std::make_unique<Scheduler>(
-          *server_, *policy_, SelectionStrategy::kPackAndCap,
-          /*manage_cstates=*/false);
-      break;
-  }
-  TPCOOL_ENSURE(scheduler_ != nullptr, "unknown approach");
 }
 
 }  // namespace tpcool::core

@@ -1,13 +1,11 @@
 #pragma once
 /// \file pipelines.hpp
-/// \brief The three evaluated approaches (Table II) bundled as ready-made
-///        pipelines: server design + configuration selection + mapping
-///        policy + C-state management.
+/// \brief The three evaluated approaches (Table II) and the server each one
+///        runs on.  A `Scheduler` (scheduler.hpp) makes an approach's
+///        decisions; a `ServerModel` built from `server_config_for` solves
+///        them.
 
-#include <memory>
-#include <string>
-
-#include "tpcool/core/scheduler.hpp"
+#include "tpcool/core/server.hpp"
 
 namespace tpcool::core {
 
@@ -20,32 +18,11 @@ enum class Approach {
 
 [[nodiscard]] const char* to_string(Approach approach);
 
-/// A fully wired approach: owns the server, the policy, and the scheduler.
-class ApproachPipeline {
- public:
-  explicit ApproachPipeline(Approach approach);
-
-  /// Same, but with an overridden thermal-grid cell size (coarser grids for
-  /// fast tests, finer for figure-quality maps).
-  ApproachPipeline(Approach approach, double cell_size_m);
-
-  [[nodiscard]] Approach approach() const noexcept { return approach_; }
-  [[nodiscard]] std::string name() const { return to_string(approach_); }
-  [[nodiscard]] ServerModel& server() noexcept { return *server_; }
-  [[nodiscard]] const ServerModel& server() const noexcept { return *server_; }
-  [[nodiscard]] Scheduler& scheduler() noexcept { return *scheduler_; }
-
- private:
-  Approach approach_;
-  std::unique_ptr<ServerModel> server_;
-  std::unique_ptr<mapping::MappingPolicy> policy_;
-  std::unique_ptr<Scheduler> scheduler_;
-};
-
-/// Server config of an approach (design + operating point), with an
-/// optional cell-size override.  Pipeline servers start every solve cold
+/// Server config of an approach (design + operating point) on a thermal
+/// grid of pitch `cell_size_m`.  These servers start every solve cold
 /// (`reuse_thermal_state = false`).
-[[nodiscard]] ServerConfig server_config_for(Approach approach,
-                                             double cell_size_m);
+[[nodiscard]] ServerConfig server_config_for(
+    Approach approach,
+    double cell_size_m = thermal::PackageStackConfig{}.cell_size_m);
 
 }  // namespace tpcool::core

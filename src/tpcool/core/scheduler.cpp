@@ -1,15 +1,38 @@
 #include "tpcool/core/scheduler.hpp"
 
+#include "tpcool/floorplan/xeon_e5.hpp"
+#include "tpcool/mapping/balancing.hpp"
+#include "tpcool/mapping/inlet_first.hpp"
+#include "tpcool/mapping/proposed.hpp"
 #include "tpcool/util/error.hpp"
 
 namespace tpcool::core {
 
-Scheduler::Scheduler(ServerModel& server, const mapping::MappingPolicy& policy,
-                     SelectionStrategy strategy, bool manage_cstates)
-    : server_(&server),
-      policy_(&policy),
-      strategy_(strategy),
-      manage_cstates_(manage_cstates) {}
+namespace {
+
+std::unique_ptr<mapping::MappingPolicy> policy_for(Approach approach) {
+  switch (approach) {
+    case Approach::kProposed:
+      return std::make_unique<mapping::ProposedPolicy>();
+    case Approach::kSoaBalancing:
+      return std::make_unique<mapping::BalancingPolicy>();
+    case Approach::kSoaInletFirst:
+      return std::make_unique<mapping::InletFirstPolicy>();
+  }
+  TPCOOL_REQUIRE(false, "unknown approach");
+  return nullptr;
+}
+
+}  // namespace
+
+Scheduler::Scheduler(Approach approach)
+    : approach_(approach),
+      floorplan_(floorplan::make_xeon_e5_floorplan(
+          server_config_for(approach).stack.geometry)),
+      power_model_(floorplan_),
+      profiler_(power_model_),
+      policy_(policy_for(approach)),
+      orientation_(server_config_for(approach).design.evaporator.orientation) {}
 
 ScheduleDecision Scheduler::schedule(const workload::BenchmarkProfile& bench,
                                      const workload::QoSRequirement& qos) const {
@@ -25,21 +48,19 @@ ScheduleDecision Scheduler::schedule(const workload::BenchmarkProfile& bench,
 
 ScheduleDecision Scheduler::decide(const workload::BenchmarkProfile& bench,
                                    const workload::QoSRequirement& qos) const {
+  const bool proposed = approach_ == Approach::kProposed;
   ScheduleDecision decision;
   decision.idle_state =
-      manage_cstates_
-          ? power::deepest_cstate_within(bench.tolerable_latency_us)
-          : power::CState::kPoll;
+      proposed ? power::deepest_cstate_within(bench.tolerable_latency_us)
+               : power::CState::kPoll;
 
-  const auto profile =
-      server_->profiler().profile(bench, decision.idle_state);
-  decision.point = strategy_ == SelectionStrategy::kAlgorithm1
-                       ? mapping::algorithm1_select(profile, qos)
-                       : mapping::packcap_select(profile, qos);
+  const auto profile = profiler_.profile(bench, decision.idle_state);
+  decision.point = proposed ? mapping::algorithm1_select(profile, qos)
+                            : mapping::packcap_select(profile, qos);
 
   mapping::MappingContext context;
-  context.floorplan = &server_->floorplan();
-  context.orientation = server_->design().evaporator.orientation;
+  context.floorplan = &floorplan_;
+  context.orientation = orientation_;
   context.idle_state = decision.idle_state;
   context.cores_needed = decision.point.config.cores;
   decision.cores = policy_->select_cores(context);
@@ -47,15 +68,6 @@ ScheduleDecision Scheduler::decide(const workload::BenchmarkProfile& bench,
                     decision.point.config.cores,
                 "policy returned the wrong number of cores");
   return decision;
-}
-
-SimulationResult Scheduler::run(const workload::BenchmarkProfile& bench,
-                                const workload::QoSRequirement& qos,
-                                ScheduleDecision* decision_out) {
-  const ScheduleDecision decision = schedule(bench, qos);
-  if (decision_out != nullptr) *decision_out = decision;
-  return server_->simulate(bench, decision.point.config, decision.cores,
-                           decision.idle_state);
 }
 
 }  // namespace tpcool::core

@@ -1,14 +1,19 @@
 #pragma once
 /// \file scheduler.hpp
 /// \brief Algorithm 1 end to end: QoS-aware configuration selection,
-///        C-state choice, and thermal-aware thread mapping.
+///        C-state choice, and thermal-aware thread mapping.  A decision
+///        reads offline profiles and the floorplan only; no thermal solve
+///        is involved, so a Scheduler owns no server.
 
 #include <memory>
 #include <vector>
 
-#include "tpcool/core/server.hpp"
+#include "tpcool/core/pipelines.hpp"
+#include "tpcool/floorplan/floorplan.hpp"
 #include "tpcool/mapping/config_select.hpp"
 #include "tpcool/mapping/policy.hpp"
+#include "tpcool/power/package_power.hpp"
+#include "tpcool/workload/profiler.hpp"
 
 namespace tpcool::core {
 
@@ -19,41 +24,37 @@ struct ScheduleDecision {
   power::CState idle_state = power::CState::kPoll;
 };
 
-/// How the configuration is selected.
-enum class SelectionStrategy {
-  kAlgorithm1,  ///< Paper: minimum power meeting the QoS.
-  kPackAndCap,  ///< Baseline [27]: thread packing under a power cap.
-};
-
-/// Scheduler bound to a server and a mapping policy. The policy and server
-/// must outlive the scheduler.
+/// The decisions of one approach.
 ///
 /// Everything a decision depends on besides the benchmark and the QoS is
-/// fixed per scheduler (the server's floorplan, power model and evaporator
-/// orientation, the policy, the strategy, the C-state flag), so Algorithm 1
-/// runs as the paper runs it: the configuration space is profiled once per
-/// (benchmark profile, QoS factor) and later calls pick from a memo.  The
-/// memo keys on the full profile value, not its name, and grows by one
-/// entry per distinct pair.  Like ServerModel, a Scheduler is not
-/// thread-safe: the fleet engines and the experiment runners decide
-/// serially, before they fan the solves out.
+/// fixed by the approach: the Xeon floorplan and power model, the mapping
+/// policy, the evaporator orientation of `server_config_for(approach)`, the
+/// selection rule (Algorithm 1 for the proposal, [27]'s pack-and-cap for
+/// the state of the art) and whether idle cores get a C-state (the
+/// proposal only).  So Algorithm 1 runs as the paper runs it: the
+/// configuration space is profiled once per (benchmark profile, QoS
+/// factor) and later calls pick from a memo.  The memo keys on the full
+/// profile value, not its name, and grows by one entry per distinct pair.
+/// A Scheduler is not thread-safe: the fleet engines and the experiment
+/// runners decide serially, before they fan the solves out.  Like
+/// ServerModel it is neither copyable nor movable, because its profiler
+/// points into it.
 class Scheduler {
  public:
-  Scheduler(ServerModel& server, const mapping::MappingPolicy& policy,
-            SelectionStrategy strategy, bool manage_cstates);
+  explicit Scheduler(Approach approach);
+
+  Scheduler(const Scheduler&) = delete;
+  Scheduler& operator=(const Scheduler&) = delete;
+  Scheduler(Scheduler&&) = delete;
+  Scheduler& operator=(Scheduler&&) = delete;
 
   /// Decide (configuration, C-state, placement) for a benchmark under a QoS
   /// requirement.  When C-state management is off (state-of-the-art
-  /// pipelines) idle cores stay in POLL.  Repeated calls return the
+  /// approaches) idle cores stay in POLL.  Repeated calls return the
   /// memoized decision (see the class comment).
   [[nodiscard]] ScheduleDecision schedule(
       const workload::BenchmarkProfile& bench,
       const workload::QoSRequirement& qos) const;
-
-  /// Schedule and run the coupled thermal simulation.
-  [[nodiscard]] SimulationResult run(const workload::BenchmarkProfile& bench,
-                                     const workload::QoSRequirement& qos,
-                                     ScheduleDecision* decision_out = nullptr);
 
  private:
   /// Profile the configuration space and run the selection and mapping.
@@ -67,10 +68,12 @@ class Scheduler {
     ScheduleDecision decision;
   };
 
-  ServerModel* server_;
-  const mapping::MappingPolicy* policy_;
-  SelectionStrategy strategy_;
-  bool manage_cstates_;
+  Approach approach_;
+  floorplan::Floorplan floorplan_;
+  power::PackagePowerModel power_model_;
+  workload::Profiler profiler_;
+  std::unique_ptr<mapping::MappingPolicy> policy_;
+  thermosyphon::Orientation orientation_;
   /// Decisions made so far, searched linearly (the fleet asks for at most
   /// 13 benchmarks x 3 QoS tiers per scheduler).
   mutable std::vector<MemoEntry> memo_;

@@ -25,7 +25,7 @@ struct ServerConfig {
   /// Consecutive solves in a sweep (benchmarks, QoS levels, bisection on
   /// the operating point) differ by a few degrees, so the CG iteration
   /// count collapses; converged results are identical within the solver
-  /// tolerance regardless of the start.  Pipeline servers
+  /// tolerance regardless of the start.  The approach servers
   /// (`server_config_for`) turn it off, so their solves are pure functions
   /// of their inputs and can be cached.
   bool reuse_thermal_state = true;
@@ -64,7 +64,7 @@ class ServerModel {
 
   // The power model and profiler point back into this object, so a move
   // would leave them referencing the source. Construct it in place (the
-  // pipelines hold one in a std::unique_ptr); a function returning a
+  // PipelinePool holds each in a std::unique_ptr); a function returning a
   // prvalue would still work via guaranteed copy elision.
   ServerModel(const ServerModel&) = delete;
   ServerModel& operator=(const ServerModel&) = delete;

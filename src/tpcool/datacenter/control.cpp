@@ -54,7 +54,6 @@ void FleetController::on_run_begin(const FleetConfig& config,
   bias_.assign(config.racks.size(), 0.0);
   window_.clear();
   error_ = 0.0;
-  mean_ = 0.0;
 }
 
 void FleetController::on_interval(const FleetInterval& interval,
@@ -81,12 +80,12 @@ void FleetController::on_interval(const FleetInterval& interval,
     weighted += v * w;
     weight += w;
   }
-  mean_ = weight > 0.0 ? weighted / weight : value;
+  const double mean = weight > 0.0 ? weighted / weight : value;
 
   // Control error → damped update.  For PUE, a positive error (PUE above
   // target) drives warmer (less chiller overhead); for the violation
   // rate, a positive error drives colder (more thermal margin).
-  error_ = mean_ - config_.target;
+  error_ = mean - config_.target;
   const double sign =
       config_.measurement == ControlMeasurement::kFleetPue ? 1.0 : -1.0;
 

@@ -124,9 +124,6 @@ class FleetController final : public FleetObserver {
   /// recently observed interval.
   [[nodiscard]] double last_error() const noexcept { return error_; }
 
-  /// The time-weighted windowed measurement itself.
-  [[nodiscard]] double windowed_measurement() const noexcept { return mean_; }
-
   void on_run_begin(const FleetConfig& config, std::size_t stream_count,
                     double total_duration_s) override;
   void on_interval(const FleetInterval& interval,
@@ -137,7 +134,6 @@ class FleetController final : public FleetObserver {
   std::deque<std::pair<double, double>> window_;  ///< (value, duration).
   std::vector<double> bias_;                      ///< Per-rack integrator.
   double error_ = 0.0;
-  double mean_ = 0.0;
 };
 
 /// Convenience batch wrapper: `FleetModel::run` with `controller` in the

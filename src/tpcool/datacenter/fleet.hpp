@@ -22,7 +22,7 @@
 
 #include "tpcool/cooling/chiller.hpp"
 #include "tpcool/cooling/rack.hpp"
-#include "tpcool/core/pipelines.hpp"
+#include "tpcool/core/scheduler.hpp"
 #include "tpcool/datacenter/placement.hpp"
 #include "tpcool/workload/trace.hpp"
 

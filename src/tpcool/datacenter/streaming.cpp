@@ -90,13 +90,12 @@ StreamingFleetEngine::StreamingFleetEngine(
   }
 
   // Per-rack design water flow (the §VI-C operating point of the rack's
-  // approach), fixed over the run, the rack's cache scope and decision
-  // pipeline, and its scan class: the first rack whose phase-1 scan reads
+  // approach), fixed over the run, the rack's cache scope, its approach's
+  // scheduler, and its scan class: the first rack whose phase-1 scan reads
   // the same inputs.  Events change only capacity and chillers, so the
   // class holds for the whole run.
   design_flow_kg_h_.resize(config_.racks.size());
   rack_scope_.resize(config_.racks.size());
-  rack_scheduler_.resize(config_.racks.size());
   rack_class_.resize(config_.racks.size());
   for (std::size_t r = 0; r < config_.racks.size(); ++r) {
     const RackSpec& spec = config_.racks[r];
@@ -104,13 +103,7 @@ StreamingFleetEngine::StreamingFleetEngine(
         core::server_config_for(spec.approach, spec.cell_size_m)
             .operating_point.water_flow_kg_h;
     rack_scope_[r] = core::solve_scope(spec.approach, spec.cell_size_m);
-    std::unique_ptr<core::ApproachPipeline>& decider =
-        deciders_[rack_scope_[r]];
-    if (decider == nullptr) {
-      decider = std::make_unique<core::ApproachPipeline>(spec.approach,
-                                                         spec.cell_size_m);
-    }
-    rack_scheduler_[r] = &decider->scheduler();
+    schedulers_.try_emplace(spec.approach, spec.approach);
     rack_class_[r] = r;
     for (std::size_t q = 0; q < r; ++q) {
       const RackSpec& other = config_.racks[q];
@@ -304,13 +297,14 @@ bool StreamingFleetEngine::advance() {
 
   // Schedule serially, in class order (the dispatch order of each class's
   // first job): a decision depends only on (approach, benchmark, QoS) and
-  // each rack scheduler memoizes it.
+  // each approach's scheduler memoizes it.
   std::vector<ClassScan> classes(class_job.size());
   for (std::size_t c = 0; c < classes.size(); ++c) {
     const std::size_t j = class_job[c];
     ClassScan& cls = classes[c];
     cls.scan.decision =
-        rack_scheduler_[placed_rack[j]]->schedule(*jobs[j].bench, jobs[j].qos);
+        schedulers_.at(config_.racks[placed_rack[j]].approach)
+            .schedule(*jobs[j].bench, jobs[j].qos);
     const core::ScheduleDecision& decision = cls.scan.decision;
     cls.request_key = core::solve_request_key(
         *jobs[j].bench, decision.point.config, decision.cores,

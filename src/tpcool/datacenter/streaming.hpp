@@ -180,11 +180,10 @@ class StreamingFleetEngine {
   /// supply candidates (bitwise) and TCASE limit, i.e. the same phase-1
   /// scan for the same request.
   std::vector<std::size_t> rack_class_;
-  /// Decision pipelines, one per distinct (approach, cell size) among the
-  /// racks, keyed by `core::solve_scope`; `rack_scheduler_[r]` is rack r's
-  /// scheduler.  Only the serial dispatch step uses them.
-  std::map<std::string, std::unique_ptr<core::ApproachPipeline>> deciders_;
-  std::vector<core::Scheduler*> rack_scheduler_;
+  /// One scheduler per approach among the racks: no decision depends on
+  /// the grid pitch, so racks of one approach share it at any pitch.  Only
+  /// the serial dispatch step uses them.
+  std::map<core::Approach, core::Scheduler> schedulers_;
   /// Runtime per-rack state the event timeline mutates (capacity drops on
   /// kRackLoss, chiller efficiency on kChillerDerate); initialized from
   /// the specs, restored by the matching restore events.

@@ -108,13 +108,13 @@ struct ChainLink {
   bool publishes = false;
 };
 
-/// Integrate `link`'s segment on a pipeline, starting from field `t`, with
-/// the rack's design water flow.  A pure function of (pipeline config, the
+/// Integrate `link`'s segment on `server`, starting from field `t`, with
+/// the rack's design water flow.  A pure function of (server config, the
 /// link's plan data, flow, `t`, engine config): the boundary and power map
 /// are rebuilt from the plan, and every numeric step is the same
 /// fixed-order double arithmetic on any thread, so the result does not
-/// depend on which pipeline or thread ran it.
-SegmentResult integrate_segment(core::ApproachPipeline& pipeline,
+/// depend on which server instance or thread ran it.
+SegmentResult integrate_segment(core::ServerModel& server,
                                 const ChainLink& link, double design_flow_kg_h,
                                 std::vector<double> t,
                                 const TransientEngineConfig& config) {
@@ -129,7 +129,6 @@ SegmentResult integrate_segment(core::ApproachPipeline& pipeline,
   }
   const JobOutcome& job = *link.job;
   const double duration_s = link.interval->duration_s;
-  core::ServerModel& server = pipeline.server();
   server.set_operating_point(
       {.water_flow_kg_h = design_flow_kg_h,
        .water_inlet_c = link.interval->racks[job.rack].cooling.supply_temp_c});
@@ -230,14 +229,8 @@ SegmentResult integrate_segment(core::ApproachPipeline& pipeline,
   return seg;
 }
 
-/// Per-rack constants, resolved once, serially, before the chains run.
-struct RackConstants {
-  double design_flow_kg_h = 0.0;
-  std::size_t cell_count = 0;  ///< Grid size, for sizing fresh states.
-};
-
 /// Whether two links integrate to the same bits from the same initial field:
-/// the same pipeline, phase, placement, operating point and duration.
+/// the same server config, phase, placement, operating point and duration.
 bool same_segment(const ChainLink& a, const ChainLink& b,
                   const FleetConfig& fleet) {
   const JobOutcome& ja = *a.job;
@@ -257,11 +250,10 @@ bool same_segment(const ChainLink& a, const ChainLink& b,
 /// Walk one stream's chain in interval order and return its outcomes.
 /// Only read-only plan data, the chain's own state and the shared segments
 /// are touched, so chains run concurrently.  Each integrated segment checks
-/// a pipeline out of the pool, and the state moves into the segment and
+/// a server out of the pool, and the state moves into the segment and
 /// back out, so memory stays O(streams × cells).
 std::vector<TransientJobOutcome> walk_chain(
     const std::vector<ChainLink>& chain, const FleetConfig& fleet,
-    const std::vector<RackConstants>& racks,
     const TransientEngineConfig& config) {
   // Thermal state follows the stream across intervals (the history a
   // migrating job's server accumulates — a modeling choice; see the header
@@ -278,14 +270,16 @@ std::vector<TransientJobOutcome> walk_chain(
       seg = link.shared->result.get();
     } else {
       try {
-        const RackConstants& rack = racks[job.rack];
-        if (state.size() != rack.cell_count) {
-          state.assign(rack.cell_count, kStartTemperatureC);
-        }
-        seg = integrate_segment(*core::PipelinePool::global().checkout(
-                                    spec.approach, spec.cell_size_m),
-                                link, rack.design_flow_kg_h, std::move(state),
-                                config);
+        const core::PipelinePool::Lease server =
+            core::PipelinePool::global().checkout(spec.approach,
+                                                  spec.cell_size_m);
+        const std::size_t cells = server->thermal().cell_count();
+        if (state.size() != cells) state.assign(cells, kStartTemperatureC);
+        const double design_flow_kg_h =
+            core::server_config_for(spec.approach, spec.cell_size_m)
+                .operating_point.water_flow_kg_h;
+        seg = integrate_segment(*server, link, design_flow_kg_h,
+                                std::move(state), config);
       } catch (...) {
         // Chains waiting on this segment fail with it instead of hanging.
         if (link.shared) {
@@ -329,15 +323,6 @@ TransientFleetResult TransientFleetEngine::run(
   result.duration_s = result.steady.duration_s;
 
   const FleetConfig& config = fleet_.config();
-  std::vector<RackConstants> racks(config.racks.size());
-  for (std::size_t r = 0; r < config.racks.size(); ++r) {
-    const RackSpec& spec = config.racks[r];
-    const core::ServerConfig server =
-        core::server_config_for(spec.approach, spec.cell_size_m);
-    racks[r].design_flow_kg_h = server.operating_point.water_flow_kg_h;
-    const thermal::StackModel stack = thermal::make_package_stack(server.stack);
-    racks[r].cell_count = stack.grid.nx * stack.grid.ny * stack.layer_count();
-  }
 
   // Each stream's segments in interval order.  A segment depends only on
   // its own stream's previous end state and on the steady plan above, so
@@ -375,7 +360,7 @@ TransientFleetResult TransientFleetEngine::run(
   std::vector<std::vector<TransientJobOutcome>> outcomes =
       util::parallel_map<std::vector<TransientJobOutcome>>(
           chains.size(), [&](std::size_t s) {
-            return walk_chain(chains[s], config, racks, config_);
+            return walk_chain(chains[s], config, config_);
           });
 
   // Serial rollup in interval, then stream order.

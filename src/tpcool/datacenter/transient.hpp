@@ -25,8 +25,10 @@
 /// walks its segments in interval order, carrying only its own end state,
 /// with no barrier between intervals: a segment depends only on its
 /// stream's previous end state and the steady plan.  A segment is
-/// integrated directly on a pipeline checked out of `core::PipelinePool`:
-/// the chain moves its state into the segment and takes the end state back.
+/// integrated directly on a `ServerModel` checked out of
+/// `core::PipelinePool`: the chain moves its state into the segment and
+/// takes the end state back, and sizes a fresh state from that server's
+/// grid.
 /// Only the steady pass goes through the `SolveCache`.  Chains that agree
 /// link for link with a lower stream's chain start from the same field, so
 /// they replay that stream's segments instead of integrating them (identical
@@ -99,7 +101,7 @@ struct TransientFleetResult {
 ///
 /// `run` is bit-identical for any thread count: per-stream chains are
 /// fanned out with `parallel_map`, every segment value is a pure function
-/// of its inputs and its initial field (the pipeline it runs on carries no
+/// of its inputs and its initial field (the server it runs on carries no
 /// state into it), a chain's state is its own, and the fleet-wide rollup
 /// runs serially in interval, then stream order.
 class TransientFleetEngine {

@@ -118,7 +118,8 @@ WorkloadGenerator::WorkloadGenerator(WorkloadGenConfig config)
   double weight_low_sum = 0.0;
   double weight_high_sum = 0.0;
   for (const QoSTier& tier : config_.tiers) {
-    TPCOOL_REQUIRE(tier.qos.factor >= 1.0, "tier QoS factor below 1x");
+    TPCOOL_REQUIRE(std::isfinite(tier.qos.factor) && tier.qos.factor >= 1.0,
+                   "tier QoS factor must be finite and at least 1x");
     TPCOOL_REQUIRE(!tier.benchmarks.empty(), "tier needs benchmarks");
     for (const std::string& name : tier.benchmarks) {
       (void)workload::find_benchmark(name);  // validates the name

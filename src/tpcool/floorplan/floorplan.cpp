@@ -101,14 +101,6 @@ Floorplan::Floorplan(double die_width, double die_height,
   }
 }
 
-std::vector<const Unit*> Floorplan::units_of(UnitType type) const {
-  std::vector<const Unit*> out;
-  for (const Unit& u : units_) {
-    if (u.type == type) out.push_back(&u);
-  }
-  return out;
-}
-
 std::optional<std::size_t> Floorplan::index_of(const std::string& name) const {
   for (std::size_t i = 0; i < units_.size(); ++i) {
     if (units_[i].name == name) return i;
@@ -126,12 +118,6 @@ const CoreSite& Floorplan::core(int core_id) const {
   TPCOOL_REQUIRE(core_id >= 1 && core_id <= static_cast<int>(cores_.size()),
                  "core id out of range");
   return cores_[static_cast<std::size_t>(core_id - 1)];
-}
-
-double Floorplan::coverage() const {
-  double covered = 0.0;
-  for (const Unit& u : units_) covered += u.rect.area();
-  return covered / die_area();
 }
 
 }  // namespace tpcool::floorplan

@@ -78,16 +78,10 @@ class Floorplan {
 
   [[nodiscard]] double die_width() const noexcept { return die_width_; }
   [[nodiscard]] double die_height() const noexcept { return die_height_; }
-  [[nodiscard]] double die_area() const noexcept {
-    return die_width_ * die_height_;
-  }
 
   [[nodiscard]] const std::vector<Unit>& units() const noexcept {
     return units_;
   }
-
-  /// Units of a given type, in declaration order.
-  [[nodiscard]] std::vector<const Unit*> units_of(UnitType type) const;
 
   /// Lookup by name; nullopt when absent.
   [[nodiscard]] std::optional<std::size_t> index_of(
@@ -103,9 +97,6 @@ class Floorplan {
     return cores_.size();
   }
   [[nodiscard]] const CoreSite& core(int core_id) const;
-
-  /// Fraction of the die outline covered by units (1.0 = fully tiled).
-  [[nodiscard]] double coverage() const;
 
  private:
   double die_width_;

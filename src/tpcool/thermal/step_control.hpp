@@ -74,10 +74,6 @@ class StepController {
   /// order, so the step-doubling estimate scales as dt².
   [[nodiscard]] bool evaluate(double dt_s, double error_c);
 
-  /// Next unclamped proposal (before the boundary rule) — observability
-  /// for tests and benches.
-  [[nodiscard]] double current_proposal_s() const noexcept { return dt_s_; }
-
  private:
   StepControlConfig config_;
   double dt_s_;  ///< Error-controlled proposal, boundary-unclamped.

@@ -83,11 +83,4 @@ template <typename T>
   return *std::max_element(g.data().begin(), g.data().end());
 }
 
-/// Minimum element of a non-empty grid.
-template <typename T>
-[[nodiscard]] T grid_min(const Grid2D<T>& g) {
-  TPCOOL_REQUIRE(!g.empty(), "grid_min of empty grid");
-  return *std::min_element(g.data().begin(), g.data().end());
-}
-
 }  // namespace tpcool::util

@@ -1,7 +1,5 @@
 #include "tpcool/workload/profiler.hpp"
 
-#include <algorithm>
-
 #include "tpcool/util/error.hpp"
 
 namespace tpcool::workload {
@@ -41,16 +39,6 @@ std::vector<ConfigPoint> Profiler::profile(const BenchmarkProfile& bench,
     p.norm_time = normalized_exec_time(bench, config);
     points.push_back(p);
   }
-  return points;
-}
-
-std::vector<ConfigPoint> Profiler::profile_sorted_by_power(
-    const BenchmarkProfile& bench, power::CState idle_state) const {
-  std::vector<ConfigPoint> points = profile(bench, idle_state);
-  std::sort(points.begin(), points.end(),
-            [](const ConfigPoint& a, const ConfigPoint& b) {
-              return a.power_w < b.power_w;
-            });
   return points;
 }
 

@@ -32,10 +32,6 @@ class Profiler {
   [[nodiscard]] std::vector<ConfigPoint> profile(
       const BenchmarkProfile& bench, power::CState idle_state) const;
 
-  /// Profile sorted ascending by power (the paper's Psort).
-  [[nodiscard]] std::vector<ConfigPoint> profile_sorted_by_power(
-      const BenchmarkProfile& bench, power::CState idle_state) const;
-
   /// Package power request for one (benchmark, configuration) pair.
   [[nodiscard]] power::PackagePowerRequest request_for(
       const BenchmarkProfile& bench, const Configuration& config,

@@ -155,15 +155,15 @@ TEST_F(ControlTest, WindowedMeasurementIsTimeWeighted) {
   FleetController controller(config);
   controller.on_run_begin(make_heterogeneous_fleet(2, 2, kCell), 1, 3600.0);
 
+  // The control error is the windowed mean minus the target.
+  const auto windowed = [&] { return controller.last_error() + config.target; };
   controller.on_interval(constant_pue_interval(0, 1.5, 100.0), {});
-  EXPECT_DOUBLE_EQ(controller.windowed_measurement(), 1.5);
+  EXPECT_DOUBLE_EQ(windowed(), 1.5);
   controller.on_interval(constant_pue_interval(1, 1.1, 300.0), {});
-  EXPECT_DOUBLE_EQ(controller.windowed_measurement(),
-                   (1.5 * 100.0 + 1.1 * 300.0) / 400.0);
+  EXPECT_DOUBLE_EQ(windowed(), (1.5 * 100.0 + 1.1 * 300.0) / 400.0);
   // The window slides: interval 0 ages out.
   controller.on_interval(constant_pue_interval(2, 1.3, 100.0), {});
-  EXPECT_DOUBLE_EQ(controller.windowed_measurement(),
-                   (1.1 * 300.0 + 1.3 * 100.0) / 400.0);
+  EXPECT_DOUBLE_EQ(windowed(), (1.1 * 300.0 + 1.3 * 100.0) / 400.0);
 }
 
 // -------------------------------------------------------------- anti-windup --

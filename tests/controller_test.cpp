@@ -15,7 +15,8 @@ constexpr double kCoarseCell = 2.0e-3;
 
 class ControllerTest : public ::testing::Test {
  protected:
-  ControllerTest() : pipeline_(Approach::kProposed, kCoarseCell) {}
+  ControllerTest()
+      : server_(server_config_for(Approach::kProposed, kCoarseCell)) {}
 
   ScheduleDecision full_load_decision() {
     const auto& bench = workload::worst_case_benchmark();
@@ -28,12 +29,12 @@ class ControllerTest : public ::testing::Test {
     return d;
   }
 
-  ApproachPipeline pipeline_;
+  ServerModel server_;
 };
 
 TEST_F(ControllerTest, NominalRunStaysCoolAndQuiet) {
   // At the design limit of 85 °C the worst case never trips the controller.
-  RuntimeController controller(pipeline_.server(), {});
+  RuntimeController controller(server_, {});
   const ControlTrace trace = controller.run(
       workload::worst_case_benchmark(), full_load_decision(),
       workload::QoSRequirement{1.0});
@@ -49,7 +50,7 @@ TEST_F(ControllerTest, NominalRunStaysCoolAndQuiet) {
 TEST_F(ControllerTest, TemperatureRisesMonotonicallyFromColdStart) {
   RuntimeController::Config config;
   config.max_steps = 10;
-  RuntimeController controller(pipeline_.server(), config);
+  RuntimeController controller(server_, config);
   const ControlTrace trace = controller.run(
       workload::worst_case_benchmark(), full_load_decision(),
       workload::QoSRequirement{1.0});
@@ -66,7 +67,7 @@ TEST_F(ControllerTest, TightLimitWithQosSlackLowersFrequencyFirst) {
   RuntimeController::Config config;
   config.tcase_limit_c = 45.0;  // artificially tight: forces emergencies
   config.max_steps = 30;
-  RuntimeController controller(pipeline_.server(), config);
+  RuntimeController controller(server_, config);
   // 3x QoS slack: DVFS reduction is allowed before touching the valve.
   const ControlTrace trace = controller.run(
       workload::worst_case_benchmark(), full_load_decision(),
@@ -88,7 +89,7 @@ TEST_F(ControllerTest, TightLimitWithoutQosSlackOpensValve) {
   RuntimeController::Config config;
   config.tcase_limit_c = 45.0;
   config.max_steps = 30;
-  RuntimeController controller(pipeline_.server(), config);
+  RuntimeController controller(server_, config);
   // 1x QoS: lowering the frequency would violate QoS → raise flow instead.
   const ControlTrace trace = controller.run(
       workload::worst_case_benchmark(), full_load_decision(),
@@ -107,7 +108,7 @@ TEST_F(ControllerTest, ImpossibleLimitEndsInThrottle) {
   RuntimeController::Config config;
   config.tcase_limit_c = 32.0;  // below what any flow can reach
   config.max_steps = 30;
-  RuntimeController controller(pipeline_.server(), config);
+  RuntimeController controller(server_, config);
   const ControlTrace trace = controller.run(
       workload::worst_case_benchmark(), full_load_decision(),
       workload::QoSRequirement{1.0});
@@ -123,9 +124,9 @@ TEST_F(ControllerTest, ImpossibleLimitEndsInThrottle) {
 TEST_F(ControllerTest, ServerFlowAboveEveryStepIsRejected) {
   // No valve step can hold 25 kg/h; starting at the lowest one would
   // silently cut the flow the server runs at.
-  pipeline_.server().set_operating_point(
+  server_.set_operating_point(
       {.water_flow_kg_h = 25.0, .water_inlet_c = 30.0});
-  RuntimeController controller(pipeline_.server(), {});
+  RuntimeController controller(server_, {});
   try {
     (void)controller.run(workload::worst_case_benchmark(),
                          full_load_decision(), workload::QoSRequirement{1.0});
@@ -140,10 +141,10 @@ TEST_F(ControllerTest, ServerFlowAboveEveryStepIsRejected) {
 TEST_F(ControllerTest, RejectsBadConfig) {
   RuntimeController::Config bad;
   bad.flow_steps_kg_h = {};
-  EXPECT_THROW(RuntimeController(pipeline_.server(), bad),
+  EXPECT_THROW(RuntimeController(server_, bad),
                util::PreconditionError);
   bad.flow_steps_kg_h = {10.0, 7.0};
-  EXPECT_THROW(RuntimeController(pipeline_.server(), bad),
+  EXPECT_THROW(RuntimeController(server_, bad),
                util::PreconditionError);
 }
 

@@ -453,10 +453,10 @@ PlainRackPlan plain_rack_plan(const RackSpec& spec,
   const double design_flow =
       core::server_config_for(spec.approach, spec.cell_size_m)
           .operating_point.water_flow_kg_h;
-  core::ApproachPipeline decider(spec.approach, spec.cell_size_m);
+  const core::Scheduler scheduler(spec.approach);
   std::vector<core::ScheduleDecision> decisions;
   for (const std::string& name : names) {
-    decisions.push_back(decider.scheduler().schedule(
+    decisions.push_back(scheduler.schedule(
         workload::find_benchmark(name), workload::QoSRequirement{2.0}));
   }
   const auto plain_solve = [&](std::size_t i, double t_w) {
@@ -510,7 +510,7 @@ TEST_F(DatacenterTest, OneRackFleetBitIdenticalToPlainSolves) {
       SCOPED_TRACE("server=" + names[i]);
       const JobOutcome& job = iv.jobs[i];
       EXPECT_EQ(job.benchmark, names[i]);
-      // Bitwise: caching, pipeline reuse and threads must be unobservable.
+      // Bitwise: caching, server reuse and threads must be unobservable.
       EXPECT_EQ(job.max_supply_temp_c, plan.demands[i].max_supply_temp_c);
       EXPECT_EQ(job.die_max_c, plan.at_setpoint[i].die.max_c);
       EXPECT_EQ(job.package_power_w, plan.at_setpoint[i].total_power_w);
@@ -541,17 +541,20 @@ std::size_t jsonl_count(const std::string& record, const std::string& key) {
 }
 
 TEST_F(DatacenterTest, SharedScansOnlyAmongInterchangeableRacks) {
-  // Three racks of one approach.  Rack 1 scans other supply candidates
-  // and rack 2 has a lower TCASE limit, so neither may share rack 0's
-  // scans; within a rack, the duplicate benchmarks do share them.
+  // Four racks of one approach.  Rack 1 scans other supply candidates,
+  // rack 2 has a lower TCASE limit and rack 3 runs on a coarser grid, so
+  // none may share rack 0's scans or solves (rack 3 shares only the
+  // approach's scheduler); within a rack, the duplicate benchmarks do
+  // share them.
   FleetConfig config = one_rack(4);
-  config.racks.resize(3, config.racks[0]);
+  config.racks.resize(4, config.racks[0]);
   config.racks[1].supply_candidates_c = {38.0, 33.0, 28.0};
   config.racks[2].tcase_limit_c = 45.5;
-  // Round-robin places stream j on rack j % 3, so every rack runs x264
+  config.racks[3].cell_size_m = 3.0e-3;
+  // Round-robin places stream j on rack j % 4, so every rack runs x264
   // twice, then canneal twice.
-  std::vector<std::string> names(6, "x264");
-  names.resize(12, "canneal");
+  std::vector<std::string> names(8, "x264");
+  names.resize(16, "canneal");
 
   std::vector<PlainRackPlan> plans;
   std::size_t requests = 0;
@@ -571,6 +574,8 @@ TEST_F(DatacenterTest, SharedScansOnlyAmongInterchangeableRacks) {
             plans[0].demands[0].max_supply_temp_c);
   ASSERT_NE(plans[2].demands[0].max_supply_temp_c,
             plans[0].demands[0].max_supply_temp_c);
+  ASSERT_NE(plans[3].at_setpoint[0].die.max_c,
+            plans[0].at_setpoint[0].die.max_c);
 
   for (const std::size_t threads : {1u, 4u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "tpcool/floorplan/floorplan.hpp"
@@ -68,7 +69,7 @@ TEST(Floorplan, SharedEdgesAllowed) {
       {"b", UnitType::kCache, {1.0, 0.0, 2.0, 2.0}, 0},
   };
   const Floorplan fp(2.0, 2.0, std::move(units));
-  EXPECT_DOUBLE_EQ(fp.coverage(), 1.0);
+  EXPECT_EQ(fp.units().size(), 2u);
 }
 
 // ---------------------------------------------------------------- XeonE5 --
@@ -80,7 +81,7 @@ class XeonFloorplanTest : public ::testing::Test {
 
 TEST_F(XeonFloorplanTest, DieAreaMatchesPaper) {
   // Paper: 246 mm² die in 14 nm.
-  EXPECT_NEAR(fp_.die_area() * 1e6, 246.0, 2.0);
+  EXPECT_NEAR(fp_.die_width() * fp_.die_height() * 1e6, 246.0, 2.0);
 }
 
 TEST_F(XeonFloorplanTest, HasEightCores) {
@@ -91,7 +92,9 @@ TEST_F(XeonFloorplanTest, HasEightCores) {
 }
 
 TEST_F(XeonFloorplanTest, FullyTiled) {
-  EXPECT_NEAR(fp_.coverage(), 1.0, 1e-9);
+  double covered = 0.0;
+  for (const Unit& u : fp_.units()) covered += u.rect.area();
+  EXPECT_NEAR(covered / (fp_.die_width() * fp_.die_height()), 1.0, 1e-9);
 }
 
 TEST_F(XeonFloorplanTest, CoreGridLayoutMatchesFig2c) {
@@ -142,9 +145,13 @@ TEST_F(XeonFloorplanTest, UnitLookup) {
 }
 
 TEST_F(XeonFloorplanTest, UnitsOfTypeCounts) {
-  EXPECT_EQ(fp_.units_of(UnitType::kCore).size(), 8u);
-  EXPECT_EQ(fp_.units_of(UnitType::kCache).size(), 1u);
-  EXPECT_EQ(fp_.units_of(UnitType::kReserved).size(), 3u);
+  const auto count = [&](UnitType type) {
+    return std::count_if(fp_.units().begin(), fp_.units().end(),
+                         [&](const Unit& u) { return u.type == type; });
+  };
+  EXPECT_EQ(count(UnitType::kCore), 8);
+  EXPECT_EQ(count(UnitType::kCache), 1);
+  EXPECT_EQ(count(UnitType::kReserved), 3);
 }
 
 // --------------------------------------------------------------- PowerMap --

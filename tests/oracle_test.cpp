@@ -75,8 +75,8 @@ TEST_F(OracleTest, ProposedHeuristicNearThermalOptimum) {
   // out over the thread pool through the shared solve cache
   // (core::evaluate_placements_parallel).
   constexpr double kCell = 2.0e-3;
-  core::ApproachPipeline pipeline(core::Approach::kProposed, kCell);
-  const core::ServerModel& server = pipeline.server();
+  const core::ServerModel server(
+      core::server_config_for(core::Approach::kProposed, kCell));
   const auto& bench = workload::find_benchmark("x264");
   const workload::Configuration config{4, 2, 3.2};
 

@@ -1,10 +1,10 @@
 // Tests for the parallel experiment engine: the solve key's golden bytes,
 // PipelinePool checkout/reuse semantics and that only cache misses check
-// pipelines out, parallel_map determinism, nesting and error propagation,
-// the history independence of pipeline solves, and the headline contract —
-// experiment results bit-identical at 1, 2, and N threads (run_fig3/
-// run_table1, run_fig6_scenarios, optimize_design) and for cold vs
-// snapshot-warmed caches.
+// servers out, parallel_map determinism, nesting and error propagation,
+// the history independence of pooled servers' solves, and the headline
+// contract — experiment results bit-identical at 1, 2, and N threads
+// (run_fig3/run_table1, run_fig6_scenarios, optimize_design) and for cold
+// vs snapshot-warmed caches.
 
 #include <gtest/gtest.h>
 
@@ -137,16 +137,16 @@ TEST_F(ParallelEngineTest, PipelineSolvesAreIndependentOfHistory) {
   const std::vector<int> cores_b = fig6_scenario_cores(3);
 
   // Server 1 solves A then B; server 2 solves only B.  Equality means a
-  // pipeline server's solve does not depend on what it solved before,
-  // which is what lets any pooled pipeline serve any cache miss.
-  ApproachPipeline p1(Approach::kProposed, kCell);
-  (void)p1.server().simulate(bench, config, cores_a, power::CState::kPoll);
+  // `server_config_for` server's solve does not depend on what it solved
+  // before, which is what lets any pooled server serve any cache miss.
+  ServerModel s1(server_config_for(Approach::kProposed, kCell));
+  (void)s1.simulate(bench, config, cores_a, power::CState::kPoll);
   const SimulationResult b_after_a =
-      p1.server().simulate(bench, config, cores_b, power::CState::kPoll);
+      s1.simulate(bench, config, cores_b, power::CState::kPoll);
 
-  ApproachPipeline p2(Approach::kProposed, kCell);
+  ServerModel s2(server_config_for(Approach::kProposed, kCell));
   const SimulationResult b_cold =
-      p2.server().simulate(bench, config, cores_b, power::CState::kPoll);
+      s2.simulate(bench, config, cores_b, power::CState::kPoll);
 
   EXPECT_EQ(b_after_a.die.max_c, b_cold.die.max_c);
   EXPECT_EQ(b_after_a.die.avg_c, b_cold.die.avg_c);
@@ -305,27 +305,29 @@ TEST_F(ParallelEngineTest, PipelinePoolChecksOutConstructsAndReuses) {
   PipelinePool pool;
   {
     const PipelinePool::Lease lease = pool.checkout(Approach::kProposed, kCell);
-    EXPECT_EQ(lease->approach(), Approach::kProposed);
+    EXPECT_EQ(lease->design().evaporator.orientation,
+              thermosyphon::Orientation::kEastWest);
     const PipelinePool::Stats stats = pool.stats();
     EXPECT_EQ(stats.constructions, 1u);
     EXPECT_EQ(stats.reuses, 0u);
     EXPECT_EQ(stats.idle, 0u);  // checked out, not parked
   }
-  EXPECT_EQ(pool.stats().idle, 1u);  // lease returned its pipeline
+  EXPECT_EQ(pool.stats().idle, 1u);  // lease returned its server
 
   {
     const PipelinePool::Lease lease = pool.checkout(Approach::kProposed, kCell);
     EXPECT_EQ(pool.stats().reuses, 1u);
     EXPECT_EQ(pool.stats().constructions, 1u);
-    // A different (approach, cell size) key never shares pipelines.
+    // A different (approach, cell size) key never shares servers.
     const PipelinePool::Lease other =
         pool.checkout(Approach::kSoaBalancing, kCell);
-    EXPECT_EQ(other->approach(), Approach::kSoaBalancing);
+    EXPECT_EQ(other->design().evaporator.orientation,
+              thermosyphon::Orientation::kNorthSouth);
     EXPECT_EQ(pool.stats().constructions, 2u);
   }
   EXPECT_EQ(pool.stats().idle, 2u);
 
-  pool.clear();  // drops the idle pipelines, keeps the counters
+  pool.clear();  // drops the idle servers, keeps the counters
   EXPECT_EQ(pool.stats().idle, 0u);
   EXPECT_EQ(pool.stats().constructions, 2u);
   EXPECT_EQ(pool.stats().reuses, 1u);
@@ -333,7 +335,7 @@ TEST_F(ParallelEngineTest, PipelinePoolChecksOutConstructsAndReuses) {
 
 TEST_F(ParallelEngineTest, OnlyCacheMissesCheckOutPipelines) {
   // Keys are built from the solve inputs alone, so a hit touches no
-  // pipeline: a cold run's checkouts equal its misses at any thread count,
+  // server: a cold run's checkouts equal its misses at any thread count,
   // and a warm rerun (all hits) leaves the pool's counters unchanged.
   const auto checkouts = [] {
     const PipelinePool::Stats stats = PipelinePool::global().stats();

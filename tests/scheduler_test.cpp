@@ -1,5 +1,5 @@
-// Tests for tpcool::core::Scheduler and the approach pipelines — Algorithm 1
-// end to end, C-state management, and the per-scheduler decision memo.
+// Tests for tpcool::core::Scheduler and the approaches — Algorithm 1 end to
+// end, C-state management, and the per-scheduler decision memo.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,7 @@
 #include <cstdint>
 #include <string>
 
-#include "tpcool/core/pipelines.hpp"
+#include "tpcool/core/scheduler.hpp"
 #include "tpcool/util/error.hpp"
 #include "tpcool/workload/performance_model.hpp"
 
@@ -19,14 +19,14 @@ constexpr double kCoarseCell = 1.5e-3;
 
 class SchedulerTest : public ::testing::Test {
  protected:
-  ApproachPipeline proposed_{Approach::kProposed, kCoarseCell};
-  ApproachPipeline soa_{Approach::kSoaBalancing, kCoarseCell};
+  Scheduler proposed_{Approach::kProposed};
+  Scheduler soa_{Approach::kSoaBalancing};
 };
 
 TEST_F(SchedulerTest, DecisionMeetsQos) {
   for (const auto& bench : workload::parsec_benchmarks()) {
     for (const auto& qos : workload::qos_levels()) {
-      const ScheduleDecision d = proposed_.scheduler().schedule(bench, qos);
+      const ScheduleDecision d = proposed_.schedule(bench, qos);
       EXPECT_TRUE(qos.satisfied_by(d.point.norm_time))
           << bench.name << " @" << qos.factor;
       EXPECT_EQ(static_cast<int>(d.cores.size()), d.point.config.cores);
@@ -39,9 +39,9 @@ TEST_F(SchedulerTest, QosOneSelectsBaselineEverywhere) {
   // workload with fmax and maximum number of available cores and threads".
   const workload::QoSRequirement qos{1.0};
   for (const auto& bench : workload::parsec_benchmarks()) {
-    EXPECT_EQ(proposed_.scheduler().schedule(bench, qos).point.config,
+    EXPECT_EQ(proposed_.schedule(bench, qos).point.config,
               workload::baseline_configuration());
-    EXPECT_EQ(soa_.scheduler().schedule(bench, qos).point.config,
+    EXPECT_EQ(soa_.schedule(bench, qos).point.config,
               workload::baseline_configuration());
   }
 }
@@ -49,19 +49,18 @@ TEST_F(SchedulerTest, QosOneSelectsBaselineEverywhere) {
 TEST_F(SchedulerTest, ProposedManagesCstatesByTolerableLatency) {
   const workload::QoSRequirement qos{3.0};
   // facesim tolerates no latency -> POLL; swaptions tolerates 10 µs -> C1E.
-  const ScheduleDecision rt = proposed_.scheduler().schedule(
-      workload::find_benchmark("facesim"), qos);
+  const ScheduleDecision rt =
+      proposed_.schedule(workload::find_benchmark("facesim"), qos);
   EXPECT_EQ(rt.idle_state, power::CState::kPoll);
-  const ScheduleDecision batch = proposed_.scheduler().schedule(
-      workload::find_benchmark("swaptions"), qos);
+  const ScheduleDecision batch =
+      proposed_.schedule(workload::find_benchmark("swaptions"), qos);
   EXPECT_EQ(batch.idle_state, power::CState::kC1E);
 }
 
 TEST_F(SchedulerTest, SoaAlwaysPolls) {
   const workload::QoSRequirement qos{3.0};
   for (const auto& bench : workload::parsec_benchmarks()) {
-    EXPECT_EQ(soa_.scheduler().schedule(bench, qos).idle_state,
-              power::CState::kPoll);
+    EXPECT_EQ(soa_.schedule(bench, qos).idle_state, power::CState::kPoll);
   }
 }
 
@@ -69,20 +68,20 @@ TEST_F(SchedulerTest, ProposedPowerNeverAboveSoa) {
   for (const auto& qos : workload::qos_levels()) {
     for (const auto& name : {"x264", "canneal", "ferret"}) {
       const auto& bench = workload::find_benchmark(name);
-      const double p_prop =
-          proposed_.scheduler().schedule(bench, qos).point.power_w;
-      const double p_soa =
-          soa_.scheduler().schedule(bench, qos).point.power_w;
+      const double p_prop = proposed_.schedule(bench, qos).point.power_w;
+      const double p_soa = soa_.schedule(bench, qos).point.power_w;
       EXPECT_LE(p_prop, p_soa + 1e-9) << name << " @" << qos.factor;
     }
   }
 }
 
-TEST_F(SchedulerTest, RunReturnsDecisionAndResult) {
+TEST_F(SchedulerTest, DecisionSimulatesOnTheApproachServer) {
   const auto& bench = workload::find_benchmark("vips");
-  ScheduleDecision decision;
-  const SimulationResult sim = proposed_.scheduler().run(
-      bench, workload::QoSRequirement{2.0}, &decision);
+  const ScheduleDecision decision =
+      proposed_.schedule(bench, workload::QoSRequirement{2.0});
+  ServerModel server(server_config_for(Approach::kProposed, kCoarseCell));
+  const SimulationResult sim = server.simulate(
+      bench, decision.point.config, decision.cores, decision.idle_state);
   EXPECT_EQ(sim.active_cores, decision.cores);
   EXPECT_GT(sim.die.max_c, 30.0);
 }
@@ -112,27 +111,26 @@ void expect_same_decision(const ScheduleDecision& a,
 ScheduleDecision fresh_decision(Approach approach,
                                 const workload::BenchmarkProfile& bench,
                                 const workload::QoSRequirement& qos) {
-  ApproachPipeline pipeline(approach, kCoarseCell);
-  return pipeline.scheduler().schedule(bench, qos);
+  return Scheduler(approach).schedule(bench, qos);
 }
 
 TEST(ScheduleMemo, RepeatedDecisionsEqualFreshOnesBitForBit) {
   for (const Approach approach :
        {Approach::kProposed, Approach::kSoaBalancing,
         Approach::kSoaInletFirst}) {
-    ApproachPipeline shared(approach, kCoarseCell);
+    const Scheduler shared(approach);
     // Fill the memo with every (benchmark, QoS) pair first, so the checked
     // calls below are all served from it.
     for (const auto& bench : workload::parsec_benchmarks()) {
       for (const auto& qos : workload::qos_levels()) {
-        (void)shared.scheduler().schedule(bench, qos);
+        (void)shared.schedule(bench, qos);
       }
     }
     for (const auto& bench : workload::parsec_benchmarks()) {
       for (const auto& qos : workload::qos_levels()) {
         SCOPED_TRACE(std::string(to_string(approach)) + " " + bench.name +
                      " @" + std::to_string(qos.factor));
-        expect_same_decision(shared.scheduler().schedule(bench, qos),
+        expect_same_decision(shared.schedule(bench, qos),
                              fresh_decision(approach, bench, qos));
       }
     }
@@ -147,13 +145,13 @@ TEST(ScheduleMemo, KeysOnTheWholeProfileNotTheName) {
   workload::BenchmarkProfile heavy = x264;
   heavy.c_eff_w_per_ghz_v2 *= 1.5;
 
-  ApproachPipeline pipeline(Approach::kProposed, kCoarseCell);
-  const ScheduleDecision real = pipeline.scheduler().schedule(x264, qos);
-  const ScheduleDecision custom = pipeline.scheduler().schedule(heavy, qos);
+  const Scheduler scheduler(Approach::kProposed);
+  const ScheduleDecision real = scheduler.schedule(x264, qos);
+  const ScheduleDecision custom = scheduler.schedule(heavy, qos);
   EXPECT_FALSE(same_bits(custom.point.power_w, real.point.power_w));
   expect_same_decision(custom,
                        fresh_decision(Approach::kProposed, heavy, qos));
-  expect_same_decision(pipeline.scheduler().schedule(x264, qos), real);
+  expect_same_decision(scheduler.schedule(x264, qos), real);
 }
 
 TEST(ScheduleMemo, QosFactorsOneUlpApartAreDistinctKeys) {
@@ -162,10 +160,9 @@ TEST(ScheduleMemo, QosFactorsOneUlpApartAreDistinctKeys) {
   // still the cheapest feasible one), one ulp below it is not, so the two
   // factors must decide differently on one scheduler.
   const workload::BenchmarkProfile& bench = workload::find_benchmark("x264");
-  ApproachPipeline pipeline(Approach::kProposed, kCoarseCell);
+  const Scheduler scheduler(Approach::kProposed);
   const double t =
-      pipeline.scheduler().schedule(bench, workload::QoSRequirement{2.0})
-          .point.norm_time;
+      scheduler.schedule(bench, workload::QoSRequirement{2.0}).point.norm_time;
   double edge = t - 1e-9;
   while (!workload::QoSRequirement{edge}.satisfied_by(t)) {
     edge = std::nextafter(edge, 3.0);
@@ -176,15 +173,15 @@ TEST(ScheduleMemo, QosFactorsOneUlpApartAreDistinctKeys) {
   const workload::QoSRequirement at_edge{edge};
   const workload::QoSRequirement below{std::nextafter(edge, 0.0)};
 
-  const ScheduleDecision on = pipeline.scheduler().schedule(bench, at_edge);
-  const ScheduleDecision off = pipeline.scheduler().schedule(bench, below);
+  const ScheduleDecision on = scheduler.schedule(bench, at_edge);
+  const ScheduleDecision off = scheduler.schedule(bench, below);
   EXPECT_TRUE(same_bits(on.point.norm_time, t));
   EXPECT_NE(on.point.config, off.point.config);
   expect_same_decision(on, fresh_decision(Approach::kProposed, bench, at_edge));
   expect_same_decision(off, fresh_decision(Approach::kProposed, bench, below));
 }
 
-TEST(ApproachPipeline, NamesMatchPaperNotation) {
+TEST(Approach, NamesMatchPaperNotation) {
   EXPECT_STREQ(to_string(Approach::kProposed), "Proposed");
   EXPECT_STREQ(to_string(Approach::kSoaBalancing), "[8]+[27]+[9]");
   EXPECT_STREQ(to_string(Approach::kSoaInletFirst), "[8]+[27]+[7]");

@@ -154,7 +154,7 @@ void expect_same_solve(const SimulationResult& a, const SimulationResult& b) {
 TEST(ServerCachedSolve, HitSharesTheStoredResult) {
   // cached_solve keys on the solve's inputs, with the placement as a set:
   // a permuted placement hits and hands out the stored result itself,
-  // whose value is a plain cold solve on a pipeline-configured server.
+  // whose value is a plain cold solve on a `server_config_for` server.
   constexpr double kCell = 2.0e-3;
   SolveCache cache(8);
   const auto& bench = workload::find_benchmark("x264");

@@ -144,6 +144,12 @@ TEST(WorkloadGenerator, ValidatesItsConfig) {
   bad_bench.tiers = {{workload::QoSRequirement{2.0}, {"no-such-bench"}}};
   EXPECT_THROW(WorkloadGenerator(std::move(bad_bench)),
                util::PreconditionError);
+  WorkloadGenConfig endless_qos;
+  endless_qos.tiers = {{workload::QoSRequirement{
+                            std::numeric_limits<double>::infinity()},
+                        {"x264"}}};
+  EXPECT_THROW(WorkloadGenerator(std::move(endless_qos)),
+               util::PreconditionError);
   WorkloadGenConfig zero_weights;
   zero_weights.tiers = {{workload::QoSRequirement{2.0}, {"x264"}, 0.0, 0.0}};
   EXPECT_THROW(WorkloadGenerator(std::move(zero_weights)),

@@ -343,7 +343,7 @@ TEST_F(TelemetryTest, EngineDigestsAreIdenticalTracingOnOrOff) {
     EXPECT_EQ(solve_spans,
               Telemetry::instance().counter("solve.executed").value());
     EXPECT_GE(Telemetry::instance().counter("fleet.intervals").value(), 1.0);
-    // Only a miss checks a pipeline out, so checkouts equal solves.
+    // Only a miss checks a server out, so checkouts equal solves.
     EXPECT_EQ(Telemetry::instance().counter("pipeline.constructions").value() +
                   Telemetry::instance().counter("pipeline.reuses").value(),
               solve_spans);

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "tpcool/util/error.hpp"
 #include "tpcool/workload/trace.hpp"
 
@@ -35,6 +37,18 @@ TEST(WorkloadTrace, ValidatesPhases) {
                util::PreconditionError);
   EXPECT_THROW(workload::WorkloadTrace({{"x264", {0.5}, 1.0}}),
                util::PreconditionError);
+  // Non-finite durations and QoS factors, and finite phases whose total
+  // overflows: an endless phase never reaches its interval boundary.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(workload::WorkloadTrace({{"x264", {2.0}, 30.0},
+                                        {"ferret", {2.0}, inf}}),
+               util::PreconditionError);
+  EXPECT_THROW(workload::WorkloadTrace({{"x264", {inf}, 30.0}}),
+               util::PreconditionError);
+  EXPECT_THROW(workload::WorkloadTrace({{"x264", {2.0}, 1e308},
+                                        {"ferret", {2.0}, 1e308}}),
+               util::PreconditionError);
+  EXPECT_THROW((void)workload::make_daily_trace(inf), util::PreconditionError);
 }
 
 TEST(WorkloadTrace, BuiltinTracesValid) {

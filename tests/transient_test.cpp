@@ -79,32 +79,33 @@ TEST(StepController, ProposeAppliesTheStepToBoundaryRules) {
 
 TEST(StepController, EvaluateRunsTheDeadBeatUpdate) {
   const auto config = tight_config();
+  // Far from any boundary, propose() returns the dead-beat proposal itself.
+  constexpr double kFar = 1.0e9;
   thermal::StepController controller(config);
 
   // Error at tolerance: accepted, next proposal shrinks by safety.
   EXPECT_TRUE(controller.evaluate(0.5, config.tolerance_c));
-  EXPECT_DOUBLE_EQ(controller.current_proposal_s(), 0.5 * config.safety);
+  EXPECT_DOUBLE_EQ(controller.propose(kFar), 0.5 * config.safety);
 
   // Zero error (an equilibrated field): grows at the cap.
   thermal::StepController growing(config);
   EXPECT_TRUE(growing.evaluate(0.5, 0.0));
-  EXPECT_DOUBLE_EQ(growing.current_proposal_s(), 0.5 * config.max_growth);
+  EXPECT_DOUBLE_EQ(growing.propose(kFar), 0.5 * config.max_growth);
 
   // 4x over tolerance: rejected, retried at 0.9 * sqrt(1/4) = 0.45x.
   thermal::StepController shrinking(config);
   EXPECT_FALSE(shrinking.evaluate(0.5, 4.0 * config.tolerance_c));
-  EXPECT_DOUBLE_EQ(shrinking.current_proposal_s(),
-                   0.5 * config.safety * 0.5);
+  EXPECT_DOUBLE_EQ(shrinking.propose(kFar), 0.5 * config.safety * 0.5);
 
   // Wildly over tolerance: the shrink factor floors at 0.1, not at min_dt.
   thermal::StepController floored(config);
   EXPECT_FALSE(floored.evaluate(0.5, 1.0e9));
-  EXPECT_DOUBLE_EQ(floored.current_proposal_s(), 0.05);
+  EXPECT_DOUBLE_EQ(floored.propose(kFar), 0.05);
 
   // At the dt floor any error is accepted (progress guarantee).
   thermal::StepController at_floor(config);
   EXPECT_TRUE(at_floor.evaluate(config.min_dt_s, 1.0e9));
-  EXPECT_DOUBLE_EQ(at_floor.current_proposal_s(), config.min_dt_s);
+  EXPECT_DOUBLE_EQ(at_floor.propose(kFar), config.min_dt_s);
 
   EXPECT_THROW((void)at_floor.evaluate(0.0, 0.0), util::PreconditionError);
   EXPECT_THROW((void)at_floor.evaluate(0.5, -1.0), util::PreconditionError);
@@ -444,7 +445,7 @@ TEST_F(TransientEngineTest, WarmRerunMissesNothingAndCachesOnlySteadySolves) {
 TEST_F(TransientEngineTest, IdenticalStreamsIntegrateTheirSegmentsOnce) {
   // Two copies of one stream on a one-rack fleet get the same plan, so the
   // copy's chain agrees with the original's link for link: it replays each
-  // segment instead of integrating it (one pipeline checkout per segment
+  // segment instead of integrating it (one server checkout per segment
   // beyond the steady misses, not two), reports the same outcomes, and
   // gives the same bits at any thread count.
   const workload::WorkloadTrace stream = smooth_streams()[0];

@@ -174,14 +174,6 @@ TEST_F(ProfilerTest, ProfilesFullSpace) {
   }
 }
 
-TEST_F(ProfilerTest, SortedByPowerAscending) {
-  const auto sorted = profiler_.profile_sorted_by_power(
-      find_benchmark("vips"), power::CState::kPoll);
-  for (std::size_t i = 1; i < sorted.size(); ++i) {
-    EXPECT_LE(sorted[i - 1].power_w, sorted[i].power_w);
-  }
-}
-
 TEST_F(ProfilerTest, RequestMatchesConfiguration) {
   const auto& bench = find_benchmark("canneal");
   const Configuration config{5, 2, 2.9};
