@@ -22,8 +22,6 @@ void validate_controller_config(const FleetControllerConfig& config) {
       "controller bias range needs min_bias_c <= max_bias_c, both finite");
   TPCOOL_REQUIRE(std::isfinite(config.quantum_c) && config.quantum_c > 0.0,
                  "controller bias quantum must be finite and positive");
-  TPCOOL_REQUIRE(config.qos_backoff_c >= 0.0,
-                 "controller QoS backoff must be nonnegative");
 }
 
 FleetController::FleetController(FleetControllerConfig config)
@@ -60,19 +58,9 @@ void FleetController::on_interval(const FleetInterval& interval,
                                   const IntervalCounters& counters) {
   (void)counters;
 
-  // Measurement → averager: push this interval's value into the window
-  // and take the time-weighted mean.
-  double value = 0.0;
-  if (config_.measurement == ControlMeasurement::kFleetPue) {
-    value = interval.pue;
-  } else {
-    const std::size_t active =
-        interval.jobs.size() + interval.shed_streams.size();
-    value = active == 0 ? 0.0
-                        : static_cast<double>(interval.qos_violations) /
-                              static_cast<double>(active);
-  }
-  window_.emplace_back(value, interval.duration_s);
+  // Measurement → averager: push this interval's PUE into the window and
+  // take the time-weighted mean.
+  window_.emplace_back(interval.pue, interval.duration_s);
   while (window_.size() > config_.window_intervals) window_.pop_front();
   double weighted = 0.0;
   double weight = 0.0;
@@ -80,29 +68,16 @@ void FleetController::on_interval(const FleetInterval& interval,
     weighted += v * w;
     weight += w;
   }
-  const double mean = weight > 0.0 ? weighted / weight : value;
+  const double mean = weight > 0.0 ? weighted / weight : interval.pue;
 
-  // Control error → damped update.  For PUE, a positive error (PUE above
-  // target) drives warmer (less chiller overhead); for the violation
-  // rate, a positive error drives colder (more thermal margin).
+  // Control error → damped update: a PUE above target (positive error)
+  // drives warmer (less chiller overhead).
   error_ = mean - config_.target;
-  const double sign =
-      config_.measurement == ControlMeasurement::kFleetPue ? 1.0 : -1.0;
-
-  std::vector<char> violated(bias_.size(), 0);
-  if (config_.qos_backoff_c > 0.0) {
-    for (const JobOutcome& job : interval.jobs) {
-      if (job.tcase_limit_exceeded && job.rack < violated.size()) {
-        violated[job.rack] = 1;
-      }
-    }
-  }
-  for (std::size_t r = 0; r < bias_.size(); ++r) {
-    double next = config_.damping * bias_[r] + sign * config_.gain_c * error_;
-    if (violated[r] != 0) next -= config_.qos_backoff_c;
+  for (double& bias : bias_) {
     // Anti-windup: the stored integrator state itself is clamped to the
     // actuation range, so saturation never banks unbounded correction.
-    bias_[r] = std::clamp(next, config_.min_bias_c, config_.max_bias_c);
+    bias = std::clamp(config_.damping * bias + config_.gain_c * error_,
+                      config_.min_bias_c, config_.max_bias_c);
   }
 }
 
@@ -137,7 +112,6 @@ ControlScenario make_pue_tracking_day(std::uint64_t seed, std::size_t streams,
   // fleet; tests/control_test.cpp pins the band): the uncontrolled fleet
   // spends the day below the ±2% band, the controller's cool-only bias
   // holds it on target through the swing.
-  scenario.controller.measurement = ControlMeasurement::kFleetPue;
   scenario.controller.target = 1.12;
   scenario.controller.window_intervals = 3;
   scenario.controller.gain_c = 60.0;

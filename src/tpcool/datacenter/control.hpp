@@ -1,16 +1,15 @@
 #pragma once
 /// \file control.hpp
 /// \brief Closed-loop fleet control: a `FleetObserver` that tracks a fleet
-///        PUE or QoS-violation-rate target online by biasing per-rack
-///        water supply setpoints — the measurement → averager → control
-///        error → damped update feedback idiom of SpECTRE's
-///        `ControlSystem/`, one level up from the paper's per-server §VII
-///        `core::RuntimeController`.
+///        PUE target online by biasing per-rack water supply setpoints —
+///        the measurement → averager → control error → damped update
+///        feedback idiom of SpECTRE's `ControlSystem/`, one level up from
+///        the paper's per-server §VII `core::RuntimeController`.
 ///
 /// The loop closes through the streaming engine:
 ///
 ///   interval i physics → observers (controller updates its windowed
-///   measurement, control error, and per-rack bias state) → engine
+///   PUE, control error, and per-rack bias state) → engine
 ///   queries the applied biases when computing interval i+1 → biased
 ///   setpoints shift chiller COP / TCASE margins → interval i+1 physics.
 ///
@@ -34,35 +33,23 @@
 
 namespace tpcool::datacenter {
 
-/// What the controller tracks.
-enum class ControlMeasurement {
-  /// `FleetInterval::pue`, time-weighted over the averaging window.
-  /// PUE above target drives setpoints warmer (higher chiller COP, less
-  /// electrical overhead); below target drives them colder.
-  kFleetPue,
-  /// QoS violations per active job (placed + shed), time-weighted.  A rate
-  /// above target drives setpoints colder (more thermal margin).
-  kQosViolationRate,
-};
-
 /// Controller parameters.  The update per interval, per rack, is
 ///
-///   bias ← clamp(damping · bias + sign · gain_c · error [− backoff],
-///                min_bias_c, max_bias_c)
+///   bias ← clamp(damping · bias + gain_c · error, min_bias_c, max_bias_c)
 ///
-/// a damped (leaky) integrator: `error` is the windowed measurement minus
-/// the target, `sign` maps the error onto the warm/cold direction for the
-/// chosen measurement, and the clamp is the anti-windup — the stored
-/// state itself saturates, so a long excursion cannot bank unbounded
-/// correction that must unwind before the sign of the response flips.
+/// a damped (leaky) integrator: `error` is the windowed fleet PUE minus
+/// the target (PUE above target drives setpoints warmer: higher chiller
+/// COP, less electrical overhead), and the clamp is the anti-windup — the
+/// stored state itself saturates, so a long excursion cannot bank
+/// unbounded correction that must unwind before the sign of the response
+/// flips.
 /// With damping < 1 the no-disturbance fixed point is
 /// gain_c · error / (1 − damping), approached monotonically.
 struct FleetControllerConfig {
-  ControlMeasurement measurement = ControlMeasurement::kFleetPue;
-  /// The tracked value: a PUE (>= 1 physically) or a violation rate.
+  /// The tracked fleet PUE (>= 1 physically).
   double target = 1.10;
-  /// Averaging window, in intervals (>= 1): the measurement driving the
-  /// error is the time-weighted mean of the last this-many intervals.
+  /// Averaging window, in intervals (>= 1): the PUE driving the error is
+  /// the time-weighted mean of the last this-many intervals.
   std::size_t window_intervals = 4;
   /// °C of bias step per unit of control error per interval (>= 0; zero
   /// disables actuation entirely, bit-identical to no controller).
@@ -81,11 +68,6 @@ struct FleetControllerConfig {
   /// grid and the solve cache can reuse operating points across
   /// intervals and runs (exact-double cache keys).
   double quantum_c = 1.0;
-  /// Extra cold shift [°C/interval] applied to any rack that had a
-  /// TCASE-violating job this interval (>= 0; 0 disables).  Lets a PUE
-  /// tracker react to per-rack thermal distress without switching the
-  /// fleet-wide measurement.
-  double qos_backoff_c = 0.0;
 };
 
 /// Validate a `FleetControllerConfig`; throws PreconditionError on the
@@ -120,7 +102,7 @@ class FleetController final : public FleetObserver {
   /// assert convergence and anti-windup on.
   [[nodiscard]] double bias_c(std::size_t rack) const;
 
-  /// Windowed control error (mean measurement − target) after the most
+  /// Windowed control error (mean PUE − target) after the most
   /// recently observed interval.
   [[nodiscard]] double last_error() const noexcept { return error_; }
 

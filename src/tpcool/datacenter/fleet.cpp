@@ -32,16 +32,21 @@ void validate_fleet_config(const FleetConfig& config) {
     TPCOOL_REQUIRE(std::isfinite(rack.tcase_limit_c),
                    "rack TCASE limit must be finite");
     TPCOOL_REQUIRE(rack.cell_size_m > 0.0, "cell size must be positive");
-  }
-  for (const FleetEvent& event : config.events) {
-    TPCOOL_REQUIRE(event.rack < config.racks.size(),
-                   "fleet event targets an unknown rack");
-    TPCOOL_REQUIRE(event.time_s >= 0.0,
-                   "fleet event time must be nonnegative");
-    if (event.kind == FleetEventKind::kChillerDerate) {
-      TPCOOL_REQUIRE(event.factor > 0.0 && event.factor <= 1.0,
-                     "chiller derate factor must be in (0, 1]");
-    }
+    // The chiller is fixed for the run, so a bad one fails here and not
+    // at the first interval, deep inside the COP or PUE arithmetic.
+    const cooling::ChillerModel& chiller = rack.chiller;
+    TPCOOL_REQUIRE(
+        std::isfinite(chiller.ambient_c) && std::isfinite(chiller.approach_k),
+        "rack chiller ambient and approach must be finite");
+    TPCOOL_REQUIRE(
+        chiller.second_law_eff > 0.0 && chiller.second_law_eff <= 1.0,
+        "rack chiller second-law efficiency must be in (0, 1]");
+    TPCOOL_REQUIRE(std::isfinite(chiller.pump_overhead_w) &&
+                       chiller.pump_overhead_w >= 0.0,
+                   "rack chiller pump overhead must be finite and nonnegative");
+    // ChillerModel::cop clamps to [0.5, max_cop].
+    TPCOOL_REQUIRE(std::isfinite(chiller.max_cop) && chiller.max_cop >= 0.5,
+                   "rack chiller max COP must be finite and >= 0.5");
   }
   // Validate the policy name at construction, not first run.
   (void)make_placement_policy(config.placement);
@@ -143,17 +148,12 @@ std::uint64_t fleet_digest(const FleetResult& result) {
         fnv_f64(digest, bias);
       }
     }
-    fnv_u64(digest, interval.shed_streams.size());
-    for (const std::size_t stream : interval.shed_streams) {
-      fnv_u64(digest, stream);
-    }
   }
   fnv_f64(digest, result.total_it_energy_j);
   fnv_f64(digest, result.total_chiller_energy_j);
   fnv_f64(digest, result.total_facility_energy_j);
   fnv_f64(digest, result.avg_pue);
   fnv_u64(digest, result.qos_violations);
-  fnv_u64(digest, result.shed_jobs);
   return digest;
 }
 

@@ -44,42 +44,11 @@ struct RackSpec {
   cooling::ChillerModel chiller;
 };
 
-/// Kinds of scheduled mid-run fleet disturbances (the fault-injection
-/// scenario surface: chiller outage / derating, rack-loss failover).
-enum class FleetEventKind {
-  kChillerDerate,   ///< Scale the rack chiller's second-law efficiency.
-  kChillerRestore,  ///< Restore the rack's chiller to its spec.
-  kRackLoss,        ///< Rack capacity drops to zero (jobs fail over).
-  kRackRestore,     ///< Rack capacity restored to its spec.
-};
-
-/// One scheduled disturbance.  Takes effect at the first interval whose
-/// start time is >= `time_s` and stays in force until a matching restore
-/// event (events are applied in time order; same-time events apply in
-/// config order).  Deterministic by construction: events depend only on
-/// the simulated clock, never on wall time or thread count.
-struct FleetEvent {
-  double time_s = 0.0;
-  std::size_t rack = 0;
-  FleetEventKind kind = FleetEventKind::kChillerDerate;
-  /// kChillerDerate only: multiplier in (0, 1] on the chiller's
-  /// second-law efficiency (0.6 = the chiller runs at 60% efficiency).
-  double factor = 1.0;
-};
-
 /// Fleet construction parameters.
 struct FleetConfig {
   std::vector<RackSpec> racks;
   /// Placement-policy registry name (see placement.hpp).
   std::string placement = "round-robin";
-  /// Scheduled mid-run disturbances, applied by the engine in time order.
-  std::vector<FleetEvent> events;
-  /// Flash-crowd admission control: when true, an over-capacity interval
-  /// sheds its lowest-priority excess jobs (highest QoS factor first, ties
-  /// to the highest stream index) instead of throwing; shed jobs count as
-  /// QoS violations and are recorded in `FleetInterval::shed_streams`.
-  /// Default false preserves the historical over-capacity throw.
-  bool shed_overload = false;
 };
 
 /// Outcome of one job (one stream's phase) over one interval.
@@ -125,16 +94,12 @@ struct FleetInterval {
   std::size_t interval = 0;
   double start_s = 0.0;
   double duration_s = 0.0;
-  std::vector<JobOutcome> jobs;      ///< In stream order (shed jobs absent).
+  std::vector<JobOutcome> jobs;      ///< In stream order.
   std::vector<RackInterval> racks;   ///< Index-aligned with config racks.
   double it_power_w = 0.0;
   double chiller_power_w = 0.0;      ///< Sum of rack chiller electrical.
   double pue = 1.0;                  ///< cooling::pue over this interval.
-  /// Jobs with tcase_limit_exceeded, plus jobs shed by admission control.
-  std::size_t qos_violations = 0;
-  /// Streams shed this interval (ascending; empty unless
-  /// `FleetConfig::shed_overload` fired).
-  std::vector<std::size_t> shed_streams;
+  std::size_t qos_violations = 0;    ///< Jobs with tcase_limit_exceeded.
   FleetControlState control;         ///< Controller state (if attached).
 };
 
@@ -146,15 +111,14 @@ struct FleetResult {
   double total_chiller_energy_j = 0.0;
   double total_facility_energy_j = 0.0;  ///< IT + chiller + distribution.
   double avg_pue = 1.0;                  ///< Energy-weighted fleet PUE.
-  std::size_t qos_violations = 0;        ///< Sum over intervals (incl. shed).
-  std::size_t shed_jobs = 0;             ///< Jobs shed by admission control.
+  std::size_t qos_violations = 0;        ///< Sum over intervals.
 };
 
 /// Validate a `FleetConfig` (nonempty racks, positive server counts and
 /// cell sizes, nonempty and strictly descending supply-candidate lists, a
-/// registered placement policy).  Throws PreconditionError on the first
-/// violation.  Shared by `FleetModel` and `StreamingFleetEngine` so both
-/// fail identically.
+/// finite chiller whose COP clamp is well formed, a registered placement
+/// policy).  Throws PreconditionError on the first violation.  Shared by
+/// `FleetModel` and `StreamingFleetEngine` so both fail identically.
 void validate_fleet_config(const FleetConfig& config);
 
 /// N racks, one placement policy, trace-driven.

@@ -1,12 +1,8 @@
 #include "tpcool/datacenter/placement.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <string>
-#include <string_view>
-#include <utility>
 
-#include "tpcool/datacenter/fleet.hpp"
 #include "tpcool/util/error.hpp"
 
 namespace tpcool::datacenter {
@@ -59,20 +55,10 @@ std::size_t ThermalHeadroomPlacement::select_rack(
   return best->rack;
 }
 
-WindowedPlacement::WindowedPlacement(std::size_t window,
-                                     std::string registry_name)
-    : window_(window), name_(std::move(registry_name)) {
-  TPCOOL_REQUIRE(window_ >= 1, "windowed placement needs a window >= 1");
-}
-
 void WindowedPlacement::begin_run(const PlacementTimeline& timeline) {
   interval_ = 0;
   projected_.clear();
   stream_power_.clear();
-  if (window_ <= 1 || timeline.streams == nullptr ||
-      timeline.boundaries == nullptr) {
-    return;  // greedy fallback needs no precomputation
-  }
   const std::vector<workload::WorkloadTrace>& streams = *timeline.streams;
   const std::vector<double>& boundaries = *timeline.boundaries;
   const std::size_t intervals =
@@ -100,23 +86,16 @@ void WindowedPlacement::begin_interval(std::size_t interval) {
 
 std::size_t WindowedPlacement::select_rack(const JobRequest& job,
                                            const std::vector<RackLoad>& racks) {
-  // W=1 degenerates to the greedy least-power dispatcher, cost for cost —
-  // the bitwise-identity anchor the cross-check test pins.
-  if (window_ <= 1) {
-    return argmin_open_rack(
-        racks, [](const RackLoad& rack) { return rack.est_power_w; });
-  }
-
   if (projected_.size() != racks.size()) {
-    projected_.assign(racks.size(), std::vector<double>(window_, 0.0));
+    projected_.assign(racks.size(), std::vector<double>(kWindow, 0.0));
   }
 
   // Future power this job itself brings to whichever rack it lands on.
-  std::vector<double> job_future(window_, 0.0);
+  std::vector<double> job_future(kWindow, 0.0);
   job_future[0] = job.est_power_w;
   if (job.stream < stream_power_.size()) {
     const std::vector<double>& power = stream_power_[job.stream];
-    for (std::size_t w = 1; w < window_; ++w) {
+    for (std::size_t w = 1; w < kWindow; ++w) {
       if (interval_ + w < power.size()) job_future[w] = power[interval_ + w];
     }
   }
@@ -129,7 +108,7 @@ std::size_t WindowedPlacement::select_rack(const JobRequest& job,
     // (1 + deficit °C), steering heat away until the deficit clears.
     double load = rack.est_power_w + job_future[0];
     double discount = 1.0;
-    for (std::size_t w = 1; w < window_; ++w) {
+    for (std::size_t w = 1; w < kWindow; ++w) {
       discount *= kDiscount;
       load += discount * (projected_[rack.rack][w] + job_future[w]);
     }
@@ -139,7 +118,7 @@ std::size_t WindowedPlacement::select_rack(const JobRequest& job,
 
   // Commit this placement's future load so the rest of the interval's
   // dispatch sequence sees it (joint within-interval lookahead).
-  for (std::size_t w = 1; w < window_; ++w) {
+  for (std::size_t w = 1; w < kWindow; ++w) {
     projected_[chosen][w] += job_future[w];
   }
   return chosen;
@@ -158,29 +137,10 @@ std::unique_ptr<PlacementPolicy> make_placement_policy(
   if (name == "thermal-headroom") {
     return std::make_unique<ThermalHeadroomPlacement>();
   }
-  if (name == "windowed") {
-    return std::make_unique<WindowedPlacement>(
-        WindowedPlacement::kDefaultWindow, name);
-  }
-  if (constexpr std::string_view kPrefix = "windowed:";
-      name.size() > kPrefix.size() && name.compare(0, kPrefix.size(),
-                                                   kPrefix) == 0) {
-    const std::string digits = name.substr(kPrefix.size());
-    const bool numeric =
-        !digits.empty() &&
-        std::all_of(digits.begin(), digits.end(), [](unsigned char c) {
-          return std::isdigit(c) != 0;
-        });
-    TPCOOL_REQUIRE(numeric && digits.size() <= 6,
-                   "malformed windowed placement '" + name +
-                       "' (want windowed:N, N >= 1)");
-    const std::size_t window = static_cast<std::size_t>(std::stoul(digits));
-    TPCOOL_REQUIRE(window >= 1, "windowed placement needs a window >= 1");
-    return std::make_unique<WindowedPlacement>(window, name);
-  }
+  if (name == "windowed") return std::make_unique<WindowedPlacement>();
   TPCOOL_REQUIRE(false, "unknown placement policy '" + name +
                             "' (known: round-robin, least-power, "
-                            "thermal-headroom, windowed[:N])");
+                            "thermal-headroom, windowed)");
   return nullptr;  // unreachable
 }
 

@@ -16,8 +16,6 @@
 
 namespace tpcool::datacenter {
 
-struct FleetConfig;  // fleet.hpp (which includes this header)
-
 /// Everything a policy may consult about one candidate rack at dispatch
 /// time.  Estimates and headrooms are deterministic functions of the fleet
 /// state (see FleetModel), never of timing or thread count.
@@ -39,12 +37,10 @@ struct RackLoad {
 inline constexpr double kIdleHeadroomC = 1.0e3;
 
 /// Read-only view of the whole run, handed to lookahead policies before
-/// dispatch starts: the fleet config, the input streams, and the fleet
-/// interval boundaries (the streams' phase-boundary union).  All pointees
-/// are owned by the engine and outlive the policy; greedy policies ignore
-/// it entirely.
+/// dispatch starts: the input streams and the fleet interval boundaries
+/// (the streams' phase-boundary union).  Both pointees are owned by the
+/// engine and outlive the policy; greedy policies ignore it entirely.
 struct PlacementTimeline {
-  const FleetConfig* config = nullptr;
   const std::vector<workload::WorkloadTrace>* streams = nullptr;
   const std::vector<double>* boundaries = nullptr;
 };
@@ -167,36 +163,29 @@ class ThermalHeadroomPlacement final : public PlacementPolicy {
 /// accumulates its own placements' future load, so the W-window cost is
 /// joint across the interval's dispatch sequence, not per-job myopic.
 ///
-/// W=1 falls back to exactly the greedy `LeastPowerPlacement` cost
-/// (bitwise-identical placements, pinned in tests/datacenter_test.cpp).
-/// Registry names: `"windowed"` (W = kDefaultWindow) or `"windowed:N"`.
+/// Registry name: `"windowed"` (W = kWindow).
 class WindowedPlacement final : public PlacementPolicy {
  public:
-  static constexpr std::size_t kDefaultWindow = 4;
+  /// Lookahead horizon W, in intervals (this one included).
+  static constexpr std::size_t kWindow = 4;
   /// Geometric discount per lookahead interval.
   static constexpr double kDiscount = 0.5;
   /// Cost multiplier per °C of thermal deficit (negative headroom).
   static constexpr double kPenaltyPerDegC = 1.0;
 
-  /// `window` >= 1; `registry_name` is echoed by `name()` so registry
-  /// round trips preserve the exact spelling ("windowed", "windowed:4").
-  WindowedPlacement(std::size_t window, std::string registry_name);
-
-  [[nodiscard]] std::string name() const override { return name_; }
+  [[nodiscard]] std::string name() const override { return "windowed"; }
   void begin_run(const PlacementTimeline& timeline) override;
   void begin_interval(std::size_t interval) override;
   [[nodiscard]] std::size_t select_rack(
       const JobRequest& job, const std::vector<RackLoad>& racks) override;
 
  private:
-  std::size_t window_;
-  std::string name_;
   std::size_t interval_ = 0;    ///< Current interval (begin_interval).
   /// Per-stream estimated power per interval, 0 when inactive
   /// ([stream][interval]; empty until begin_run).
   std::vector<std::vector<double>> stream_power_;
   /// Future load this interval's own placements already committed
-  /// ([rack][lookahead w in 1..window-1]; reset each begin_interval).
+  /// ([rack][lookahead w in 1..kWindow-1]; reset each begin_interval).
   std::vector<std::vector<double>> projected_;
 };
 

@@ -83,17 +83,18 @@ StreamingFleetEngine::StreamingFleetEngine(
   boundaries_ = fleet_interval_boundaries(streams_);
   policy_ = make_placement_policy(config_.placement);
 
-  // Per-rack dispatch state; headroom carries across intervals.
+  // Per-rack dispatch state (headroom carries across intervals) and the
+  // fleet's capacity.
   loads_.resize(config_.racks.size());
   for (std::size_t r = 0; r < config_.racks.size(); ++r) {
     loads_[r] = {r, config_.racks[r].servers, 0, 0.0, kIdleHeadroomC};
+    capacity_ += config_.racks[r].servers;
   }
 
   // Per-rack design water flow (the §VI-C operating point of the rack's
   // approach), fixed over the run, the rack's cache scope, its approach's
   // scheduler, and its scan class: the first rack whose phase-1 scan reads
-  // the same inputs.  Events change only capacity and chillers, so the
-  // class holds for the whole run.
+  // the same inputs.
   design_flow_kg_h_.resize(config_.racks.size());
   rack_scope_.resize(config_.racks.size());
   rack_class_.resize(config_.racks.size());
@@ -116,22 +117,9 @@ StreamingFleetEngine::StreamingFleetEngine(
     }
   }
 
-  // Runtime rack state the event timeline mutates.
-  capacity_.resize(config_.racks.size());
-  chiller_.resize(config_.racks.size());
-  for (std::size_t r = 0; r < config_.racks.size(); ++r) {
-    capacity_[r] = config_.racks[r].servers;
-    chiller_[r] = config_.racks[r].chiller;
-  }
-  events_ = config_.events;
-  std::stable_sort(events_.begin(), events_.end(),
-                   [](const FleetEvent& a, const FleetEvent& b) {
-                     return a.time_s < b.time_s;
-                   });
-
   // Lookahead policies precompute from the full timeline (the addresses
   // handed out are the engine's own members, stable for the run).
-  policy_->begin_run({&config_, &streams_, &boundaries_});
+  policy_->begin_run({&streams_, &boundaries_});
 
   summary_.duration_s = boundaries_.back();
 }
@@ -186,37 +174,14 @@ bool StreamingFleetEngine::advance() {
   const double start_s = boundaries_[b];
   const double duration_s = boundaries_[b + 1] - boundaries_[b];
 
-  // One span per streamed interval, covering event application, the
-  // parallel scan/solve fan-out, and observer dispatch.
+  // One span per streamed interval, covering the parallel scan/solve
+  // fan-out and observer dispatch.
   util::TraceSpan span("fleet.interval");
   span.arg("interval", static_cast<double>(b));
   if (util::telemetry_enabled()) {
     static util::TelemetryCounter& intervals =
         util::Telemetry::instance().counter("fleet.intervals");
     intervals.add(1.0);
-  }
-
-  // Apply every disturbance due by this interval's start (time order;
-  // same-time events in config order via the stable sort).
-  while (next_event_ < events_.size() &&
-         events_[next_event_].time_s <= start_s) {
-    const FleetEvent& event = events_[next_event_];
-    switch (event.kind) {
-      case FleetEventKind::kChillerDerate:
-        chiller_[event.rack].second_law_eff =
-            config_.racks[event.rack].chiller.second_law_eff * event.factor;
-        break;
-      case FleetEventKind::kChillerRestore:
-        chiller_[event.rack] = config_.racks[event.rack].chiller;
-        break;
-      case FleetEventKind::kRackLoss:
-        capacity_[event.rack] = 0;
-        break;
-      case FleetEventKind::kRackRestore:
-        capacity_[event.rack] = config_.racks[event.rack].servers;
-        break;
-    }
-    ++next_event_;
   }
 
   const core::SolveCache::Stats cache_before =
@@ -234,41 +199,15 @@ bool StreamingFleetEngine::advance() {
     job.est_power_w = job_power_estimate(*job.bench, job.qos);
     jobs.push_back(job);
   }
-  std::size_t capacity = 0;
-  for (const std::size_t rack_capacity : capacity_) {
-    capacity += rack_capacity;
-  }
-
-  // Over capacity: historically a hard error; with shed_overload the
-  // excess is shed lowest-priority-first (highest QoS factor = loosest
-  // tier, ties to the highest stream index) — deterministic admission
-  // control for flash crowds and rack-loss failover.
-  std::vector<std::size_t> shed_streams;
-  if (jobs.size() > capacity) {
-    TPCOOL_REQUIRE(config_.shed_overload,
-                   "fleet over capacity: " + std::to_string(jobs.size()) +
-                       " active streams vs " + std::to_string(capacity) +
-                       " servers");
-    while (jobs.size() > capacity) {
-      std::size_t worst = 0;
-      for (std::size_t j = 1; j < jobs.size(); ++j) {
-        if (jobs[j].qos.factor > jobs[worst].qos.factor ||
-            (jobs[j].qos.factor == jobs[worst].qos.factor &&
-             jobs[j].stream > jobs[worst].stream)) {
-          worst = j;
-        }
-      }
-      shed_streams.push_back(jobs[worst].stream);
-      jobs.erase(jobs.begin() + static_cast<std::ptrdiff_t>(worst));
-    }
-    std::sort(shed_streams.begin(), shed_streams.end());
-  }
+  TPCOOL_REQUIRE(jobs.size() <= capacity_,
+                 "fleet over capacity: " + std::to_string(jobs.size()) +
+                     " active streams vs " + std::to_string(capacity_) +
+                     " servers");
 
   // Dispatch in stream order (the arrival order): deterministic, serial.
-  for (std::size_t r = 0; r < loads_.size(); ++r) {
-    loads_[r].capacity = capacity_[r];
-    loads_[r].assigned = 0;
-    loads_[r].est_power_w = 0.0;
+  for (RackLoad& load : loads_) {
+    load.assigned = 0;
+    load.est_power_w = 0.0;
   }
   policy_->begin_interval(b);
   std::vector<std::size_t> placed_rack(jobs.size());
@@ -397,8 +336,7 @@ bool StreamingFleetEngine::advance() {
   // Shared loop per rack: the §V setpoint rule (cooling::solve_rack_cooling),
   // then the controller bias, clamped to [coldest candidate, default max]
   // — a zero bias takes the exact unbiased path, so zero-gain control is
-  // bit-identical to no control.  The chiller is the event timeline's
-  // current one, not the spec's.
+  // bit-identical to no control.
   std::vector<cooling::RackCoolingState> rack_cooling(config_.racks.size());
   for (std::size_t r = 0; r < config_.racks.size(); ++r) {
     std::vector<cooling::ServerDemand> demands;
@@ -408,14 +346,15 @@ bool StreamingFleetEngine::advance() {
                          design_flow_kg_h_[r]});
     }
     if (demands.empty()) continue;
-    rack_cooling[r] = cooling::solve_rack_cooling(demands, chiller_[r]);
+    rack_cooling[r] =
+        cooling::solve_rack_cooling(demands, config_.racks[r].chiller);
     if (bias[r] != 0.0) {
       const double coldest = config_.racks[r].supply_candidates_c.back();
       const double setpoint =
           std::min(cooling::kDefaultMaxSetpointC,
                    std::max(coldest, rack_cooling[r].supply_temp_c + bias[r]));
-      rack_cooling[r] =
-          cooling::solve_rack_cooling_at(demands, chiller_[r], setpoint);
+      rack_cooling[r] = cooling::solve_rack_cooling_at(
+          demands, config_.racks[r].chiller, setpoint);
     }
   }
 
@@ -501,10 +440,6 @@ bool StreamingFleetEngine::advance() {
     loads_[r].headroom_c = interval.racks[r].headroom_c;
   }
 
-  // Shed jobs are QoS violations too: the tier got no service at all.
-  interval.shed_streams = std::move(shed_streams);
-  interval.qos_violations += interval.shed_streams.size();
-
   if (controller_ != nullptr) {
     interval.control.active = true;
     interval.control.target = controller_->config().target;
@@ -516,9 +451,7 @@ bool StreamingFleetEngine::advance() {
   facility.it_w = interval.it_power_w;
   facility.chiller_w = interval.chiller_power_w;
   facility.distribution_w = cooling::distribution_loss_w(interval.it_power_w);
-  // An all-idle interval (every active stream shed, e.g. total rack loss)
-  // has no IT power; define its PUE as 1 instead of dividing by zero.
-  interval.pue = interval.it_power_w > 0.0 ? cooling::pue(facility) : 1.0;
+  interval.pue = cooling::pue(facility);  // every interval runs a job
 
   // Accumulate the run totals in interval order — the same arithmetic, in
   // the same order, as the batch accumulation always used.
@@ -526,7 +459,6 @@ bool StreamingFleetEngine::advance() {
   summary_.total_chiller_energy_j += interval.chiller_power_w * duration_s;
   summary_.total_facility_energy_j += facility.total_w() * duration_s;
   summary_.qos_violations += interval.qos_violations;
-  summary_.shed_jobs += interval.shed_streams.size();
 
   const core::SolveCache::Stats cache_after =
       core::SolveCache::global()->stats();
@@ -579,7 +511,6 @@ void FleetResultAggregator::on_run_end(const FleetRunSummary& summary) {
   result_.total_facility_energy_j = summary.total_facility_energy_j;
   result_.avg_pue = summary.avg_pue;
   result_.qos_violations = summary.qos_violations;
-  result_.shed_jobs = summary.shed_jobs;
 }
 
 // --------------------------------------------------------- the JSONL sink --
@@ -635,7 +566,7 @@ void JsonlFleetSink::on_run_begin(const FleetConfig& config,
                                   std::size_t stream_count,
                                   double total_duration_s) {
   Record line;
-  line << "{\"type\":\"header\",\"schema\":\"tpcool-fleet-stream-v2\""
+  line << "{\"type\":\"header\",\"schema\":\"tpcool-fleet-stream-v3\""
        << ",\"racks\":" << config.racks.size()
        << ",\"streams\":" << stream_count
        << ",\"placement\":\"" << config.placement
@@ -653,12 +584,7 @@ void JsonlFleetSink::on_interval(const FleetInterval& interval,
        << ",\"chiller_power_w\":" << interval.chiller_power_w
        << ",\"pue\":" << interval.pue
        << ",\"qos_violations\":" << interval.qos_violations
-       << ",\"solves\":" << counters.solves << ",\"hits\":" << counters.hits
-       << ",\"shed\":[";
-  for (std::size_t s = 0; s < interval.shed_streams.size(); ++s) {
-    line << (s ? "," : "") << interval.shed_streams[s];
-  }
-  line << "]";
+       << ",\"solves\":" << counters.solves << ",\"hits\":" << counters.hits;
   if (interval.control.active) {
     line << ",\"control\":{\"target\":" << interval.control.target
          << ",\"error\":" << interval.control.error << ",\"bias_c\":[";
@@ -704,7 +630,6 @@ void JsonlFleetSink::on_run_end(const FleetRunSummary& summary) {
        << ",\"total_facility_energy_j\":" << summary.total_facility_energy_j
        << ",\"avg_pue\":" << summary.avg_pue
        << ",\"qos_violations\":" << summary.qos_violations
-       << ",\"shed_jobs\":" << summary.shed_jobs
        << ",\"solves\":" << summary.counters.solves
        << ",\"hits\":" << summary.counters.hits << "}\n";
   line.write_to(*os_);
@@ -796,7 +721,7 @@ std::string_view get_array(std::string_view text, const std::string& key) {
   return tail.substr(0, end);
 }
 
-/// Whether the record carries `key` at all (optional v2 fields).
+/// Whether the record carries `key` at all (the optional `control`).
 bool has_key(std::string_view text, const std::string& key) {
   return text.find("\"" + key + "\":") != std::string_view::npos;
 }
@@ -844,7 +769,7 @@ FleetResult replay_fleet_jsonl(std::istream& is) {
     const std::string_view text(line);
     const std::string type = get_string(text, "type");
     if (type == "header") {
-      TPCOOL_REQUIRE(get_string(text, "schema") == "tpcool-fleet-stream-v2",
+      TPCOOL_REQUIRE(get_string(text, "schema") == "tpcool-fleet-stream-v3",
                      "fleet JSONL replay: unexpected schema");
       saw_header = true;
     } else if (type == "interval") {
@@ -858,7 +783,6 @@ FleetResult replay_fleet_jsonl(std::istream& is) {
       interval.chiller_power_w = get_number(text, "chiller_power_w");
       interval.pue = get_number(text, "pue");
       interval.qos_violations = get_count(text, "qos_violations");
-      interval.shed_streams = get_flat_array(text, "shed", parse_count);
       if (has_key(text, "control")) {
         interval.control.active = true;
         interval.control.target = get_number(text, "target");
@@ -902,7 +826,6 @@ FleetResult replay_fleet_jsonl(std::istream& is) {
           get_number(text, "total_facility_energy_j");
       result.avg_pue = get_number(text, "avg_pue");
       result.qos_violations = get_count(text, "qos_violations");
-      result.shed_jobs = get_count(text, "shed_jobs");
       TPCOOL_REQUIRE(get_count(text, "intervals") == result.intervals.size(),
                      "fleet JSONL replay: interval count mismatch");
       saw_summary = true;

@@ -85,8 +85,7 @@ struct FleetRunSummary {
   double total_chiller_energy_j = 0.0;
   double total_facility_energy_j = 0.0;  ///< IT + chiller + distribution.
   double avg_pue = 1.0;                  ///< Energy-weighted fleet PUE.
-  std::size_t qos_violations = 0;        ///< Incl. shed jobs.
-  std::size_t shed_jobs = 0;             ///< Jobs shed by admission control.
+  std::size_t qos_violations = 0;
   IntervalCounters counters;             ///< Whole-run solve/hit totals.
 };
 
@@ -184,13 +183,7 @@ class StreamingFleetEngine {
   /// the grid pitch, so racks of one approach share it at any pitch.  Only
   /// the serial dispatch step uses them.
   std::map<core::Approach, core::Scheduler> schedulers_;
-  /// Runtime per-rack state the event timeline mutates (capacity drops on
-  /// kRackLoss, chiller efficiency on kChillerDerate); initialized from
-  /// the specs, restored by the matching restore events.
-  std::vector<std::size_t> capacity_;
-  std::vector<cooling::ChillerModel> chiller_;
-  std::vector<FleetEvent> events_;  ///< Config events, stably time-sorted.
-  std::size_t next_event_ = 0;
+  std::size_t capacity_ = 0;  ///< Servers over all racks.
   FleetController* controller_ = nullptr;
   std::vector<FleetObserver*> observers_;
   FleetRunSummary summary_;
@@ -221,7 +214,7 @@ class FleetResultAggregator final : public FleetObserver {
 
 /// JSONL file sink: one self-contained JSON object per line — a header
 /// record, one record per interval, and a summary record (schema
-/// `tpcool-fleet-stream-v2`, documented in docs/OBSERVABILITY.md).
+/// `tpcool-fleet-stream-v3`, documented in docs/OBSERVABILITY.md).
 /// Doubles are printed with 17 significant digits (`std::to_chars`, the
 /// bytes of printf's %.17g), and no value depends on the stream's locale.
 /// Each record reaches the stream in one write.  A replay
@@ -245,7 +238,7 @@ class JsonlFleetSink final : public FleetObserver {
   std::ostream* os_ = nullptr;
 };
 
-/// Parse a `tpcool-fleet-stream-v2` JSONL stream back into a
+/// Parse a `tpcool-fleet-stream-v3` JSONL stream back into a
 /// `FleetResult`.  Restores every field `fleet_digest` covers (and the
 /// benchmark names); schedule decisions are not serialized and come back
 /// default-constructed.  Throws PreconditionError on malformed input or a

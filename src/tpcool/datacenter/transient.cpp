@@ -72,6 +72,14 @@ constexpr double kTrialTolerance = 2e-5;
 /// the effective gain and makes the iteration contract.
 constexpr double kCouplingRelaxation = 0.5;
 
+/// Most steps one segment may need at the largest step the engine takes.
+/// A valid trace can hold a phase so long that integrating it would not
+/// end in any useful time (a 1e12 s phase takes over 1e9 steps of 900 s);
+/// such a run is refused before any segment starts.  perf/'s transient day
+/// needs at least 22 steps per segment, and the fixed-period daily trace
+/// at 0.5 s needs 32.
+constexpr std::uint64_t kMaxSegmentSteps = 100'000;
+
 double max_abs_diff(const std::vector<double>& a,
                     const std::vector<double>& b) {
   double max = 0.0;
@@ -323,6 +331,31 @@ TransientFleetResult TransientFleetEngine::run(
   result.duration_s = result.steady.duration_s;
 
   const FleetConfig& config = fleet_.config();
+
+  // Refuse a segment that cannot end in the step budget even at the largest
+  // step, before any chain starts.
+  const double largest_step_s = config_.fixed_dt_s > 0.0
+                                    ? config_.fixed_dt_s
+                                    : config_.step_control.max_dt_s;
+  for (const FleetInterval& interval : result.steady.intervals) {
+    // ceil(x) <= N exactly when x <= N, for a whole N.
+    if (interval.duration_s / largest_step_s <=
+        static_cast<double>(kMaxSegmentSteps)) {
+      continue;
+    }
+    std::string streams_text;
+    for (const JobOutcome& job : interval.jobs) {
+      streams_text += (streams_text.empty() ? "" : ",");
+      streams_text += std::to_string(job.stream);
+    }
+    TPCOOL_REQUIRE(false, "transient interval " +
+                              std::to_string(interval.interval) + " lasts " +
+                              std::to_string(interval.duration_s) +
+                              " s, more than " +
+                              std::to_string(kMaxSegmentSteps) +
+                              " steps of the largest step; streams " +
+                              streams_text);
+  }
 
   // Each stream's segments in interval order.  A segment depends only on
   // its own stream's previous end state and on the steady plan above, so

@@ -101,9 +101,6 @@ TEST_F(ControlTest, ValidatesItsConfig) {
   bad = {};
   bad.quantum_c = std::numeric_limits<double>::infinity();
   EXPECT_THROW(validate_controller_config(bad), util::PreconditionError);
-  bad = {};
-  bad.qos_backoff_c = -0.1;
-  EXPECT_THROW(validate_controller_config(bad), util::PreconditionError);
 
   // The constructor validates too.
   FleetControllerConfig zero_quantum = {};
@@ -197,28 +194,6 @@ TEST_F(ControlTest, AntiWindupRecoversWithoutUnwindingBankedError) {
   controller.on_interval(constant_pue_interval(30, 3.0), {});
   EXPECT_DOUBLE_EQ(controller.bias_c(0), config.max_bias_c);
   EXPECT_DOUBLE_EQ(controller.applied_bias_c(0), config.max_bias_c);
-}
-
-TEST_F(ControlTest, QosBackoffShiftsOnlyViolatingRacks) {
-  FleetControllerConfig config = {};
-  config.target = 1.0;  // zero error: isolates the backoff term
-  config.window_intervals = 1;
-  config.gain_c = 10.0;
-  config.damping = 1.0;
-  config.min_bias_c = -10.0;
-  config.max_bias_c = 0.0;
-  config.qos_backoff_c = 2.0;
-  FleetController controller(config);
-  controller.on_run_begin(make_heterogeneous_fleet(2, 2, kCell), 1, 3600.0);
-
-  FleetInterval interval = constant_pue_interval(0, 1.0);
-  JobOutcome violating;
-  violating.rack = 1;
-  violating.tcase_limit_exceeded = true;
-  interval.jobs.push_back(violating);
-  controller.on_interval(interval, {});
-  EXPECT_DOUBLE_EQ(controller.bias_c(0), 0.0);
-  EXPECT_DOUBLE_EQ(controller.bias_c(1), -config.qos_backoff_c);
 }
 
 // ------------------------------------------------- zero-gain == controller-off --
@@ -316,60 +291,6 @@ TEST_F(ControlTest, SnapshotWarmedControlledRunReplaysWithZeroMisses) {
   EXPECT_GT(stats.hits, 0u);
   EXPECT_EQ(fleet_digest(cold), fleet_digest(warm));
   std::remove(path.c_str());
-}
-
-// ------------------------------------------------------ disturbance recovery --
-
-TEST_F(ControlTest, RecoversTargetAfterChillerDerateDisturbance) {
-  // Constant load, so every PUE move is the controller's or the event
-  // timeline's: rack 0's chiller derates to 60% mid-run and is restored
-  // 15 intervals later.  The loop settles near target, the derate kicks
-  // the PUE up past it, the controller walks it back within a few
-  // intervals, and after the restore it re-converges from below.
-  FleetConfig fleet = make_heterogeneous_fleet(2, 2, kCell);
-  for (std::size_t r = 0; r < fleet.racks.size(); ++r) {
-    fleet.racks[r].chiller.ambient_c = 46.0 + 0.5 * static_cast<double>(r);
-  }
-  constexpr double kIntervalS = 900.0;
-  fleet.events = {
-      {10.0 * kIntervalS, 0, FleetEventKind::kChillerDerate, 0.6},
-      {25.0 * kIntervalS, 0, FleetEventKind::kChillerRestore, 1.0}};
-  std::vector<workload::WorkloadTrace> streams;
-  for (const char* bench : {"x264", "blackscholes"}) {
-    streams.emplace_back(
-        std::vector<workload::TracePhase>(40, {bench, {2.0}, kIntervalS}));
-  }
-
-  ControlScenario scenario = make_pue_tracking_day(0, 2, kCell);
-  scenario.controller.target = 1.115;
-  FleetController controller(scenario.controller);
-  const FleetResult result =
-      run_controlled_fleet(fleet, streams, controller);
-  ASSERT_EQ(result.intervals.size(), 40u);
-
-  const double target = scenario.controller.target;
-  constexpr double kSettledTolerance = 0.01;
-  // Settled before the disturbance.
-  for (std::size_t i = 5; i < 10; ++i) {
-    EXPECT_NEAR(result.intervals[i].pue, target, kSettledTolerance)
-        << "interval " << i;
-  }
-  // The derate is a real disturbance: the PUE spikes past the settled band.
-  double peak = 0.0;
-  for (std::size_t i = 10; i < 13; ++i) {
-    peak = std::max(peak, result.intervals[i].pue);
-  }
-  EXPECT_GT(peak, target + kSettledTolerance);
-  // ... and the controller pulls it back onto target while still derated.
-  for (std::size_t i = 15; i < 25; ++i) {
-    EXPECT_NEAR(result.intervals[i].pue, target, kSettledTolerance)
-        << "interval " << i;
-  }
-  // After the restore the loop re-converges from below.
-  for (std::size_t i = 30; i < 40; ++i) {
-    EXPECT_NEAR(result.intervals[i].pue, target, kSettledTolerance)
-        << "interval " << i;
-  }
 }
 
 // ------------------------------------------------------ acceptance scenario --

@@ -4,10 +4,10 @@
 // contract (ordering, registration order, spent-after-throw, bounded
 // interval memory), batch == streaming bit-identity at 1/2/4 threads, and
 // exact JSONL round trips (replay reconstructs the batch FleetResult's
-// digest bit for bit), the interval record's golden bytes, seeded byte
-// mutations of a stream that replay or throw the typed error, bytes that
-// do not depend on the stream's locale, and warm reruns that the cache
-// answers without a solve or a pool job.
+// digest bit for bit), the golden bytes of the header, interval and
+// summary records, seeded byte mutations of a stream that replay or throw
+// the typed error, bytes that do not depend on the stream's locale, and
+// warm reruns that the cache answers without a solve or a pool job.
 
 #include <gtest/gtest.h>
 
@@ -449,7 +449,7 @@ TEST_F(StreamingTest, WarmRerunsAnswerEveryQuestionWithoutThePool) {
   util::Telemetry::instance().disable();
 }
 
-/// The controller of the v2 golden run.
+/// The controller of the v3 golden run.
 FleetControllerConfig golden_controller_config() {
   FleetControllerConfig control;
   control.target = 1.12;
@@ -460,22 +460,21 @@ FleetControllerConfig golden_controller_config() {
   return control;
 }
 
-/// The v2 golden run: both v2 record features live — a fleet controller in
-/// the loop and admission-control shedding (5 streams on 4 servers) —
-/// streamed to JSONL, with the batch result of the same run alongside.
+/// The v3 golden run: a fleet controller in the loop (its optional record
+/// field live) on 4 streams, streamed to JSONL, with the batch result of
+/// the same run alongside.
 struct GoldenRun {
   std::string jsonl;
   FleetResult reference;
 };
 
-GoldenRun run_v2_golden() {
+GoldenRun run_v3_golden() {
   FleetConfig config = make_heterogeneous_fleet(2, 2, kCell);
-  config.shed_overload = true;
   for (std::size_t r = 0; r < config.racks.size(); ++r) {
     config.racks[r].chiller.ambient_c = 46.0 + 0.5 * static_cast<double>(r);
   }
   WorkloadGenConfig workload = short_scenario(21);
-  workload.streams = 5;  // capacity is 4: full-arrival intervals shed
+  workload.streams = 4;
   const std::vector<workload::WorkloadTrace> streams =
       WorkloadGenerator(workload).generate();
   FleetController controller(golden_controller_config());
@@ -491,11 +490,11 @@ GoldenRun run_v2_golden() {
   return {jsonl.str(), aggregator.result()};
 }
 
-TEST_F(StreamingTest, JsonlV2RoundTripsControllerStateAndShedJobs) {
-  // The v2 golden streams to JSONL and replays digest-exactly, controller
-  // stamps and shed lists included.
-  const GoldenRun golden = run_v2_golden();
-  EXPECT_NE(golden.jsonl.find("\"schema\":\"tpcool-fleet-stream-v2\""),
+TEST_F(StreamingTest, JsonlRoundTripsControllerState) {
+  // The v3 golden streams to JSONL and replays digest-exactly, controller
+  // stamps included.
+  const GoldenRun golden = run_v3_golden();
+  EXPECT_NE(golden.jsonl.find("\"schema\":\"tpcool-fleet-stream-v3\""),
             std::string::npos);
   std::istringstream replay_stream(golden.jsonl);
   const FleetResult replayed = replay_fleet_jsonl(replay_stream);
@@ -503,27 +502,23 @@ TEST_F(StreamingTest, JsonlV2RoundTripsControllerStateAndShedJobs) {
 
   // The digest equality above already certifies the stamps; spot-check
   // that the scenario actually exercised them.
-  EXPECT_GT(replayed.shed_jobs, 0u);
-  bool saw_shed = false;
   bool saw_bias = false;
   for (const FleetInterval& interval : replayed.intervals) {
     EXPECT_TRUE(interval.control.active);
     EXPECT_EQ(interval.control.target, golden_controller_config().target);
-    saw_shed = saw_shed || !interval.shed_streams.empty();
     for (const double bias : interval.control.rack_bias_c) {
       saw_bias = saw_bias || bias != 0.0;
     }
   }
-  EXPECT_TRUE(saw_shed);
   EXPECT_TRUE(saw_bias);
 }
 
 TEST_F(StreamingTest, JsonlReplayOfMutatedStreamsReplaysOrThrowsTyped) {
   // Malformed input: seeded flips, insertions, deletions and truncations
-  // of the v2 golden stream.  Each mutant must replay or throw
+  // of the v3 golden stream.  Each mutant must replay or throw
   // PreconditionError — never another exception, a crash or UB.
   constexpr std::size_t kMutants = 400;
-  const std::string good = run_v2_golden().jsonl;
+  const std::string good = run_v3_golden().jsonl;
   std::mt19937_64 rng(20261018);
   std::size_t rejected = 0;
   for (std::size_t m = 0; m < kMutants; ++m) {
@@ -572,8 +567,9 @@ TEST_F(StreamingTest, JsonlIgnoresTheStreamLocale) {
 }
 
 TEST_F(StreamingTest, JsonlRefusesAnyOtherSchema) {
-  // Replay reads exactly the schema the sink writes: a stream under the
-  // retired v1 header (or any other tag) is refused, never half-replayed.
+  // Replay reads exactly the schema the sink writes: a stream under a
+  // retired v1 or v2 header (or any other tag) is refused, never
+  // half-replayed.
   const FleetConfig config = make_heterogeneous_fleet(2, 2, kCell);
   const std::vector<workload::WorkloadTrace> streams =
       WorkloadGenerator(short_scenario(13)).generate();
@@ -584,15 +580,18 @@ TEST_F(StreamingTest, JsonlRefusesAnyOtherSchema) {
   engine.add_observer(sink);
   engine.run();
 
-  // Turn the header's version digit from 2 to 1.
-  std::string v1 = jsonl.str();
-  const std::string v2_tag = "tpcool-fleet-stream-v2";
-  const std::size_t tag = v1.find(v2_tag);
+  const std::string v3_tag = "tpcool-fleet-stream-v3";
+  const std::size_t tag = jsonl.str().find(v3_tag);
   ASSERT_NE(tag, std::string::npos);
-  v1[tag + v2_tag.size() - 1] = '1';
-  std::istringstream replay_stream(v1);
-  EXPECT_THROW((void)replay_fleet_jsonl(replay_stream),
-               util::PreconditionError);
+  for (const char version : {'1', '2'}) {
+    // Turn the header's version digit from 3 to `version`.
+    std::string retired = jsonl.str();
+    retired[tag + v3_tag.size() - 1] = version;
+    std::istringstream replay_stream(retired);
+    EXPECT_THROW((void)replay_fleet_jsonl(replay_stream),
+                 util::PreconditionError)
+        << "v" << version;
+  }
 }
 
 /// One hand-built interval whose doubles cover the encoder's edge cases:
@@ -608,7 +607,6 @@ FleetInterval edge_case_interval() {
   interval.chiller_power_w = 1.0 / 3.0;
   interval.pue = 1e22;
   interval.qos_violations = 1;
-  interval.shed_streams = {7};
   interval.control.active = true;
   interval.control.target = -1.5e-7;
   interval.control.error = -0.0;
@@ -638,15 +636,33 @@ bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
+/// The end-of-run record beside `edge_case_interval`.
+FleetRunSummary edge_case_summary() {
+  FleetRunSummary summary;
+  summary.intervals = 1;
+  summary.duration_s = 30.0;
+  summary.total_it_energy_j = 3.0;
+  summary.total_chiller_energy_j = 10.0;
+  summary.total_facility_energy_j = 1e22;
+  summary.avg_pue = 1.0 / 3.0;
+  summary.qos_violations = 1;
+  summary.counters = {2, 5};
+  return summary;
+}
+
 TEST(JsonlFleetSink, IntervalRecordMatchesTheGoldenBytes) {
-  // The interval record's exact bytes, pinned: numbers print as printf's
-  // %.17g prints them (not shortest round trip), so JSONL streams and
-  // their digests stay byte-identical across encoder changes.
+  // The exact bytes of all three record types, pinned: numbers print as
+  // printf's %.17g prints them (not shortest round trip), so JSONL streams
+  // and their digests stay byte-identical across encoder changes.
+  const std::string header =
+      R"({"type":"header","schema":"tpcool-fleet-stream-v3","racks":0,)"
+      R"("streams":1,"placement":"round-robin","duration_s":30})"
+      "\n";
   const std::string golden =
       R"({"type":"interval","interval":4,"start_s":0,"duration_s":30,)"
       R"("it_power_w":0.10000000000000001,)"
       R"("chiller_power_w":0.33333333333333331,"pue":1e+22,)"
-      R"("qos_violations":1,"solves":2,"hits":5,"shed":[7],)"
+      R"("qos_violations":1,"solves":2,"hits":5,)"
       R"("control":{"target":-1.4999999999999999e-07,"error":-0,)"
       R"("bias_c":[4.9406564584124654e-324,1.7976931348623157e+308]},)"
       R"("jobs":[{"stream":3,"rack":0,"benchmark":"x264","qos_factor":-0,)"
@@ -658,21 +674,30 @@ TEST(JsonlFleetSink, IntervalRecordMatchesTheGoldenBytes) {
       R"("supply_temp_c":0.10000000000000001,"return_temp_c":0,)"
       R"("chiller_electrical_w":-0}]})"
       "\n";
+  const std::string summary_record =
+      R"({"type":"summary","intervals":1,"duration_s":30,)"
+      R"("total_it_energy_j":3,"total_chiller_energy_j":10,)"
+      R"("total_facility_energy_j":1e+22,"avg_pue":0.33333333333333331,)"
+      R"("qos_violations":1,"solves":2,"hits":5})"
+      "\n";
   const FleetInterval interval = edge_case_interval();
   std::ostringstream record;
   JsonlFleetSink(record).on_interval(interval, IntervalCounters{2, 5});
   EXPECT_EQ(record.str(), golden);
 
-  // Replay reconstructs every double bit for bit, signed zero included.
+  // A whole stream is the three records in order; replay reconstructs
+  // every double bit for bit, signed zero included.
   std::ostringstream jsonl;
   JsonlFleetSink sink(jsonl);
-  FleetRunSummary summary;
-  summary.intervals = 1;
   sink.on_run_begin(FleetConfig{}, 1, 30.0);
   sink.on_interval(interval, IntervalCounters{2, 5});
-  sink.on_run_end(summary);
+  sink.on_run_end(edge_case_summary());
+  EXPECT_EQ(jsonl.str(), header + golden + summary_record);
   std::istringstream replay_stream(jsonl.str());
   const FleetResult replayed = replay_fleet_jsonl(replay_stream);
+  EXPECT_TRUE(same_bits(replayed.total_facility_energy_j, 1e22));
+  EXPECT_TRUE(same_bits(replayed.avg_pue, 1.0 / 3.0));
+  EXPECT_EQ(replayed.qos_violations, 1u);
   ASSERT_EQ(replayed.intervals.size(), 1u);
   const FleetInterval& back = replayed.intervals[0];
   EXPECT_TRUE(same_bits(back.start_s, interval.start_s));
@@ -716,11 +741,9 @@ TEST(JsonlFleetSink, ReplayRejectsDamagedNumbers) {
   // instead of replaying as 0, a wrapped count or a guessed flag.
   std::ostringstream jsonl;
   JsonlFleetSink sink(jsonl);
-  FleetRunSummary summary;
-  summary.intervals = 1;
   sink.on_run_begin(FleetConfig{}, 1, 30.0);
   sink.on_interval(edge_case_interval(), IntervalCounters{2, 5});
-  sink.on_run_end(summary);
+  sink.on_run_end(edge_case_summary());
   const std::string good = jsonl.str();
   std::istringstream good_stream(good);
   EXPECT_NO_THROW((void)replay_fleet_jsonl(good_stream));
@@ -741,7 +764,7 @@ TEST(JsonlFleetSink, ReplayRejectsDamagedNumbers) {
            damaged(R"("qos_violations":1)", R"("qos_violations":1.5)"),
            damaged(R"("qos_violations":1)",
                    R"("qos_violations":18446744073709551616)"),
-           damaged(R"("shed":[7])", R"("shed":[-7])"),
+           damaged(R"("rack":0)", R"("rack":+0)"),
            damaged(R"("stream":3)", R"("stream":)"),
            damaged(R"("limit":true)", R"("limit":trueish)"),
            damaged(R"("limit":true)", R"("limit":tru)"),

@@ -6,13 +6,14 @@
 // final-step clamp, a day-like trace on one server, bit-identity across
 // thread counts, a warm rerun that misses nothing (only the steady pass
 // uses the solve cache), identical streams integrating their segments
-// once, peak TCASE
-// against a tight-tolerance reference, no boundary limit cycle on a warm
-// burst, and per-stream thermal-state chaining.
+// once, a segment too long for the step budget refused up front, peak
+// TCASE against a tight-tolerance reference, no boundary limit cycle on a
+// warm burst, and per-stream thermal-state chaining.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -295,6 +296,39 @@ TEST_F(TransientEngineTest, ValidatesEngineConfig) {
   bad_controller.step_control.tolerance_c = -1.0;
   EXPECT_THROW(
       datacenter::TransientFleetEngine(small_fleet(), bad_controller),
+      util::PreconditionError);
+}
+
+TEST_F(TransientEngineTest, RefusesASegmentBeyondTheStepBudget) {
+  // A valid, finite 1e12 s phase would need over 1e9 steps of the largest
+  // adaptive step (900 s): the run is refused after the steady pass, not
+  // integrated until someone kills it.
+  const std::vector<workload::WorkloadTrace> huge = {
+      workload::WorkloadTrace({{"x264", {2.0}, 1.0e12}})};
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    (void)datacenter::TransientFleetEngine(one_server_fleet(), {}).run(huge);
+    ADD_FAILURE() << "a 1e12 s segment ran";
+  } catch (const util::PreconditionError& error) {
+    // The message names the interval and its streams.
+    EXPECT_NE(std::string(error.what()).find("interval 0"), std::string::npos)
+        << error.what();
+    EXPECT_NE(std::string(error.what()).find("streams 0"), std::string::npos)
+        << error.what();
+  }
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count(),
+            1.0);
+
+  // The fixed-period integrator's largest step is its period: 1000 s at
+  // 1 ms is 1e6 steps.
+  const std::vector<workload::WorkloadTrace> long_phase = {
+      workload::WorkloadTrace({{"x264", {2.0}, 1000.0}})};
+  EXPECT_THROW(
+      (void)datacenter::TransientFleetEngine(one_server_fleet(),
+                                             fixed_period(1.0e-3))
+          .run(long_phase),
       util::PreconditionError);
 }
 
