@@ -14,7 +14,6 @@
 
 #include "tpcool/core/parallel.hpp"
 #include "tpcool/core/server.hpp"
-#include "tpcool/core/solve_cache.hpp"
 #include "tpcool/mapping/balancing.hpp"
 #include "tpcool/mapping/clustered.hpp"
 #include "tpcool/mapping/inlet_first.hpp"
@@ -59,8 +58,8 @@ int main(int argc, char** argv) {
       }
     }
   }
-  const std::vector<core::SimulationResult> sims = core::run_parallel_solves(
-      core::Approach::kProposed, cell, requests, *core::SolveCache::global());
+  const std::vector<core::SimulationResult> sims =
+      core::run_parallel_solves(core::Approach::kProposed, cell, requests);
 
   std::size_t next = 0;
   for (const power::CState idle : idles) {

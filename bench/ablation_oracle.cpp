@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
         [&](const std::vector<std::vector<int>>& subsets) {
           return core::evaluate_placements_parallel(
               core::Approach::kProposed, cell, bench, cfg,
-              power::CState::kC1E, subsets, *core::SolveCache::global());
+              power::CState::kC1E, subsets);
         });
     mapping::MappingContext ctx;
     ctx.floorplan = &server.floorplan();

@@ -27,7 +27,6 @@ int main() {
 
   core::RuntimeController::Config config;
   config.tcase_limit_c = 46.0;  // tightened so the demo shows reactions
-  config.control_period_s = 0.5;
   config.max_steps = 24;
   core::RuntimeController controller(server, config);
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Gate one benchmark run on its exact work counters.
+"""Gate one benchmark run on its exact work counters and result digest.
 
 Usage (from the repository root):
     check_bench_regression.py RESULT BASELINE WORKLOAD
@@ -18,6 +18,13 @@ and a decrease is a real change too.  Either way, the baseline is
 refreshed in the same change and the PR says why the counts moved (see
 CONTRIBUTING.md, "Refreshing the counter baseline").
 
+The baseline's "digest" is the workload's result digest (the Table II
+rows, the streamed JSONL bytes, or transient_digest), so a change that
+moves a result without moving a count fails too.  The result line does
+not carry it: it is read from the full report perf/run.py wrote for the
+same run, the .bench_out/<workload>-<seed>-trace1.json whose metrics equal
+RESULT's.
+
 One baseline counter is derived rather than read: core.pipeline_checkouts
 = core.pipeline_constructions + core.pipeline_reuses.  The split between
 the two depends on thread timing; the sum does not.  A pipeline is
@@ -27,15 +34,20 @@ chain checks out none.  So one invariant is checked besides, on any run:
 core.solves <= checkouts <= core.solves + transient.segments.  Wall time
 is not gated here.
 
-Exit status: 0 = correct run and every counter equal to the baseline;
-1 = incorrect run, failed operations, a counter that differs, or
-    checkouts outside their bounds;
-2 = unreadable input or an unknown workload.
+Exit status: 0 = correct run, digest and every counter equal to the
+    baseline;
+1 = incorrect run, failed operations, a digest or counter that differs,
+    or checkouts outside their bounds;
+2 = unreadable input, an unknown workload, or no report for RESULT.
 """
 
 import argparse
 import json
 import sys
+from pathlib import Path
+
+# Where perf/run.py writes its full reports.
+OUT_DIR = Path(__file__).resolve().parent.parent / ".bench_out"
 
 
 def bad_input(message):
@@ -55,6 +67,17 @@ def read_json(path, last_line=False):
         bad_input(f"cannot read {path}: {exc}")
 
 
+def result_digest(workload, values):
+    """The digest in the report of the run whose metrics are `values`."""
+    for path in sorted(OUT_DIR.glob(f"{workload}-*-trace1.json")):
+        report = read_json(path)
+        metrics = report.get("metrics", {})
+        if all(metrics.get(name) == value for name, value in values.items()):
+            return report["runs"][0]["digest"]
+    bad_input(f"no report in {OUT_DIR} matches the result line; run "
+              "perf/run.py --trace 1 from this tree")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("result", help="perf/run.py --trace 1 standard output")
@@ -70,6 +93,7 @@ def main():
     try:
         correct, failed = result["correct"], result["failed"]
         values = {name: m["value"] for name, m in result["metrics"].items()}
+        values["digest"] = result_digest(args.workload, values)
         values["core.pipeline_checkouts"] = (
             values["core.pipeline_constructions"] +
             values["core.pipeline_reuses"])
@@ -77,7 +101,7 @@ def main():
         solves = values["core.solves"]
         segments = values["transient.segments"]
         checkouts = values["core.pipeline_checkouts"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, IndexError) as exc:
         bad_input(f"{args.result}: not a --trace 1 result line ({exc!r})")
 
     failures = []
@@ -106,7 +130,7 @@ def main():
             print("If the change is intended, refresh its baseline entry "
                   "with:\n" + json.dumps({args.workload: current}))
         return 1
-    print(f"\n{args.workload}: all {len(expected)} counters match")
+    print(f"\n{args.workload}: all {len(expected)} baseline entries match")
     return 0
 
 

@@ -167,8 +167,7 @@ std::vector<Fig6Row> run_fig6_scenarios(const ExperimentOptions& options) {
     }
   }
   const std::vector<SimulationResult> sims =
-      run_parallel_solves(Approach::kProposed, options.cell_size_m, requests,
-                          *SolveCache::global());
+      run_parallel_solves(Approach::kProposed, options.cell_size_m, requests);
   for (std::size_t i = 0; i < rows.size(); ++i) rows[i].die = sims[i].die;
   return rows;
 }
@@ -196,8 +195,7 @@ std::vector<Table2Row> run_table2(const ExperimentOptions& options) {
       }
     }
     const std::vector<SimulationResult> sims =
-        run_parallel_solves(approach, options.cell_size_m, requests,
-                            *SolveCache::global());
+        run_parallel_solves(approach, options.cell_size_m, requests);
     // All approaches share the design operating point (§VI-C), so the water
     // ΔT baseline is the configured inlet temperature.
     const double water_inlet_c =
@@ -232,10 +230,8 @@ std::vector<Table2Row> run_table2(const ExperimentOptions& options) {
   return rows;
 }
 
-Fig7Result run_fig7_maps(const ExperimentOptions& options,
-                         const std::string& benchmark) {
-  const workload::BenchmarkProfile& bench =
-      workload::find_benchmark(benchmark);
+Fig7Result run_fig7_maps(const ExperimentOptions& options) {
+  const workload::BenchmarkProfile& bench = workload::find_benchmark("x264");
   const workload::QoSRequirement qos{2.0};
 
   // Two independent approach runs, decided serially and solved in

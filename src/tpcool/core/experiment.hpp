@@ -131,7 +131,7 @@ struct Table2Row {
 
 // ---------------------------------------------------------------- Fig. 7 --
 
-/// Sample die thermal maps at 2x QoS: proposed vs state of the art.
+/// Sample die thermal maps of x264 at 2x QoS: proposed vs state of the art.
 struct Fig7Result {
   util::Grid2D<double> proposed_map_c;
   util::Grid2D<double> soa_map_c;
@@ -141,8 +141,7 @@ struct Fig7Result {
   floorplan::Rect die_region;
 };
 
-[[nodiscard]] Fig7Result run_fig7_maps(const ExperimentOptions& options,
-                                       const std::string& benchmark = "x264");
+[[nodiscard]] Fig7Result run_fig7_maps(const ExperimentOptions& options);
 
 // --------------------------------------------------------------- §VIII-B --
 

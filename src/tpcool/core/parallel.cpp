@@ -45,12 +45,13 @@ SolveCache::ResultPtr cached_solve(
 
 std::vector<SimulationResult> run_parallel_solves(
     Approach approach, double cell_size_m,
-    const std::vector<SolveRequest>& requests, SolveCache& cache) {
+    const std::vector<SolveRequest>& requests) {
   for (const SolveRequest& request : requests) {
     TPCOOL_REQUIRE(request.bench != nullptr, "solve request needs a benchmark");
   }
   const thermosyphon::OperatingPoint op =
       server_config_for(approach, cell_size_m).operating_point;
+  SolveCache& cache = *SolveCache::global();
   return util::parallel_map<SimulationResult>(
       requests.size(), [&](std::size_t i) {
         const SolveRequest& request = requests[i];
@@ -66,9 +67,10 @@ std::vector<double> evaluate_placements_parallel(
     Approach approach, double cell_size_m,
     const workload::BenchmarkProfile& bench,
     const workload::Configuration& config, power::CState idle_state,
-    const std::vector<std::vector<int>>& subsets, SolveCache& cache) {
+    const std::vector<std::vector<int>>& subsets) {
   const thermosyphon::OperatingPoint op =
       server_config_for(approach, cell_size_m).operating_point;
+  SolveCache& cache = *SolveCache::global();
   return util::parallel_map<double>(subsets.size(), [&](std::size_t i) {
     return cached_solve(cache, approach, cell_size_m, op, bench, config,
                         subsets[i], idle_state)

@@ -70,20 +70,20 @@ struct SolveRequest {
 
 /// Run every request against an `Approach` server built at `cell_size_m`
 /// at its design operating point, one task per request on the global pool,
-/// memoized in `cache` (pass the global cache unless isolating a sweep).
-/// Results are returned in request order, with `active_cores` echoing each
-/// request's order, and are bit-identical for any thread count.
+/// memoized in the global SolveCache.  Results are returned in request
+/// order, with `active_cores` echoing each request's order, and are
+/// bit-identical for any thread count.
 [[nodiscard]] std::vector<SimulationResult> run_parallel_solves(
     Approach approach, double cell_size_m,
-    const std::vector<SolveRequest>& requests, SolveCache& cache);
+    const std::vector<SolveRequest>& requests);
 
 /// Batch placement evaluator for mapping::ExhaustivePolicy: evaluates all
-/// subsets (die θmax) through parallel cached solves on an `Approach`
-/// server, one task per subset.
+/// subsets (die θmax) through parallel solves on an `Approach` server,
+/// cached in the global SolveCache, one task per subset.
 [[nodiscard]] std::vector<double> evaluate_placements_parallel(
     Approach approach, double cell_size_m,
     const workload::BenchmarkProfile& bench,
     const workload::Configuration& config, power::CState idle_state,
-    const std::vector<std::vector<int>>& subsets, SolveCache& cache);
+    const std::vector<std::vector<int>>& subsets);
 
 }  // namespace tpcool::core

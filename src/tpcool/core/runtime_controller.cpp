@@ -1,8 +1,11 @@
 #include "tpcool/core/runtime_controller.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <string>
 
+#include "tpcool/power/core_power.hpp"
 #include "tpcool/util/error.hpp"
 
 namespace tpcool::core {
@@ -11,6 +14,10 @@ namespace {
 
 /// Initial uniform package temperature of a controlled run [°C].
 constexpr double kStartTemperatureC = 40.0;
+/// Length of one control period [s].
+constexpr double kControlPeriodS = 0.5;
+/// Coolant valve steps [kg/h], ascending.
+constexpr std::array<double, 4> kFlowStepsKgH{7.0, 10.0, 14.0, 20.0};
 
 }  // namespace
 
@@ -25,20 +32,19 @@ const char* to_string(ControlAction action) {
 }
 
 RuntimeController::RuntimeController(ServerModel& server, Config config)
-    : server_(&server), config_(std::move(config)) {
-  TPCOOL_REQUIRE(!config_.flow_steps_kg_h.empty(), "no flow steps");
-  TPCOOL_REQUIRE(std::is_sorted(config_.flow_steps_kg_h.begin(),
-                                config_.flow_steps_kg_h.end()),
-                 "flow steps must be ascending");
-  TPCOOL_REQUIRE(config_.control_period_s > 0.0 && config_.max_steps > 0,
-                 "invalid control timing");
+    : server_(&server), config_(config) {
+  // A NaN limit would compare false forever and silently disable every
+  // reaction.
+  TPCOOL_REQUIRE(std::isfinite(config_.tcase_limit_c),
+                 "TCASE limit must be finite");
+  TPCOOL_REQUIRE(config_.max_steps > 0, "max steps must be positive");
 }
 
 ControlTrace RuntimeController::run(const workload::BenchmarkProfile& bench,
                                     const ScheduleDecision& decision,
                                     const workload::QoSRequirement& qos) {
   ControlTrace trace;
-  const std::vector<double>& flow_steps = config_.flow_steps_kg_h;
+  const auto& flow_steps = kFlowStepsKgH;
   const double start_flow_kg_h = server_->operating_point().water_flow_kg_h;
   // Start at the first valve step that keeps the server's current flow.
   const auto start = std::find_if(
@@ -71,11 +77,11 @@ ControlTrace RuntimeController::run(const workload::BenchmarkProfile& bench,
         {.water_flow_kg_h = flow_steps[flow_step],
          .water_inlet_c = server_->operating_point().water_inlet_c});
     server_->load(bench, config, decision.cores, decision.idle_state);
-    evap_heat = server_->step_lagged(t, evap_heat, config_.control_period_s);
+    evap_heat = server_->step_lagged(t, evap_heat, kControlPeriodS);
     const PackageProbe probe = server_->probe(t);
 
     ControlRecord record;
-    record.time_s = (step + 1) * config_.control_period_s;
+    record.time_s = (step + 1) * kControlPeriodS;
     record.tcase_c = probe.tcase_c;
     record.die_max_c = probe.die_max_c;
     record.freq_ghz = config.freq_ghz;
@@ -86,7 +92,13 @@ ControlTrace RuntimeController::run(const workload::BenchmarkProfile& bench,
     if (record.tcase_c >= config_.tcase_limit_c) {
       trace.emergency_seen = true;
       const auto& levels = power::core_frequency_levels();
-      const auto it = std::find(levels.begin(), levels.end(), config.freq_ghz);
+      // The level the power model runs the frequency at: matched within its
+      // tolerance, not exactly, or a frequency a hair off its level finds
+      // none and "lowers" to the top one.
+      const auto it = std::find_if(levels.begin(), levels.end(), [&](double f) {
+        return std::abs(f - config.freq_ghz) < power::kFrequencyMatchGhz;
+      });
+      TPCOOL_ENSURE(it != levels.end(), "unsupported DVFS frequency");
       const bool can_lower = it != levels.begin();
       const double next_f = can_lower ? *(it - 1) : config.freq_ghz;
       if (can_lower && lower_freq_ok(next_f)) {

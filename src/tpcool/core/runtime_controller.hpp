@@ -5,10 +5,11 @@
 ///        emergency (TCASE ≥ TCASE_MAX) occurs and lowering the frequency
 ///        violates the QoS requirement."
 ///
-/// The controller drives the transient thermal model in control periods:
-/// each period is one `ServerModel::step_lagged` (the thermosyphon boundary
-/// re-solved from the previous period's evaporator heat, then one backward
-/// Euler step), after which it reacts to the measured case temperature.
+/// The controller drives the transient thermal model in 0.5 s control
+/// periods: each period is one `ServerModel::step_lagged` (the thermosyphon
+/// boundary re-solved from the previous period's evaporator heat, then one
+/// backward Euler step), after which it reacts to the measured case
+/// temperature.  The valve has four steps: 7, 10, 14 and 20 kg/h.
 
 #include <string>
 #include <vector>
@@ -48,10 +49,8 @@ struct ControlTrace {
 class RuntimeController {
  public:
   struct Config {
-    double tcase_limit_c = 85.0;
-    std::vector<double> flow_steps_kg_h{7.0, 10.0, 14.0, 20.0};
-    double control_period_s = 0.5;
-    int max_steps = 40;
+    double tcase_limit_c = 85.0;  ///< Emergency threshold; must be finite.
+    int max_steps = 40;           ///< Control periods per run; must be > 0.
   };
 
   RuntimeController(ServerModel& server, Config config);

@@ -167,15 +167,16 @@ class FleetModel {
 
 /// Order-sensitive FNV-1a digest over every numeric field of the result
 /// (exact double bit patterns).  Equal digests certify bit-identical fleet
-/// outcomes — the datacenter bench compares runs across thread counts with
-/// this.
+/// outcomes — `datacenter_test` and `streaming_test` compare runs across
+/// thread counts, cache warmth and JSONL replay with this, and
+/// `examples/streaming_observability` prints its replay-vs-batch verdict.
 [[nodiscard]] std::uint64_t fleet_digest(const FleetResult& result);
 
 /// A deterministic heterogeneous demo fleet: `racks` racks of
 /// `servers_per_rack` servers cycling through the three approaches
 /// (proposed, [8]+[27]+[9], [8]+[27]+[7]), with slightly staggered chiller
-/// ambients so racks are not interchangeable.  Shared by the datacenter
-/// bench, the example, and the tests.
+/// ambients so racks are not interchangeable.  Shared by perf/'s fleet
+/// workloads, the fleet examples and the tests.
 [[nodiscard]] FleetConfig make_heterogeneous_fleet(std::size_t racks,
                                                    std::size_t servers_per_rack,
                                                    double cell_size_m);

@@ -190,7 +190,7 @@ class WindowedPlacement final : public PlacementPolicy {
 };
 
 /// Registry (the `mapping::` policy-registry shape): the policy names the
-/// fleet config and the datacenter bench accept.
+/// fleet config accepts; `examples/datacenter_fleet` runs each of them.
 [[nodiscard]] const std::vector<std::string>& placement_policy_names();
 
 /// Build a policy by registry name; throws PreconditionError when unknown.

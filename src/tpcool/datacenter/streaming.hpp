@@ -10,8 +10,8 @@
 /// `FleetObserver`s instead of accumulating the whole result in memory, so
 /// an unbounded-length trace runs at bounded memory: the engine never
 /// holds more than `kMaxHeldIntervals` intervals, independent of trace
-/// length (`peak_held_intervals()` reports the observed peak; the
-/// streaming bench and tests assert it).
+/// length (`peak_held_intervals()` reports the observed peak; perf/'s
+/// `fleet_stream` workload and `streaming_test` assert it).
 ///
 /// Observer contract (the full specification lives in
 /// docs/OBSERVABILITY.md):
@@ -158,8 +158,8 @@ class StreamingFleetEngine {
     return next_interval_;
   }
   /// Peak number of `FleetInterval`s simultaneously alive in the engine so
-  /// far — the bounded-memory claim, asserted ≤ `kMaxHeldIntervals` by the
-  /// streaming bench and tests.
+  /// far — the bounded-memory claim, asserted ≤ `kMaxHeldIntervals` by
+  /// perf/'s `fleet_stream` workload and `streaming_test`.
   [[nodiscard]] std::size_t peak_held_intervals() const noexcept {
     return peak_held_intervals_;
   }

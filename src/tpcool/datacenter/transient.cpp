@@ -12,6 +12,7 @@
 #include "tpcool/core/pipeline_pool.hpp"
 #include "tpcool/thermal/grid.hpp"
 #include "tpcool/thermal/stack.hpp"
+#include "tpcool/thermal/step_control.hpp"
 #include "tpcool/util/error.hpp"
 #include "tpcool/util/fnv.hpp"
 #include "tpcool/util/parallel_map.hpp"
@@ -159,7 +160,7 @@ SegmentResult integrate_segment(core::ServerModel& server,
 
   SegmentResult seg;
   double sim_time_s = 0.0;  // accepted-dt sum
-  thermal::StepController controller(config.step_control);
+  thermal::StepController controller(config.tolerance_c);
   // Boundary-loop convergence, summed over every adaptive trial: the
   // iterations run, and the trials that used all kCouplingIterations
   // without meeting the exit.
@@ -167,7 +168,7 @@ SegmentResult integrate_segment(core::ServerModel& server,
   std::size_t boundary_cap_hits = 0;
   const double trial_tolerance =
       std::max(thermal::ThermalModel::kStepTolerance,
-               kTrialTolerance * config.step_control.tolerance_c);
+               kTrialTolerance * config.tolerance_c);
 
   while (sim_time_s < duration_s) {
     const double remaining_s = duration_s - sim_time_s;
@@ -199,7 +200,7 @@ SegmentResult integrate_segment(core::ServerModel& server,
                                      trial_heat.data()[i]);
           }
           converged = k > 0 && max_abs_diff(full, prev_full) <=
-                                   0.1 * config.step_control.tolerance_c;
+                                   0.1 * config.tolerance_c;
           ++boundary_iterations;
         }
         if (!converged) ++boundary_cap_hits;
@@ -320,8 +321,8 @@ TransientFleetEngine::TransientFleetEngine(FleetConfig fleet,
     : fleet_(std::move(fleet)), config_(config) {
   TPCOOL_REQUIRE(config_.fixed_dt_s >= 0.0,
                  "fixed dt must be zero (adaptive) or positive");
-  // Validate the controller tuning at construction, not mid-fan-out.
-  (void)thermal::StepController(config_.step_control);
+  // Validate the step tolerance at construction, not mid-fan-out.
+  (void)thermal::StepController(config_.tolerance_c);
 }
 
 TransientFleetResult TransientFleetEngine::run(
@@ -336,7 +337,7 @@ TransientFleetResult TransientFleetEngine::run(
   // step, before any chain starts.
   const double largest_step_s = config_.fixed_dt_s > 0.0
                                     ? config_.fixed_dt_s
-                                    : config_.step_control.max_dt_s;
+                                    : thermal::kMaxStepS;
   for (const FleetInterval& interval : result.steady.intervals) {
     // ceil(x) <= N exactly when x <= N, for a whole N.
     if (interval.duration_s / largest_step_s <=

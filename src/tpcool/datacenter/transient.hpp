@@ -43,19 +43,20 @@
 #include <vector>
 
 #include "tpcool/datacenter/fleet.hpp"
-#include "tpcool/thermal/step_control.hpp"
 
 namespace tpcool::datacenter {
 
 /// Transient-engine tuning.
 struct TransientEngineConfig {
-  /// Adaptive step controller tuning (tolerance, dt bounds, growth caps).
-  thermal::StepControlConfig step_control;
+  /// Target local error per adaptive step [°C], handed to the
+  /// `thermal::StepController`.  Smaller = more, shorter steps.
+  double tolerance_c = 0.05;
   /// > 0 selects the fixed-period integrator (every step this long, the
   /// boundary lagged one step behind via `ServerModel::step_lagged`, final
   /// step clamped to the boundary) instead of the adaptive controller —
-  /// the reference the bench compares step counts against.
-  /// 0 (default) = adaptive.
+  /// what `examples/daily_trace` runs, and the baseline
+  /// `TransientEngineTest.AdaptiveTakesFewerStepsThanTheFixedBaseline`
+  /// compares step counts against.  0 (default) = adaptive.
   double fixed_dt_s = 0.0;
 };
 
@@ -118,8 +119,9 @@ class TransientFleetEngine {
 };
 
 /// Order-sensitive FNV-1a digest over every numeric field of the transient
-/// result, including the embedded steady digest — the transient bench
-/// compares runs across thread counts with this.
+/// result, including the embedded steady digest — perf/'s `transient_day`
+/// workload reports it, and `transient_test` compares runs across thread
+/// counts and cache warmth with it.
 [[nodiscard]] std::uint64_t transient_digest(const TransientFleetResult& result);
 
 }  // namespace tpcool::datacenter

@@ -4,11 +4,12 @@
 #include <cmath>
 #include <limits>
 #include <numbers>
+#include <string>
 #include <utility>
 
 #include "tpcool/util/error.hpp"
 #include "tpcool/util/fnv.hpp"
-#include "tpcool/workload/benchmark.hpp"
+#include "tpcool/workload/configuration.hpp"
 
 namespace tpcool::datacenter {
 
@@ -44,6 +45,51 @@ constexpr std::uint64_t kSharedNoiseTag = 0x01;
 constexpr std::uint64_t kBurstTag = 0x02;
 constexpr std::uint64_t kStreamTagBase = 0x100;
 
+// Time-of-day load shape: intensity(t) = base + amplitude ·
+// cos(2π · (hour(t) − peak hour) / 24), before noise and bursts.
+constexpr double kDiurnalBase = 0.45;       ///< Mean utilization over the day.
+constexpr double kDiurnalAmplitude = 0.35;  ///< Day/night swing around it.
+constexpr double kPeakHour = 14.0;          ///< Local hour of peak load.
+/// Correlation of the per-slot intensity noise across streams in [0, 1]:
+/// 1 = all streams share one noise sequence, 0 = independent.
+constexpr double kCorrelation = 0.6;
+constexpr double kNoise = 0.15;  ///< Peak-to-peak amplitude of the noise.
+constexpr double kBurstMeanSlots = 4.0;  ///< Geometric mean burst length.
+constexpr double kBurstBoost = 0.45;     ///< Added to intensity in a burst.
+
+/// One tier of the QoS mix: a QoS factor, the benchmarks that run under it
+/// (uniform pick), and how strongly the tier is represented at intensity 0
+/// vs 1 (linearly interpolated).
+struct QoSTier {
+  workload::QoSRequirement qos;
+  std::vector<std::string> benchmarks;
+  double weight_low;
+  double weight_high;
+};
+
+/// The three-tier mix (interactive 1×, mixed 2×, batch 3×) over the 13
+/// PARSEC profiles.  The interactive tier dominates the daytime peak, batch
+/// fills the night, and the mixed tier is always present.  Benchmarks
+/// split by character: interactive = latency-critical high-power profiles,
+/// batch = memory-bound throughput profiles (see workload/benchmark.cpp).
+const std::vector<QoSTier>& qos_tiers() {
+  static const std::vector<QoSTier> tiers{
+      {workload::QoSRequirement{1.0},
+       {"x264", "facesim", "ferret", "raytrace"},
+       0.10,
+       0.65},
+      {workload::QoSRequirement{2.0},
+       {"vips", "bodytrack", "fluidanimate", "freqmine", "dedup"},
+       0.30,
+       0.25},
+      {workload::QoSRequirement{3.0},
+       {"streamcluster", "canneal", "blackscholes", "swaptions"},
+       0.60,
+       0.10},
+  };
+  return tiers;
+}
+
 /// Geometric phase/burst length with mean `mean_slots` (p = 1/mean), in
 /// whole slots, capped at `cap`.  Sampled by Bernoulli trials — no
 /// `std::log`, so the result is identical on every libm.
@@ -72,65 +118,16 @@ std::size_t WorkloadGenConfig::total_slots() const {
   return static_cast<std::size_t>(slots);
 }
 
-std::vector<QoSTier> default_qos_tiers() {
-  // Interactive tier dominates the daytime peak, batch fills the night;
-  // the mixed tier is always present.  Benchmarks split by character:
-  // interactive = latency-critical high-power profiles, batch =
-  // memory-bound throughput profiles (see workload/benchmark.cpp).
-  return {
-      {workload::QoSRequirement{1.0},
-       {"x264", "facesim", "ferret", "raytrace"},
-       0.10,
-       0.65},
-      {workload::QoSRequirement{2.0},
-       {"vips", "bodytrack", "fluidanimate", "freqmine", "dedup"},
-       0.30,
-       0.25},
-      {workload::QoSRequirement{3.0},
-       {"streamcluster", "canneal", "blackscholes", "swaptions"},
-       0.60,
-       0.10},
-  };
-}
-
 WorkloadGenerator::WorkloadGenerator(WorkloadGenConfig config)
-    : config_(std::move(config)) {
-  if (config_.tiers.empty()) config_.tiers = default_qos_tiers();
-
+    : config_(config) {
   TPCOOL_REQUIRE(config_.streams >= 1, "generator needs at least one stream");
   TPCOOL_REQUIRE(config_.slot_s > 0.0, "slot length must be positive");
   TPCOOL_REQUIRE(config_.duration_s > 0.0, "duration must be positive");
   TPCOOL_REQUIRE(config_.total_slots() >= 1, "duration shorter than one slot");
   TPCOOL_REQUIRE(config_.mean_phase_slots >= 1.0,
                  "mean phase length below one slot");
-  TPCOOL_REQUIRE(config_.correlation >= 0.0 && config_.correlation <= 1.0,
-                 "correlation must be in [0, 1]");
-  TPCOOL_REQUIRE(config_.noise >= 0.0, "noise amplitude must be >= 0");
-  TPCOOL_REQUIRE(config_.diurnal.peak_hour >= 0.0 &&
-                     config_.diurnal.peak_hour < 24.0,
-                 "peak hour must be in [0, 24)");
-  TPCOOL_REQUIRE(config_.bursts.rate_per_day >= 0.0,
+  TPCOOL_REQUIRE(config_.burst_rate_per_day >= 0.0,
                  "burst rate must be >= 0");
-  TPCOOL_REQUIRE(config_.bursts.mean_duration_slots >= 1.0,
-                 "burst duration below one slot");
-  TPCOOL_REQUIRE(config_.bursts.intensity_boost >= 0.0,
-                 "burst boost must be >= 0");
-  double weight_low_sum = 0.0;
-  double weight_high_sum = 0.0;
-  for (const QoSTier& tier : config_.tiers) {
-    TPCOOL_REQUIRE(std::isfinite(tier.qos.factor) && tier.qos.factor >= 1.0,
-                   "tier QoS factor must be finite and at least 1x");
-    TPCOOL_REQUIRE(!tier.benchmarks.empty(), "tier needs benchmarks");
-    for (const std::string& name : tier.benchmarks) {
-      (void)workload::find_benchmark(name);  // validates the name
-    }
-    TPCOOL_REQUIRE(tier.weight_low >= 0.0 && tier.weight_high >= 0.0,
-                   "tier weights must be >= 0");
-    weight_low_sum += tier.weight_low;
-    weight_high_sum += tier.weight_high;
-  }
-  TPCOOL_REQUIRE(weight_low_sum > 0.0 && weight_high_sum > 0.0,
-                 "QoS mix must have positive total weight at every intensity");
 
   const std::size_t slots = config_.total_slots();
 
@@ -146,11 +143,11 @@ WorkloadGenerator::WorkloadGenerator(WorkloadGenConfig config)
   SplitMix64 burst_rng{substream_seed(config_.seed, kBurstTag)};
   burst_slots_.assign(slots, false);
   const double p_start =
-      std::min(1.0, config_.bursts.rate_per_day * config_.slot_s / 86400.0);
+      std::min(1.0, config_.burst_rate_per_day * config_.slot_s / 86400.0);
   for (std::size_t slot = 0; slot < slots; ++slot) {
     if (burst_rng.uniform() >= p_start) continue;
     const std::size_t length = sample_geometric_slots(
-        burst_rng, config_.bursts.mean_duration_slots, slots - slot);
+        burst_rng, kBurstMeanSlots, slots - slot);
     for (std::size_t b = slot; b < slot + length; ++b) burst_slots_[b] = true;
   }
 }
@@ -160,11 +157,10 @@ double WorkloadGenerator::fleet_intensity(std::size_t slot) const {
   const double hour =
       std::fmod(static_cast<double>(slot) * config_.slot_s / 3600.0, 24.0);
   const double phase =
-      2.0 * std::numbers::pi * (hour - config_.diurnal.peak_hour) / 24.0;
-  double intensity =
-      config_.diurnal.base + config_.diurnal.amplitude * std::cos(phase);
-  intensity += config_.noise * config_.correlation * shared_noise_[slot];
-  if (burst_slots_[slot]) intensity += config_.bursts.intensity_boost;
+      2.0 * std::numbers::pi * (hour - kPeakHour) / 24.0;
+  double intensity = kDiurnalBase + kDiurnalAmplitude * std::cos(phase);
+  intensity += kNoise * kCorrelation * shared_noise_[slot];
+  if (burst_slots_[slot]) intensity += kBurstBoost;
   return intensity;
 }
 
@@ -190,18 +186,18 @@ workload::WorkloadTrace WorkloadGenerator::stream(std::size_t index) const {
     // stream's own idiosyncratic noise.
     const double own = rng.uniform() - 0.5;
     const double intensity = clamp01(
-        fleet_intensity(slot) +
-        config_.noise * (1.0 - config_.correlation) * own);
+        fleet_intensity(slot) + kNoise * (1.0 - kCorrelation) * own);
 
     // Tier weights interpolate between the low- and high-intensity mixes.
+    const std::vector<QoSTier>& tiers = qos_tiers();
     double total_weight = 0.0;
-    for (const QoSTier& tier : config_.tiers) {
+    for (const QoSTier& tier : tiers) {
       total_weight +=
           tier.weight_low + intensity * (tier.weight_high - tier.weight_low);
     }
     double pick = rng.uniform() * total_weight;
-    const QoSTier* chosen = &config_.tiers.back();
-    for (const QoSTier& tier : config_.tiers) {
+    const QoSTier* chosen = &tiers.back();
+    for (const QoSTier& tier : tiers) {
       const double w =
           tier.weight_low + intensity * (tier.weight_high - tier.weight_low);
       if (pick < w) {
@@ -274,7 +270,7 @@ WorkloadGenConfig diurnal_fleet_week(std::uint64_t seed,
   config.duration_s = 7.0 * 86400.0;
   config.slot_s = 1800.0;  // 336 slots
   config.mean_phase_slots = 4.0;
-  config.bursts.rate_per_day = 1.5;
+  config.burst_rate_per_day = 1.5;
   return config;
 }
 

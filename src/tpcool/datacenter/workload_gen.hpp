@@ -22,49 +22,19 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "tpcool/workload/configuration.hpp"
 #include "tpcool/workload/trace.hpp"
 
 namespace tpcool::datacenter {
 
-/// Time-of-day load shape: intensity(t) = base + amplitude ·
-/// cos(2π · (hour(t) − peak_hour) / 24), clamped to [0, 1] after noise and
-/// bursts are added.  Intensity selects the QoS/benchmark mix (high =
-/// interactive, low = batch).
-struct DiurnalShape {
-  double base = 0.45;       ///< Mean utilization over the day.
-  double amplitude = 0.35;  ///< Day/night swing around the base.
-  double peak_hour = 14.0;  ///< Local hour of peak load in [0, 24).
-};
-
-/// One tier of the heterogeneous QoS mix: a QoS factor, the benchmarks
-/// that run under it, and how strongly the tier is represented at low vs
-/// high fleet intensity (linearly interpolated).  Defaults model an
-/// interactive tier that dominates the daytime peak and a batch tier that
-/// fills the night.
-struct QoSTier {
-  workload::QoSRequirement qos{2.0};
-  std::vector<std::string> benchmarks;  ///< Uniform pick within the tier.
-  double weight_low = 1.0;   ///< Relative selection weight at intensity 0.
-  double weight_high = 1.0;  ///< Relative selection weight at intensity 1.
-};
-
-/// Fleet-wide flash-crowd bursts: burst starts arrive as a Bernoulli
-/// approximation of a Poisson process on the slot grid, last a geometric
-/// number of slots, and add `intensity_boost` to every stream's intensity
-/// while active — the correlated load spike all streams see together.
-struct BurstModel {
-  double rate_per_day = 2.0;        ///< Mean burst arrivals per 24 h.
-  double mean_duration_slots = 4.0; ///< Geometric mean burst length.
-  double intensity_boost = 0.45;    ///< Added to intensity while bursting.
-};
-
-/// Generator parameters.  Defaults produce a plausible interactive/batch
-/// datacenter day; see `diurnal_fleet_day` / `diurnal_fleet_week` for the
-/// tuned presets.
+/// Generator parameters.  The load model itself is fixed (see
+/// workload_gen.cpp): a diurnal intensity base + amplitude · cos(2π ·
+/// (hour − peak hour) / 24), per-slot noise partly shared across streams,
+/// and fleet-wide flash-crowd bursts, clamped to [0, 1]; the intensity
+/// weights a three-tier QoS mix (interactive 1× dominating the daytime
+/// peak, mixed 2×, batch 3× filling the night).  See `diurnal_fleet_day` /
+/// `diurnal_fleet_week` for the presets.
 struct WorkloadGenConfig {
   std::uint64_t seed = 0;       ///< Same seed ⇒ bit-identical traces.
   std::size_t streams = 4;      ///< Arrival streams (one job each when active).
@@ -73,22 +43,14 @@ struct WorkloadGenConfig {
   /// Mean phase length in slots: phases end with probability
   /// 1/mean_phase_slots per slot (geometric = quantized Poisson switching).
   double mean_phase_slots = 4.0;
-  DiurnalShape diurnal;
-  /// Correlation of the per-slot intensity noise across streams in [0, 1]:
-  /// 1 = all streams share one noise sequence, 0 = independent.
-  double correlation = 0.6;
-  double noise = 0.15;          ///< Peak-to-peak amplitude of the noise.
-  BurstModel bursts;
-  /// The QoS mix; empty selects the default three-tier interactive /
-  /// mixed / batch split over the 13 PARSEC profiles.
-  std::vector<QoSTier> tiers;
+  /// Mean flash-crowd burst arrivals per 24 h: burst starts arrive as a
+  /// Bernoulli approximation of a Poisson process on the slot grid, last a
+  /// geometric number of slots, and raise every stream's intensity while
+  /// active — the correlated load spike all streams see together.
+  double burst_rate_per_day = 2.0;
 
   [[nodiscard]] std::size_t total_slots() const;
 };
-
-/// The default three-tier QoS mix (interactive 1×, mixed 2×, batch 3×)
-/// used when `WorkloadGenConfig::tiers` is empty.
-[[nodiscard]] std::vector<QoSTier> default_qos_tiers();
 
 /// Seeded synthetic workload generator.  Construction validates the
 /// config and precomputes the fleet-shared sequences (burst timeline,

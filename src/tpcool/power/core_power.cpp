@@ -13,7 +13,7 @@ const std::vector<double>& core_frequency_levels() {
 
 bool is_supported_frequency(double freq_ghz) {
   for (const double f : core_frequency_levels()) {
-    if (std::abs(f - freq_ghz) < 1e-9) return true;
+    if (std::abs(f - freq_ghz) < kFrequencyMatchGhz) return true;
   }
   return false;
 }
@@ -21,8 +21,8 @@ bool is_supported_frequency(double freq_ghz) {
 double core_voltage_v(double freq_ghz) {
   TPCOOL_REQUIRE(is_supported_frequency(freq_ghz),
                  "unsupported DVFS frequency");
-  if (std::abs(freq_ghz - 2.6) < 1e-9) return 0.90;
-  if (std::abs(freq_ghz - 2.9) < 1e-9) return 1.00;
+  if (std::abs(freq_ghz - 2.6) < kFrequencyMatchGhz) return 0.90;
+  if (std::abs(freq_ghz - 2.9) < kFrequencyMatchGhz) return 1.00;
   return 1.10;  // 3.2 GHz
 }
 

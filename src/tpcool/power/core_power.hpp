@@ -16,7 +16,11 @@ namespace tpcool::power {
 /// Supported DVFS core-frequency levels [GHz] (paper §IV-C1).
 [[nodiscard]] const std::vector<double>& core_frequency_levels();
 
-/// Whether `freq_ghz` is one of the supported DVFS levels.
+/// How far [GHz] a frequency may lie from a DVFS level and still run at it.
+inline constexpr double kFrequencyMatchGhz = 1e-9;
+
+/// Whether `freq_ghz` is one of the supported DVFS levels (within
+/// `kFrequencyMatchGhz`).
 [[nodiscard]] bool is_supported_frequency(double freq_ghz);
 
 /// DVFS voltage [V] at a supported frequency level.

@@ -9,30 +9,33 @@ namespace tpcool::thermal {
 
 namespace {
 
+/// Hard floor [s]: a step at or below this is accepted regardless of its
+/// error estimate, guaranteeing progress through stiff transients.
+constexpr double kMinStepS = 1.0e-3;
+/// First proposal of a run (and of each fresh segment) [s].
+constexpr double kInitialStepS = 0.5;
+/// Largest per-step growth factor of the proposal (SpECTRE's ErrorControl
+/// chooser limits growth the same way: one cheap step must not catapult dt
+/// past the next transient).
+constexpr double kMaxGrowth = 4.0;
 /// Largest per-step shrink factor: a wildly over-tolerance step retries at
-/// a tenth, not at min_dt, so one noisy estimate cannot collapse the run
+/// a tenth, not at the floor, so one noisy estimate cannot collapse the run
 /// into floor-sized steps.
 constexpr double kMaxShrink = 0.1;
+/// Safety factor on the dead-beat update so the next step's error lands
+/// below — not at — the tolerance.
+constexpr double kSafety = 0.9;
 
 }  // namespace
 
-StepController::StepController(StepControlConfig config)
-    : config_(config), dt_s_(config.initial_dt_s) {
-  TPCOOL_REQUIRE(config_.tolerance_c > 0.0, "step tolerance must be positive");
-  TPCOOL_REQUIRE(config_.min_dt_s > 0.0, "min dt must be positive");
-  TPCOOL_REQUIRE(config_.max_dt_s >= config_.min_dt_s,
-                 "max dt must be >= min dt");
-  TPCOOL_REQUIRE(config_.initial_dt_s >= config_.min_dt_s &&
-                     config_.initial_dt_s <= config_.max_dt_s,
-                 "initial dt must lie in [min dt, max dt]");
-  TPCOOL_REQUIRE(config_.max_growth > 1.0, "max growth must exceed 1");
-  TPCOOL_REQUIRE(config_.safety > 0.0 && config_.safety <= 1.0,
-                 "safety factor must be in (0, 1]");
+StepController::StepController(double tolerance_c)
+    : tolerance_c_(tolerance_c), dt_s_(kInitialStepS) {
+  TPCOOL_REQUIRE(tolerance_c_ > 0.0, "step tolerance must be positive");
 }
 
 double StepController::propose(double remaining_s) const {
   TPCOOL_REQUIRE(remaining_s > 0.0, "no time remaining to step over");
-  const double dt = std::min(dt_s_, config_.max_dt_s);
+  const double dt = std::min(dt_s_, kMaxStepS);
   // Step-to-boundary: land exactly (the caller assigns, not accumulates)…
   if (dt >= remaining_s) return remaining_s;
   // …and never set up a sliver: past the halfway mark, split the remainder
@@ -46,16 +49,15 @@ bool StepController::evaluate(double dt_s, double error_c) {
   TPCOOL_REQUIRE(error_c >= 0.0, "error estimate must be non-negative");
   // Dead-beat update on the order-2 local estimate; a zero estimate (e.g.
   // an equilibrated field) grows at the cap.
-  double factor = config_.max_growth;
+  double factor = kMaxGrowth;
   if (error_c > 0.0) {
-    factor = std::clamp(config_.safety * std::sqrt(config_.tolerance_c /
-                                                   error_c),
-                        kMaxShrink, config_.max_growth);
+    factor = std::clamp(kSafety * std::sqrt(tolerance_c_ / error_c),
+                        kMaxShrink, kMaxGrowth);
   }
-  dt_s_ = std::clamp(dt_s * factor, config_.min_dt_s, config_.max_dt_s);
+  dt_s_ = std::clamp(dt_s * factor, kMinStepS, kMaxStepS);
   // Accept within tolerance — or at the floor, where rejecting could not
   // shrink further anyway (progress guarantee).
-  return error_c <= config_.tolerance_c || dt_s <= config_.min_dt_s;
+  return error_c <= tolerance_c_ || dt_s <= kMinStepS;
 }
 
 }  // namespace tpcool::thermal

@@ -19,27 +19,9 @@
 
 namespace tpcool::thermal {
 
-/// Tuning of the adaptive step controller.
-struct StepControlConfig {
-  /// Target local error per step [°C] (max-norm of the step-doubling
-  /// estimate).  Smaller = more, shorter steps.
-  double tolerance_c = 0.05;
-  /// Hard floor: a step at or below this is accepted regardless of its
-  /// error estimate, guaranteeing progress through stiff transients.
-  double min_dt_s = 1.0e-3;
-  /// Hard ceiling on any proposal (smooth plateaus otherwise grow dt
-  /// without bound and skate over the next load change).
-  double max_dt_s = 900.0;
-  /// First proposal of a run (and of each fresh segment).
-  double initial_dt_s = 0.5;
-  /// Largest per-step growth factor of the proposal (SpECTRE's
-  /// ErrorControl chooser limits growth the same way: one cheap step must
-  /// not catapult dt past the next transient).
-  double max_growth = 4.0;
-  /// Safety factor on the dead-beat update so the next step's error lands
-  /// below — not at — the tolerance.
-  double safety = 0.9;
-};
+/// Hard ceiling on any proposal [s] (smooth plateaus otherwise grow dt
+/// without bound and skate over the next load change).
+inline constexpr double kMaxStepS = 900.0;
 
 /// One adaptive stepping sequence: propose a dt, integrate, report the
 /// error estimate back, repeat.  `propose` applies the step-to-boundary
@@ -52,11 +34,10 @@ struct StepControlConfig {
 ///   if (controller.evaluate(dt, error_c)) { commit } else { retry }
 class StepController {
  public:
-  explicit StepController(StepControlConfig config);
-
-  [[nodiscard]] const StepControlConfig& config() const noexcept {
-    return config_;
-  }
+  /// `tolerance_c`: target local error per step [°C] (max-norm of the
+  /// step-doubling estimate); smaller = more, shorter steps.  Must be > 0.
+  /// The first proposal is 0.5 s.
+  explicit StepController(double tolerance_c);
 
   /// The dt to attempt given `remaining_s` to the next boundary.  The
   /// current error-controlled proposal is clamped by the step-to-boundary
@@ -69,13 +50,13 @@ class StepController {
   /// Feed back the error estimate of a trial step of `dt_s`.  Returns
   /// true when the step is accepted (error within tolerance, or dt at the
   /// floor); either way the next proposal is the dead-beat update
-  ///   dt · clamp(safety · sqrt(tolerance / error), shrink, max_growth)
-  /// clamped into [min_dt_s, max_dt_s].  sqrt: backward Euler is first
+  ///   dt · clamp(0.9 · sqrt(tolerance / error), 0.1, 4)
+  /// clamped into [1 ms, kMaxStepS].  sqrt: backward Euler is first
   /// order, so the step-doubling estimate scales as dt².
   [[nodiscard]] bool evaluate(double dt_s, double error_c);
 
  private:
-  StepControlConfig config_;
+  double tolerance_c_;
   double dt_s_;  ///< Error-controlled proposal, boundary-unclamped.
 };
 

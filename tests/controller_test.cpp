@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <string>
 
 #include "tpcool/core/pipelines.hpp"
@@ -139,13 +141,38 @@ TEST_F(ControllerTest, ServerFlowAboveEveryStepIsRejected) {
 }
 
 TEST_F(ControllerTest, RejectsBadConfig) {
-  RuntimeController::Config bad;
-  bad.flow_steps_kg_h = {};
-  EXPECT_THROW(RuntimeController(server_, bad),
-               util::PreconditionError);
-  bad.flow_steps_kg_h = {10.0, 7.0};
-  EXPECT_THROW(RuntimeController(server_, bad),
-               util::PreconditionError);
+  // tcase >= NaN is always false: a NaN limit would never react.
+  for (const double limit : {std::nan(""),
+                             std::numeric_limits<double>::infinity()}) {
+    RuntimeController::Config bad;
+    bad.tcase_limit_c = limit;
+    EXPECT_THROW(RuntimeController(server_, bad), util::PreconditionError)
+        << limit;
+  }
+  RuntimeController::Config no_steps;
+  no_steps.max_steps = 0;
+  EXPECT_THROW(RuntimeController(server_, no_steps), util::PreconditionError);
+}
+
+TEST_F(ControllerTest, FrequencyOffItsLevelByLessThanTheModelToleranceLowers) {
+  // The power and performance models run 2.9 + 5e-10 GHz as the 2.9 GHz
+  // level; the controller must find that level too, and step down from it
+  // rather than up to the top one.
+  ScheduleDecision decision = full_load_decision();
+  decision.point.config.freq_ghz = 2.9 + 5e-10;
+  RuntimeController::Config config;
+  config.tcase_limit_c = 32.0;  // every period is an emergency
+  config.max_steps = 4;
+  RuntimeController controller(server_, config);
+  const ControlTrace trace = controller.run(
+      workload::worst_case_benchmark(), decision,
+      workload::QoSRequirement{3.0});
+  ASSERT_EQ(trace.records.size(), 4u);
+  EXPECT_EQ(trace.records[0].action, ControlAction::kLowerFrequency);
+  EXPECT_EQ(trace.records[1].freq_ghz, 2.6);
+  for (std::size_t i = 0; i + 1 < trace.records.size(); ++i) {
+    EXPECT_LE(trace.records[i + 1].freq_ghz, trace.records[i].freq_ghz) << i;
+  }
 }
 
 }  // namespace

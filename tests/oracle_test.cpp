@@ -83,7 +83,7 @@ TEST_F(OracleTest, ProposedHeuristicNearThermalOptimum) {
   ExhaustivePolicy oracle([&](const std::vector<std::vector<int>>& subsets) {
     return core::evaluate_placements_parallel(
         core::Approach::kProposed, kCell, bench, config, power::CState::kC1E,
-        subsets, *core::SolveCache::global());
+        subsets);
   });
 
   MappingContext context;

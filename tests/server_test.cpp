@@ -185,7 +185,8 @@ TEST(ServerCachedSolve, HitSharesTheStoredResult) {
 TEST(ServerCachedSolve, ParallelSolvesEchoTheRequestOrder) {
   // Two placements of one set share one entry; each returned copy still
   // echoes its own request's order.
-  SolveCache cache(8);
+  SolveCache& cache = *SolveCache::global();
+  cache.clear();
   const auto& bench = workload::find_benchmark("x264");
   const workload::Configuration config{4, 2, 3.2};
   const std::vector<int> order{5, 4, 7, 2};
@@ -193,14 +194,14 @@ TEST(ServerCachedSolve, ParallelSolvesEchoTheRequestOrder) {
   const std::vector<SimulationResult> sims = run_parallel_solves(
       Approach::kProposed, 2.0e-3,
       {{&bench, config, order, power::CState::kC1},
-       {&bench, config, permuted, power::CState::kC1}},
-      cache);
+       {&bench, config, permuted, power::CState::kC1}});
   ASSERT_EQ(sims.size(), 2u);
   EXPECT_EQ(sims[0].active_cores, order);
   EXPECT_EQ(sims[1].active_cores, permuted);
   expect_same_solve(sims[0], sims[1]);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 1u);
+  cache.clear();
 }
 
 TEST(ServerFactories, ProposedAndSoaDiffer) {

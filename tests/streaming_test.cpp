@@ -76,6 +76,17 @@ TEST(WorkloadGenerator, SameSeedIsBitIdenticalAcrossThreadCounts) {
   util::ThreadPool::set_global_thread_count(0);
 }
 
+TEST(WorkloadGenerator, PresetsReproduceTheirGoldenDigests) {
+  // Pinned literals, not a run of this binary against itself: a change to
+  // any load-model constant, the QoS mix or the random streams moves them.
+  EXPECT_EQ(
+      streams_digest(WorkloadGenerator(diurnal_fleet_day(42, 4)).generate()),
+      0xf64377065762f85bULL);
+  EXPECT_EQ(
+      streams_digest(WorkloadGenerator(diurnal_fleet_week(42, 128)).generate()),
+      0x9883445deedfeb1eULL);
+}
+
 TEST(WorkloadGenerator, DistinctSeedsProduceDistinctTraces) {
   const std::uint64_t a =
       streams_digest(WorkloadGenerator(diurnal_fleet_day(1, 4)).generate());
@@ -115,49 +126,31 @@ TEST(WorkloadGenerator, PhasesStayOnTheSlotGridAndCoverTheDuration) {
 TEST(WorkloadGenerator, ValidatesItsConfig) {
   WorkloadGenConfig no_streams;
   no_streams.streams = 0;
-  EXPECT_THROW(WorkloadGenerator(std::move(no_streams)),
-               util::PreconditionError);
+  EXPECT_THROW(WorkloadGenerator{no_streams}, util::PreconditionError);
   WorkloadGenConfig zero_slot;
   zero_slot.slot_s = 0.0;
-  EXPECT_THROW(WorkloadGenerator(std::move(zero_slot)),
-               util::PreconditionError);
+  EXPECT_THROW(WorkloadGenerator{zero_slot}, util::PreconditionError);
   // Slot counts too large for std::size_t are refused before the cast.
   WorkloadGenConfig endless;
   endless.duration_s = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(WorkloadGenerator(std::move(endless)), util::PreconditionError);
+  EXPECT_THROW(WorkloadGenerator{endless}, util::PreconditionError);
   WorkloadGenConfig tiny_slot;
   tiny_slot.slot_s = 1e-300;
-  EXPECT_THROW(WorkloadGenerator(std::move(tiny_slot)),
-               util::PreconditionError);
+  EXPECT_THROW(WorkloadGenerator{tiny_slot}, util::PreconditionError);
   // An endless mean phase is valid: every stream is one whole-trace phase.
   WorkloadGenConfig endless_phase = short_scenario(7);
   endless_phase.mean_phase_slots = std::numeric_limits<double>::infinity();
   for (const workload::WorkloadTrace& trace :
-       WorkloadGenerator(std::move(endless_phase)).generate()) {
+       WorkloadGenerator(endless_phase).generate()) {
     EXPECT_EQ(trace.phases().size(), 1u);
   }
-  WorkloadGenConfig bad_correlation;
-  bad_correlation.correlation = 1.5;
-  EXPECT_THROW(WorkloadGenerator(std::move(bad_correlation)),
-               util::PreconditionError);
-  WorkloadGenConfig bad_bench;
-  bad_bench.tiers = {{workload::QoSRequirement{2.0}, {"no-such-bench"}}};
-  EXPECT_THROW(WorkloadGenerator(std::move(bad_bench)),
-               util::PreconditionError);
-  WorkloadGenConfig endless_qos;
-  endless_qos.tiers = {{workload::QoSRequirement{
-                            std::numeric_limits<double>::infinity()},
-                        {"x264"}}};
-  EXPECT_THROW(WorkloadGenerator(std::move(endless_qos)),
-               util::PreconditionError);
-  WorkloadGenConfig zero_weights;
-  zero_weights.tiers = {{workload::QoSRequirement{2.0}, {"x264"}, 0.0, 0.0}};
-  EXPECT_THROW(WorkloadGenerator(std::move(zero_weights)),
-               util::PreconditionError);
+  WorkloadGenConfig bad_bursts;
+  bad_bursts.burst_rate_per_day = -1.0;
+  EXPECT_THROW(WorkloadGenerator{bad_bursts}, util::PreconditionError);
 }
 
 TEST(WorkloadGenerator, QoSMixShiftsInteractiveTowardTheDiurnalPeak) {
-  // Statistical, not physical: with the default tiers, 1x-QoS phases are
+  // Statistical, not physical: in the QoS mix, 1x-QoS phases are
   // weighted 6.5x more at full intensity than at zero, so a full day must
   // place more interactive time near the peak than deep off-peak.
   const WorkloadGenerator gen(diurnal_fleet_day(11, 8));

@@ -32,41 +32,19 @@ namespace {
 
 // ---------------------------------------------------------- StepController --
 
-thermal::StepControlConfig tight_config() {
-  thermal::StepControlConfig config;
-  config.tolerance_c = 0.05;
-  config.min_dt_s = 1.0e-3;
-  config.max_dt_s = 900.0;
-  config.initial_dt_s = 0.5;
-  config.max_growth = 4.0;
-  config.safety = 0.9;
-  return config;
-}
+/// The engine's default step tolerance [°C].
+constexpr double kTolerance = 0.05;
 
 TEST(StepController, ValidatesConfig) {
-  auto bad = tight_config();
-  bad.tolerance_c = 0.0;
-  EXPECT_THROW(thermal::StepController{bad}, util::PreconditionError);
-  bad = tight_config();
-  bad.min_dt_s = -1.0;
-  EXPECT_THROW(thermal::StepController{bad}, util::PreconditionError);
-  bad = tight_config();
-  bad.max_dt_s = bad.min_dt_s / 2.0;
-  EXPECT_THROW(thermal::StepController{bad}, util::PreconditionError);
-  bad = tight_config();
-  bad.initial_dt_s = 2.0 * bad.max_dt_s;
-  EXPECT_THROW(thermal::StepController{bad}, util::PreconditionError);
-  bad = tight_config();
-  bad.max_growth = 1.0;
-  EXPECT_THROW(thermal::StepController{bad}, util::PreconditionError);
-  bad = tight_config();
-  bad.safety = 1.5;
-  EXPECT_THROW(thermal::StepController{bad}, util::PreconditionError);
+  EXPECT_THROW(thermal::StepController{0.0}, util::PreconditionError);
+  EXPECT_THROW(thermal::StepController{-1.0}, util::PreconditionError);
+  EXPECT_THROW(thermal::StepController{std::nan("")},
+               util::PreconditionError);
 }
 
 TEST(StepController, ProposeAppliesTheStepToBoundaryRules) {
-  const thermal::StepController controller(tight_config());
-  // Far from the boundary: the error-controlled proposal runs unclamped.
+  const thermal::StepController controller(kTolerance);
+  // Far from the boundary: the initial 0.5 s proposal runs unclamped.
   EXPECT_EQ(controller.propose(10.0), 0.5);
   // Reaching the boundary: exactly the remainder (land by assignment).
   EXPECT_EQ(controller.propose(0.4), 0.4);
@@ -79,34 +57,39 @@ TEST(StepController, ProposeAppliesTheStepToBoundaryRules) {
 }
 
 TEST(StepController, EvaluateRunsTheDeadBeatUpdate) {
-  const auto config = tight_config();
   // Far from any boundary, propose() returns the dead-beat proposal itself.
   constexpr double kFar = 1.0e9;
-  thermal::StepController controller(config);
+  thermal::StepController controller(kTolerance);
 
-  // Error at tolerance: accepted, next proposal shrinks by safety.
-  EXPECT_TRUE(controller.evaluate(0.5, config.tolerance_c));
-  EXPECT_DOUBLE_EQ(controller.propose(kFar), 0.5 * config.safety);
+  // Error at tolerance: accepted, next proposal shrinks by the 0.9 safety.
+  EXPECT_TRUE(controller.evaluate(0.5, kTolerance));
+  EXPECT_DOUBLE_EQ(controller.propose(kFar), 0.5 * 0.9);
 
-  // Zero error (an equilibrated field): grows at the cap.
-  thermal::StepController growing(config);
+  // Zero error (an equilibrated field): grows at the 4x cap.
+  thermal::StepController growing(kTolerance);
   EXPECT_TRUE(growing.evaluate(0.5, 0.0));
-  EXPECT_DOUBLE_EQ(growing.propose(kFar), 0.5 * config.max_growth);
+  EXPECT_DOUBLE_EQ(growing.propose(kFar), 0.5 * 4.0);
 
   // 4x over tolerance: rejected, retried at 0.9 * sqrt(1/4) = 0.45x.
-  thermal::StepController shrinking(config);
-  EXPECT_FALSE(shrinking.evaluate(0.5, 4.0 * config.tolerance_c));
-  EXPECT_DOUBLE_EQ(shrinking.propose(kFar), 0.5 * config.safety * 0.5);
+  thermal::StepController shrinking(kTolerance);
+  EXPECT_FALSE(shrinking.evaluate(0.5, 4.0 * kTolerance));
+  EXPECT_DOUBLE_EQ(shrinking.propose(kFar), 0.5 * 0.9 * 0.5);
 
   // Wildly over tolerance: the shrink factor floors at 0.1, not at min_dt.
-  thermal::StepController floored(config);
+  thermal::StepController floored(kTolerance);
   EXPECT_FALSE(floored.evaluate(0.5, 1.0e9));
   EXPECT_DOUBLE_EQ(floored.propose(kFar), 0.05);
 
-  // At the dt floor any error is accepted (progress guarantee).
-  thermal::StepController at_floor(config);
-  EXPECT_TRUE(at_floor.evaluate(config.min_dt_s, 1.0e9));
-  EXPECT_DOUBLE_EQ(at_floor.propose(kFar), config.min_dt_s);
+  // At the 1 ms dt floor any error is accepted (progress guarantee).
+  thermal::StepController at_floor(kTolerance);
+  EXPECT_TRUE(at_floor.evaluate(1.0e-3, 1.0e9));
+  EXPECT_DOUBLE_EQ(at_floor.propose(kFar), 1.0e-3);
+
+  // Proposals never exceed the ceiling, however long the plateau.
+  thermal::StepController capped(kTolerance);
+  EXPECT_TRUE(capped.evaluate(800.0, 0.0));
+  EXPECT_EQ(capped.propose(kFar), thermal::kMaxStepS);
+  EXPECT_EQ(thermal::kMaxStepS, 900.0);
 
   EXPECT_THROW((void)at_floor.evaluate(0.0, 0.0), util::PreconditionError);
   EXPECT_THROW((void)at_floor.evaluate(0.5, -1.0), util::PreconditionError);
@@ -116,10 +99,9 @@ TEST(StepController, AcceptedStepsLandExactlyOnAwkwardDurations) {
   // Drive the controller over durations that do not divide by any power of
   // two of the initial dt; land-by-assignment plus the half-split rule
   // must reach every boundary exactly, with no sliver steps.
-  const auto config = tight_config();
   for (const double duration_s : {1.1, 0.7, 86400.0 / 7.0, 3.0 + 1e-13}) {
     SCOPED_TRACE(duration_s);
-    thermal::StepController controller(config);
+    thermal::StepController controller(kTolerance);
     double sim_time_s = 0.0;
     double min_dt_s = 1.0e9;
     int steps = 0;
@@ -128,15 +110,15 @@ TEST(StepController, AcceptedStepsLandExactlyOnAwkwardDurations) {
       const double dt_s = controller.propose(remaining_s);
       // Alternate small errors so the proposal keeps moving.
       EXPECT_TRUE(controller.evaluate(
-          dt_s, (steps % 2 == 0 ? 0.4 : 0.9) * config.tolerance_c));
+          dt_s, (steps % 2 == 0 ? 0.4 : 0.9) * kTolerance));
       sim_time_s = dt_s == remaining_s ? duration_s : sim_time_s + dt_s;
       min_dt_s = std::min(min_dt_s, dt_s);
       ++steps;
       ASSERT_LT(steps, 100000);
     }
     EXPECT_EQ(sim_time_s, duration_s);  // bitwise exact landing
-    // The half-split rule keeps every step above half the floor.
-    EXPECT_GE(min_dt_s, 0.5 * config.min_dt_s);
+    // The half-split rule keeps every step above half the 1 ms floor.
+    EXPECT_GE(min_dt_s, 0.5 * 1.0e-3);
   }
 }
 
@@ -293,7 +275,7 @@ TEST_F(TransientEngineTest, ValidatesEngineConfig) {
   EXPECT_THROW(datacenter::TransientFleetEngine(small_fleet(), bad),
                util::PreconditionError);
   datacenter::TransientEngineConfig bad_controller;
-  bad_controller.step_control.tolerance_c = -1.0;
+  bad_controller.tolerance_c = -1.0;
   EXPECT_THROW(
       datacenter::TransientFleetEngine(small_fleet(), bad_controller),
       util::PreconditionError);
@@ -530,7 +512,7 @@ TEST_F(TransientEngineTest, PeakTcaseTracksATightToleranceReference) {
       datacenter::TransientFleetEngine(one_server_fleet(), {}).run(streams);
   core::SolveCache::global()->clear();
   datacenter::TransientEngineConfig tight;
-  tight.step_control.tolerance_c = 5e-4;
+  tight.tolerance_c = 5e-4;
   const datacenter::TransientFleetResult reference =
       datacenter::TransientFleetEngine(one_server_fleet(), tight)
           .run(streams);
