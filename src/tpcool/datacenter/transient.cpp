@@ -47,23 +47,23 @@ constexpr int kCouplingIterations = 8;
 /// Comput. 17(1), as for kForcing in core/server.cpp).  Its solver error
 /// must stay well below both the boundary loop's exit (0.1 × tolerance_c)
 /// and the estimate itself, so it scales with tolerance_c: at a fixed 1e-6,
-/// a tolerance_c = 5e-4 run of the day below takes 97,030 steps instead of
-/// 31,624.  Measured on perf/'s transient_day (three staggered daily
+/// a tolerance_c = 5e-4 run of the day below takes 96,847 steps instead of
+/// 31,445.  Measured on perf/'s transient_day (three staggered daily
 /// traces on the 2x2 fleet, 30 segments, default tolerance_c = 0.05)
 /// against the same loop with every full step at 1e-9: the largest
 /// per-segment move [°C] and the run's CG iterations are
 ///
 ///   full step  peak TCASE  peak die  end TCASE  CG iterations  steps
-///   1e-9       —           —         —          130,163        1522
-///   1e-8       1.5e-7      8.1e-6    2.4e-7     113,916        1522
-///   1e-7       3.5e-6      6.6e-5    3.5e-6      97,364        1522
-///   1e-6       4.4e-5      6.5e-4    3.7e-5      80,338        1522
-///   1e-5       5.3e-4      2.8e-3    5.3e-4      64,046        1521
-///   1e-4       7.5e-3      4.8e-1    2.1e-3      53,278        2108
+///   1e-9       —           —         —          107,161        1350
+///   1e-8       2.8e-7      3.3e-7    2.8e-7      94,262        1350
+///   1e-7       6.3e-6      1.0e-6    2.3e-6      81,123        1350
+///   1e-6       6.7e-5      4.1e-5    3.9e-5      67,081        1350
+///   1e-5       3.5e-3      4.6e-4    4.1e-4      53,179        1357
+///   1e-4       9.6e-3      2.1e-3    4.1e-3      44,177        1953
 ///
 /// 1e-6 (2e-5 × 0.05) is the loosest decade that keeps every peak within
 /// 1e-3 °C.  At 1e-4 the solver error shows in the estimate, and the
-/// controller takes 39% more steps.
+/// controller takes 45% more steps.
 constexpr double kTrialTolerance = 2e-5;
 
 /// Under-relaxation factor for the evaporator heat-map update inside the
@@ -73,12 +73,28 @@ constexpr double kTrialTolerance = 2e-5;
 /// the effective gain and makes the iteration contract.
 constexpr double kCouplingRelaxation = 0.5;
 
-/// Most steps one segment may need at the largest step the engine takes.
-/// A valid trace can hold a phase so long that integrating it would not
-/// end in any useful time (a 1e12 s phase takes over 1e9 steps of 900 s);
-/// such a run is refused before any segment starts.  perf/'s transient day
-/// needs at least 22 steps per segment, and the fixed-period daily trace
-/// at 0.5 s needs 32.
+/// Safety factor on the first adaptive step, dt₀ = 0.9·√(4·tol/‖T''‖∞):
+/// the step-doubling estimate is about dt²/4·‖T''‖, so this lands the first
+/// trial's estimate just below the tolerance.  On perf/'s transient day,
+/// 0.9 and 2 reject no first step (7,288 and 7,236 CG solves), and 4 and 8
+/// reject 45 and 63 trials (7,490 and 7,639).  But at 2 a segment whose
+/// power falls takes its first probe after the die has cooled: on the
+/// one-server daily trace, peak die is 0.32 °C off a tight-tolerance
+/// reference, against 0.07 °C at 0.9.
+constexpr double kFirstStepSafety = 0.9;
+
+/// A step at the largest step length, with a converged boundary, that
+/// moves no cell by more than this fraction of tolerance_c has settled:
+/// power is constant within a segment, so the segment ends on that field.
+constexpr double kSettledFraction = 0.1;
+
+/// Most steps a segment may take: up front for the fixed-period
+/// integrator, whose step count the period fixes (1000 s at 1 ms is 1e6
+/// steps, refused before any segment starts), and as a budget on the
+/// trials (accepted plus rejected) the adaptive integrator actually takes,
+/// which throws mid-run.  An adaptive segment ends once it settles, so its
+/// trials do not grow with phase length (a 1e12 s x264 phase takes 44
+/// steps); perf/'s transient day takes at most 63 per segment.
 constexpr std::uint64_t kMaxSegmentSteps = 100'000;
 
 double max_abs_diff(const std::vector<double>& a,
@@ -158,9 +174,23 @@ SegmentResult integrate_segment(core::ServerModel& server,
   server.set_evaporator_heat(evap_heat);
   evap_heat = server.evaporator_heat(t);
 
+  // The adaptive first step comes from the segment's own dynamics: the
+  // field's curvature under the boundary it starts from.
+  double first_step_s = thermal::kMaxStepS;
+  if (config.fixed_dt_s <= 0.0) {
+    server.set_evaporator_heat(evap_heat);
+    const double curvature = server.thermal().second_derivative_norm(t);
+    if (curvature > 0.0) {
+      first_step_s = kFirstStepSafety *
+                     std::sqrt(4.0 * config.tolerance_c / curvature);
+    }
+  }
+
   SegmentResult seg;
   double sim_time_s = 0.0;  // accepted-dt sum
-  thermal::StepController controller(config.tolerance_c);
+  bool settled = false;
+  double settled_s = duration_s;  // when the segment settled, if it did
+  thermal::StepController controller(config.tolerance_c, first_step_s);
   // Boundary-loop convergence, summed over every adaptive trial: the
   // iterations run, and the trials that used all kCouplingIterations
   // without meeting the exit.
@@ -184,6 +214,13 @@ SegmentResult integrate_segment(core::ServerModel& server,
       // kCouplingIterations) so the estimate measures the segment's real
       // dynamics, not boundary-lag noise.
       while (true) {
+        TPCOOL_REQUIRE(
+            seg.steps + seg.rejected_steps < kMaxSegmentSteps,
+            "transient interval " + std::to_string(link.interval->interval) +
+                " of stream " + std::to_string(job.stream) + " took " +
+                std::to_string(kMaxSegmentSteps) + " trials and reached " +
+                std::to_string(sim_time_s) + " of " +
+                std::to_string(duration_s) + " s");
         dt_s = controller.propose(remaining_s);
         std::vector<double> full = t;
         std::vector<double> prev_full;
@@ -209,6 +246,9 @@ SegmentResult integrate_segment(core::ServerModel& server,
         const double error_c =
             server.thermal().step_transient_embedded(half, full, dt_s);
         if (controller.evaluate(dt_s, error_c)) {
+          settled = dt_s == thermal::kMaxStepS && converged &&
+                    max_abs_diff(half, t) <=
+                        kSettledFraction * config.tolerance_c;
           t = std::move(half);
           evap_heat = std::move(trial_heat);
           break;
@@ -218,6 +258,12 @@ SegmentResult integrate_segment(core::ServerModel& server,
     }
     // Landing on the boundary is exact by assignment, not accumulation.
     sim_time_s = dt_s == remaining_s ? duration_s : sim_time_s + dt_s;
+    if (settled) {
+      // The segment ends on the field it settled on; its probe below is the
+      // last, so the peaks and end TCASE are the ones already taken.
+      settled_s = sim_time_s;
+      sim_time_s = duration_s;
+    }
     ++seg.steps;
 
     const core::PackageProbe probe = server.probe(t);
@@ -235,6 +281,7 @@ SegmentResult integrate_segment(core::ServerModel& server,
   span.arg("rejected_steps", static_cast<double>(seg.rejected_steps));
   span.arg("boundary_iterations", static_cast<double>(boundary_iterations));
   span.arg("boundary_cap_hits", static_cast<double>(boundary_cap_hits));
+  span.arg("settled_s", settled_s);
   return seg;
 }
 
@@ -322,7 +369,7 @@ TransientFleetEngine::TransientFleetEngine(FleetConfig fleet,
   TPCOOL_REQUIRE(config_.fixed_dt_s >= 0.0,
                  "fixed dt must be zero (adaptive) or positive");
   // Validate the step tolerance at construction, not mid-fan-out.
-  (void)thermal::StepController(config_.tolerance_c);
+  (void)thermal::StepController(config_.tolerance_c, thermal::kMaxStepS);
 }
 
 TransientFleetResult TransientFleetEngine::run(
@@ -333,15 +380,13 @@ TransientFleetResult TransientFleetEngine::run(
 
   const FleetConfig& config = fleet_.config();
 
-  // Refuse a segment that cannot end in the step budget even at the largest
-  // step, before any chain starts.
-  const double largest_step_s = config_.fixed_dt_s > 0.0
-                                    ? config_.fixed_dt_s
-                                    : thermal::kMaxStepS;
+  // The fixed-period integrator's step count is known in advance: refuse a
+  // segment it cannot end within the step budget, before any chain starts.
   for (const FleetInterval& interval : result.steady.intervals) {
     // ceil(x) <= N exactly when x <= N, for a whole N.
-    if (interval.duration_s / largest_step_s <=
-        static_cast<double>(kMaxSegmentSteps)) {
+    if (config_.fixed_dt_s <= 0.0 ||
+        interval.duration_s / config_.fixed_dt_s <=
+            static_cast<double>(kMaxSegmentSteps)) {
       continue;
     }
     std::string streams_text;
@@ -354,7 +399,7 @@ TransientFleetResult TransientFleetEngine::run(
                               std::to_string(interval.duration_s) +
                               " s, more than " +
                               std::to_string(kMaxSegmentSteps) +
-                              " steps of the largest step; streams " +
+                              " steps of the fixed period; streams " +
                               streams_text);
   }
 

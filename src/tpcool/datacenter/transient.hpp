@@ -15,7 +15,10 @@
 /// converged against the trial's own end state (an under-relaxed fixed
 /// point over `ServerModel`'s boundary exchange, the transient analogue of
 /// its `coupled_solve`), so the error estimate sees the real segment
-/// dynamics rather than boundary-lag noise.  Thermal state follows the
+/// dynamics rather than boundary-lag noise.  A segment's first step is
+/// sized from its initial field's curvature
+/// (`ThermalModel::second_derivative_norm`), and it stops integrating once
+/// a largest-length step leaves the field settled.  Thermal state follows the
 /// stream across intervals (the history a migrating job's server
 /// accumulates); a rack move that changes the grid resets the state to the
 /// start temperature.
@@ -68,7 +71,8 @@ struct TransientJobOutcome {
   double peak_tcase_c = 0.0;   ///< Max TCASE over the segment's steps.
   double peak_die_c = 0.0;     ///< Max die temperature over the segment.
   double end_tcase_c = 0.0;    ///< TCASE at the interval boundary.
-  std::uint64_t steps = 0;           ///< Accepted transient steps.
+  /// Accepted transient steps (up to the step that settled the segment).
+  std::uint64_t steps = 0;
   std::uint64_t rejected_steps = 0;  ///< Trials redone at a smaller dt.
   /// Transient peak TCASE exceeded the rack's limit (the trajectory-level
   /// analogue of the steady JobOutcome flag).

@@ -159,6 +159,14 @@ void ThermalModel::assemble_top_boundary() const {
   top_dirty_ = false;
 }
 
+void ThermalModel::add_power(std::vector<double>& rhs) const {
+  for (std::size_t iy = 0; iy < ny(); ++iy) {
+    for (std::size_t ix = 0; ix < nx(); ++ix) {
+      rhs[cell_index(ix, iy, stack_.die_layer)] += power_w_(ix, iy);
+    }
+  }
+}
+
 util::Grid2D<double> ThermalModel::layer_field(const std::vector<double>& t,
                                                std::size_t layer) const {
   TPCOOL_REQUIRE(layer < nz(), "layer index out of range");

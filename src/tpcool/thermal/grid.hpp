@@ -99,6 +99,16 @@ class ThermalModel {
       std::vector<double>& t, const std::vector<double>& full,
       double dt_s) const;
 
+  /// Max-norm of the field's second time derivative under the current
+  /// boundary and sources [°C/s²]: ‖T''‖∞ = ‖C⁻¹G·f‖∞, where
+  /// f = T' = C⁻¹(P + b − G·T).  Two SpMVs on the assembled operator, no
+  /// solve.  Backward Euler's step-doubling estimate is about
+  /// dt²/4 · ‖T''‖, so this sizes an adaptive run's first step (the
+  /// starting-step rule of Hairer, Nørsett & Wanner, *Solving ODEs I*,
+  /// §II.4).  `t` must have cell_count() entries.
+  [[nodiscard]] double second_derivative_norm(
+      const std::vector<double>& t) const;
+
   /// Extract one layer of a solution as a 2D field [°C].
   [[nodiscard]] util::Grid2D<double> layer_field(const std::vector<double>& t,
                                                  std::size_t layer) const;
@@ -126,6 +136,10 @@ class ThermalModel {
   void assemble() const;
   void assemble_conductances() const;
   void assemble_top_boundary() const;
+  /// Add the die-layer heat sources to a right-hand side.
+  void add_power(std::vector<double>& rhs) const;
+  /// Heat capacity of every cell [J/K], built on first use (geometry only).
+  const std::vector<double>& heat_capacity() const;
 
   StackModel stack_;
   util::Grid2D<double> power_w_;
@@ -146,6 +160,7 @@ class ThermalModel {
   // per band assembly, only the diagonal is re-shifted per step.
   mutable util::StencilOperator step_operator_{1, 1, 1};
   mutable bool step_operator_valid_ = false;
+  mutable std::vector<double> capacity_j_k_;  // heat_capacity(); C
 };
 
 }  // namespace tpcool::thermal

@@ -11,11 +11,7 @@ std::vector<double> ThermalModel::solve_steady(
   assemble();
   const std::size_t n = cell_count();
   std::vector<double> rhs = boundary_rhs_;
-  for (std::size_t iy = 0; iy < ny(); ++iy) {
-    for (std::size_t ix = 0; ix < nx(); ++ix) {
-      rhs[cell_index(ix, iy, stack_.die_layer)] += power_w_(ix, iy);
-    }
-  }
+  add_power(rhs);
   std::vector<double> t = hint;
   const bool warm = t.size() == n;
   if (!warm) t.assign(n, 40.0);  // rough initial guess [°C]

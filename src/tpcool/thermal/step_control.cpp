@@ -12,8 +12,6 @@ namespace {
 /// Hard floor [s]: a step at or below this is accepted regardless of its
 /// error estimate, guaranteeing progress through stiff transients.
 constexpr double kMinStepS = 1.0e-3;
-/// First proposal of a run (and of each fresh segment) [s].
-constexpr double kInitialStepS = 0.5;
 /// Largest per-step growth factor of the proposal (SpECTRE's ErrorControl
 /// chooser limits growth the same way: one cheap step must not catapult dt
 /// past the next transient).
@@ -28,9 +26,11 @@ constexpr double kSafety = 0.9;
 
 }  // namespace
 
-StepController::StepController(double tolerance_c)
-    : tolerance_c_(tolerance_c), dt_s_(kInitialStepS) {
+StepController::StepController(double tolerance_c, double first_step_s)
+    : tolerance_c_(tolerance_c) {
   TPCOOL_REQUIRE(tolerance_c_ > 0.0, "step tolerance must be positive");
+  TPCOOL_REQUIRE(first_step_s > 0.0, "first step must be positive");
+  dt_s_ = std::clamp(first_step_s, kMinStepS, kMaxStepS);
 }
 
 double StepController::propose(double remaining_s) const {

@@ -36,8 +36,10 @@ class StepController {
  public:
   /// `tolerance_c`: target local error per step [°C] (max-norm of the
   /// step-doubling estimate); smaller = more, shorter steps.  Must be > 0.
-  /// The first proposal is 0.5 s.
-  explicit StepController(double tolerance_c);
+  /// `first_step_s`: the first proposal, clamped into [1 ms, kMaxStepS];
+  /// must be > 0.  The transient engine sizes it from the segment's own
+  /// dynamics (ThermalModel::second_derivative_norm).
+  StepController(double tolerance_c, double first_step_s);
 
   /// The dt to attempt given `remaining_s` to the next boundary.  The
   /// current error-controlled proposal is clamped by the step-to-boundary

@@ -7,6 +7,47 @@
 
 namespace tpcool::thermal {
 
+const std::vector<double>& ThermalModel::heat_capacity() const {
+  if (capacity_j_k_.empty()) {
+    capacity_j_k_.resize(cell_count());
+    const double cell_area = stack_.grid.dx * stack_.grid.dy;
+    for (std::size_t iz = 0; iz < nz(); ++iz) {
+      const double vol = cell_area * stack_.layers[iz].thickness_m;
+      for (std::size_t iy = 0; iy < ny(); ++iy) {
+        for (std::size_t ix = 0; ix < nx(); ++ix) {
+          capacity_j_k_[cell_index(ix, iy, iz)] =
+              stack_.layers[iz].vol_heat_cap_j_m3k(ix, iy) * vol;
+        }
+      }
+    }
+  }
+  return capacity_j_k_;
+}
+
+double ThermalModel::second_derivative_norm(
+    const std::vector<double>& t) const {
+  assemble();
+  const std::size_t n = cell_count();
+  TPCOOL_REQUIRE(t.size() == n, "state vector size mismatch");
+  const std::vector<double>& capacity = heat_capacity();
+  // C·T' = P + b − G·T with the boundary and sources frozen, so
+  // T'' = −C⁻¹G·T'.
+  std::vector<double> g_t(n);
+  operator_.multiply(t, g_t);
+  std::vector<double> rate = boundary_rhs_;
+  add_power(rate);
+  for (std::size_t i = 0; i < n; ++i) {
+    rate[i] = (rate[i] - g_t[i]) / capacity[i];
+  }
+  std::vector<double> g_rate(n);
+  operator_.multiply(rate, g_rate);
+  double norm = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    norm = std::max(norm, std::abs(g_rate[i]) / capacity[i]);
+  }
+  return norm;
+}
+
 void ThermalModel::step_transient(const std::vector<double>& t,
                                   std::vector<double>& x, double dt_s,
                                   double tolerance) const {
@@ -28,20 +69,14 @@ void ThermalModel::step_transient(const std::vector<double>& t,
   // operator is the same 7-point stencil with a shifted diagonal — copy
   // the bands and augment, then reuse the shared PCG path.  The right-hand
   // side is complete before CG touches `x`, so `x` may alias `t`.
-  const double cell_area = stack_.grid.dx * stack_.grid.dy;
+  const std::vector<double>& capacity = heat_capacity();
   std::vector<double> cdiag(n, 0.0);
   std::vector<double> rhs = boundary_rhs_;
-  for (std::size_t iz = 0; iz < nz(); ++iz) {
-    const double vol = cell_area * stack_.layers[iz].thickness_m;
-    for (std::size_t iy = 0; iy < ny(); ++iy) {
-      for (std::size_t ix = 0; ix < nx(); ++ix) {
-        const std::size_t i = cell_index(ix, iy, iz);
-        cdiag[i] = stack_.layers[iz].vol_heat_cap_j_m3k(ix, iy) * vol / dt_s;
-        rhs[i] += cdiag[i] * t[i];
-        if (iz == stack_.die_layer) rhs[i] += power_w_(ix, iy);
-      }
-    }
+  for (std::size_t i = 0; i < n; ++i) {
+    cdiag[i] = capacity[i] / dt_s;
+    rhs[i] += cdiag[i] * t[i];
   }
+  add_power(rhs);
 
   if (!step_operator_valid_) {
     step_operator_ = operator_;  // copies the bands once per assembly

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "tpcool/thermal/grid.hpp"
 #include "tpcool/thermal/metrics.hpp"
@@ -261,6 +263,55 @@ TEST(TransientSolver, LargeStepApproachesSteady) {
   std::vector<double> t(model.cell_count(), 30.0);
   model.step_transient(t, 1e6);
   for (std::size_t i = 0; i < t.size(); ++i) EXPECT_NEAR(t[i], steady[i], 0.01);
+}
+
+TEST(TransientSolver, SecondDerivativeNormVanishesAtEquilibrium) {
+  ThermalModel model(make_slab(6, 6, 1e-3));
+  model.set_top_boundary_uniform(4000.0, 30.0);
+  model.set_bottom_boundary(0.0, 0.0);
+  // No power and every cell at the fluid temperature: nothing moves (up to
+  // round-off; the heating field below reads 5000 °C/s²).
+  const std::vector<double> uniform(model.cell_count(), 30.0);
+  EXPECT_NEAR(model.second_derivative_norm(uniform), 0.0, 1e-9);
+
+  // Under power, the steady field is the equilibrium.
+  model.set_power_map(Grid2D<double>(6, 6, 0.2));
+  const double heating = model.second_derivative_norm(uniform);
+  EXPECT_GT(heating, 0.0);
+  EXPECT_LT(model.second_derivative_norm(model.solve_steady({}, 1e-13)),
+            1e-9 * heating);
+
+  EXPECT_THROW((void)model.second_derivative_norm(std::vector<double>(3)),
+               util::PreconditionError);
+}
+
+TEST(TransientSolver, SecondDerivativeNormMatchesAFiniteDifference) {
+  // Two tiny backward-Euler steps from a heating field: their second
+  // difference (T2 − 2·T1 + T0) / h² approaches T''(0) as h → 0.
+  ThermalModel model(make_slab(6, 6, 1e-3));
+  model.set_top_boundary_uniform(4000.0, 30.0);
+  model.set_bottom_boundary(0.0, 0.0);
+  Grid2D<double> power(6, 6, 0.0);
+  power(1, 2) = 0.3;
+  power(4, 4) = 0.1;
+  model.set_power_map(power);
+  std::vector<double> t0(model.cell_count(), 30.0);
+  for (std::size_t i = 0; i < t0.size(); ++i) {
+    t0[i] += 0.5 * std::sin(0.9 * static_cast<double>(i));
+  }
+  constexpr double kStep = 1e-5;
+  std::vector<double> t1 = t0;
+  model.step_transient(t0, t1, kStep, 1e-14);
+  std::vector<double> t2 = t1;
+  model.step_transient(t1, t2, kStep, 1e-14);
+  double difference = 0.0;
+  for (std::size_t i = 0; i < t0.size(); ++i) {
+    difference = std::max(
+        difference, std::abs(t2[i] - 2.0 * t1[i] + t0[i]) / (kStep * kStep));
+  }
+  const double norm = model.second_derivative_norm(t0);
+  EXPECT_GT(norm, 0.0);
+  EXPECT_NEAR(difference / norm, 1.0, 0.02);
 }
 
 // ------------------------------------------------------ boundary updates --
