@@ -70,9 +70,9 @@ void WindowedPlacement::begin_run(const PlacementTimeline& timeline) {
   for (std::size_t s = 0; s < streams.size(); ++s) {
     for (std::size_t i = 0; i < intervals; ++i) {
       if (boundaries[i] >= streams[s].total_duration_s()) continue;
-      const workload::TracePhase& phase = streams[s].phase_at(boundaries[i]);
+      const std::size_t phase = streams[s].phase_index_at(boundaries[i]);
       stream_power_[s][i] = job_power_estimate(
-          workload::find_benchmark(phase.benchmark), phase.qos);
+          streams[s].profile(phase), streams[s].phases()[phase].qos);
     }
   }
 }

@@ -5,13 +5,13 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
 #include <string_view>
 #include <system_error>
-#include <tuple>
 #include <utility>
 
 #include "tpcool/cooling/pue.hpp"
@@ -27,37 +27,23 @@ namespace tpcool::datacenter {
 
 namespace {
 
-/// Phase-1 outcome of one job: the schedule and the supply-temperature
-/// scan against its rack's candidates.
+/// Phase-1 outcome of one request class in one interval: its scan against
+/// its rack's supply candidates.  Its jobs read it by index.
 struct ScanOutcome {
-  core::ScheduleDecision decision;
+  std::size_t id = 0;            ///< The class, in the engine's table.
   double max_supply_temp_c = 0.0;
   double demand_power_w = 0.0;  ///< Package power at the scan's endpoint.
   bool infeasible = false;      ///< No candidate kept TCASE within limit.
   std::size_t scanned = 0;      ///< Candidates answered, the last included.
 };
 
-/// Phase-1 outcome of one request class: the scan all its jobs share, and
-/// the `core::solve_request_key` every solve of the class reuses.
-struct ClassScan {
-  ScanOutcome scan;
-  std::string request_key;
-};
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-/// Number the distinct `key_of(i)` over i in [0, n) in order of first
-/// appearance: returns each i's group and appends each group's first i to
-/// `first`.  The numbering, not the map's order, fixes the fan-out order.
-template <typename Key, typename KeyOf>
-std::vector<std::size_t> group_by_first(std::size_t n, KeyOf key_of,
-                                        std::vector<std::size_t>& first) {
-  std::map<Key, std::size_t> index;
-  std::vector<std::size_t> group(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto [it, fresh] = index.try_emplace(key_of(i), first.size());
-    if (fresh) first.push_back(i);
-    group[i] = it->second;
-  }
-  return group;
+/// Fold `value` into the hash `h` (boost's hash_combine with a 64-bit
+/// constant).
+void hash_combine(std::size_t& h, std::uint64_t value) {
+  h ^= std::hash<std::uint64_t>{}(value) + 0x9e3779b97f4a7c15ULL + (h << 6) +
+       (h >> 2);
 }
 
 /// Bitwise equality: the candidates become cache-key bits and outputs, so
@@ -124,6 +110,41 @@ StreamingFleetEngine::StreamingFleetEngine(
   summary_.duration_s = boundaries_.back();
 }
 
+std::size_t StreamingFleetEngine::ClassKeyHash::operator()(
+    const ClassKey& key) const noexcept {
+  std::size_t h = key.rack;
+  hash_combine(h, std::bit_cast<std::uintptr_t>(key.bench));
+  hash_combine(h, key.qos_bits);
+  return h;
+}
+
+std::size_t StreamingFleetEngine::request_class(std::size_t rack,
+                                                const JobRequest& job) {
+  const auto [it, fresh] = class_index_.try_emplace(
+      ClassKey{rack, job.bench, std::bit_cast<std::uint64_t>(job.qos.factor)},
+      classes_.size());
+  if (!fresh) return it->second;
+  // A decision depends only on (approach, benchmark, QoS); the key bytes on
+  // the decision, the rack's scope and its design flow.  All are fixed for
+  // the run.
+  const RackSpec& spec = config_.racks[rack];
+  RequestClass& cls = classes_.emplace_back();
+  cls.rack = rack;
+  cls.bench = job.bench;
+  cls.decision = schedulers_.at(spec.approach).schedule(*job.bench, job.qos);
+  cls.request_key = core::solve_request_key(
+      *job.bench, cls.decision.point.config, cls.decision.cores,
+      cls.decision.idle_state);
+  cls.candidate_keys.reserve(spec.supply_candidates_c.size());
+  for (const double t_w : spec.supply_candidates_c) {
+    cls.candidate_keys.push_back(core::solve_key(
+        rack_scope_[rack],
+        {.water_flow_kg_h = design_flow_kg_h_[rack], .water_inlet_c = t_w},
+        cls.request_key));
+  }
+  return it->second;
+}
+
 void StreamingFleetEngine::add_observer(FleetObserver& observer) {
   TPCOOL_REQUIRE(!begun_, "observers must be registered before the run");
   observers_.push_back(&observer);
@@ -187,15 +208,18 @@ bool StreamingFleetEngine::advance() {
   const core::SolveCache::Stats cache_before =
       core::SolveCache::global()->stats();
 
-  // Arrivals: every still-active stream contributes its current phase.
+  // Arrivals: every still-active stream contributes its current phase,
+  // whose profile the trace resolved when it was built.
   std::vector<JobRequest> jobs;
+  jobs.reserve(streams_.size());
   for (std::size_t s = 0; s < streams_.size(); ++s) {
-    if (start_s >= streams_[s].total_duration_s()) continue;  // stream done
-    const workload::TracePhase& phase = streams_[s].phase_at(start_s);
+    const workload::WorkloadTrace& stream = streams_[s];
+    if (start_s >= stream.total_duration_s()) continue;  // stream done
+    const std::size_t phase = stream.phase_index_at(start_s);
     JobRequest job;
     job.stream = s;
-    job.bench = &workload::find_benchmark(phase.benchmark);
-    job.qos = phase.qos;
+    job.bench = &stream.profile(phase);
+    job.qos = stream.phases()[phase].qos;
     job.est_power_w = job_power_estimate(*job.bench, job.qos);
     jobs.push_back(job);
   }
@@ -222,106 +246,90 @@ bool StreamingFleetEngine::advance() {
 
   // Group the jobs into request classes: (rack class, benchmark, QoS
   // factor) fixes the decision and every question a scan asks, so each
-  // class is scheduled and scanned once and its jobs copy the outcome.
-  std::vector<std::size_t> class_job;  // each class's first job
-  const std::vector<std::size_t> job_class =
-      group_by_first<std::tuple<std::size_t, const workload::BenchmarkProfile*,
-                                std::uint64_t>>(
-          jobs.size(),
-          [&](std::size_t j) {
-            return std::tuple{rack_class_[placed_rack[j]], jobs[j].bench,
-                              std::bit_cast<std::uint64_t>(jobs[j].qos.factor)};
-          },
-          class_job);
-
-  // Schedule serially, in class order (the dispatch order of each class's
-  // first job): a decision depends only on (approach, benchmark, QoS) and
-  // each approach's scheduler memoizes it.
-  std::vector<ClassScan> classes(class_job.size());
-  for (std::size_t c = 0; c < classes.size(); ++c) {
-    const std::size_t j = class_job[c];
-    ClassScan& cls = classes[c];
-    cls.scan.decision =
-        schedulers_.at(config_.racks[placed_rack[j]].approach)
-            .schedule(*jobs[j].bench, jobs[j].qos);
-    const core::ScheduleDecision& decision = cls.scan.decision;
-    cls.request_key = core::solve_request_key(
-        *jobs[j].bench, decision.point.config, decision.cores,
-        decision.idle_state);
+  // class present is scanned once and its jobs read the outcome.  Classes
+  // are numbered by their first job here; that numbering, not the table's,
+  // fixes the order the cache is asked in.
+  std::vector<ScanOutcome> scans;  // one per class present
+  std::vector<std::size_t> job_class(jobs.size());  // index into `scans`
+  {
+    std::vector<std::size_t> slot;  // table index -> index into `scans`
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      const std::size_t id =
+          request_class(rack_class_[placed_rack[j]], jobs[j]);
+      if (slot.size() <= id) slot.resize(classes_.size(), kNone);
+      if (slot[id] == kNone) {
+        slot[id] = scans.size();
+        scans.push_back({.id = id});
+      }
+      job_class[j] = slot[id];
+    }
   }
-  // Job j's coupled solve at a supply temperature of its rack, asked with
-  // its class's decision and request key: `solve_at` answers it, solving on
-  // a miss; `find_at` answers it only if the cache already holds it, under
-  // the same key bytes.
+
+  // A class's coupled solve at a supply temperature of its rack, asked with
+  // its decision and request key: `solve_at` answers it, solving on a miss.
   core::SolveCache& cache = *core::SolveCache::global();
-  const auto operating_point = [&](std::size_t j, double water_inlet_c) {
-    return thermosyphon::OperatingPoint{
-        .water_flow_kg_h = design_flow_kg_h_[placed_rack[j]],
-        .water_inlet_c = water_inlet_c};
-  };
-  const auto solve_at = [&](std::size_t j, const ClassScan& cls,
-                            double water_inlet_c) {
-    const std::size_t r = placed_rack[j];
-    const core::ScheduleDecision& decision = cls.scan.decision;
+  const auto solve_at = [&](const RequestClass& cls, double water_inlet_c) {
+    const RackSpec& spec = config_.racks[cls.rack];
     return core::cached_solve(
-        cache, config_.racks[r].approach, config_.racks[r].cell_size_m,
-        rack_scope_[r], operating_point(j, water_inlet_c), cls.request_key,
-        *jobs[j].bench, decision.point.config, decision.cores,
-        decision.idle_state);
-  };
-  const auto find_at = [&](std::size_t j, const ClassScan& cls,
-                           double water_inlet_c) {
-    return cache.find(core::solve_key(rack_scope_[placed_rack[j]],
-                                      operating_point(j, water_inlet_c),
-                                      cls.request_key));
+        cache, spec.approach, spec.cell_size_m, rack_scope_[cls.rack],
+        {.water_flow_kg_h = design_flow_kg_h_[cls.rack],
+         .water_inlet_c = water_inlet_c},
+        cls.request_key, *cls.bench, cls.decision.point.config,
+        cls.decision.cores, cls.decision.idle_state);
   };
 
   // Phase 1: scan the rack's supply candidates, coldest last, for the
-  // highest feasible temperature.  `ask` answers one candidate, or returns
+  // highest feasible temperature.  `ask` answers candidate k, or returns
   // null to pause the scan there; true once the scan has ended.
   // Infeasibility does not throw: the server pins to the coldest candidate
   // and is flagged.
-  const auto scan = [&](std::size_t j, ClassScan& cls, const auto& ask) {
-    const RackSpec& spec = config_.racks[placed_rack[j]];
+  const auto scan = [&](ScanOutcome& out, const auto& ask) {
+    const RequestClass& cls = classes_[out.id];
+    const RackSpec& spec = config_.racks[cls.rack];
     const std::vector<double>& candidates = spec.supply_candidates_c;
-    while (cls.scan.scanned < candidates.size()) {
-      const double t_w = candidates[cls.scan.scanned];
-      const core::SolveCache::ResultPtr sim = ask(j, cls, t_w);
+    while (out.scanned < candidates.size()) {
+      const core::SolveCache::ResultPtr sim = ask(cls, out.scanned);
       if (sim == nullptr) return false;
-      ++cls.scan.scanned;
-      cls.scan.max_supply_temp_c = t_w;
-      cls.scan.demand_power_w = sim->total_power_w;
+      out.max_supply_temp_c = candidates[out.scanned];
+      ++out.scanned;
+      out.demand_power_w = sim->total_power_w;
       if (sim->tcase_c <= spec.tcase_limit_c) return true;
     }
-    cls.scan.infeasible = true;  // runs pinned at the coldest candidate
+    out.infeasible = true;  // runs pinned at the coldest candidate
     return true;
   };
-  // The calling thread walks every scan while the cache answers it; only
-  // the classes paused at an unanswered candidate fan out, resuming there.
-  // The fan-out is joined here — observers never run concurrently with it.
+  // The calling thread walks every scan while the cache answers it, under
+  // the key bytes the class stored; only the classes paused at an
+  // unanswered candidate fan out, resuming there.  The fan-out is joined
+  // here — observers never run concurrently with it.
   std::vector<std::size_t> paused;
-  for (std::size_t c = 0; c < classes.size(); ++c) {
-    if (!scan(class_job[c], classes[c], find_at)) paused.push_back(c);
+  for (std::size_t c = 0; c < scans.size(); ++c) {
+    const bool ended = scan(scans[c], [&](const RequestClass& cls,
+                                          std::size_t k) {
+      return cache.find(cls.candidate_keys[k]);
+    });
+    if (!ended) paused.push_back(c);
   }
-  std::vector<ClassScan> resumed = util::parallel_map<ClassScan>(
+  const std::vector<ScanOutcome> resumed = util::parallel_map<ScanOutcome>(
       paused.size(), [&](std::size_t i) {
-        ClassScan cls = classes[paused[i]];
-        scan(class_job[paused[i]], cls, solve_at);
-        return cls;
+        ScanOutcome out = scans[paused[i]];
+        scan(out, [&](const RequestClass& cls, std::size_t k) {
+          return solve_at(cls,
+                          config_.racks[cls.rack].supply_candidates_c[k]);
+        });
+        return out;
       });
   for (std::size_t i = 0; i < paused.size(); ++i) {
-    classes[paused[i]] = std::move(resumed[i]);
+    scans[paused[i]] = resumed[i];
   }
   // Requests are what a per-job engine would ask: each job's scan, then
   // its solve at the setpoint.
-  std::vector<ScanOutcome> scans(jobs.size());
   std::size_t requests = 0;
   std::size_t lookups = 0;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    scans[j] = classes[job_class[j]].scan;
-    requests += scans[j].scanned + 1;
+    requests += scans[job_class[j]].scanned + 1;
   }
-  for (const ClassScan& cls : classes) lookups += cls.scan.scanned;
+  for (const ScanOutcome& out : scans) lookups += out.scanned;
 
   // The controller's actuation for this interval: the biases its state
   // held after the previous interval (interval 0 runs unbiased).  Queried
@@ -338,12 +346,14 @@ bool StreamingFleetEngine::advance() {
   // — a zero bias takes the exact unbiased path, so zero-gain control is
   // bit-identical to no control.
   std::vector<cooling::RackCoolingState> rack_cooling(config_.racks.size());
+  std::vector<cooling::ServerDemand> demands;
   for (std::size_t r = 0; r < config_.racks.size(); ++r) {
-    std::vector<cooling::ServerDemand> demands;
+    demands.clear();
     for (std::size_t j = 0; j < jobs.size(); ++j) {
       if (placed_rack[j] != r) continue;
-      demands.push_back({scans[j].demand_power_w, scans[j].max_supply_temp_c,
-                         design_flow_kg_h_[r]});
+      const ScanOutcome& out = scans[job_class[j]];
+      demands.push_back(
+          {out.demand_power_w, out.max_supply_temp_c, design_flow_kg_h_[r]});
     }
     if (demands.empty()) continue;
     rack_cooling[r] =
@@ -359,42 +369,75 @@ bool StreamingFleetEngine::advance() {
   }
 
   // Phase 2: every server at its rack's shared setpoint, asked once per
-  // distinct (class, setpoint) pair.  The calling thread serves the pairs
-  // the cache holds; only the rest fan out.  Results stay shared with the
-  // cache; only three scalars are read.
-  const auto setpoint_of = [&](std::size_t j) {
-    return rack_cooling[placed_rack[j]].supply_temp_c;
+  // distinct (class, setpoint) pair, numbered by its first job.  A job's
+  // pair is found through (class, rack): racks of one class whose
+  // setpoints are equal bitwise share it.  The calling thread serves the
+  // pairs the cache holds; only the rest fan out.  Results stay shared
+  // with the cache; only three scalars are read.
+  const std::size_t rack_count = config_.racks.size();
+  const auto setpoint_bits = [&](std::size_t r) {
+    return std::bit_cast<std::uint64_t>(rack_cooling[r].supply_temp_c);
   };
   std::vector<std::size_t> pair_job;  // each pair's first job
-  const std::vector<std::size_t> job_pair =
-      group_by_first<std::pair<std::size_t, std::uint64_t>>(
-          jobs.size(),
-          [&](std::size_t j) {
-            return std::pair{job_class[j],
-                             std::bit_cast<std::uint64_t>(setpoint_of(j))};
-          },
-          pair_job);
+  std::vector<std::size_t> job_pair(jobs.size());
+  {
+    std::vector<std::size_t> pair_of(scans.size() * rack_count, kNone);
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      const std::size_t r = placed_rack[j];
+      std::size_t* const row = &pair_of[job_class[j] * rack_count];
+      if (row[r] == kNone) {
+        for (std::size_t q = 0; q < rack_count; ++q) {
+          if (row[q] != kNone && setpoint_bits(q) == setpoint_bits(r)) {
+            row[r] = row[q];
+            break;
+          }
+        }
+      }
+      if (row[r] == kNone) {
+        row[r] = pair_job.size();
+        pair_job.push_back(j);
+      }
+      job_pair[j] = row[r];
+    }
+  }
   std::vector<core::SolveCache::ResultPtr> pair_results(pair_job.size());
   std::vector<std::size_t> unanswered;
   for (std::size_t p = 0; p < pair_job.size(); ++p) {
     const std::size_t j = pair_job[p];
-    pair_results[p] = find_at(j, classes[job_class[j]], setpoint_of(j));
+    const RequestClass& cls = classes_[scans[job_class[j]].id];
+    const std::uint64_t bits = setpoint_bits(placed_rack[j]);
+    // A setpoint the scan could stop at is keyed already; any other (the
+    // default maximum, a controller's bias) gets its key built here.
+    const std::vector<double>& candidates =
+        config_.racks[cls.rack].supply_candidates_c;
+    std::size_t k = 0;
+    while (k < candidates.size() &&
+           std::bit_cast<std::uint64_t>(candidates[k]) != bits) {
+      ++k;
+    }
+    std::string built;
+    if (k == candidates.size()) {
+      built = core::solve_key(
+          rack_scope_[cls.rack],
+          {.water_flow_kg_h = design_flow_kg_h_[cls.rack],
+           .water_inlet_c = std::bit_cast<double>(bits)},
+          cls.request_key);
+    }
+    pair_results[p] =
+        cache.find(k < candidates.size() ? cls.candidate_keys[k] : built);
     if (pair_results[p] == nullptr) unanswered.push_back(p);
   }
   const std::vector<core::SolveCache::ResultPtr> solved =
       util::parallel_map<core::SolveCache::ResultPtr>(
           unanswered.size(), [&](std::size_t i) {
             const std::size_t j = pair_job[unanswered[i]];
-            return solve_at(j, classes[job_class[j]], setpoint_of(j));
+            return solve_at(classes_[scans[job_class[j]].id],
+                            rack_cooling[placed_rack[j]].supply_temp_c);
           });
   for (std::size_t i = 0; i < unanswered.size(); ++i) {
     pair_results[unanswered[i]] = solved[i];
   }
   lookups += pair_job.size();
-  std::vector<core::SolveCache::ResultPtr> at_setpoint(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    at_setpoint[j] = pair_results[job_pair[j]];
-  }
 
   // Assemble the interval.  This is the only FleetInterval the engine ever
   // holds (kMaxHeldIntervals); it dies when the last observer returns.
@@ -407,21 +450,24 @@ bool StreamingFleetEngine::advance() {
   for (std::size_t r = 0; r < config_.racks.size(); ++r) {
     interval.racks[r].cooling = rack_cooling[r];
   }
+  interval.jobs.reserve(jobs.size());
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     const std::size_t r = placed_rack[j];
+    const ScanOutcome& scanned = scans[job_class[j]];
+    const core::SimulationResult& at_setpoint = *pair_results[job_pair[j]];
     JobOutcome outcome;
     outcome.stream = jobs[j].stream;
     outcome.benchmark = jobs[j].bench->name;
     outcome.qos_factor = jobs[j].qos.factor;
     outcome.rack = r;
-    outcome.decision = scans[j].decision;
-    outcome.package_power_w = at_setpoint[j]->total_power_w;
-    outcome.max_supply_temp_c = scans[j].max_supply_temp_c;
-    outcome.die_max_c = at_setpoint[j]->die.max_c;
-    outcome.tcase_c = at_setpoint[j]->tcase_c;
+    outcome.decision = classes_[scanned.id].decision;
+    outcome.package_power_w = at_setpoint.total_power_w;
+    outcome.max_supply_temp_c = scanned.max_supply_temp_c;
+    outcome.die_max_c = at_setpoint.die.max_c;
+    outcome.tcase_c = at_setpoint.tcase_c;
     outcome.tcase_limit_exceeded =
-        scans[j].infeasible ||
-        at_setpoint[j]->tcase_c > config_.racks[r].tcase_limit_c;
+        scanned.infeasible ||
+        at_setpoint.tcase_c > config_.racks[r].tcase_limit_c;
     if (outcome.tcase_limit_exceeded) ++interval.qos_violations;
 
     RackInterval& rack = interval.racks[r];
@@ -544,15 +590,53 @@ class Record {
     text_.append(buf, end);
     return *this;
   }
-  void write_to(std::ostream& os) const {
+  /// Hand the record to `os` in one write; a failed stream throws
+  /// `SinkError` naming the record's `type`.
+  void write_to(std::ostream& os, const char* type) const {
     os.write(text_.data(), static_cast<std::streamsize>(text_.size()));
+    if (!os) {
+      throw SinkError(std::string("JSONL sink: writing the ") + type +
+                      " record failed");
+    }
   }
+  [[nodiscard]] std::string take() { return std::move(text_); }
 
  private:
   std::string text_;
 };
 
 }  // namespace
+
+std::size_t JsonlFleetSink::JobTextHash::operator()(
+    const JobTextKey& key) const noexcept {
+  std::size_t h = std::hash<std::string_view>{}(key.benchmark);
+  for (const std::uint64_t bits : key.bits) hash_combine(h, bits);
+  hash_combine(h, key.limit ? 1 : 0);
+  return h;
+}
+
+std::string_view JsonlFleetSink::job_text(const JobOutcome& job) {
+  JobTextKey key{job.benchmark,
+                 {std::bit_cast<std::uint64_t>(job.qos_factor),
+                  std::bit_cast<std::uint64_t>(job.package_power_w),
+                  std::bit_cast<std::uint64_t>(job.max_supply_temp_c),
+                  std::bit_cast<std::uint64_t>(job.die_max_c),
+                  std::bit_cast<std::uint64_t>(job.tcase_c)},
+                 job.tcase_limit_exceeded};
+  if (const auto it = job_text_.find(key); it != job_text_.end()) {
+    return it->second;
+  }
+  if (job_text_.size() >= kJobTextMemo) job_text_.clear();
+  Record text;
+  text << ",\"benchmark\":\"" << job.benchmark
+       << "\",\"qos_factor\":" << job.qos_factor
+       << ",\"package_power_w\":" << job.package_power_w
+       << ",\"max_supply_temp_c\":" << job.max_supply_temp_c
+       << ",\"die_max_c\":" << job.die_max_c << ",\"tcase_c\":" << job.tcase_c
+       << ",\"limit\":" << (job.tcase_limit_exceeded ? "true" : "false")
+       << "}";
+  return job_text_.emplace(std::move(key), text.take()).first->second;
+}
 
 JsonlFleetSink::JsonlFleetSink(std::ostream& os) : os_(&os) {}
 
@@ -571,7 +655,7 @@ void JsonlFleetSink::on_run_begin(const FleetConfig& config,
        << ",\"streams\":" << stream_count
        << ",\"placement\":\"" << config.placement
        << "\",\"duration_s\":" << total_duration_s << "}\n";
-  line.write_to(*os_);
+  line.write_to(*os_, "header");
 }
 
 void JsonlFleetSink::on_interval(const FleetInterval& interval,
@@ -597,14 +681,7 @@ void JsonlFleetSink::on_interval(const FleetInterval& interval,
   for (std::size_t j = 0; j < interval.jobs.size(); ++j) {
     const JobOutcome& job = interval.jobs[j];
     line << (j ? "," : "") << "{\"stream\":" << job.stream
-         << ",\"rack\":" << job.rack << ",\"benchmark\":\"" << job.benchmark
-         << "\",\"qos_factor\":" << job.qos_factor
-         << ",\"package_power_w\":" << job.package_power_w
-         << ",\"max_supply_temp_c\":" << job.max_supply_temp_c
-         << ",\"die_max_c\":" << job.die_max_c
-         << ",\"tcase_c\":" << job.tcase_c
-         << ",\"limit\":" << (job.tcase_limit_exceeded ? "true" : "false")
-         << "}";
+         << ",\"rack\":" << job.rack << job_text(job);
   }
   line << "],\"racks\":[";
   for (std::size_t r = 0; r < interval.racks.size(); ++r) {
@@ -618,7 +695,7 @@ void JsonlFleetSink::on_interval(const FleetInterval& interval,
          << "}";
   }
   line << "]}\n";
-  line.write_to(*os_);
+  line.write_to(*os_, "interval");
 }
 
 void JsonlFleetSink::on_run_end(const FleetRunSummary& summary) {
@@ -632,8 +709,11 @@ void JsonlFleetSink::on_run_end(const FleetRunSummary& summary) {
        << ",\"qos_violations\":" << summary.qos_violations
        << ",\"solves\":" << summary.counters.solves
        << ",\"hits\":" << summary.counters.hits << "}\n";
-  line.write_to(*os_);
-  os_->flush();
+  line.write_to(*os_, "summary");
+  if (!os_->flush()) {
+    throw SinkError("JSONL sink: flushing the stream after the summary "
+                    "record failed");
+  }
 }
 
 // -------------------------------------------------------------- the replay --

@@ -30,29 +30,40 @@
 ///    must survive sink failures (e.g. disk full) should catch their own.
 ///
 /// Request classes: jobs whose rack class (cache scope, supply candidates,
-/// TCASE limit), benchmark and QoS factor are equal ask the solve cache
-/// the same questions, so each interval schedules and scans each class
-/// once, and asks each distinct (class, rack setpoint) pair once; every
-/// job copies its class's outcome.  The calling thread answers what the
-/// cache already holds (`core::SolveCache::find`); only scans paused at an
-/// unanswered candidate, and pairs not found, fan out to solve.  Values
-/// are pure functions of their keys, so results are those of one scan per
-/// job.  Fewer lookups do change the cache's recency order: with more
-/// distinct keys than its capacity, eviction, and so the `solves` counter,
-/// could differ from a per-job engine's, never the results.
+/// TCASE limit), benchmark profile and QoS factor are equal ask the solve
+/// cache the same questions.  The engine keeps a per-run table of them:
+/// the first job of a class schedules it and builds its request key and
+/// the full `core::solve_key` bytes at each of its supply candidates, once
+/// per run.  Each interval groups its jobs through that table, scans each
+/// class present once, and asks each distinct (class, rack setpoint) pair
+/// once; a setpoint that is one of the class's candidates reuses that
+/// candidate's key, any other gets its key built then.  Every job reads its
+/// class's scan by index.  The calling thread answers what the cache
+/// already holds (`core::SolveCache::find` on the stored bytes, every
+/// interval, so the table remembers keys, never answers); only scans
+/// paused at an unanswered candidate, and pairs not found, fan out to
+/// solve.  Values are pure functions of their keys, so results are those
+/// of one scan per job.  Fewer lookups do change the cache's recency
+/// order: with more distinct keys than its capacity, eviction, and so the
+/// `solves` counter, could differ from a per-job engine's, never the
+/// results.
 ///
 /// `FleetModel::run` is rebuilt on top of this engine with the
 /// `FleetResultAggregator` observer, so batch and streaming runs are one
 /// code path and bitwise identical by construction (asserted at 1/2/4
 /// threads in tests/streaming_test.cpp anyway, to pin the contract).
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "tpcool/datacenter/fleet.hpp"
@@ -168,6 +179,31 @@ class StreamingFleetEngine {
   [[nodiscard]] const FleetRunSummary& summary() const;
 
  private:
+  /// One request class of the run (see the file comment): what its first
+  /// job decided and every key byte its phase-1 scan asks the cache with.
+  struct RequestClass {
+    std::size_t rack = 0;  ///< The rack class (its lowest rack index).
+    const workload::BenchmarkProfile* bench = nullptr;
+    core::ScheduleDecision decision;
+    std::string request_key;  ///< `core::solve_request_key`
+    /// `core::solve_key` at each of the rack's supply candidates, in order.
+    std::vector<std::string> candidate_keys;
+  };
+  /// (rack class, profile, QoS factor bits): a `RequestClass`'s identity.
+  struct ClassKey {
+    std::size_t rack = 0;
+    const workload::BenchmarkProfile* bench = nullptr;
+    std::uint64_t qos_bits = 0;
+    bool operator==(const ClassKey&) const = default;
+  };
+  struct ClassKeyHash {
+    std::size_t operator()(const ClassKey& key) const noexcept;
+  };
+
+  /// Index into `classes_` of `job`'s class on rack class `rack`, adding
+  /// the class on its first job.
+  std::size_t request_class(std::size_t rack, const JobRequest& job);
+
   FleetConfig config_;
   std::vector<workload::WorkloadTrace> streams_;
   std::vector<double> boundaries_;
@@ -183,6 +219,11 @@ class StreamingFleetEngine {
   /// the grid pitch, so racks of one approach share it at any pitch.  Only
   /// the serial dispatch step uses them.
   std::map<core::Approach, core::Scheduler> schedulers_;
+  /// The run's request classes, in order of first appearance, and their
+  /// index.  They grow by one entry per distinct (rack class, profile, QoS
+  /// factor) the streams bring, never with the run's length.
+  std::vector<RequestClass> classes_;
+  std::unordered_map<ClassKey, std::size_t, ClassKeyHash> class_index_;
   std::size_t capacity_ = 0;  ///< Servers over all racks.
   FleetController* controller_ = nullptr;
   std::vector<FleetObserver*> observers_;
@@ -212,16 +253,34 @@ class FleetResultAggregator final : public FleetObserver {
   FleetResult result_;
 };
 
+/// Thrown by `JsonlFleetSink` when its stream fails a record write or the
+/// closing flush (a full disk, a closed pipe, a stream with no buffer).
+class SinkError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// JSONL file sink: one self-contained JSON object per line — a header
 /// record, one record per interval, and a summary record (schema
 /// `tpcool-fleet-stream-v3`, documented in docs/OBSERVABILITY.md).
 /// Doubles are printed with 17 significant digits (`std::to_chars`, the
 /// bytes of printf's %.17g), and no value depends on the stream's locale.
-/// Each record reaches the stream in one write.  A replay
-/// (`replay_fleet_jsonl`) reconstructs every digest-covered field of the
-/// batch `FleetResult` bit-exactly.
+/// Each record reaches the stream in one write; a stream that fails a
+/// write, or the flush at run end, throws `SinkError` naming the record.
+/// A replay (`replay_fleet_jsonl`) reconstructs every digest-covered field
+/// of the batch `FleetResult` bit-exactly.
+///
+/// A job's text after its `"rack":N` is a function of its benchmark name,
+/// five doubles and limit flag, and a fleet run repeats few of those, so
+/// the sink formats each distinct one once and copies it after.  The memo
+/// keys on the doubles' bits (0 and -0 print differently) and is cleared
+/// whenever it reaches `kJobTextMemo` entries, so the sink's memory stays
+/// bounded whatever the run's length.
 class JsonlFleetSink final : public FleetObserver {
  public:
+  /// Entries the job-text memo holds before it starts over.
+  static constexpr std::size_t kJobTextMemo = 4096;
+
   /// Write to a caller-owned stream (must outlive the sink).
   explicit JsonlFleetSink(std::ostream& os);
   /// Open `path` for writing; throws PreconditionError when it cannot.
@@ -234,8 +293,24 @@ class JsonlFleetSink final : public FleetObserver {
   void on_run_end(const FleetRunSummary& summary) override;
 
  private:
+  /// Everything a job's text after its rack depends on, by exact bits.
+  struct JobTextKey {
+    std::string benchmark;
+    std::array<std::uint64_t, 5> bits{};
+    bool limit = false;
+    bool operator==(const JobTextKey&) const = default;
+  };
+  struct JobTextHash {
+    std::size_t operator()(const JobTextKey& key) const noexcept;
+  };
+
+  /// `job`'s text from `,"benchmark":` to its closing brace, memoized;
+  /// the view is valid until the next call.
+  std::string_view job_text(const JobOutcome& job);
+
   std::ofstream owned_;
   std::ostream* os_ = nullptr;
+  std::unordered_map<JobTextKey, std::string, JobTextHash> job_text_;
 };
 
 /// Parse a `tpcool-fleet-stream-v3` JSONL stream back into a

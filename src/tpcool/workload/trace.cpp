@@ -11,12 +11,13 @@ WorkloadTrace::WorkloadTrace(std::vector<TracePhase> phases)
     : phases_(std::move(phases)) {
   TPCOOL_REQUIRE(!phases_.empty(), "trace needs at least one phase");
   end_times_.reserve(phases_.size());
+  profiles_.reserve(phases_.size());
   for (const TracePhase& phase : phases_) {
     TPCOOL_REQUIRE(std::isfinite(phase.duration_s) && phase.duration_s > 0.0,
                    "phase duration must be positive and finite");
     TPCOOL_REQUIRE(std::isfinite(phase.qos.factor) && phase.qos.factor >= 1.0,
                    "QoS factor must be finite and at least 1x");
-    (void)find_benchmark(phase.benchmark);  // validates the name
+    profiles_.push_back(&find_benchmark(phase.benchmark));  // validates it
     total_s_ += phase.duration_s;
     TPCOOL_REQUIRE(std::isfinite(total_s_), "trace duration must be finite");
     end_times_.push_back(total_s_);

@@ -39,8 +39,16 @@ class WorkloadTrace {
   /// Index of the phase active at time t.
   [[nodiscard]] std::size_t phase_index_at(double time_s) const;
 
+  /// The profile `phases()[phase]` names, resolved once at construction
+  /// (an entry of `parsec_benchmarks()`, so the reference outlives the
+  /// trace).
+  [[nodiscard]] const BenchmarkProfile& profile(std::size_t phase) const {
+    return *profiles_[phase];
+  }
+
  private:
   std::vector<TracePhase> phases_;
+  std::vector<const BenchmarkProfile*> profiles_;
   std::vector<double> end_times_;
   double total_s_ = 0.0;
 };

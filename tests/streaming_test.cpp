@@ -7,7 +7,10 @@
 // digest bit for bit), the golden bytes of the header, interval and
 // summary records, seeded byte mutations of a stream that replay or throw
 // the typed error, bytes that do not depend on the stream's locale, and
-// warm reruns that the cache answers without a solve or a pool job.
+// warm reruns that the cache answers without a solve or a pool job, a
+// held-out day that asks the cache the pinned number of questions, a
+// job-text memo that never changes a byte, and a sink that throws when its
+// stream fails.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +33,7 @@
 #include "tpcool/datacenter/streaming.hpp"
 #include "tpcool/datacenter/workload_gen.hpp"
 #include "tpcool/util/error.hpp"
+#include "tpcool/util/fnv.hpp"
 #include "tpcool/util/telemetry.hpp"
 #include "tpcool/util/thread_pool.hpp"
 #include "byte_mutation.hpp"
@@ -442,6 +446,35 @@ TEST_F(StreamingTest, WarmRerunsAnswerEveryQuestionWithoutThePool) {
   util::Telemetry::instance().disable();
 }
 
+TEST_F(StreamingTest, HeldOutSeedAsksTheCacheTheSameQuestions) {
+  // A generated day off the benchmark's seed, cold: its JSONL bytes, its
+  // fleet digest and the cache's hit and miss counts, captured before the
+  // engine kept its request classes across intervals.  Equal counts show
+  // the engine still asks the cache the same questions in the same order.
+  const FleetConfig config = make_heterogeneous_fleet(4, 4, 3.0e-3);
+  const std::vector<workload::WorkloadTrace> streams =
+      WorkloadGenerator(diurnal_fleet_day(7777, 16)).generate();
+  core::SolveCache::global()->clear();
+
+  std::ostringstream jsonl;
+  StreamingFleetEngine engine(config, streams);
+  FleetResultAggregator aggregator;
+  JsonlFleetSink sink(jsonl);
+  engine.add_observer(aggregator);
+  engine.add_observer(sink);
+  engine.run();
+
+  std::uint64_t jsonl_digest = util::kFnvOffsetBasis;
+  for (const char c : jsonl.str()) {
+    util::fnv_byte(jsonl_digest, static_cast<std::uint8_t>(c));
+  }
+  const core::SolveCache::Stats stats = core::SolveCache::global()->stats();
+  EXPECT_EQ(jsonl_digest, 0x717d4e1df0735fecULL);
+  EXPECT_EQ(fleet_digest(aggregator.result()), 0x67992ff54d3dd03cULL);
+  EXPECT_EQ(stats.hits, 2417u);
+  EXPECT_EQ(stats.misses, 39u);
+}
+
 /// The controller of the v3 golden run.
 FleetControllerConfig golden_controller_config() {
   FleetControllerConfig control;
@@ -767,6 +800,112 @@ TEST(JsonlFleetSink, ReplayRejectsDamagedNumbers) {
     EXPECT_THROW((void)replay_fleet_jsonl(replay_stream),
                  util::PreconditionError);
   }
+}
+
+/// `interval`'s record as a fresh sink writes it.
+std::string fresh_record(const FleetInterval& interval) {
+  std::ostringstream record;
+  JsonlFleetSink(record).on_interval(interval, IntervalCounters{2, 5});
+  return record.str();
+}
+
+TEST(JsonlFleetSink, JobTextMemoNeverChangesTheBytes) {
+  // Jobs that differ only in a signed zero, the limit flag or the
+  // benchmark name, each written twice through one sink, then more
+  // distinct jobs than the memo holds and the first again: every record
+  // is the bytes a fresh sink writes for it.
+  FleetInterval zero = edge_case_interval();
+  zero.jobs[0].die_max_c = 0.0;
+  FleetInterval negative_zero = zero;
+  negative_zero.jobs[0].die_max_c = -0.0;
+  FleetInterval no_limit = zero;
+  no_limit.jobs[0].tcase_limit_exceeded = false;
+  FleetInterval other_benchmark = zero;
+  other_benchmark.jobs[0].benchmark = "vips";
+  std::vector<FleetInterval> intervals;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const FleetInterval& interval :
+         {zero, negative_zero, no_limit, other_benchmark}) {
+      intervals.push_back(interval);
+    }
+  }
+  for (std::size_t i = 0; i <= JsonlFleetSink::kJobTextMemo; ++i) {
+    FleetInterval distinct = zero;
+    distinct.jobs[0].tcase_c = static_cast<double>(i);
+    intervals.push_back(distinct);
+  }
+  intervals.push_back(zero);
+
+  std::ostringstream shared;
+  JsonlFleetSink sink(shared);
+  std::string expected;
+  for (const FleetInterval& interval : intervals) {
+    sink.on_interval(interval, IntervalCounters{2, 5});
+    expected += fresh_record(interval);
+  }
+  EXPECT_EQ(shared.str(), expected);
+  EXPECT_NE(fresh_record(zero).find(R"("die_max_c":0,)"), std::string::npos);
+  EXPECT_NE(fresh_record(negative_zero).find(R"("die_max_c":-0,)"),
+            std::string::npos);
+}
+
+/// A buffer that takes every byte but fails every flush.
+class UnflushableBuf final : public std::streambuf {
+ protected:
+  int_type overflow(int_type ch) override { return traits_type::not_eof(ch); }
+  int sync() override { return -1; }
+};
+
+/// The message of the `SinkError` `write` throws, or "" when none.
+template <typename Write>
+std::string sink_error(Write write) {
+  try {
+    write();
+  } catch (const SinkError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(JsonlFleetSink, AFailedStreamThrowsNamingTheRecord) {
+  std::ostream dead(nullptr);
+  JsonlFleetSink dead_sink(dead);
+  const FleetInterval interval = edge_case_interval();
+  EXPECT_NE(sink_error([&] { dead_sink.on_run_begin(FleetConfig{}, 1, 30.0); })
+                .find("header record"),
+            std::string::npos);
+  EXPECT_NE(sink_error([&] {
+              dead_sink.on_interval(interval, IntervalCounters{2, 5});
+            }).find("interval record"),
+            std::string::npos);
+  EXPECT_NE(sink_error([&] { dead_sink.on_run_end(edge_case_summary()); })
+                .find("summary record"),
+            std::string::npos);
+
+  // Every write lands, but the closing flush fails.
+  UnflushableBuf unflushable;
+  std::ostream stream(&unflushable);
+  JsonlFleetSink sink(stream);
+  sink.on_interval(interval, IntervalCounters{2, 5});
+  EXPECT_NE(sink_error([&] { sink.on_run_end(edge_case_summary()); })
+                .find("after the summary record"),
+            std::string::npos);
+}
+
+TEST_F(StreamingTest, AFailedJsonlStreamSpendsTheEngine) {
+  // A sink on a stream with no buffer used to run the whole day and return
+  // normally, having written nothing.
+  std::ostream dead(nullptr);
+  JsonlFleetSink sink(dead);
+  StreamingFleetEngine engine(
+      make_heterogeneous_fleet(2, 2, kCell),
+      WorkloadGenerator(diurnal_fleet_day(7, 4)).generate());
+  engine.add_observer(sink);
+  EXPECT_THROW(engine.advance(), SinkError);
+  EXPECT_TRUE(engine.finished());
+  EXPECT_FALSE(engine.advance());
+  EXPECT_EQ(engine.intervals_emitted(), 0u);
+  EXPECT_THROW((void)engine.summary(), util::PreconditionError);
 }
 
 // ---------------------------------------------------------- rollup reducer --
