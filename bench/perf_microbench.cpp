@@ -47,7 +47,9 @@ void BM_ThermalSteadySolve(benchmark::State& state) {
 BENCHMARK(BM_ThermalSteadySolve)->Arg(200)->Arg(150)->Arg(100)->Arg(75)
     ->Unit(benchmark::kMillisecond);
 
-/// One transient backward-Euler step.
+/// One transient backward-Euler step that stays warm: after the first few
+/// steps the field barely moves, so CG converges in about 0 iterations and
+/// this times the per-step set-up around the solve.
 void BM_ThermalTransientStep(benchmark::State& state) {
   thermal::PackageStackConfig stack_config;
   stack_config.cell_size_m = 1.5e-3;
@@ -58,12 +60,41 @@ void BM_ThermalTransientStep(benchmark::State& state) {
   for (auto _ : state) {
     model.step_transient(t, 0.1);
   }
+  state.counters["iterations"] =
+      static_cast<double>(model.last_solve_stats().iterations);
 }
 BENCHMARK(BM_ThermalTransientStep)->Unit(benchmark::kMillisecond);
 
-/// Thermosyphon loop + channel solve on a fixed heat map.
+/// One transient step whose CG iterates, at the fleet's 2 mm pitch: every
+/// iteration steps the same uniform field by 50 ms after a 60 W load
+/// appears at the package centre, starting CG from the old field as an
+/// adaptive trial's first boundary iteration does.
+void BM_ThermalTransientStepSolve(benchmark::State& state) {
+  thermal::PackageStackConfig stack_config;
+  stack_config.cell_size_m = 2.0e-3;
+  thermal::ThermalModel model(thermal::make_package_stack(stack_config));
+  model.set_top_boundary_uniform(1.2e4, 40.0);
+  util::Grid2D<double> power(model.nx(), model.ny(), 0.0);
+  power(model.nx() / 2, model.ny() / 2) = 60.0;
+  model.set_power_map(power);
+  const std::vector<double> t(model.cell_count(), 40.0);
+  std::vector<double> x;
+  for (auto _ : state) {
+    x = t;
+    model.step_transient(t, x, 0.05);
+    benchmark::DoNotOptimize(x.data());
+  }
+  state.counters["iterations"] =
+      static_cast<double>(model.last_solve_stats().iterations);
+}
+BENCHMARK(BM_ThermalTransientStepSolve)->Unit(benchmark::kMillisecond);
+
+/// Thermosyphon loop + channel solve on a fixed heat map, vs grid pitch in
+/// 10 µm units: 2 mm (the fleet and the transient day) and 0.75 mm (the
+/// paper battery).
 void BM_ThermosyphonSolve(benchmark::State& state) {
-  core::ServerModel server(config_with_cell(1.0e-3));
+  core::ServerModel server(
+      config_with_cell(1e-5 * static_cast<double>(state.range(0))));
   const thermal::StackModel& stack = server.stack();
   util::Grid2D<double> heat(stack.grid.nx, stack.grid.ny, 0.0);
   for (std::size_t iy = 0; iy < stack.grid.ny; ++iy) {
@@ -79,7 +110,8 @@ void BM_ThermosyphonSolve(benchmark::State& state) {
         server.thermosyphon_model().solve(heat, server.operating_point()));
   }
 }
-BENCHMARK(BM_ThermosyphonSolve)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ThermosyphonSolve)->Arg(200)->Arg(75)
+    ->Unit(benchmark::kMicrosecond);
 
 /// Full coupled server simulation (the unit of every experiment).
 void BM_CoupledServerSimulation(benchmark::State& state) {

@@ -199,6 +199,11 @@ SegmentResult integrate_segment(core::ServerModel& server,
   const double trial_tolerance =
       std::max(thermal::ThermalModel::kStepTolerance,
                kTrialTolerance * config.tolerance_c);
+  // A trial's fields and boundary heat, reused by every trial.
+  std::vector<double> full;
+  std::vector<double> prev_full;
+  std::vector<double> half;
+  util::Grid2D<double> trial_heat;
 
   while (sim_time_s < duration_s) {
     const double remaining_s = duration_s - sim_time_s;
@@ -222,9 +227,8 @@ SegmentResult integrate_segment(core::ServerModel& server,
                 std::to_string(sim_time_s) + " of " +
                 std::to_string(duration_s) + " s");
         dt_s = controller.propose(remaining_s);
-        std::vector<double> full = t;
-        std::vector<double> prev_full;
-        util::Grid2D<double> trial_heat = evap_heat;
+        full = t;
+        trial_heat = evap_heat;
         bool converged = false;
         for (int k = 0; k < kCouplingIterations && !converged; ++k) {
           server.set_evaporator_heat(trial_heat);
@@ -242,15 +246,15 @@ SegmentResult integrate_segment(core::ServerModel& server,
         }
         if (!converged) ++boundary_cap_hits;
         // The boundary is still the one the last full step saw.
-        std::vector<double> half = t;
+        half = t;
         const double error_c =
             server.thermal().step_transient_embedded(half, full, dt_s);
         if (controller.evaluate(dt_s, error_c)) {
           settled = dt_s == thermal::kMaxStepS && converged &&
                     max_abs_diff(half, t) <=
                         kSettledFraction * config.tolerance_c;
-          t = std::move(half);
-          evap_heat = std::move(trial_heat);
+          std::swap(t, half);
+          std::swap(evap_heat, trial_heat);
           break;
         }
         ++seg.rejected_steps;

@@ -157,9 +157,16 @@ class ThermalModel {
   mutable std::vector<double> boundary_rhs_;  // G_b·T_fluid terms
   mutable util::CgResult last_stats_;
   // Transient step operator (G + C/dt): bands copied from operator_ once
-  // per band assembly, only the diagonal is re-shifted per step.
+  // per band assembly, only the diagonal is re-shifted per step.  Beside
+  // it, the step's diagonal shift C/dt, its right-hand side and its CG
+  // scratch, kept across steps so a step allocates nothing.  All stay
+  // empty until the first step: a model that only solves steady states
+  // holds none of them.
   mutable util::StencilOperator step_operator_{1, 1, 1};
   mutable bool step_operator_valid_ = false;
+  mutable std::vector<double> step_shift_;
+  mutable std::vector<double> step_rhs_;
+  mutable util::CgWorkspace step_cg_;
   mutable std::vector<double> capacity_j_k_;  // heat_capacity(); C
 };
 

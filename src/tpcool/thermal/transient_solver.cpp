@@ -70,8 +70,10 @@ void ThermalModel::step_transient(const std::vector<double>& t,
   // the bands and augment, then reuse the shared PCG path.  The right-hand
   // side is complete before CG touches `x`, so `x` may alias `t`.
   const std::vector<double>& capacity = heat_capacity();
-  std::vector<double> cdiag(n, 0.0);
-  std::vector<double> rhs = boundary_rhs_;
+  std::vector<double>& cdiag = step_shift_;
+  std::vector<double>& rhs = step_rhs_;
+  cdiag.resize(n);
+  rhs = boundary_rhs_;
   for (std::size_t i = 0; i < n; ++i) {
     cdiag[i] = capacity[i] / dt_s;
     rhs[i] += cdiag[i] * t[i];
@@ -86,7 +88,7 @@ void ThermalModel::step_transient(const std::vector<double>& t,
 
   last_stats_ = util::solve_cg(
       step_operator_, rhs, x,
-      {.tolerance = tolerance, .max_iterations = 20000});
+      {.tolerance = tolerance, .max_iterations = 20000}, step_cg_);
 }
 
 void ThermalModel::step_transient(std::vector<double>& t, double dt_s) const {

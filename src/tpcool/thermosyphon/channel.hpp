@@ -3,21 +3,18 @@
 /// \brief 1D marching model of a single evaporator micro-channel: vapor
 ///        quality and local HTC along the flow direction.
 
-#include <cstddef>
-#include <vector>
+#include <span>
 
 #include "tpcool/materials/refrigerant.hpp"
 #include "tpcool/thermosyphon/geometry.hpp"
 
 namespace tpcool::thermosyphon {
 
-/// Per-segment state of one channel after a march.
-struct ChannelProfile {
-  std::vector<double> quality;      ///< Vapor quality at segment centre.
-  std::vector<double> htc_w_m2k;    ///< Local base-area HTC.
+/// Per-channel result of a march.
+struct ChannelSummary {
   double exit_quality = 0.0;
-  bool dried_out = false;           ///< Any segment past the dry-out quality.
-  double absorbed_w = 0.0;          ///< Total heat absorbed by the channel.
+  double absorbed_w = 0.0;   ///< Total heat absorbed by the channel.
+  bool dried_out = false;    ///< Any segment past the dry-out quality.
 };
 
 /// Inputs of a channel march.
@@ -30,11 +27,17 @@ struct ChannelConditions {
 };
 
 /// March a channel through `heat_per_segment_w` (W absorbed per segment,
-/// ordered inlet→outlet). Quality grows as dx = q/(ṁ·h_fg); local HTC uses
-/// the flow-boiling correlations of boiling.hpp evaluated at each segment's
-/// local heat flux (segment base area = heated_width × segment length).
-[[nodiscard]] ChannelProfile march_channel(
-    const ChannelConditions& conditions, const EvaporatorGeometry& geometry,
-    const std::vector<double>& heat_per_segment_w);
+/// ordered inlet→outlet). Quality grows as dx = q/(ṁ·h_fg); each segment's
+/// HTC is `local_htc` (boiling.hpp) bit for bit, evaluated at its centre
+/// quality and local heat flux (segment base area = heated_width × segment
+/// length).  Writes the centre quality and the HTC of segment i to
+/// `quality[i]` and `htc_w_m2k[i]`; both must be as long as the heat.
+/// The saturation-temperature-only factors of the correlation are
+/// evaluated once per march, not once per segment.
+ChannelSummary march_channel(const ChannelConditions& conditions,
+                             const EvaporatorGeometry& geometry,
+                             std::span<const double> heat_per_segment_w,
+                             std::span<double> quality,
+                             std::span<double> htc_w_m2k);
 
 }  // namespace tpcool::thermosyphon

@@ -1,6 +1,8 @@
 #include "tpcool/thermosyphon/thermosyphon.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "tpcool/thermosyphon/boiling.hpp"
 #include "tpcool/util/error.hpp"
@@ -32,37 +34,38 @@ Thermosyphon::Thermosyphon(ThermosyphonDesign design, floorplan::GridSpec grid,
   const double pitch = east_west ? grid_.dx : grid_.dy;
   n_segments_ = static_cast<std::size_t>(std::ceil(along / pitch));
   TPCOOL_ENSURE(n_segments_ >= 2, "footprint spans too few grid cells");
-}
 
-std::optional<Thermosyphon::CellRoute> Thermosyphon::route(
-    std::size_t ix, std::size_t iy) const {
-  const floorplan::Rect cell = grid_.cell_rect(ix, iy);
-  const double cx = cell.center_x();
-  const double cy = cell.center_y();
-  if (!footprint_.contains(cx, cy)) return std::nullopt;
-
-  const bool east_west =
-      design_.evaporator.orientation == Orientation::kEastWest;
-  const double pitch = design_.evaporator.pitch_m();
-
-  // Transverse coordinate picks the channel; clamp the fringe cells beyond
-  // the last full pitch into the last channel.
-  const double transverse = east_west ? cy - footprint_.y0 : cx - footprint_.x0;
-  auto channel = static_cast<std::size_t>(transverse / pitch);
-  if (channel >= n_channels_) channel = n_channels_ - 1;
-
-  // Along-flow coordinate picks the segment. Design 1 flows eastward (inlet
-  // on the west); design 2 flows southward (inlet on the north).
-  double along_frac;
-  if (east_west) {
-    along_frac = (cx - footprint_.x0) / footprint_.width();
-  } else {
-    along_frac = (footprint_.y1 - cy) / footprint_.height();
+  // The transverse coordinate of a cell centre picks the channel, with the
+  // fringe cells beyond the last full pitch clamped into the last channel;
+  // the along-flow coordinate picks the segment.  Design 1 flows eastward
+  // (inlet on the west); design 2 flows southward (inlet on the north).
+  const double channel_pitch = design_.evaporator.pitch_m();
+  const auto channel_slot = [&](double transverse) {
+    const auto channel = std::min(
+        static_cast<std::size_t>(transverse / channel_pitch), n_channels_ - 1);
+    return channel * n_segments_;
+  };
+  const auto segment_slot = [&](double along_frac) {
+    return std::min(static_cast<std::size_t>(
+                        along_frac * static_cast<double>(n_segments_)),
+                    n_segments_ - 1);
+  };
+  x_slot_.assign(grid_.nx, kOutside);
+  for (std::size_t ix = 0; ix < grid_.nx; ++ix) {
+    const double cx = grid_.cell_rect(ix, 0).center_x();
+    if (!(cx >= footprint_.x0 && cx < footprint_.x1)) continue;
+    x_slot_[ix] = east_west
+                      ? segment_slot((cx - footprint_.x0) / footprint_.width())
+                      : channel_slot(cx - footprint_.x0);
   }
-  auto segment = static_cast<std::size_t>(
-      along_frac * static_cast<double>(n_segments_));
-  if (segment >= n_segments_) segment = n_segments_ - 1;
-  return CellRoute{channel, segment};
+  y_slot_.assign(grid_.ny, kOutside);
+  for (std::size_t iy = 0; iy < grid_.ny; ++iy) {
+    const double cy = grid_.cell_rect(0, iy).center_y();
+    if (!(cy >= footprint_.y0 && cy < footprint_.y1)) continue;
+    y_slot_[iy] = east_west ? channel_slot(cy - footprint_.y0)
+                            : segment_slot((footprint_.y1 - cy) /
+                                           footprint_.height());
+  }
 }
 
 ThermosyphonState Thermosyphon::solve(const util::Grid2D<double>& heat_w,
@@ -75,20 +78,24 @@ ThermosyphonState Thermosyphon::solve(const util::Grid2D<double>& heat_w,
   state.htc_map = util::Grid2D<double>(grid_.nx, grid_.ny, 0.0);
   state.fluid_temp_map = util::Grid2D<double>(grid_.nx, grid_.ny, 0.0);
 
-  // 1. Total load and condenser balance -> saturation temperature.
+  // 1. Total load, and the cell heat routed into channel-major
+  //    (channel, segment) slots, each channel inlet→outlet.
+  std::vector<double> channel_heat(n_channels_ * n_segments_, 0.0);
   double q_total = 0.0;
   for (std::size_t iy = 0; iy < grid_.ny; ++iy) {
     for (std::size_t ix = 0; ix < grid_.nx; ++ix) {
       const double q = heat_w(ix, iy);
       if (q == 0.0) continue;
       TPCOOL_REQUIRE(q >= 0.0, "negative cell heat");
-      TPCOOL_REQUIRE(route(ix, iy).has_value(),
+      TPCOOL_REQUIRE(x_slot_[ix] != kOutside && y_slot_[iy] != kOutside,
                      "heat assigned outside the evaporator footprint");
       q_total += q;
+      channel_heat[x_slot_[ix] + y_slot_[iy]] += q;
     }
   }
   state.q_total_w = q_total;
 
+  // 2. Condenser balance -> saturation temperature.
   const double c_w =
       materials::water_capacity_rate_w_k(op.water_flow_kg_h, op.water_inlet_c);
   state.t_sat_c =
@@ -96,61 +103,51 @@ ThermosyphonState Thermosyphon::solve(const util::Grid2D<double>& heat_w,
                                q_total, op.water_inlet_c, c_w);
   state.water_outlet_c = water_outlet_c(q_total, op.water_inlet_c, c_w);
 
-  // 2. Natural-circulation mass flow at this saturation state.
+  // 3. Natural-circulation mass flow at this saturation state.
   const LoopState loop = solve_loop(*design_.refrigerant, state.t_sat_c,
                                     q_total, design_.filling_ratio,
                                     design_.loop);
   state.refrigerant_flow_kg_s = loop.mass_flow_kg_s;
   state.loop_exit_quality = loop.exit_quality;
 
-  // 3. Distribute cell heat into per-channel segment arrays (inlet→outlet).
-  std::vector<std::vector<double>> channel_heat(
-      n_channels_, std::vector<double>(n_segments_, 0.0));
-  for (std::size_t iy = 0; iy < grid_.ny; ++iy) {
-    for (std::size_t ix = 0; ix < grid_.nx; ++ix) {
-      const double q = heat_w(ix, iy);
-      if (q <= 0.0) continue;
-      const auto r = route(ix, iy);
-      channel_heat[r->channel][r->segment] += q;
-    }
-  }
-
   // 4. March every channel with an equal share of the loop flow (parallel
   //    channels fed from a common header).
   state.channels.resize(n_channels_);
-  std::vector<ChannelProfile> profiles(n_channels_);
-  if (q_total > 1e-9 && loop.mass_flow_kg_s > 0.0) {
-    const double m_ch =
-        loop.mass_flow_kg_s / static_cast<double>(n_channels_);
+  const bool flowing = q_total > 1e-9 && loop.mass_flow_kg_s > 0.0;
+  std::vector<double> htc;
+  if (flowing) {
+    htc.resize(channel_heat.size());
+    std::vector<double> quality(n_segments_);
     ChannelConditions cond;
     cond.fluid = design_.refrigerant;
     cond.t_sat_c = state.t_sat_c;
-    cond.mass_flow_kg_s = m_ch;
+    cond.mass_flow_kg_s =
+        loop.mass_flow_kg_s / static_cast<double>(n_channels_);
     cond.filling_ratio = design_.filling_ratio;
     for (std::size_t ch = 0; ch < n_channels_; ++ch) {
-      profiles[ch] =
-          march_channel(cond, design_.evaporator, channel_heat[ch]);
-      state.channels[ch].exit_quality = profiles[ch].exit_quality;
-      state.channels[ch].absorbed_w = profiles[ch].absorbed_w;
-      state.channels[ch].dried_out = profiles[ch].dried_out;
-      state.any_dryout = state.any_dryout || profiles[ch].dried_out;
+      const std::size_t first = ch * n_segments_;
+      state.channels[ch] = march_channel(
+          cond, design_.evaporator,
+          std::span<const double>(channel_heat).subspan(first, n_segments_),
+          quality, std::span<double>(htc).subspan(first, n_segments_));
+      state.any_dryout = state.any_dryout || state.channels[ch].dried_out;
     }
   }
 
-  // 5. Paint the HTC and fluid-temperature maps.
+  // 5. Paint the HTC and fluid-temperature maps.  An idle loop is a
+  //    stagnant liquid pool: one convection HTC everywhere.
+  const double h_pool =
+      flowing ? 0.0
+              : single_phase_liquid_htc(
+                    *design_.refrigerant, state.t_sat_c,
+                    design_.evaporator.hydraulic_diameter_m());
   for (std::size_t iy = 0; iy < grid_.ny; ++iy) {
+    if (y_slot_[iy] == kOutside) continue;
     for (std::size_t ix = 0; ix < grid_.nx; ++ix) {
-      const auto r = route(ix, iy);
-      if (!r.has_value()) continue;
+      if (x_slot_[ix] == kOutside) continue;
       state.fluid_temp_map(ix, iy) = state.t_sat_c;
-      if (q_total > 1e-9 && loop.mass_flow_kg_s > 0.0) {
-        state.htc_map(ix, iy) = profiles[r->channel].htc_w_m2k[r->segment];
-      } else {
-        // Idle loop: stagnant liquid pool convection.
-        state.htc_map(ix, iy) = single_phase_liquid_htc(
-            *design_.refrigerant, state.t_sat_c,
-            design_.evaporator.hydraulic_diameter_m());
-      }
+      state.htc_map(ix, iy) =
+          flowing ? htc[x_slot_[ix] + y_slot_[iy]] : h_pool;
     }
   }
   return state;

@@ -5,6 +5,7 @@
 ///        state and the per-cell heat-transfer coefficient map that the
 ///        thermal solver uses as its top boundary condition.
 
+#include <cstddef>
 #include <vector>
 
 #include "tpcool/floorplan/power_map.hpp"
@@ -31,13 +32,6 @@ struct ThermosyphonDesign {
 struct OperatingPoint {
   double water_flow_kg_h = 7.0;   ///< Paper's design flow rate.
   double water_inlet_c = 30.0;    ///< Paper's design water temperature.
-};
-
-/// Per-channel diagnostic after a solve.
-struct ChannelSummary {
-  double exit_quality = 0.0;
-  double absorbed_w = 0.0;
-  bool dried_out = false;
 };
 
 /// Converged thermosyphon state for one heat map.
@@ -76,19 +70,24 @@ class Thermosyphon {
                                         const OperatingPoint& op) const;
 
  private:
-  struct CellRoute {
-    std::size_t channel;
-    std::size_t segment;
-  };
-  /// Channel/segment of a cell, or nullopt when outside the footprint.
-  [[nodiscard]] std::optional<CellRoute> route(std::size_t ix,
-                                               std::size_t iy) const;
+  /// Marks a grid column or row whose cell centres lie outside the
+  /// footprint.
+  static constexpr std::size_t kOutside = static_cast<std::size_t>(-1);
 
   ThermosyphonDesign design_;
   floorplan::GridSpec grid_;
   floorplan::Rect footprint_;
   std::size_t n_channels_;
   std::size_t n_segments_;
+  // A cell belongs to the channel and segment its centre falls in.  The
+  // centre's x picks one of the two and its y the other, so the route
+  // splits per axis: cell (ix, iy) is in the footprint when neither
+  // x_slot_[ix] nor y_slot_[iy] is kOutside, and then its slot in the
+  // channel-major (channel, segment) arrays is x_slot_[ix] + y_slot_[iy].
+  // Built in O(nx + ny); a per-cell table would cost O(nx · ny) per
+  // construction for the same lookups.
+  std::vector<std::size_t> x_slot_;
+  std::vector<std::size_t> y_slot_;
 };
 
 }  // namespace tpcool::thermosyphon

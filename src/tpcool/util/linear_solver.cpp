@@ -130,7 +130,8 @@ double norm2(const std::vector<double>& a) { return std::sqrt(dot(a, a)); }
 /// never recomputed and `iterations` is always populated — including on
 /// the throw path.
 CgResult cg_impl(const StencilOperator& a, const std::vector<double>& b,
-                 std::vector<double>& x, const CgOptions& options) {
+                 std::vector<double>& x, const CgOptions& options,
+                 CgWorkspace& work) {
   const std::size_t n = a.size();
   TPCOOL_REQUIRE(b.size() == n, "solve_cg: rhs size mismatch");
   TPCOOL_REQUIRE(options.ssor_omega > 0.0 && options.ssor_omega < 2.0,
@@ -143,15 +144,20 @@ CgResult cg_impl(const StencilOperator& a, const std::vector<double>& b,
     return {0, 0.0};
   }
 
-  std::vector<double> diag = a.diagonal();
-  std::vector<double> inv_diag(n);
+  // Every entry of the scratch vectors is written before it is read.
+  std::vector<double>& inv_diag = work.inv_diag;
+  std::vector<double>& r = work.r;
+  std::vector<double>& z = work.z;
+  std::vector<double>& p = work.p;
+  std::vector<double>& ap = work.ap;
+  inv_diag.resize(n);
+  r.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    TPCOOL_ENSURE(diag[i] > 0.0,
+    TPCOOL_ENSURE(a.diag(i) > 0.0,
                   "solve_cg: non-positive diagonal (matrix not SPD?)");
-    inv_diag[i] = 1.0 / diag[i];
+    inv_diag[i] = 1.0 / a.diag(i);
   }
 
-  std::vector<double> r(n), z(n), p(n), ap(n);
   a.multiply(x, ap);
   for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - ap[i];
 
@@ -203,9 +209,10 @@ CgResult cg_impl(const StencilOperator& a, const std::vector<double>& b,
 }  // namespace
 
 CgResult solve_cg(const StencilOperator& a, const std::vector<double>& b,
-                  std::vector<double>& x, const CgOptions& options) {
+                  std::vector<double>& x, const CgOptions& options,
+                  CgWorkspace& work) {
   TraceSpan span("cg");
-  const CgResult result = cg_impl(a, b, x, options);
+  const CgResult result = cg_impl(a, b, x, options, work);
   span.arg("n", static_cast<double>(b.size()));
   span.arg("iterations", static_cast<double>(result.iterations));
   span.arg("residual", result.residual);
@@ -215,6 +222,12 @@ CgResult solve_cg(const StencilOperator& a, const std::vector<double>& b,
     iterations.record(static_cast<double>(result.iterations));
   }
   return result;
+}
+
+CgResult solve_cg(const StencilOperator& a, const std::vector<double>& b,
+                  std::vector<double>& x, const CgOptions& options) {
+  CgWorkspace work;
+  return solve_cg(a, b, x, options, work);
 }
 
 std::vector<double> solve_dense(std::vector<double> a, std::vector<double> b) {

@@ -93,6 +93,13 @@ struct CgResult {
   bool near_converged = false;
 };
 
+/// Scratch vectors of a CG solve: 1/D, the residual, the preconditioned
+/// residual, the search direction and its image.  A caller that solves
+/// repeatedly on one grid keeps one, and its solves allocate nothing.
+struct CgWorkspace {
+  std::vector<double> inv_diag, r, z, p, ap;
+};
+
 /// Solve A x = b with SSOR-preconditioned conjugate gradient over the
 /// banded 7-point operator (matrix-free SpMV, division-free SSOR sweeps).
 /// A must be symmetric positive definite. A non-empty `x` warm-starts the
@@ -100,7 +107,12 @@ struct CgResult {
 /// iteration limit a residual within 10× the tolerance is accepted with
 /// `near_converged` set; anything worse throws ConvergenceError (naming
 /// the iteration count). One solve runs on one thread; parallelism is
-/// across solves.
+/// across solves.  The scratch vectors live in `work`, resized to A.
+CgResult solve_cg(const StencilOperator& a, const std::vector<double>& b,
+                  std::vector<double>& x, const CgOptions& options,
+                  CgWorkspace& work);
+
+/// The same solve with scratch vectors of its own.
 CgResult solve_cg(const StencilOperator& a, const std::vector<double>& b,
                   std::vector<double>& x, const CgOptions& options = {});
 

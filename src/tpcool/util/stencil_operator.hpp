@@ -74,9 +74,6 @@ class StencilOperator {
   /// thread; parallelism is across solves.
   void multiply(const std::vector<double>& x, std::vector<double>& y) const;
 
-  /// Copy of the diagonal band.
-  [[nodiscard]] std::vector<double> diagonal() const { return diag_; }
-
   /// z = M⁻¹ r for the SSOR preconditioner
   /// M = (D + ωL) D⁻¹ (D + ωU) (up to a positive scale, which PCG ignores),
   /// given `inv_diag` = 1/D. Serial like multiply(): the two triangular

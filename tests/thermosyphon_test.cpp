@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
+#include "tpcool/thermal/stack.hpp"
 #include "tpcool/thermosyphon/boiling.hpp"
 #include "tpcool/thermosyphon/channel.hpp"
 #include "tpcool/thermosyphon/condenser.hpp"
@@ -13,6 +18,7 @@
 #include "tpcool/thermosyphon/loop.hpp"
 #include "tpcool/thermosyphon/thermosyphon.hpp"
 #include "tpcool/util/error.hpp"
+#include "tpcool/util/fnv.hpp"
 
 namespace tpcool::thermosyphon {
 namespace {
@@ -114,6 +120,22 @@ TEST(Boiling, SinglePhaseLaminarFloor) {
 
 // ---------------------------------------------------------------- channel --
 
+/// One march's per-segment outputs and summary.
+struct Profile {
+  std::vector<double> quality;
+  std::vector<double> htc_w_m2k;
+  ChannelSummary summary;
+};
+
+Profile march(const ChannelConditions& cond, const EvaporatorGeometry& geom,
+              const std::vector<double>& heat) {
+  Profile p;
+  p.quality.resize(heat.size());
+  p.htc_w_m2k.resize(heat.size());
+  p.summary = march_channel(cond, geom, heat, p.quality, p.htc_w_m2k);
+  return p;
+}
+
 TEST(Channel, QualityGrowsMonotonically) {
   ChannelConditions cond;
   cond.fluid = &r236fa();
@@ -121,12 +143,12 @@ TEST(Channel, QualityGrowsMonotonically) {
   cond.mass_flow_kg_s = 5e-5;
   EvaporatorGeometry geom;
   const std::vector<double> heat(20, 0.2);  // 4 W total
-  const ChannelProfile p = march_channel(cond, geom, heat);
+  const Profile p = march(cond, geom, heat);
   ASSERT_EQ(p.quality.size(), 20u);
   for (std::size_t i = 1; i < p.quality.size(); ++i) {
     EXPECT_GE(p.quality[i], p.quality[i - 1]);
   }
-  EXPECT_DOUBLE_EQ(p.absorbed_w, 4.0);
+  EXPECT_DOUBLE_EQ(p.summary.absorbed_w, 4.0);
 }
 
 TEST(Channel, EnergyBalanceSetsExitQuality) {
@@ -137,10 +159,10 @@ TEST(Channel, EnergyBalanceSetsExitQuality) {
   EvaporatorGeometry geom;
   const double q_total = 2.0;
   const std::vector<double> heat(10, q_total / 10.0);
-  const ChannelProfile p = march_channel(cond, geom, heat);
+  const Profile p = march(cond, geom, heat);
   const double expected =
       q_total / (cond.mass_flow_kg_s * r236fa().latent_heat_j_kg(40.0));
-  EXPECT_NEAR(p.exit_quality, expected, 1e-9);
+  EXPECT_NEAR(p.summary.exit_quality, expected, 1e-9);
 }
 
 TEST(Channel, OverloadedChannelDriesOut) {
@@ -150,8 +172,8 @@ TEST(Channel, OverloadedChannelDriesOut) {
   cond.mass_flow_kg_s = 2e-5;  // starved channel
   EvaporatorGeometry geom;
   const std::vector<double> heat(10, 0.5);  // 5 W >> ṁ·h_fg margin
-  const ChannelProfile p = march_channel(cond, geom, heat);
-  EXPECT_TRUE(p.dried_out);
+  const Profile p = march(cond, geom, heat);
+  EXPECT_TRUE(p.summary.dried_out);
   // HTC in the dried tail must be far below the wetted peak.
   EXPECT_GT(*std::max_element(p.htc_w_m2k.begin(), p.htc_w_m2k.end()),
             3.0 * p.htc_w_m2k.back());
@@ -162,9 +184,62 @@ TEST(Channel, ZeroHeatKeepsLiquid) {
   cond.fluid = &r236fa();
   cond.mass_flow_kg_s = 1e-4;
   EvaporatorGeometry geom;
-  const ChannelProfile p = march_channel(cond, geom, std::vector<double>(5, 0.0));
-  EXPECT_DOUBLE_EQ(p.exit_quality, 0.0);
-  EXPECT_FALSE(p.dried_out);
+  const Profile p = march(cond, geom, std::vector<double>(5, 0.0));
+  EXPECT_DOUBLE_EQ(p.summary.exit_quality, 0.0);
+  EXPECT_FALSE(p.summary.dried_out);
+}
+
+// The march evaluates local_htc's saturation-temperature factors once and
+// reuses E(x)·S(x); every segment's HTC must still be local_htc's, bit for
+// bit, in every regime the correlation has.
+TEST(Channel, HtcIsLocalHtcBitForBit) {
+  EvaporatorGeometry geom;
+  // Inlet to outlet: no heat and a trace of it (quality under 1e-6),
+  // fluxes under Cooper's 1 kW/m² floor, the wetted rise, unheated
+  // stretches (wetted, near dry-out and past it), the near-dry-out
+  // suppression, just past dry-out, and far past it at the vapour floor.
+  const std::vector<double> heat = {
+      0.0, 1e-9, 0.001, 0.002, 0.0, 0.0, 0.3, 0.3, 0.3, 0.5,
+      0.5, 0.3,  0.3,   0.0,   0.5, 0.5, 0.6, 0.1, 0.0, 0.0,
+      1.0, 1.0,  1.0,   0.0};
+  const double seg_area = geom.heated_width_m() *
+                          (geom.channel_length_m() /
+                           static_cast<double>(heat.size()));
+  for (const double t_sat : {35.0, 55.0}) {
+    ChannelConditions cond;
+    cond.fluid = &r236fa();
+    cond.t_sat_c = t_sat;
+    cond.mass_flow_kg_s = 5e-5;
+    const double mass_flux = cond.mass_flow_kg_s / geom.channel_flow_area_m2();
+    const double x_dry = dryout_quality(cond.filling_ratio, mass_flux);
+    const Profile p = march(cond, geom, heat);
+
+    int trace = 0, under_floor = 0, wetted = 0, near_dry = 0, past = 0,
+        vapour = 0, unheated = 0;
+    for (std::size_t i = 0; i < heat.size(); ++i) {
+      const double x = p.quality[i];
+      const double flux = heat[i] / seg_area;
+      EXPECT_EQ(p.htc_w_m2k[i],
+                local_htc(r236fa(), t_sat, x, flux, mass_flux,
+                          cond.filling_ratio, geom.hydraulic_diameter_m()))
+          << "t_sat " << t_sat << ", segment " << i;
+      trace += heat[i] > 0.0 && x < 1e-6;
+      under_floor += heat[i] > 0.0 && flux < 1.0e3 && x >= 1e-6;
+      wetted += x >= 1e-6 && x <= 0.45 * x_dry;
+      near_dry += x > 0.45 * x_dry && x <= x_dry;
+      past += x > x_dry && p.htc_w_m2k[i] > kVaporHtcW_m2K;
+      vapour += x > x_dry && p.htc_w_m2k[i] == kVaporHtcW_m2K;
+      unheated += heat[i] == 0.0 && x >= 1e-6;
+    }
+    // Every regime is visited at both saturation temperatures.
+    EXPECT_GT(trace, 0) << t_sat;
+    EXPECT_GT(under_floor, 0) << t_sat;
+    EXPECT_GT(wetted, 0) << t_sat;
+    EXPECT_GT(near_dry, 0) << t_sat;
+    EXPECT_GT(past, 0) << t_sat;
+    EXPECT_GT(vapour, 0) << t_sat;
+    EXPECT_GT(unheated, 2) << t_sat;
+  }
 }
 
 // -------------------------------------------------------------- condenser --
@@ -395,6 +470,112 @@ TEST_F(ThermosyphonTest, ZeroLoadGivesStagnantPoolHtc) {
   EXPECT_DOUBLE_EQ(s.q_total_w, 0.0);
   EXPECT_GT(s.htc_map(22, 21), 100.0);   // liquid-pool convection floor
   EXPECT_LT(s.htc_map(22, 21), 2000.0);
+}
+
+// ------------------------------------------------------ golden solve digest --
+
+/// FNV-1a digest of what a solve hands the thermal model and its callers:
+/// both maps, the loop state and every channel summary, as exact bits.
+std::uint64_t solve_digest(const ThermosyphonState& s) {
+  std::uint64_t digest = util::kFnvOffsetBasis;
+  for (const double h : s.htc_map.data()) util::fnv_f64(digest, h);
+  for (const double t : s.fluid_temp_map.data()) util::fnv_f64(digest, t);
+  util::fnv_f64(digest, s.t_sat_c);
+  util::fnv_f64(digest, s.refrigerant_flow_kg_s);
+  util::fnv_f64(digest, s.loop_exit_quality);
+  util::fnv_f64(digest, s.water_outlet_c);
+  util::fnv_f64(digest, s.q_total_w);
+  for (const ChannelSummary& ch : s.channels) {
+    util::fnv_f64(digest, ch.exit_quality);
+    util::fnv_f64(digest, ch.absorbed_w);
+    util::fnv_u64(digest, ch.dried_out ? 1 : 0);
+  }
+  util::fnv_u64(digest, s.any_dryout ? 1 : 0);
+  return digest;
+}
+
+/// `watts` over the die's cells of `stack`'s grid, uneven like a mapped
+/// workload: every cell carries a share from 1 to 11, and a block of cells
+/// on the die's west side 40 more.  At 35 W some channels dry out, others
+/// stay wetted, and those beside the die carry no heat.
+util::Grid2D<double> die_heat(const thermal::StackModel& stack,
+                              double watts) {
+  const floorplan::GridSpec& g = stack.grid;
+  const floorplan::Rect& die = stack.die_region;
+  const double hot_x1 = die.x0 + 0.3 * die.width();
+  const double hot_y0 = die.y0 + 0.3 * die.height();
+  const double hot_y1 = die.y0 + 0.6 * die.height();
+  util::Grid2D<double> share(g.nx, g.ny, 0.0);
+  double total = 0.0;
+  for (std::size_t iy = 0; iy < g.ny; ++iy) {
+    for (std::size_t ix = 0; ix < g.nx; ++ix) {
+      const floorplan::Rect cell = g.cell_rect(ix, iy);
+      const double cx = cell.center_x();
+      const double cy = cell.center_y();
+      if (!die.contains(cx, cy)) continue;
+      double w = 1.0 + static_cast<double>((ix * 7 + iy * 3) % 11);
+      if (cx < hot_x1 && cy >= hot_y0 && cy < hot_y1) w += 40.0;
+      share(ix, iy) = w;
+      total += w;
+    }
+  }
+  for (double& q : share.data()) q *= watts / total;
+  return share;
+}
+
+// Pins Thermosyphon::solve bit for bit on the package grid at the two
+// pitches the workloads run (2 mm fleet, 0.75 mm paper battery), in both
+// orientations.  The literals were captured before the solve's routing and
+// channel march were rewritten for speed; any change to either that moves
+// a single bit of a map, the loop state or a channel summary fails here.
+TEST(ThermosyphonGolden, SolveDigestIsPinned) {
+  struct Case {
+    double pitch_m;
+    Orientation orientation;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {2.0e-3, Orientation::kEastWest, 0x119e4465f8dcfb5bULL},
+      {2.0e-3, Orientation::kNorthSouth, 0x38b52b491eee6858ULL},
+      {0.75e-3, Orientation::kEastWest, 0x1132389b369a7d0dULL},
+      {0.75e-3, Orientation::kNorthSouth, 0x52acb7c9cb1fdd3bULL},
+  };
+  for (const Case& c : cases) {
+    thermal::PackageStackConfig config;
+    config.cell_size_m = c.pitch_m;
+    const thermal::StackModel stack = thermal::make_package_stack(config);
+    ThermosyphonDesign design;
+    design.evaporator.orientation = c.orientation;
+    const Thermosyphon ts(design, stack.grid, stack.evaporator_region);
+    const ThermosyphonState s = ts.solve(die_heat(stack, 35.0), {});
+    std::size_t dried = 0;
+    std::size_t unheated = 0;
+    for (const ChannelSummary& ch : s.channels) {
+      dried += ch.dried_out ? 1 : 0;
+      unheated += ch.absorbed_w == 0.0 ? 1 : 0;
+    }
+    const std::string name = std::to_string(c.pitch_m) + " m, " +
+                             to_string(c.orientation);
+    // The map exercises every branch of the march.
+    EXPECT_GT(dried, 0u) << name;
+    EXPECT_LT(dried + unheated, s.channels.size()) << name;
+    EXPECT_GT(unheated, 0u) << name;
+    EXPECT_EQ(solve_digest(s), c.digest)
+        << name << ": 0x" << std::hex << solve_digest(s);
+
+    // A heated cell outside the footprint is still refused.  At 2 mm every
+    // cell centre of the 45 x 42.5 mm package lies inside the 44 x 42 mm
+    // footprint; at 0.75 mm the border cells do not.
+    const floorplan::Rect corner = stack.grid.cell_rect(0, 0);
+    if (c.pitch_m < 1e-3) {
+      ASSERT_FALSE(stack.evaporator_region.contains(corner.center_x(),
+                                                    corner.center_y()));
+      util::Grid2D<double> outside = die_heat(stack, 35.0);
+      outside(0, 0) = 1.0;
+      EXPECT_THROW((void)ts.solve(outside, {}), util::PreconditionError)
+          << name;
+    }
+  }
 }
 
 }  // namespace
