@@ -4,7 +4,7 @@
 ///        through the scheduler and the transient thermal model, carrying
 ///        thermal state across phase switches.  The server is a one-rack,
 ///        one-server fleet on 30 °C water, played by the transient engine
-///        at a fixed 0.5 s period.
+///        with adaptive steps at its default tolerance.
 
 #include <iostream>
 
@@ -24,12 +24,9 @@ int main() {
   datacenter::FleetConfig fleet;
   fleet.racks.push_back(server);
 
-  datacenter::TransientEngineConfig engine;
-  engine.fixed_dt_s = 0.5;
-
   const workload::WorkloadTrace trace = workload::make_daily_trace(8.0);
   const datacenter::TransientFleetResult result =
-      datacenter::TransientFleetEngine(fleet, engine).run({trace});
+      datacenter::TransientFleetEngine(fleet, {}).run({trace});
 
   util::TablePrinter table({"phase", "benchmark", "QoS", "config", "idle",
                             "P [W]", "peak die [C]", "peak TCASE [C]",

@@ -26,7 +26,7 @@ int main() {
   decision.idle_state = power::CState::kPoll;
 
   core::RuntimeController::Config config;
-  config.tcase_limit_c = 46.0;  // tightened so the demo shows reactions
+  config.tcase_limit_c = 45.0;  // tightened so the demo shows reactions
   config.max_steps = 24;
   core::RuntimeController controller(server, config);
 

@@ -16,6 +16,9 @@ namespace {
 constexpr double kStartTemperatureC = 40.0;
 /// Length of one control period [s].
 constexpr double kControlPeriodS = 0.5;
+/// Local error per adaptive step within a period [°C]: the transient
+/// engine's default.
+constexpr double kStepToleranceC = 0.05;
 /// Coolant valve steps [kg/h], ascending.
 constexpr std::array<double, 4> kFlowStepsKgH{7.0, 10.0, 14.0, 20.0};
 
@@ -58,12 +61,9 @@ ControlTrace RuntimeController::run(const workload::BenchmarkProfile& bench,
       static_cast<std::size_t>(start - flow_steps.begin());
   workload::Configuration config = decision.point.config;
 
-  // Initial state: uniform package temperature, no evaporator heat yet
-  // (the syphon's idle-loop path gives a stagnant-pool boundary, which
-  // self-corrects within a couple of periods).
-  const thermal::StackModel& stack = server_->stack();
+  // Initial state: uniform package temperature.  Each period seeds its
+  // boundary from the field it starts on (ServerModel::advance).
   std::vector<double> t(server_->thermal().cell_count(), kStartTemperatureC);
-  util::Grid2D<double> evap_heat(stack.grid.nx, stack.grid.ny, 0.0);
 
   const auto lower_freq_ok = [&](double next_f) {
     workload::Configuration candidate = config;
@@ -77,7 +77,7 @@ ControlTrace RuntimeController::run(const workload::BenchmarkProfile& bench,
         {.water_flow_kg_h = flow_steps[flow_step],
          .water_inlet_c = server_->operating_point().water_inlet_c});
     server_->load(bench, config, decision.cores, decision.idle_state);
-    evap_heat = server_->step_lagged(t, evap_heat, kControlPeriodS);
+    server_->advance(t, kControlPeriodS, kStepToleranceC);
     const PackageProbe probe = server_->probe(t);
 
     ControlRecord record;

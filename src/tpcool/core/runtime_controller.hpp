@@ -6,10 +6,10 @@
 ///        violates the QoS requirement."
 ///
 /// The controller drives the transient thermal model in 0.5 s control
-/// periods: each period is one `ServerModel::step_lagged` (the thermosyphon
-/// boundary re-solved from the previous period's evaporator heat, then one
-/// backward Euler step), after which it reacts to the measured case
-/// temperature.  The valve has four steps: 7, 10, 14 and 20 kg/h.
+/// periods: each period is one `ServerModel::advance` call (adaptive
+/// backward-Euler steps with the thermosyphon boundary converged in each,
+/// landing exactly on the period's end), after which it reacts to the
+/// measured case temperature.  The valve has four steps: 7, 10, 14 and 20 kg/h.
 
 #include <string>
 #include <vector>

@@ -4,6 +4,7 @@
 ///        + 3D thermal grid + two-phase thermosyphon, with the coupled
 ///        steady-state solve used by every experiment.
 
+#include <cstdint>
 #include <vector>
 
 #include "tpcool/floorplan/xeon_e5.hpp"
@@ -50,14 +51,31 @@ struct PackageProbe {
   double die_max_c = 0.0;  ///< Hottest die cell.
 };
 
+/// What `ServerModel::advance` reports about one constant-power segment.
+struct AdvanceResult {
+  /// Max TCASE and die temperature over [0, D]: over the start field and
+  /// the end field of every accepted step.
+  double peak_tcase_c = 0.0;
+  double peak_die_c = 0.0;
+  double end_tcase_c = 0.0;  ///< TCASE of the end field.
+  std::uint64_t steps = 0;           ///< Accepted steps.
+  std::uint64_t rejected_steps = 0;  ///< Trials redone at a smaller dt.
+  /// Boundary-loop convergence, summed over every trial: the iterations
+  /// run, and the trials that used all of them without meeting the exit.
+  std::uint64_t boundary_iterations = 0;
+  std::uint64_t boundary_cap_hits = 0;
+  /// When the segment settled, or its whole duration if it did not [s].
+  double settled_s = 0.0;
+};
+
 /// A server with a thermosyphon on its package.
 ///
 /// The model owns all substrate objects; `simulate()` runs the coupled
 /// fixed point: power map -> thermosyphon HTC map -> thermal solve ->
 /// evaporator heat map -> thermosyphon ... until the boundary stabilizes.
-/// The boundary exchange itself (`set_evaporator_heat`, `evaporator_heat`)
-/// is public, so every transient stepper couples the field and the
-/// thermosyphon the same way the steady solve does.
+/// `advance()` is the transient counterpart: it integrates a field under
+/// the power map `load()` put on the model, converging the same boundary
+/// exchange (`set_evaporator_heat`, `evaporator_heat`) within every step.
 class ServerModel {
  public:
   explicit ServerModel(ServerConfig config);
@@ -129,11 +147,23 @@ class ServerModel {
   /// TCASE and die maximum of field `t`.
   [[nodiscard]] PackageProbe probe(const std::vector<double>& t) const;
 
-  /// One lagged transient step: install the boundary for `heat`, advance
-  /// `t` by one backward-Euler step of `dt_s`, and return the evaporator
-  /// heat of the new field (the next step's boundary input).
-  [[nodiscard]] util::Grid2D<double> step_lagged(
-      std::vector<double>& t, const util::Grid2D<double>& heat, double dt_s);
+  /// Advance field `t` in place by `duration_s` [s] of the power map
+  /// `load()` installed, at the current operating point.  Backward-Euler
+  /// steps whose length a `thermal::StepController` adapts from the
+  /// step-doubling error estimate at local error `tolerance_c` [°C>0],
+  /// landing exactly on `duration_s`.  Within each trial step the
+  /// thermosyphon boundary is converged against the step's own end field
+  /// (an under-relaxed fixed point, the transient analogue of the steady
+  /// solve's), so the estimate sees the segment's dynamics rather than
+  /// boundary lag.  The first step is sized from the field's curvature
+  /// (`ThermalModel::second_derivative_norm`), and the segment ends early
+  /// on the field it settles on once a largest-length step leaves it
+  /// settled.  The boundary is seeded from `t` itself, so the result is a
+  /// pure function of (server config, power map, operating point, `t`,
+  /// `duration_s`, `tolerance_c`).  Throws PreconditionError past a budget
+  /// of 100,000 trial steps, naming the time reached.
+  AdvanceResult advance(std::vector<double>& t, double duration_s,
+                        double tolerance_c);
 
   /// Access to the thermal model (e.g. for transient stepping).
   [[nodiscard]] thermal::ThermalModel& thermal() { return thermal_; }

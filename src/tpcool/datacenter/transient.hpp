@@ -7,18 +7,10 @@
 /// setpoint"; this layer answers "what does the package temperature of
 /// every server actually do over the day".  It first runs the steady fleet
 /// (placement, schedules, shared rack setpoints), then integrates one
-/// transient *segment* per (job, interval): backward-Euler steps whose
-/// length the `thermal::StepController` adapts from the step-doubling
-/// error estimate, clamped by a step-to-boundary rule so every phase and
-/// interval edge is hit exactly — never overshot, never approached with a
-/// sliver step.  Within each adaptive trial the thermosyphon boundary is
-/// converged against the trial's own end state (an under-relaxed fixed
-/// point over `ServerModel`'s boundary exchange, the transient analogue of
-/// its `coupled_solve`), so the error estimate sees the real segment
-/// dynamics rather than boundary-lag noise.  A segment's first step is
-/// sized from its initial field's curvature
-/// (`ThermalModel::second_derivative_norm`), and it stops integrating once
-/// a largest-length step leaves the field settled.  Thermal state follows the
+/// transient *segment* per (job, interval) with `core::ServerModel::advance`:
+/// adaptive backward-Euler steps that land exactly on every phase and
+/// interval edge, with the thermosyphon boundary converged within each
+/// step, ending early once the field settles.  Thermal state follows the
 /// stream across intervals (the history a migrating job's server
 /// accumulates); a rack move that changes the grid resets the state to the
 /// start temperature.
@@ -29,9 +21,8 @@
 /// with no barrier between intervals: a segment depends only on its
 /// stream's previous end state and the steady plan.  A segment is
 /// integrated directly on a `ServerModel` checked out of
-/// `core::PipelinePool`: the chain moves its state into the segment and
-/// takes the end state back, and sizes a fresh state from that server's
-/// grid.
+/// `core::PipelinePool`, which advances the chain's state in place; a
+/// fresh state is sized from that server's grid.
 /// Only the steady pass goes through the `SolveCache`.  Chains that agree
 /// link for link with a lower stream's chain start from the same field, so
 /// they replay that stream's segments instead of integrating them (identical
@@ -51,16 +42,9 @@ namespace tpcool::datacenter {
 
 /// Transient-engine tuning.
 struct TransientEngineConfig {
-  /// Target local error per adaptive step [°C], handed to the
-  /// `thermal::StepController`.  Smaller = more, shorter steps.
+  /// Target local error per adaptive step [°C], handed to
+  /// `ServerModel::advance`.  Smaller = more, shorter steps.
   double tolerance_c = 0.05;
-  /// > 0 selects the fixed-period integrator (every step this long, the
-  /// boundary lagged one step behind via `ServerModel::step_lagged`, final
-  /// step clamped to the boundary) instead of the adaptive controller —
-  /// what `examples/daily_trace` runs, and the baseline
-  /// `TransientEngineTest.AdaptiveTakesFewerStepsThanTheFixedBaseline`
-  /// compares step counts against.  0 (default) = adaptive.
-  double fixed_dt_s = 0.0;
 };
 
 /// Transient outcome of one (job, interval) segment.
@@ -68,8 +52,12 @@ struct TransientJobOutcome {
   std::size_t stream = 0;
   std::size_t rack = 0;
   std::string benchmark;
-  double peak_tcase_c = 0.0;   ///< Max TCASE over the segment's steps.
-  double peak_die_c = 0.0;     ///< Max die temperature over the segment.
+  /// Max TCASE and die temperature over the segment's whole span [0, D]:
+  /// the field at the phase switch counts, as does every step's end field,
+  /// so a segment whose power falls peaks at its start, wherever its first
+  /// step lands.
+  double peak_tcase_c = 0.0;
+  double peak_die_c = 0.0;
   double end_tcase_c = 0.0;    ///< TCASE at the interval boundary.
   /// Accepted transient steps (up to the step that settled the segment).
   std::uint64_t steps = 0;

@@ -50,16 +50,14 @@ TEST_F(ControllerTest, NominalRunStaysCoolAndQuiet) {
 }
 
 TEST_F(ControllerTest, TemperatureRisesMonotonicallyFromColdStart) {
-  RuntimeController::Config config;
-  config.max_steps = 10;
-  RuntimeController controller(server_, config);
+  RuntimeController controller(server_, {});  // 40 periods, 20 s
   const ControlTrace trace = controller.run(
       workload::worst_case_benchmark(), full_load_decision(),
       workload::QoSRequirement{1.0});
-  // The first couple of periods switch the boundary from a stagnant pool to
-  // developed boiling, so allow small dips; the overall trend must rise.
+  // Every period converges the boundary within its steps, so the heating
+  // curve has no boundary-lag sawtooth: TCASE rises from period to period.
   for (std::size_t i = 1; i < trace.records.size(); ++i) {
-    EXPECT_GE(trace.records[i].tcase_c, trace.records[i - 1].tcase_c - 1.5);
+    EXPECT_GT(trace.records[i].tcase_c, trace.records[i - 1].tcase_c) << i;
   }
   EXPECT_GT(trace.records.back().tcase_c,
             trace.records.front().tcase_c + 0.5);

@@ -1,7 +1,8 @@
 // Tests for tpcool::core::ServerModel — the coupled thermosyphon + thermal
 // solve: energy consistency, boundary sanity, monotone responses, the
-// shared (copy-free) cached_solve hit path, and the inexact inner solves of
-// the fixed point held to an all-tight reference.
+// adaptive transient advance (peaks over the whole segment, exact landing,
+// the settled stop), the shared (copy-free) cached_solve hit path, and the
+// inexact inner solves of the fixed point held to an all-tight reference.
 // Coarse grids keep the suite fast; the physics is resolution-stable.
 
 #include <gtest/gtest.h>
@@ -149,6 +150,37 @@ void expect_same_solve(const SimulationResult& a, const SimulationResult& b) {
   EXPECT_EQ(a.syphon.htc_map.data(), b.syphon.htc_map.data());
   EXPECT_EQ(a.die_field_c.data(), b.die_field_c.data());
   EXPECT_EQ(a.package_field_c.data(), b.package_field_c.data());
+}
+
+TEST_F(ServerTest, AdvanceCountsTheStartFieldInItsPeaks) {
+  // Full load from a uniform 40 °C: the phase ends on the field it settles
+  // on, long before its end.
+  server_.load(bench_, {8, 2, 3.2}, {1, 2, 3, 4, 5, 6, 7, 8},
+               power::CState::kPoll);
+  std::vector<double> t(server_.thermal().cell_count(), 40.0);
+  const AdvanceResult heavy = server_.advance(t, 1.0e6, 0.05);
+  EXPECT_LT(heavy.settled_s, 1.0e4);
+  EXPECT_GT(heavy.peak_tcase_c, 45.0);
+
+  // Then a light phase on that field, hotter than its own steady state:
+  // the package only cools, so the segment's peaks over [0, D] are the
+  // start field's own, bit for bit.
+  server_.load(bench_, {2, 1, 2.6}, {5, 4}, power::CState::kC1);
+  const PackageProbe start = server_.probe(t);
+  const AdvanceResult light = server_.advance(t, 1.1, 0.05);
+  EXPECT_EQ(light.peak_die_c, start.die_max_c);
+  EXPECT_EQ(light.peak_tcase_c, start.tcase_c);
+  EXPECT_LT(light.end_tcase_c, start.tcase_c);
+  EXPECT_EQ(light.end_tcase_c, server_.probe(t).tcase_c);
+  // An awkward duration is landed on exactly, in several steps.
+  EXPECT_GT(light.steps, 1u);
+  EXPECT_EQ(light.settled_s, 1.1);
+
+  std::vector<double> short_field(3, 40.0);
+  EXPECT_THROW(server_.advance(short_field, 1.0, 0.05),
+               util::PreconditionError);
+  EXPECT_THROW(server_.advance(t, 0.0, 0.05), util::PreconditionError);
+  EXPECT_THROW(server_.advance(t, 1.0, 0.0), util::PreconditionError);
 }
 
 TEST(ServerCachedSolve, HitSharesTheStoredResult) {

@@ -1,15 +1,13 @@
 // Tests for the adaptive-step transient path: StepController units (the
 // error-estimate and step-to-boundary choosers), the backward-Euler step
 // from a guess and the embedded step-doubling error step, and the
-// TransientFleetEngine — exact boundary landing, fewer steps than the
-// fixed-period baseline on smooth traces, the fixed-period mode's
-// final-step clamp, a day-like trace on one server, bit-identity across
-// thread counts, a warm rerun that misses nothing (only the steady pass
-// uses the solve cache), identical streams integrating their segments
-// once, an adaptive phase of any length settling and returning, a
-// fixed-period segment too long for the step budget refused up front, peak
-// TCASE and peak die against a tight-tolerance reference, no boundary limit
-// cycle on a warm burst, and per-stream thermal-state chaining.
+// TransientFleetEngine — exact boundary landing, steps that grow on a
+// smooth phase, a day-like trace on one server, bit-identity across thread
+// counts, a warm rerun that misses nothing (only the steady pass uses the
+// solve cache), identical streams integrating their segments once, a phase
+// of any length settling and returning, peak TCASE and peak die against a
+// tight-tolerance reference, no boundary limit cycle on a warm burst, and
+// per-stream thermal-state chaining.
 
 #include <gtest/gtest.h>
 
@@ -284,12 +282,6 @@ datacenter::FleetConfig one_server_fleet() {
   return config;
 }
 
-datacenter::TransientEngineConfig fixed_period(double dt_s) {
-  datacenter::TransientEngineConfig config;
-  config.fixed_dt_s = dt_s;
-  return config;
-}
-
 std::vector<workload::WorkloadTrace> smooth_streams() {
   // Two phases per stream with awkward durations: the engine must land on
   // 1.1, 1.8 (stream 0) and 1.1 + 0.7 interior boundaries exactly.
@@ -299,10 +291,6 @@ std::vector<workload::WorkloadTrace> smooth_streams() {
 }
 
 TEST_F(TransientEngineTest, ValidatesEngineConfig) {
-  datacenter::TransientEngineConfig bad;
-  bad.fixed_dt_s = -0.5;
-  EXPECT_THROW(datacenter::TransientFleetEngine(small_fleet(), bad),
-               util::PreconditionError);
   datacenter::TransientEngineConfig bad_controller;
   bad_controller.tolerance_c = -1.0;
   EXPECT_THROW(
@@ -321,7 +309,7 @@ constexpr double kWallScale = 30.0;
 constexpr double kWallScale = 1.0;
 #endif
 
-TEST_F(TransientEngineTest, RefusesASegmentBeyondTheStepBudget) {
+TEST_F(TransientEngineTest, APhaseOfAnyLengthSettlesAndReturns) {
   // A valid, finite 1e12 s phase would need over 1e9 adaptive steps of the
   // largest step (900 s), but the segment ends once it settles: it returns
   // quickly, and with the same steps, peak die and end TCASE as a 1e4 s
@@ -343,96 +331,28 @@ TEST_F(TransientEngineTest, RefusesASegmentBeyondTheStepBudget) {
   EXPECT_EQ(huge.steps, shorter.steps);
   EXPECT_EQ(huge.peak_die_c, shorter.peak_die_c);
   EXPECT_EQ(huge.end_tcase_c, shorter.end_tcase_c);
-
-  // The fixed-period integrator's step count is known in advance: 1000 s
-  // at 1 ms is 1e6 steps, refused before any segment starts.
-  const std::vector<workload::WorkloadTrace> long_phase = {
-      workload::WorkloadTrace({{"x264", {2.0}, 1000.0}})};
-  try {
-    (void)datacenter::TransientFleetEngine(one_server_fleet(),
-                                           fixed_period(1.0e-3))
-        .run(long_phase);
-    ADD_FAILURE() << "a 1e6-step fixed-period segment ran";
-  } catch (const util::PreconditionError& error) {
-    // The message names the interval and its streams.
-    EXPECT_NE(std::string(error.what()).find("interval 0"), std::string::npos)
-        << error.what();
-    EXPECT_NE(std::string(error.what()).find("streams 0"), std::string::npos)
-        << error.what();
-  }
 }
 
-TEST_F(TransientEngineTest, AdaptiveTakesFewerStepsThanTheFixedBaseline) {
-  // A long smooth phase — where a fixed control period burns steps on a
-  // plateau the adaptive controller crosses in a handful of growing steps.
-  // (On *short* bursty phases the adaptive run rightly spends extra steps
-  // on the steep warm-up; the win is on smooth stretches.)
-  const std::vector<workload::WorkloadTrace> streams{
-      workload::WorkloadTrace({{"x264", {2.0}, 180.0}})};
-
-  const datacenter::TransientFleetResult fixed_run =
-      datacenter::TransientFleetEngine(small_fleet(), fixed_period(0.5))
-          .run(streams);
-
-  core::SolveCache::global()->clear();
-  const datacenter::TransientEngineConfig adaptive;  // defaults
-  const datacenter::TransientFleetResult adaptive_run =
-      datacenter::TransientFleetEngine(small_fleet(), adaptive).run(streams);
-
-  // Both integrate the same single 180 s interval.
-  ASSERT_EQ(fixed_run.intervals.size(), 1u);
-  ASSERT_EQ(adaptive_run.intervals.size(), 1u);
-  EXPECT_EQ(fixed_run.total_steps, 360u);  // 180 s / 0.5 s
-  EXPECT_EQ(fixed_run.total_rejected_steps, 0u);
-
-  // The adaptive controller grows dt over the smooth stretch: measurably
-  // fewer total trials (accepted + rejected) for the same simulated time.
-  EXPECT_LT(adaptive_run.total_steps + adaptive_run.total_rejected_steps,
-            fixed_run.total_steps / 2);
-  EXPECT_GT(adaptive_run.total_steps, 0u);
-
-  // Same physics: the trajectories agree on the transient peak to within
-  // a few times the step tolerance.
-  EXPECT_NEAR(adaptive_run.peak_tcase_c, fixed_run.peak_tcase_c, 1.0);
-  EXPECT_EQ(adaptive_run.qos_violations, 0u);
-}
-
-TEST_F(TransientEngineTest, FixedPeriodClampsTheFinalStepToTheBoundary) {
-  // A 1.1 s phase at a 0.5 s period integrates 0.5 + 0.5 + 0.1 s, never a
-  // third full period (the engine's own check pins the exact landing).
-  const auto play = [](double duration_s, double period_s) {
-    const datacenter::TransientFleetResult result =
-        datacenter::TransientFleetEngine(one_server_fleet(),
-                                         fixed_period(period_s))
-            .run({workload::WorkloadTrace({{"x264", {2.0}, duration_s}})});
-    EXPECT_EQ(result.intervals.size(), 1u);
-    return result.intervals.at(0).jobs.at(0);
-  };
-  const datacenter::TransientJobOutcome at_half = play(1.1, 0.5);
-  EXPECT_EQ(at_half.steps, 3u);
-
-  // A 0.55 s period divides 1.1 s evenly: same window, no clamp needed,
-  // so the end states agree to discretization error.
-  const datacenter::TransientJobOutcome at_even = play(1.1, 0.55);
-  EXPECT_EQ(at_even.steps, 2u);
-  EXPECT_NEAR(at_half.end_tcase_c, at_even.end_tcase_c, 0.5);
-
-  // An unclamped integrator would behave exactly like a 1.5 s phase at the
-  // same period; the clamped one stops strictly earlier on the heating
-  // curve.
-  EXPECT_LT(at_half.end_tcase_c, play(1.5, 0.5).end_tcase_c);
-
-  // Phases that divide evenly by the period keep full-period steps.
-  EXPECT_EQ(play(3.0, 1.0).steps, 3u);
+TEST_F(TransientEngineTest, AdaptiveStepsGrowOnASmoothPhase) {
+  // A long smooth phase: the controller crosses its plateau in a handful of
+  // growing steps.  A 0.5 s control period would take 360 steps; the run
+  // takes fewer than half as many trials (accepted + rejected).
+  const datacenter::TransientFleetResult result =
+      datacenter::TransientFleetEngine(small_fleet(), {})
+          .run({workload::WorkloadTrace({{"x264", {2.0}, 180.0}})});
+  ASSERT_EQ(result.intervals.size(), 1u);
+  EXPECT_GT(result.total_steps, 0u);
+  EXPECT_LT(result.total_steps + result.total_rejected_steps, 180u);
+  EXPECT_EQ(result.qos_violations, 0u);
 }
 
 TEST_F(TransientEngineTest, DailyTraceOnOneServerStaysWithinLimits) {
-  // The day-like trace at a 1 s period: every phase stays under the 85 °C
+  // The day-like trace: every phase stays under the 85 °C
   // limit with the die hotter than the case, and the 1x interactive burst
   // (phase 1) draws more power and runs hotter than the 3x overnight batch
   // before it (phase 0).
   const datacenter::TransientFleetResult result =
-      datacenter::TransientFleetEngine(one_server_fleet(), fixed_period(1.0))
+      datacenter::TransientFleetEngine(one_server_fleet(), {})
           .run({workload::make_daily_trace(4.0)});
   ASSERT_EQ(result.intervals.size(), 6u);
   EXPECT_EQ(result.qos_violations, 0u);
@@ -555,7 +475,9 @@ TEST_F(TransientEngineTest, PeakTcaseTracksATightToleranceReference) {
   // step tolerance stays within 0.05 °C of a run at a 100x tighter one,
   // and its peak die within 0.1 °C (0.066 °C measured).  With a fixed
   // 0.5 s first step, a segment whose power fell took its first probe after
-  // the die had already cooled, and peak die was off by up to 0.47 °C.
+  // the die had already cooled, and peak die was off by up to 0.47 °C; now
+  // the field at the phase switch is a segment's first probe, so no segment
+  // peaks below its predecessor's end, in either run.
   const std::vector<workload::WorkloadTrace> streams{
       workload::make_daily_trace(0.5)};
   const datacenter::TransientFleetResult run =
@@ -576,6 +498,11 @@ TEST_F(TransientEngineTest, PeakTcaseTracksATightToleranceReference) {
                 reference.intervals[i].jobs.at(0).peak_tcase_c, 0.05);
     EXPECT_NEAR(run.intervals[i].jobs.at(0).peak_die_c,
                 reference.intervals[i].jobs.at(0).peak_die_c, 0.1);
+    if (i == 0) continue;
+    for (const datacenter::TransientFleetResult* result : {&run, &reference}) {
+      EXPECT_GE(result->intervals[i].jobs.at(0).peak_tcase_c,
+                result->intervals[i - 1].jobs.at(0).end_tcase_c);
+    }
   }
 }
 
@@ -607,44 +534,32 @@ TEST_F(TransientEngineTest, ThermalStateFollowsTheStreamAcrossIntervals) {
   // Heavy phase then light phase on one stream: the light phase starts
   // warm (inherited field), so its peak is at its beginning and it cools
   // toward its end — only observable if the segment chain carries state.
-  // Adaptive and fixed-period stepping alike.
-  const std::vector<workload::WorkloadTrace> streams{workload::WorkloadTrace(
-      {{"x264", {1.0}, 8.0}, {"canneal", {3.0}, 8.0}})};
-  for (const double fixed_dt_s : {0.0, 0.5}) {
-    SCOPED_TRACE("fixed_dt_s=" + std::to_string(fixed_dt_s));
-    const datacenter::TransientFleetResult result =
-        datacenter::TransientFleetEngine(small_fleet(),
-                                         fixed_period(fixed_dt_s))
-            .run(streams);
+  const datacenter::TransientFleetResult result =
+      datacenter::TransientFleetEngine(small_fleet(), {})
+          .run({workload::WorkloadTrace(
+              {{"x264", {1.0}, 8.0}, {"canneal", {3.0}, 8.0}})});
 
-    ASSERT_EQ(result.intervals.size(), 2u);
-    ASSERT_EQ(result.intervals[1].jobs.size(), 1u);
-    const datacenter::TransientJobOutcome& light =
-        result.intervals[1].jobs[0];
-    EXPECT_GT(light.peak_tcase_c, light.end_tcase_c + 0.2);
-    // And the heavy phase heated up from the uniform start.
-    const datacenter::TransientJobOutcome& heavy =
-        result.intervals[0].jobs[0];
-    EXPECT_GT(heavy.end_tcase_c, 36.0);
-    EXPECT_GE(heavy.peak_die_c, heavy.peak_tcase_c);
-  }
+  ASSERT_EQ(result.intervals.size(), 2u);
+  ASSERT_EQ(result.intervals[1].jobs.size(), 1u);
+  const datacenter::TransientJobOutcome& light = result.intervals[1].jobs[0];
+  EXPECT_GT(light.peak_tcase_c, light.end_tcase_c + 0.2);
+  // And the heavy phase heated up from the uniform start.
+  const datacenter::TransientJobOutcome& heavy = result.intervals[0].jobs[0];
+  EXPECT_GT(heavy.end_tcase_c, 36.0);
+  EXPECT_GE(heavy.peak_die_c, heavy.peak_tcase_c);
 }
 
 TEST_F(TransientEngineTest, TransientPeaksAboveTheLimitCountViolations) {
-  // A limit below the 35 °C start is exceeded from the first step, with
-  // adaptive and fixed-period stepping alike.
+  // A limit below the 35 °C start is exceeded from the first step.
   datacenter::FleetConfig config = small_fleet();
   for (datacenter::RackSpec& rack : config.racks) rack.tcase_limit_c = 30.0;
-  for (const double fixed_dt_s : {0.0, 1.0}) {
-    SCOPED_TRACE("fixed_dt_s=" + std::to_string(fixed_dt_s));
-    const datacenter::TransientFleetResult result =
-        datacenter::TransientFleetEngine(config, fixed_period(fixed_dt_s))
-            .run({workload::WorkloadTrace({{"x264", {1.0}, 2.0}})});
-    EXPECT_GE(result.qos_violations, 1u);
-    EXPECT_GT(result.peak_tcase_c, 30.0);
-    ASSERT_EQ(result.intervals.size(), 1u);
-    EXPECT_TRUE(result.intervals[0].jobs[0].tcase_limit_exceeded);
-  }
+  const datacenter::TransientFleetResult result =
+      datacenter::TransientFleetEngine(config, {})
+          .run({workload::WorkloadTrace({{"x264", {1.0}, 2.0}})});
+  EXPECT_GE(result.qos_violations, 1u);
+  EXPECT_GT(result.peak_tcase_c, 30.0);
+  ASSERT_EQ(result.intervals.size(), 1u);
+  EXPECT_TRUE(result.intervals[0].jobs[0].tcase_limit_exceeded);
 }
 
 }  // namespace
