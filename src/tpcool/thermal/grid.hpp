@@ -61,7 +61,10 @@ class ThermalModel {
 
   /// Solve steady state G·T = P; returns the temperature of every cell [°C].
   /// `hint` (if non-empty) warm-starts the CG iteration; `tolerance` is the
-  /// relative residual ‖G·T − P‖₂/‖P‖₂ the CG iteration stops at.
+  /// relative residual ‖G·T − P‖₂/‖P‖₂ the CG iteration stops at.  CG is
+  /// preconditioned by SSOR plus a column-aggregate coarse correction
+  /// (util::ColumnCoarseSpace) built from the operator inside each solve;
+  /// transient steps run SSOR alone.
   [[nodiscard]] std::vector<double> solve_steady(
       const std::vector<double>& hint = {},
       double tolerance = kSteadyTolerance) const;

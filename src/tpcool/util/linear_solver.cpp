@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "tpcool/util/coarse_space.hpp"
 #include "tpcool/util/stencil_operator.hpp"
 #include "tpcool/util/telemetry.hpp"
 
@@ -131,7 +132,7 @@ double norm2(const std::vector<double>& a) { return std::sqrt(dot(a, a)); }
 /// the throw path.
 CgResult cg_impl(const StencilOperator& a, const std::vector<double>& b,
                  std::vector<double>& x, const CgOptions& options,
-                 CgWorkspace& work) {
+                 CgWorkspace& work, ColumnCoarseSpace* coarse) {
   const std::size_t n = a.size();
   TPCOOL_REQUIRE(b.size() == n, "solve_cg: rhs size mismatch");
   TPCOOL_REQUIRE(options.ssor_omega > 0.0 && options.ssor_omega < 2.0,
@@ -165,7 +166,11 @@ CgResult cg_impl(const StencilOperator& a, const std::vector<double>& b,
   result.residual = norm2(r) / bnorm;
   if (result.residual <= options.tolerance) return result;  // warm-start hit
 
-  a.ssor_apply(inv_diag, r, z, options.ssor_omega);
+  const auto precondition = [&] {
+    a.ssor_apply(inv_diag, r, z, options.ssor_omega);
+    if (coarse != nullptr) coarse->add_correction(r, z);
+  };
+  precondition();
   p = z;
   double rz = dot(r, z);
 
@@ -184,7 +189,7 @@ CgResult cg_impl(const StencilOperator& a, const std::vector<double>& b,
     result.iterations = it;
     result.residual = std::sqrt(rr) / bnorm;
     if (result.residual <= options.tolerance) return result;
-    a.ssor_apply(inv_diag, r, z, options.ssor_omega);
+    precondition();
     const double rz_new = dot(r, z);
     const double beta = rz_new / rz;
     rz = rz_new;
@@ -210,9 +215,9 @@ CgResult cg_impl(const StencilOperator& a, const std::vector<double>& b,
 
 CgResult solve_cg(const StencilOperator& a, const std::vector<double>& b,
                   std::vector<double>& x, const CgOptions& options,
-                  CgWorkspace& work) {
+                  CgWorkspace& work, ColumnCoarseSpace* coarse) {
   TraceSpan span("cg");
-  const CgResult result = cg_impl(a, b, x, options, work);
+  const CgResult result = cg_impl(a, b, x, options, work, coarse);
   span.arg("n", static_cast<double>(b.size()));
   span.arg("iterations", static_cast<double>(result.iterations));
   span.arg("residual", result.residual);

@@ -1,7 +1,8 @@
 #pragma once
 /// \file linear_solver.hpp
-/// \brief The thermal solver's SSOR-preconditioned CG, plus the CSR and
-///        dense reference solvers its tests compare against.
+/// \brief The thermal solver's SSOR-preconditioned CG, with an optional
+///        coarse correction, plus the CSR and dense reference solvers its
+///        tests compare against.
 ///
 /// The thermal grid produces symmetric positive-definite systems with a
 /// 7-point stencil, which `solve_cg` solves over the banded
@@ -76,6 +77,7 @@ class SparseMatrix {
 };
 
 class StencilOperator;
+class ColumnCoarseSpace;
 
 /// Options controlling the iterative solver.
 struct CgOptions {
@@ -108,9 +110,11 @@ struct CgWorkspace {
 /// `near_converged` set; anything worse throws ConvergenceError (naming
 /// the iteration count). One solve runs on one thread; parallelism is
 /// across solves.  The scratch vectors live in `work`, resized to A.
+/// A non-null `coarse`, built from `a`, makes the preconditioner two-level
+/// and additive: z = M_SSOR⁻¹·r + P·A_c⁻¹·Pᵀ·r.
 CgResult solve_cg(const StencilOperator& a, const std::vector<double>& b,
                   std::vector<double>& x, const CgOptions& options,
-                  CgWorkspace& work);
+                  CgWorkspace& work, ColumnCoarseSpace* coarse = nullptr);
 
 /// The same solve with scratch vectors of its own.
 CgResult solve_cg(const StencilOperator& a, const std::vector<double>& b,

@@ -1,7 +1,8 @@
 // Tests for the structured solver core: StencilOperator vs SparseMatrix
 // equivalence (SpMV and SSOR kernels, including degenerate grid shapes),
-// ThreadPool determinism, and preconditioned-CG behavior on the banded
-// operator.
+// the column-aggregate coarse space against an explicit PᵀAP, ThreadPool
+// determinism, and one- and two-level preconditioned-CG behavior on the
+// banded operator.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 
 #include "tpcool/thermal/grid.hpp"
 #include "tpcool/thermal/stack.hpp"
+#include "tpcool/util/coarse_space.hpp"
 #include "tpcool/util/error.hpp"
 #include "tpcool/util/linear_solver.hpp"
 #include "tpcool/util/stencil_operator.hpp"
@@ -292,8 +294,142 @@ TEST(StencilCg, ColdPackageStackIterationCountIsPinned) {
   power(model.nx() / 2, model.ny() / 2) = 60.0;
   model.set_power_map(power);
   (void)model.solve_steady();
-  EXPECT_EQ(model.last_solve_stats().iterations, 33u);
+  EXPECT_EQ(model.last_solve_stats().iterations, 22u);
   EXPECT_FALSE(model.last_solve_stats().near_converged);
+}
+
+TEST(StencilCg, TransientStepSolveRunsSsorOnly) {
+  // perf_microbench's BM_ThermalTransientStepSolve case: a step solve
+  // keeps the one-level SSOR preconditioner, so its count stays where it
+  // was before steady solves gained the coarse correction.
+  thermal::PackageStackConfig config;
+  config.cell_size_m = 2.0e-3;
+  thermal::ThermalModel model(thermal::make_package_stack(config));
+  model.set_top_boundary_uniform(1.2e4, 40.0);
+  Grid2D<double> power(model.nx(), model.ny(), 0.0);
+  power(model.nx() / 2, model.ny() / 2) = 60.0;
+  model.set_power_map(power);
+  const std::vector<double> t(model.cell_count(), 40.0);
+  std::vector<double> x = t;
+  model.step_transient(t, x, 0.05);
+  EXPECT_EQ(model.last_solve_stats().iterations, 12u);
+}
+
+// ----------------------------------------------- two-level coarse space --
+
+/// Grids for the coarse space: the kernel grids (single-cell rows, single
+/// rows, one layer, one cell) plus shapes whose nx and ny are not
+/// multiples of the aggregate width, so the east and north aggregates are
+/// ragged.
+std::vector<std::array<std::size_t, 3>> coarse_grids() {
+  constexpr std::size_t k = ColumnCoarseSpace::kAggregateWidth;
+  std::vector<std::array<std::size_t, 3>> grids(kKernelGrids.begin(),
+                                                kKernelGrids.end());
+  grids.push_back({2 * k + 1, k + 2, 4});
+  grids.push_back({3 * k + 2, 2 * k + 1, 2});
+  grids.push_back({k + 1, 3 * k - 1, 1});
+  return grids;
+}
+
+/// Dense row-major copy of a stencil operator.
+std::vector<double> dense_of(const StencilOperator& op) {
+  const SparseMatrix csr = op.to_sparse();
+  const std::size_t n = op.size();
+  std::vector<double> dense(n * n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    csr.for_each_in_row(i, [&](std::size_t j, double v) {
+      dense[i * n + j] = v;
+    });
+  }
+  return dense;
+}
+
+TEST(ColumnCoarseSpace, GalerkinOperatorEqualsExplicitProjection) {
+  constexpr std::size_t k = ColumnCoarseSpace::kAggregateWidth;
+  unsigned seed = 500;
+  for (const auto& [nx, ny, nz] : coarse_grids()) {
+    SCOPED_TRACE(std::to_string(nx) + "x" + std::to_string(ny) + "x" +
+                 std::to_string(nz));
+    const StencilOperator op = random_stencil(nx, ny, nz, ++seed);
+    ColumnCoarseSpace coarse(op);
+    const std::size_t cx = (nx + k - 1) / k;
+    const std::size_t cy = (ny + k - 1) / k;
+    ASSERT_EQ(coarse.cx(), cx);
+    ASSERT_EQ(coarse.cy(), cy);
+    ASSERT_EQ(coarse.size(), cx * cy);
+
+    // PᵀAP from the CSR rows: entry (c, d) sums A_ij over i in c, j in d.
+    const std::size_t nc = cx * cy;
+    const auto aggregate = [&](std::size_t i) {
+      return (i / nx % ny) / k * cx + i % nx / k;
+    };
+    std::vector<double> explicit_ac(nc * nc, 0.0);
+    const SparseMatrix csr = op.to_sparse();
+    for (std::size_t i = 0; i < op.size(); ++i) {
+      csr.for_each_in_row(i, [&](std::size_t j, double v) {
+        explicit_ac[aggregate(i) * nc + aggregate(j)] += v;
+      });
+    }
+    double diff = 0.0, scale = 0.0;
+    for (std::size_t c = 0; c < nc; ++c) {
+      for (std::size_t d = 0; d < nc; ++d) {
+        diff = std::max(diff, std::abs(coarse.coefficient(c, d) -
+                                       explicit_ac[c * nc + d]));
+        scale = std::max(scale, std::abs(explicit_ac[c * nc + d]));
+      }
+    }
+    EXPECT_LE(diff, 1e-12 * scale);
+  }
+}
+
+TEST(ColumnCoarseSpace, NonPositivePivotThrowsTyped) {
+  // An aggregate whose Galerkin diagonal is negative, or not a number,
+  // stops the factorization with a typed error instead of a NaN factor.
+  StencilOperator negative = random_stencil(5, 4, 2, 71);
+  negative.add_to_diagonal(negative.cell_index(4, 3, 1), -1.0e3);
+  EXPECT_THROW((void)ColumnCoarseSpace(negative), InvariantError);
+
+  StencilOperator not_a_number = random_stencil(5, 4, 2, 73);
+  not_a_number.add_to_diagonal(0, std::nan(""));
+  EXPECT_THROW((void)ColumnCoarseSpace(not_a_number), InvariantError);
+}
+
+TEST(TwoLevelCg, MatchesDenseSolve) {
+  unsigned seed = 600;
+  for (const auto& [nx, ny, nz] : coarse_grids()) {
+    SCOPED_TRACE(std::to_string(nx) + "x" + std::to_string(ny) + "x" +
+                 std::to_string(nz));
+    const StencilOperator op = random_stencil(nx, ny, nz, ++seed);
+    const std::vector<double> b = random_vector(op.size(), ++seed);
+    const std::vector<double> x_dense = solve_dense(dense_of(op), b);
+    ColumnCoarseSpace coarse(op);
+    CgWorkspace work;
+    std::vector<double> x;
+    const CgResult r = solve_cg(
+        op, b, x, {.tolerance = 1e-13, .ssor_omega = 1.7}, work, &coarse);
+    EXPECT_LE(r.residual, 1e-13);
+    EXPECT_LE(max_relative_error(x, x_dense), 1e-10);
+  }
+}
+
+TEST(TwoLevelCg, CoarseCorrectionIsExactOnTheCoarseSpace) {
+  // For r = A·P·y the correction P·A_c⁻¹·Pᵀ·r is P·y: it checks the
+  // restriction, the banded factor and the prolongation together.
+  constexpr std::size_t k = ColumnCoarseSpace::kAggregateWidth;
+  const StencilOperator op = random_stencil(3 * k + 1, 2 * k + 2, 3, 79);
+  ColumnCoarseSpace coarse(op);
+  const std::vector<double> y = random_vector(coarse.size(), 83);
+  std::vector<double> py(op.size());
+  for (std::size_t i = 0; i < op.size(); ++i) {
+    const std::size_t ix = i % op.nx();
+    const std::size_t iy = i / op.nx() % op.ny();
+    py[i] = y[iy / k * coarse.cx() + ix / k];
+  }
+  std::vector<double> r;
+  op.multiply(py, r);
+  std::vector<double> z(op.size(), 0.0);
+  coarse.add_correction(r, z);
+  EXPECT_LE(max_relative_error(z, py), 1e-12);
 }
 
 // ------------------------------------------------- ThreadPool behavior --
@@ -307,22 +443,27 @@ TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
 
 TEST(ThreadPool, CgResultsAreIdenticalForOneAndManyThreads) {
   // End-to-end determinism: solve the same large stencil system with the
-  // global pool at 1 and at 4 threads; every temperature must match
-  // bitwise, and so must the iteration count.
+  // global pool at 1 and at 4 threads, with SSOR alone and two-level;
+  // every temperature must match bitwise, and so must the iteration count.
   const StencilOperator op = random_stencil(20, 20, 6, 47);
   const std::vector<double> b = random_vector(op.size(), 53);
+  for (const bool two_level : {false, true}) {
+    SCOPED_TRACE(two_level ? "two-level" : "SSOR");
+    const auto solve = [&](std::size_t threads, std::vector<double>& x) {
+      ThreadPool::set_global_thread_count(threads);
+      ColumnCoarseSpace coarse(op);
+      CgWorkspace work;
+      return solve_cg(op, b, x, {.tolerance = 1e-10}, work,
+                      two_level ? &coarse : nullptr);
+    };
+    std::vector<double> x1, x4;
+    const CgResult r1 = solve(1, x1);
+    const CgResult r4 = solve(4, x4);
+    ThreadPool::set_global_thread_count(0);  // restore default
 
-  ThreadPool::set_global_thread_count(1);
-  std::vector<double> x1;
-  const CgResult r1 = solve_cg(op, b, x1, {.tolerance = 1e-10});
-
-  ThreadPool::set_global_thread_count(4);
-  std::vector<double> x4;
-  const CgResult r4 = solve_cg(op, b, x4, {.tolerance = 1e-10});
-  ThreadPool::set_global_thread_count(0);  // restore default
-
-  EXPECT_EQ(r1.iterations, r4.iterations);
-  EXPECT_EQ(x1, x4);  // bitwise
+    EXPECT_EQ(r1.iterations, r4.iterations);
+    EXPECT_EQ(x1, x4);  // bitwise
+  }
 }
 
 TEST(ThreadPool, EnvOverrideParsesPositiveIntegers) {
