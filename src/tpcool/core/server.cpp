@@ -102,15 +102,16 @@ constexpr double kCouplingRelaxation = 0.5;
 /// counted toward a segment's peaks).
 constexpr double kFirstStepSafety = 0.9;
 
-/// A step at the largest step length, with a converged boundary, that
-/// moves no cell by more than this fraction of tolerance_c has settled:
-/// power is constant within a segment, so the segment ends on that field.
+/// Without a target field, a step at the largest step length, with a
+/// converged boundary, that moves no cell by more than this fraction of
+/// tolerance_c has settled: power is constant within a segment, so the
+/// segment ends on that field.
 constexpr double kSettledFraction = 0.1;
 
 /// Most trials (accepted plus rejected) a segment may take; past it,
 /// `advance` throws mid-run.  A segment ends once it settles, so its trials
-/// do not grow with phase length (a 1e12 s x264 phase takes 44 steps);
-/// perf/'s transient day takes at most 63 per segment.
+/// do not grow with phase length (a 1e12 s x264 phase takes 39 steps);
+/// perf/'s transient day takes at most 59 per segment.
 constexpr std::uint64_t kMaxSegmentSteps = 100'000;
 
 double max_abs_diff(const std::vector<double>& a,
@@ -187,6 +188,7 @@ power::PackagePowerRequest ServerModel::request(
 }
 
 void ServerModel::set_power(const floorplan::UnitPowers& powers) {
+  power_w_ = floorplan::total_power(powers);
   const thermal::StackModel& stack = thermal_.stack();
   thermal_.set_power_map(floorplan::rasterize_power(
       floorplan_, powers, stack.grid, stack.die_offset_x,
@@ -252,10 +254,19 @@ PackageProbe ServerModel::probe(const std::vector<double>& t) const {
 }
 
 AdvanceResult ServerModel::advance(std::vector<double>& t, double duration_s,
-                                   double tolerance_c) {
+                                   double tolerance_c,
+                                   const std::vector<double>* target) {
   TPCOOL_REQUIRE(t.size() == thermal_.cell_count(),
                  "segment initial field does not match the thermal grid");
   TPCOOL_REQUIRE(duration_s > 0.0, "segment duration must be positive");
+  TPCOOL_REQUIRE(target == nullptr || target->size() == t.size(),
+                 "segment target field does not match the thermal grid");
+  // A pooled server outlives its segment: the step scratch goes with the
+  // segment, so memory follows concurrent segments, not parked servers.
+  struct ReleaseStepScratch {
+    thermal::ThermalModel& model;
+    ~ReleaseStepScratch() { model.release_step_scratch(); }
+  } release{thermal_};
 
   // Seed the thermosyphon coupling from the initial field itself: a
   // zero-heat syphon solve gives a boundary, whose heat extraction over
@@ -279,6 +290,8 @@ AdvanceResult ServerModel::advance(std::vector<double>& t, double duration_s,
   // probe, so where the first step lands cannot hide a falling-power
   // segment's hottest moment.
   const PackageProbe start = probe(t);
+  const PackageProbe goal =
+      target != nullptr ? probe(*target) : PackageProbe{};
   AdvanceResult result;
   result.peak_tcase_c = start.tcase_c;
   result.peak_die_c = start.die_max_c;
@@ -298,6 +311,7 @@ AdvanceResult ServerModel::advance(std::vector<double>& t, double duration_s,
   while (sim_time_s < duration_s) {
     const double remaining_s = duration_s - sim_time_s;
     double dt_s = 0.0;
+    bool converged = false;
     // Shrink the proposal until the embedded estimate passes.  Each trial
     // converges the boundary against its own full step (see
     // kCouplingIterations) so the estimate measures the segment's real
@@ -311,7 +325,7 @@ AdvanceResult ServerModel::advance(std::vector<double>& t, double duration_s,
       dt_s = controller.propose(remaining_s);
       full = t;
       trial_heat = evap_heat;
-      bool converged = false;
+      converged = false;
       for (int k = 0; k < kCouplingIterations && !converged; ++k) {
         set_evaporator_heat(trial_heat);
         prev_full = full;
@@ -330,7 +344,8 @@ AdvanceResult ServerModel::advance(std::vector<double>& t, double duration_s,
       half = t;
       const double error_c = thermal_.step_transient_embedded(half, full, dt_s);
       if (controller.evaluate(dt_s, error_c)) {
-        settled = dt_s == thermal::kMaxStepS && converged &&
+        settled = target == nullptr && dt_s == thermal::kMaxStepS &&
+                  converged &&
                   max_abs_diff(half, t) <= kSettledFraction * tolerance_c;
         std::swap(t, half);
         std::swap(evap_heat, trial_heat);
@@ -340,15 +355,25 @@ AdvanceResult ServerModel::advance(std::vector<double>& t, double duration_s,
     }
     // Landing on the boundary is exact by assignment, not accumulation.
     sim_time_s = dt_s == remaining_s ? duration_s : sim_time_s + dt_s;
+    PackageProbe step_probe = probe(t);
+    if (target != nullptr && converged &&
+        std::abs(step_probe.tcase_c - goal.tcase_c) <= tolerance_c &&
+        std::abs(step_probe.die_max_c - goal.die_max_c) <= tolerance_c) {
+      // Within tolerance of where the phase is heading: the segment ends on
+      // the target, which stands in for this step's field.
+      settled = true;
+      t = *target;
+      step_probe = goal;
+    }
     if (settled) {
       // The segment ends on the field it settled on; its probe below is the
       // last, so the peaks and end TCASE are the ones already taken.
       result.settled_s = sim_time_s;
+      result.settled = true;
       sim_time_s = duration_s;
     }
     ++result.steps;
 
-    const PackageProbe step_probe = probe(t);
     result.peak_tcase_c = std::max(result.peak_tcase_c, step_probe.tcase_c);
     result.peak_die_c = std::max(result.peak_die_c, step_probe.die_max_c);
     result.end_tcase_c = step_probe.tcase_c;
@@ -356,6 +381,49 @@ AdvanceResult ServerModel::advance(std::vector<double>& t, double duration_s,
   TPCOOL_ENSURE(sim_time_s == duration_s,
                 "transient segment must land exactly on its boundary");
   return result;
+}
+
+SteadyField ServerModel::steady_field(int max_iterations, double stop_c) {
+  TPCOOL_REQUIRE(max_iterations >= 1, "need at least one coupling iteration");
+  TPCOOL_REQUIRE(stop_c > 0.0, "steady-field stop must be positive");
+  return boundary_loop({}, max_iterations, stop_c).field;
+}
+
+ServerModel::BoundaryLoop ServerModel::boundary_loop(std::vector<double> hint,
+                                                     int max_iterations,
+                                                     double stop_c) {
+  BoundaryLoop loop;
+  std::vector<double>& t = loop.field.t;
+  t = std::move(hint);
+  util::Grid2D<double> evap_heat =
+      uniform_footprint_heat(thermal_.stack(), power_w_);
+  std::vector<double> previous;
+
+  // Inexact inner solves (see kForcing): only the last iterate's field is
+  // returned, so only it is solved to the full steady tolerance.
+  constexpr double kFinalTolerance = thermal::ThermalModel::kSteadyTolerance;
+  for (int it = 0; it < max_iterations && !loop.field.converged; ++it) {
+    loop.syphon = set_evaporator_heat(evap_heat);
+    const bool last = it + 1 == max_iterations;
+    const double tolerance =
+        last ? kFinalTolerance
+             : std::max(kFinalTolerance,
+                        kForcing * std::min(1.0, loop.coupling_residual));
+    if (stop_c >= 0.0) previous = t;
+    t = thermal_.solve_steady(t, tolerance);
+    loop.cg_iterations += thermal_.last_solve_stats().iterations;
+    ++loop.field.iterations;
+    if (stop_c >= 0.0 && it > 0) {
+      loop.field.final_change_c = max_abs_diff(t, previous);
+      loop.field.converged = loop.field.final_change_c <= stop_c;
+    }
+
+    // Feed back the actual per-cell evaporator heat.
+    util::Grid2D<double> heat = evaporator_heat(t);
+    loop.coupling_residual = relative_change(heat, evap_heat);
+    evap_heat = std::move(heat);
+  }
+  return loop;
 }
 
 SimulationResult ServerModel::coupled_solve(
@@ -372,36 +440,17 @@ SimulationResult ServerModel::coupled_solve(
   const thermal::StackModel& stack = thermal_.stack();
 
   set_power(powers);
-  const double total_w = floorplan::total_power(powers);
+  const double total_w = power_w_;
 
   // Warm start: within one solve the field is reused across fixed-point
   // iterations; across solves it is seeded from the previous call's result
   // (sweeps over benchmarks/configurations change the field only mildly).
-  util::Grid2D<double> evap_heat = uniform_footprint_heat(stack, total_w);
+  // A fixed count of iterations, with no early stop.
   const bool warm = config_.reuse_thermal_state;
-  std::vector<double> t = warm ? last_temperature_ : std::vector<double>{};
-  thermosyphon::ThermosyphonState syphon_state;
-
-  // Inexact inner solves (see kForcing): only the last iterate's field is
-  // returned, so only it is solved to the full steady tolerance.
-  constexpr double kFinalTolerance = thermal::ThermalModel::kSteadyTolerance;
-  double coupling_residual = 1.0;  // of the newest heat map; 1 before any
-  std::size_t cg_iterations = 0;
-  for (int it = 0; it < config_.coupling_iterations; ++it) {
-    syphon_state = set_evaporator_heat(evap_heat);
-    const bool last = it + 1 == config_.coupling_iterations;
-    const double tolerance =
-        last ? kFinalTolerance
-             : std::max(kFinalTolerance,
-                        kForcing * std::min(1.0, coupling_residual));
-    t = thermal_.solve_steady(t, tolerance);
-    cg_iterations += thermal_.last_solve_stats().iterations;
-
-    // Feed back the actual per-cell evaporator heat.
-    util::Grid2D<double> heat = evaporator_heat(t);
-    coupling_residual = relative_change(heat, evap_heat);
-    evap_heat = std::move(heat);
-  }
+  BoundaryLoop loop =
+      boundary_loop(warm ? last_temperature_ : std::vector<double>{},
+                    config_.coupling_iterations, -1.0);
+  const std::vector<double>& t = loop.field.t;
 
   if (warm) last_temperature_ = t;
 
@@ -409,8 +458,8 @@ SimulationResult ServerModel::coupled_solve(
            static_cast<double>(config_.coupling_iterations));
   span.arg("power_w", total_w);
   span.arg("warm", warm ? 1.0 : 0.0);
-  span.arg("cg_iterations", static_cast<double>(cg_iterations));
-  span.arg("coupling_residual", coupling_residual);
+  span.arg("cg_iterations", static_cast<double>(loop.cg_iterations));
+  span.arg("coupling_residual", loop.coupling_residual);
   if (util::telemetry_enabled() && total_w > 0.0) {
     // Energy balance of the returned field: every watt of source power
     // must leave through the top (evaporator) or bottom (board) boundary.
@@ -425,7 +474,7 @@ SimulationResult ServerModel::coupled_solve(
   }
 
   SimulationResult result;
-  result.syphon = std::move(syphon_state);
+  result.syphon = std::move(loop.syphon);
   result.total_power_w = total_w;
   result.die_field_c = thermal_.layer_field(t, stack.die_layer);
   result.package_field_c = thermal_.layer_field(t, stack.ihs_layer);

@@ -4,6 +4,7 @@
 ///        + 3D thermal grid + two-phase thermosyphon, with the coupled
 ///        steady-state solve used by every experiment.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -66,6 +67,18 @@ struct AdvanceResult {
   std::uint64_t boundary_cap_hits = 0;
   /// When the segment settled, or its whole duration if it did not [s].
   double settled_s = 0.0;
+  /// Whether it settled.  With a target field it then ended on the target.
+  bool settled = false;
+};
+
+/// A coupled steady field and how the boundary loop that found it ended.
+struct SteadyField {
+  std::vector<double> t;        ///< Every cell [°C].
+  int iterations = 0;           ///< Boundary iterations run.
+  /// Largest cell change between the last two iterates [°C] (0 after one).
+  double final_change_c = 0.0;
+  /// The change fell to the stop before the iteration cap.
+  bool converged = false;
 };
 
 /// A server with a thermosyphon on its package.
@@ -147,6 +160,14 @@ class ServerModel {
   /// TCASE and die maximum of field `t`.
   [[nodiscard]] PackageProbe probe(const std::vector<double>& t) const;
 
+  /// Converge the coupled steady field of the power map `load()` installed,
+  /// at the current operating point: the fixed point `simulate()` runs
+  /// (plain substitution from a cold start, inexact inner solves), but
+  /// stopped once successive fields agree to `stop_c` [°C > 0] in every
+  /// cell, or after `max_iterations` [≥ 1].  Records no `solve` span: it
+  /// answers no cached question.
+  [[nodiscard]] SteadyField steady_field(int max_iterations, double stop_c);
+
   /// Advance field `t` in place by `duration_s` [s] of the power map
   /// `load()` installed, at the current operating point.  Backward-Euler
   /// steps whose length a `thermal::StepController` adapts from the
@@ -158,12 +179,20 @@ class ServerModel {
   /// boundary lag.  The first step is sized from the field's curvature
   /// (`ThermalModel::second_derivative_norm`), and the segment ends early
   /// on the field it settles on once a largest-length step leaves it
-  /// settled.  The boundary is seeded from `t` itself, so the result is a
-  /// pure function of (server config, power map, operating point, `t`,
-  /// `duration_s`, `tolerance_c`).  Throws PreconditionError past a budget
-  /// of 100,000 trial steps, naming the time reached.
+  /// settled.  With a `target` (the phase's converged steady field, the
+  /// same size as `t`) a step settles instead once it is accepted, its
+  /// boundary loop converged, and its TCASE and die max are within
+  /// `tolerance_c` of the target's: the segment then ends on the target,
+  /// whose probe counts toward the peaks and gives the end TCASE.  The
+  /// boundary is seeded from `t` itself, so the result is a pure function
+  /// of (server config, power map, operating point, `t`, `duration_s`,
+  /// `tolerance_c`, `target`).  The thermal model's step scratch is
+  /// released on return, so an idle server holds none.  Throws
+  /// PreconditionError past a budget of 100,000 trial steps, naming the
+  /// time reached.
   AdvanceResult advance(std::vector<double>& t, double duration_s,
-                        double tolerance_c);
+                        double tolerance_c,
+                        const std::vector<double>* target = nullptr);
 
   /// Access to the thermal model (e.g. for transient stepping).
   [[nodiscard]] thermal::ThermalModel& thermal() { return thermal_; }
@@ -183,12 +212,27 @@ class ServerModel {
   [[nodiscard]] SimulationResult coupled_solve(
       const floorplan::UnitPowers& powers);
 
+  /// The coupled boundary loop behind `coupled_solve` and `steady_field`.
+  struct BoundaryLoop {
+    SteadyField field;
+    thermosyphon::ThermosyphonState syphon;  ///< The last iterate's.
+    double coupling_residual = 1.0;  ///< Of the newest heat map.
+    std::size_t cg_iterations = 0;
+  };
+  /// Substitute boundary and field from `hint` (empty: cold) at most
+  /// `max_iterations` times, each inner solve to the forcing tolerance and
+  /// the last allowed one to the steady tolerance; stop early once
+  /// successive fields agree to `stop_c` [°C] (never when negative).
+  [[nodiscard]] BoundaryLoop boundary_loop(std::vector<double> hint,
+                                           int max_iterations, double stop_c);
+
   ServerConfig config_;
   floorplan::Floorplan floorplan_;
   power::PackagePowerModel power_model_;
   workload::Profiler profiler_;
   thermal::ThermalModel thermal_;
   thermosyphon::Thermosyphon syphon_;
+  double power_w_ = 0.0;  ///< Total of the installed power map [W].
   /// Temperature field of the previous coupled solve; warm-start hint for
   /// the next one (see ServerConfig::reuse_thermal_state).
   std::vector<double> last_temperature_;

@@ -10,26 +10,35 @@
 /// transient *segment* per (job, interval) with `core::ServerModel::advance`:
 /// adaptive backward-Euler steps that land exactly on every phase and
 /// interval edge, with the thermosyphon boundary converged within each
-/// step, ending early once the field settles.  Thermal state follows the
-/// stream across intervals (the history a migrating job's server
-/// accumulates); a rack move that changes the grid resets the state to the
-/// start temperature.
+/// step.  Thermal state follows the stream across intervals (the history a
+/// migrating job's server accumulates); a rack move that changes the grid
+/// resets the state to the start temperature.
 ///
-/// Engine contract: each stream's segments form a chain, and the chains
-/// fan out through `util::parallel_map`, one task per stream.  A chain
-/// walks its segments in interval order, carrying only its own end state,
-/// with no barrier between intervals: a segment depends only on its
-/// stream's previous end state and the steady plan.  A segment is
-/// integrated directly on a `ServerModel` checked out of
-/// `core::PipelinePool`, which advances the chain's state in place; a
-/// fresh state is sized from that server's grid.
-/// Only the steady pass goes through the `SolveCache`.  Chains that agree
-/// link for link with a lower stream's chain start from the same field, so
-/// they replay that stream's segments instead of integrating them (identical
-/// streams do this).  Totals and peaks
-/// roll up serially in interval, then stream order, so results are
-/// bit-identical for any thread count (`transient_digest` certifies it,
-/// like `fleet_digest`).
+/// Engine contract.  The result is defined serially, per stream:
+///  - every distinct phase p (server config, power map, operating point)
+///    has a steady field S_p, converged by `ServerModel::steady_field` to
+///    `kSteadyStartStopC` within `kSteadyStartIterations` iterations;
+///  - a segment of phase p advances toward S_p and settles once an
+///    accepted step with a converged boundary has TCASE and die max within
+///    `tolerance_c` of S_p's: it then ends on S_p (a phase whose S_p hit
+///    the cap settles by `advance`'s 900 s rule instead, on its own field);
+///  - segment k starts from a uniform 35 °C field at the stream's start or
+///    after a move to another grid, and from segment k−1's end field
+///    otherwise, which is S_{k−1} when segment k−1 settled on it.
+/// The schedule is only an optimization of that rule.  Every S_p is
+/// converged under one `util::parallel_map`; every segment is then
+/// integrated at once from S_{k−1}, as if its predecessor settles, under
+/// a second one; and only segments whose predecessor did not settle run
+/// again from its end field, in rounds of one `parallel_map` each.  A run
+/// is a memo entry keyed by (start, phase, duration), so segments that
+/// agree on all three (identical streams do) are integrated once, and a
+/// speculative run never depends on timing.  Each run checks a
+/// `ServerModel` out of `core::PipelinePool`, as does each steady start.
+/// Only the steady pass goes through the `SolveCache`.  Memory: one field
+/// per distinct phase, plus the end field of every run that did not
+/// settle on its steady field.  Totals and peaks roll up serially in
+/// interval, then stream order, so results are bit-identical for any
+/// thread count (`transient_digest` certifies it, like `fleet_digest`).
 
 #include <cstddef>
 #include <cstdint>
@@ -39,6 +48,12 @@
 #include "tpcool/datacenter/fleet.hpp"
 
 namespace tpcool::datacenter {
+
+/// Most boundary iterations a phase's steady start may run.
+inline constexpr int kSteadyStartIterations = 60;
+/// A phase's steady start stops once successive fields agree within this
+/// in every cell [°C].
+inline constexpr double kSteadyStartStopC = 1e-4;
 
 /// Transient-engine tuning.
 struct TransientEngineConfig {
@@ -92,11 +107,11 @@ struct TransientFleetResult {
 
 /// Adaptive-step transient engine over a fleet.
 ///
-/// `run` is bit-identical for any thread count: per-stream chains are
-/// fanned out with `parallel_map`, every segment value is a pure function
+/// `run` is bit-identical for any thread count: steady starts and segment
+/// runs are fanned out with `parallel_map`, every value is a pure function
 /// of its inputs and its initial field (the server it runs on carries no
-/// state into it), a chain's state is its own, and the fleet-wide rollup
-/// runs serially in interval, then stream order.
+/// state into it), which runs are asked for is decided serially, and the
+/// fleet-wide rollup runs serially in interval, then stream order.
 class TransientFleetEngine {
  public:
   TransientFleetEngine(FleetConfig fleet, TransientEngineConfig config);

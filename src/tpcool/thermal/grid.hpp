@@ -102,6 +102,11 @@ class ThermalModel {
       std::vector<double>& t, const std::vector<double>& full,
       double dt_s) const;
 
+  /// Free the step operator copy, diagonal shift, right-hand side and CG
+  /// scratch that `step_transient` keeps between steps; the next step
+  /// rebuilds them (the same bits), so a run of steps still allocates once.
+  void release_step_scratch();
+
   /// Max-norm of the field's second time derivative under the current
   /// boundary and sources [°C/s²]: ‖T''‖∞ = ‖C⁻¹G·f‖∞, where
   /// f = T' = C⁻¹(P + b − G·T).  Two SpMVs on the assembled operator, no
@@ -163,8 +168,8 @@ class ThermalModel {
   // per band assembly, only the diagonal is re-shifted per step.  Beside
   // it, the step's diagonal shift C/dt, its right-hand side and its CG
   // scratch, kept across steps so a step allocates nothing.  All stay
-  // empty until the first step: a model that only solves steady states
-  // holds none of them.
+  // empty until the first step and after release_step_scratch(): a model
+  // that only solves steady states holds none of them.
   mutable util::StencilOperator step_operator_{1, 1, 1};
   mutable bool step_operator_valid_ = false;
   mutable std::vector<double> step_shift_;

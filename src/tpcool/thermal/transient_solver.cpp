@@ -91,6 +91,14 @@ void ThermalModel::step_transient(const std::vector<double>& t,
       {.tolerance = tolerance, .max_iterations = 20000}, step_cg_);
 }
 
+void ThermalModel::release_step_scratch() {
+  step_operator_ = util::StencilOperator(1, 1, 1);
+  step_operator_valid_ = false;
+  step_shift_ = {};
+  step_rhs_ = {};
+  step_cg_ = {};
+}
+
 void ThermalModel::step_transient(std::vector<double>& t, double dt_s) const {
   // Warm start from the previous state: consecutive steps differ little.
   step_transient(t, t, dt_s);

@@ -1,8 +1,10 @@
 // Tests for tpcool::core::ServerModel — the coupled thermosyphon + thermal
 // solve: energy consistency, boundary sanity, monotone responses, the
 // adaptive transient advance (peaks over the whole segment, exact landing,
-// the settled stop), the shared (copy-free) cached_solve hit path, and the
-// inexact inner solves of the fixed point held to an all-tight reference.
+// the settled stop, a segment ending on its converged steady field), the
+// steady field's stop and cap, the shared (copy-free) cached_solve hit
+// path, and the inexact inner solves of the fixed point held to an
+// all-tight reference.
 // Coarse grids keep the suite fast; the physics is resolution-stable.
 
 #include <gtest/gtest.h>
@@ -181,6 +183,90 @@ TEST_F(ServerTest, AdvanceCountsTheStartFieldInItsPeaks) {
                util::PreconditionError);
   EXPECT_THROW(server_.advance(t, 0.0, 0.05), util::PreconditionError);
   EXPECT_THROW(server_.advance(t, 1.0, 0.0), util::PreconditionError);
+}
+
+double max_cell_gap(const std::vector<double>& a,
+                    const std::vector<double>& b) {
+  double gap = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    gap = std::max(gap, std::abs(a[i] - b[i]));
+  }
+  return gap;
+}
+
+TEST_F(ServerTest, SteadyFieldStopsOnItsChangeOrItsCap) {
+  server_.load(bench_, {8, 2, 3.2}, {1, 2, 3, 4, 5, 6, 7, 8},
+               power::CState::kPoll);
+  util::Telemetry& telemetry = util::Telemetry::instance();
+  telemetry.enable();
+  telemetry.reset();
+  const SteadyField field = server_.steady_field(60, 1e-4);
+  telemetry.disable();
+  const util::MetricsSnapshot snapshot = telemetry.metrics();
+  telemetry.reset();
+  EXPECT_TRUE(field.converged);
+  EXPECT_GT(field.iterations, 1);
+  EXPECT_LE(field.iterations, 60);
+  EXPECT_LE(field.final_change_c, 1e-4);
+  EXPECT_EQ(field.t.size(), server_.thermal().cell_count());
+  // It answers no cached question, so it is no "solve".
+  for (const auto& [name, value] : snapshot.counters) {
+    if (name == "solve.executed") {
+      EXPECT_EQ(value, 0.0);
+    }
+  }
+
+  // At its cap it reports the last change, above the stop.
+  const SteadyField capped = server_.steady_field(3, 1e-4);
+  EXPECT_FALSE(capped.converged);
+  EXPECT_EQ(capped.iterations, 3);
+  EXPECT_GT(capped.final_change_c, 1e-4);
+
+  EXPECT_THROW((void)server_.steady_field(0, 1e-4), util::PreconditionError);
+  EXPECT_THROW((void)server_.steady_field(10, 0.0), util::PreconditionError);
+}
+
+TEST_F(ServerTest, SettledSegmentEndsOnItsConvergedSteadyField) {
+  server_.load(bench_, {8, 2, 3.2}, {1, 2, 3, 4, 5, 6, 7, 8},
+               power::CState::kPoll);
+  const SteadyField steady = server_.steady_field(60, 1e-4);
+  ASSERT_TRUE(steady.converged);
+
+  // The fixed point it stands for, converged far tighter here: the
+  // boundary under-relaxed (ω = 0.5) from a zero-heat seed, every solve
+  // to a 1e-10 residual, until successive fields agree to 1e-9 °C.
+  const thermal::StackModel& stack = server_.stack();
+  util::Grid2D<double> heat(stack.grid.nx, stack.grid.ny, 0.0);
+  std::vector<double> tight;
+  bool converged = false;
+  for (int k = 0; k < 1000 && !converged; ++k) {
+    server_.set_evaporator_heat(heat);
+    std::vector<double> next = server_.thermal().solve_steady(tight, 1e-10);
+    const util::Grid2D<double> q = server_.evaporator_heat(next);
+    for (std::size_t i = 0; i < heat.data().size(); ++i) {
+      heat.data()[i] += 0.5 * (q.data()[i] - heat.data()[i]);
+    }
+    converged = !tight.empty() && max_cell_gap(next, tight) <= 1e-9;
+    tight = std::move(next);
+  }
+  ASSERT_TRUE(converged);
+  EXPECT_LE(max_cell_gap(steady.t, tight), 1e-3);
+
+  // A long phase from a cold field settles on its way there and ends on
+  // the steady field itself: its end TCASE and peaks are that field's.
+  const PackageProbe goal = server_.probe(steady.t);
+  std::vector<double> t(server_.thermal().cell_count(), 35.0);
+  const AdvanceResult seg = server_.advance(t, 1.0e6, 0.05, &steady.t);
+  EXPECT_TRUE(seg.settled);
+  EXPECT_LT(seg.settled_s, 900.0);  // no 900 s step needed
+  EXPECT_EQ(t, steady.t);
+  EXPECT_EQ(seg.end_tcase_c, goal.tcase_c);
+  EXPECT_EQ(seg.peak_tcase_c, goal.tcase_c);
+  EXPECT_EQ(seg.peak_die_c, goal.die_max_c);
+
+  std::vector<double> short_target(3, 40.0);
+  EXPECT_THROW(server_.advance(t, 1.0, 0.05, &short_target),
+               util::PreconditionError);
 }
 
 TEST(ServerCachedSolve, HitSharesTheStoredResult) {

@@ -4,7 +4,8 @@
 // TransientFleetEngine — exact boundary landing, steps that grow on a
 // smooth phase, a day-like trace on one server, bit-identity across thread
 // counts, a warm rerun that misses nothing (only the steady pass uses the
-// solve cache), identical streams integrating their segments once, a phase
+// solve cache), identical streams integrating their segments once, the
+// parallel schedule against a serial evaluation of its rule, a phase
 // of any length settling and returning, peak TCASE and peak die against a
 // tight-tolerance reference, no boundary limit cycle on a warm burst, and
 // per-stream thermal-state chaining.
@@ -19,12 +20,15 @@
 #include <vector>
 
 #include "tpcool/core/pipeline_pool.hpp"
+#include "tpcool/core/pipelines.hpp"
+#include "tpcool/core/server.hpp"
 #include "tpcool/core/solve_cache.hpp"
 #include "tpcool/datacenter/transient.hpp"
 #include "tpcool/thermal/grid.hpp"
 #include "tpcool/thermal/stack.hpp"
 #include "tpcool/thermal/step_control.hpp"
 #include "tpcool/util/error.hpp"
+#include "tpcool/util/telemetry.hpp"
 #include "tpcool/util/thread_pool.hpp"
 
 namespace tpcool {
@@ -427,11 +431,10 @@ TEST_F(TransientEngineTest, WarmRerunMissesNothingAndCachesOnlySteadySolves) {
 }
 
 TEST_F(TransientEngineTest, IdenticalStreamsIntegrateTheirSegmentsOnce) {
-  // Two copies of one stream on a one-rack fleet get the same plan, so the
-  // copy's chain agrees with the original's link for link: it replays each
-  // segment instead of integrating it (one server checkout per segment
-  // beyond the steady misses, not two), reports the same outcomes, and
-  // gives the same bits at any thread count.
+  // Two copies of one stream on a one-rack fleet get the same plan, so each
+  // segment of the copy has the same (start, phase, duration) key as the
+  // original's: the memo integrates it once, the copy reports the same
+  // outcomes, and the bits are the same at any thread count.
   const workload::WorkloadTrace stream = smooth_streams()[0];
   const std::vector<workload::WorkloadTrace> streams{stream, stream};
   std::uint64_t serial_digest = 0;
@@ -459,12 +462,111 @@ TEST_F(TransientEngineTest, IdenticalStreamsIntegrateTheirSegmentsOnce) {
       EXPECT_EQ(copy.end_tcase_c, original.end_tcase_c);
       EXPECT_EQ(copy.steps, original.steps);
     }
+    // One server checkout per steady miss, per phase's steady start (x264
+    // and canneal), and per run, not per segment: the uniform-start first
+    // segment, and the second segment twice, speculatively from x264's
+    // steady field and again from the end field of the 1.1 s x264 segment,
+    // which does not settle.
     const std::size_t checkouts = after.constructions + after.reuses -
                                   before.constructions - before.reuses;
-    EXPECT_EQ(checkouts, core::SolveCache::global()->stats().misses +
-                             result.intervals.size());
+    EXPECT_EQ(checkouts, core::SolveCache::global()->stats().misses + 2 + 3);
     if (threads == 1) serial_digest = datacenter::transient_digest(result);
     EXPECT_EQ(datacenter::transient_digest(result), serial_digest);
+  }
+}
+
+/// The engine's result by its serial rule, one stream at a time on fresh
+/// servers: each segment advances its stream's field toward its phase's
+/// steady field, and ends on it once settled; a stream's field is a
+/// uniform 35 °C at its start and after a move to another grid.
+datacenter::TransientFleetResult serial_rule(
+    const datacenter::FleetConfig& config,
+    const std::vector<workload::WorkloadTrace>& streams, double tolerance_c) {
+  datacenter::TransientFleetResult result;
+  result.steady = datacenter::FleetModel(config).run(streams);
+  result.duration_s = result.steady.duration_s;
+  std::vector<std::vector<double>> fields(streams.size());
+  for (const datacenter::FleetInterval& interval : result.steady.intervals) {
+    datacenter::TransientInterval out;
+    out.interval = interval.interval;
+    out.start_s = interval.start_s;
+    out.duration_s = interval.duration_s;
+    for (const datacenter::JobOutcome& job : interval.jobs) {
+      const datacenter::RackSpec& spec = config.racks[job.rack];
+      core::ServerModel server(
+          core::server_config_for(spec.approach, spec.cell_size_m));
+      server.set_operating_point(
+          {.water_flow_kg_h = server.operating_point().water_flow_kg_h,
+           .water_inlet_c = interval.racks[job.rack].cooling.supply_temp_c});
+      server.load(workload::find_benchmark(job.benchmark),
+                  job.decision.point.config, job.decision.cores,
+                  job.decision.idle_state);
+      const core::SteadyField steady =
+          server.steady_field(datacenter::kSteadyStartIterations,
+                              datacenter::kSteadyStartStopC);
+      std::vector<double>& t = fields[job.stream];
+      if (t.size() != steady.t.size()) t.assign(steady.t.size(), 35.0);
+      const core::AdvanceResult seg =
+          server.advance(t, interval.duration_s, tolerance_c,
+                         steady.converged ? &steady.t : nullptr);
+      datacenter::TransientJobOutcome outcome;
+      outcome.stream = job.stream;
+      outcome.rack = job.rack;
+      outcome.benchmark = job.benchmark;
+      outcome.peak_tcase_c = seg.peak_tcase_c;
+      outcome.peak_die_c = seg.peak_die_c;
+      outcome.end_tcase_c = seg.end_tcase_c;
+      outcome.steps = seg.steps;
+      outcome.rejected_steps = seg.rejected_steps;
+      outcome.tcase_limit_exceeded = seg.peak_tcase_c > spec.tcase_limit_c;
+      if (outcome.tcase_limit_exceeded) ++result.qos_violations;
+      result.peak_tcase_c = std::max(result.peak_tcase_c, seg.peak_tcase_c);
+      result.total_steps += seg.steps;
+      result.total_rejected_steps += seg.rejected_steps;
+      out.jobs.push_back(outcome);
+    }
+    result.intervals.push_back(std::move(out));
+  }
+  return result;
+}
+
+TEST_F(TransientEngineTest, ParallelScheduleGivesTheSerialRulesBits) {
+  // Stream 0's two phases last 2,400 s and settle.  Stream 1's last
+  // 0.5-1 s; they split stream 0's first phase into seconds-long segments
+  // that do not settle, so those run again from their predecessor's end
+  // field after the speculative pass.  Any thread count gives the serial
+  // rule's bits.
+  const std::vector<workload::WorkloadTrace> streams{
+      workload::WorkloadTrace(
+          {{"x264", {1.0}, 2400.0}, {"canneal", {3.0}, 2400.0}}),
+      workload::make_daily_trace(0.5)};
+  const std::uint64_t serial = datacenter::transient_digest(
+      serial_rule(small_fleet(), streams, kTolerance));
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    util::ThreadPool::set_global_thread_count(threads);
+    core::SolveCache::global()->clear();
+    util::Telemetry& telemetry = util::Telemetry::instance();
+    telemetry.enable();
+    telemetry.reset();
+    const datacenter::TransientFleetResult result =
+        datacenter::TransientFleetEngine(small_fleet(), {}).run(streams);
+    telemetry.disable();
+    EXPECT_EQ(datacenter::transient_digest(result), serial);
+
+    // Both paths ran: segments from a steady field and from an inherited
+    // end field, beside the two uniform stream starts.
+    std::size_t starts[3] = {0, 0, 0};
+    for (const util::SpanRecord& span : telemetry.merged_spans()) {
+      if (span.name != "transient.segment") continue;
+      for (const auto& [key, value] : span.args) {
+        if (key == "start") ++starts[static_cast<std::size_t>(value)];
+      }
+    }
+    telemetry.reset();
+    EXPECT_EQ(starts[0], 2u);
+    EXPECT_GT(starts[1], 0u);
+    EXPECT_GT(starts[2], 0u);
   }
 }
 
